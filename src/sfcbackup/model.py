@@ -40,7 +40,8 @@ class EdgeNetwork:
     """Edge servers plus symmetric weighted links.
 
     ``capacities[n]`` is server n's resource pool. Instances are treated as
-    immutable after construction; derived arrays are cached on first use.
+    immutable after construction; derived arrays and list views are cached on
+    first use.
     """
 
     capacities: tuple[int, ...]
@@ -97,6 +98,25 @@ class EdgeNetwork:
             tab = (ids, count)
             self._cache["nbr"] = tab
         return tab
+
+    @property
+    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        """neighbor_table as plain ints: entry n lists n's neighbors by ascending latency."""
+        tab = self._cache.get("nbr_lists")
+        if tab is None:
+            ids, count = self.neighbor_table
+            tab = tuple(tuple(row[:k]) for row, k in zip(ids.tolist(), count.tolist()))
+            self._cache["nbr_lists"] = tab
+        return tab
+
+    @property
+    def latency_rows(self) -> list[list[float]]:
+        """latency_matrix as nested lists of floats, for element-wise Python access."""
+        rows = self._cache.get("lat_rows")
+        if rows is None:
+            rows = self.latency_matrix.tolist()
+            self._cache["lat_rows"] = rows
+        return rows
 
     @property
     def cheapest_link(self) -> tuple[int, int]:

@@ -44,23 +44,18 @@ def get_consumption(network: EdgeNetwork, catalog: Catalog, residual,
     fits inside any single pool co-locates there outright (latency 0 is
     already optimal).
     """
-    res = np.ascontiguousarray(residual, dtype=np.int64)
     chain = catalog.sfc_chain[f]
     if len(chain) == 0:
         return cloud_plan(f)
-    anchor = cheapest_link_anchor(network, res)
-    nbr_ids, nbr_count = network.neighbor_table
-    assign = np.empty(len(chain), dtype=np.int64)
-    latency = kernels.greedy_chain_walk(
-        res, catalog.demand_array,
-        np.asarray(chain, dtype=np.int64),
-        nbr_ids, nbr_count, network.latency_matrix,
-        anchor, assign,
+    res = np.asarray(residual, dtype=np.int64).tolist()
+    latency, assign = kernels.greedy_chain_walk(
+        res, sorted(res), catalog.vnf_demand, chain, network.neighbor_lists,
+        network.latency_rows, cheapest_link_anchor(network, res),
     )
     if latency == math.inf:
         return cloud_plan(f)
-    return PlacementPlan(sfc=int(f), assignment=tuple(int(s) for s in assign),
-                         latency=float(latency), at_edge=True)
+    return PlacementPlan(sfc=int(f), assignment=tuple(assign),
+                         latency=latency, at_edge=True)
 
 
 def plan_all(network: EdgeNetwork, catalog: Catalog, residual,

@@ -69,39 +69,27 @@ def _decide(network: EdgeNetwork, catalog: Catalog, q_est: np.ndarray,
             v_est: np.ndarray, weights: RewardWeights, mode: int,
             t: int) -> SlotDecision:
     """Run the greedy selection kernel and wrap its output, verifying invariants."""
-    n_sfcs = catalog.n_sfcs
-    chain_vnf, chain_start = catalog.chain_arrays
-    nbr_ids, nbr_count = network.neighbor_table
-    link_u, link_v = network.cheapest_link
-    max_len = max(1, catalog.max_chain_len)
-
-    x = np.zeros(n_sfcs, dtype=np.uint8)
-    order = np.full(n_sfcs, -1, dtype=np.int64)
-    lat_out = np.full(n_sfcs, math.inf, dtype=np.float64)
-    assign = np.full((n_sfcs, max_len), -1, dtype=np.int64)
-    residual = np.zeros(network.n_servers, dtype=np.int64)
-
-    n_committed = kernels.slot_decide(
-        mode, network.caps_array, catalog.demand_array, chain_vnf, chain_start,
-        nbr_ids, nbr_count, network.latency_matrix, link_u, link_v,
-        q_est, v_est, weights.omega, weights.mu,
-        x, order, lat_out, assign, residual,
-    )
+    x: list[int] = []
+    order: list[int] = []
+    lat: list[float] = []
+    assign: list[list[int]] = []
+    residual: list[int] = []
+    n_committed = kernels.slot_decide(mode, network, catalog, q_est, v_est,
+                                      weights.omega, weights.mu,
+                                      x, order, lat, assign, residual)
 
     deployed: list[tuple[int, PlacementPlan]] = []
-    placed = np.zeros(catalog.n_vnfs, dtype=np.int64)
-    for idx in range(n_committed):
-        f = int(order[idx])
-        chain = catalog.sfc_chain[f]
-        plan = PlacementPlan(sfc=f,
-                             assignment=tuple(int(s) for s in assign[f, :len(chain)]),
-                             latency=float(lat_out[f]), at_edge=True)
-        deployed.append((f, plan))
-        for i in chain:
+    placed = [0] * catalog.n_vnfs
+    for f in order[:n_committed]:
+        deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign[f]),
+                                          latency=lat[f], at_edge=True)))
+        for i in catalog.sfc_chain[f]:
             placed[i] += 1
 
-    decision = SlotDecision(t=int(t), deployed=deployed, x=x,
-                            placed_counts=placed, residual_after=residual)
+    decision = SlotDecision(t=int(t), deployed=deployed,
+                            x=np.array(x, dtype=np.uint8),
+                            placed_counts=np.array(placed, dtype=np.int64),
+                            residual_after=np.array(residual, dtype=np.int64))
     verify_decision(network, catalog, decision)
     return decision
 
@@ -153,47 +141,48 @@ def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,
     commits only if the whole chain fits at the edge.
     """
     n = network.n_servers
-    caps = network.caps_array
-    lat = network.latency_matrix
-    demands = catalog.demand_array
-    residual = caps.copy()
-    x = np.zeros(catalog.n_sfcs, dtype=np.uint8)
-    placed = np.zeros(catalog.n_vnfs, dtype=np.int64)
+    lat = network.latency_rows
+    demands = catalog.vnf_demand
+    residual = list(network.capacities)
+    x = [0] * catalog.n_sfcs
+    placed = [0] * catalog.n_vnfs
     deployed: list[tuple[int, PlacementPlan]] = []
 
     candidates = list(range(catalog.n_sfcs))
     while candidates:
         f = candidates.pop(int(rng.integers(len(candidates))))
         chain = catalog.sfc_chain[f]
-        tent = np.zeros(n, dtype=np.int64)
+        tent = [0] * n
         assign: list[int] = []
         latency = 0.0
         feasible = len(chain) > 0
         for i in chain:
             need = demands[i]
             spot = -1
-            for s in rng.permutation(n):
+            for s in rng.permutation(n).tolist():
                 if residual[s] - tent[s] >= need:
-                    spot = int(s)
+                    spot = s
                     break
             if spot < 0:
                 feasible = False
                 break
             if assign:
-                latency += lat[assign[-1], spot]
+                latency += lat[assign[-1]][spot]
             assign.append(spot)
             tent[spot] += need
         if not feasible or math.isinf(latency):
             continue
-        residual -= tent
+        residual = [r - d for r, d in zip(residual, tent)]
         x[f] = 1
         for i in chain:
             placed[i] += 1
         deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign),
-                                          latency=float(latency), at_edge=True)))
+                                          latency=latency, at_edge=True)))
 
-    decision = SlotDecision(t=int(t), deployed=deployed, x=x,
-                            placed_counts=placed, residual_after=residual)
+    decision = SlotDecision(t=int(t), deployed=deployed,
+                            x=np.array(x, dtype=np.uint8),
+                            placed_counts=np.array(placed, dtype=np.int64),
+                            residual_after=np.array(residual, dtype=np.int64))
     verify_decision(network, catalog, decision)
     return decision
 
@@ -234,8 +223,10 @@ def verify_decision(network: EdgeNetwork, catalog: Catalog,
     Raises InvariantViolation on the first inconsistency. Cheap enough to run
     on every slot of every experiment.
     """
-    load = np.zeros(network.n_servers, dtype=np.int64)
-    placed = np.zeros(catalog.n_vnfs, dtype=np.int64)
+    n = network.n_servers
+    demand = catalog.vnf_demand
+    load = [0] * n
+    placed = [0] * catalog.n_vnfs
     seen: set[int] = set()
     for f, plan in decision.deployed:
         chain = catalog.sfc_chain[f]
@@ -246,20 +237,21 @@ def verify_decision(network: EdgeNetwork, catalog: Catalog,
             raise InvariantViolation(f"slot {decision.t}: SFC {f} committed a partial plan")
         if math.isinf(plan.latency):
             raise InvariantViolation(f"slot {decision.t}: SFC {f} committed at infinite latency")
-        for pos, server in enumerate(plan.assignment):
-            if not (0 <= server < network.n_servers):
+        for server, i in zip(plan.assignment, chain):
+            # bound check first: a negative id would index a list from the end
+            if not (0 <= server < n):
                 raise InvariantViolation(f"slot {decision.t}: SFC {f} assigned to unknown server {server}")
-            load[server] += catalog.vnf_demand[chain[pos]]
-            placed[chain[pos]] += 1
-    caps = network.caps_array
-    if np.any(load > caps):
+            load[server] += demand[i]
+            placed[i] += 1
+    caps = network.capacities
+    if any(used > cap for used, cap in zip(load, caps)):
         raise InvariantViolation(f"slot {decision.t}: server load exceeds capacity")
-    if np.any(decision.residual_after != caps - load):
+    if decision.residual_after.tolist() != [cap - used for cap, used in zip(caps, load)]:
         raise InvariantViolation(f"slot {decision.t}: residual bookkeeping mismatch")
-    x_expect = np.zeros(catalog.n_sfcs, dtype=np.uint8)
+    x_expect = [0] * catalog.n_sfcs
     for f in seen:
         x_expect[f] = 1
-    if np.any(decision.x != x_expect):
+    if decision.x.tolist() != x_expect:
         raise InvariantViolation(f"slot {decision.t}: backup vector out of sync with plans")
-    if np.any(decision.placed_counts != placed):
+    if decision.placed_counts.tolist() != placed:
         raise InvariantViolation(f"slot {decision.t}: placement counts out of sync with plans")

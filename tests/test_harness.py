@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -206,6 +207,21 @@ def test_emit_is_byte_stable(tmp_path: Path) -> None:
     for name in ("trace.csv", "trace.jsonl", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of trace.csv from ``sfcbackup --slots 60 --seed 1..3`` (bundled config,
+# all policies). A refactor must keep it; a change that alters decisions or
+# sampling on purpose updates it and says so in CHANGES.md.
+GOLDEN_TRACE_SHA256 = "95a36751ef117341cbbe3276549db739fdb624fb5d94f46002b4ade3dbb64832"
+
+
+def test_golden_trace_digest(tmp_path: Path) -> None:
+    cfg = apply_overrides(load_config(default_config_path()), slots=60,
+                          seeds="1..3", policy="all")
+    assert cfg.policies == POLICY_ORDER
+    emit(run(cfg), tmp_path, "csv")
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRACE_SHA256
 
 
 # --- command line ------------------------------------------------------------

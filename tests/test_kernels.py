@@ -5,20 +5,23 @@ import math
 import numpy as np
 
 from sfcbackup import Catalog, EdgeNetwork, cheapest_link_anchor
+from sfcbackup import default_config_path, load_config
 from sfcbackup import kernels
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, first_fit_chain_walk,
-                               greedy_chain_walk, python_impl, slot_decide,
-                               warmup)
+                               first_fit_chain_walk_array, greedy_chain_walk,
+                               greedy_chain_walk_array, slot_decide,
+                               slot_decide_array, slot_decide_lists,
+                               slot_decide_via_arrays, warmup)
 
 
 def test_flag_and_warmup() -> None:
     assert isinstance(kernels.NUMBA_ENABLED, bool)
     warmup()
     if kernels.NUMBA_ENABLED:
-        assert hasattr(slot_decide, "py_func")
-        assert python_impl(slot_decide) is slot_decide.py_func
+        assert hasattr(slot_decide_array, "py_func")
+        assert slot_decide is slot_decide_via_arrays
     else:
-        assert python_impl(slot_decide) is slot_decide
+        assert slot_decide is slot_decide_lists
 
 
 def random_setup(rng: np.random.Generator):
@@ -39,40 +42,51 @@ def random_setup(rng: np.random.Generator):
     return net, cat, q, v
 
 
+def same_latency(array_lat, list_lat) -> bool:
+    # the list path must hand back plain floats, never numpy scalars
+    return type(list_lat) is float and (
+        array_lat == list_lat or (math.isinf(array_lat) and math.isinf(list_lat)))
+
+
 def test_chain_walks_match_python_definitions() -> None:
-    g_py = python_impl(greedy_chain_walk)
-    f_py = python_impl(first_fit_chain_walk)
+    # the list walks against their array reference twins
     rng = np.random.default_rng(2024)
+    outcomes = {"edge": 0, "cloud": 0}
     for _ in range(150):
         net, cat, _, _ = random_setup(rng)
         chain_vnf, chain_start = cat.chain_arrays
         nbr_ids, nbr_count = net.neighbor_table
         lat = net.latency_matrix
         residual = rng.integers(0, 14, net.n_servers).astype(np.int64)
+        res = residual.tolist()
         for f in range(cat.n_sfcs):
             chain = chain_vnf[chain_start[f]:chain_start[f + 1]]
             anchor = cheapest_link_anchor(net, residual)
 
             a1 = np.full(len(chain), -1, dtype=np.int64)
-            a2 = np.full(len(chain), -1, dtype=np.int64)
-            l1 = greedy_chain_walk(residual, cat.demand_array, chain, nbr_ids,
-                                   nbr_count, lat, anchor, a1)
-            l2 = g_py(residual, cat.demand_array, chain, nbr_ids, nbr_count,
-                      lat, anchor, a2)
-            assert (l1 == l2) or (math.isinf(l1) and math.isinf(l2))
-            if not math.isinf(l1):
-                assert a1.tolist() == a2.tolist()
+            l1 = greedy_chain_walk_array(residual, cat.demand_array, chain,
+                                         nbr_ids, nbr_count, lat, anchor, a1)
+            l2, a2 = greedy_chain_walk(res, sorted(res), cat.vnf_demand,
+                                       cat.sfc_chain[f], net.neighbor_lists,
+                                       net.latency_rows, anchor)
+            assert same_latency(l1, l2)
+            assert a2 is None if math.isinf(l1) else a1.tolist() == a2
+            outcomes["cloud" if math.isinf(l1) else "edge"] += 1
 
             b1 = np.full(len(chain), -1, dtype=np.int64)
-            b2 = np.full(len(chain), -1, dtype=np.int64)
-            m1 = first_fit_chain_walk(residual, cat.demand_array, chain, lat, b1)
-            m2 = f_py(residual, cat.demand_array, chain, lat, b2)
-            assert (m1 == m2) or (math.isinf(m1) and math.isinf(m2))
-            if not math.isinf(m1):
-                assert b1.tolist() == b2.tolist()
+            m1 = first_fit_chain_walk_array(residual, cat.demand_array, chain,
+                                            lat, b1)
+            m2, b2 = first_fit_chain_walk(res, cat.vnf_demand, cat.sfc_chain[f],
+                                          net.latency_rows)
+            assert same_latency(m1, m2)
+            if not math.isinf(m1):      # +inf may also mean a missing link
+                assert b1.tolist() == b2
+        # plans are tentative: the walks never touch the residual
+        assert res == residual.tolist()
+    assert min(outcomes.values()) > 50
 
 
-def run_slot_decide(impl, mode, net, cat, q, v):
+def run_slot_decide_array(mode, net, cat, q, v):
     chain_vnf, chain_start = cat.chain_arrays
     nbr_ids, nbr_count = net.neighbor_table
     link_u, link_v = net.cheapest_link
@@ -82,40 +96,63 @@ def run_slot_decide(impl, mode, net, cat, q, v):
     lat_out = np.full(cat.n_sfcs, math.inf, dtype=np.float64)
     assign = np.full((cat.n_sfcs, max_len), -1, dtype=np.int64)
     residual = np.zeros(net.n_servers, dtype=np.int64)
-    n = impl(mode, net.caps_array, cat.demand_array, chain_vnf, chain_start,
-             nbr_ids, nbr_count, net.latency_matrix, link_u, link_v,
-             q, v, 1.0, 1.0, x, order, lat_out, assign, residual)
+    n = slot_decide_array(mode, net.caps_array, cat.demand_array, chain_vnf,
+                          chain_start, nbr_ids, nbr_count, net.latency_matrix,
+                          link_u, link_v, q, v, 1.0, 1.0, x, order, lat_out,
+                          assign, residual)
     return n, x, order, lat_out, assign, residual
 
 
+def run_slot_decide(impl, mode, net, cat, q, v, outs=None):
+    outs = outs if outs is not None else ([], [], [], [], [])
+    n = impl(mode, net, cat, q, v, 1.0, 1.0, *outs)
+    return (n,) + outs
+
+
+def bundled_cases(rng: np.random.Generator, count: int):
+    # exploration sentinels (+inf popularity) and certain failures (gate 0)
+    # take branches that uniform estimates never reach
+    cfg = load_config(default_config_path())
+    net, cat = cfg.network, cfg.catalog
+    for _ in range(count):
+        q = rng.uniform(0.0, 10.0, cat.n_sfcs)
+        q[rng.random(cat.n_sfcs) < 0.2] = math.inf
+        v = rng.uniform(0.0, 0.3, cat.n_vnfs)
+        v[rng.random(cat.n_vnfs) < 0.1] = 1.0
+        yield net, cat, q, v
+
+
 def test_slot_decide_matches_python_definition() -> None:
-    py = python_impl(slot_decide)
+    # the list kernel against the array reference kernel, and the numba
+    # backend's list interface (slot_decide_via_arrays) against both
     rng = np.random.default_rng(77)
+    cases = [random_setup(rng) for _ in range(120)]
+    cases += bundled_cases(np.random.default_rng(11), 100)
     checked = 0
-    for _ in range(120):
-        net, cat, q, v = random_setup(rng)
+    for net, cat, q, v in cases:
         for mode in (GREEDY, FIRST_FIT):
-            got = run_slot_decide(slot_decide, mode, net, cat, q, v)
-            want = run_slot_decide(py, mode, net, cat, q, v)
-            assert got[0] == want[0]
-            assert got[1].tolist() == want[1].tolist()
-            assert got[2].tolist() == want[2].tolist()
-            finite = ~np.isinf(want[3])
-            assert np.array_equal(got[3][finite], want[3][finite])
-            assert np.isinf(got[3][~finite]).all()
-            assert got[4].tolist() == want[4].tolist()
-            assert got[5].tolist() == want[5].tolist()
+            want = run_slot_decide_array(mode, net, cat, q, v)
+            got = run_slot_decide(slot_decide_lists, mode, net, cat, q, v)
+            assert type(got[0]) is int and got[0] == want[0]
+            assert got[1] == want[1].tolist()
+            assert got[2] == want[2].tolist()
+            assert len(got[3]) == len(want[3])
+            assert all(same_latency(w, g) for w, g in zip(want[3].tolist(), got[3]))
+            assert got[4] == [row[:len(chain)] for row, chain
+                              in zip(want[4].tolist(), cat.sfc_chain)]
+            assert got[5] == want[5].tolist()
+            assert run_slot_decide(slot_decide_via_arrays, mode, net, cat, q, v) == got
             checked += got[0]
     # the generator must actually exercise commits, not just empty slots
     assert checked > 50
 
 
 def test_slot_decide_is_idempotent_on_outputs() -> None:
-    # output buffers are fully reinitialized by the kernel, so reuse is safe
+    # output lists are fully overwritten by the kernel, so reuse is safe
     rng = np.random.default_rng(5)
     net, cat, q, v = random_setup(rng)
-    first = run_slot_decide(slot_decide, GREEDY, net, cat, q, v)
-    second = run_slot_decide(slot_decide, GREEDY, net, cat, q, v)
-    assert first[0] == second[0]
-    assert first[1].tolist() == second[1].tolist()
-    assert first[5].tolist() == second[5].tolist()
+    outs = ([], [], [], [], [])
+    first = run_slot_decide(slot_decide, GREEDY, net, cat, q, v, outs)
+    first = (first[0],) + tuple(list(out) for out in first[1:])
+    second = run_slot_decide(slot_decide, GREEDY, net, cat, q, v, outs)
+    assert first == second

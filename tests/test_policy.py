@@ -398,3 +398,31 @@ def test_verify_decision_catches_cloud_commit() -> None:
                        residual_after=np.array([10], dtype=np.int64))
     with pytest.raises(InvariantViolation):
         verify_decision(net, cat, dec)
+
+
+def test_verify_decision_catches_infinite_latency_commit() -> None:
+    net, cat, dec = legit_decision()
+    f, plan = dec.deployed[0]
+    dec.deployed[0] = (f, PlacementPlan(sfc=f, assignment=plan.assignment,
+                                        latency=math.inf, at_edge=True))
+    with pytest.raises(InvariantViolation, match="infinite latency"):
+        verify_decision(net, cat, dec)
+
+
+@pytest.mark.parametrize("server", [2, 7, -1, -2])
+def test_verify_decision_catches_unknown_server(server: int) -> None:
+    # -1 and -2 would silently index a two-server list from the end
+    net, cat, dec = legit_decision()
+    f, plan = dec.deployed[0]
+    bad = (server,) + plan.assignment[1:]
+    dec.deployed[0] = (f, PlacementPlan(sfc=f, assignment=bad,
+                                        latency=plan.latency, at_edge=True))
+    with pytest.raises(InvariantViolation, match=f"unknown server {server}"):
+        verify_decision(net, cat, dec)
+
+
+def test_verify_decision_catches_placement_count_mismatch() -> None:
+    net, cat, dec = legit_decision()
+    dec.placed_counts[cat.sfc_chain[dec.deployed[0][0]][0]] += 1
+    with pytest.raises(InvariantViolation, match="placement counts"):
+        verify_decision(net, cat, dec)
