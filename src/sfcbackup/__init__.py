@@ -8,7 +8,7 @@ uninformed random baseline, with exhaustive oracles for small instances.
 from .model import (CLOUD_LATENCY, Catalog, EdgeNetwork, cheapest_link_anchor,
                     fresh_residual, neighbors_by_latency, validate_instance)
 from .workload import (GroundTruth, SlotObservation, make_ground_truth,
-                       sample_slot, slot_stream, true_popularity)
+                       sample_slot, sample_slots, slot_stream, true_popularity)
 from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
                        failure_estimate, failure_update, init_learners,
                        popularity_estimate, popularity_update)
@@ -29,7 +29,7 @@ __all__ = [
     "CLOUD_LATENCY", "Catalog", "EdgeNetwork", "cheapest_link_anchor",
     "fresh_residual", "neighbors_by_latency", "validate_instance",
     "GroundTruth", "SlotObservation", "make_ground_truth", "sample_slot",
-    "slot_stream", "true_popularity",
+    "sample_slots", "slot_stream", "true_popularity",
     "FailureLearner", "PopularityLearner", "chain_failure_rate",
     "failure_estimate", "failure_update", "init_learners",
     "popularity_estimate", "popularity_update",

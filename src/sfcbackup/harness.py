@@ -28,12 +28,18 @@ from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
 from .policy import (RewardWeights, bandit_scheme_slot, expected_slot_value,
                      random_scheme_slot, realized_reward, rtsd_slot)
-from .workload import POLICY_DOMAIN, make_ground_truth, sample_slot, slot_stream
+from .workload import (POLICY_DOMAIN, make_ground_truth, rewind_stream, sample_slots,
+                       slot_stream)
 
 POLICY_ORDER = ("rtsd", "bandit", "random")
 
 CSV_COLUMNS = ("t", "policy", "seed", "realized_reward", "expected_reward",
                "remaining_resource", "num_deployed", "oracle_value", "regret")
+
+
+# simulate_run draws observations this many slots at a time: one Philox call
+# per block, and memory that stays bounded however long the run is.
+OBS_BLOCK_SLOTS = 256
 
 
 class ConfigError(ValueError):
@@ -241,33 +247,42 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
     Returns per-slot arrays (index 0 is slot 1) of realized reward, expected
     reward, total remaining resource, and deployment count.
     """
-    realized = np.zeros(slots, dtype=np.float64)
-    expected = np.zeros(slots, dtype=np.float64)
-    remaining = np.zeros(slots, dtype=np.int64)
-    deployed = np.zeros(slots, dtype=np.int64)
+    realized: list[float] = []
+    expected: list[float] = []
+    remaining: list[int] = []
+    deployed: list[int] = []
 
-    obs0 = sample_slot(gt, 0)
-    learners = init_learners(obs0, users,
+    observations = _observations(gt, slots + 1)
+    learners = init_learners(next(observations), users,
                              failure_bonus_scale=failure_bonus_scale,
                              failure_bonus_sign=failure_bonus_sign)
-    for t in range(1, slots + 1):
-        obs = sample_slot(gt, t)
+    # one generator for the whole run, rewound to slot t's stream each slot
+    policy_rng = slot_stream(gt.rng_seed, 1, POLICY_DOMAIN) if policy == "random" else None
+    for t, obs in enumerate(observations, start=1):
         if policy == "rtsd":
             decision = rtsd_slot(network, catalog, learners, t, obs, weights)
         elif policy == "bandit":
             decision = bandit_scheme_slot(network, catalog, learners, t, obs, weights)
         elif policy == "random":
-            rng = slot_stream(gt.rng_seed, t, POLICY_DOMAIN)
+            rng = rewind_stream(policy_rng, gt.rng_seed, t, POLICY_DOMAIN)
             decision = random_scheme_slot(network, catalog, t, obs, rng)
         else:
             raise ValueError(f"unknown policy {policy!r}")
         _, total = realized_reward(weights, obs, decision, catalog)
-        realized[t - 1] = total
-        expected[t - 1] = expected_slot_value(weights, gt, decision, catalog)
-        remaining[t - 1] = int(decision.residual_after.sum())
-        deployed[t - 1] = len(decision.deployed)
-    return {"realized": realized, "expected": expected,
-            "remaining": remaining, "deployed": deployed}
+        realized.append(total)
+        expected.append(expected_slot_value(weights, gt, decision, catalog))
+        remaining.append(sum(decision.residual_after.tolist()))
+        deployed.append(len(decision.deployed))
+    return {"realized": np.array(realized, dtype=np.float64),
+            "expected": np.array(expected, dtype=np.float64),
+            "remaining": np.array(remaining, dtype=np.int64),
+            "deployed": np.array(deployed, dtype=np.int64)}
+
+
+def _observations(gt, n_slots: int):
+    """Observations of slots 0 .. n_slots-1, drawn OBS_BLOCK_SLOTS at a time."""
+    for t0 in range(0, n_slots, OBS_BLOCK_SLOTS):
+        yield from sample_slots(gt, t0, min(t0 + OBS_BLOCK_SLOTS, n_slots))
 
 
 def _mean_std(values: list[float]) -> dict[str, float]:

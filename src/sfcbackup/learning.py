@@ -79,22 +79,28 @@ def init_learners(obs0: SlotObservation, users: int, *,
 def popularity_update(learner: PopularityLearner, obs: SlotObservation,
                       deployed) -> None:
     """Fold obs into every arm flagged in ``deployed`` (the slot's backup vector)."""
-    sel = np.asarray(deployed).astype(bool)
-    learner.selected[sel] += 1
-    learner.request_total[sel] += obs.requests[sel]
-    learner.request_mean[sel] = learner.request_total[sel] / learner.selected[sel]
+    requests = obs.requests.tolist()
+    selected, total, mean = learner.selected, learner.request_total, learner.request_mean
+    counts, sums = selected.tolist(), total.tolist()
+    for f, on in enumerate(np.asarray(deployed).tolist()):
+        if on:
+            c = counts[f] + 1
+            s = sums[f] + requests[f]
+            selected[f] = c
+            total[f] = s
+            mean[f] = s / c
 
 
 def popularity_estimate(learner: PopularityLearner, t: int) -> np.ndarray:
     """Optimistic request-count estimates at slot t; +inf forces a first pull."""
     if t < 1:
         raise ValueError("estimates are defined for t >= 1")
-    est = np.full(learner.selected.shape, math.inf, dtype=np.float64)
-    explored = learner.selected > 0
-    c = learner.selected[explored]
-    bonus = learner.users * np.sqrt(3.0 * math.log(t) / (2.0 * c))
-    est[explored] = learner.request_mean[explored] + bonus
-    return est
+    scale = learner.users
+    log_term = 3.0 * math.log(t)
+    return np.array([mean + scale * math.sqrt(log_term / (2.0 * c)) if c > 0 else math.inf
+                     for c, mean in zip(learner.selected.tolist(),
+                                        learner.request_mean.tolist())],
+                    dtype=np.float64)
 
 
 def failure_update(learner: FailureLearner, obs: SlotObservation,
@@ -104,28 +110,34 @@ def failure_update(learner: FailureLearner, obs: SlotObservation,
     placed[i] is the copy count (may exceed 1); the observed failure flag is
     added once per slot regardless of how many copies went out.
     """
-    placed = np.asarray(placed, dtype=np.int64)
-    m = placed > 0
-    learner.placements[m] += placed[m]
-    learner.failure_total[m] += obs.vnf_failed[m]
-    learner.failure_mean[m] = learner.failure_total[m] / learner.placements[m]
+    failed = obs.vnf_failed.tolist()
+    placements, total, mean = learner.placements, learner.failure_total, learner.failure_mean
+    counts, sums = placements.tolist(), total.tolist()
+    for i, copies in enumerate(np.asarray(placed, dtype=np.int64).tolist()):
+        if copies > 0:
+            c = counts[i] + copies
+            s = sums[i] + failed[i]
+            placements[i] = c
+            total[i] = s
+            mean[i] = s / c
 
 
 def failure_estimate(learner: FailureLearner, t: int) -> np.ndarray:
     """Failure-rate estimates at slot t, clamped to [0, 1]; unexplored VNFs report 0."""
     if t < 1:
         raise ValueError("estimates are defined for t >= 1")
-    est = np.zeros(learner.placements.shape, dtype=np.float64)
-    explored = learner.placements > 0
-    h = learner.placements[explored]
-    bonus = learner.bonus_scale * np.sqrt(3.0 * math.log(t) / (2.0 * h))
-    est[explored] = np.clip(learner.failure_mean[explored] + learner.bonus_sign * bonus,
-                            0.0, 1.0)
-    return est
+    scale, sign = learner.bonus_scale, learner.bonus_sign
+    log_term = 3.0 * math.log(t)
+    est = []
+    for h, mean in zip(learner.placements.tolist(), learner.failure_mean.tolist()):
+        if h > 0:
+            v = mean + sign * (scale * math.sqrt(log_term / (2.0 * h)))
+            est.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        else:
+            est.append(0.0)
+    return np.array(est, dtype=np.float64)
 
 
 def chain_failure_rate(catalog, rates, f: int) -> float:
     """A chain is only as reliable as its worst VNF: max rate over f's occurrences."""
-    rates = np.asarray(rates, dtype=np.float64)
-    chain = catalog.sfc_chain[f]
-    return float(max(rates[i] for i in chain))
+    return float(max(rates[i] for i in catalog.sfc_chain[f]))

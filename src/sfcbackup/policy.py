@@ -196,24 +196,28 @@ def realized_reward(weights: RewardWeights, obs: SlotObservation,
     this slot (copies of the same VNF share one failure outcome); the payoff
     uses the realized request count. Cloud chains earn 0.
     """
-    per_sfc = np.zeros(catalog.n_sfcs, dtype=np.float64)
+    failed = obs.vnf_failed.tolist()
+    requests = obs.requests.tolist()
+    earned = [0.0] * catalog.n_sfcs
     for f, plan in decision.deployed:
-        chain = catalog.sfc_chain[f]
-        if any(obs.vnf_failed[i] for i in set(chain)):
+        if any(failed[i] for i in catalog.sfc_chain[f]):
             continue
-        per_sfc[f] = weights.omega * obs.requests[f] - weights.mu * plan.latency
+        earned[f] = weights.omega * requests[f] - weights.mu * plan.latency
+    per_sfc = np.array(earned, dtype=np.float64)
+    # numpy's pairwise summation order, not Python's left-to-right one
     return per_sfc, float(per_sfc.sum())
 
 
 def expected_slot_value(weights: RewardWeights, gt: GroundTruth,
                         decision: SlotDecision, catalog: Catalog) -> float:
     """Decision value under the true parameters (the selection objective)."""
-    q = true_popularity(gt)
+    q = true_popularity(gt).tolist()
+    rates = gt.failure_mean.tolist()
     total = 0.0
     for f, plan in decision.deployed:
-        u_true = chain_failure_rate(catalog, gt.failure_mean, f)
+        u_true = chain_failure_rate(catalog, rates, f)
         total += (weights.omega * q[f] - weights.mu * plan.latency) * (1.0 - u_true)
-    return float(total)
+    return total
 
 
 def verify_decision(network: EdgeNetwork, catalog: Catalog,

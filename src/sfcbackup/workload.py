@@ -1,14 +1,21 @@
 """Stationary request and failure processes.
 
-Each slot draws from its own counter-based RNG stream (Philox keyed by the
-run seed, counter set from the slot index), so the observation at slot t
-depends only on (seed, t). Policies never consume environment randomness;
-policy-side draws use a separate key domain. A given seed therefore produces
-the identical observation sequence no matter which or how many policies run.
+Slot t draws from a counter-based RNG stream (Philox keyed by the run seed,
+counter set to [t, 0, 0, 0]), so the observation at slot t depends only on
+(seed, t). Policies never consume environment randomness; policy-side draws
+use a separate key domain. A given seed therefore produces the identical
+observation sequence no matter which or how many policies run.
+
+The slot streams are not independent: Philox advances the counter once per
+four doubles, so slot t's stream is slot t-1's shifted by SLOT_STRIDE draws
+and consecutive slots share most of their uniforms. Open item 2 of
+ROADMAP.md ("Independent per-slot random streams") removes the overlap.
+sample_slots relies on the same shift to draw a range of slots at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +24,12 @@ import numpy as np
 # Key domains keep environment draws and policy draws on disjoint streams.
 ENV_DOMAIN = 0
 POLICY_DOMAIN = 1
+
+# Doubles between the starts of consecutive slots' streams: Philox produces
+# four 64-bit words per counter step and a double takes one word. Slots that
+# draw more than this many uniforms overlap their successors; ROADMAP.md open
+# item 2 moves the stride to a non-overlapping 4 * ceil(D / 4).
+SLOT_STRIDE = 4
 
 
 @dataclass(eq=False)
@@ -86,22 +99,83 @@ def make_ground_truth(request_prob, failure_mean, users: int, n_sfcs: int,
     return GroundTruth(p, failure_mean, rng_seed)
 
 
+@functools.cache
+def _philox_key_type() -> type:
+    """A seed sequence class that hands Philox the key (seed, domain) as it is.
+
+    Philox(key=...) also seeds a SeedSequence from OS entropy that it never
+    uses, which is most of its construction cost; keying through this class
+    gives the same generator state without that draw. Built on first use, so
+    that importing the package does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, seed: int, domain: int) -> None:
+            self.key = (seed, domain)
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # Philox asks for its key: two 64-bit words
+            return np.array(self.key, dtype=np.uint64)
+
+    return PhiloxKey
+
+
 def slot_stream(seed: int, t: int, domain: int = ENV_DOMAIN) -> np.random.Generator:
-    """Independent generator for (seed, t, domain); construction order never matters."""
-    bitgen = np.random.Philox(key=[np.uint64(seed), np.uint64(domain)],
+    """Generator for (seed, t, domain); construction order never matters.
+
+    Not independent across t: the stream for t + 1 is the stream for t
+    shifted by SLOT_STRIDE doubles (see the module docstring).
+    """
+    bitgen = np.random.Philox(_philox_key_type()(seed, domain),
                               counter=[np.uint64(t), 0, 0, 0])
     return np.random.Generator(bitgen)
 
 
+def rewind_stream(rng: np.random.Generator, seed: int, t: int,
+                  domain: int = ENV_DOMAIN) -> np.random.Generator:
+    """Put rng, a slot_stream generator, in the state slot_stream(seed, t, domain) starts in.
+
+    Empties the output buffer and the buffered 32-bit half, so the draws that
+    follow equal a fresh generator's; much cheaper than building one.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [t, 0, 0, 0], "key": [seed, domain]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
+def sample_slots(gt: GroundTruth, t0: int, t1: int) -> list[SlotObservation]:
+    """Draw the observations of slots t0 .. t1-1 with one Philox call.
+
+    Slot t's D uniforms (the request block, then the failure flags) are the
+    D doubles starting SLOT_STRIDE * (t - t0) into slot t0's stream, which is
+    exactly what slot_stream(seed, t) draws first. Pure in (gt parameters,
+    seed, t), whatever the range.
+    """
+    n = t1 - t0
+    if n < 1:
+        raise ValueError("need t1 > t0")
+    p = gt.request_prob
+    n_req = p.size
+    threshold = np.concatenate((p.ravel(), gt.failure_mean))
+    width = threshold.shape[0]
+    flat = slot_stream(gt.rng_seed, t0, ENV_DOMAIN).random(SLOT_STRIDE * (n - 1) + width)
+    # row k views the width doubles that start at SLOT_STRIDE * k; nothing is copied
+    u = np.ndarray((n, width), dtype=np.float64, buffer=flat,
+                   strides=(SLOT_STRIDE * flat.itemsize, flat.itemsize))
+    hit = u < threshold
+    requests = hit[:, :n_req].reshape((n,) + p.shape).sum(axis=1, dtype=np.int64)
+    vnf_failed = hit[:, n_req:].view(np.uint8)
+    return [SlotObservation(t=t, requests=r, vnf_failed=v)
+            for t, r, v in zip(range(int(t0), int(t1)), requests, vnf_failed)]
+
+
 def sample_slot(gt: GroundTruth, t: int) -> SlotObservation:
     """Draw slot t's observation. Pure in (gt parameters, seed, t)."""
-    rng = slot_stream(gt.rng_seed, t, ENV_DOMAIN)
-    # Fixed draw order: the request block first, then failure flags.
-    u = rng.random(gt.request_prob.shape)
-    requests = (u < gt.request_prob).sum(axis=0, dtype=np.int64)
-    fu = rng.random(gt.failure_mean.shape)
-    vnf_failed = (fu < gt.failure_mean).astype(np.uint8)
-    return SlotObservation(t=int(t), requests=requests, vnf_failed=vnf_failed)
+    return sample_slots(gt, t, t + 1)[0]
 
 
 def true_popularity(gt: GroundTruth) -> np.ndarray:

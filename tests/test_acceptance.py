@@ -25,7 +25,7 @@ from sfcbackup import (Catalog, EdgeNetwork, SlotObservation, apply_overrides,
                        init_learners, load_config, make_ground_truth,
                        optimal_chain_latency, popularity_estimate,
                        popularity_update, random_scheme_slot, rtsd_slot, run,
-                       sample_slot, slot_stream)
+                       sample_slots, slot_stream)
 from sfcbackup.workload import POLICY_DOMAIN
 
 
@@ -159,11 +159,12 @@ def test_05_per_slot_invariants(canonical) -> None:
         for seed in cfg.seeds[:3]:
             gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                                    catalog.n_sfcs, seed)
-            learners = init_learners(sample_slot(gt, 0), cfg.users,
+            observations = sample_slots(gt, 0, cfg.slots + 1)
+            learners = init_learners(observations[0], cfg.users,
                                      failure_bonus_scale=cfg.failure_bonus_scale,
                                      failure_bonus_sign=cfg.failure_bonus_sign)
             for t in range(1, cfg.slots + 1):
-                obs = sample_slot(gt, t)
+                obs = observations[t]
                 if policy == "rtsd":
                     d = rtsd_slot(network, catalog, learners, t, obs, cfg.weights)
                 elif policy == "bandit":
@@ -252,12 +253,13 @@ def test_06_learner_replay_exactness() -> None:
     # trace A: a live rtsd trajectory
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, rng_seed=424242)
-    pop, fail = init_learners(sample_slot(gt, 0), cfg.users,
+    observations = sample_slots(gt, 0, slots + 1)
+    pop, fail = init_learners(observations[0], cfg.users,
                               failure_bonus_scale=cfg.failure_bonus_scale,
                               failure_bonus_sign=cfg.failure_bonus_sign)
     history = []
     for t in range(1, slots + 1):
-        obs = sample_slot(gt, t)
+        obs = observations[t]
         d = rtsd_slot(cfg.network, cfg.catalog, (pop, fail), t, obs, cfg.weights)
         history.append((obs, d.x.copy(), d.placed_counts.copy()))
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
@@ -265,12 +267,12 @@ def test_06_learner_replay_exactness() -> None:
 
     # trace B: synthetic deployment vectors decoupled from any policy
     rng = np.random.default_rng(6)
-    pop, fail = init_learners(sample_slot(gt, 0), cfg.users,
+    pop, fail = init_learners(observations[0], cfg.users,
                               failure_bonus_scale=cfg.failure_bonus_scale,
                               failure_bonus_sign=cfg.failure_bonus_sign)
     history = []
     for t in range(1, slots + 1):
-        obs = sample_slot(gt, t)
+        obs = observations[t]
         x = (rng.random(cfg.catalog.n_sfcs) < 0.5).astype(np.uint8)
         placed = rng.integers(0, 4, size=cfg.catalog.n_vnfs)
         popularity_update(pop, obs, x)
@@ -297,9 +299,9 @@ def test_07_learner_consistency() -> None:
     ok_q = ok_v = 0
     for seed in range(n_seeds):
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
-        pop, fail = init_learners(sample_slot(gt, 0), users)
-        for t in range(1, slots + 1):
-            obs = sample_slot(gt, t)
+        observations = sample_slots(gt, 0, slots + 1)
+        pop, fail = init_learners(observations[0], users)
+        for obs in observations[1:]:
             popularity_update(pop, obs, always)
             failure_update(fail, obs, one_copy)
         ok_q += abs(float(pop.request_mean[0]) - q_true) < tol_q

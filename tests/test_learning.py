@@ -179,3 +179,56 @@ def test_learner_converges_on_always_deploy() -> None:
     sigma_v = math.sqrt(0.3 * 0.7 / n)
     assert abs(pop.request_mean[0] - 4.0) < 4 * sigma_q
     assert abs(fail.failure_mean[0] - 0.3) < 4 * sigma_v
+
+
+def array_estimates(pop, fail, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The estimate formulas as whole-array numpy expressions, the reference."""
+    q = np.full(pop.selected.shape, math.inf)
+    explored = pop.selected > 0
+    c = pop.selected[explored]
+    q[explored] = pop.request_mean[explored] + pop.users * np.sqrt(3.0 * math.log(t) / (2.0 * c))
+    v = np.zeros(fail.placements.shape)
+    explored = fail.placements > 0
+    h = fail.placements[explored]
+    bonus = fail.bonus_scale * np.sqrt(3.0 * math.log(t) / (2.0 * h))
+    v[explored] = np.clip(fail.failure_mean[explored] + fail.bonus_sign * bonus, 0.0, 1.0)
+    return q, v
+
+
+def array_updates(pop, fail, o: SlotObservation, x, placed) -> None:
+    """The learner updates as masked numpy assignments, the reference."""
+    sel = np.asarray(x).astype(bool)
+    pop.selected[sel] += 1
+    pop.request_total[sel] += o.requests[sel]
+    pop.request_mean[sel] = pop.request_total[sel] / pop.selected[sel]
+    m = placed > 0
+    fail.placements[m] += placed[m]
+    fail.failure_total[m] += o.vnf_failed[m]
+    fail.failure_mean[m] = fail.failure_total[m] / fail.placements[m]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 20), st.integers(min_value=1, max_value=15),
+       st.floats(min_value=0.05, max_value=5.0), st.sampled_from([-1, 1]))
+def test_learners_match_array_formulas_bit_for_bit(seed: int, users: int, scale: float,
+                                                   sign: int) -> None:
+    rng = np.random.default_rng(seed)
+    pop, fail = fresh(n_sfcs=4, n_vnfs=5, users=users,
+                      failure_bonus_scale=scale, failure_bonus_sign=sign)
+    ref_pop, ref_fail = fresh(n_sfcs=4, n_vnfs=5, users=users,
+                              failure_bonus_scale=scale, failure_bonus_sign=sign)
+    for t in range(1, 80):
+        q, v = popularity_estimate(pop, t), failure_estimate(fail, t)
+        q_ref, v_ref = array_estimates(ref_pop, ref_fail, t)
+        assert q.dtype == v.dtype == np.float64
+        assert q.tolist() == q_ref.tolist() and v.tolist() == v_ref.tolist()
+        x = (rng.random(4) < 0.5).astype(np.uint8)
+        placed = rng.integers(0, 4, 5)
+        o = obs(t, rng.integers(0, users + 1, 4), rng.random(5) < 0.4)
+        popularity_update(pop, o, x)
+        failure_update(fail, o, placed)
+        array_updates(ref_pop, ref_fail, o, x, placed)
+        for name in ("selected", "request_total", "request_mean"):
+            assert getattr(pop, name).tolist() == getattr(ref_pop, name).tolist()
+        for name in ("placements", "failure_total", "failure_mean"):
+            assert getattr(fail, name).tolist() == getattr(ref_fail, name).tolist()

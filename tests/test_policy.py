@@ -8,12 +8,13 @@ import pytest
 from sfcbackup import (Catalog, EdgeNetwork, FailureLearner, InvariantViolation,
                        PlacementPlan, PopularityLearner, RewardWeights,
                        SlotDecision, bandit_scheme_slot, chain_failure_rate,
-                       expected_slot_value, failure_estimate, failure_update,
-                       fresh_residual, init_learners, make_ground_truth,
-                       plan_all, popularity_estimate, popularity_update,
-                       pre_reward, random_scheme_slot, realized_reward,
-                       rtsd_slot, sample_slot, slot_stream, verify_decision)
-from sfcbackup.workload import POLICY_DOMAIN, SlotObservation
+                       default_config_path, expected_slot_value, failure_estimate,
+                       failure_update, fresh_residual, init_learners, load_config,
+                       make_ground_truth, plan_all, popularity_estimate,
+                       popularity_update, pre_reward, random_scheme_slot,
+                       realized_reward, rtsd_slot, sample_slot, slot_stream,
+                       verify_decision)
+from sfcbackup.workload import POLICY_DOMAIN, SlotObservation, rewind_stream
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
@@ -282,6 +283,28 @@ def test_random_scheme_is_deterministic_per_stream() -> None:
     assert a.x.tolist() == b.x.tolist()
     assert [(f, p.assignment) for f, p in a.deployed] == \
            [(f, p.assignment) for f, p in b.deployed]
+
+
+def test_random_scheme_on_a_rewound_generator_matches_a_fresh_one() -> None:
+    cfg = load_config(default_config_path())
+    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
+                           cfg.catalog.n_sfcs, 21)
+    seed = gt.rng_seed
+    reused = slot_stream(seed, 1, POLICY_DOMAIN)
+    half_buffered = 0
+    for t in range(1, 41):
+        obs = sample_slot(gt, t)
+        a = random_scheme_slot(cfg.network, cfg.catalog, t, obs,
+                               rewind_stream(reused, seed, t, POLICY_DOMAIN))
+        b = random_scheme_slot(cfg.network, cfg.catalog, t, obs,
+                               slot_stream(seed, t, POLICY_DOMAIN))
+        assert [(f, p.assignment, p.latency) for f, p in a.deployed] == \
+               [(f, p.assignment, p.latency) for f, p in b.deployed]
+        for field in ("x", "placed_counts", "residual_after"):
+            assert getattr(a, field).tolist() == getattr(b, field).tolist()
+        # the next rewind must also drop a buffered 32-bit half
+        half_buffered += reused.bit_generator.state["has_uint32"]
+    assert half_buffered > 0
 
 
 def test_random_scheme_splits_contended_capacity_evenly() -> None:
