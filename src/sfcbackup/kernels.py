@@ -8,6 +8,15 @@ lists. The array kernels (the ``*_array`` twins) implement the same rules on
 primitive numpy arrays so that numba can compile them; they are the reference
 the list kernels are tested against.
 
+The selection loop re-plans every remaining chain after each commit, and
+slot_decide_lists prunes those plans without changing a decision. A plan's
+score (omega*q - mu*latency)*gate never exceeds its bound omega*q*gate, since
+latency and mu are non-negative and IEEE rounding is monotone; so each round
+walks the chains by descending bound and stops once no bound can beat the best
+score, ties kept for the smallest id. A chain whose largest single demand
+exceeds every server's residual must dead-end, so it is not walked. The array
+kernels plan every remaining chain each round, as the definition reads.
+
 numba is optional (the ``jit`` extra). The backend is fixed at import:
 slot_decide runs the jitted array kernel when numba imports, and the list
 kernel otherwise or when SFCBACKUP_DISABLE_NUMBA=1 is set before import.
@@ -32,6 +41,8 @@ from bisect import bisect_left
 from math import inf
 
 import numpy as np
+
+from .model import cheapest_link_anchor
 
 _flag = os.environ.get("SFCBACKUP_DISABLE_NUMBA", "").strip()
 try:
@@ -130,24 +141,37 @@ def slot_decide_lists(mode, network, catalog, q_est, v_est, omega, mu,
                       x_out, order_out, lat_out, assign_out, residual_out):
     """One slot's full greedy selection loop.
 
-    Repeatedly plans every not-yet-deployed chain against the current
+    Repeatedly plans the not-yet-deployed chains against the current
     residual, scores each edge-feasible plan with
     (omega * q_est - mu * latency) * (1 - worst chain failure estimate),
     and commits the strictly-best positive score (ties fall to the smallest
     SFC id). Stops when nothing scores positive. mode selects the placement
-    walk (GREEDY or FIRST_FIT); the greedy anchor is the cheapest link's
-    larger-residual endpoint (the highest-residual server when linkless),
-    recomputed from the live residual each round. Returns the number of
-    committed chains. The list outputs are overwritten: x_out (0/1 per SFC),
-    order_out (SFC ids in commit order, padded with -1), lat_out (plan
-    latency, +inf where not deployed), assign_out (per SFC, one server per
-    chain position, -1 where not deployed) and residual_out.
+    walk (GREEDY or FIRST_FIT); the greedy anchor is
+    model.cheapest_link_anchor of the live residual, recomputed each round.
+    Returns the number of committed chains. The list outputs are
+    overwritten: x_out (0/1 per SFC), order_out (SFC ids in commit order,
+    padded with -1), lat_out (plan latency, +inf where not deployed),
+    assign_out (per SFC, one server per chain position, -1 where not
+    deployed) and residual_out.
+
+    A round plans only the chains that could still win, and commits what
+    planning every chain would commit:
+    - Bound-ordered scan. A chain's score never exceeds its bound
+      omega * q_est * gate (latency and mu are non-negative, and rounding is
+      monotone), so chains with a positive bound are scanned by descending
+      bound, ties by id, and the scan stops at the first bound below the best
+      score so far, or equal to it with a larger id than the best chain's.
+      Chains with no positive bound are never planned: they cannot score
+      above 0. A plan is taken on a higher score, or on an equal score with
+      a smaller id, so the winner is still the smallest id among the best.
+    - Dead-end pre-check. A chain whose largest single demand exceeds every
+      server's residual dead-ends in either walk, so it is skipped unplanned.
     """
     demands = catalog.vnf_demand
     chains = catalog.sfc_chain
+    peaks = catalog.chain_peaks
     nbrs = network.neighbor_lists
     lat = network.latency_rows
-    link_u, link_v = network.cheapest_link
     greedy = mode == GREEDY
     n_sfcs = len(chains)
     value = [omega * q for q in q_est.tolist()]
@@ -159,6 +183,10 @@ def slot_decide_lists(mode, network, catalog, q_est, v_est, omega, mu,
             if rates[i] > worst:
                 worst = rates[i]
         gates.append(1.0 - worst)
+    bounds = [v * g for v, g in zip(value, gates)]
+    # descending bound, ties by ascending id (reverse=True keeps the sort stable)
+    ranked = sorted([f for f in range(n_sfcs) if gates[f] > 0.0 and bounds[f] > 0.0],
+                    key=bounds.__getitem__, reverse=True)
 
     residual = residual_out
     residual[:] = network.capacities
@@ -167,20 +195,22 @@ def slot_decide_lists(mode, network, catalog, q_est, v_est, omega, mu,
     lat_out[:] = [inf] * n_sfcs
     assign_out[:] = [[-1] * len(chain) for chain in chains]
     n_committed = 0
-    while True:
-        anchor = 0
+    while ranked:
         if greedy:
-            if link_u >= 0:
-                anchor = link_u if residual[link_u] >= residual[link_v] else link_v
-            else:
-                anchor = residual.index(max(residual))
-        pools = sorted(residual) if greedy else None
+            anchor = cheapest_link_anchor(network, residual)
+            pools = sorted(residual)
+            top = pools[-1]
+        else:
+            top = max(residual)
         best_f = -1
         best_score = 0.0
         best_lat = inf
         best_assign = None
-        for f in range(n_sfcs):
-            if x_out[f]:
+        for f in ranked:
+            bound = bounds[f]
+            if bound < best_score or (bound == best_score and f > best_f):
+                break       # every later chain is bounded the same way
+            if peaks[f] > top:
                 continue
             # looked up as module globals on every call, so they can be wrapped
             if greedy:
@@ -191,17 +221,15 @@ def slot_decide_lists(mode, network, catalog, q_est, v_est, omega, mu,
                                                        chains[f], lat)
             if latency == inf:
                 continue
-            gate = gates[f]
-            if gate <= 0.0:
-                continue
-            score = (value[f] - mu * latency) * gate
-            if score > best_score:
+            score = (value[f] - mu * latency) * gates[f]
+            if score > best_score or (score == best_score and f < best_f):
                 best_f = f
                 best_score = score
                 best_lat = latency
                 best_assign = assign
         if best_f < 0:
             break
+        ranked.remove(best_f)
         for s, i in zip(best_assign, chains[best_f]):
             residual[s] -= demands[i]
         assign_out[best_f] = best_assign
@@ -300,7 +328,7 @@ def slot_decide_array(mode, caps, demands, chain_vnf, chain_start, nbr_ids,
     n_committed = 0
     while True:
         anchor = 0
-        if mode == GREEDY:
+        if mode == GREEDY:     # model.cheapest_link_anchor, inlined for numba
             if link_u >= 0:
                 anchor = link_u if residual_out[link_u] >= residual_out[link_v] else link_v
             else:

@@ -181,6 +181,17 @@ class Catalog:
     def max_chain_len(self) -> int:
         return max((len(c) for c in self.sfc_chain), default=0)
 
+    @property
+    def chain_peaks(self) -> tuple[float, ...]:
+        """Largest single VNF demand per chain; -inf for an empty chain, which always fits."""
+        tab = self._cache.get("peaks")
+        if tab is None:
+            demands = self.vnf_demand
+            tab = tuple(max((demands[i] for i in chain), default=-math.inf)
+                        for chain in self.sfc_chain)
+            self._cache["peaks"] = tab
+        return tab
+
     def chain_demand(self, f: int) -> int:
         """Total resource units SFC f consumes when fully deployed."""
         return int(sum(self.vnf_demand[i] for i in self.sfc_chain[f]))
@@ -259,10 +270,10 @@ def cheapest_link_anchor(network: EdgeNetwork, residual: Sequence[int]) -> int:
     The endpoint of the globally cheapest link holding the larger residual;
     latency ties fall to the lexicographically smallest pair, residual ties to
     the smaller server id. A linkless (single-server) network anchors at the
-    highest-residual server.
+    highest-residual server, the first one on ties. residual may be a list or
+    an array.
     """
-    res = np.asarray(residual)
     u, v = network.cheapest_link
     if u < 0:
-        return int(np.argmax(res))
-    return int(u) if res[u] >= res[v] else int(v)
+        return max(range(len(residual)), key=residual.__getitem__)
+    return u if residual[u] >= residual[v] else v

@@ -19,7 +19,7 @@ from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
                        popularity_update)
 from .model import Catalog, EdgeNetwork
 from .placement import PlacementPlan
-from .workload import GroundTruth, SlotObservation, true_popularity
+from .workload import GroundTruth, SlotObservation
 
 
 class InvariantViolation(RuntimeError):
@@ -94,6 +94,25 @@ def _decide(network: EdgeNetwork, catalog: Catalog, q_est: np.ndarray,
     return decision
 
 
+def _learned_slot(network: EdgeNetwork, catalog: Catalog,
+                  learners: tuple[PopularityLearner, FailureLearner], t: int,
+                  obs: SlotObservation, weights: RewardWeights,
+                  mode: int) -> SlotDecision:
+    """Decide on the learners' optimistic estimates, then learn from the slot.
+
+    mode is the kernel's placement walk (kernels.GREEDY or kernels.FIRST_FIT).
+    """
+    pop, fail = learners
+    q_est = popularity_estimate(pop, t)
+    v_est = failure_estimate(fail, t)
+    decision = _decide(network, catalog, q_est, v_est, weights, mode, t)
+    pop.request_ucb = q_est
+    fail.failure_ucb = v_est
+    popularity_update(pop, obs, decision.x)
+    failure_update(fail, obs, decision.placed_counts)
+    return decision
+
+
 def rtsd_slot(network: EdgeNetwork, catalog: Catalog,
               learners: tuple[PopularityLearner, FailureLearner], t: int,
               obs: SlotObservation,
@@ -104,15 +123,7 @@ def rtsd_slot(network: EdgeNetwork, catalog: Catalog,
     estimates, commits the best positive score, re-plans, repeats; then folds
     the slot's observation back into the learners for the deployed arms.
     """
-    pop, fail = learners
-    q_est = popularity_estimate(pop, t)
-    v_est = failure_estimate(fail, t)
-    decision = _decide(network, catalog, q_est, v_est, weights, kernels.GREEDY, t)
-    pop.request_ucb = q_est
-    fail.failure_ucb = v_est
-    popularity_update(pop, obs, decision.x)
-    failure_update(fail, obs, decision.placed_counts)
-    return decision
+    return _learned_slot(network, catalog, learners, t, obs, weights, kernels.GREEDY)
 
 
 def bandit_scheme_slot(network: EdgeNetwork, catalog: Catalog,
@@ -120,15 +131,7 @@ def bandit_scheme_slot(network: EdgeNetwork, catalog: Catalog,
                        obs: SlotObservation,
                        weights: RewardWeights = RewardWeights()) -> SlotDecision:
     """Same learners and greedy selection as rtsd_slot, but first-fit placement."""
-    pop, fail = learners
-    q_est = popularity_estimate(pop, t)
-    v_est = failure_estimate(fail, t)
-    decision = _decide(network, catalog, q_est, v_est, weights, kernels.FIRST_FIT, t)
-    pop.request_ucb = q_est
-    fail.failure_ucb = v_est
-    popularity_update(pop, obs, decision.x)
-    failure_update(fail, obs, decision.placed_counts)
-    return decision
+    return _learned_slot(network, catalog, learners, t, obs, weights, kernels.FIRST_FIT)
 
 
 def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,
@@ -211,8 +214,8 @@ def realized_reward(weights: RewardWeights, obs: SlotObservation,
 def expected_slot_value(weights: RewardWeights, gt: GroundTruth,
                         decision: SlotDecision, catalog: Catalog) -> float:
     """Decision value under the true parameters (the selection objective)."""
-    q = true_popularity(gt).tolist()
-    rates = gt.failure_mean.tolist()
+    q = gt.popularity_list
+    rates = gt.failure_rate_list
     total = 0.0
     for f, plan in decision.deployed:
         u_true = chain_failure_rate(catalog, rates, f)

@@ -37,7 +37,9 @@ class GroundTruth:
     """Hidden stationary parameters the learners estimate.
 
     request_prob[k, f] is user k's per-slot probability of requesting SFC f;
-    failure_mean[i] is VNF i's per-slot failure probability.
+    failure_mean[i] is VNF i's per-slot failure probability. Instances are
+    treated as immutable after construction; list views are cached on first
+    use.
     """
 
     request_prob: np.ndarray
@@ -48,6 +50,7 @@ class GroundTruth:
         self.request_prob = np.atleast_2d(np.asarray(request_prob, dtype=np.float64))
         self.failure_mean = np.asarray(failure_mean, dtype=np.float64)
         self.rng_seed = int(rng_seed)
+        self._cache: dict[str, list[float]] = {}
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
         for name, arr in (("request_prob", self.request_prob), ("failure_mean", self.failure_mean)):
@@ -65,6 +68,24 @@ class GroundTruth:
     @property
     def n_vnfs(self) -> int:
         return self.failure_mean.shape[0]
+
+    @property
+    def popularity_list(self) -> list[float]:
+        """true_popularity as Python floats, summed once on first use."""
+        q = self._cache.get("popularity")
+        if q is None:
+            q = true_popularity(self).tolist()
+            self._cache["popularity"] = q
+        return q
+
+    @property
+    def failure_rate_list(self) -> list[float]:
+        """failure_mean as Python floats, converted once on first use."""
+        rates = self._cache.get("failure")
+        if rates is None:
+            rates = self.failure_mean.tolist()
+            self._cache["failure"] = rates
+        return rates
 
 
 @dataclass(eq=False)

@@ -86,7 +86,7 @@ def test_chain_walks_match_python_definitions() -> None:
     assert min(outcomes.values()) > 50
 
 
-def run_slot_decide_array(mode, net, cat, q, v):
+def run_slot_decide_array(mode, net, cat, q, v, omega=1.0, mu=1.0):
     chain_vnf, chain_start = cat.chain_arrays
     nbr_ids, nbr_count = net.neighbor_table
     link_u, link_v = net.cheapest_link
@@ -98,14 +98,14 @@ def run_slot_decide_array(mode, net, cat, q, v):
     residual = np.zeros(net.n_servers, dtype=np.int64)
     n = slot_decide_array(mode, net.caps_array, cat.demand_array, chain_vnf,
                           chain_start, nbr_ids, nbr_count, net.latency_matrix,
-                          link_u, link_v, q, v, 1.0, 1.0, x, order, lat_out,
+                          link_u, link_v, q, v, omega, mu, x, order, lat_out,
                           assign, residual)
     return n, x, order, lat_out, assign, residual
 
 
-def run_slot_decide(impl, mode, net, cat, q, v, outs=None):
+def run_slot_decide(impl, mode, net, cat, q, v, outs=None, omega=1.0, mu=1.0):
     outs = outs if outs is not None else ([], [], [], [], [])
-    n = impl(mode, net, cat, q, v, 1.0, 1.0, *outs)
+    n = impl(mode, net, cat, q, v, omega, mu, *outs)
     return (n,) + outs
 
 
@@ -122,6 +122,17 @@ def bundled_cases(rng: np.random.Generator, count: int):
         yield net, cat, q, v
 
 
+def assert_same_decision(want, got, cat) -> None:
+    assert type(got[0]) is int and got[0] == want[0]
+    assert got[1] == want[1].tolist()
+    assert got[2] == want[2].tolist()
+    assert len(got[3]) == len(want[3])
+    assert all(same_latency(w, g) for w, g in zip(want[3].tolist(), got[3]))
+    assert got[4] == [row[:len(chain)] for row, chain
+                      in zip(want[4].tolist(), cat.sfc_chain)]
+    assert got[5] == want[5].tolist()
+
+
 def test_slot_decide_matches_python_definition() -> None:
     # the list kernel against the array reference kernel, and the numba
     # backend's list interface (slot_decide_via_arrays) against both
@@ -133,18 +144,82 @@ def test_slot_decide_matches_python_definition() -> None:
         for mode in (GREEDY, FIRST_FIT):
             want = run_slot_decide_array(mode, net, cat, q, v)
             got = run_slot_decide(slot_decide_lists, mode, net, cat, q, v)
-            assert type(got[0]) is int and got[0] == want[0]
-            assert got[1] == want[1].tolist()
-            assert got[2] == want[2].tolist()
-            assert len(got[3]) == len(want[3])
-            assert all(same_latency(w, g) for w, g in zip(want[3].tolist(), got[3]))
-            assert got[4] == [row[:len(chain)] for row, chain
-                              in zip(want[4].tolist(), cat.sfc_chain)]
-            assert got[5] == want[5].tolist()
+            assert_same_decision(want, got, cat)
             assert run_slot_decide(slot_decide_via_arrays, mode, net, cat, q, v) == got
             checked += got[0]
     # the generator must actually exercise commits, not just empty slots
     assert checked > 50
+
+
+def tie_heavy_setup(rng: np.random.Generator):
+    # few distinct values everywhere, so equal scores and equal bounds are
+    # common: integer popularity with the +inf exploration sentinel, gates of
+    # 0, 1/2 and 1, link latencies of 0.5 and 1.0, and repeated chains
+    n = int(rng.integers(1, 6))
+    links = {(u, v): float(rng.choice([0.5, 1.0]))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6}
+    net = EdgeNetwork(rng.integers(0, 12, n), links)
+    n_vnfs = int(rng.integers(1, 5))
+    chains = [rng.integers(0, n_vnfs, int(rng.integers(1, 4))).tolist()
+              for _ in range(int(rng.integers(1, 4)))]
+    for _ in range(int(rng.integers(0, 4))):
+        chains.append(list(chains[int(rng.integers(len(chains)))]))
+    order = rng.permutation(len(chains))
+    cat = Catalog(rng.integers(0, 6, n_vnfs), [chains[k] for k in order])
+    q = rng.choice([0.0, 1.0, 2.0, 3.0, math.inf], cat.n_sfcs,
+                   p=[0.15, 0.25, 0.25, 0.25, 0.1])
+    v = rng.choice([0.0, 0.5, 1.0], n_vnfs, p=[0.7, 0.15, 0.15])
+    omega = float(rng.choice([0.5, 1.0, 2.0]))
+    mu = float(rng.choice([0.0, 1.0, 2.0]))
+    return net, cat, q, v, omega, mu
+
+
+def test_slot_decide_pruning_keeps_ties_on_tie_heavy_instances() -> None:
+    # the pruned list kernel against the unpruned array kernel where ties
+    # decide: a chain that only matches the best score must still win on a
+    # smaller id, although the scan meets it later. mu = 0 makes every
+    # score equal its bound.
+    rng = np.random.default_rng(4242)
+    checked = 0
+    for _ in range(3000):
+        net, cat, q, v, omega, mu = tie_heavy_setup(rng)
+        for mode in (GREEDY, FIRST_FIT):
+            want = run_slot_decide_array(mode, net, cat, q, v, omega, mu)
+            got = run_slot_decide(slot_decide_lists, mode, net, cat, q, v,
+                                  omega=omega, mu=mu)
+            assert_same_decision(want, got, cat)
+            checked += got[0]
+    assert checked > 3000
+
+
+class WalkCounter:
+    def __init__(self, walk):
+        self.walk = walk
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.walk(*args)
+
+
+def test_slot_decide_lists_walks_fewer_chains_than_unpruned(monkeypatch) -> None:
+    # the unpruned loop walks every remaining chain in every round, commits
+    # included: rounds n_committed + 1, with F, F - 1, ... chains left
+    cfg = load_config(default_config_path())
+    net, cat = cfg.network, cfg.catalog
+    q = np.array([4.0, 9.0, 1.0, 6.0, 2.0, 7.0])
+    v = np.full(cat.n_vnfs, 0.1)
+    for mode, name in ((GREEDY, "greedy_chain_walk"),
+                       (FIRST_FIT, "first_fit_chain_walk")):
+        counter = WalkCounter(getattr(kernels, name))
+        monkeypatch.setattr(kernels, name, counter)
+        got = run_slot_decide(slot_decide_lists, mode, net, cat, q, v)
+        monkeypatch.undo()
+        assert_same_decision(run_slot_decide_array(mode, net, cat, q, v), got, cat)
+        n = got[0]
+        unpruned = sum(cat.n_sfcs - r for r in range(n + 1))
+        assert n >= 2
+        assert 0 < counter.calls < unpruned
 
 
 def test_slot_decide_is_idempotent_on_outputs() -> None:

@@ -89,27 +89,36 @@ def test_neighbors_ordering_property(n: int, raw_seed: int) -> None:
         assert {m for m, _ in nbrs} == expected
 
 
+def anchors(net: EdgeNetwork, residual: list[int]) -> set[int]:
+    # the anchor of a list residual and of its int64 array form, which must agree
+    return {cheapest_link_anchor(net, residual),
+            cheapest_link_anchor(net, np.asarray(residual, dtype=np.int64))}
+
+
 def test_cheapest_link_anchor_larger_residual() -> None:
     net = EdgeNetwork([10, 8, 9], {(0, 1): 2.0, (1, 2): 5.0})
-    assert cheapest_link_anchor(net, [10, 8, 9]) == 0
-    assert cheapest_link_anchor(net, [3, 8, 9]) == 1
+    assert anchors(net, [10, 8, 9]) == {0}
+    assert anchors(net, [3, 8, 9]) == {1}
 
 
 def test_cheapest_link_anchor_residual_tie_smaller_id() -> None:
     net = EdgeNetwork([10, 10], {(0, 1): 1.0})
-    assert cheapest_link_anchor(net, [10, 10]) == 0
+    assert anchors(net, [10, 10]) == {0}
 
 
 def test_cheapest_link_anchor_latency_tie_lexicographic() -> None:
     net = EdgeNetwork([5, 5, 9, 9], {(0, 1): 3.0, (2, 3): 3.0})
     # the (0, 1) link wins the tie even though (2, 3) has fatter endpoints
-    assert cheapest_link_anchor(net, [5, 5, 9, 9]) in (0, 1)
-    assert cheapest_link_anchor(net, [5, 4, 9, 9]) == 0
+    assert anchors(net, [5, 5, 9, 9]) == {0}
+    assert anchors(net, [5, 4, 9, 9]) == {0}
 
 
 def test_cheapest_link_anchor_linkless_fallback() -> None:
     net = EdgeNetwork([7])
-    assert cheapest_link_anchor(net, [7]) == 0
+    assert anchors(net, [7]) == {0}
+    # a linkless network anchors at the first highest-residual server
+    net = EdgeNetwork([3, 9, 9])
+    assert anchors(net, [3, 9, 9]) == {1}
 
 
 def test_latency_matrix_symmetric_with_inf_gaps() -> None:

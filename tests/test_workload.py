@@ -91,6 +91,15 @@ def test_true_popularity_forms() -> None:
     assert np.allclose(true_popularity(gt), [1.0, 0.0, 0.0])
 
 
+def test_ground_truth_list_views_are_computed_once() -> None:
+    gt = make_ground_truth(np.array([[0.1, 0.7], [0.3, 0.2]]), [0.25, 0.5],
+                           users=2, n_sfcs=2, rng_seed=0)
+    assert gt.popularity_list == true_popularity(gt).tolist()
+    assert gt.failure_rate_list == [0.25, 0.5]
+    assert gt.popularity_list is gt.popularity_list
+    assert gt.failure_rate_list is gt.failure_rate_list
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=2 ** 20))
