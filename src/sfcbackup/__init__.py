@@ -8,7 +8,8 @@ uninformed random baseline, with exhaustive oracles for small instances.
 from .model import (CLOUD_LATENCY, Catalog, EdgeNetwork, cheapest_link_anchor,
                     fresh_residual, neighbors_by_latency, validate_instance)
 from .workload import (GroundTruth, SlotObservation, make_ground_truth,
-                       sample_slot, sample_slots, slot_stream, true_popularity)
+                       policy_uniforms, sample_slot, sample_slots, slot_stream,
+                       true_popularity)
 from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
                        failure_estimate, failure_update, init_learners,
                        popularity_estimate, popularity_update)
@@ -28,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CLOUD_LATENCY", "Catalog", "EdgeNetwork", "cheapest_link_anchor",
     "fresh_residual", "neighbors_by_latency", "validate_instance",
-    "GroundTruth", "SlotObservation", "make_ground_truth", "sample_slot",
-    "sample_slots", "slot_stream", "true_popularity",
+    "GroundTruth", "SlotObservation", "make_ground_truth", "policy_uniforms",
+    "sample_slot", "sample_slots", "slot_stream", "true_popularity",
     "FailureLearner", "PopularityLearner", "chain_failure_rate",
     "failure_estimate", "failure_update", "init_learners",
     "popularity_estimate", "popularity_update",

@@ -28,8 +28,8 @@ from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
 from .policy import (RewardWeights, bandit_scheme_slot, expected_slot_value,
                      random_scheme_slot, realized_reward, rtsd_slot)
-from .workload import (POLICY_DOMAIN, make_ground_truth, rewind_stream, sample_slots,
-                       slot_stream)
+from .workload import (PHILOX_BLOCK_DOUBLES, POLICY_DOMAIN, counter_blocks,
+                       make_ground_truth, sample_slots, slot_stream)
 
 POLICY_ORDER = ("rtsd", "bandit", "random")
 
@@ -37,8 +37,9 @@ CSV_COLUMNS = ("t", "policy", "seed", "realized_reward", "expected_reward",
                "remaining_resource", "num_deployed", "oracle_value", "regret")
 
 
-# simulate_run draws observations this many slots at a time: one Philox call
-# per block, and memory that stays bounded however long the run is.
+# simulate_run draws observations and random-policy uniforms this many slots at
+# a time: one Philox call per block, and memory that stays bounded however long
+# the run is.
 OBS_BLOCK_SLOTS = 256
 
 
@@ -162,6 +163,27 @@ def _check(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
+def _as_int(value, name: str) -> int:
+    """A config integer; a float, a string or a bool is rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _as_number(value, name: str) -> float:
+    """A finite config number; a string, a bool or a non-finite value is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _section(raw: dict, key: str) -> dict:
+    spec = raw.get(key, {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{key} must be an object")
+    return spec
+
+
 def load_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or an equivalent dict."""
     if isinstance(source, (str, Path)):
@@ -185,31 +207,34 @@ def load_config(source) -> ExperimentConfig:
         catalog = Catalog(cat_spec["vnf_demand"], cat_spec["sfc_chain"])
         request_prob = gt_spec["request_prob"]
         failure_mean = np.asarray(gt_spec["failure_mean"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config missing or malformed section: {exc}") from exc
 
-    weights_spec = raw.get("weights", {})
+    weights_spec = _section(raw, "weights")
     try:
-        weights = RewardWeights(omega=float(weights_spec.get("omega", 1.0)),
-                                mu=float(weights_spec.get("mu", 1.0)))
+        weights = RewardWeights(omega=_as_number(weights_spec.get("omega", 1.0), "omega"),
+                                mu=_as_number(weights_spec.get("mu", 1.0), "mu"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    learner_spec = raw.get("learner", {})
+    learner_spec = _section(raw, "learner")
     scale = learner_spec.get("failure_bonus_scale")
+    regret = raw.get("regret", False)
+    if not isinstance(regret, bool):
+        raise ConfigError(f"regret must be true or false, got {regret!r}")
     cfg = ExperimentConfig(
         network=network,
         catalog=catalog,
         request_prob=request_prob,
         failure_mean=failure_mean,
         weights=weights,
-        users=int(raw.get("users", 10)),
-        slots=int(raw.get("slots", 500)),
+        users=_as_int(raw.get("users", 10), "users"),
+        slots=_as_int(raw.get("slots", 500), "slots"),
         seeds=parse_seeds(raw.get("seeds", 1)),
         policies=parse_policies(raw.get("policies", "all")),
-        failure_bonus_scale=None if scale is None else float(scale),
-        failure_bonus_sign=int(learner_spec.get("failure_bonus_sign", 1)),
-        capacity_scale=float(raw.get("capacity_scale", 1.0)),
-        regret=bool(raw.get("regret", False)),
+        failure_bonus_scale=None if scale is None else _as_number(scale, "failure_bonus_scale"),
+        failure_bonus_sign=_as_int(learner_spec.get("failure_bonus_sign", 1), "failure_bonus_sign"),
+        capacity_scale=_as_number(raw.get("capacity_scale", 1.0), "capacity_scale"),
+        regret=regret,
     )
     return _check(cfg)
 
@@ -256,16 +281,14 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
     learners = init_learners(next(observations), users,
                              failure_bonus_scale=failure_bonus_scale,
                              failure_bonus_sign=failure_bonus_sign)
-    # one generator for the whole run, rewound to slot t's stream each slot
-    policy_rng = slot_stream(gt.rng_seed, 1, POLICY_DOMAIN) if policy == "random" else None
+    uniforms = _policy_uniforms(gt.rng_seed, catalog, slots) if policy == "random" else None
     for t, obs in enumerate(observations, start=1):
         if policy == "rtsd":
             decision = rtsd_slot(network, catalog, learners, t, obs, weights)
         elif policy == "bandit":
             decision = bandit_scheme_slot(network, catalog, learners, t, obs, weights)
         elif policy == "random":
-            rng = rewind_stream(policy_rng, gt.rng_seed, t, POLICY_DOMAIN)
-            decision = random_scheme_slot(network, catalog, t, obs, rng)
+            decision = random_scheme_slot(network, catalog, t, obs, next(uniforms))
         else:
             raise ValueError(f"unknown policy {policy!r}")
         _, total = realized_reward(weights, obs, decision, catalog)
@@ -283,6 +306,21 @@ def _observations(gt, n_slots: int):
     """Observations of slots 0 .. n_slots-1, drawn OBS_BLOCK_SLOTS at a time."""
     for t0 in range(0, n_slots, OBS_BLOCK_SLOTS):
         yield from sample_slots(gt, t0, min(t0 + OBS_BLOCK_SLOTS, n_slots))
+
+
+def _policy_uniforms(seed: int, catalog: Catalog, slots: int):
+    """The random policy's uniforms of slots 1 .. slots, drawn OBS_BLOCK_SLOTS at a time.
+
+    Slot t's are workload.policy_uniforms(seed, t, W): counter blocks
+    [t*B, (t+1)*B) of the policy domain, which one stream started at block B
+    yields as consecutive rows of 4B doubles.
+    """
+    width, _ = catalog.uniform_layout
+    blocks = counter_blocks(width)
+    rng = slot_stream(seed, blocks, POLICY_DOMAIN)
+    for t0 in range(0, slots, OBS_BLOCK_SLOTS):
+        rows = rng.random((min(OBS_BLOCK_SLOTS, slots - t0), PHILOX_BLOCK_DOUBLES * blocks))
+        yield from rows[:, :width].tolist()
 
 
 def _mean_std(values: list[float]) -> dict[str, float]:

@@ -192,6 +192,24 @@ class Catalog:
             self._cache["peaks"] = tab
         return tab
 
+    @property
+    def uniform_layout(self) -> tuple[int, tuple[int, ...]]:
+        """(W, starts): the uniforms one random-policy slot reads, and where each chain's are.
+
+        W = n_sfcs + L, with L the total number of chain positions. u[0:n_sfcs]
+        ranks the chains; occurrence j of chain f reads u[starts[f] + j].
+        """
+        tab = self._cache.get("uniforms")
+        if tab is None:
+            starts: list[int] = []
+            width = self.n_sfcs
+            for chain in self.sfc_chain:
+                starts.append(width)
+                width += len(chain)
+            tab = (width, tuple(starts))
+            self._cache["uniforms"] = tab
+        return tab
+
     def chain_demand(self, f: int) -> int:
         """Total resource units SFC f consumes when fully deployed."""
         return int(sum(self.vnf_demand[i] for i in self.sfc_chain[f]))

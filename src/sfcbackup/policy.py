@@ -3,13 +3,17 @@
 All three policies work on a fresh residual (capacity is reclaimed between
 slots) and never commit a plan with non-positive score (the learned ones) or
 an infinite latency (all of them). Learner updates happen inside the slot
-call, after deployment, using that slot's observation.
+call, after deployment, using that slot's observation. The random policy
+draws nothing itself: it reads a fixed block of uniforms per slot, laid out
+by Catalog.uniform_layout and drawn from the policy key domain (see
+workload.policy_uniforms).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -135,47 +139,53 @@ def bandit_scheme_slot(network: EdgeNetwork, catalog: Catalog,
 
 
 def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,
-                       obs: SlotObservation,
-                       rng: np.random.Generator) -> SlotDecision:
-    """No learning: random SFC order, first fit onto randomly ordered servers.
+                       obs: SlotObservation, u: Sequence[float]) -> SlotDecision:
+    """No learning: random SFC order, each occurrence on a random server with room.
 
-    Each not-yet-deployed SFC is attempted once per slot; an attempt places
-    every occurrence on the first qualified server of a fresh random scan and
-    commits only if the whole chain fits at the edge.
+    Each SFC is attempted once per slot; an attempt places every occurrence
+    and commits only if the whole chain fits at the edge at finite latency.
+    u holds the slot's W uniforms in [0, 1), laid out by
+    catalog.uniform_layout (harness.simulate_run and workload.policy_uniforms
+    draw them). Chains are attempted in ascending u[f], ties by id.
+    Occurrence j of chain f takes fits[int(u[starts[f] + j] * len(fits))],
+    where fits lists, in id order, the servers whose residual, less what the
+    chain's earlier occurrences took, still holds the VNF's demand.
+
+    This is the law of picking each next chain uniformly among those not yet
+    attempted and placing each occurrence on the first server with room in a
+    fresh uniform permutation of the servers. Popping a uniform index from
+    the remaining candidates gives a uniform order, as does ranking i.i.d.
+    uniforms; and the first qualified server of a fresh uniform permutation
+    is uniform over the qualified set, independently of earlier draws.
     """
-    n = network.n_servers
     lat = network.latency_rows
     demands = catalog.vnf_demand
+    _, starts = catalog.uniform_layout
     residual = list(network.capacities)
     x = [0] * catalog.n_sfcs
     placed = [0] * catalog.n_vnfs
     deployed: list[tuple[int, PlacementPlan]] = []
 
-    candidates = list(range(catalog.n_sfcs))
-    while candidates:
-        f = candidates.pop(int(rng.integers(len(candidates))))
+    for f in sorted(range(catalog.n_sfcs), key=u.__getitem__):
         chain = catalog.sfc_chain[f]
-        tent = [0] * n
+        base = starts[f]
+        room = residual[:]
         assign: list[int] = []
         latency = 0.0
-        feasible = len(chain) > 0
-        for i in chain:
+        for j, i in enumerate(chain):
             need = demands[i]
-            spot = -1
-            for s in rng.permutation(n).tolist():
-                if residual[s] - tent[s] >= need:
-                    spot = s
-                    break
-            if spot < 0:
-                feasible = False
+            fits = [s for s, r in enumerate(room) if r >= need]
+            if not fits:
                 break
+            # u < 1, so the index stays below len(fits)
+            spot = fits[int(u[base + j] * len(fits))]
             if assign:
                 latency += lat[assign[-1]][spot]
             assign.append(spot)
-            tent[spot] += need
-        if not feasible or math.isinf(latency):
+            room[spot] -= need
+        if not chain or len(assign) < len(chain) or math.isinf(latency):
             continue
-        residual = [r - d for r, d in zip(residual, tent)]
+        residual = room
         x[f] = 1
         for i in chain:
             placed[i] += 1

@@ -1,4 +1,4 @@
-"""Stationary request and failure processes.
+"""Stationary request and failure processes, and the policy-side random stream.
 
 Slot t draws from a counter-based RNG stream (Philox keyed by the run seed,
 counter set to [t, 0, 0, 0]), so the observation at slot t depends only on
@@ -6,11 +6,16 @@ counter set to [t, 0, 0, 0]), so the observation at slot t depends only on
 use a separate key domain. A given seed therefore produces the identical
 observation sequence no matter which or how many policies run.
 
-The slot streams are not independent: Philox advances the counter once per
-four doubles, so slot t's stream is slot t-1's shifted by SLOT_STRIDE draws
-and consecutive slots share most of their uniforms. Open item 2 of
-ROADMAP.md ("Independent per-slot random streams") removes the overlap.
-sample_slots relies on the same shift to draw a range of slots at once.
+The environment's slot streams are not independent: Philox advances the
+counter once per four doubles, so slot t's stream is slot t-1's shifted by
+SLOT_STRIDE draws and consecutive slots share most of their uniforms. Open
+item 2 of ROADMAP.md ("Independent per-slot random streams") removes the
+overlap. sample_slots relies on the same shift to draw a range of slots at
+once.
+
+The policy domain has no overlap: a slot that reads W uniforms owns the
+counter blocks [t*B, (t+1)*B) with B = counter_blocks(W), so its draws are
+disjoint from every other slot's (see policy_uniforms).
 """
 
 from __future__ import annotations
@@ -25,11 +30,13 @@ import numpy as np
 ENV_DOMAIN = 0
 POLICY_DOMAIN = 1
 
-# Doubles between the starts of consecutive slots' streams: Philox produces
-# four 64-bit words per counter step and a double takes one word. Slots that
-# draw more than this many uniforms overlap their successors; ROADMAP.md open
-# item 2 moves the stride to a non-overlapping 4 * ceil(D / 4).
-SLOT_STRIDE = 4
+# Philox produces four 64-bit words per counter step and a double takes one word.
+PHILOX_BLOCK_DOUBLES = 4
+
+# Doubles between the starts of consecutive slots' environment streams. Slots
+# that draw more than this many uniforms overlap their successors; ROADMAP.md
+# open item 2 moves the stride to a non-overlapping 4 * ceil(D / 4).
+SLOT_STRIDE = PHILOX_BLOCK_DOUBLES
 
 
 @dataclass(eq=False)
@@ -54,7 +61,8 @@ class GroundTruth:
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
         for name, arr in (("request_prob", self.request_prob), ("failure_mean", self.failure_mean)):
-            if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
+            # written so that NaN, which fails every comparison, fails the check too
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
 
     @property
@@ -143,29 +151,31 @@ def _philox_key_type() -> type:
 
 
 def slot_stream(seed: int, t: int, domain: int = ENV_DOMAIN) -> np.random.Generator:
-    """Generator for (seed, t, domain); construction order never matters.
+    """Generator for (seed, domain) whose Philox counter starts at block t.
 
-    Not independent across t: the stream for t + 1 is the stream for t
-    shifted by SLOT_STRIDE doubles (see the module docstring).
+    Construction order never matters. Not independent across t: the stream
+    for t + 1 is the stream for t shifted by SLOT_STRIDE doubles (see the
+    module docstring). The environment starts slot t at block t;
+    policy_uniforms starts it at block t*B.
     """
     bitgen = np.random.Philox(_philox_key_type()(seed, domain),
                               counter=[np.uint64(t), 0, 0, 0])
     return np.random.Generator(bitgen)
 
 
-def rewind_stream(rng: np.random.Generator, seed: int, t: int,
-                  domain: int = ENV_DOMAIN) -> np.random.Generator:
-    """Put rng, a slot_stream generator, in the state slot_stream(seed, t, domain) starts in.
+def counter_blocks(width: int) -> int:
+    """Philox counter blocks that hold width doubles: four doubles per block."""
+    return -(-width // PHILOX_BLOCK_DOUBLES)
 
-    Empties the output buffer and the buffered 32-bit half, so the draws that
-    follow equal a fresh generator's; much cheaper than building one.
+
+def policy_uniforms(seed: int, t: int, width: int) -> list[float]:
+    """Slot t's width policy-domain uniforms, from counter blocks [t*B, (t+1)*B).
+
+    B = counter_blocks(width), so no two slots share a draw. Pure in
+    (seed, t, width); harness.simulate_run draws the same values for many
+    slots at once.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [t, 0, 0, 0], "key": [seed, domain]},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return rng
+    return slot_stream(seed, t * counter_blocks(width), POLICY_DOMAIN).random(width).tolist()
 
 
 def sample_slots(gt: GroundTruth, t0: int, t1: int) -> list[SlotObservation]:

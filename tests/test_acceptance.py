@@ -24,9 +24,8 @@ from sfcbackup import (Catalog, EdgeNetwork, SlotObservation, apply_overrides,
                        failure_estimate, failure_update, get_consumption,
                        init_learners, load_config, make_ground_truth,
                        optimal_chain_latency, popularity_estimate,
-                       popularity_update, random_scheme_slot, rtsd_slot, run,
-                       sample_slots, slot_stream)
-from sfcbackup.workload import POLICY_DOMAIN
+                       policy_uniforms, popularity_update, random_scheme_slot,
+                       rtsd_slot, run, sample_slots)
 
 
 def report(name: str, ok: bool, details: str) -> str:
@@ -170,8 +169,8 @@ def test_05_per_slot_invariants(canonical) -> None:
                 elif policy == "bandit":
                     d = bandit_scheme_slot(network, catalog, learners, t, obs, cfg.weights)
                 else:
-                    rng = slot_stream(gt.rng_seed, t, POLICY_DOMAIN)
-                    d = random_scheme_slot(network, catalog, t, obs, rng)
+                    u = policy_uniforms(gt.rng_seed, t, catalog.uniform_layout[0])
+                    d = random_scheme_slot(network, catalog, t, obs, u)
                 load = np.zeros(network.n_servers, dtype=np.int64)
                 placed = np.zeros(catalog.n_vnfs, dtype=np.int64)
                 covered = set()

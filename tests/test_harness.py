@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
-                       load_config, make_ground_truth, run, simulate_run,
+                       harness, load_config, make_ground_truth, policy_uniforms,
+                       random_scheme_slot, run, sample_slots, simulate_run,
                        validate_instance)
 from sfcbackup.cli import main
-from sfcbackup.harness import CSV_COLUMNS, POLICY_ORDER, parse_policies, parse_seeds
+from sfcbackup.harness import (CSV_COLUMNS, OBS_BLOCK_SLOTS, POLICY_ORDER,
+                               parse_policies, parse_seeds)
 
 
 def tiny_config(**extra) -> dict:
@@ -134,6 +136,34 @@ def test_simulate_run_shapes_and_determinism() -> None:
                      users=cfg.users)
 
 
+def test_random_run_draws_each_slot_from_its_own_counter_blocks(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    cfg = load_config(tiny_config())
+    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
+                           cfg.catalog.n_sfcs, 8)
+    decided = []
+
+    def record(*args):
+        decision = random_scheme_slot(*args)
+        decided.append(decision)
+        return decision
+
+    monkeypatch.setattr(harness, "random_scheme_slot", record)
+    slots = OBS_BLOCK_SLOTS + 44       # crosses one block of drawn slots
+    simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, "random", slots,
+                 users=cfg.users)
+    assert len(decided) == slots
+    width, _ = cfg.catalog.uniform_layout
+    observations = sample_slots(gt, 0, slots + 1)
+    for t, ours in enumerate(decided, start=1):
+        ref = random_scheme_slot(cfg.network, cfg.catalog, t, observations[t],
+                                 policy_uniforms(gt.rng_seed, t, width))
+        assert ours.t == t
+        assert [(f, p.assignment, p.latency) for f, p in ours.deployed] == \
+               [(f, p.assignment, p.latency) for f, p in ref.deployed]
+        assert ours.residual_after.tolist() == ref.residual_after.tolist()
+
+
 def test_run_emits_one_row_per_policy_seed_slot() -> None:
     cfg = load_config(tiny_config())
     result = run(cfg)
@@ -212,7 +242,7 @@ def test_emit_is_byte_stable(tmp_path: Path) -> None:
 # sha256 of trace.csv from ``sfcbackup --slots 60 --seed 1..3`` (bundled config,
 # all policies). A refactor must keep it; a change that alters decisions or
 # sampling on purpose updates it and says so in CHANGES.md.
-GOLDEN_TRACE_SHA256 = "95a36751ef117341cbbe3276549db739fdb624fb5d94f46002b4ade3dbb64832"
+GOLDEN_TRACE_SHA256 = "1102477d146cadea6477ce81e8417e69ac2392280a2709afddb1fffcb1055712"
 
 
 def test_golden_trace_digest(tmp_path: Path) -> None:
@@ -270,6 +300,23 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    {"users": "x"},
+    {"network": {"capacities": [10, 8], "links": [[0, 1]]}},
+    {"slots": 2.7},
+    {"weights": {"omega": "inf"}},
+    {"ground_truth": {"request_prob": [0.8, 0.5, 0.3],
+                      "failure_mean": [0.05, float("nan"), 0.02]}},
+], ids=["users-string", "two-element-link", "fractional-slots", "omega-inf-string",
+        "nan-failure-mean"])
+def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFixture,
+                                       extra: dict) -> None:
+    cfg_path = write_config(tmp_path, **extra)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_unknown_policy_flag(tmp_path: Path) -> None:

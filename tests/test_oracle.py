@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from sfcbackup import (Catalog, EdgeNetwork, RewardWeights, SearchSpaceTooLarge,
                        chain_failure_rate, get_consumption, init_learners,
                        make_ground_truth, optimal_chain_latency,
-                       optimal_slot_value, random_scheme_slot, rtsd_slot,
-                       sample_slot, shortest_path_matrix, slot_stream,
+                       optimal_slot_value, policy_uniforms, random_scheme_slot,
+                       rtsd_slot, sample_slot, shortest_path_matrix,
                        true_popularity, expected_slot_value)
-from sfcbackup.workload import POLICY_DOMAIN
 
 
 def test_shortest_paths_take_multi_hop_shortcuts() -> None:
@@ -190,7 +189,7 @@ def test_policies_never_beat_the_oracle() -> None:
         assert gap >= -1e-9
         worst_gap = min(worst_gap, gap)
         rnd = random_scheme_slot(net, cat, t, obs,
-                                 slot_stream(gt.rng_seed, t, POLICY_DOMAIN))
+                                 policy_uniforms(gt.rng_seed, t, cat.uniform_layout[0]))
         assert ceiling - expected_slot_value(w, gt, rnd, cat) >= -1e-9
     # the learned policy should actually approach the ceiling on this instance
     assert worst_gap < ceiling

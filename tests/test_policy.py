@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ import pytest
 from sfcbackup import (Catalog, EdgeNetwork, FailureLearner, InvariantViolation,
                        PlacementPlan, PopularityLearner, RewardWeights,
                        SlotDecision, bandit_scheme_slot, chain_failure_rate,
-                       default_config_path, expected_slot_value, failure_estimate,
-                       failure_update, fresh_residual, init_learners, load_config,
-                       make_ground_truth, plan_all, popularity_estimate,
-                       popularity_update, pre_reward, random_scheme_slot,
-                       realized_reward, rtsd_slot, sample_slot, slot_stream,
-                       verify_decision)
-from sfcbackup.workload import POLICY_DOMAIN, SlotObservation, rewind_stream
+                       expected_slot_value, failure_estimate, failure_update,
+                       fresh_residual, init_learners, make_ground_truth,
+                       plan_all, popularity_estimate,
+                       policy_uniforms, popularity_update, pre_reward,
+                       random_scheme_slot, realized_reward, rtsd_slot,
+                       sample_slot, verify_decision)
+from sfcbackup.harness import _policy_uniforms
+from sfcbackup.workload import SlotObservation
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
@@ -266,11 +268,97 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
 
 # --- random scheme ---------------------------------------------------------
 
+def uniforms(seed: int, t: int, cat: Catalog) -> list[float]:
+    return policy_uniforms(seed, t, cat.uniform_layout[0])
+
+
+def reference_random_slot(net: EdgeNetwork, cat: Catalog,
+                          rng: np.random.Generator) -> frozenset:
+    """The permutation-scan random slot, as (sfc, assignment) pairs.
+
+    Pops a uniformly drawn chain from those not yet attempted; places each
+    occurrence on the first server with room in a fresh random permutation.
+    random_scheme_slot must follow the same law.
+    """
+    n = net.n_servers
+    lat = net.latency_rows
+    residual = list(net.capacities)
+    chosen = []
+    candidates = list(range(cat.n_sfcs))
+    while candidates:
+        f = candidates.pop(int(rng.integers(len(candidates))))
+        chain = cat.sfc_chain[f]
+        tent = [0] * n
+        assign: list[int] = []
+        latency = 0.0
+        for i in chain:
+            need = cat.vnf_demand[i]
+            spot = next((s for s in rng.permutation(n).tolist()
+                         if residual[s] - tent[s] >= need), -1)
+            if spot < 0:
+                break
+            if assign:
+                latency += lat[assign[-1]][spot]
+            assign.append(spot)
+            tent[spot] += need
+        if chain and len(assign) == len(chain) and not math.isinf(latency):
+            residual = [r - d for r, d in zip(residual, tent)]
+            chosen.append((f, tuple(assign)))
+    return frozenset(chosen)
+
+
+def test_random_scheme_follows_the_permutation_scan_law() -> None:
+    # the small-regret instance: about 180 distinct outcomes, most with room contention
+    net = EdgeNetwork([10, 8, 6], [[0, 1, 0.4], [1, 2, 0.7], [0, 2, 1.1]])
+    cat = Catalog([3, 4, 2, 5], [[0, 1], [2, 3, 2], [1, 1]])
+    n_slots = 10_000
+    rng = np.random.default_rng(2024)
+    ref = Counter(reference_random_slot(net, cat, rng) for _ in range(n_slots))
+    obs = obs_of(1, [0, 0, 0], [0, 0, 0, 0])
+    ours = Counter(
+        frozenset((f, p.assignment) for f, p in random_scheme_slot(net, cat, t, obs, u).deployed)
+        for t, u in enumerate(_policy_uniforms(7, cat, n_slots), start=1))
+    # two-sample chi-square over outcomes, cells with fewer than 10 hits pooled
+    stat, cells, pooled = 0.0, 0, [0, 0]
+    for outcome in set(ref) | set(ours):
+        a, b = ref[outcome], ours[outcome]
+        if a + b < 10:
+            pooled[0] += a
+            pooled[1] += b
+            continue
+        stat += (a - b) ** 2 / (a + b)
+        cells += 1
+    if sum(pooled):
+        stat += (pooled[0] - pooled[1]) ** 2 / sum(pooled)
+        cells += 1
+    df = cells - 1
+    assert df >= 100
+    # six standard deviations above the mean: an upper tail below 1e-6 at this df
+    assert stat < df + 6 * math.sqrt(2 * df), (stat, df)
+
+
+def test_random_scheme_reads_the_documented_layout() -> None:
+    net = EdgeNetwork([9, 9, 9], {(0, 1): 0.4, (1, 2): 0.5, (0, 2): 0.6})
+    cat = Catalog([3, 4], [[0, 1], [1], [0, 0]])
+    width, starts = cat.uniform_layout
+    assert (width, starts) == (8, (3, 5, 6))
+    # chains ranked 2, 0, 1; each pick reads u[starts[f] + j]
+    u = [0.5, 0.9, 0.1,      # ranks
+         0.0, 0.99,          # chain 0
+         0.5,                # chain 1
+         0.7, 0.3]           # chain 2
+    dec = random_scheme_slot(net, cat, 1, obs_of(1, [1, 1, 1], [0, 0]), u)
+    # chain 2: all three servers fit -> index 2, then index 0; rooms [6, 9, 6].
+    # chain 0: index 0 -> server 0; rooms [3, 9, 6] leave servers 1, 2 for demand 4
+    # -> index 1 -> server 2. chain 1: only server 1 holds 4.
+    assert [(f, p.assignment) for f, p in dec.deployed] == [(2, (2, 0)), (0, (0, 2)), (1, (1,))]
+    assert dec.residual_after.tolist() == [3, 5, 2]
+
+
 def test_random_scheme_zero_capacity() -> None:
     net = EdgeNetwork([0, 0], {(0, 1): 1.0})
     cat = Catalog([1], [[0]])
-    rng = slot_stream(3, 1, POLICY_DOMAIN)
-    dec = random_scheme_slot(net, cat, 1, obs_of(1, [2], [0]), rng)
+    dec = random_scheme_slot(net, cat, 1, obs_of(1, [2], [0]), uniforms(3, 1, cat))
     assert dec.deployed == []
 
 
@@ -278,33 +366,11 @@ def test_random_scheme_is_deterministic_per_stream() -> None:
     net = EdgeNetwork([9, 9], {(0, 1): 0.4})
     cat = Catalog([3, 4], [[0, 1], [1], [0, 0]])
     obs = obs_of(5, [1, 1, 1], [0, 0])
-    a = random_scheme_slot(net, cat, 5, obs, slot_stream(11, 5, POLICY_DOMAIN))
-    b = random_scheme_slot(net, cat, 5, obs, slot_stream(11, 5, POLICY_DOMAIN))
+    a = random_scheme_slot(net, cat, 5, obs, uniforms(11, 5, cat))
+    b = random_scheme_slot(net, cat, 5, obs, uniforms(11, 5, cat))
     assert a.x.tolist() == b.x.tolist()
     assert [(f, p.assignment) for f, p in a.deployed] == \
            [(f, p.assignment) for f, p in b.deployed]
-
-
-def test_random_scheme_on_a_rewound_generator_matches_a_fresh_one() -> None:
-    cfg = load_config(default_config_path())
-    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
-                           cfg.catalog.n_sfcs, 21)
-    seed = gt.rng_seed
-    reused = slot_stream(seed, 1, POLICY_DOMAIN)
-    half_buffered = 0
-    for t in range(1, 41):
-        obs = sample_slot(gt, t)
-        a = random_scheme_slot(cfg.network, cfg.catalog, t, obs,
-                               rewind_stream(reused, seed, t, POLICY_DOMAIN))
-        b = random_scheme_slot(cfg.network, cfg.catalog, t, obs,
-                               slot_stream(seed, t, POLICY_DOMAIN))
-        assert [(f, p.assignment, p.latency) for f, p in a.deployed] == \
-               [(f, p.assignment, p.latency) for f, p in b.deployed]
-        for field in ("x", "placed_counts", "residual_after"):
-            assert getattr(a, field).tolist() == getattr(b, field).tolist()
-        # the next rewind must also drop a buffered 32-bit half
-        half_buffered += reused.bit_generator.state["has_uint32"]
-    assert half_buffered > 0
 
 
 def test_random_scheme_splits_contended_capacity_evenly() -> None:
@@ -315,8 +381,7 @@ def test_random_scheme_splits_contended_capacity_evenly() -> None:
     wins = 0
     slots = 400
     for t in range(1, slots + 1):
-        dec = random_scheme_slot(net, cat, t, obs,
-                                 slot_stream(2, t, POLICY_DOMAIN))
+        dec = random_scheme_slot(net, cat, t, obs, uniforms(2, t, cat))
         assert int(dec.x.sum()) == 1
         wins += int(dec.x[0])
     # binomial(400, .5) has sigma 10; stay 5 sigma inside
@@ -328,8 +393,7 @@ def test_random_scheme_rejects_unlinked_crossings() -> None:
     net = EdgeNetwork([5, 5], ())
     cat = Catalog([3], [[0, 0]])
     for t in range(1, 30):
-        dec = random_scheme_slot(net, cat, t, obs_of(t, [4], [0]),
-                                 slot_stream(9, t, POLICY_DOMAIN))
+        dec = random_scheme_slot(net, cat, t, obs_of(t, [4], [0]), uniforms(9, t, cat))
         assert dec.deployed == []
         assert dec.residual_after.tolist() == [5, 5]
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (GroundTruth, make_ground_truth, sample_slot, sample_slots,
+from sfcbackup import (Catalog, GroundTruth, default_config_path, load_config,
+                       make_ground_truth, policy_uniforms, sample_slot, sample_slots,
                        slot_stream, true_popularity, workload)
-from sfcbackup.harness import OBS_BLOCK_SLOTS, _observations
-from sfcbackup.workload import ENV_DOMAIN, POLICY_DOMAIN, rewind_stream
+from sfcbackup.harness import OBS_BLOCK_SLOTS, _observations, _policy_uniforms
+from sfcbackup.workload import ENV_DOMAIN, POLICY_DOMAIN, counter_blocks
 
 
 def reference_slot(gt: GroundTruth, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,18 +163,34 @@ def test_slot_stream_matches_philox_keyed_directly() -> None:
         assert ours.integers(1000, size=7).tolist() == ref.integers(1000, size=7).tolist()
 
 
-def test_rewind_stream_restarts_at_a_fresh_slot_state() -> None:
-    rng = slot_stream(5, 1, POLICY_DOMAIN)
-    rng.integers(7)        # leaves a buffered 32-bit half and a partly used buffer
-    assert rng.bit_generator.state["has_uint32"] == 1
-    rewound = rewind_stream(rng, 5, 40, POLICY_DOMAIN)
-    assert rewound is rng
-    state, fresh = rng.bit_generator.state, slot_stream(5, 40, POLICY_DOMAIN).bit_generator.state
-    for key in ("buffer_pos", "has_uint32", "uinteger"):
-        assert state[key] == fresh[key]
-    assert state["state"]["counter"].tolist() == fresh["state"]["counter"].tolist()
-    assert state["state"]["key"].tolist() == fresh["state"]["key"].tolist()
-    assert rng.random(6).tolist() == slot_stream(5, 40, POLICY_DOMAIN).random(6).tolist()
+def test_policy_uniforms_own_their_counter_blocks() -> None:
+    # W = 30 (bundled config, B = 8, two doubles of padding), 8 (B = 2, none), 1
+    for cat in (load_config(default_config_path()).catalog,
+                Catalog([3, 4], [[0, 1], [1], [0, 0]]), Catalog([1], [[]])):
+        width, _ = cat.uniform_layout
+        blocks = counter_blocks(width)
+        assert 4 * (blocks - 1) < width <= 4 * blocks
+        n_slots = OBS_BLOCK_SLOTS + 5
+        rows = list(_policy_uniforms(13, cat, n_slots))
+        assert len(rows) == n_slots
+        for t in (1, 2, OBS_BLOCK_SLOTS, OBS_BLOCK_SLOTS + 1, n_slots):
+            expected = slot_stream(13, t * blocks, POLICY_DOMAIN).random(width).tolist()
+            assert rows[t - 1] == expected
+            assert policy_uniforms(13, t, width) == expected
+
+
+def test_consecutive_policy_slots_share_no_draws() -> None:
+    cat = load_config(default_config_path()).catalog
+    rows = list(_policy_uniforms(3, cat, OBS_BLOCK_SLOTS + 2))
+    for t in (1, 2, 250, OBS_BLOCK_SLOTS, OBS_BLOCK_SLOTS + 1):
+        assert not set(rows[t - 1]) & set(rows[t])
+
+
+def test_ground_truth_rejects_nan_probabilities() -> None:
+    with pytest.raises(ValueError):
+        make_ground_truth(0.5, [0.1, float("nan")], users=2, n_sfcs=1, rng_seed=0)
+    with pytest.raises(ValueError):
+        make_ground_truth([0.5, float("nan")], [0.1], users=2, n_sfcs=2, rng_seed=0)
 
 
 def slot_uniforms(monkeypatch: pytest.MonkeyPatch, gt: GroundTruth, t: int) -> set[float]:
