@@ -6,14 +6,14 @@ uninformed random baseline, with exhaustive oracles for small instances.
 """
 
 from .model import (CLOUD_LATENCY, Catalog, EdgeNetwork, cheapest_link_anchor,
-                    fresh_residual, neighbors_by_latency, validate_instance)
+                    validate_instance)
 from .workload import (GroundTruth, SlotObservation, make_ground_truth,
                        policy_uniforms, sample_slot, sample_slots, slot_stream,
                        true_popularity)
 from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
                        failure_estimate, failure_update, init_learners,
                        popularity_estimate, popularity_update)
-from .placement import PlacementPlan, get_consumption, plan_all
+from .placement import PlacementPlan, get_consumption
 from .policy import (InvariantViolation, RewardWeights, SlotDecision,
                      bandit_scheme_slot, expected_slot_value, pre_reward,
                      random_scheme_slot, realized_reward, rtsd_slot,
@@ -28,13 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CLOUD_LATENCY", "Catalog", "EdgeNetwork", "cheapest_link_anchor",
-    "fresh_residual", "neighbors_by_latency", "validate_instance",
+    "validate_instance",
     "GroundTruth", "SlotObservation", "make_ground_truth", "policy_uniforms",
     "sample_slot", "sample_slots", "slot_stream", "true_popularity",
     "FailureLearner", "PopularityLearner", "chain_failure_rate",
     "failure_estimate", "failure_update", "init_learners",
     "popularity_estimate", "popularity_update",
-    "PlacementPlan", "get_consumption", "plan_all",
+    "PlacementPlan", "get_consumption",
     "InvariantViolation", "RewardWeights", "SlotDecision",
     "bandit_scheme_slot", "expected_slot_value", "pre_reward",
     "random_scheme_slot", "realized_reward", "rtsd_slot", "verify_decision",

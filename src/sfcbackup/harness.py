@@ -42,6 +42,16 @@ CSV_COLUMNS = ("t", "policy", "seed", "realized_reward", "expected_reward",
 # the run is.
 OBS_BLOCK_SLOTS = 256
 
+# Residuals and the remaining-resource column are int64, and a seed is one
+# 64-bit Philox key word.
+INT64_MAX = 2 ** 63 - 1
+SEED_LIMIT = 2 ** 64
+
+# Slot rewards are summed over chains and slots, and their spread across seeds
+# is squared, all in float64. A config whose slot reward could pass this bound
+# is rejected rather than left to overflow to inf or nan.
+REWARD_LIMIT = 1e150
+
 
 class ConfigError(ValueError):
     """The experiment config is malformed or internally inconsistent."""
@@ -111,16 +121,15 @@ def parse_seeds(spec) -> tuple[int, ...]:
             except ValueError as exc:
                 raise ConfigError(f"bad seed {spec!r}") from exc
     elif isinstance(spec, (list, tuple)):
-        try:
-            seeds = tuple(int(s) for s in spec)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("seeds list must contain integers") from exc
+        seeds = tuple(_as_int(s, f"seeds[{k}]") for k, s in enumerate(spec))
     else:
         raise ConfigError(f"cannot parse seeds from {spec!r}")
     if not seeds:
         raise ConfigError("need at least one seed")
     if any(s < 0 for s in seeds):
         raise ConfigError("seeds must be nonnegative")
+    if any(s >= SEED_LIMIT for s in seeds):
+        raise ConfigError("seeds must be below 2**64")
     return seeds
 
 
@@ -129,6 +138,8 @@ def parse_policies(spec) -> tuple[str, ...]:
         return POLICY_ORDER
     if isinstance(spec, str):
         spec = [spec]
+    if not isinstance(spec, (list, tuple)):
+        raise ConfigError(f"policies must be a name or a list of names, got {spec!r}")
     out = []
     for name in spec:
         if name == "all":
@@ -150,16 +161,33 @@ def _check(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("slots must be >= 1")
     if cfg.users < 1:
         raise ConfigError("users must be >= 1")
-    if not (cfg.capacity_scale > 0.0):
-        raise ConfigError("capacity_scale must be positive")
+    if not (math.isfinite(cfg.capacity_scale) and cfg.capacity_scale > 0.0):
+        raise ConfigError(f"capacity_scale must be a finite positive number, "
+                          f"got {cfg.capacity_scale!r}")
+    try:
+        total_capacity = sum(cfg.network.scaled(cfg.capacity_scale).capacities)
+    except OverflowError:       # a capacity scaled to +inf, or too large for a float
+        total_capacity = math.inf
+    if total_capacity > INT64_MAX:
+        raise ConfigError(f"capacity_scale {cfg.capacity_scale!r} takes the total "
+                          f"capacity past 2**63 - 1")
     if cfg.failure_mean.shape[0] != cfg.catalog.n_vnfs:
         raise ConfigError(f"failure_mean needs {cfg.catalog.n_vnfs} entries")
     try:
         # shakes out request_prob shape problems and out-of-range probabilities
         make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                           cfg.catalog.n_sfcs, cfg.seeds[0])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # a chain earns at most omega per user and pays at most mu per hop at the
+    # dearest link
+    max_latency = max((lat for _, _, lat in cfg.network.links), default=0.0)
+    reward_bound = sum(cfg.weights.omega * cfg.users
+                       + cfg.weights.mu * max_latency * (len(chain) - 1)
+                       for chain in cfg.catalog.sfc_chain)
+    if not reward_bound <= REWARD_LIMIT:
+        raise ConfigError(f"a slot reward could reach {reward_bound:g}, past "
+                          f"{REWARD_LIMIT:g}; lower omega, mu, users or the link latencies")
     return cfg
 
 
@@ -175,6 +203,28 @@ def _as_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _as_list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _int_list(value, name: str) -> list[int]:
+    return [_as_int(v, f"{name}[{k}]") for k, v in enumerate(_as_list(value, name))]
+
+
+def _links(value) -> list[tuple[int, int, float]]:
+    """network.links: [u, v, latency] triples, integer endpoints and a finite latency."""
+    links = []
+    for k, link in enumerate(_as_list(value, "network.links")):
+        name = f"network.links[{k}]"
+        if not isinstance(link, (list, tuple)) or len(link) != 3:
+            raise ConfigError(f"{name} must be [u, v, latency], got {link!r}")
+        links.append((_as_int(link[0], f"{name}[0]"), _as_int(link[1], f"{name}[1]"),
+                      _as_number(link[2], f"{name}[2]")))
+    return links
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -203,8 +253,11 @@ def load_config(source) -> ExperimentConfig:
         net_spec = raw["network"]
         cat_spec = raw["catalog"]
         gt_spec = raw["ground_truth"]
-        network = EdgeNetwork(net_spec["capacities"], net_spec.get("links", ()))
-        catalog = Catalog(cat_spec["vnf_demand"], cat_spec["sfc_chain"])
+        network = EdgeNetwork(_int_list(net_spec["capacities"], "network.capacities"),
+                              _links(net_spec.get("links", [])))
+        catalog = Catalog(_int_list(cat_spec["vnf_demand"], "catalog.vnf_demand"),
+                          [_int_list(chain, f"catalog.sfc_chain[{f}]") for f, chain
+                           in enumerate(_as_list(cat_spec["sfc_chain"], "catalog.sfc_chain"))])
         request_prob = gt_spec["request_prob"]
         failure_mean = np.asarray(gt_spec["failure_mean"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
@@ -218,6 +271,13 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     learner_spec = _section(raw, "learner")
     scale = learner_spec.get("failure_bonus_scale")
+    if scale is not None:
+        scale = _as_number(scale, "failure_bonus_scale")
+        if scale < 0.0:
+            raise ConfigError(f"failure_bonus_scale must be >= 0, got {scale!r}")
+    sign = _as_int(learner_spec.get("failure_bonus_sign", 1), "failure_bonus_sign")
+    if sign not in (1, -1):
+        raise ConfigError(f"failure_bonus_sign must be 1 or -1, got {sign!r}")
     regret = raw.get("regret", False)
     if not isinstance(regret, bool):
         raise ConfigError(f"regret must be true or false, got {regret!r}")
@@ -231,8 +291,8 @@ def load_config(source) -> ExperimentConfig:
         slots=_as_int(raw.get("slots", 500), "slots"),
         seeds=parse_seeds(raw.get("seeds", 1)),
         policies=parse_policies(raw.get("policies", "all")),
-        failure_bonus_scale=None if scale is None else _as_number(scale, "failure_bonus_scale"),
-        failure_bonus_sign=_as_int(learner_spec.get("failure_bonus_sign", 1), "failure_bonus_sign"),
+        failure_bonus_scale=scale,
+        failure_bonus_sign=sign,
         capacity_scale=_as_number(raw.get("capacity_scale", 1.0), "capacity_scale"),
         regret=regret,
     )
@@ -369,7 +429,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
             agg["remaining"].append(float(series["remaining"].mean()))
             agg["deployed"].append(float(series["deployed"].mean()))
 
-    total_capacity = int(network.caps_array.sum())
+    total_capacity = sum(network.capacities)
     summary = {
         "slots": cfg.slots,
         "seeds": list(cfg.seeds),

@@ -57,14 +57,6 @@ class EdgeNetwork:
         return len(self.capacities)
 
     @property
-    def caps_array(self) -> np.ndarray:
-        arr = self._cache.get("caps")
-        if arr is None:
-            arr = np.asarray(self.capacities, dtype=np.int64)
-            self._cache["caps"] = arr
-        return arr
-
-    @property
     def latency_matrix(self) -> np.ndarray:
         """Dense (N, N) latency lookup: 0 on the diagonal, +inf where no link exists."""
         mat = self._cache.get("lat")
@@ -79,33 +71,15 @@ class EdgeNetwork:
         return mat
 
     @property
-    def neighbor_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, count): ids[n, :count[n]] lists n's neighbors by ascending latency, ties by id."""
-        tab = self._cache.get("nbr")
+    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Entry n lists server n's direct neighbors by ascending latency, ties by id."""
+        tab = self._cache.get("nbr_lists")
         if tab is None:
-            n = self.n_servers
-            adj: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+            adj: list[list[tuple[float, int]]] = [[] for _ in range(self.n_servers)]
             for u, v, lat in self.links:
                 adj[u].append((lat, v))
                 adj[v].append((lat, u))
-            count = np.zeros(n, dtype=np.int64)
-            ids = np.full((n, max(1, n - 1)), -1, dtype=np.int64)
-            for node, entries in enumerate(adj):
-                entries.sort()
-                count[node] = len(entries)
-                for k, (_, m) in enumerate(entries):
-                    ids[node, k] = m
-            tab = (ids, count)
-            self._cache["nbr"] = tab
-        return tab
-
-    @property
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """neighbor_table as plain ints: entry n lists n's neighbors by ascending latency."""
-        tab = self._cache.get("nbr_lists")
-        if tab is None:
-            ids, count = self.neighbor_table
-            tab = tuple(tuple(row[:k]) for row, k in zip(ids.tolist(), count.tolist()))
+            tab = tuple(tuple(m for _, m in sorted(entries)) for entries in adj)
             self._cache["nbr_lists"] = tab
         return tab
 
@@ -125,9 +99,6 @@ class EdgeNetwork:
             return (-1, -1)
         u, v, _ = self.links[0]
         return (u, v)
-
-    def latency(self, u: int, v: int) -> float:
-        return float(self.latency_matrix[u, v])
 
     def scaled(self, factor: float) -> "EdgeNetwork":
         """Copy with every capacity multiplied by ``factor`` and floored to int."""
@@ -154,32 +125,6 @@ class Catalog:
     @property
     def n_sfcs(self) -> int:
         return len(self.sfc_chain)
-
-    @property
-    def demand_array(self) -> np.ndarray:
-        arr = self._cache.get("demand")
-        if arr is None:
-            arr = np.asarray(self.vnf_demand, dtype=np.int64)
-            self._cache["demand"] = arr
-        return arr
-
-    @property
-    def chain_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Chains flattened to (vnf_ids, start_offsets) so kernels can slice them."""
-        tab = self._cache.get("chains")
-        if tab is None:
-            starts = np.zeros(self.n_sfcs + 1, dtype=np.int64)
-            flat: list[int] = []
-            for f, chain in enumerate(self.sfc_chain):
-                flat.extend(chain)
-                starts[f + 1] = len(flat)
-            tab = (np.asarray(flat, dtype=np.int64), starts)
-            self._cache["chains"] = tab
-        return tab
-
-    @property
-    def max_chain_len(self) -> int:
-        return max((len(c) for c in self.sfc_chain), default=0)
 
     @property
     def chain_peaks(self) -> tuple[float, ...]:
@@ -213,11 +158,6 @@ class Catalog:
     def chain_demand(self, f: int) -> int:
         """Total resource units SFC f consumes when fully deployed."""
         return int(sum(self.vnf_demand[i] for i in self.sfc_chain[f]))
-
-
-def fresh_residual(network: EdgeNetwork) -> np.ndarray:
-    """Residual capacity vector at the start of a slot (full pools, int64)."""
-    return network.caps_array.copy()
 
 
 def validate_instance(network: EdgeNetwork, catalog: Catalog) -> list[str]:
@@ -273,13 +213,6 @@ def validate_instance(network: EdgeNetwork, catalog: Catalog) -> list[str]:
             if not (0 <= i < catalog.n_vnfs):
                 problems.append(f"SFC {f} references unknown VNF {i}")
     return problems
-
-
-def neighbors_by_latency(network: EdgeNetwork, node: int) -> list[tuple[int, float]]:
-    """Direct neighbors of ``node`` as (server, latency), cheapest first, ties by id."""
-    ids, count = network.neighbor_table
-    lat = network.latency_matrix
-    return [(int(m), float(lat[node, m])) for m in ids[node, : count[node]]]
 
 
 def cheapest_link_anchor(network: EdgeNetwork, residual: Sequence[int]) -> int:

@@ -83,7 +83,7 @@ def _joint_min_weighted_latency(network: EdgeNetwork, catalog: Catalog,
                                 subset: list[int], weights_per_sfc: list[float],
                                 sp: np.ndarray) -> float:
     """Min over joint capacity-feasible placements of sum_f w_f * L_f; inf if none."""
-    res = network.caps_array.copy()
+    res = np.array(network.capacities, dtype=np.int64)
     demands = catalog.vnf_demand
     chains = [catalog.sfc_chain[f] for f in subset]
     best = math.inf
@@ -148,7 +148,7 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
             best_value = value
             best_sel = tuple(subset)
 
-    standalone = {f: optimal_chain_latency(network, catalog, network.caps_array, f,
+    standalone = {f: optimal_chain_latency(network, catalog, network.capacities, f,
                                            node_budget)
                   for f in range(n_sfcs)}
     return OracleResult(best_latency=standalone, best_selection=best_sel,

@@ -57,10 +57,3 @@ def get_consumption(network: EdgeNetwork, catalog: Catalog, residual,
     return PlacementPlan(sfc=int(f), assignment=tuple(assign),
                          latency=latency, at_edge=True)
 
-
-def plan_all(network: EdgeNetwork, catalog: Catalog, residual,
-             skip=()) -> dict[int, PlacementPlan]:
-    """Plan every SFC not in ``skip`` against the same residual snapshot."""
-    skip = set(skip)
-    return {f: get_consumption(network, catalog, residual, f)
-            for f in range(catalog.n_sfcs) if f not in skip}

@@ -1,0 +1,185 @@
+"""Unpruned reference definitions of the slot kernels, for the tests.
+
+These are the selection loop and the two chain walks as the definition reads:
+every round plans every remaining chain against the live residual, and the
+strictly best positive score is committed, ties to the smallest SFC id. They
+run on int64/float64 numpy arrays, with chains flattened as (chain_vnf,
+chain_start) and neighbors as a padded (ids, count) table; the array walks
+fill an assignment buffer and return the latency, +inf where the chain does
+not fit at the edge. sfcbackup.kernels, which prunes the loop and works on
+Python lists, is tested against them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sfcbackup.kernels import GREEDY
+
+
+def chain_arrays(catalog) -> tuple[np.ndarray, np.ndarray]:
+    """Chains flattened to (vnf_ids, start_offsets) so the kernels can slice them."""
+    starts = np.zeros(catalog.n_sfcs + 1, dtype=np.int64)
+    flat: list[int] = []
+    for f, chain in enumerate(catalog.sfc_chain):
+        flat.extend(chain)
+        starts[f + 1] = len(flat)
+    return np.asarray(flat, dtype=np.int64), starts
+
+
+def neighbor_table(network) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, count): ids[n, :count[n]] lists n's neighbors by ascending latency, ties by id."""
+    n = network.n_servers
+    adj: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    for u, v, lat in network.links:
+        adj[u].append((lat, v))
+        adj[v].append((lat, u))
+    count = np.zeros(n, dtype=np.int64)
+    ids = np.full((n, max(1, n - 1)), -1, dtype=np.int64)
+    for node, entries in enumerate(adj):
+        entries.sort()
+        count[node] = len(entries)
+        for k, (_, m) in enumerate(entries):
+            ids[node, k] = m
+    return ids, count
+
+
+def greedy_chain_walk_array(residual, demands, chain, nbr_ids, nbr_count,
+                            lat, anchor, assign_out):
+    """kernels.greedy_chain_walk on int64 arrays, with nbr_ids/nbr_count from neighbor_table."""
+    n = residual.shape[0]
+    length = chain.shape[0]
+    total = 0
+    for j in range(length):
+        total += demands[chain[j]]
+    if residual[anchor] < total:
+        best = -1
+        for s in range(n):
+            if residual[s] >= total and (best < 0 or residual[s] < residual[best]):
+                best = s
+        if best >= 0:
+            for j in range(length):
+                assign_out[j] = best
+            return 0.0
+    tent = np.zeros(n, dtype=np.int64)
+    cur = anchor
+    for j in range(length):
+        need = demands[chain[j]]
+        if residual[cur] - tent[cur] >= need:
+            assign_out[j] = cur
+            tent[cur] += need
+        else:
+            moved = False
+            for k in range(nbr_count[cur]):
+                m = nbr_ids[cur, k]
+                if residual[m] - tent[m] >= need:
+                    cur = m
+                    assign_out[j] = m
+                    tent[m] += need
+                    moved = True
+                    break
+            if not moved:
+                return np.inf
+    latency = 0.0
+    for j in range(1, length):
+        latency += lat[assign_out[j - 1], assign_out[j]]
+    return latency
+
+
+def first_fit_chain_walk_array(residual, demands, chain, lat, assign_out):
+    """kernels.first_fit_chain_walk on int64 arrays."""
+    n = residual.shape[0]
+    tent = np.zeros(n, dtype=np.int64)
+    s = 0
+    length = chain.shape[0]
+    for j in range(length):
+        need = demands[chain[j]]
+        while s < n and residual[s] - tent[s] < need:
+            s += 1
+        if s >= n:
+            return np.inf
+        assign_out[j] = s
+        tent[s] += need
+    latency = 0.0
+    for j in range(1, length):
+        latency += lat[assign_out[j - 1], assign_out[j]]
+    return latency
+
+
+def slot_decide_array(mode, caps, demands, chain_vnf, chain_start, nbr_ids,
+                      nbr_count, lat, link_u, link_v, q_est, v_est, omega, mu,
+                      x_out, order_out, lat_out, assign_out, residual_out):
+    """kernels.slot_decide's selection loop on primitive arrays, unpruned.
+
+    Chains come flattened as (chain_vnf, chain_start) and the cheapest link
+    as its endpoints (link_u, link_v), (-1, -1) when the network is linkless.
+    x_out, order_out, lat_out, assign_out (N_sfcs, max chain length, padded
+    with -1) and residual_out are overwritten. Returns the committed count.
+    """
+    n = caps.shape[0]
+    n_sfcs = chain_start.shape[0] - 1
+    residual_out[:] = caps
+    x_out[:] = 0
+    order_out[:] = -1
+    lat_out[:] = np.inf
+    assign_out[:, :] = -1
+    max_len = assign_out.shape[1]
+    scratch = np.empty(max_len, dtype=np.int64)
+    best_assign = np.empty(max_len, dtype=np.int64)
+    n_committed = 0
+    while True:
+        anchor = 0
+        if mode == GREEDY:     # model.cheapest_link_anchor, inlined
+            if link_u >= 0:
+                anchor = link_u if residual_out[link_u] >= residual_out[link_v] else link_v
+            else:
+                best_r = residual_out[0]
+                for s in range(1, n):
+                    if residual_out[s] > best_r:
+                        anchor = s
+                        best_r = residual_out[s]
+        best_f = -1
+        best_score = 0.0
+        best_lat = np.inf
+        for f in range(n_sfcs):
+            if x_out[f] == 1:
+                continue
+            lo = chain_start[f]
+            hi = chain_start[f + 1]
+            chain = chain_vnf[lo:hi]
+            if mode == GREEDY:
+                latency = greedy_chain_walk_array(residual_out, demands, chain,
+                                                  nbr_ids, nbr_count, lat,
+                                                  anchor, scratch)
+            else:
+                latency = first_fit_chain_walk_array(residual_out, demands,
+                                                     chain, lat, scratch)
+            if latency == np.inf:
+                continue
+            worst = 0.0
+            for j in range(hi - lo):
+                rate = v_est[chain[j]]
+                if rate > worst:
+                    worst = rate
+            gate = 1.0 - worst
+            if gate <= 0.0:
+                continue
+            score = (omega * q_est[f] - mu * latency) * gate
+            if score > best_score:
+                best_f = f
+                best_score = score
+                best_lat = latency
+                for j in range(hi - lo):
+                    best_assign[j] = scratch[j]
+        if best_f < 0:
+            break
+        lo = chain_start[best_f]
+        hi = chain_start[best_f + 1]
+        for j in range(hi - lo):
+            residual_out[best_assign[j]] -= demands[chain_vnf[lo + j]]
+            assign_out[best_f, j] = best_assign[j]
+        x_out[best_f] = 1
+        lat_out[best_f] = best_lat
+        order_out[n_committed] = best_f
+        n_committed += 1
+    return n_committed

@@ -151,8 +151,8 @@ def test_05_per_slot_invariants(canonical) -> None:
     cfg, _, _ = canonical
     network = cfg.network
     catalog = cfg.catalog
-    caps = network.caps_array
-    demands = catalog.demand_array
+    caps = np.asarray(network.capacities)
+    demands = catalog.vnf_demand
     checked = 0
     for policy in cfg.policies:
         for seed in cfg.seeds[:3]:

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
                        harness, load_config, make_ground_truth, policy_uniforms,
@@ -302,21 +307,94 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [
-    {"users": "x"},
-    {"network": {"capacities": [10, 8], "links": [[0, 1]]}},
-    {"slots": 2.7},
-    {"weights": {"omega": "inf"}},
-    {"ground_truth": {"request_prob": [0.8, 0.5, 0.3],
-                      "failure_mean": [0.05, float("nan"), 0.02]}},
+@pytest.mark.parametrize("extra, flags", [
+    ({"users": "x"}, []),
+    ({"network": {"capacities": [10, 8], "links": [[0, 1]]}}, []),
+    ({"slots": 2.7}, []),
+    ({"weights": {"omega": "inf"}}, []),
+    ({"ground_truth": {"request_prob": [0.8, 0.5, 0.3],
+                       "failure_mean": [0.05, float("nan"), 0.02]}}, []),
+    ({"network": {"capacities": [10.7, 8], "links": [[0, 1, 0.5]]}}, []),
+    ({"network": {"capacities": [2 ** 63, 8], "links": [[0, 1, 0.5]]}}, []),
+    ({"network": {"capacities": [10, 8], "links": [[0, 1.0, 0.5]]}}, []),
+    ({"network": {"capacities": [10, 8], "links": [[0, 1, "0.5"]]}}, []),
+    ({"network": {"capacities": [10, 8], "links": [[0, 1, 1e308]]}}, []),
+    ({"catalog": {"vnf_demand": [4, 3.9, 2], "sfc_chain": [[0, 1], [2, 2], [1]]}}, []),
+    ({"catalog": {"vnf_demand": [4, 3, 2], "sfc_chain": [[0.5, 1], [2, 2], [1]]}}, []),
+    ({"ground_truth": {"request_prob": [0.8, {}, 0.3],
+                       "failure_mean": [0.05, 0.1, 0.02]}}, []),
+    ({"seeds": [1.5]}, []),
+    ({"seeds": [2 ** 64]}, []),
+    ({"policies": 7}, []),
+    ({"learner": {"failure_bonus_scale": 1.0, "failure_bonus_sign": 5}}, []),
+    ({"learner": {"failure_bonus_scale": -3.0, "failure_bonus_sign": -1}}, []),
+    ({"capacity_scale": 1e308}, []),
+    ({}, ["--capacity-scale", "inf"]),
 ], ids=["users-string", "two-element-link", "fractional-slots", "omega-inf-string",
-        "nan-failure-mean"])
+        "nan-failure-mean", "fractional-capacity", "int64-overflowing-capacity",
+        "fractional-link-endpoint", "string-latency", "overflowing-latency",
+        "fractional-demand", "fractional-chain-entry", "object-request-prob",
+        "fractional-seed", "seed-past-64-bits", "numeric-policies", "bonus-sign-5",
+        "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf"])
 def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFixture,
-                                       extra: dict) -> None:
+                                       extra: dict, flags: list[str]) -> None:
     cfg_path = write_config(tmp_path, **extra)
-    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")] + flags) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_errors_name_the_field() -> None:
+    with pytest.raises(ConfigError, match=r"network\.capacities\[0\] must be an integer, got 10\.7"):
+        load_config(tiny_config(network={"capacities": [10.7, 8], "links": [[0, 1, 0.5]]}))
+    with pytest.raises(ConfigError, match=r"catalog\.sfc_chain\[0\]\[0\] must be an integer"):
+        load_config(tiny_config(catalog={"vnf_demand": [4, 3, 2],
+                                         "sfc_chain": [[0.5, 1], [2, 2], [1]]}))
+    with pytest.raises(ConfigError, match=r"network\.links\[0\]\[2\] must be a finite number"):
+        load_config(tiny_config(network={"capacities": [10, 8], "links": [[0, 1, None]]}))
+
+
+# Values that are wrong somewhere in a config: fractional, negative, zero, the
+# wrong type, non-finite, or finite but far out of range.
+BAD_LEAVES = (10.7, -1, 0, "x", None, True, [], {}, math.nan, math.inf, 1e308)
+
+
+def leaf_paths(node, path=()):
+    """Key paths to every scalar in a nested config document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from leaf_paths(child, path + (k,))
+    else:
+        yield path
+
+
+@settings(max_examples=200, deadline=None)
+@example(path=("network", "capacities", 0), value=math.inf)
+@given(path=st.sampled_from(list(leaf_paths(tiny_config()))),
+       value=st.sampled_from(BAD_LEAVES))
+def test_cli_survives_one_bad_leaf(path: tuple, value) -> None:
+    # a config with one leaf replaced either runs or fails with a ConfigError:
+    # exit code 0 or 1, never an exception, and never a longer run
+    doc = tiny_config()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "exp.json"
+        cfg_path.write_text(json.dumps(doc))
+        out_dir = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--config", str(cfg_path), "--out", str(out_dir)])
+        assert code in (0, 1)
+        if code == 0:
+            rows = (out_dir / "trace.csv").read_text().count("\n") - 1
+            base = tiny_config()
+            assert rows <= len(POLICY_ORDER) * len(base["seeds"]) * base["slots"]
 
 
 def test_cli_rejects_unknown_policy_flag(tmp_path: Path) -> None:

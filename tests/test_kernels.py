@@ -8,20 +8,11 @@ from sfcbackup import Catalog, EdgeNetwork, cheapest_link_anchor
 from sfcbackup import default_config_path, load_config
 from sfcbackup import kernels
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, first_fit_chain_walk,
-                               first_fit_chain_walk_array, greedy_chain_walk,
-                               greedy_chain_walk_array, slot_decide,
-                               slot_decide_array, slot_decide_lists,
-                               slot_decide_via_arrays, warmup)
+                               greedy_chain_walk, slot_decide)
 
-
-def test_flag_and_warmup() -> None:
-    assert isinstance(kernels.NUMBA_ENABLED, bool)
-    warmup()
-    if kernels.NUMBA_ENABLED:
-        assert hasattr(slot_decide_array, "py_func")
-        assert slot_decide is slot_decide_via_arrays
-    else:
-        assert slot_decide is slot_decide_lists
+from reference_kernels import (chain_arrays, first_fit_chain_walk_array,
+                               greedy_chain_walk_array, neighbor_table,
+                               slot_decide_array)
 
 
 def random_setup(rng: np.random.Generator):
@@ -54,8 +45,9 @@ def test_chain_walks_match_python_definitions() -> None:
     outcomes = {"edge": 0, "cloud": 0}
     for _ in range(150):
         net, cat, _, _ = random_setup(rng)
-        chain_vnf, chain_start = cat.chain_arrays
-        nbr_ids, nbr_count = net.neighbor_table
+        chain_vnf, chain_start = chain_arrays(cat)
+        nbr_ids, nbr_count = neighbor_table(net)
+        demands = np.asarray(cat.vnf_demand, dtype=np.int64)
         lat = net.latency_matrix
         residual = rng.integers(0, 14, net.n_servers).astype(np.int64)
         res = residual.tolist()
@@ -64,7 +56,7 @@ def test_chain_walks_match_python_definitions() -> None:
             anchor = cheapest_link_anchor(net, residual)
 
             a1 = np.full(len(chain), -1, dtype=np.int64)
-            l1 = greedy_chain_walk_array(residual, cat.demand_array, chain,
+            l1 = greedy_chain_walk_array(residual, demands, chain,
                                          nbr_ids, nbr_count, lat, anchor, a1)
             l2, a2 = greedy_chain_walk(res, sorted(res), cat.vnf_demand,
                                        cat.sfc_chain[f], net.neighbor_lists,
@@ -74,8 +66,7 @@ def test_chain_walks_match_python_definitions() -> None:
             outcomes["cloud" if math.isinf(l1) else "edge"] += 1
 
             b1 = np.full(len(chain), -1, dtype=np.int64)
-            m1 = first_fit_chain_walk_array(residual, cat.demand_array, chain,
-                                            lat, b1)
+            m1 = first_fit_chain_walk_array(residual, demands, chain, lat, b1)
             m2, b2 = first_fit_chain_walk(res, cat.vnf_demand, cat.sfc_chain[f],
                                           net.latency_rows)
             assert same_latency(m1, m2)
@@ -87,25 +78,26 @@ def test_chain_walks_match_python_definitions() -> None:
 
 
 def run_slot_decide_array(mode, net, cat, q, v, omega=1.0, mu=1.0):
-    chain_vnf, chain_start = cat.chain_arrays
-    nbr_ids, nbr_count = net.neighbor_table
+    chain_vnf, chain_start = chain_arrays(cat)
+    nbr_ids, nbr_count = neighbor_table(net)
     link_u, link_v = net.cheapest_link
-    max_len = max(1, cat.max_chain_len)
+    max_len = max([1] + [len(chain) for chain in cat.sfc_chain])
     x = np.zeros(cat.n_sfcs, dtype=np.uint8)
     order = np.full(cat.n_sfcs, -1, dtype=np.int64)
     lat_out = np.full(cat.n_sfcs, math.inf, dtype=np.float64)
     assign = np.full((cat.n_sfcs, max_len), -1, dtype=np.int64)
     residual = np.zeros(net.n_servers, dtype=np.int64)
-    n = slot_decide_array(mode, net.caps_array, cat.demand_array, chain_vnf,
+    n = slot_decide_array(mode, np.asarray(net.capacities, dtype=np.int64),
+                          np.asarray(cat.vnf_demand, dtype=np.int64), chain_vnf,
                           chain_start, nbr_ids, nbr_count, net.latency_matrix,
                           link_u, link_v, q, v, omega, mu, x, order, lat_out,
                           assign, residual)
     return n, x, order, lat_out, assign, residual
 
 
-def run_slot_decide(impl, mode, net, cat, q, v, outs=None, omega=1.0, mu=1.0):
+def run_slot_decide(mode, net, cat, q, v, outs=None, omega=1.0, mu=1.0):
     outs = outs if outs is not None else ([], [], [], [], [])
-    n = impl(mode, net, cat, q, v, omega, mu, *outs)
+    n = slot_decide(mode, net, cat, q, v, omega, mu, *outs)
     return (n,) + outs
 
 
@@ -134,8 +126,7 @@ def assert_same_decision(want, got, cat) -> None:
 
 
 def test_slot_decide_matches_python_definition() -> None:
-    # the list kernel against the array reference kernel, and the numba
-    # backend's list interface (slot_decide_via_arrays) against both
+    # the pruned list kernel against the unpruned array reference kernel
     rng = np.random.default_rng(77)
     cases = [random_setup(rng) for _ in range(120)]
     cases += bundled_cases(np.random.default_rng(11), 100)
@@ -143,9 +134,8 @@ def test_slot_decide_matches_python_definition() -> None:
     for net, cat, q, v in cases:
         for mode in (GREEDY, FIRST_FIT):
             want = run_slot_decide_array(mode, net, cat, q, v)
-            got = run_slot_decide(slot_decide_lists, mode, net, cat, q, v)
+            got = run_slot_decide(mode, net, cat, q, v)
             assert_same_decision(want, got, cat)
-            assert run_slot_decide(slot_decide_via_arrays, mode, net, cat, q, v) == got
             checked += got[0]
     # the generator must actually exercise commits, not just empty slots
     assert checked > 50
@@ -185,8 +175,7 @@ def test_slot_decide_pruning_keeps_ties_on_tie_heavy_instances() -> None:
         net, cat, q, v, omega, mu = tie_heavy_setup(rng)
         for mode in (GREEDY, FIRST_FIT):
             want = run_slot_decide_array(mode, net, cat, q, v, omega, mu)
-            got = run_slot_decide(slot_decide_lists, mode, net, cat, q, v,
-                                  omega=omega, mu=mu)
+            got = run_slot_decide(mode, net, cat, q, v, omega=omega, mu=mu)
             assert_same_decision(want, got, cat)
             checked += got[0]
     assert checked > 3000
@@ -213,7 +202,7 @@ def test_slot_decide_lists_walks_fewer_chains_than_unpruned(monkeypatch) -> None
                        (FIRST_FIT, "first_fit_chain_walk")):
         counter = WalkCounter(getattr(kernels, name))
         monkeypatch.setattr(kernels, name, counter)
-        got = run_slot_decide(slot_decide_lists, mode, net, cat, q, v)
+        got = run_slot_decide(mode, net, cat, q, v)
         monkeypatch.undo()
         assert_same_decision(run_slot_decide_array(mode, net, cat, q, v), got, cat)
         n = got[0]
@@ -227,7 +216,7 @@ def test_slot_decide_is_idempotent_on_outputs() -> None:
     rng = np.random.default_rng(5)
     net, cat, q, v = random_setup(rng)
     outs = ([], [], [], [], [])
-    first = run_slot_decide(slot_decide, GREEDY, net, cat, q, v, outs)
+    first = run_slot_decide(GREEDY, net, cat, q, v, outs)
     first = (first[0],) + tuple(list(out) for out in first[1:])
-    second = run_slot_decide(slot_decide, GREEDY, net, cat, q, v, outs)
+    second = run_slot_decide(GREEDY, net, cat, q, v, outs)
     assert first == second

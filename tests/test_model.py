@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (Catalog, EdgeNetwork, cheapest_link_anchor,
-                       fresh_residual, neighbors_by_latency, validate_instance)
+from sfcbackup import Catalog, EdgeNetwork, cheapest_link_anchor, validate_instance
+
+from reference_kernels import chain_arrays, neighbor_table
 
 
 def small_net() -> EdgeNetwork:
@@ -58,17 +59,18 @@ def test_single_server_no_links_is_connected() -> None:
 
 def test_neighbors_by_latency_sorted() -> None:
     net = EdgeNetwork([1, 1, 1], {(0, 1): 5.0, (0, 2): 2.0})
-    assert neighbors_by_latency(net, 0) == [(2, 2.0), (1, 5.0)]
+    assert net.neighbor_lists == ((2, 1), (0,), (0,))
+    assert [net.latency_rows[0][m] for m in net.neighbor_lists[0]] == [2.0, 5.0]
 
 
 def test_neighbors_by_latency_tie_by_id() -> None:
-    net = EdgeNetwork([1, 1, 1, 1, 1], {(0, 1): 3.0, (0, 4): 3.0})
-    assert neighbors_by_latency(net, 0) == [(1, 3.0), (4, 3.0)]
+    net = EdgeNetwork([1, 1, 1, 1, 1], {(4, 0): 3.0, (0, 1): 3.0})
+    assert net.neighbor_lists[0] == (1, 4)
 
 
 def test_neighbors_isolated_node() -> None:
     net = EdgeNetwork([1, 1, 1], {(0, 1): 1.0})
-    assert neighbors_by_latency(net, 2) == []
+    assert net.neighbor_lists[2] == ()
 
 
 @settings(max_examples=50, deadline=None)
@@ -81,12 +83,15 @@ def test_neighbors_ordering_property(n: int, raw_seed: int) -> None:
             if rng.random() < 0.6:
                 links[(u, v)] = float(rng.uniform(0.1, 3.0))
     net = EdgeNetwork([1] * n, links)
+    ids, count = neighbor_table(net)
     for node in range(n):
-        nbrs = neighbors_by_latency(net, node)
-        lats = [l for _, l in nbrs]
+        nbrs = net.neighbor_lists[node]
+        lats = [net.latency_rows[node][m] for m in nbrs]
         assert lats == sorted(lats)
         expected = {v for (u, v) in links if u == node} | {u for (u, v) in links if v == node}
-        assert {m for m, _ in nbrs} == expected
+        assert set(nbrs) == expected
+        # the reference kernels' padded table lists the same neighbors in the same order
+        assert ids[node, :count[node]].tolist() == list(nbrs)
 
 
 def anchors(net: EdgeNetwork, residual: list[int]) -> set[int]:
@@ -136,17 +141,19 @@ def test_scaled_capacities_floor() -> None:
 
 
 def test_fresh_residual_is_a_copy() -> None:
+    # capacities are an immutable tuple, so a residual built from them is a copy
     net = small_net()
-    res = fresh_residual(net)
+    assert isinstance(net.capacities, tuple)
+    res = np.asarray(net.capacities)
     res[0] -= 5
-    assert net.capacities[0] == 10
-    assert fresh_residual(net)[0] == 10
+    assert net.capacities == (10, 8, 9)
 
 
 def test_chain_arrays_roundtrip() -> None:
     cat = Catalog([5, 4, 4], [[0, 1], [2, 2, 1]])
-    flat, starts = cat.chain_arrays
+    flat, starts = chain_arrays(cat)
     assert flat.tolist() == [0, 1, 2, 2, 1]
     assert starts.tolist() == [0, 2, 5]
-    assert cat.max_chain_len == 3
+    assert [flat[starts[f]:starts[f + 1]].tolist() for f in range(cat.n_sfcs)] == \
+           [list(chain) for chain in cat.sfc_chain]
     assert cat.chain_demand(1) == 12

@@ -92,7 +92,7 @@ def brute_slot_value(net: EdgeNetwork, cat: Catalog, gt, w: RewardWeights) -> fl
                 opts.append((cost, load))
         options.append(opts)
     best = 0.0
-    caps = net.caps_array
+    caps = np.asarray(net.capacities)
     for picks in itertools.product(*options):
         load = np.zeros(net.n_servers, dtype=np.int64)
         value = 0.0

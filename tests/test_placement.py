@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import Catalog, EdgeNetwork, get_consumption, plan_all
+from sfcbackup import Catalog, EdgeNetwork, get_consumption
 
 
 def two_servers(c0: int = 10, c1: int = 10, lat: float = 5.0) -> EdgeNetwork:
@@ -101,15 +101,19 @@ def test_residual_is_not_mutated() -> None:
     assert residual.tolist() == [10, 10]
 
 
+def plan_all(net: EdgeNetwork, cat: Catalog, residual) -> dict:
+    return {f: get_consumption(net, cat, residual, f) for f in range(cat.n_sfcs)}
+
+
 def test_plan_all_skips_and_covers() -> None:
+    # every chain is planned against the same snapshot, whatever the others get
     net = two_servers()
     cat = Catalog([4, 20], [[0], [1], [0, 0]])
-    plans = plan_all(net, cat, [10, 10], skip={1})
-    assert set(plans) == {0, 2}
-    assert plans[0].at_edge and plans[2].at_edge
     everything = plan_all(net, cat, [10, 10])
     assert set(everything) == {0, 1, 2}
+    assert everything[0].at_edge and everything[2].at_edge
     assert not everything[1].at_edge
+    assert everything[2].assignment == (0, 0)
 
 
 def test_identical_chains_get_identical_plans() -> None:
@@ -137,7 +141,7 @@ def test_edge_plans_are_feasible_and_priced_right(seed: int) -> None:
     n_vnfs = int(rng.integers(1, 5))
     cat = Catalog(rng.integers(1, 7, n_vnfs),
                   [rng.integers(0, n_vnfs, int(rng.integers(1, 6))).tolist()])
-    residual = net.caps_array.copy()
+    residual = np.asarray(net.capacities)
     plan = get_consumption(net, cat, residual, 0)
     if not plan.at_edge:
         return
@@ -167,7 +171,7 @@ def test_greedy_never_beats_exhaustive_direct_walks(seed: int) -> None:
     net = EdgeNetwork(rng.integers(2, 12, n), links)
     cat = Catalog(rng.integers(1, 6, 3),
                   [rng.integers(0, 3, int(rng.integers(1, 5))).tolist()])
-    residual = net.caps_array.copy()
+    residual = np.asarray(net.capacities)
     plan = get_consumption(net, cat, residual, 0)
     best = brute_min_latency(net, cat, residual, 0)
     if plan.at_edge:

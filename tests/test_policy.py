@@ -10,8 +10,8 @@ from sfcbackup import (Catalog, EdgeNetwork, FailureLearner, InvariantViolation,
                        PlacementPlan, PopularityLearner, RewardWeights,
                        SlotDecision, bandit_scheme_slot, chain_failure_rate,
                        expected_slot_value, failure_estimate, failure_update,
-                       fresh_residual, init_learners, make_ground_truth,
-                       plan_all, popularity_estimate,
+                       get_consumption, init_learners, make_ground_truth,
+                       popularity_estimate,
                        policy_uniforms, popularity_update, pre_reward,
                        random_scheme_slot, realized_reward, rtsd_slot,
                        sample_slot, verify_decision)
@@ -196,14 +196,15 @@ def reference_slot(net, cat, pop, fail, t, weights):
     """Selection loop written directly on the module surface, no kernel."""
     q = popularity_estimate(pop, t)
     v = failure_estimate(fail, t)
-    residual = fresh_residual(net)
+    residual = np.array(net.capacities, dtype=np.int64)
     done: set[int] = set()
     deployed = []
     while True:
-        plans = plan_all(net, cat, residual, skip=done)
         best_f, best_score, best_plan = -1, 0.0, None
-        for f in sorted(plans):
-            plan = plans[f]
+        for f in range(cat.n_sfcs):
+            if f in done:
+                continue
+            plan = get_consumption(net, cat, residual, f)
             if not plan.at_edge:
                 continue
             score = pre_reward(weights, q[f], plan.latency,
