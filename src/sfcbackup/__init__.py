@@ -5,15 +5,15 @@ latency-aware scheme (rtsd), a learned first-fit baseline (bandit), and an
 uninformed random baseline, with exhaustive oracles for small instances.
 """
 
-from .model import (CLOUD_LATENCY, Catalog, EdgeNetwork, cheapest_link_anchor,
-                    validate_instance)
+from .model import (CLOUD_LATENCY, Catalog, EdgeNetwork, PlacementPlan,
+                    cheapest_link_anchor, validate_instance)
 from .workload import (GroundTruth, SlotObservation, make_ground_truth,
                        policy_uniforms, sample_slot, sample_slots, slot_stream,
                        true_popularity)
 from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
                        failure_estimate, failure_update, init_learners,
                        popularity_estimate, popularity_update)
-from .placement import PlacementPlan, get_consumption
+from .placement import get_consumption
 from .policy import (InvariantViolation, RewardWeights, SlotDecision,
                      bandit_scheme_slot, expected_slot_value, pre_reward,
                      random_scheme_slot, realized_reward, rtsd_slot,

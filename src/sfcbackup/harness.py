@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .kernels import FIRST_FIT, GREEDY, PlanGraph
 from .learning import init_learners
 from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
@@ -32,6 +33,9 @@ from .workload import (PHILOX_BLOCK_DOUBLES, POLICY_DOMAIN, counter_blocks,
                        make_ground_truth, sample_slots, slot_stream)
 
 POLICY_ORDER = ("rtsd", "bandit", "random")
+
+# the learned policies' kernel placement walks; each plans on a PlanGraph
+PLACEMENT_MODES = {"rtsd": GREEDY, "bandit": FIRST_FIT}
 
 CSV_COLUMNS = ("t", "policy", "seed", "realized_reward", "expected_reward",
                "remaining_resource", "num_deployed", "oracle_value", "regret")
@@ -161,6 +165,8 @@ def _check(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("slots must be >= 1")
     if cfg.users < 1:
         raise ConfigError("users must be >= 1")
+    if cfg.users > INT64_MAX:
+        raise ConfigError(f"users must be at most 2**63 - 1, got {cfg.users}")
     if not (math.isfinite(cfg.capacity_scale) and cfg.capacity_scale > 0.0):
         raise ConfigError(f"capacity_scale must be a finite positive number, "
                           f"got {cfg.capacity_scale!r}")
@@ -211,6 +217,20 @@ def _as_list(value, name: str) -> list:
     return value
 
 
+def _as_real(value, name: str):
+    """A JSON number, finite or not; a bool, a string or null is rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _number_tree(value, name: str):
+    """A number or nested lists of numbers; make_ground_truth checks the shape."""
+    if isinstance(value, (list, tuple)):
+        return [_number_tree(v, f"{name}[{k}]") for k, v in enumerate(value)]
+    return _as_real(value, name)
+
+
 def _int_list(value, name: str) -> list[int]:
     return [_as_int(v, f"{name}[{k}]") for k, v in enumerate(_as_list(value, name))]
 
@@ -258,8 +278,13 @@ def load_config(source) -> ExperimentConfig:
         catalog = Catalog(_int_list(cat_spec["vnf_demand"], "catalog.vnf_demand"),
                           [_int_list(chain, f"catalog.sfc_chain[{f}]") for f, chain
                            in enumerate(_as_list(cat_spec["sfc_chain"], "catalog.sfc_chain"))])
-        request_prob = gt_spec["request_prob"]
-        failure_mean = np.asarray(gt_spec["failure_mean"], dtype=np.float64)
+        request_prob = _number_tree(gt_spec["request_prob"], "ground_truth.request_prob")
+        failure_mean = np.array([_as_real(v, f"ground_truth.failure_mean[{k}]") for k, v
+                                 in enumerate(_as_list(gt_spec["failure_mean"],
+                                                       "ground_truth.failure_mean"))],
+                                dtype=np.float64)
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config missing or malformed section: {exc}") from exc
 
@@ -326,11 +351,14 @@ def apply_overrides(cfg: ExperimentConfig, *, slots: int | None = None,
 def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeights,
                  policy: str, slots: int, *, users: int,
                  failure_bonus_scale: float | None = None,
-                 failure_bonus_sign: int = 1) -> dict[str, np.ndarray]:
+                 failure_bonus_sign: int = 1,
+                 graph: PlanGraph | None = None) -> dict[str, np.ndarray]:
     """One (policy, seed) trajectory; slot 0 only initializes the learners.
 
     Returns per-slot arrays (index 0 is slot 1) of realized reward, expected
-    reward, total remaining resource, and deployment count.
+    reward, total remaining resource, and deployment count. graph is the
+    learned policy's kernels.PlanGraph, shared across seeds; None gives the
+    run a fresh one. The random policy plans without one.
     """
     realized: list[float] = []
     expected: list[float] = []
@@ -342,11 +370,13 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
                              failure_bonus_scale=failure_bonus_scale,
                              failure_bonus_sign=failure_bonus_sign)
     uniforms = _policy_uniforms(gt.rng_seed, catalog, slots) if policy == "random" else None
+    if graph is None and policy in PLACEMENT_MODES:
+        graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
     for t, obs in enumerate(observations, start=1):
         if policy == "rtsd":
-            decision = rtsd_slot(network, catalog, learners, t, obs, weights)
+            decision = rtsd_slot(network, catalog, learners, t, obs, weights, graph)
         elif policy == "bandit":
-            decision = bandit_scheme_slot(network, catalog, learners, t, obs, weights)
+            decision = bandit_scheme_slot(network, catalog, learners, t, obs, weights, graph)
         elif policy == "random":
             decision = random_scheme_slot(network, catalog, t, obs, next(uniforms))
         else:
@@ -405,13 +435,17 @@ def run(cfg: ExperimentConfig) -> RunResult:
         p: {"realized": [], "expected": [], "remaining": [], "deployed": []}
         for p in cfg.policies}
     for policy in cfg.policies:
+        # one plan graph per learned policy, shared by its seeds and dropped after them
+        mode = PLACEMENT_MODES.get(policy)
+        graph = None if mode is None else PlanGraph(network, catalog, mode)
         for seed in cfg.seeds:
             gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                                    catalog.n_sfcs, seed)
             series = simulate_run(network, catalog, gt, cfg.weights, policy,
                                   cfg.slots, users=cfg.users,
                                   failure_bonus_scale=cfg.failure_bonus_scale,
-                                  failure_bonus_sign=cfg.failure_bonus_sign)
+                                  failure_bonus_sign=cfg.failure_bonus_sign,
+                                  graph=graph)
             for t in range(1, cfg.slots + 1):
                 expected_t = float(series["expected"][t - 1])
                 regret_t = None if oracle_value is None else oracle_value - expected_t

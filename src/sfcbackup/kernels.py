@@ -1,25 +1,40 @@
-"""Hot placement and selection kernels.
+"""Hot placement and selection kernels, and the plan graph they fill.
 
 The kernels work on Python ints, floats and lists: indexing a numpy array one
 element at a time builds a numpy scalar per access, which makes plain Python
 several times slower on arrays than on lists.
 
-The selection loop re-plans every remaining chain after each commit, and
-slot_decide prunes those plans without changing a decision. A plan's score
-(omega*q - mu*latency)*gate never exceeds its bound omega*q*gate, since
-latency and mu are non-negative and IEEE rounding is monotone; so each round
-walks the chains by descending bound and stops once no bound can beat the best
-score, ties kept for the smallest id. A chain whose largest single demand
-exceeds every server's residual must dead-end, so it is not walked. The
-unpruned definition, which plans every remaining chain each round, lives in
-tests/reference_kernels.py, and the tests hold this module to it.
+Plan graph. The selection loop re-plans every remaining chain after each
+commit, and a chain walk is a pure function of (mode, residual, chain).
+Capacity resets every slot, so the residual after k commits is fixed by which
+plans were committed, and a run keeps revisiting the same few residual states.
+A PlanGraph stores them: each node is one residual with the plans walked on it
+so far and an edge per committed chain to the next node, carrying the
+committed PlacementPlan. slot_decide reads a chain's plan from the current node
+and walks only on a miss, so a warm slot is dict lookups and scoring.
+
+Ownership. A graph belongs to one (network, catalog, mode). harness.run builds
+one per learned policy before its seed loop and drops it after, so no graph
+outlives a run and nothing is cached at module level or on the network. A
+graph stores at most NODE_CAP nodes; past that, new residual states are built
+and planned for the slot at hand but not kept, which changes the cost and
+never a decision.
+
+Pruning. A plan's score (omega*q - mu*latency)*gate never exceeds its bound
+omega*q*gate, since latency and mu are non-negative and IEEE rounding is
+monotone; so each round scans the chains by descending bound and stops once no
+bound can beat the best score, ties kept for the smallest id. A chain the
+scan never reaches is never looked up or walked. The unpruned definition,
+which plans every remaining chain each round against the live residual, lives
+in tests/reference_kernels.py, and the tests hold this module to it.
 
 Conventions: residuals and capacities are ints, demands non-negative ints;
 chains are sequences of VNF ids; ``nbrs[n]`` lists server n's direct
 neighbors by ascending latency (EdgeNetwork.neighbor_lists); ``lat[a][b]`` is
 the link latency, 0 on the diagonal and +inf where no link exists
-(EdgeNetwork.latency_rows). The walks return (latency, assignment); a latency
-of +inf means the chain does not fit at the edge (cloud verdict).
+(EdgeNetwork.latency_rows). The walks return (latency, assignment), the
+assignment a tuple with one server per chain position; a latency of +inf
+means the chain does not fit at the edge (cloud verdict).
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import inf
 
-from .model import cheapest_link_anchor
+from .model import PlacementPlan, cheapest_link_anchor
 
 # There is no compiled backend; perfbench's run manifest still reports this.
 NUMBA_ENABLED = False
@@ -35,6 +50,15 @@ NUMBA_ENABLED = False
 # slot_decide placement modes
 GREEDY = 0
 FIRST_FIT = 1
+
+# What a walk that dead-ends returns; one shared tuple, since a plan graph keeps
+# every walk's result.
+DEAD_END = (inf, None)
+
+# Most nodes one PlanGraph stores. The bundled instance reaches fewer than a
+# hundred residual states in a run; the cap bounds memory on instances whose
+# states never repeat.
+NODE_CAP = 10_000
 
 
 def greedy_chain_walk(residual, pools, demands, chain, nbrs, lat, anchor):
@@ -49,17 +73,17 @@ def greedy_chain_walk(residual, pools, demands, chain, nbrs, lat, anchor):
     but some single server can, the chain co-locates on the tightest such
     pool (best fit, ties to the smallest id), since zero latency cannot be
     beaten. pools is sorted(residual), shared by all walks against one
-    residual. Returns (latency, assignment), or (+inf, None) when the walk
-    dead-ends.
+    residual, which may be a list or a tuple. Returns (latency, assignment), or
+    DEAD_END = (+inf, None) when the walk dead-ends.
     """
     total = 0
     for i in chain:
         total += demands[i]
     if residual[anchor] >= total:
-        return 0.0, [anchor] * len(chain)
+        return 0.0, (anchor,) * len(chain)
     k = bisect_left(pools, total)
     if k < len(pools):
-        return 0.0, [residual.index(pools[k])] * len(chain)
+        return 0.0, (residual.index(pools[k]),) * len(chain)
     tent = [0] * len(residual)
     cur = anchor
     latency = 0.0
@@ -74,10 +98,10 @@ def greedy_chain_walk(residual, pools, demands, chain, nbrs, lat, anchor):
                     cur = m
                     break
             else:
-                return inf, None
+                return DEAD_END
         assign.append(cur)
         tent[cur] += need
-    return latency, assign
+    return latency, tuple(assign)
 
 
 def first_fit_chain_walk(residual, demands, chain, lat):
@@ -85,8 +109,8 @@ def first_fit_chain_walk(residual, demands, chain, lat):
 
     Occurrences pile onto the current server until it cannot afford the next
     one, then the pointer advances (never wraps). Returns (latency,
-    assignment): (+inf, None) when the scan runs off the end, and latency
-    +inf when the plan crosses a missing link.
+    assignment): DEAD_END = (+inf, None) when the scan runs off the end, and
+    latency +inf when the plan crosses a missing link.
     """
     n = len(residual)
     s = 0
@@ -100,52 +124,98 @@ def first_fit_chain_walk(residual, demands, chain, lat):
             while s < n and residual[s] < need:
                 s += 1
             if s >= n:
-                return inf, None
+                return DEAD_END
             if assign:
                 latency += lat[assign[-1]][s]
             used = 0
         assign.append(s)
         used += need
-    return latency, assign
+    return latency, tuple(assign)
 
 
-def slot_decide(mode, network, catalog, q_est, v_est, omega, mu,
-                x_out, order_out, lat_out, assign_out, residual_out):
-    """One slot's full greedy selection loop.
+class PlanGraph:
+    """The residual states one run's selection loops visit, with their plans.
+
+    nodes maps a residual tuple to its node (residual, plans, edges): plans[f]
+    is chain f's walk (latency, assignment) against that residual, and
+    edges[f] = (next_node, plan) commits f's plan, plan being the
+    PlacementPlan a decision reports. Both fill lazily and are never
+    invalidated: walks are pure, and the graph belongs to one network,
+    catalog and placement mode (GREEDY or FIRST_FIT).
+    """
+
+    __slots__ = ("network", "catalog", "mode", "nodes")
+
+    def __init__(self, network, catalog, mode: int) -> None:
+        if mode not in (GREEDY, FIRST_FIT):
+            raise ValueError(f"unknown placement mode {mode!r}")
+        self.network = network
+        self.catalog = catalog
+        self.mode = mode
+        self.nodes: dict[tuple[int, ...], tuple] = {}
+
+    def node(self, residual: tuple[int, ...]) -> tuple:
+        """The node of a residual tuple; a new one is stored while under NODE_CAP."""
+        node = self.nodes.get(residual)
+        if node is None:
+            node = (residual, {}, {})
+            if len(self.nodes) < NODE_CAP:
+                self.nodes[residual] = node
+        return node
+
+    def commit(self, node: tuple, f: int) -> tuple:
+        """Edge (next_node, plan) for committing chain f's plan at node.
+
+        The edge is kept only when the next node is stored, so an edge never
+        holds on to a node past the cap.
+        """
+        latency, assign = node[1][f]
+        demands = self.catalog.vnf_demand
+        residual = list(node[0])
+        for s, i in zip(assign, self.catalog.sfc_chain[f]):
+            residual[s] -= demands[i]
+        key = tuple(residual)
+        nxt = self.node(key)
+        edge = (nxt, PlacementPlan(sfc=f, assignment=assign, latency=latency,
+                                   at_edge=True))
+        if self.nodes.get(key) is nxt:
+            node[2][f] = edge
+        return edge
+
+
+def slot_decide(graph, q_est, v_est, omega, mu, deployed_out, residual_out):
+    """One slot's full greedy selection loop, on the plan graph.
 
     Repeatedly plans the not-yet-deployed chains against the current
     residual, scores each edge-feasible plan with
     (omega * q_est - mu * latency) * (1 - worst chain failure estimate),
     and commits the strictly-best positive score (ties fall to the smallest
-    SFC id). Stops when nothing scores positive. mode selects the placement
-    walk (GREEDY or FIRST_FIT); the greedy anchor is
-    model.cheapest_link_anchor of the live residual, recomputed each round.
-    Returns the number of committed chains. The list outputs are
-    overwritten: x_out (0/1 per SFC), order_out (SFC ids in commit order,
-    padded with -1), lat_out (plan latency, +inf where not deployed),
-    assign_out (per SFC, one server per chain position, -1 where not
-    deployed) and residual_out.
+    SFC id). Stops when nothing scores positive. graph.mode selects the
+    placement walk (GREEDY or FIRST_FIT); the greedy anchor is
+    model.cheapest_link_anchor of the live residual. Returns the number of
+    committed chains. deployed_out is overwritten with the (sfc,
+    PlacementPlan) pairs in commit order, residual_out with the residual
+    after them.
 
     A round plans only the chains that could still win, and commits what
-    planning every chain would commit:
-    - Bound-ordered scan. A chain's score never exceeds its bound
-      omega * q_est * gate (latency and mu are non-negative, and rounding is
-      monotone), so chains with a positive bound are scanned by descending
-      bound, ties by id, and the scan stops at the first bound below the best
-      score so far, or equal to it with a larger id than the best chain's.
-      Chains with no positive bound are never planned: they cannot score
-      above 0. A plan is taken on a higher score, or on an equal score with
-      a smaller id, so the winner is still the smallest id among the best.
-    - Dead-end pre-check. A chain whose largest single demand exceeds every
-      server's residual dead-ends in either walk, so it is skipped unplanned.
+    planning every chain would commit. A chain's score never exceeds its
+    bound omega * q_est * gate (latency and mu are non-negative, and
+    rounding is monotone), so chains with a positive bound are scanned by
+    descending bound, ties by id, and the scan stops at the first bound below
+    the best score so far, or equal to it with a larger id than the best
+    chain's. Chains with no positive bound are never planned: they cannot
+    score above 0. A plan is taken on a higher score, or on an equal score
+    with a smaller id, so the winner is still the smallest id among the best.
+    A plan comes from the current node, and is walked only on a miss; the
+    anchor and the sorted pools are computed on a round's first miss.
     """
+    network = graph.network
+    catalog = graph.catalog
     demands = catalog.vnf_demand
     chains = catalog.sfc_chain
-    peaks = catalog.chain_peaks
     nbrs = network.neighbor_lists
     lat = network.latency_rows
-    greedy = mode == GREEDY
-    n_sfcs = len(chains)
+    greedy = graph.mode == GREEDY
     value = [omega * q for q in q_est.tolist()]
     rates = v_est.tolist()
     gates = []
@@ -157,56 +227,46 @@ def slot_decide(mode, network, catalog, q_est, v_est, omega, mu,
         gates.append(1.0 - worst)
     bounds = [v * g for v, g in zip(value, gates)]
     # descending bound, ties by ascending id (reverse=True keeps the sort stable)
-    ranked = sorted([f for f in range(n_sfcs) if gates[f] > 0.0 and bounds[f] > 0.0],
+    ranked = sorted([f for f in range(len(chains)) if gates[f] > 0.0 and bounds[f] > 0.0],
                     key=bounds.__getitem__, reverse=True)
 
-    residual = residual_out
-    residual[:] = network.capacities
-    x_out[:] = [0] * n_sfcs
-    order_out[:] = [-1] * n_sfcs
-    lat_out[:] = [inf] * n_sfcs
-    assign_out[:] = [[-1] * len(chain) for chain in chains]
-    n_committed = 0
+    node = graph.node(network.capacities)
+    deployed_out.clear()
     while ranked:
-        if greedy:
-            anchor = cheapest_link_anchor(network, residual)
-            pools = sorted(residual)
-            top = pools[-1]
-        else:
-            top = max(residual)
+        residual, plans, edges = node
+        pools = None
         best_f = -1
         best_score = 0.0
-        best_lat = inf
-        best_assign = None
         for f in ranked:
             bound = bounds[f]
             if bound < best_score or (bound == best_score and f > best_f):
                 break       # every later chain is bounded the same way
-            if peaks[f] > top:
-                continue
-            # looked up as module globals on every call, so they can be wrapped
-            if greedy:
-                latency, assign = greedy_chain_walk(residual, pools, demands,
-                                                    chains[f], nbrs, lat, anchor)
-            else:
-                latency, assign = first_fit_chain_walk(residual, demands,
-                                                       chains[f], lat)
+            plan = plans.get(f)
+            if plan is None:
+                # looked up as module globals on every call, so they can be wrapped
+                if greedy:
+                    if pools is None:
+                        anchor = cheapest_link_anchor(network, residual)
+                        pools = sorted(residual)
+                    plan = greedy_chain_walk(residual, pools, demands, chains[f],
+                                             nbrs, lat, anchor)
+                else:
+                    plan = first_fit_chain_walk(residual, demands, chains[f], lat)
+                plans[f] = plan
+            latency = plan[0]
             if latency == inf:
                 continue
             score = (value[f] - mu * latency) * gates[f]
             if score > best_score or (score == best_score and f < best_f):
                 best_f = f
                 best_score = score
-                best_lat = latency
-                best_assign = assign
         if best_f < 0:
             break
         ranked.remove(best_f)
-        for s, i in zip(best_assign, chains[best_f]):
-            residual[s] -= demands[i]
-        assign_out[best_f] = best_assign
-        x_out[best_f] = 1
-        lat_out[best_f] = best_lat
-        order_out[n_committed] = best_f
-        n_committed += 1
-    return n_committed
+        edge = edges.get(best_f)
+        if edge is None:
+            edge = graph.commit(node, best_f)
+        node = edge[0]
+        deployed_out.append((best_f, edge[1]))
+    residual_out[:] = node[0]
+    return len(deployed_out)

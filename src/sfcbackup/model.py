@@ -35,6 +35,20 @@ def _normalize_links(links) -> tuple[tuple[int, int, float], ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True, slots=True)
+class PlacementPlan:
+    """Where one SFC's chain would go.
+
+    at_edge False means the chain is pushed to the cloud: empty assignment
+    and +inf latency, never committed against edge capacity.
+    """
+
+    sfc: int
+    assignment: tuple[int, ...]
+    latency: float
+    at_edge: bool
+
+
 @dataclass(eq=False)
 class EdgeNetwork:
     """Edge servers plus symmetric weighted links.
@@ -125,17 +139,6 @@ class Catalog:
     @property
     def n_sfcs(self) -> int:
         return len(self.sfc_chain)
-
-    @property
-    def chain_peaks(self) -> tuple[float, ...]:
-        """Largest single VNF demand per chain; -inf for an empty chain, which always fits."""
-        tab = self._cache.get("peaks")
-        if tab is None:
-            demands = self.vnf_demand
-            tab = tuple(max((demands[i] for i in chain), default=-math.inf)
-                        for chain in self.sfc_chain)
-            self._cache["peaks"] = tab
-        return tab
 
     @property
     def uniform_layout(self) -> tuple[int, tuple[int, ...]]:

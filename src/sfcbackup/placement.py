@@ -8,26 +8,11 @@ re-plan the remaining chains after every commitment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .model import Catalog, EdgeNetwork, cheapest_link_anchor
-
-
-@dataclass(frozen=True)
-class PlacementPlan:
-    """Where one SFC's chain would go.
-
-    at_edge False means the chain is pushed to the cloud: empty assignment
-    and +inf latency, never committed against edge capacity.
-    """
-
-    sfc: int
-    assignment: tuple[int, ...]
-    latency: float
-    at_edge: bool
+from .model import Catalog, EdgeNetwork, PlacementPlan, cheapest_link_anchor
 
 
 def cloud_plan(f: int) -> PlacementPlan:
@@ -54,6 +39,5 @@ def get_consumption(network: EdgeNetwork, catalog: Catalog, residual,
     )
     if latency == math.inf:
         return cloud_plan(f)
-    return PlacementPlan(sfc=int(f), assignment=tuple(assign),
-                         latency=latency, at_edge=True)
+    return PlacementPlan(sfc=int(f), assignment=assign, latency=latency, at_edge=True)
 

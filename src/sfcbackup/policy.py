@@ -21,8 +21,7 @@ from . import kernels
 from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
                        failure_estimate, failure_update, popularity_estimate,
                        popularity_update)
-from .model import Catalog, EdgeNetwork
-from .placement import PlacementPlan
+from .model import Catalog, EdgeNetwork, PlacementPlan
 from .workload import GroundTruth, SlotObservation
 
 
@@ -69,24 +68,18 @@ def pre_reward(weights: RewardWeights, popularity: float, latency: float,
     return (weights.omega * popularity - weights.mu * latency) * gate
 
 
-def _decide(network: EdgeNetwork, catalog: Catalog, q_est: np.ndarray,
-            v_est: np.ndarray, weights: RewardWeights, mode: int,
-            t: int) -> SlotDecision:
+def _decide(graph: kernels.PlanGraph, q_est: np.ndarray, v_est: np.ndarray,
+            weights: RewardWeights, t: int) -> SlotDecision:
     """Run the greedy selection kernel and wrap its output, verifying invariants."""
-    x: list[int] = []
-    order: list[int] = []
-    lat: list[float] = []
-    assign: list[list[int]] = []
-    residual: list[int] = []
-    n_committed = kernels.slot_decide(mode, network, catalog, q_est, v_est,
-                                      weights.omega, weights.mu,
-                                      x, order, lat, assign, residual)
-
+    catalog = graph.catalog
     deployed: list[tuple[int, PlacementPlan]] = []
+    residual: list[int] = []
+    kernels.slot_decide(graph, q_est, v_est, weights.omega, weights.mu,
+                        deployed, residual)
+    x = [0] * catalog.n_sfcs
     placed = [0] * catalog.n_vnfs
-    for f in order[:n_committed]:
-        deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign[f]),
-                                          latency=lat[f], at_edge=True)))
+    for f, _ in deployed:
+        x[f] = 1
         for i in catalog.sfc_chain[f]:
             placed[i] += 1
 
@@ -94,22 +87,32 @@ def _decide(network: EdgeNetwork, catalog: Catalog, q_est: np.ndarray,
                             x=np.array(x, dtype=np.uint8),
                             placed_counts=np.array(placed, dtype=np.int64),
                             residual_after=np.array(residual, dtype=np.int64))
-    verify_decision(network, catalog, decision)
+    verify_decision(graph.network, catalog, decision)
     return decision
 
 
-def _learned_slot(network: EdgeNetwork, catalog: Catalog,
-                  learners: tuple[PopularityLearner, FailureLearner], t: int,
+def _plan_graph(network: EdgeNetwork, catalog: Catalog, mode: int,
+                graph: kernels.PlanGraph | None) -> kernels.PlanGraph:
+    """graph, checked to be the one for (network, catalog, mode); None gives a fresh one."""
+    if graph is None:
+        return kernels.PlanGraph(network, catalog, mode)
+    if graph.network is not network or graph.catalog is not catalog or graph.mode != mode:
+        raise ValueError("the plan graph belongs to another network, catalog or placement mode")
+    return graph
+
+
+def _learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
                   obs: SlotObservation, weights: RewardWeights,
-                  mode: int) -> SlotDecision:
+                  graph: kernels.PlanGraph) -> SlotDecision:
     """Decide on the learners' optimistic estimates, then learn from the slot.
 
-    mode is the kernel's placement walk (kernels.GREEDY or kernels.FIRST_FIT).
+    graph carries the network, the catalog and the kernel's placement walk
+    (kernels.GREEDY or kernels.FIRST_FIT).
     """
     pop, fail = learners
     q_est = popularity_estimate(pop, t)
     v_est = failure_estimate(fail, t)
-    decision = _decide(network, catalog, q_est, v_est, weights, mode, t)
+    decision = _decide(graph, q_est, v_est, weights, t)
     pop.request_ucb = q_est
     fail.failure_ucb = v_est
     popularity_update(pop, obs, decision.x)
@@ -120,22 +123,32 @@ def _learned_slot(network: EdgeNetwork, catalog: Catalog,
 def rtsd_slot(network: EdgeNetwork, catalog: Catalog,
               learners: tuple[PopularityLearner, FailureLearner], t: int,
               obs: SlotObservation,
-              weights: RewardWeights = RewardWeights()) -> SlotDecision:
+              weights: RewardWeights = RewardWeights(),
+              graph: kernels.PlanGraph | None = None) -> SlotDecision:
     """Learned greedy selection with latency-aware placement.
 
     Scores every remaining chain's greedy plan with the current optimistic
     estimates, commits the best positive score, re-plans, repeats; then folds
     the slot's observation back into the learners for the deployed arms.
+    graph is a kernels.PlanGraph of (network, catalog, GREEDY) kept across
+    slots, so that repeated residual states are not re-planned; None plans
+    on a fresh one.
     """
-    return _learned_slot(network, catalog, learners, t, obs, weights, kernels.GREEDY)
+    return _learned_slot(learners, t, obs, weights,
+                         _plan_graph(network, catalog, kernels.GREEDY, graph))
 
 
 def bandit_scheme_slot(network: EdgeNetwork, catalog: Catalog,
                        learners: tuple[PopularityLearner, FailureLearner], t: int,
                        obs: SlotObservation,
-                       weights: RewardWeights = RewardWeights()) -> SlotDecision:
-    """Same learners and greedy selection as rtsd_slot, but first-fit placement."""
-    return _learned_slot(network, catalog, learners, t, obs, weights, kernels.FIRST_FIT)
+                       weights: RewardWeights = RewardWeights(),
+                       graph: kernels.PlanGraph | None = None) -> SlotDecision:
+    """Same learners and greedy selection as rtsd_slot, but first-fit placement.
+
+    graph, if given, is a kernels.PlanGraph of (network, catalog, FIRST_FIT).
+    """
+    return _learned_slot(learners, t, obs, weights,
+                         _plan_graph(network, catalog, kernels.FIRST_FIT, graph))
 
 
 def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,

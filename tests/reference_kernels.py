@@ -6,8 +6,8 @@ strictly best positive score is committed, ties to the smallest SFC id. They
 run on int64/float64 numpy arrays, with chains flattened as (chain_vnf,
 chain_start) and neighbors as a padded (ids, count) table; the array walks
 fill an assignment buffer and return the latency, +inf where the chain does
-not fit at the edge. sfcbackup.kernels, which prunes the loop and works on
-Python lists, is tested against them.
+not fit at the edge. sfcbackup.kernels, which prunes the loop, keeps plans
+in a plan graph and works on Python lists, is tested against them.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
 from sfcbackup.cli import main
 from sfcbackup.harness import (CSV_COLUMNS, OBS_BLOCK_SLOTS, POLICY_ORDER,
                                parse_policies, parse_seeds)
+from sfcbackup.kernels import PlanGraph
 
 
 def tiny_config(**extra) -> dict:
@@ -184,6 +186,24 @@ def test_run_emits_one_row_per_policy_seed_slot() -> None:
     assert result.summary["total_capacity"] == 18
 
 
+def test_run_drops_one_plan_graph_per_learned_policy(monkeypatch) -> None:
+    # each learned policy plans on one graph for all its seeds, and no graph
+    # outlives the run
+    built = []
+
+    class RecordedGraph(PlanGraph):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(harness, "PlanGraph", RecordedGraph)
+    cfg = load_config(tiny_config())
+    assert len(cfg.seeds) > 1
+    run(cfg)
+    assert len(built) == 2
+    assert all(ref() is None for ref in built)
+
+
 def test_run_with_regret_attaches_nonnegative_regret() -> None:
     cfg = apply_overrides(load_config(tiny_config(slots=15, seeds=[4])),
                           regret=True)
@@ -330,12 +350,22 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
     ({"learner": {"failure_bonus_scale": -3.0, "failure_bonus_sign": -1}}, []),
     ({"capacity_scale": 1e308}, []),
     ({}, ["--capacity-scale", "inf"]),
+    ({}, ["--users", "100000000000000000000"]),
+    ({"users": 2 ** 63}, []),
+    ({"ground_truth": {"request_prob": [0.8, 0.5, 0.3],
+                       "failure_mean": [True, 0.1, 0.02]}}, []),
+    ({"ground_truth": {"request_prob": ["0.8", 0.5, 0.3],
+                       "failure_mean": [0.05, 0.1, 0.02]}}, []),
+    ({"ground_truth": {"request_prob": True,
+                       "failure_mean": [0.05, 0.1, 0.02]}}, []),
 ], ids=["users-string", "two-element-link", "fractional-slots", "omega-inf-string",
         "nan-failure-mean", "fractional-capacity", "int64-overflowing-capacity",
         "fractional-link-endpoint", "string-latency", "overflowing-latency",
         "fractional-demand", "fractional-chain-entry", "object-request-prob",
         "fractional-seed", "seed-past-64-bits", "numeric-policies", "bonus-sign-5",
-        "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf"])
+        "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf",
+        "users-flag-past-int64", "users-past-int64", "bool-failure-mean",
+        "string-request-prob", "bool-request-prob"])
 def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFixture,
                                        extra: dict, flags: list[str]) -> None:
     cfg_path = write_config(tmp_path, **extra)
@@ -352,11 +382,26 @@ def test_config_errors_name_the_field() -> None:
                                          "sfc_chain": [[0.5, 1], [2, 2], [1]]}))
     with pytest.raises(ConfigError, match=r"network\.links\[0\]\[2\] must be a finite number"):
         load_config(tiny_config(network={"capacities": [10, 8], "links": [[0, 1, None]]}))
+    with pytest.raises(ConfigError, match=r"ground_truth\.failure_mean\[0\] must be a number, got True"):
+        load_config(tiny_config(ground_truth={"request_prob": [0.8, 0.5, 0.3],
+                                              "failure_mean": [True, 0.1, 0.02]}))
+    with pytest.raises(ConfigError, match=r"ground_truth\.failure_mean\[1\] must be a number, got '0\.1'"):
+        load_config(tiny_config(ground_truth={"request_prob": [0.8, 0.5, 0.3],
+                                              "failure_mean": [0.05, "0.1", 0.02]}))
+    with pytest.raises(ConfigError, match=r"ground_truth\.request_prob\[2\] must be a number, got True"):
+        load_config(tiny_config(ground_truth={"request_prob": [0.8, 0.5, True],
+                                              "failure_mean": [0.05, 0.1, 0.02]}))
+    with pytest.raises(ConfigError, match=r"ground_truth\.request_prob\[0\]\[1\] must be a number, got '0\.1'"):
+        load_config(tiny_config(ground_truth={"request_prob": [[0.8, "0.1", 0.3]] * 5,
+                                              "failure_mean": [0.05, 0.1, 0.02]}))
+    with pytest.raises(ConfigError, match=r"users must be at most 2\*\*63 - 1"):
+        load_config(tiny_config(users=2 ** 63))
 
 
 # Values that are wrong somewhere in a config: fractional, negative, zero, the
-# wrong type, non-finite, or finite but far out of range.
-BAD_LEAVES = (10.7, -1, 0, "x", None, True, [], {}, math.nan, math.inf, 1e308)
+# wrong type (a numeric string among them), non-finite, or finite but far out
+# of range.
+BAD_LEAVES = (10.7, -1, 0, "x", "0.1", None, True, [], {}, math.nan, math.inf, 1e308)
 
 
 def leaf_paths(node, path=()):
@@ -377,7 +422,9 @@ def leaf_paths(node, path=()):
        value=st.sampled_from(BAD_LEAVES))
 def test_cli_survives_one_bad_leaf(path: tuple, value) -> None:
     # a config with one leaf replaced either runs or fails with a ConfigError:
-    # exit code 0 or 1, never an exception, and never a longer run
+    # exit code 0 or 1, never an exception, and never a longer run. No leaf of
+    # tiny_config takes a bool or a string other than its own, so those must
+    # fail rather than be coerced.
     doc = tiny_config()
     node = doc
     for key in path[:-1]:
@@ -391,6 +438,8 @@ def test_cli_survives_one_bad_leaf(path: tuple, value) -> None:
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["--config", str(cfg_path), "--out", str(out_dir)])
         assert code in (0, 1)
+        if isinstance(value, (bool, str)):
+            assert code == 1
         if code == 0:
             rows = (out_dir / "trace.csv").read_text().count("\n") - 1
             base = tiny_config()

@@ -3,12 +3,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from sfcbackup import Catalog, EdgeNetwork, cheapest_link_anchor
 from sfcbackup import default_config_path, load_config
 from sfcbackup import kernels
-from sfcbackup.kernels import (FIRST_FIT, GREEDY, first_fit_chain_walk,
+from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_walk,
                                greedy_chain_walk, slot_decide)
+from sfcbackup.harness import PLACEMENT_MODES, _observations
+from sfcbackup.learning import init_learners
+from sfcbackup.policy import bandit_scheme_slot, rtsd_slot
+from sfcbackup.workload import make_ground_truth, sample_slot
 
 from reference_kernels import (chain_arrays, first_fit_chain_walk_array,
                                greedy_chain_walk_array, neighbor_table,
@@ -62,7 +67,7 @@ def test_chain_walks_match_python_definitions() -> None:
                                        cat.sfc_chain[f], net.neighbor_lists,
                                        net.latency_rows, anchor)
             assert same_latency(l1, l2)
-            assert a2 is None if math.isinf(l1) else a1.tolist() == a2
+            assert a2 is None if math.isinf(l1) else a1.tolist() == list(a2)
             outcomes["cloud" if math.isinf(l1) else "edge"] += 1
 
             b1 = np.full(len(chain), -1, dtype=np.int64)
@@ -71,7 +76,7 @@ def test_chain_walks_match_python_definitions() -> None:
                                           net.latency_rows)
             assert same_latency(m1, m2)
             if not math.isinf(m1):      # +inf may also mean a missing link
-                assert b1.tolist() == b2
+                assert b1.tolist() == list(b2)
         # plans are tentative: the walks never touch the residual
         assert res == residual.tolist()
     assert min(outcomes.values()) > 50
@@ -95,10 +100,22 @@ def run_slot_decide_array(mode, net, cat, q, v, omega=1.0, mu=1.0):
     return n, x, order, lat_out, assign, residual
 
 
-def run_slot_decide(mode, net, cat, q, v, outs=None, omega=1.0, mu=1.0):
-    outs = outs if outs is not None else ([], [], [], [], [])
-    n = slot_decide(mode, net, cat, q, v, omega, mu, *outs)
-    return (n,) + outs
+def run_slot_decide(mode, net, cat, q, v, graph=None, omega=1.0, mu=1.0):
+    """slot_decide on graph (a fresh one when None), unpacked like slot_decide_array's outputs."""
+    graph = graph if graph is not None else PlanGraph(net, cat, mode)
+    deployed, residual = [], []
+    n = slot_decide(graph, q, v, omega, mu, deployed, residual)
+    x = [0] * cat.n_sfcs
+    order = [-1] * cat.n_sfcs
+    lat = [math.inf] * cat.n_sfcs
+    assign = [[-1] * len(chain) for chain in cat.sfc_chain]
+    for k, (f, plan) in enumerate(deployed):
+        assert plan.sfc == f and plan.at_edge
+        x[f] = 1
+        order[k] = f
+        lat[f] = plan.latency
+        assign[f] = list(plan.assignment)
+    return n, x, order, lat, assign, residual
 
 
 def bundled_cases(rng: np.random.Generator, count: int):
@@ -126,7 +143,7 @@ def assert_same_decision(want, got, cat) -> None:
 
 
 def test_slot_decide_matches_python_definition() -> None:
-    # the pruned list kernel against the unpruned array reference kernel
+    # the pruned graph kernel against the unpruned array reference kernel
     rng = np.random.default_rng(77)
     cases = [random_setup(rng) for _ in range(120)]
     cases += bundled_cases(np.random.default_rng(11), 100)
@@ -141,10 +158,9 @@ def test_slot_decide_matches_python_definition() -> None:
     assert checked > 50
 
 
-def tie_heavy_setup(rng: np.random.Generator):
+def tie_heavy_instance(rng: np.random.Generator):
     # few distinct values everywhere, so equal scores and equal bounds are
-    # common: integer popularity with the +inf exploration sentinel, gates of
-    # 0, 1/2 and 1, link latencies of 0.5 and 1.0, and repeated chains
+    # common: link latencies of 0.5 and 1.0, and repeated chains
     n = int(rng.integers(1, 6))
     links = {(u, v): float(rng.choice([0.5, 1.0]))
              for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6}
@@ -156,29 +172,99 @@ def tie_heavy_setup(rng: np.random.Generator):
         chains.append(list(chains[int(rng.integers(len(chains)))]))
     order = rng.permutation(len(chains))
     cat = Catalog(rng.integers(0, 6, n_vnfs), [chains[k] for k in order])
+    return net, cat
+
+
+def tie_heavy_estimates(rng: np.random.Generator, cat):
+    # integer popularity with the +inf exploration sentinel, gates of 0, 1/2
+    # and 1, and a few weights
     q = rng.choice([0.0, 1.0, 2.0, 3.0, math.inf], cat.n_sfcs,
                    p=[0.15, 0.25, 0.25, 0.25, 0.1])
-    v = rng.choice([0.0, 0.5, 1.0], n_vnfs, p=[0.7, 0.15, 0.15])
+    v = rng.choice([0.0, 0.5, 1.0], cat.n_vnfs, p=[0.7, 0.15, 0.15])
     omega = float(rng.choice([0.5, 1.0, 2.0]))
     mu = float(rng.choice([0.0, 1.0, 2.0]))
-    return net, cat, q, v, omega, mu
+    return q, v, omega, mu
 
 
 def test_slot_decide_pruning_keeps_ties_on_tie_heavy_instances() -> None:
-    # the pruned list kernel against the unpruned array kernel where ties
+    # the pruned graph kernel against the unpruned array kernel where ties
     # decide: a chain that only matches the best score must still win on a
-    # smaller id, although the scan meets it later. mu = 0 makes every
-    # score equal its bound.
+    # smaller id, although the scan meets it later. mu = 0 makes every score
+    # equal its bound. Each of the 3000 cases runs on a cold graph and on the
+    # warm graph shared by every case of its instance, whose nodes hold plans
+    # and edges that earlier estimates walked and committed.
     rng = np.random.default_rng(4242)
     checked = 0
-    for _ in range(3000):
-        net, cat, q, v, omega, mu = tie_heavy_setup(rng)
-        for mode in (GREEDY, FIRST_FIT):
-            want = run_slot_decide_array(mode, net, cat, q, v, omega, mu)
-            got = run_slot_decide(mode, net, cat, q, v, omega=omega, mu=mu)
-            assert_same_decision(want, got, cat)
-            checked += got[0]
+    warm_cases = 0
+    for _ in range(1000):
+        net, cat = tie_heavy_instance(rng)
+        graphs = {mode: PlanGraph(net, cat, mode) for mode in (GREEDY, FIRST_FIT)}
+        for _ in range(3):
+            q, v, omega, mu = tie_heavy_estimates(rng, cat)
+            for mode, warm in graphs.items():
+                cached = sum(len(plans) for _, plans, _ in warm.nodes.values())
+                want = run_slot_decide_array(mode, net, cat, q, v, omega, mu)
+                cold = run_slot_decide(mode, net, cat, q, v, omega=omega, mu=mu)
+                assert_same_decision(want, cold, cat)
+                got = run_slot_decide(mode, net, cat, q, v, warm, omega, mu)
+                assert_same_decision(want, got, cat)
+                checked += got[0]
+                warm_cases += cached > 0
     assert checked > 3000
+    assert warm_cases > 3000
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_capped_graph_decides_as_an_uncapped_one(monkeypatch, cap: int) -> None:
+    # past the cap, new residual states are planned for the slot at hand and
+    # dropped: cost changes, decisions do not
+    rng = np.random.default_rng(99)
+    cases = [random_setup(rng) for _ in range(60)]
+    cases += bundled_cases(np.random.default_rng(12), 60)
+    uncapped, capped = {}, {}
+    for net, cat, q, v in cases:
+        for mode in (GREEDY, FIRST_FIT):
+            key = (id(net), id(cat), mode)
+            if key not in uncapped:
+                uncapped[key] = PlanGraph(net, cat, mode)
+                capped[key] = PlanGraph(net, cat, mode)
+            want = run_slot_decide(mode, net, cat, q, v, uncapped[key])
+            monkeypatch.setattr(kernels, "NODE_CAP", cap)
+            got = run_slot_decide(mode, net, cat, q, v, capped[key])
+            monkeypatch.undo()
+            assert got == want
+            assert len(capped[key].nodes) <= cap
+            # a stored node never keeps an edge to a node that was not stored
+            for _, _, edges in capped[key].nodes.values():
+                for nxt, _ in edges.values():
+                    assert capped[key].nodes.get(nxt[0]) is nxt
+    # the uncapped graphs did grow past the cap
+    assert any(len(graph.nodes) > cap + 1 for graph in uncapped.values())
+
+
+def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
+    # the bundled config with one graph per policy across 30 seeds, as
+    # harness.run shares it, against a fresh graph on every slot
+    cfg = load_config(default_config_path())
+    net, cat = cfg.network, cfg.catalog
+    slots = 50
+    for policy, slot_fn in (("rtsd", rtsd_slot), ("bandit", bandit_scheme_slot)):
+        shared = PlanGraph(net, cat, PLACEMENT_MODES[policy])
+        for seed in range(1, 31):
+            gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
+                                   cat.n_sfcs, seed)
+            observations = list(_observations(gt, slots + 1))
+            runs = []
+            for graph in (shared, None):
+                learners = init_learners(observations[0], cfg.users,
+                                         failure_bonus_scale=cfg.failure_bonus_scale,
+                                         failure_bonus_sign=cfg.failure_bonus_sign)
+                runs.append([slot_fn(net, cat, learners, t, obs, cfg.weights, graph)
+                             for t, obs in enumerate(observations[1:], start=1)])
+            for a, b in zip(*runs):
+                assert a.deployed == b.deployed
+                assert a.residual_after.tolist() == b.residual_after.tolist()
+        assert 0 < len(shared.nodes) < kernels.NODE_CAP
 
 
 class WalkCounter:
@@ -191,9 +277,10 @@ class WalkCounter:
         return self.walk(*args)
 
 
-def test_slot_decide_lists_walks_fewer_chains_than_unpruned(monkeypatch) -> None:
+def test_slot_decide_walks_fewer_chains_than_unpruned_and_none_when_warm(monkeypatch) -> None:
     # the unpruned loop walks every remaining chain in every round, commits
-    # included: rounds n_committed + 1, with F, F - 1, ... chains left
+    # included: rounds n_committed + 1, with F, F - 1, ... chains left. A
+    # cold graph walks fewer; the same call again on the same graph walks none.
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
     q = np.array([4.0, 9.0, 1.0, 6.0, 2.0, 7.0])
@@ -202,21 +289,41 @@ def test_slot_decide_lists_walks_fewer_chains_than_unpruned(monkeypatch) -> None
                        (FIRST_FIT, "first_fit_chain_walk")):
         counter = WalkCounter(getattr(kernels, name))
         monkeypatch.setattr(kernels, name, counter)
-        got = run_slot_decide(mode, net, cat, q, v)
+        graph = PlanGraph(net, cat, mode)
+        got = run_slot_decide(mode, net, cat, q, v, graph)
+        cold = counter.calls
+        again = run_slot_decide(mode, net, cat, q, v, graph)
         monkeypatch.undo()
         assert_same_decision(run_slot_decide_array(mode, net, cat, q, v), got, cat)
+        assert again == got
         n = got[0]
         unpruned = sum(cat.n_sfcs - r for r in range(n + 1))
         assert n >= 2
-        assert 0 < counter.calls < unpruned
+        assert 0 < cold < unpruned
+        assert counter.calls == cold
 
 
 def test_slot_decide_is_idempotent_on_outputs() -> None:
     # output lists are fully overwritten by the kernel, so reuse is safe
     rng = np.random.default_rng(5)
     net, cat, q, v = random_setup(rng)
-    outs = ([], [], [], [], [])
-    first = run_slot_decide(GREEDY, net, cat, q, v, outs)
-    first = (first[0],) + tuple(list(out) for out in first[1:])
-    second = run_slot_decide(GREEDY, net, cat, q, v, outs)
-    assert first == second
+    graph = PlanGraph(net, cat, GREEDY)
+    deployed, residual = [(9, None)], [7]
+    n = slot_decide(graph, q, v, 1.0, 1.0, deployed, residual)
+    first = (n, list(deployed), list(residual))
+    n = slot_decide(graph, q, v, 1.0, 1.0, deployed, residual)
+    assert first == (n, deployed, residual)
+    assert n == len(deployed)
+
+
+def test_plan_graph_checks_its_owner() -> None:
+    cfg = load_config(default_config_path())
+    net, cat = cfg.network, cfg.catalog
+    with pytest.raises(ValueError, match="placement mode"):
+        PlanGraph(net, cat, 7)
+    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 1)
+    learners = init_learners(sample_slot(gt, 0), cfg.users)
+    obs = sample_slot(gt, 1)
+    for graph in (PlanGraph(net, cat, FIRST_FIT), PlanGraph(net.scaled(1.0), cat, GREEDY)):
+        with pytest.raises(ValueError, match="another network"):
+            rtsd_slot(net, cat, learners, 1, obs, cfg.weights, graph)
