@@ -118,7 +118,11 @@ def parse_seeds(spec) -> tuple[int, ...]:
                 raise ConfigError(f"bad seed range {spec!r}") from exc
             if hi < lo:
                 raise ConfigError(f"empty seed range {spec!r}")
-            seeds = tuple(range(lo, hi + 1))
+            parse_seeds([lo, hi])       # bound-check the ends before building the range
+            try:
+                seeds = tuple(range(lo, hi + 1))
+            except OverflowError as exc:     # more seeds than a tuple can hold
+                raise ConfigError(f"seed range {spec!r} is too long") from exc
         else:
             try:
                 seeds = (int(text),)
@@ -209,6 +213,13 @@ def _as_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _as_bool(value, name: str) -> bool:
+    """A config flag; only true or false, nothing that merely tests truthy."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _as_list(value, name: str) -> list:
@@ -303,9 +314,6 @@ def load_config(source) -> ExperimentConfig:
     sign = _as_int(learner_spec.get("failure_bonus_sign", 1), "failure_bonus_sign")
     if sign not in (1, -1):
         raise ConfigError(f"failure_bonus_sign must be 1 or -1, got {sign!r}")
-    regret = raw.get("regret", False)
-    if not isinstance(regret, bool):
-        raise ConfigError(f"regret must be true or false, got {regret!r}")
     cfg = ExperimentConfig(
         network=network,
         catalog=catalog,
@@ -319,7 +327,7 @@ def load_config(source) -> ExperimentConfig:
         failure_bonus_scale=scale,
         failure_bonus_sign=sign,
         capacity_scale=_as_number(raw.get("capacity_scale", 1.0), "capacity_scale"),
-        regret=regret,
+        regret=_as_bool(raw.get("regret", False), "regret"),
     )
     return _check(cfg)
 
@@ -329,20 +337,20 @@ def apply_overrides(cfg: ExperimentConfig, *, slots: int | None = None,
                     regret: bool | None = None,
                     capacity_scale: float | None = None,
                     users: int | None = None) -> ExperimentConfig:
-    """Command-line style overrides on top of a loaded config."""
+    """Command-line overrides on a loaded config; each value is checked, never coerced."""
     updates = {}
     if slots is not None:
-        updates["slots"] = int(slots)
+        updates["slots"] = _as_int(slots, "slots")
     if seeds is not None:
         updates["seeds"] = parse_seeds(seeds)
     if policy is not None:
         updates["policies"] = parse_policies(policy)
     if regret is not None:
-        updates["regret"] = bool(regret)
+        updates["regret"] = _as_bool(regret, "regret")
     if capacity_scale is not None:
-        updates["capacity_scale"] = float(capacity_scale)
+        updates["capacity_scale"] = _as_number(capacity_scale, "capacity_scale")
     if users is not None:
-        updates["users"] = int(users)
+        updates["users"] = _as_int(users, "users")
     if not updates:
         return cfg
     return _check(dataclasses.replace(cfg, **updates))
@@ -384,7 +392,7 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
         _, total = realized_reward(weights, obs, decision, catalog)
         realized.append(total)
         expected.append(expected_slot_value(weights, gt, decision, catalog))
-        remaining.append(sum(decision.residual_after.tolist()))
+        remaining.append(sum(decision.residual_after))
         deployed.append(len(decision.deployed))
     return {"realized": np.array(realized, dtype=np.float64),
             "expected": np.array(expected, dtype=np.float64),

@@ -29,7 +29,8 @@ which plans every remaining chain each round against the live residual, lives
 in tests/reference_kernels.py, and the tests hold this module to it.
 
 Conventions: residuals and capacities are ints, demands non-negative ints;
-chains are sequences of VNF ids; ``nbrs[n]`` lists server n's direct
+estimates are sequences of Python floats, one per chain or VNF; chains are
+sequences of VNF ids; ``nbrs[n]`` lists server n's direct
 neighbors by ascending latency (EdgeNetwork.neighbor_lists); ``lat[a][b]`` is
 the link latency, 0 on the diagonal and +inf where no link exists
 (EdgeNetwork.latency_rows). The walks return (latency, assignment), the
@@ -216,14 +217,13 @@ def slot_decide(graph, q_est, v_est, omega, mu, deployed_out, residual_out):
     nbrs = network.neighbor_lists
     lat = network.latency_rows
     greedy = graph.mode == GREEDY
-    value = [omega * q for q in q_est.tolist()]
-    rates = v_est.tolist()
+    value = [omega * q for q in q_est]
     gates = []
     for chain in chains:
         worst = 0.0
         for i in chain:
-            if rates[i] > worst:
-                worst = rates[i]
+            if v_est[i] > worst:
+                worst = v_est[i]
         gates.append(1.0 - worst)
     bounds = [v * g for v, g in zip(value, gates)]
     # descending bound, ties by ascending id (reverse=True keeps the sort stable)

@@ -44,15 +44,16 @@ class SlotDecision:
     """One slot's committed backups.
 
     deployed lists (sfc, plan) in commit order; x is the per-SFC backup
-    vector; placed_counts[i] totals deployed copies of VNF i across all
-    committed chains this slot.
+    vector (0 or 1); placed_counts[i] totals deployed copies of VNF i across
+    all committed chains this slot; residual_after is each server's capacity
+    left after them. The three vectors are lists of Python ints.
     """
 
     t: int
     deployed: list[tuple[int, PlacementPlan]]
-    x: np.ndarray
-    placed_counts: np.ndarray
-    residual_after: np.ndarray
+    x: list[int]
+    placed_counts: list[int]
+    residual_after: list[int]
 
 
 def pre_reward(weights: RewardWeights, popularity: float, latency: float,
@@ -68,27 +69,30 @@ def pre_reward(weights: RewardWeights, popularity: float, latency: float,
     return (weights.omega * popularity - weights.mu * latency) * gate
 
 
-def _decide(graph: kernels.PlanGraph, q_est: np.ndarray, v_est: np.ndarray,
-            weights: RewardWeights, t: int) -> SlotDecision:
-    """Run the greedy selection kernel and wrap its output, verifying invariants."""
-    catalog = graph.catalog
-    deployed: list[tuple[int, PlacementPlan]] = []
-    residual: list[int] = []
-    kernels.slot_decide(graph, q_est, v_est, weights.omega, weights.mu,
-                        deployed, residual)
+def _verified(network: EdgeNetwork, catalog: Catalog, t: int,
+              deployed: list[tuple[int, PlacementPlan]],
+              residual: list[int]) -> SlotDecision:
+    """Wrap a slot's commits as a SlotDecision, with x and placed_counts, and verify it."""
     x = [0] * catalog.n_sfcs
     placed = [0] * catalog.n_vnfs
     for f, _ in deployed:
         x[f] = 1
         for i in catalog.sfc_chain[f]:
             placed[i] += 1
-
-    decision = SlotDecision(t=int(t), deployed=deployed,
-                            x=np.array(x, dtype=np.uint8),
-                            placed_counts=np.array(placed, dtype=np.int64),
-                            residual_after=np.array(residual, dtype=np.int64))
-    verify_decision(graph.network, catalog, decision)
+    decision = SlotDecision(t=int(t), deployed=deployed, x=x, placed_counts=placed,
+                            residual_after=residual)
+    verify_decision(network, catalog, decision)
     return decision
+
+
+def _decide(graph: kernels.PlanGraph, q_est: list[float], v_est: list[float],
+            weights: RewardWeights, t: int) -> SlotDecision:
+    """Run the greedy selection kernel and wrap its output, verifying invariants."""
+    deployed: list[tuple[int, PlacementPlan]] = []
+    residual: list[int] = []
+    kernels.slot_decide(graph, q_est, v_est, weights.omega, weights.mu,
+                        deployed, residual)
+    return _verified(graph.network, graph.catalog, t, deployed, residual)
 
 
 def _plan_graph(network: EdgeNetwork, catalog: Catalog, mode: int,
@@ -175,8 +179,6 @@ def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,
     demands = catalog.vnf_demand
     _, starts = catalog.uniform_layout
     residual = list(network.capacities)
-    x = [0] * catalog.n_sfcs
-    placed = [0] * catalog.n_vnfs
     deployed: list[tuple[int, PlacementPlan]] = []
 
     for f in sorted(range(catalog.n_sfcs), key=u.__getitem__):
@@ -199,18 +201,9 @@ def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,
         if not chain or len(assign) < len(chain) or math.isinf(latency):
             continue
         residual = room
-        x[f] = 1
-        for i in chain:
-            placed[i] += 1
         deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign),
                                           latency=latency, at_edge=True)))
-
-    decision = SlotDecision(t=int(t), deployed=deployed,
-                            x=np.array(x, dtype=np.uint8),
-                            placed_counts=np.array(placed, dtype=np.int64),
-                            residual_after=np.array(residual, dtype=np.int64))
-    verify_decision(network, catalog, decision)
-    return decision
+    return _verified(network, catalog, t, deployed, residual)
 
 
 def realized_reward(weights: RewardWeights, obs: SlotObservation,
@@ -222,8 +215,8 @@ def realized_reward(weights: RewardWeights, obs: SlotObservation,
     this slot (copies of the same VNF share one failure outcome); the payoff
     uses the realized request count. Cloud chains earn 0.
     """
-    failed = obs.vnf_failed.tolist()
-    requests = obs.requests.tolist()
+    failed = obs.vnf_failed
+    requests = obs.requests
     earned = [0.0] * catalog.n_sfcs
     for f, plan in decision.deployed:
         if any(failed[i] for i in catalog.sfc_chain[f]):
@@ -251,7 +244,8 @@ def verify_decision(network: EdgeNetwork, catalog: Catalog,
     """Always-on safety net: capacity, coupling, and bookkeeping must agree.
 
     Raises InvariantViolation on the first inconsistency. Cheap enough to run
-    on every slot of every experiment.
+    on every slot of every experiment. The decision's vectors are compared by
+    value, so lists, tuples and arrays are all checked alike.
     """
     n = network.n_servers
     demand = catalog.vnf_demand
@@ -276,12 +270,12 @@ def verify_decision(network: EdgeNetwork, catalog: Catalog,
     caps = network.capacities
     if any(used > cap for used, cap in zip(load, caps)):
         raise InvariantViolation(f"slot {decision.t}: server load exceeds capacity")
-    if decision.residual_after.tolist() != [cap - used for cap, used in zip(caps, load)]:
+    if list(decision.residual_after) != [cap - used for cap, used in zip(caps, load)]:
         raise InvariantViolation(f"slot {decision.t}: residual bookkeeping mismatch")
     x_expect = [0] * catalog.n_sfcs
     for f in seen:
         x_expect[f] = 1
-    if decision.x.tolist() != x_expect:
+    if list(decision.x) != x_expect:
         raise InvariantViolation(f"slot {decision.t}: backup vector out of sync with plans")
-    if decision.placed_counts.tolist() != placed:
+    if list(decision.placed_counts) != placed:
         raise InvariantViolation(f"slot {decision.t}: placement counts out of sync with plans")

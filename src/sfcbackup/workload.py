@@ -101,8 +101,8 @@ class SlotObservation:
     """What slot t actually produced: request counts per SFC, failure flags per VNF."""
 
     t: int
-    requests: np.ndarray      # (F,) int64, each in [0, K]
-    vnf_failed: np.ndarray    # (I,) uint8
+    requests: list[int]       # F entries, each in [0, K]
+    vnf_failed: list[int]     # I entries, each 0 or 1
 
 
 def make_ground_truth(request_prob, failure_mean, users: int, n_sfcs: int,
@@ -184,7 +184,8 @@ def sample_slots(gt: GroundTruth, t0: int, t1: int) -> list[SlotObservation]:
     Slot t's D uniforms (the request block, then the failure flags) are the
     D doubles starting SLOT_STRIDE * (t - t0) into slot t0's stream, which is
     exactly what slot_stream(seed, t) draws first. Pure in (gt parameters,
-    seed, t), whatever the range.
+    seed, t), whatever the range. The thresholded counts and flags of the
+    whole range are copied into lists once, one .tolist() per field.
     """
     n = t1 - t0
     if n < 1:
@@ -198,8 +199,8 @@ def sample_slots(gt: GroundTruth, t0: int, t1: int) -> list[SlotObservation]:
     u = np.ndarray((n, width), dtype=np.float64, buffer=flat,
                    strides=(SLOT_STRIDE * flat.itemsize, flat.itemsize))
     hit = u < threshold
-    requests = hit[:, :n_req].reshape((n,) + p.shape).sum(axis=1, dtype=np.int64)
-    vnf_failed = hit[:, n_req:].view(np.uint8)
+    requests = hit[:, :n_req].reshape((n,) + p.shape).sum(axis=1, dtype=np.int64).tolist()
+    vnf_failed = hit[:, n_req:].view(np.uint8).tolist()
     return [SlotObservation(t=t, requests=r, vnf_failed=v)
             for t, r, v in zip(range(int(t0), int(t1)), requests, vnf_failed)]
 

@@ -200,34 +200,39 @@ def test_05_per_slot_invariants(canonical) -> None:
 
 def _replay_and_compare(history, pop, fail, users: int, scale: float,
                         sign: int) -> float:
-    """From-scratch recomputation of both learners' statistics; returns max error."""
-    n_sfcs = pop.selected.shape[0]
-    n_vnfs = fail.placements.shape[0]
+    """Recomputation of both learners' statistics from the history; returns max error.
+
+    The recomputation is numpy, on array copies of the history and of the
+    learners' lists.
+    """
+    n_sfcs = len(pop.selected)
+    n_vnfs = len(fail.placements)
     c = np.zeros(n_sfcs, dtype=np.int64)
     qsum = np.zeros(n_sfcs, dtype=np.float64)
     h = np.zeros(n_vnfs, dtype=np.int64)
     vsum = np.zeros(n_vnfs, dtype=np.float64)
     for obs, x, placed in history:
-        sel = x.astype(bool)
+        sel = np.array(x, dtype=bool)
         c[sel] += 1
-        qsum[sel] += obs.requests[sel]
+        qsum[sel] += np.array(obs.requests)[sel]
+        placed = np.array(placed, dtype=np.int64)
         m = placed > 0
         h[m] += placed[m]
-        vsum[m] += obs.vnf_failed[m]
+        vsum[m] += np.array(obs.vnf_failed)[m]
     qbar = np.where(c > 0, qsum / np.maximum(c, 1), 0.0)
     vbar = np.where(h > 0, vsum / np.maximum(h, 1), 0.0)
     err = max(
-        float(np.max(np.abs(pop.selected - c), initial=0.0)),
-        float(np.max(np.abs(pop.request_total - qsum), initial=0.0)),
-        float(np.max(np.abs(pop.request_mean - qbar), initial=0.0)),
-        float(np.max(np.abs(fail.placements - h), initial=0.0)),
-        float(np.max(np.abs(fail.failure_total - vsum), initial=0.0)),
-        float(np.max(np.abs(fail.failure_mean - vbar), initial=0.0)),
+        float(np.max(np.abs(np.array(pop.selected) - c), initial=0.0)),
+        float(np.max(np.abs(np.array(pop.request_total) - qsum), initial=0.0)),
+        float(np.max(np.abs(np.array(pop.request_mean) - qbar), initial=0.0)),
+        float(np.max(np.abs(np.array(fail.placements) - h), initial=0.0)),
+        float(np.max(np.abs(np.array(fail.failure_total) - vsum), initial=0.0)),
+        float(np.max(np.abs(np.array(fail.failure_mean) - vbar), initial=0.0)),
     )
     # estimate formulas evaluated directly against the library's versions
     for t in (1, 2, 37, 1000):
-        q_est = popularity_estimate(pop, t)
-        v_est = failure_estimate(fail, t)
+        q_est = np.array(popularity_estimate(pop, t))
+        v_est = np.array(failure_estimate(fail, t))
         q_direct = np.full(n_sfcs, math.inf)
         mask = c > 0
         q_direct[mask] = qbar[mask] + users * np.sqrt(
@@ -274,8 +279,8 @@ def test_06_learner_replay_exactness() -> None:
         obs = observations[t]
         x = (rng.random(cfg.catalog.n_sfcs) < 0.5).astype(np.uint8)
         placed = rng.integers(0, 4, size=cfg.catalog.n_vnfs)
-        popularity_update(pop, obs, x)
-        failure_update(fail, obs, placed)
+        popularity_update(pop, obs, x.tolist())
+        failure_update(fail, obs, placed.tolist())
         history.append((obs, x, placed.astype(np.int64)))
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
                                            fail.bonus_scale, fail.bonus_sign))
@@ -293,8 +298,8 @@ def test_07_learner_consistency() -> None:
     q_true = users * p
     tol_q = 3.0 * math.sqrt(users * p * (1.0 - p) / slots)
     tol_v = 3.0 * math.sqrt(v * (1.0 - v) / slots)
-    always = np.ones(1, dtype=np.uint8)
-    one_copy = np.ones(1, dtype=np.int64)
+    always = [1]
+    one_copy = [1]
     ok_q = ok_v = 0
     for seed in range(n_seeds):
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)

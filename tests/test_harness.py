@@ -119,6 +119,11 @@ def test_apply_overrides_replaces_and_validates() -> None:
         apply_overrides(cfg, slots=0)
     with pytest.raises(ConfigError):
         apply_overrides(cfg, policy="nope")
+    # a mistyped value is rejected by name, not truncated or truth-tested
+    for field, value in (("slots", 2.7), ("users", 2.9), ("users", True),
+                         ("regret", "no"), ("capacity_scale", "2"), ("slots", "5")):
+        with pytest.raises(ConfigError, match=field):
+            apply_overrides(cfg, **{field: value})
 
 
 # --- simulation bookkeeping --------------------------------------------------
@@ -168,7 +173,7 @@ def test_random_run_draws_each_slot_from_its_own_counter_blocks(
         assert ours.t == t
         assert [(f, p.assignment, p.latency) for f, p in ours.deployed] == \
                [(f, p.assignment, p.latency) for f, p in ref.deployed]
-        assert ours.residual_after.tolist() == ref.residual_after.tolist()
+        assert ours.residual_after == ref.residual_after
 
 
 def test_run_emits_one_row_per_policy_seed_slot() -> None:
@@ -351,6 +356,8 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
     ({"capacity_scale": 1e308}, []),
     ({}, ["--capacity-scale", "inf"]),
     ({}, ["--users", "100000000000000000000"]),
+    ({}, ["--seed", "0..18446744073709551616"]),
+    ({}, ["--seed", "0..18446744073709551615"]),
     ({"users": 2 ** 63}, []),
     ({"ground_truth": {"request_prob": [0.8, 0.5, 0.3],
                        "failure_mean": [True, 0.1, 0.02]}}, []),
@@ -364,8 +371,8 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
         "fractional-demand", "fractional-chain-entry", "object-request-prob",
         "fractional-seed", "seed-past-64-bits", "numeric-policies", "bonus-sign-5",
         "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf",
-        "users-flag-past-int64", "users-past-int64", "bool-failure-mean",
-        "string-request-prob", "bool-request-prob"])
+        "users-flag-past-int64", "seed-range-past-64-bits", "seed-range-past-maxsize",
+        "users-past-int64", "bool-failure-mean", "string-request-prob", "bool-request-prob"])
 def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFixture,
                                        extra: dict, flags: list[str]) -> None:
     cfg_path = write_config(tmp_path, **extra)

@@ -101,10 +101,13 @@ def run_slot_decide_array(mode, net, cat, q, v, omega=1.0, mu=1.0):
 
 
 def run_slot_decide(mode, net, cat, q, v, graph=None, omega=1.0, mu=1.0):
-    """slot_decide on graph (a fresh one when None), unpacked like slot_decide_array's outputs."""
+    """slot_decide on graph (a fresh one when None), unpacked like slot_decide_array's outputs.
+
+    q and v are the reference kernel's estimate arrays; slot_decide gets them as lists.
+    """
     graph = graph if graph is not None else PlanGraph(net, cat, mode)
     deployed, residual = [], []
-    n = slot_decide(graph, q, v, omega, mu, deployed, residual)
+    n = slot_decide(graph, q.tolist(), v.tolist(), omega, mu, deployed, residual)
     x = [0] * cat.n_sfcs
     order = [-1] * cat.n_sfcs
     lat = [math.inf] * cat.n_sfcs
@@ -263,7 +266,7 @@ def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
                              for t, obs in enumerate(observations[1:], start=1)])
             for a, b in zip(*runs):
                 assert a.deployed == b.deployed
-                assert a.residual_after.tolist() == b.residual_after.tolist()
+                assert a.residual_after == b.residual_after
         assert 0 < len(shared.nodes) < kernels.NODE_CAP
 
 
@@ -309,9 +312,9 @@ def test_slot_decide_is_idempotent_on_outputs() -> None:
     net, cat, q, v = random_setup(rng)
     graph = PlanGraph(net, cat, GREEDY)
     deployed, residual = [(9, None)], [7]
-    n = slot_decide(graph, q, v, 1.0, 1.0, deployed, residual)
+    n = slot_decide(graph, q.tolist(), v.tolist(), 1.0, 1.0, deployed, residual)
     first = (n, list(deployed), list(residual))
-    n = slot_decide(graph, q, v, 1.0, 1.0, deployed, residual)
+    n = slot_decide(graph, q.tolist(), v.tolist(), 1.0, 1.0, deployed, residual)
     assert first == (n, deployed, residual)
     assert n == len(deployed)
 

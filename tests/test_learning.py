@@ -14,8 +14,8 @@ from sfcbackup.workload import SlotObservation
 
 
 def obs(t: int, requests, failed) -> SlotObservation:
-    return SlotObservation(t=t, requests=np.asarray(requests, dtype=np.int64),
-                           vnf_failed=np.asarray(failed, dtype=np.uint8))
+    return SlotObservation(t=t, requests=np.asarray(requests, dtype=np.int64).tolist(),
+                           vnf_failed=np.asarray(failed, dtype=np.uint8).tolist())
 
 
 def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
@@ -24,27 +24,27 @@ def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
 
 def test_init_snapshots_come_from_slot_zero() -> None:
     pop, fail = init_learners(obs(0, [7, 2], [1, 0, 1]), users=10)
-    assert pop.selected.tolist() == [0, 0]
-    assert pop.request_mean.tolist() == [0.0, 0.0]
-    assert pop.request_ucb.tolist() == [7.0, 2.0]
-    assert fail.placements.tolist() == [0, 0, 0]
-    assert fail.failure_mean.tolist() == [0.0, 0.0, 0.0]
-    assert fail.failure_ucb.tolist() == [1.0, 0.0, 1.0]
+    assert pop.selected == [0, 0]
+    assert pop.request_mean == [0.0, 0.0]
+    assert pop.request_ucb == [7.0, 2.0]
+    assert fail.placements == [0, 0, 0]
+    assert fail.failure_mean == [0.0, 0.0, 0.0]
+    assert fail.failure_ucb == [1.0, 0.0, 1.0]
     assert fail.bonus_scale == 10.0 and fail.bonus_sign == 1
 
 
 def test_popularity_update_first_pull() -> None:
     pop, _ = fresh()
     popularity_update(pop, obs(1, [4, 9], [0, 0, 0]), [1, 0])
-    assert pop.selected.tolist() == [1, 0]
-    assert pop.request_mean.tolist() == [4.0, 0.0]
+    assert pop.selected == [1, 0]
+    assert pop.request_mean == [4.0, 0.0]
 
 
 def test_popularity_update_running_mean() -> None:
     pop, _ = fresh()
     popularity_update(pop, obs(1, [4, 0], [0, 0, 0]), [1, 0])
     popularity_update(pop, obs(2, [2, 5], [0, 0, 0]), [1, 0])
-    assert pop.selected.tolist() == [2, 0]
+    assert pop.selected == [2, 0]
     assert pop.request_mean[0] == pytest.approx(3.0)
     # the unselected arm never moved
     assert pop.request_mean[1] == 0.0 and pop.selected[1] == 0
@@ -77,7 +77,7 @@ def test_popularity_bonus_shrinks_with_count() -> None:
 def test_failure_update_counts_copies_but_one_flag() -> None:
     _, fail = fresh()
     failure_update(fail, obs(1, [0, 0], [1, 0, 0]), [1, 0, 0])
-    assert fail.placements.tolist() == [1, 0, 0]
+    assert fail.placements == [1, 0, 0]
     assert fail.failure_mean[0] == 1.0
     # two copies placed, one observed flag: mean stays put at 0.5
     fail.placements[1] = 2
@@ -91,8 +91,8 @@ def test_failure_update_counts_copies_but_one_flag() -> None:
 def test_failure_update_skips_unplaced() -> None:
     _, fail = fresh()
     failure_update(fail, obs(1, [0, 0], [1, 1, 1]), [0, 0, 0])
-    assert fail.placements.tolist() == [0, 0, 0]
-    assert fail.failure_mean.tolist() == [0.0, 0.0, 0.0]
+    assert fail.placements == [0, 0, 0]
+    assert fail.failure_mean == [0.0, 0.0, 0.0]
 
 
 def test_failure_estimate_bonus_and_clamp() -> None:
@@ -199,12 +199,21 @@ def array_updates(pop, fail, o: SlotObservation, x, placed) -> None:
     """The learner updates as masked numpy assignments, the reference."""
     sel = np.asarray(x).astype(bool)
     pop.selected[sel] += 1
-    pop.request_total[sel] += o.requests[sel]
+    pop.request_total[sel] += np.array(o.requests)[sel]
     pop.request_mean[sel] = pop.request_total[sel] / pop.selected[sel]
     m = placed > 0
     fail.placements[m] += placed[m]
-    fail.failure_total[m] += o.vnf_failed[m]
+    fail.failure_total[m] += np.array(o.vnf_failed)[m]
     fail.failure_mean[m] = fail.failure_total[m] / fail.placements[m]
+
+
+def as_arrays(pop, fail):
+    """The learners with their counts, totals and means copied into numpy arrays."""
+    for learner, names in ((pop, ("selected", "request_total", "request_mean")),
+                           (fail, ("placements", "failure_total", "failure_mean"))):
+        for name in names:
+            setattr(learner, name, np.array(getattr(learner, name)))
+    return pop, fail
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,20 +224,19 @@ def test_learners_match_array_formulas_bit_for_bit(seed: int, users: int, scale:
     rng = np.random.default_rng(seed)
     pop, fail = fresh(n_sfcs=4, n_vnfs=5, users=users,
                       failure_bonus_scale=scale, failure_bonus_sign=sign)
-    ref_pop, ref_fail = fresh(n_sfcs=4, n_vnfs=5, users=users,
-                              failure_bonus_scale=scale, failure_bonus_sign=sign)
+    ref_pop, ref_fail = as_arrays(*fresh(n_sfcs=4, n_vnfs=5, users=users,
+                                         failure_bonus_scale=scale, failure_bonus_sign=sign))
     for t in range(1, 80):
         q, v = popularity_estimate(pop, t), failure_estimate(fail, t)
         q_ref, v_ref = array_estimates(ref_pop, ref_fail, t)
-        assert q.dtype == v.dtype == np.float64
-        assert q.tolist() == q_ref.tolist() and v.tolist() == v_ref.tolist()
+        assert q == q_ref.tolist() and v == v_ref.tolist()
         x = (rng.random(4) < 0.5).astype(np.uint8)
         placed = rng.integers(0, 4, 5)
         o = obs(t, rng.integers(0, users + 1, 4), rng.random(5) < 0.4)
-        popularity_update(pop, o, x)
-        failure_update(fail, o, placed)
+        popularity_update(pop, o, x.tolist())
+        failure_update(fail, o, placed.tolist())
         array_updates(ref_pop, ref_fail, o, x, placed)
         for name in ("selected", "request_total", "request_mean"):
-            assert getattr(pop, name).tolist() == getattr(ref_pop, name).tolist()
+            assert getattr(pop, name) == getattr(ref_pop, name).tolist()
         for name in ("placements", "failure_total", "failure_mean"):
-            assert getattr(fail, name).tolist() == getattr(ref_fail, name).tolist()
+            assert getattr(fail, name) == getattr(ref_fail, name).tolist()

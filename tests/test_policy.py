@@ -9,35 +9,32 @@ import pytest
 from sfcbackup import (Catalog, EdgeNetwork, FailureLearner, InvariantViolation,
                        PlacementPlan, PopularityLearner, RewardWeights,
                        SlotDecision, bandit_scheme_slot, chain_failure_rate,
-                       expected_slot_value, failure_estimate, failure_update,
-                       get_consumption, init_learners, make_ground_truth,
+                       default_config_path, expected_slot_value,
+                       failure_estimate, failure_update, get_consumption,
+                       init_learners, load_config, make_ground_truth,
                        popularity_estimate,
                        policy_uniforms, popularity_update, pre_reward,
                        random_scheme_slot, realized_reward, rtsd_slot,
-                       sample_slot, verify_decision)
+                       sample_slot, sample_slots, verify_decision)
 from sfcbackup.harness import _policy_uniforms
 from sfcbackup.workload import SlotObservation
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
                   placements: int = 5, sign: int = 1, scale: float = 1.0):
-    q_mean = np.asarray(q_mean, dtype=np.float64)
-    v_mean = np.asarray(v_mean, dtype=np.float64)
-    sel = np.full(q_mean.shape, selected, dtype=np.int64)
-    plc = np.full(v_mean.shape, placements, dtype=np.int64)
-    pop = PopularityLearner(users=users, selected=sel,
-                            request_total=q_mean * sel,
-                            request_mean=q_mean.copy(),
-                            request_ucb=q_mean.copy())
-    fail = FailureLearner(placements=plc, failure_total=v_mean * plc,
-                          failure_mean=v_mean.copy(), failure_ucb=v_mean.copy(),
+    pop = PopularityLearner(users=users, selected=[selected] * len(q_mean),
+                            request_total=[q * selected for q in q_mean],
+                            request_mean=list(q_mean),
+                            request_ucb=list(q_mean))
+    fail = FailureLearner(placements=[placements] * len(v_mean),
+                          failure_total=[v * placements for v in v_mean],
+                          failure_mean=list(v_mean), failure_ucb=list(v_mean),
                           bonus_scale=scale, bonus_sign=sign)
     return pop, fail
 
 
 def obs_of(t: int, requests, failed) -> SlotObservation:
-    return SlotObservation(t=t, requests=np.asarray(requests, dtype=np.int64),
-                           vnf_failed=np.asarray(failed, dtype=np.uint8))
+    return SlotObservation(t=t, requests=list(requests), vnf_failed=list(failed))
 
 
 # --- reward pieces ---------------------------------------------------------
@@ -111,8 +108,8 @@ def test_zero_capacity_deploys_nothing() -> None:
     pop, fail = learners_with([9.0, 9.0], [0.0, 0.0])
     dec = rtsd_slot(net, cat, (pop, fail), 4, obs_of(4, [1, 1], [0, 0]))
     assert dec.deployed == []
-    assert dec.x.tolist() == [0, 0]
-    assert dec.residual_after.tolist() == [0, 0]
+    assert dec.x == [0, 0]
+    assert dec.residual_after == [0, 0]
 
 
 def test_ample_capacity_commits_in_score_order() -> None:
@@ -122,7 +119,7 @@ def test_ample_capacity_commits_in_score_order() -> None:
                               placements=1000, users=0)
     dec = rtsd_slot(net, cat, (pop, fail), 2, obs_of(2, [0, 0, 0], [0, 0, 0]))
     assert [f for f, _ in dec.deployed] == [0, 1, 2]
-    assert dec.x.tolist() == [1, 1, 1]
+    assert dec.x == [1, 1, 1]
     assert all(plan.latency == 0.0 for _, plan in dec.deployed)
 
 
@@ -169,11 +166,11 @@ def test_learned_policies_update_only_deployed_arms() -> None:
                               users=0)
     dec = rtsd_slot(net, cat, (pop, fail), 3, obs_of(3, [4, 4], [1, 1]))
     # capacity admits one chain; the higher estimate wins
-    assert dec.x.tolist() == [1, 0]
-    assert pop.selected.tolist() == [3, 2]
+    assert dec.x == [1, 0]
+    assert pop.selected == [3, 2]
     assert pop.request_mean[0] == pytest.approx((10.0 + 4.0) / 3)
     assert pop.request_mean[1] == pytest.approx(4.0)
-    assert fail.placements.tolist() == [3, 2]
+    assert fail.placements == [3, 2]
     assert fail.failure_mean[0] == pytest.approx(1.0 / 3)
     assert fail.failure_mean[1] == pytest.approx(0.0)
 
@@ -186,8 +183,8 @@ def test_slot_call_stashes_the_estimates_it_used() -> None:
     want_q = popularity_estimate(pop, t).copy()
     want_v = failure_estimate(fail, t).copy()
     rtsd_slot(net, cat, (pop, fail), t, obs_of(t, [2], [0]))
-    assert pop.request_ucb.tolist() == want_q.tolist()
-    assert fail.failure_ucb.tolist() == want_v.tolist()
+    assert pop.request_ucb == want_q
+    assert fail.failure_ucb == want_v
 
 
 # --- trace equivalence against a plain-surface reference -------------------
@@ -244,12 +241,12 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
         for (_, got_plan), (_, ref_plan) in zip(dec.deployed, want):
             assert got_plan.assignment == ref_plan.assignment
             assert got_plan.latency == ref_plan.latency
-        assert dec.residual_after.tolist() == want_res.tolist()
-        assert live[0].request_ucb.tolist() == want_q.tolist()
-        assert live[1].failure_ucb.tolist() == want_v.tolist()
+        assert dec.residual_after == want_res.tolist()
+        assert live[0].request_ucb == want_q
+        assert live[1].failure_ucb == want_v
 
-        x_ref = np.zeros(cat.n_sfcs, dtype=np.uint8)
-        placed_ref = np.zeros(cat.n_vnfs, dtype=np.int64)
+        x_ref = [0] * cat.n_sfcs
+        placed_ref = [0] * cat.n_vnfs
         for f, _ in want:
             x_ref[f] = 1
             for i in cat.sfc_chain[f]:
@@ -259,10 +256,10 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
         popularity_update(ref[0], obs, x_ref)
         failure_update(ref[1], obs, placed_ref)
 
-        assert live[0].selected.tolist() == ref[0].selected.tolist()
-        assert live[0].request_total.tolist() == ref[0].request_total.tolist()
-        assert live[1].placements.tolist() == ref[1].placements.tolist()
-        assert live[1].failure_total.tolist() == ref[1].failure_total.tolist()
+        assert live[0].selected == ref[0].selected
+        assert live[0].request_total == ref[0].request_total
+        assert live[1].placements == ref[1].placements
+        assert live[1].failure_total == ref[1].failure_total
         any_deployed = any_deployed or bool(dec.deployed)
     assert any_deployed
 
@@ -353,7 +350,7 @@ def test_random_scheme_reads_the_documented_layout() -> None:
     # chain 0: index 0 -> server 0; rooms [3, 9, 6] leave servers 1, 2 for demand 4
     # -> index 1 -> server 2. chain 1: only server 1 holds 4.
     assert [(f, p.assignment) for f, p in dec.deployed] == [(2, (2, 0)), (0, (0, 2)), (1, (1,))]
-    assert dec.residual_after.tolist() == [3, 5, 2]
+    assert dec.residual_after == [3, 5, 2]
 
 
 def test_random_scheme_zero_capacity() -> None:
@@ -369,7 +366,7 @@ def test_random_scheme_is_deterministic_per_stream() -> None:
     obs = obs_of(5, [1, 1, 1], [0, 0])
     a = random_scheme_slot(net, cat, 5, obs, uniforms(11, 5, cat))
     b = random_scheme_slot(net, cat, 5, obs, uniforms(11, 5, cat))
-    assert a.x.tolist() == b.x.tolist()
+    assert a.x == b.x
     assert [(f, p.assignment) for f, p in a.deployed] == \
            [(f, p.assignment) for f, p in b.deployed]
 
@@ -383,8 +380,8 @@ def test_random_scheme_splits_contended_capacity_evenly() -> None:
     slots = 400
     for t in range(1, slots + 1):
         dec = random_scheme_slot(net, cat, t, obs, uniforms(2, t, cat))
-        assert int(dec.x.sum()) == 1
-        wins += int(dec.x[0])
+        assert sum(dec.x) == 1
+        wins += dec.x[0]
     # binomial(400, .5) has sigma 10; stay 5 sigma inside
     assert 150 <= wins <= 250
 
@@ -396,7 +393,7 @@ def test_random_scheme_rejects_unlinked_crossings() -> None:
     for t in range(1, 30):
         dec = random_scheme_slot(net, cat, t, obs_of(t, [4], [0]), uniforms(9, t, cat))
         assert dec.deployed == []
-        assert dec.residual_after.tolist() == [5, 5]
+        assert dec.residual_after == [5, 5]
 
 
 # --- Monte-Carlo consistency of realized vs expected -----------------------
@@ -514,3 +511,50 @@ def test_verify_decision_catches_placement_count_mismatch() -> None:
     dec.placed_counts[cat.sfc_chain[dec.deployed[0][0]][0]] += 1
     with pytest.raises(InvariantViolation, match="placement counts"):
         verify_decision(net, cat, dec)
+
+
+# --- vector format -----------------------------------------------------------
+
+POPULARITY_FIELDS = ("selected", "request_total", "request_mean", "request_ucb")
+FAILURE_FIELDS = ("placements", "failure_total", "failure_mean", "failure_ucb")
+
+
+def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
+    # numpy draws the observation blocks; from the observation to the verified
+    # decision every per-slot vector is a list of plain ints and floats, so no
+    # numpy scalar rides along into the kernel or the learners
+    cfg = load_config(default_config_path())
+    net, cat = cfg.network, cfg.catalog
+    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 5)
+    observations = sample_slots(gt, 0, 9)
+    width = cat.uniform_layout[0]
+    checked = Counter()
+
+    def check(name: str, vector) -> None:
+        assert type(vector) is list, name
+        assert all(type(v) in (int, float) for v in vector), (name, vector)
+        checked[name] += 1
+
+    for policy in ("rtsd", "bandit", "random"):
+        learners = init_learners(observations[0], cfg.users)
+        deployed = 0
+        for t, obs in enumerate(observations[1:], start=1):
+            check("requests", obs.requests)
+            check("vnf_failed", obs.vnf_failed)
+            if policy == "random":
+                dec = random_scheme_slot(net, cat, t, obs,
+                                         policy_uniforms(gt.rng_seed, t, width))
+            else:
+                pop, fail = learners
+                check("popularity_estimate", popularity_estimate(pop, t))
+                check("failure_estimate", failure_estimate(fail, t))
+                slot = rtsd_slot if policy == "rtsd" else bandit_scheme_slot
+                dec = slot(net, cat, learners, t, obs, cfg.weights)
+                for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
+                    for name in names:
+                        check(name, getattr(learner, name))
+            deployed += len(dec.deployed)
+            for name in ("x", "placed_counts", "residual_after"):
+                check(name, getattr(dec, name))
+        assert deployed, policy
+    assert len(checked) == 15

@@ -27,9 +27,9 @@ def assert_matches_reference(gt: GroundTruth, observations, t0: int) -> None:
     for k, obs in enumerate(observations):
         requests, failed = reference_slot(gt, t0 + k)
         assert obs.t == t0 + k
-        assert obs.requests.dtype == np.int64 and obs.vnf_failed.dtype == np.uint8
-        assert obs.requests.tolist() == requests.tolist()
-        assert obs.vnf_failed.tolist() == failed.tolist()
+        assert all(type(v) is int for v in obs.requests + obs.vnf_failed)
+        assert obs.requests == requests.tolist()
+        assert obs.vnf_failed == failed.tolist()
 
 
 def test_degenerate_probabilities() -> None:
@@ -37,14 +37,14 @@ def test_degenerate_probabilities() -> None:
     obs = sample_slot(gt, 17)
     assert obs.requests[0] == 0
     assert obs.requests[1] == 10
-    assert obs.vnf_failed.tolist() == [0, 1]
+    assert obs.vnf_failed == [0, 1]
 
 
 def test_requests_bounded_by_users() -> None:
     gt = make_ground_truth(0.5, [0.1], users=7, n_sfcs=3, rng_seed=1)
     for t in range(50):
         obs = sample_slot(gt, t)
-        assert np.all(obs.requests >= 0) and np.all(obs.requests <= 7)
+        assert all(0 <= r <= 7 for r in obs.requests)
 
 
 def test_sample_slot_deterministic_in_seed_and_slot() -> None:
