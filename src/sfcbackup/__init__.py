@@ -5,8 +5,8 @@ latency-aware scheme (rtsd), a learned first-fit baseline (bandit), and an
 uninformed random baseline, with exhaustive oracles for small instances.
 """
 
-from .model import (CLOUD_LATENCY, Catalog, EdgeNetwork, PlacementPlan,
-                    cheapest_link_anchor, validate_instance)
+from .model import (Catalog, EdgeNetwork, PlacementPlan, cheapest_link_anchor,
+                    validate_instance)
 from .workload import (GroundTruth, SlotObservation, make_ground_truth,
                        policy_uniforms, sample_slot, sample_slots, slot_stream,
                        true_popularity)
@@ -15,20 +15,17 @@ from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
                        popularity_estimate, popularity_update)
 from .placement import get_consumption
 from .policy import (InvariantViolation, RewardWeights, SlotDecision,
-                     bandit_scheme_slot, expected_slot_value, pre_reward,
-                     random_scheme_slot, realized_reward, rtsd_slot,
-                     verify_decision)
+                     bandit_scheme_slot, expected_slot_value, random_scheme_slot,
+                     realized_reward, rtsd_slot, verify_decision)
 from .oracle import (OracleResult, SearchSpaceTooLarge, optimal_chain_latency,
                      optimal_slot_value, shortest_path_matrix)
-from .harness import (ConfigError, ExperimentConfig, RunResult, Row,
-                      apply_overrides, default_config_path, emit, load_config,
-                      run, simulate_run)
+from .harness import (ConfigError, ExperimentConfig, RunResult, apply_overrides,
+                      default_config_path, emit, load_config, run, simulate_run)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLOUD_LATENCY", "Catalog", "EdgeNetwork", "cheapest_link_anchor",
-    "validate_instance",
+    "Catalog", "EdgeNetwork", "cheapest_link_anchor", "validate_instance",
     "GroundTruth", "SlotObservation", "make_ground_truth", "policy_uniforms",
     "sample_slot", "sample_slots", "slot_stream", "true_popularity",
     "FailureLearner", "PopularityLearner", "chain_failure_rate",
@@ -36,11 +33,11 @@ __all__ = [
     "popularity_estimate", "popularity_update",
     "PlacementPlan", "get_consumption",
     "InvariantViolation", "RewardWeights", "SlotDecision",
-    "bandit_scheme_slot", "expected_slot_value", "pre_reward",
-    "random_scheme_slot", "realized_reward", "rtsd_slot", "verify_decision",
+    "bandit_scheme_slot", "expected_slot_value", "random_scheme_slot",
+    "realized_reward", "rtsd_slot", "verify_decision",
     "OracleResult", "SearchSpaceTooLarge", "optimal_chain_latency",
     "optimal_slot_value", "shortest_path_matrix",
-    "ConfigError", "ExperimentConfig", "RunResult", "Row", "apply_overrides",
+    "ConfigError", "ExperimentConfig", "RunResult", "apply_overrides",
     "default_config_path", "emit", "load_config", "run", "simulate_run",
     "__version__",
 ]

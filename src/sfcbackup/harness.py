@@ -1,14 +1,15 @@
 """Experiment harness: config parsing, the slot loop, trace emission.
 
 Configs are JSON documents; the bundled configs/default.json carries the
-six-server testbed. Traces are per-slot rows in a fixed column order
+six-server testbed. A run's trace is a set of columns, one list per name
+in the fixed order
 
     t, policy, seed, realized_reward, expected_reward,
     remaining_resource, num_deployed, oracle_value, regret
 
-with the last two left empty unless regret evaluation is requested. A
-summary sidecar aggregates per-policy means and sample standard deviations
-across seeds.
+with one entry per (policy, seed, slot) and the last two left empty unless
+regret evaluation is requested. A summary sidecar aggregates per-policy means
+and sample standard deviations across seeds.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ OBS_BLOCK_SLOTS = 256
 # 64-bit Philox key word.
 INT64_MAX = 2 ** 63 - 1
 SEED_LIMIT = 2 ** 64
+# A run takes at most this many seeds; a longer range is rejected from its
+# endpoints, before any seed tuple is built.
+MAX_SEEDS = 1_000_000
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
 # is squared, all in float64. A config whose slot reward could pass this bound
@@ -59,19 +63,6 @@ REWARD_LIMIT = 1e150
 
 class ConfigError(ValueError):
     """The experiment config is malformed or internally inconsistent."""
-
-
-@dataclass(frozen=True)
-class Row:
-    t: int
-    policy: str
-    seed: int
-    realized_reward: float
-    expected_reward: float
-    remaining_resource: int
-    num_deployed: int
-    oracle_value: float | None
-    regret: float | None
 
 
 @dataclass(eq=False)
@@ -94,7 +85,7 @@ class ExperimentConfig:
 @dataclass(eq=False)
 class RunResult:
     config: ExperimentConfig
-    rows: list[Row]
+    trace: dict[str, list]      # CSV_COLUMNS name -> one value per (policy, seed, t)
     summary: dict
 
 
@@ -119,16 +110,17 @@ def parse_seeds(spec) -> tuple[int, ...]:
             if hi < lo:
                 raise ConfigError(f"empty seed range {spec!r}")
             parse_seeds([lo, hi])       # bound-check the ends before building the range
-            try:
-                seeds = tuple(range(lo, hi + 1))
-            except OverflowError as exc:     # more seeds than a tuple can hold
-                raise ConfigError(f"seed range {spec!r} is too long") from exc
+            if hi - lo + 1 > MAX_SEEDS:
+                raise ConfigError(f"seed range {spec!r} holds more than {MAX_SEEDS} seeds")
+            seeds = tuple(range(lo, hi + 1))
         else:
             try:
                 seeds = (int(text),)
             except ValueError as exc:
                 raise ConfigError(f"bad seed {spec!r}") from exc
     elif isinstance(spec, (list, tuple)):
+        if len(spec) > MAX_SEEDS:
+            raise ConfigError(f"seeds list holds more than {MAX_SEEDS} seeds")
         seeds = tuple(_as_int(s, f"seeds[{k}]") for k, s in enumerate(spec))
     else:
         raise ConfigError(f"cannot parse seeds from {spec!r}")
@@ -360,13 +352,13 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
                  policy: str, slots: int, *, users: int,
                  failure_bonus_scale: float | None = None,
                  failure_bonus_sign: int = 1,
-                 graph: PlanGraph | None = None) -> dict[str, np.ndarray]:
+                 graph: PlanGraph | None = None) -> dict[str, list]:
     """One (policy, seed) trajectory; slot 0 only initializes the learners.
 
-    Returns per-slot arrays (index 0 is slot 1) of realized reward, expected
-    reward, total remaining resource, and deployment count. graph is the
-    learned policy's kernels.PlanGraph, shared across seeds; None gives the
-    run a fresh one. The random policy plans without one.
+    Returns per-slot lists (index 0 is slot 1) of realized and expected
+    reward (floats), total remaining resource and deployment count (ints).
+    graph is the learned policy's kernels.PlanGraph, shared across seeds;
+    None gives the run a fresh one. The random policy plans without one.
     """
     realized: list[float] = []
     expected: list[float] = []
@@ -394,10 +386,8 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
         expected.append(expected_slot_value(weights, gt, decision, catalog))
         remaining.append(sum(decision.residual_after))
         deployed.append(len(decision.deployed))
-    return {"realized": np.array(realized, dtype=np.float64),
-            "expected": np.array(expected, dtype=np.float64),
-            "remaining": np.array(remaining, dtype=np.int64),
-            "deployed": np.array(deployed, dtype=np.int64)}
+    return {"realized": realized, "expected": expected,
+            "remaining": remaining, "deployed": deployed}
 
 
 def _observations(gt, n_slots: int):
@@ -438,7 +428,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
                                 catalog.n_sfcs, cfg.seeds[0])
         oracle_value = optimal_slot_value(network, catalog, gt0, cfg.weights).best_value
 
-    rows: list[Row] = []
+    trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
     per_policy: dict[str, dict[str, list[float]]] = {
         p: {"realized": [], "expected": [], "remaining": [], "deployed": []}
         for p in cfg.policies}
@@ -454,22 +444,19 @@ def run(cfg: ExperimentConfig) -> RunResult:
                                   failure_bonus_scale=cfg.failure_bonus_scale,
                                   failure_bonus_sign=cfg.failure_bonus_sign,
                                   graph=graph)
-            for t in range(1, cfg.slots + 1):
-                expected_t = float(series["expected"][t - 1])
-                regret_t = None if oracle_value is None else oracle_value - expected_t
-                rows.append(Row(
-                    t=t, policy=policy, seed=seed,
-                    realized_reward=float(series["realized"][t - 1]),
-                    expected_reward=expected_t,
-                    remaining_resource=int(series["remaining"][t - 1]),
-                    num_deployed=int(series["deployed"][t - 1]),
-                    oracle_value=oracle_value, regret=regret_t,
-                ))
-            agg = per_policy[policy]
-            agg["realized"].append(float(series["realized"].mean()))
-            agg["expected"].append(float(series["expected"].mean()))
-            agg["remaining"].append(float(series["remaining"].mean()))
-            agg["deployed"].append(float(series["deployed"].mean()))
+            expected = series["expected"]
+            trace["t"].extend(range(1, cfg.slots + 1))
+            trace["policy"].extend([policy] * cfg.slots)
+            trace["seed"].extend([seed] * cfg.slots)
+            trace["realized_reward"].extend(series["realized"])
+            trace["expected_reward"].extend(expected)
+            trace["remaining_resource"].extend(series["remaining"])
+            trace["num_deployed"].extend(series["deployed"])
+            trace["oracle_value"].extend([oracle_value] * cfg.slots)
+            trace["regret"].extend([None] * cfg.slots if oracle_value is None
+                                   else [oracle_value - e for e in expected])
+            for key, agg in per_policy[policy].items():
+                agg.append(float(np.mean(series[key])))
 
     total_capacity = sum(network.capacities)
     summary = {
@@ -489,7 +476,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
             for p, agg in per_policy.items()
         },
     }
-    return RunResult(config=cfg, rows=rows, summary=summary)
+    return RunResult(config=cfg, trace=trace, summary=summary)
 
 
 def _cell(value) -> str:
@@ -513,15 +500,14 @@ def emit(result: RunResult, out_dir, fmt: str = "csv") -> list[Path]:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in result.rows:
-                writer.writerow([_cell(getattr(row, col)) for col in CSV_COLUMNS])
+            writer.writerows(zip(*(map(_cell, result.trace[col]) for col in CSV_COLUMNS)))
         written.append(path)
 
     if fmt in ("jsonl", "both"):
         path = out / "trace.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
-            for row in result.rows:
-                fh.write(json.dumps({col: getattr(row, col) for col in CSV_COLUMNS}))
+            for values in zip(*(result.trace[col] for col in CSV_COLUMNS)):
+                fh.write(json.dumps(dict(zip(CSV_COLUMNS, values))))
                 fh.write("\n")
         written.append(path)
 

@@ -15,9 +15,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Latency sentinel for anything served from the remote cloud instead of the edge.
-CLOUD_LATENCY = math.inf
-
 
 def _normalize_links(links) -> tuple[tuple[int, int, float], ...]:
     """Accept {(u, v): lat} or iterables of (u, v, lat); order pairs, sort by (lat, u, v)."""
@@ -157,10 +154,6 @@ class Catalog:
             tab = (width, tuple(starts))
             self._cache["uniforms"] = tab
         return tab
-
-    def chain_demand(self, f: int) -> int:
-        """Total resource units SFC f consumes when fully deployed."""
-        return int(sum(self.vnf_demand[i] for i in self.sfc_chain[f]))
 
 
 def validate_instance(network: EdgeNetwork, catalog: Catalog) -> list[str]:

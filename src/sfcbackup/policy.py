@@ -56,19 +56,6 @@ class SlotDecision:
     residual_after: list[int]
 
 
-def pre_reward(weights: RewardWeights, popularity: float, latency: float,
-               failure_rate: float) -> float:
-    """Selection score for one candidate plan.
-
-    A failure estimate of 1 annihilates the score outright, which also keeps
-    the +inf exploration sentinel from producing inf * 0.
-    """
-    gate = 1.0 - failure_rate
-    if gate <= 0.0:
-        return 0.0
-    return (weights.omega * popularity - weights.mu * latency) * gate
-
-
 def _verified(network: EdgeNetwork, catalog: Catalog, t: int,
               deployed: list[tuple[int, PlacementPlan]],
               residual: list[int]) -> SlotDecision:

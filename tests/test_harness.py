@@ -10,7 +10,6 @@ import tempfile
 import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -138,11 +137,14 @@ def test_simulate_run_shapes_and_determinism() -> None:
                          25, **kw)
         b = simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy,
                          25, **kw)
-        for key in ("realized", "expected", "remaining", "deployed"):
-            assert a[key].shape == (25,)
-            assert np.array_equal(a[key], b[key])
-        assert np.all(a["remaining"] >= 0)
-        assert np.all(a["deployed"] >= 0)
+        assert list(a) == ["realized", "expected", "remaining", "deployed"]
+        for key, kind in (("realized", float), ("expected", float),
+                          ("remaining", int), ("deployed", int)):
+            assert len(a[key]) == 25
+            assert all(type(v) is kind for v in a[key])
+            assert a[key] == b[key]
+        assert all(v >= 0 for v in a["remaining"])
+        assert all(v >= 0 for v in a["deployed"])
     with pytest.raises(ValueError):
         simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, "nope", 5,
                      users=cfg.users)
@@ -179,11 +181,18 @@ def test_random_run_draws_each_slot_from_its_own_counter_blocks(
 def test_run_emits_one_row_per_policy_seed_slot() -> None:
     cfg = load_config(tiny_config())
     result = run(cfg)
-    assert len(result.rows) == len(cfg.policies) * len(cfg.seeds) * cfg.slots
-    keys = {(r.policy, r.seed, r.t) for r in result.rows}
-    assert len(keys) == len(result.rows)
-    assert all(1 <= r.t <= cfg.slots for r in result.rows)
-    assert all(r.oracle_value is None and r.regret is None for r in result.rows)
+    trace = result.trace
+    n_rows = len(cfg.policies) * len(cfg.seeds) * cfg.slots
+    assert tuple(trace) == CSV_COLUMNS
+    assert all(len(column) == n_rows for column in trace.values())
+    # exact Python scalars only: a numpy int64 would make json.dumps raise
+    assert all(type(v) in (int, float, str, type(None))
+               for column in trace.values() for v in column)
+    keys = list(zip(trace["policy"], trace["seed"], trace["t"]))
+    assert keys == [(p, s, t) for p in cfg.policies for s in cfg.seeds
+                    for t in range(1, cfg.slots + 1)]
+    assert trace["oracle_value"] == [None] * n_rows
+    assert trace["regret"] == [None] * n_rows
     pol = result.summary["policies"]
     assert set(pol) == set(cfg.policies)
     for stats in pol.values():
@@ -215,10 +224,11 @@ def test_run_with_regret_attaches_nonnegative_regret() -> None:
     result = run(cfg)
     oracle = result.summary["oracle_value"]
     assert oracle is not None and oracle > 0.0
-    for row in result.rows:
-        assert row.oracle_value == oracle
-        assert row.regret == pytest.approx(oracle - row.expected_reward)
-        assert row.regret >= -1e-9
+    trace = result.trace
+    assert trace["oracle_value"] == [oracle] * len(trace["t"])
+    for regret, expected in zip(trace["regret"], trace["expected_reward"]):
+        assert regret == pytest.approx(oracle - expected)
+        assert regret >= -1e-9
 
 
 def test_capacity_scale_shrinks_the_run_network() -> None:
@@ -226,7 +236,7 @@ def test_capacity_scale_shrinks_the_run_network() -> None:
                                   policies="rtsd"))
     result = run(cfg)
     assert result.summary["total_capacity"] == 9
-    assert all(r.remaining_resource <= 9 for r in result.rows)
+    assert all(r <= 9 for r in result.trace["remaining_resource"])
 
 
 # --- emission ----------------------------------------------------------------
@@ -241,17 +251,18 @@ def test_emit_csv_round_trip(tmp_path: Path) -> None:
     with open(tmp_path / "trace.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(CSV_COLUMNS)
-    assert len(rows) == 1 + len(result.rows)
+    trace = result.trace
+    assert len(rows) == 1 + len(trace["t"])
     first = dict(zip(CSV_COLUMNS, rows[1]))
     assert first["t"] == "1"
-    assert first["policy"] == result.rows[0].policy
-    assert float(first["realized_reward"]) == result.rows[0].realized_reward
+    assert first["policy"] == trace["policy"][0]
+    assert float(first["realized_reward"]) == trace["realized_reward"][0]
     assert first["oracle_value"] == "" and first["regret"] == ""
 
     with open(tmp_path / "trace.jsonl") as fh:
         lines = [json.loads(line) for line in fh]
-    assert len(lines) == len(result.rows)
-    assert lines[0]["num_deployed"] == result.rows[0].num_deployed
+    assert len(lines) == len(trace["t"])
+    assert lines[0]["num_deployed"] == trace["num_deployed"][0]
 
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["policies"].keys() == result.summary["policies"].keys()
@@ -282,6 +293,31 @@ def test_golden_trace_digest(tmp_path: Path) -> None:
     emit(run(cfg), tmp_path, "csv")
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_TRACE_SHA256
+
+
+# trace.csv, trace.jsonl and summary.json of a regret run on the 3-server
+# instance of acceptance criterion 9 (perfbench's small-regret workload)
+GOLDEN_REGRET_SHA256 = {
+    "trace.csv": "5de18c8b4703aac788cb5a339d998e5a6ef5793ed5f217e674067ff0ebe800f4",
+    "trace.jsonl": "21a80be3651c4dd1908314219a21c93a097dda24d4758a54eddf05e4a48d9122",
+    "summary.json": "82b4f1719a993369d187d1c9d4dc888069b25d33988cfd564b3170d378a28541",
+}
+
+
+def test_golden_regret_outputs_digest(tmp_path: Path) -> None:
+    cfg = load_config({
+        "network": {"capacities": [10, 8, 6],
+                    "links": [[0, 1, 0.4], [1, 2, 0.7], [0, 2, 1.1]]},
+        "catalog": {"vnf_demand": [3, 4, 2, 5],
+                    "sfc_chain": [[0, 1], [2, 3, 2], [1, 1]]},
+        "ground_truth": {"request_prob": [0.7, 0.5, 0.4],
+                         "failure_mean": [0.05, 0.1, 0.02, 0.2]},
+        "users": 4, "slots": 40, "seeds": "2..4", "policies": "all", "regret": True,
+        "learner": {"failure_bonus_scale": 1.0, "failure_bonus_sign": -1},
+    })
+    paths = emit(run(cfg), tmp_path, "both")
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == \
+           GOLDEN_REGRET_SHA256
 
 
 # --- command line ------------------------------------------------------------
@@ -365,6 +401,7 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
                        "failure_mean": [0.05, 0.1, 0.02]}}, []),
     ({"ground_truth": {"request_prob": True,
                        "failure_mean": [0.05, 0.1, 0.02]}}, []),
+    ({}, ["--seed", "0..1000000000"]),
 ], ids=["users-string", "two-element-link", "fractional-slots", "omega-inf-string",
         "nan-failure-mean", "fractional-capacity", "int64-overflowing-capacity",
         "fractional-link-endpoint", "string-latency", "overflowing-latency",
@@ -372,7 +409,8 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
         "fractional-seed", "seed-past-64-bits", "numeric-policies", "bonus-sign-5",
         "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf",
         "users-flag-past-int64", "seed-range-past-64-bits", "seed-range-past-maxsize",
-        "users-past-int64", "bool-failure-mean", "string-request-prob", "bool-request-prob"])
+        "users-past-int64", "bool-failure-mean", "string-request-prob", "bool-request-prob",
+        "seed-range-past-max-seeds"])
 def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFixture,
                                        extra: dict, flags: list[str]) -> None:
     cfg_path = write_config(tmp_path, **extra)

@@ -156,4 +156,3 @@ def test_chain_arrays_roundtrip() -> None:
     assert starts.tolist() == [0, 2, 5]
     assert [flat[starts[f]:starts[f + 1]].tolist() for f in range(cat.n_sfcs)] == \
            [list(chain) for chain in cat.sfc_chain]
-    assert cat.chain_demand(1) == 12

@@ -13,7 +13,7 @@ from sfcbackup import (Catalog, EdgeNetwork, FailureLearner, InvariantViolation,
                        failure_estimate, failure_update, get_consumption,
                        init_learners, load_config, make_ground_truth,
                        popularity_estimate,
-                       policy_uniforms, popularity_update, pre_reward,
+                       policy_uniforms, popularity_update,
                        random_scheme_slot, realized_reward, rtsd_slot,
                        sample_slot, sample_slots, verify_decision)
 from sfcbackup.harness import _policy_uniforms
@@ -46,22 +46,6 @@ def test_weights_validation() -> None:
         RewardWeights(omega=0.0)
     with pytest.raises(ValueError):
         RewardWeights(mu=-0.1)
-
-
-def test_pre_reward_hand_values() -> None:
-    w = RewardWeights(omega=1.0, mu=1.0)
-    assert pre_reward(w, 10.0, 2.0, 0.5) == pytest.approx(4.0)
-    assert pre_reward(w, 3.0, 1.0, 0.0) == pytest.approx(2.0)
-    # mu = 0 ignores latency entirely
-    assert pre_reward(RewardWeights(omega=2.0, mu=0.0), 3.0, 99.0, 0.5) == pytest.approx(3.0)
-    # the score may go negative; selection is what enforces positivity
-    assert pre_reward(w, 1.0, 5.0, 0.5) == pytest.approx(-2.0)
-
-
-def test_pre_reward_certain_failure_kills_infinite_optimism() -> None:
-    w = RewardWeights()
-    assert pre_reward(w, math.inf, 0.0, 1.0) == 0.0
-    assert pre_reward(w, math.inf, math.inf, 1.0) == 0.0
 
 
 def test_realized_reward_hand_values() -> None:
@@ -204,8 +188,10 @@ def reference_slot(net, cat, pop, fail, t, weights):
             plan = get_consumption(net, cat, residual, f)
             if not plan.at_edge:
                 continue
-            score = pre_reward(weights, q[f], plan.latency,
-                               chain_failure_rate(cat, v, f))
+            gate = 1.0 - chain_failure_rate(cat, v, f)
+            if gate <= 0.0:     # certain failure scores 0, even against +inf optimism
+                continue
+            score = (weights.omega * q[f] - weights.mu * plan.latency) * gate
             if score > best_score:
                 best_f, best_score, best_plan = f, score, plan
         if best_f < 0:
