@@ -20,17 +20,20 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import lockstep
 from .kernels import FIRST_FIT, GREEDY, PlanGraph
 from .learning import init_learners
 from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
 from .policy import (RewardWeights, bandit_scheme_slot, expected_slot_value,
                      random_scheme_slot, realized_reward, rtsd_slot)
-from .workload import (PHILOX_BLOCK_DOUBLES, POLICY_DOMAIN, counter_blocks,
+from .workload import (OBS_BLOCK_SLOTS, PHILOX_BLOCK_DOUBLES, POLICY_DOMAIN,
+                       GroundTruth, check_parameters, counter_blocks,
                        make_ground_truth, sample_slots, slot_stream)
 
 POLICY_ORDER = ("rtsd", "bandit", "random")
@@ -42,11 +45,6 @@ CSV_COLUMNS = ("t", "policy", "seed", "realized_reward", "expected_reward",
                "remaining_resource", "num_deployed", "oracle_value", "regret")
 
 
-# simulate_run draws observations and random-policy uniforms this many slots at
-# a time: one Philox call per block, and memory that stays bounded however long
-# the run is.
-OBS_BLOCK_SLOTS = 256
-
 # Residuals and the remaining-resource column are int64, and a seed is one
 # 64-bit Philox key word.
 INT64_MAX = 2 ** 63 - 1
@@ -54,6 +52,22 @@ SEED_LIMIT = 2 ** 64
 # A run takes at most this many seeds; a longer range is rejected from its
 # endpoints, before any seed tuple is built.
 MAX_SEEDS = 1_000_000
+# users x n_sfcs, the request draws of one slot, is at most this: one
+# OBS_BLOCK_SLOTS-slot observation draw then holds about 128 MiB of uniforms
+# (256 slots x 2**16 draws x 8 bytes), plus an eighth of that in flags.
+MAX_REQUEST_DRAWS = 2 ** 16
+
+# A run of at least this many seeds advances them in lockstep (lockstep.py);
+# a smaller one runs its seeds one by one through simulate_run. Both write the
+# same trace; this is the smallest seed count at which the lockstep path was
+# no slower for every policy on the three benchmark instances.
+LOCKSTEP_MIN_SEEDS = 8
+# Per seed and slot, the lockstep path holds F request counts, I failure flags
+# and W random-policy uniforms (catalog.uniform_layout), each drawn
+# OBS_BLOCK_SLOTS slots ahead, and F + I estimates. It advances at most this
+# many such values' worth of seeds at a time, F + I + W per seed, so that a
+# block stays under 32 MiB however many seeds a run has.
+LOCKSTEP_MAX_VALUES = 2 ** 14
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
 # is squared, all in float64. A config whose slot reward could pass this bound
@@ -163,6 +177,9 @@ def _check(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("users must be >= 1")
     if cfg.users > INT64_MAX:
         raise ConfigError(f"users must be at most 2**63 - 1, got {cfg.users}")
+    if cfg.users * cfg.catalog.n_sfcs > MAX_REQUEST_DRAWS:
+        raise ConfigError(f"users x n_sfcs = {cfg.users} x {cfg.catalog.n_sfcs} passes "
+                          f"{MAX_REQUEST_DRAWS} request draws per slot; lower users")
     if not (math.isfinite(cfg.capacity_scale) and cfg.capacity_scale > 0.0):
         raise ConfigError(f"capacity_scale must be a finite positive number, "
                           f"got {cfg.capacity_scale!r}")
@@ -176,9 +193,7 @@ def _check(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.failure_mean.shape[0] != cfg.catalog.n_vnfs:
         raise ConfigError(f"failure_mean needs {cfg.catalog.n_vnfs} entries")
     try:
-        # shakes out request_prob shape problems and out-of-range probabilities
-        make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
-                          cfg.catalog.n_sfcs, cfg.seeds[0])
+        check_parameters(cfg.request_prob, cfg.failure_mean, cfg.users, cfg.catalog.n_sfcs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     # a chain earns at most omega per user and pays at most mu per hop at the
@@ -390,6 +405,17 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
             "remaining": remaining, "deployed": deployed}
 
 
+def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
+    """Each seed's hidden parameters, built once per run and shared by every policy.
+
+    The seeds share one set of arrays and list views, so a run holds the
+    parameters once however many seeds it has.
+    """
+    first = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
+                              cfg.catalog.n_sfcs, cfg.seeds[0])
+    return [first] + [first.reseeded(seed) for seed in cfg.seeds[1:]]
+
+
 def _observations(gt, n_slots: int):
     """Observations of slots 0 .. n_slots-1, drawn OBS_BLOCK_SLOTS at a time."""
     for t0 in range(0, n_slots, OBS_BLOCK_SLOTS):
@@ -397,18 +423,48 @@ def _observations(gt, n_slots: int):
 
 
 def _policy_uniforms(seed: int, catalog: Catalog, slots: int):
-    """The random policy's uniforms of slots 1 .. slots, drawn OBS_BLOCK_SLOTS at a time.
+    """The random policy's uniforms of slots 1 .. slots, one list per slot."""
+    for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
+        yield from _policy_uniform_block(catalog, seed, t0,
+                                         min(t0 + OBS_BLOCK_SLOTS, slots + 1)).tolist()
+
+
+def _policy_uniform_block(catalog: Catalog, seed: int, t0: int, t1: int) -> np.ndarray:
+    """The random policy's uniforms of slots t0 .. t1-1 (t0 >= 1) as a (t1 - t0, W) array.
 
     Slot t's are workload.policy_uniforms(seed, t, W): counter blocks
-    [t*B, (t+1)*B) of the policy domain, which one stream started at block B
-    yields as consecutive rows of 4B doubles.
+    [t*B, (t+1)*B) of the policy domain, which one stream started at block
+    t0*B yields as consecutive rows of 4B doubles.
     """
     width, _ = catalog.uniform_layout
     blocks = counter_blocks(width)
-    rng = slot_stream(seed, blocks, POLICY_DOMAIN)
-    for t0 in range(0, slots, OBS_BLOCK_SLOTS):
-        rows = rng.random((min(OBS_BLOCK_SLOTS, slots - t0), PHILOX_BLOCK_DOUBLES * blocks))
-        yield from rows[:, :width].tolist()
+    rng = slot_stream(seed, t0 * blocks, POLICY_DOMAIN)
+    return rng.random((t1 - t0, PHILOX_BLOCK_DOUBLES * blocks))[:, :width]
+
+
+def _seed_series(cfg: ExperimentConfig, network: EdgeNetwork, gts: list[GroundTruth],
+                 policy: str, graph: PlanGraph | None):
+    """simulate_run's series of each seed, in seed order.
+
+    Seeds go in groups of at most LOCKSTEP_MAX_VALUES // (F + I + W); a group
+    of at least LOCKSTEP_MIN_SEEDS seeds runs in lockstep, a smaller one seed
+    by seed.
+    """
+    catalog = cfg.catalog
+    kw = dict(users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
+              failure_bonus_sign=cfg.failure_bonus_sign)
+    width, _ = catalog.uniform_layout
+    size = max(1, LOCKSTEP_MAX_VALUES // (catalog.n_sfcs + catalog.n_vnfs + width))
+    for k in range(0, len(gts), size):
+        group = gts[k:k + size]
+        if len(group) < LOCKSTEP_MIN_SEEDS:
+            for gt in group:
+                yield simulate_run(network, catalog, gt, cfg.weights, policy, cfg.slots,
+                                   graph=graph, **kw)
+            continue
+        uniforms = None if graph is not None else partial(_policy_uniform_block, catalog)
+        yield from lockstep.simulate_seeds(network, catalog, group, cfg.weights, cfg.slots,
+                                           graph=graph, uniforms=uniforms, **kw)
 
 
 def _mean_std(values: list[float]) -> dict[str, float]:
@@ -422,11 +478,10 @@ def run(cfg: ExperimentConfig) -> RunResult:
     network = cfg.network if cfg.capacity_scale == 1.0 else cfg.network.scaled(cfg.capacity_scale)
     catalog = cfg.catalog
 
+    gts = _ground_truths(cfg)
     oracle_value: float | None = None
     if cfg.regret:
-        gt0 = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
-                                catalog.n_sfcs, cfg.seeds[0])
-        oracle_value = optimal_slot_value(network, catalog, gt0, cfg.weights).best_value
+        oracle_value = optimal_slot_value(network, catalog, gts[0], cfg.weights).best_value
 
     trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
     per_policy: dict[str, dict[str, list[float]]] = {
@@ -436,14 +491,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         # one plan graph per learned policy, shared by its seeds and dropped after them
         mode = PLACEMENT_MODES.get(policy)
         graph = None if mode is None else PlanGraph(network, catalog, mode)
-        for seed in cfg.seeds:
-            gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
-                                   catalog.n_sfcs, seed)
-            series = simulate_run(network, catalog, gt, cfg.weights, policy,
-                                  cfg.slots, users=cfg.users,
-                                  failure_bonus_scale=cfg.failure_bonus_scale,
-                                  failure_bonus_sign=cfg.failure_bonus_sign,
-                                  graph=graph)
+        for seed, series in zip(cfg.seeds, _seed_series(cfg, network, gts, policy, graph)):
             expected = series["expected"]
             trace["t"].extend(range(1, cfg.slots + 1))
             trace["policy"].extend([policy] * cfg.slots)

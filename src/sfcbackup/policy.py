@@ -162,6 +162,13 @@ def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,
     uniforms; and the first qualified server of a fresh uniform permutation
     is uniform over the qualified set, independently of earlier draws.
     """
+    deployed, residual = random_placement(network, catalog, u)
+    return _verified(network, catalog, t, deployed, residual)
+
+
+def random_placement(network: EdgeNetwork, catalog: Catalog, u: Sequence[float]
+                     ) -> tuple[list[tuple[int, PlacementPlan]], list[int]]:
+    """random_scheme_slot's commits, unverified: (deployed, residual after them)."""
     lat = network.latency_rows
     demands = catalog.vnf_demand
     _, starts = catalog.uniform_layout
@@ -190,7 +197,7 @@ def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,
         residual = room
         deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign),
                                           latency=latency, at_edge=True)))
-    return _verified(network, catalog, t, deployed, residual)
+    return deployed, residual
 
 
 def realized_reward(weights: RewardWeights, obs: SlotObservation,

@@ -10,7 +10,7 @@ The environment's slot streams are not independent: Philox advances the
 counter once per four doubles, so slot t's stream is slot t-1's shifted by
 SLOT_STRIDE draws and consecutive slots share most of their uniforms. Open
 item 2 of ROADMAP.md ("Independent per-slot random streams") removes the
-overlap. sample_slots relies on the same shift to draw a range of slots at
+overlap. sample_arrays relies on the same shift to draw a range of slots at
 once.
 
 The policy domain has no overlap: a slot that reads W uniforms owns the
@@ -20,6 +20,7 @@ disjoint from every other slot's (see policy_uniforms).
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,6 +38,11 @@ PHILOX_BLOCK_DOUBLES = 4
 # that draw more than this many uniforms overlap their successors; ROADMAP.md
 # open item 2 moves the stride to a non-overlapping 4 * ceil(D / 4).
 SLOT_STRIDE = PHILOX_BLOCK_DOUBLES
+
+# The simulators draw observations and random-policy uniforms this many slots
+# at a time: one Philox call per block and seed, and memory that stays bounded
+# however long the run is.
+OBS_BLOCK_SLOTS = 256
 
 
 @dataclass(eq=False)
@@ -60,10 +66,15 @@ class GroundTruth:
         self._cache: dict[str, list[float]] = {}
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
-        for name, arr in (("request_prob", self.request_prob), ("failure_mean", self.failure_mean)):
-            # written so that NaN, which fails every comparison, fails the check too
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise ValueError(f"{name} entries must lie in [0, 1]")
+        _check_probabilities(self.request_prob, self.failure_mean)
+
+    def reseeded(self, rng_seed: int) -> "GroundTruth":
+        """The same parameters under another seed; the arrays and list views are shared."""
+        if rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
+        other = copy.copy(self)
+        other.rng_seed = int(rng_seed)
+        return other
 
     @property
     def n_users(self) -> int:
@@ -105,26 +116,44 @@ class SlotObservation:
     vnf_failed: list[int]     # I entries, each 0 or 1
 
 
+def check_parameters(request_prob, failure_mean, users: int, n_sfcs: int) -> np.ndarray:
+    """Check request_prob's shape and both parameters' [0, 1] range, without expanding.
+
+    request_prob is a scalar, a length-n_sfcs vector or a (users, n_sfcs)
+    matrix, checked as given, so a large user count costs nothing here.
+    Returns request_prob as a float64 array of its own shape.
+    """
+    p = np.asarray(request_prob, dtype=np.float64)
+    if p.ndim == 1 and p.shape[0] != n_sfcs:
+        raise ValueError(f"per-SFC request_prob needs {n_sfcs} entries, got {p.shape[0]}")
+    if p.ndim == 2 and p.shape != (users, n_sfcs):
+        raise ValueError(f"request_prob matrix must be ({users}, {n_sfcs}), got {p.shape}")
+    if p.ndim > 2:
+        raise ValueError("request_prob must be scalar, vector, or matrix")
+    _check_probabilities(p, np.asarray(failure_mean, dtype=np.float64))
+    return p
+
+
+def _check_probabilities(request_prob: np.ndarray, failure_mean: np.ndarray) -> None:
+    for name, arr in (("request_prob", request_prob), ("failure_mean", failure_mean)):
+        # written so that NaN, which fails every comparison, fails the check too
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+            raise ValueError(f"{name} entries must lie in [0, 1]")
+
+
 def make_ground_truth(request_prob, failure_mean, users: int, n_sfcs: int,
                       rng_seed: int) -> GroundTruth:
     """Build a GroundTruth from a scalar, per-SFC vector, or full (K, F) matrix.
 
     A scalar applies to every (user, SFC) pair; a length-F vector gives every
     user the same per-SFC probability; a matrix is taken as-is and must match
-    (users, n_sfcs).
+    (users, n_sfcs). check_parameters vets them before anything is expanded.
     """
-    p = np.asarray(request_prob, dtype=np.float64)
+    p = check_parameters(request_prob, failure_mean, users, n_sfcs)
     if p.ndim == 0:
         p = np.full((users, n_sfcs), float(p))
     elif p.ndim == 1:
-        if p.shape[0] != n_sfcs:
-            raise ValueError(f"per-SFC request_prob needs {n_sfcs} entries, got {p.shape[0]}")
         p = np.tile(p, (users, 1))
-    elif p.ndim == 2:
-        if p.shape != (users, n_sfcs):
-            raise ValueError(f"request_prob matrix must be ({users}, {n_sfcs}), got {p.shape}")
-    else:
-        raise ValueError("request_prob must be scalar, vector, or matrix")
     return GroundTruth(p, failure_mean, rng_seed)
 
 
@@ -172,20 +201,20 @@ def policy_uniforms(seed: int, t: int, width: int) -> list[float]:
     """Slot t's width policy-domain uniforms, from counter blocks [t*B, (t+1)*B).
 
     B = counter_blocks(width), so no two slots share a draw. Pure in
-    (seed, t, width); harness.simulate_run draws the same values for many
-    slots at once.
+    (seed, t, width); harness._policy_uniform_block draws the same values for
+    many slots at once.
     """
     return slot_stream(seed, t * counter_blocks(width), POLICY_DOMAIN).random(width).tolist()
 
 
-def sample_slots(gt: GroundTruth, t0: int, t1: int) -> list[SlotObservation]:
-    """Draw the observations of slots t0 .. t1-1 with one Philox call.
+def sample_arrays(gt: GroundTruth, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots t0 .. t1-1 drawn with one Philox call, as arrays.
 
-    Slot t's D uniforms (the request block, then the failure flags) are the
-    D doubles starting SLOT_STRIDE * (t - t0) into slot t0's stream, which is
-    exactly what slot_stream(seed, t) draws first. Pure in (gt parameters,
-    seed, t), whatever the range. The thresholded counts and flags of the
-    whole range are copied into lists once, one .tolist() per field.
+    Returns the (t1 - t0, F) int64 request counts and the (t1 - t0, I) uint8
+    failure flags. Slot t's D uniforms (the request block, then the failure
+    flags) are the D doubles starting SLOT_STRIDE * (t - t0) into slot t0's
+    stream, which is exactly what slot_stream(seed, t) draws first. Pure in
+    (gt parameters, seed, t), whatever the range.
     """
     n = t1 - t0
     if n < 1:
@@ -199,10 +228,20 @@ def sample_slots(gt: GroundTruth, t0: int, t1: int) -> list[SlotObservation]:
     u = np.ndarray((n, width), dtype=np.float64, buffer=flat,
                    strides=(SLOT_STRIDE * flat.itemsize, flat.itemsize))
     hit = u < threshold
-    requests = hit[:, :n_req].reshape((n,) + p.shape).sum(axis=1, dtype=np.int64).tolist()
-    vnf_failed = hit[:, n_req:].view(np.uint8).tolist()
+    requests = hit[:, :n_req].reshape((n,) + p.shape).sum(axis=1, dtype=np.int64)
+    return requests, hit[:, n_req:].view(np.uint8)
+
+
+def sample_slots(gt: GroundTruth, t0: int, t1: int) -> list[SlotObservation]:
+    """The observations of slots t0 .. t1-1, drawn by sample_arrays.
+
+    The counts and flags of the whole range are copied into lists once, one
+    .tolist() per field.
+    """
+    requests, vnf_failed = sample_arrays(gt, t0, t1)
     return [SlotObservation(t=t, requests=r, vnf_failed=v)
-            for t, r, v in zip(range(int(t0), int(t1)), requests, vnf_failed)]
+            for t, r, v in zip(range(int(t0), int(t1)), requests.tolist(),
+                               vnf_failed.tolist())]
 
 
 def sample_slot(gt: GroundTruth, t: int) -> SlotObservation:

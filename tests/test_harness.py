@@ -19,8 +19,9 @@ from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
                        random_scheme_slot, run, sample_slots, simulate_run,
                        validate_instance)
 from sfcbackup.cli import main
-from sfcbackup.harness import (CSV_COLUMNS, OBS_BLOCK_SLOTS, POLICY_ORDER,
-                               parse_policies, parse_seeds)
+from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
+                               OBS_BLOCK_SLOTS, POLICY_ORDER, parse_policies,
+                               parse_seeds)
 from sfcbackup.kernels import PlanGraph
 
 
@@ -295,6 +296,22 @@ def test_golden_trace_digest(tmp_path: Path) -> None:
     assert digest == GOLDEN_TRACE_SHA256
 
 
+# sha256 of trace.csv from ``sfcbackup --slots 60 --seed 1..30`` (bundled config,
+# all policies): the seed-lockstep path, which GOLDEN_TRACE_SHA256's three
+# seeds do not reach. Computed on the per-seed path before the lockstep one
+# existed, so the two paths write the same bytes.
+GOLDEN_LOCKSTEP_SHA256 = "9c037e692b06cc19e9ce5f064f93581603de47b9b17bf50de600da641dc40cd5"
+
+
+def test_golden_lockstep_trace_digest(tmp_path: Path) -> None:
+    cfg = apply_overrides(load_config(default_config_path()), slots=60,
+                          seeds="1..30", policy="all")
+    assert len(cfg.seeds) >= LOCKSTEP_MIN_SEEDS
+    emit(run(cfg), tmp_path, "csv")
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_LOCKSTEP_SHA256
+
+
 # trace.csv, trace.jsonl and summary.json of a regret run on the 3-server
 # instance of acceptance criterion 9 (perfbench's small-regret workload)
 GOLDEN_REGRET_SHA256 = {
@@ -402,6 +419,7 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
     ({"ground_truth": {"request_prob": True,
                        "failure_mean": [0.05, 0.1, 0.02]}}, []),
     ({}, ["--seed", "0..1000000000"]),
+    ({}, ["--users", "10000000000"]),
 ], ids=["users-string", "two-element-link", "fractional-slots", "omega-inf-string",
         "nan-failure-mean", "fractional-capacity", "int64-overflowing-capacity",
         "fractional-link-endpoint", "string-latency", "overflowing-latency",
@@ -410,7 +428,7 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
         "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf",
         "users-flag-past-int64", "seed-range-past-64-bits", "seed-range-past-maxsize",
         "users-past-int64", "bool-failure-mean", "string-request-prob", "bool-request-prob",
-        "seed-range-past-max-seeds"])
+        "seed-range-past-max-seeds", "users-flag-past-request-draws"])
 def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFixture,
                                        extra: dict, flags: list[str]) -> None:
     cfg_path = write_config(tmp_path, **extra)
@@ -441,6 +459,11 @@ def test_config_errors_name_the_field() -> None:
                                               "failure_mean": [0.05, 0.1, 0.02]}))
     with pytest.raises(ConfigError, match=r"users must be at most 2\*\*63 - 1"):
         load_config(tiny_config(users=2 ** 63))
+    # three chains: users x n_sfcs passes the per-slot request draws one past this
+    load_config(tiny_config(users=MAX_REQUEST_DRAWS // 3))
+    with pytest.raises(ConfigError, match=r"users x n_sfcs = 21846 x 3 passes 65536 "
+                                          r"request draws per slot; lower users"):
+        load_config(tiny_config(users=MAX_REQUEST_DRAWS // 3 + 1))
 
 
 # Values that are wrong somewhere in a config: fractional, negative, zero, the

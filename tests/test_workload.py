@@ -123,6 +123,34 @@ def test_ground_truth_shape_validation() -> None:
         GroundTruth(np.array([[0.5]]), np.array([0.1]), rng_seed=-1)
 
 
+def test_reseeded_ground_truth_shares_parameters_and_draws_its_own_seed() -> None:
+    gt = make_ground_truth([0.7, 0.2], [0.3, 0.05], users=3, n_sfcs=2, rng_seed=4)
+    other = gt.reseeded(9)
+    assert other.rng_seed == 9 and gt.rng_seed == 4
+    assert other.request_prob is gt.request_prob and other.failure_mean is gt.failure_mean
+    assert other.popularity_list is gt.popularity_list
+    fresh = make_ground_truth([0.7, 0.2], [0.3, 0.05], users=3, n_sfcs=2, rng_seed=9)
+    for ours, ref in zip(sample_slots(other, 0, 40), sample_slots(fresh, 0, 40)):
+        assert (ours.requests, ours.vnf_failed) == (ref.requests, ref.vnf_failed)
+    with pytest.raises(ValueError):
+        gt.reseeded(-1)
+
+
+def test_parameter_check_never_expands_request_prob() -> None:
+    # 10**15 users would need petabytes as a matrix; the check reads the parsed form
+    users = 10 ** 15
+    assert workload.check_parameters(0.5, [0.1], users, 6).shape == ()
+    assert workload.check_parameters([0.5] * 6, [0.1], users, 6).shape == (6,)
+    for request_prob, failure_mean, match in (
+            (float("nan"), [0.1], "request_prob entries"),
+            ([0.5] * 6, [1.5], "failure_mean entries"),
+            ([0.5] * 5, [0.1], "needs 6 entries"),
+            ([[0.5] * 6], [0.1], r"matrix must be \(1000000000000000, 6\)"),
+            ([[[0.5]]], [0.1], "scalar, vector, or matrix")):
+        with pytest.raises(ValueError, match=match):
+            workload.check_parameters(request_prob, failure_mean, users, 6)
+
+
 # --- batched sampling ---------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
