@@ -1,8 +1,8 @@
 """Backup selection and placement for service function chains at the edge.
 
-A time-slotted simulator plus three per-slot policies: a learned
-latency-aware scheme (rtsd), a learned first-fit baseline (bandit), and an
-uninformed random baseline, with exhaustive oracles for small instances.
+A time-slotted simulator plus three policies: a learned latency-aware scheme
+(rtsd), a learned first-fit baseline (bandit), and an uninformed random
+baseline, with exhaustive oracles for small instances.
 """
 
 from .model import (Catalog, EdgeNetwork, PlacementPlan, cheapest_link_anchor,
@@ -13,10 +13,9 @@ from .workload import (GroundTruth, SlotObservation, make_ground_truth,
 from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
                        failure_estimate, failure_update, init_learners,
                        popularity_estimate, popularity_update)
-from .placement import get_consumption
 from .policy import (InvariantViolation, RewardWeights, SlotDecision,
-                     bandit_scheme_slot, expected_slot_value, random_scheme_slot,
-                     realized_reward, rtsd_slot, verify_decision)
+                     expected_slot_value, learned_slot, realized_reward,
+                     verify_decision)
 from .oracle import (OracleResult, SearchSpaceTooLarge, optimal_chain_latency,
                      optimal_slot_value, shortest_path_matrix)
 from .harness import (ConfigError, ExperimentConfig, RunResult, apply_overrides,
@@ -31,10 +30,9 @@ __all__ = [
     "FailureLearner", "PopularityLearner", "chain_failure_rate",
     "failure_estimate", "failure_update", "init_learners",
     "popularity_estimate", "popularity_update",
-    "PlacementPlan", "get_consumption",
+    "PlacementPlan",
     "InvariantViolation", "RewardWeights", "SlotDecision",
-    "bandit_scheme_slot", "expected_slot_value", "random_scheme_slot",
-    "realized_reward", "rtsd_slot", "verify_decision",
+    "expected_slot_value", "learned_slot", "realized_reward", "verify_decision",
     "OracleResult", "SearchSpaceTooLarge", "optimal_chain_latency",
     "optimal_slot_value", "shortest_path_matrix",
     "ConfigError", "ExperimentConfig", "RunResult", "apply_overrides",

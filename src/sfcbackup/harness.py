@@ -20,7 +20,6 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +29,9 @@ from .kernels import FIRST_FIT, GREEDY, PlanGraph
 from .learning import init_learners
 from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
-from .policy import (RewardWeights, bandit_scheme_slot, expected_slot_value,
-                     random_scheme_slot, realized_reward, rtsd_slot)
-from .workload import (OBS_BLOCK_SLOTS, PHILOX_BLOCK_DOUBLES, POLICY_DOMAIN,
-                       GroundTruth, check_parameters, counter_blocks,
-                       make_ground_truth, sample_slots, slot_stream)
+from .policy import RewardWeights, expected_slot_value, learned_slot, realized_reward
+from .workload import (OBS_BLOCK_SLOTS, GroundTruth, check_parameters, make_ground_truth,
+                       sample_slots)
 
 POLICY_ORDER = ("rtsd", "bandit", "random")
 
@@ -45,7 +42,7 @@ CSV_COLUMNS = ("t", "policy", "seed", "realized_reward", "expected_reward",
                "remaining_resource", "num_deployed", "oracle_value", "regret")
 
 
-# Residuals and the remaining-resource column are int64, and a seed is one
+# Residuals, demands and the remaining-resource column are int64, and a seed is one
 # 64-bit Philox key word.
 INT64_MAX = 2 ** 63 - 1
 SEED_LIMIT = 2 ** 64
@@ -57,16 +54,17 @@ MAX_SEEDS = 1_000_000
 # (256 slots x 2**16 draws x 8 bytes), plus an eighth of that in flags.
 MAX_REQUEST_DRAWS = 2 ** 16
 
-# A run of at least this many seeds advances them in lockstep (lockstep.py);
-# a smaller one runs its seeds one by one through simulate_run. Both write the
-# same trace; this is the smallest seed count at which the lockstep path was
-# no slower for every policy on the three benchmark instances.
+# A learned policy's run of at least this many seeds advances them in lockstep
+# (lockstep.simulate_seeds); a smaller one runs its seeds one by one through
+# simulate_run. Both write the same trace; this is the smallest seed count at
+# which the lockstep path was no slower for either learned policy on the three
+# benchmark instances.
 LOCKSTEP_MIN_SEEDS = 8
-# Per seed and slot, the lockstep path holds F request counts, I failure flags
-# and W random-policy uniforms (catalog.uniform_layout), each drawn
-# OBS_BLOCK_SLOTS slots ahead, and F + I estimates. It advances at most this
-# many such values' worth of seeds at a time, F + I + W per seed, so that a
-# block stays under 32 MiB however many seeds a run has.
+# The batched paths take rows of F request counts, I failure flags, W
+# random-policy uniforms and an N-server residual: a lockstep group one row per
+# seed, drawn OBS_BLOCK_SLOTS slots ahead, a random-policy call one per (seed,
+# slot). Either takes at most this many values' worth of rows, F + I + W + N
+# per row, so that it stays under 32 MiB however many seeds a run has.
 LOCKSTEP_MAX_VALUES = 2 ** 14
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
@@ -154,17 +152,14 @@ def parse_policies(spec) -> tuple[str, ...]:
         spec = [spec]
     if not isinstance(spec, (list, tuple)):
         raise ConfigError(f"policies must be a name or a list of names, got {spec!r}")
-    out = []
     for name in spec:
-        if name == "all":
-            return POLICY_ORDER
-        if name not in POLICY_ORDER:
+        if name != "all" and name not in POLICY_ORDER:
             raise ConfigError(f"unknown policy {name!r}; choose from {POLICY_ORDER}")
-        if name not in out:
-            out.append(name)
-    if not out:
+    if "all" in spec:
+        return POLICY_ORDER
+    if not spec:
         raise ConfigError("need at least one policy")
-    return tuple(out)
+    return tuple(dict.fromkeys(spec))
 
 
 def _check(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -190,6 +185,8 @@ def _check(cfg: ExperimentConfig) -> ExperimentConfig:
     if total_capacity > INT64_MAX:
         raise ConfigError(f"capacity_scale {cfg.capacity_scale!r} takes the total "
                           f"capacity past 2**63 - 1")
+    if any(d > INT64_MAX for d in cfg.catalog.vnf_demand):
+        raise ConfigError("catalog.vnf_demand entries must be at most 2**63 - 1")
     if cfg.failure_mean.shape[0] != cfg.catalog.n_vnfs:
         raise ConfigError(f"failure_mean needs {cfg.catalog.n_vnfs} entries")
     try:
@@ -368,13 +365,18 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
                  failure_bonus_scale: float | None = None,
                  failure_bonus_sign: int = 1,
                  graph: PlanGraph | None = None) -> dict[str, list]:
-    """One (policy, seed) trajectory; slot 0 only initializes the learners.
+    """One (learned policy, seed) trajectory; slot 0 only initializes the learners.
 
     Returns per-slot lists (index 0 is slot 1) of realized and expected
     reward (floats), total remaining resource and deployment count (ints).
-    graph is the learned policy's kernels.PlanGraph, shared across seeds;
-    None gives the run a fresh one. The random policy plans without one.
+    graph is the policy's kernels.PlanGraph, shared across seeds; None gives
+    the run a fresh one. The random policy runs in lockstep.simulate_random.
     """
+    if policy not in PLACEMENT_MODES:
+        raise ValueError(f"simulate_run runs a learned policy {tuple(PLACEMENT_MODES)}, "
+                         f"not {policy!r}")
+    if graph is None:
+        graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
     realized: list[float] = []
     expected: list[float] = []
     remaining: list[int] = []
@@ -384,18 +386,8 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
     learners = init_learners(next(observations), users,
                              failure_bonus_scale=failure_bonus_scale,
                              failure_bonus_sign=failure_bonus_sign)
-    uniforms = _policy_uniforms(gt.rng_seed, catalog, slots) if policy == "random" else None
-    if graph is None and policy in PLACEMENT_MODES:
-        graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
     for t, obs in enumerate(observations, start=1):
-        if policy == "rtsd":
-            decision = rtsd_slot(network, catalog, learners, t, obs, weights, graph)
-        elif policy == "bandit":
-            decision = bandit_scheme_slot(network, catalog, learners, t, obs, weights, graph)
-        elif policy == "random":
-            decision = random_scheme_slot(network, catalog, t, obs, next(uniforms))
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
+        decision = learned_slot(learners, t, obs, weights, graph)
         _, total = realized_reward(weights, obs, decision, catalog)
         realized.append(total)
         expected.append(expected_slot_value(weights, gt, decision, catalog))
@@ -422,49 +414,45 @@ def _observations(gt, n_slots: int):
         yield from sample_slots(gt, t0, min(t0 + OBS_BLOCK_SLOTS, n_slots))
 
 
-def _policy_uniforms(seed: int, catalog: Catalog, slots: int):
-    """The random policy's uniforms of slots 1 .. slots, one list per slot."""
-    for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
-        yield from _policy_uniform_block(catalog, seed, t0,
-                                         min(t0 + OBS_BLOCK_SLOTS, slots + 1)).tolist()
-
-
-def _policy_uniform_block(catalog: Catalog, seed: int, t0: int, t1: int) -> np.ndarray:
-    """The random policy's uniforms of slots t0 .. t1-1 (t0 >= 1) as a (t1 - t0, W) array.
-
-    Slot t's are workload.policy_uniforms(seed, t, W): counter blocks
-    [t*B, (t+1)*B) of the policy domain, which one stream started at block
-    t0*B yields as consecutive rows of 4B doubles.
-    """
+def _batch_rows(network: EdgeNetwork, catalog: Catalog) -> int:
+    """Rows a batched path takes at once: LOCKSTEP_MAX_VALUES // (F + I + W + N)."""
     width, _ = catalog.uniform_layout
-    blocks = counter_blocks(width)
-    rng = slot_stream(seed, t0 * blocks, POLICY_DOMAIN)
-    return rng.random((t1 - t0, PHILOX_BLOCK_DOUBLES * blocks))[:, :width]
+    per_row = catalog.n_sfcs + catalog.n_vnfs + width + network.n_servers
+    return LOCKSTEP_MAX_VALUES // per_row
 
 
 def _seed_series(cfg: ExperimentConfig, network: EdgeNetwork, gts: list[GroundTruth],
-                 policy: str, graph: PlanGraph | None):
-    """simulate_run's series of each seed, in seed order.
+                 policy: str, graph: PlanGraph):
+    """simulate_run's series of each seed of a learned policy, in seed order.
 
-    Seeds go in groups of at most LOCKSTEP_MAX_VALUES // (F + I + W); a group
-    of at least LOCKSTEP_MIN_SEEDS seeds runs in lockstep, a smaller one seed
-    by seed.
+    Seeds go in groups of at most _batch_rows (and at least one); a group of
+    at least LOCKSTEP_MIN_SEEDS seeds runs in lockstep, a smaller one seed by
+    seed.
     """
     catalog = cfg.catalog
     kw = dict(users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
-              failure_bonus_sign=cfg.failure_bonus_sign)
-    width, _ = catalog.uniform_layout
-    size = max(1, LOCKSTEP_MAX_VALUES // (catalog.n_sfcs + catalog.n_vnfs + width))
+              failure_bonus_sign=cfg.failure_bonus_sign, graph=graph)
+    size = max(1, _batch_rows(network, catalog))
     for k in range(0, len(gts), size):
         group = gts[k:k + size]
         if len(group) < LOCKSTEP_MIN_SEEDS:
             for gt in group:
-                yield simulate_run(network, catalog, gt, cfg.weights, policy, cfg.slots,
-                                   graph=graph, **kw)
+                yield simulate_run(network, catalog, gt, cfg.weights, policy, cfg.slots, **kw)
             continue
-        uniforms = None if graph is not None else partial(_policy_uniform_block, catalog)
         yield from lockstep.simulate_seeds(network, catalog, group, cfg.weights, cfg.slots,
-                                           graph=graph, uniforms=uniforms, **kw)
+                                           **kw)
+
+
+def _random_series(cfg: ExperimentConfig, network: EdgeNetwork, gts: list[GroundTruth]):
+    """lockstep.simulate_random's series of each seed, in seed order.
+
+    Seeds go in groups whose blocks of up to OBS_BLOCK_SLOTS slots hold at
+    most _batch_rows (seed, slot) rows, and at least one seed.
+    """
+    size = max(1, _batch_rows(network, cfg.catalog) // min(cfg.slots, OBS_BLOCK_SLOTS))
+    for k in range(0, len(gts), size):
+        yield from lockstep.simulate_random(network, cfg.catalog, gts[k:k + size],
+                                            cfg.weights, cfg.slots)
 
 
 def _mean_std(values: list[float]) -> dict[str, float]:
@@ -488,10 +476,13 @@ def run(cfg: ExperimentConfig) -> RunResult:
         p: {"realized": [], "expected": [], "remaining": [], "deployed": []}
         for p in cfg.policies}
     for policy in cfg.policies:
-        # one plan graph per learned policy, shared by its seeds and dropped after them
-        mode = PLACEMENT_MODES.get(policy)
-        graph = None if mode is None else PlanGraph(network, catalog, mode)
-        for seed, series in zip(cfg.seeds, _seed_series(cfg, network, gts, policy, graph)):
+        if policy == "random":
+            seed_series = _random_series(cfg, network, gts)
+        else:
+            # one plan graph per learned policy, shared by its seeds and dropped after them
+            graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
+            seed_series = _seed_series(cfg, network, gts, policy, graph)
+        for seed, series in zip(cfg.seeds, seed_series):
             expected = series["expected"]
             trace["t"].extend(range(1, cfg.slots + 1))
             trace["policy"].extend([policy] * cfg.slots)

@@ -1,16 +1,14 @@
-"""Seed-lockstep simulator: every seed of one policy, advanced slot by slot.
+"""Batched simulators: many seeds, or many slots, per numpy operation.
 
-harness.run takes this path for a run of at least harness.LOCKSTEP_MIN_SEEDS
-seeds and calls harness.simulate_run once per seed below that. simulate_run
-is the definition: this module returns its series value for value, so a run
-writes the same trace whichever path it takes.
-
-Each stage of a slot except the selection kernel is a few numpy operations
-over all S seeds at once: the learners are (S, F) and (S, I) arrays, and the
-observations, the verification of the commits and the reward accounting work
-on (S, F), (S, I) and (S, N) arrays. The kernel stays kernels.slot_decide,
-once per seed on the policy's shared PlanGraph, and the random policy's
-placement stays policy.random_placement, once per seed.
+simulate_seeds advances every seed of a learned policy in lockstep, slot by
+slot; harness.run takes it for a run of at least harness.LOCKSTEP_MIN_SEEDS
+seeds, and harness.simulate_run, its definition, below that. The learners
+are (S, F) and (S, I) arrays, and every stage of a slot but the selection
+kernel (kernels.slot_decide, once per seed) is a few numpy operations over
+all S seeds. The random policy keeps no state across slots, so
+simulate_random takes whole blocks of (seed, slot) rows at once, for any
+seed count, and random_rows is its definition. Both hold their commits, as
+flat Records, to the eight conditions of policy.verify_decision in check.
 
 Exactness. Every float is computed by the expression learning.py and policy.py
 evaluate, one operation at a time: numpy's sqrt, division, multiplication
@@ -19,12 +17,12 @@ exactly as Python converts it. No 0/0 is computed: the updates divide only
 the arms numpy's where= selects, and the estimates divide an unexplored arm by
 2.0 and then discard it. A slot's realised reward is numpy's pairwise sum of a
 C-contiguous row, the sum policy.realized_reward takes of its per-chain
-array; the expected value adds each seed's terms in commit order, as
+array; the expected value adds each row's terms in commit order, as
 policy.expected_slot_value does.
 
-The stage functions (estimates, decide_learned, decide_random, verify_slot,
-slot_values, update) live at module level and are looked up as module globals
-every slot, so a profiler can wrap them.
+The stage functions (estimates, decide_learned, records_of, random_rows,
+check, slot_values, update) live at module level and are looked up as module
+globals on every call, so a profiler can wrap them.
 """
 
 from __future__ import annotations
@@ -38,10 +36,9 @@ import numpy as np
 
 from . import kernels
 from .learning import chain_failure_rate
-from .model import Catalog, EdgeNetwork
-from .policy import (InvariantViolation, RewardWeights, SlotDecision, random_placement,
-                     verify_decision)
-from .workload import OBS_BLOCK_SLOTS, GroundTruth, sample_arrays
+from .model import Catalog, EdgeNetwork, PlacementPlan
+from .policy import InvariantViolation, RewardWeights, SlotDecision, verify_decision
+from .workload import OBS_BLOCK_SLOTS, GroundTruth, policy_uniform_block, sample_arrays
 
 
 _PLAN_FIELDS = attrgetter("latency", "at_edge", "assignment")
@@ -78,7 +75,7 @@ class Layout:
                    capacities=np.array(network.capacities, dtype=np.int64),
                    demand=np.array(catalog.vnf_demand, dtype=np.int64),
                    chain_len=chain_len,
-                   chain_start=np.concatenate(([0], np.cumsum(chain_len)[:-1])).astype(np.int64),
+                   chain_start=(np.cumsum(chain_len) - chain_len).astype(np.int64),
                    chain_flat=np.array([i for chain in chains for i in chain], dtype=np.int64),
                    copies=copies,
                    uses=(copies > 0).astype(np.int64).T.copy())
@@ -119,21 +116,30 @@ class Learners:
 
 
 @dataclass(eq=False)
-class Commits:
-    """One slot's verified commits over all seeds.
+class Records:
+    """The commits of R rows (seeds of a slot, or (seed, slot) pairs) as flat arrays.
 
-    Record r, in seed order and within a seed in commit order, is seed
-    seed[r]'s commit of chain sfc[r] at latency[r]. x[s, f] is seed s's backup
-    vector, placed[s, i] its copies of VNF i, and residual[s] its capacity
-    left after the commits.
+    Record r commits chain sfc[r] in row row[r], in commit order within the
+    row, at latency[r], as an edge plan if at_edge[r], on the next positions[r]
+    entries of servers. residual[k] is the capacity row k says is left.
     """
 
-    seed: list[int]             # (R,)
-    sfc: np.ndarray             # (R,) int64
-    latency: np.ndarray         # (R,) float64
-    x: np.ndarray               # (S, F) bool
-    placed: np.ndarray          # (S, I) int64
-    residual: np.ndarray        # (S, N) int64
+    row: np.ndarray             # (C,) int64
+    sfc: np.ndarray             # (C,) int64
+    latency: np.ndarray         # (C,) float64
+    at_edge: np.ndarray         # (C,) bool
+    positions: np.ndarray       # (C,) int64
+    servers: np.ndarray         # (sum of positions,) int64
+    residual: np.ndarray        # (R, N) int64
+
+
+def _true_values(catalog: Catalog, gts: list[GroundTruth],
+                 weights: RewardWeights) -> tuple[np.ndarray, np.ndarray]:
+    """slot_values' value_true and gate_true, one row per seed in gts."""
+    value_true = np.array([[weights.omega * q for q in gt.popularity_list] for gt in gts])
+    gate_true = np.array([[1.0 - chain_failure_rate(catalog, gt.failure_rate_list, f)
+                           for f in range(catalog.n_sfcs)] for gt in gts])
+    return value_true, gate_true
 
 
 def observations(gts: list[GroundTruth], n_slots: int):
@@ -183,136 +189,185 @@ def decide_learned(graph: kernels.PlanGraph, q_rows: list, v_rows: list,
     return decided, residuals
 
 
-def uniform_rows(gts: list[GroundTruth], n_slots: int, draw):
-    """Slots 1 .. n_slots of the random policy's uniforms: per slot, the (S, W) array.
+def random_rows(layout: Layout, u: np.ndarray) -> Records:
+    """The random policy's commits in every row of u, an (R, W) array of slot uniforms.
 
-    draw(seed, t0, t1) returns one seed's (t1 - t0, W) uniforms of slots
-    t0 .. t1-1. Each seed draws OBS_BLOCK_SLOTS slots per call, straight into
-    the block's (slots, S, W) array.
+    Each row is one slot on a fresh residual, its uniforms in [0, 1) laid out
+    by Catalog.uniform_layout as (W, starts). Chains are attempted once each,
+    in ascending u[f], ties by id. Occurrence j of chain f goes to the server
+    at index int(u[starts[f] + j] * count) among the count servers, in id
+    order, whose residual, less what the chain's earlier occurrences took,
+    holds the VNF's demand; the hops' link latencies add up in position
+    order from 0.0. A chain commits only if every occurrence found room and
+    its latency is finite. This is the law of drawing each next chain
+    uniformly among those left and placing each occurrence on the first
+    server with room in a fresh uniform permutation of the servers.
+
+    The rows advance together, one step per chain rank and chain position.
     """
-    for t0 in range(1, n_slots + 1, OBS_BLOCK_SLOTS):
-        t1 = min(t0 + OBS_BLOCK_SLOTS, n_slots + 1)
-        out = None
-        for s, gt in enumerate(gts):
-            block = draw(gt.rng_seed, t0, t1)
-            if out is None:
-                out = np.empty((t1 - t0, len(gts), block.shape[1]))
-            out[:, s] = block
-        yield from out
+    n_rows = u.shape[0]
+    n_sfcs = layout.catalog.n_sfcs
+    lat = layout.network.latency_matrix
+    chain_len, chain_start, chain_flat = layout.chain_len, layout.chain_start, layout.chain_flat
+    longest = int(chain_len.max(initial=0))
+    last = max(chain_flat.shape[0] - 1, 0)
+    rows = np.arange(n_rows)
+    order = np.argsort(u[:, :n_sfcs], axis=1, kind="stable")
+    lengths = chain_len[order]                              # by rank
+    residual = np.repeat(layout.capacities[None, :], n_rows, axis=0)
+    committed = np.zeros((n_rows, n_sfcs), dtype=bool)     # by rank
+    latency = np.zeros((n_rows, n_sfcs))                    # by rank
+    spots = np.zeros((n_rows, n_sfcs, longest), dtype=np.int64)    # by rank and position
+    for k in range(n_sfcs):
+        length = lengths[:, k]
+        start = chain_start[order[:, k]]
+        room = residual.copy()
+        fitting = length > 0
+        lat_k = np.zeros(n_rows)
+        for j in range(longest):
+            active = fitting & (j < length)
+            pos = np.minimum(start + j, last)     # clamped where the chain is shorter
+            need = layout.demand[chain_flat[pos]]
+            count_to = np.cumsum(room >= need[:, None], axis=1)
+            count = count_to[:, -1]
+            idx = (u[rows, n_sfcs + pos] * count).astype(np.int64)
+            spot = np.argmax(count_to > idx[:, None], axis=1)
+            took = active & (count > 0)
+            fitting &= took | ~active
+            room[rows, spot] -= np.where(took, need, 0)
+            if j:
+                lat_k = np.where(took, lat_k + lat[spots[:, k, j - 1], spot], lat_k)
+            spots[:, k, j] = spot
+        fits = fitting & (lat_k < math.inf)
+        residual = np.where(fits[:, None], room, residual)
+        committed[:, k] = fits
+        latency[:, k] = lat_k
+
+    rec_row, rec_rank = np.nonzero(committed)
+    positions = lengths[rec_row, rec_rank]
+    # row-major: each row's commits in rank order, each commit's servers in chain order
+    taken = committed[:, :, None] & (np.arange(longest) < lengths[:, :, None])
+    return Records(row=rec_row, sfc=order[rec_row, rec_rank], latency=latency[rec_row, rec_rank],
+                   at_edge=np.ones(rec_row.shape[0], dtype=bool), positions=positions,
+                   servers=spots[taken], residual=residual)
 
 
-def decide_random(network: EdgeNetwork, catalog: Catalog,
-                  uniforms: np.ndarray) -> tuple[list, list]:
-    """policy.random_placement once per seed, on its row of the slot's (S, W) uniforms."""
-    decided = []
-    residuals = []
-    for u in uniforms.tolist():
-        deployed, residual = random_placement(network, catalog, u)
-        decided.append(deployed)
-        residuals.append(residual)
-    return decided, residuals
-
-
-def _first_violation(layout: Layout, t: int, seeds: list[int], decided: list,
-                     x: np.ndarray, placed: np.ndarray, residuals: list) -> InvariantViolation:
-    """The error of the first seed whose decision verify_decision rejects, with the seed.
-
-    Only called once the batched check has found a violation, so verify_decision
-    words every message the per-seed path would raise.
-    """
-    for s, (deployed, residual) in enumerate(zip(decided, residuals)):
-        decision = SlotDecision(t=t, deployed=deployed, x=x[s].astype(np.int64).tolist(),
-                                placed_counts=placed[s].tolist(), residual_after=residual)
-        try:
-            verify_decision(layout.network, layout.catalog, decision)
-        except InvariantViolation as exc:
-            return InvariantViolation(f"seed {seeds[s]}, {exc}")
-    return InvariantViolation(f"slot {t}: the batched check failed a slot that "
-                              f"verify_decision passes for every seed")
-
-
-def verify_slot(layout: Layout, t: int, seeds: list[int], decided: list,
-                residuals: list) -> Commits:
-    """Recount every seed's commits and check the eight conditions of verify_decision.
+def check(layout: Layout, rec: Records, label) -> tuple[np.ndarray, np.ndarray]:
+    """Recount every row's commits and check the eight conditions of verify_decision.
 
     No chain committed twice; no partial or cloud plan; no infinite latency;
     every server id in range; load within capacity; the residual equal to
     capacity minus load; x equal to the committed set; and the copies that
-    feed the failure update equal to the per-position recount. A violation
-    raises InvariantViolation for the first seed that has one, with
-    verify_decision's message and the seed.
+    feed the failure update equal to the per-position recount. label(k) is
+    row k's (seed, slot). Returns the (R, F) backup vectors x and the (R, I)
+    copies per VNF. A violation raises InvariantViolation for the first row
+    that has one, with verify_decision's message and the seed.
     """
-    n_seeds = len(decided)
+    n_rows, n_servers = rec.residual.shape
     n_sfcs = layout.catalog.n_sfcs
     n_vnfs = layout.catalog.n_vnfs
-    n_servers = layout.capacities.shape[0]
-    rec_seed = [s for s, deployed in enumerate(decided) for _ in deployed]
-    pairs = [pair for deployed in decided for pair in deployed]
-    rec_f, plans = zip(*pairs) if pairs else ((), ())
-    latency, at_edge, assigned = zip(*map(_PLAN_FIELDS, plans)) if pairs else ((), (), ())
-    seed_arr = np.array(rec_seed, dtype=np.int64)
-    f_arr = np.array(rec_f, dtype=np.int64)
-    n_assigned = np.fromiter(map(len, assigned), np.int64, len(assigned))
-    servers = np.fromiter(chain.from_iterable(assigned), np.int64)
+    row, sfc = rec.row, rec.sfc
 
     # the bookkeeping the learners read: x from the records, copies from x's chains
-    x = np.zeros((n_seeds, n_sfcs), dtype=bool)
-    x[seed_arr, f_arr] = True
-    commits = np.bincount(seed_arr * n_sfcs + f_arr,
-                          minlength=n_seeds * n_sfcs).reshape(n_seeds, n_sfcs)
+    x = np.zeros((n_rows, n_sfcs), dtype=bool)
+    x[row, sfc] = True
+    commits = np.bincount(row * n_sfcs + sfc, minlength=n_rows * n_sfcs).reshape(n_rows, n_sfcs)
     placed = commits @ layout.copies
 
-    # per record: committed once, a whole edge plan, finite latency, known servers
-    ok = (all(at_edge) and not any(map(math.isinf, latency))
-          and all(len(r) == n_servers for r in residuals))
-    if ok and pairs:
-        ok = (commits.max() <= 1 and servers.min() >= 0 and servers.max() < n_servers
-              and not (n_assigned != layout.chain_len[f_arr]).any())
-    if ok:
-        # every plan is whole, so its positions run its chain's VNFs in order
-        chains = layout.catalog.sfc_chain
-        vnfs = np.fromiter(chain.from_iterable(map(chains.__getitem__, rec_f)), np.int64,
-                           servers.shape[0])
-        pos_seed = np.repeat(seed_arr, n_assigned)
-        load = np.zeros(n_seeds * n_servers, dtype=np.int64)
-        np.add.at(load, pos_seed * n_servers + servers, layout.demand[vnfs])
-        load = load.reshape(n_seeds, n_servers)
-        recount = np.bincount(pos_seed * n_vnfs + vnfs,
-                              minlength=n_seeds * n_vnfs).reshape(n_seeds, n_vnfs)
-        residual = np.fromiter(chain.from_iterable(residuals), np.int64,
-                               n_seeds * n_servers).reshape(n_seeds, n_servers)
-        # per seed: load within capacity, residual, x and copies as recounted
-        ok = not ((load > layout.capacities).any()
-                  or (residual != layout.capacities - load).any()
-                  or (x != (commits > 0)).any()
-                  or (placed != recount).any())
-    if not ok:
-        raise _first_violation(layout, t, seeds, decided, x, placed, residuals)
-    return Commits(seed=rec_seed, sfc=f_arr, latency=np.array(latency, dtype=np.float64),
-                   x=x, placed=placed, residual=residual)
+    # per record: a whole edge plan at finite latency on known servers
+    pos_rec = np.repeat(np.arange(sfc.shape[0]), rec.positions)
+    known = rec.servers % n_servers      # in range, and equal to the id where it was
+    whole = (rec.at_edge & (rec.positions == layout.chain_len[sfc]) & ~np.isinf(rec.latency)
+             & (np.bincount(pos_rec[known != rec.servers], minlength=sfc.shape[0]) == 0))
+    # position p of a whole plan runs VNF chain_flat[p + shift]; known and the
+    # clamp keep the positions of the other plans, whose rows fail anyway, in range
+    shift = layout.chain_start[sfc] - (np.cumsum(rec.positions) - rec.positions)
+    vnfs = layout.chain_flat[np.minimum(np.arange(pos_rec.shape[0]) + shift[pos_rec],
+                                        max(layout.chain_flat.shape[0] - 1, 0))]
+    pos_row = row[pos_rec]
+    load = np.zeros(n_rows * n_servers, dtype=np.int64)
+    np.add.at(load, pos_row * n_servers + known, layout.demand[vnfs])
+    left = layout.capacities - load.reshape(n_rows, n_servers)
+    recount = np.bincount(pos_row * n_vnfs + vnfs,
+                          minlength=n_rows * n_vnfs).reshape(n_rows, n_vnfs)
+
+    # per row: load within capacity, and residual, x and copies as recounted
+    bad = ((left < 0) | (rec.residual != left)).any(axis=1)
+    bad |= (commits > 1).any(axis=1) | (x != (commits > 0)).any(axis=1)
+    bad |= (placed != recount).any(axis=1)
+    bad[row[~whole]] = True
+    if bad.any():
+        raise _violation(layout, rec, x, placed, int(bad.argmax()), label)
+    return x, placed
+
+
+def _violation(layout: Layout, rec: Records, x: np.ndarray, placed: np.ndarray,
+               k: int, label) -> InvariantViolation:
+    """Row k's error as verify_decision words it, with the row's seed in front."""
+    seed, t = label(k)
+    ends = np.cumsum(rec.positions).tolist()
+    deployed = []
+    for r in np.flatnonzero(rec.row == k).tolist():
+        f = int(rec.sfc[r])
+        assignment = tuple(rec.servers[ends[r] - int(rec.positions[r]):ends[r]].tolist())
+        deployed.append((f, PlacementPlan(sfc=f, assignment=assignment,
+                                          latency=float(rec.latency[r]),
+                                          at_edge=bool(rec.at_edge[r]))))
+    decision = SlotDecision(t=t, deployed=deployed, x=x[k].astype(np.int64).tolist(),
+                            placed_counts=placed[k].tolist(),
+                            residual_after=rec.residual[k].tolist())
+    try:
+        verify_decision(layout.network, layout.catalog, decision)
+    except InvariantViolation as exc:
+        return InvariantViolation(f"seed {seed}, {exc}")
+    return InvariantViolation(f"seed {seed}, slot {t}: the batched check failed a "
+                              f"decision that verify_decision passes")
+
+
+def records_of(decided: list, residuals: list, n_servers: int) -> Records:
+    """One slot's decisions as Records, one row per seed.
+
+    decided[s] lists seed s's (sfc, PlacementPlan) commits and residuals[s] its
+    residual list. A residual of the wrong length reads as -1 on every server,
+    which no load within capacity leaves.
+    """
+    pairs = [pair for deployed in decided for pair in deployed]
+    sfcs, plans = zip(*pairs) if pairs else ((), ())
+    latency, at_edge, assigned = zip(*map(_PLAN_FIELDS, plans)) if pairs else ((), (), ())
+    residual = np.fromiter(chain.from_iterable(r if len(r) == n_servers else [-1] * n_servers
+                                               for r in residuals),
+                           np.int64, len(residuals) * n_servers).reshape(-1, n_servers)
+    return Records(row=np.array([s for s, deployed in enumerate(decided) for _ in deployed],
+                                dtype=np.int64),
+                   sfc=np.array(sfcs, dtype=np.int64),
+                   latency=np.array(latency, dtype=np.float64),
+                   at_edge=np.array(at_edge, dtype=bool),
+                   positions=np.fromiter(map(len, assigned), np.int64, len(assigned)),
+                   servers=np.fromiter(chain.from_iterable(assigned), np.int64),
+                   residual=residual)
 
 
 def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,
-                failed: np.ndarray, commits: Commits, value_true: np.ndarray,
+                failed: np.ndarray, rec: Records, x: np.ndarray, value_true: np.ndarray,
                 gate_true: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """policy.realized_reward's totals and policy.expected_slot_value of every seed.
+    """policy.realized_reward's totals and policy.expected_slot_value of every row.
 
-    value_true[s, f] is omega times chain f's true popularity under seed s,
-    gate_true[s, f] one minus its worst true failure rate.
+    rec holds the rows' verified commits and x their backup vectors;
+    value_true[k, f] is omega times chain f's true popularity in row k,
+    gate_true[k, f] one minus its worst true failure rate.
     """
-    n_seeds, n_sfcs = commits.x.shape
-    seed = commits.seed
-    latency = np.zeros((n_seeds, n_sfcs))
-    latency[seed, commits.sfc] = commits.latency
-    survived = commits.x & ((failed @ layout.uses) == 0)
+    n_rows, n_sfcs = x.shape
+    row, sfc = rec.row, rec.sfc
+    latency = np.zeros((n_rows, n_sfcs))
+    latency[row, sfc] = rec.latency
+    survived = x & ((failed @ layout.uses) == 0)
     earned = np.where(survived, omega * requests - mu * latency, 0.0)
     realized = earned.sum(axis=1)       # numpy's pairwise sum of each row
 
-    terms = ((value_true[seed, commits.sfc] - mu * commits.latency)
-             * gate_true[seed, commits.sfc])
-    expected = [0.0] * n_seeds
-    for s, term in zip(seed, terms.tolist()):   # left to right, in commit order
-        expected[s] += term
+    terms = (value_true[row, sfc] - mu * rec.latency) * gate_true[row, sfc]
+    expected = [0.0] * n_rows
+    for k, term in zip(row.tolist(), terms.tolist()):   # left to right, in commit order
+        expected[k] += term
     return realized, expected
 
 
@@ -336,50 +391,67 @@ def simulate_seeds(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth
                    weights: RewardWeights, slots: int, *, users: int,
                    failure_bonus_scale: float | None = None,
                    failure_bonus_sign: int = 1,
-                   graph: kernels.PlanGraph | None = None,
-                   uniforms=None) -> list[dict[str, list]]:
+                   graph: kernels.PlanGraph) -> list[dict[str, list]]:
     """harness.simulate_run of every seed in gts, in lockstep; one series dict per seed.
 
-    A learned policy passes its PlanGraph, whose mode picks rtsd or bandit;
-    the random policy passes uniforms(seed, t0, t1), which draws one seed's
-    uniforms of slots t0 .. t1-1 as a (t1 - t0, W) array
-    (harness._policy_uniform_block).
+    graph is the learned policy's PlanGraph, whose mode picks rtsd or bandit.
     """
-    if (graph is None) == (uniforms is None):
-        raise ValueError("pass the plan graph of a learned policy or the random "
-                         "policy's uniforms, not both or neither")
     n_seeds = len(gts)
     layout = Layout.of(network, catalog)
     seeds = [gt.rng_seed for gt in gts]
     omega, mu = weights.omega, weights.mu
-    value_true = np.array([[omega * q for q in gt.popularity_list] for gt in gts])
-    gate_true = np.array([[1.0 - chain_failure_rate(catalog, gt.failure_rate_list, f)
-                           for f in range(catalog.n_sfcs)] for gt in gts])
-    learners = None
-    if graph is not None:
-        learners = Learners.fresh(n_seeds, catalog.n_sfcs, catalog.n_vnfs, users,
-                                  failure_bonus_scale, failure_bonus_sign)
+    value_true, gate_true = _true_values(catalog, gts, weights)
+    learners = Learners.fresh(n_seeds, catalog.n_sfcs, catalog.n_vnfs, users,
+                              failure_bonus_scale, failure_bonus_sign)
     realized = np.empty((slots, n_seeds))
     expected = np.empty((slots, n_seeds))
     remaining = np.empty((slots, n_seeds), dtype=np.int64)
     deployed = np.empty((slots, n_seeds), dtype=np.int64)
 
     drawn = observations(gts, slots + 1)
-    u_rows = None if uniforms is None else uniform_rows(gts, slots, uniforms)
     next(drawn)             # slot 0: simulate_run only snapshots it as estimates no slot reads
     for t, (requests, failed) in enumerate(drawn, start=1):
-        if learners is not None:
-            q_rows, v_rows = estimates(learners, t)
-            decided, residuals = decide_learned(graph, q_rows, v_rows, omega, mu)
-        else:
-            decided, residuals = decide_random(network, catalog, next(u_rows))
-        commits = verify_slot(layout, t, seeds, decided, residuals)
+        q_rows, v_rows = estimates(learners, t)
+        decided, residuals = decide_learned(graph, q_rows, v_rows, omega, mu)
+        rec = records_of(decided, residuals, network.n_servers)
+        x, placed = check(layout, rec, lambda k: (seeds[k], t))
         realized[t - 1], expected[t - 1] = slot_values(layout, omega, mu, requests, failed,
-                                                       commits, value_true, gate_true)
-        if learners is not None:
-            update(learners, requests, failed, commits.x, commits.placed)
-        remaining[t - 1] = commits.residual.sum(axis=1)
-        deployed[t - 1] = commits.x.sum(axis=1)
+                                                       rec, x, value_true, gate_true)
+        update(learners, requests, failed, x, placed)
+        remaining[t - 1] = rec.residual.sum(axis=1)
+        deployed[t - 1] = x.sum(axis=1)
     return [{"realized": r, "expected": e, "remaining": m, "deployed": d}
             for r, e, m, d in zip(realized.T.tolist(), expected.T.tolist(),
                                   remaining.T.tolist(), deployed.T.tolist())]
+
+
+def simulate_random(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
+                    weights: RewardWeights, slots: int) -> list[dict[str, list]]:
+    """The random policy's series of every seed in gts, as simulate_seeds returns them.
+
+    Each block of OBS_BLOCK_SLOTS slots is one set of (seed, slot) rows,
+    seed-major, that random_rows, check and slot_values take at once.
+    """
+    layout = Layout.of(network, catalog)
+    width, _ = catalog.uniform_layout
+    seeds = [gt.rng_seed for gt in gts]
+    value_true, gate_true = _true_values(catalog, gts, weights)
+    series = [{"realized": [], "expected": [], "remaining": [], "deployed": []} for _ in gts]
+    for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
+        t1 = min(t0 + OBS_BLOCK_SLOTS, slots + 1)
+        n = t1 - t0
+        rec = random_rows(layout, np.concatenate(
+            [policy_uniform_block(seed, t0, t1, width) for seed in seeds]))
+        x, _ = check(layout, rec, lambda k: (seeds[k // n], t0 + k % n))
+        requests, failed = zip(*(sample_arrays(gt, t0, t1) for gt in gts))
+        seed_of = np.repeat(np.arange(len(gts)), n)
+        realized, expected = slot_values(layout, weights.omega, weights.mu,
+                                         np.concatenate(requests), np.concatenate(failed),
+                                         rec, x, value_true[seed_of], gate_true[seed_of])
+        columns = {"realized": realized.tolist(), "expected": expected,
+                   "remaining": rec.residual.sum(axis=1).tolist(),
+                   "deployed": x.sum(axis=1).tolist()}
+        for s, out in enumerate(series):
+            for key, values in columns.items():
+                out[key].extend(values[s * n:(s + 1) * n])
+    return series

@@ -199,6 +199,8 @@ def validate_instance(network: EdgeNetwork, catalog: Catalog) -> list[str]:
                 problems.append(f"network is disconnected: server {node} unreachable from 0")
                 break
 
+    if catalog.n_sfcs == 0:
+        problems.append("catalog has no SFCs")
     for idx, d in enumerate(catalog.vnf_demand):
         if d < 0:
             problems.append(f"VNF {idx} demand is negative")

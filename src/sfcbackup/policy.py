@@ -1,19 +1,23 @@
-"""Per-slot backup policies and reward accounting.
+"""Per-slot learned policies, reward accounting and the decision checker.
 
-All three policies work on a fresh residual (capacity is reclaimed between
-slots) and never commit a plan with non-positive score (the learned ones) or
-an infinite latency (all of them). Learner updates happen inside the slot
-call, after deployment, using that slot's observation. The random policy
-draws nothing itself: it reads a fixed block of uniforms per slot, laid out
-by Catalog.uniform_layout and drawn from the policy key domain (see
-workload.policy_uniforms).
+All three policies work on a fresh residual every slot (capacity is
+reclaimed between slots) and never commit a plan with an infinite latency;
+the learned ones also never commit a non-positive score. learned_slot is
+one slot of a learned policy, rtsd or bandit, which differ only in the
+kernel's placement walk, carried by the kernels.PlanGraph they plan on.
+Learner updates happen inside the call, after deployment, using that slot's
+observation.
+
+The random policy keeps no state across slots, so it has no per-slot
+function: lockstep.random_rows defines it over whole blocks of (seed, slot)
+rows at once, and lockstep.check holds its commits to the conditions of
+verify_decision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +60,25 @@ class SlotDecision:
     residual_after: list[int]
 
 
-def _verified(network: EdgeNetwork, catalog: Catalog, t: int,
-              deployed: list[tuple[int, PlacementPlan]],
-              residual: list[int]) -> SlotDecision:
-    """Wrap a slot's commits as a SlotDecision, with x and placed_counts, and verify it."""
+def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
+                 obs: SlotObservation, weights: RewardWeights,
+                 graph: kernels.PlanGraph) -> SlotDecision:
+    """One slot of a learned policy: decide on the learners' optimistic estimates, then learn.
+
+    graph is the kernels.PlanGraph of the run's network, catalog and placement
+    walk: kernels.GREEDY, latency-aware, for rtsd and kernels.FIRST_FIT for
+    bandit. Kept across slots, it spares re-planning residual states the run
+    has seen. The kernel scores every remaining chain's plan, commits the
+    best positive score, re-plans and repeats; the decision is verified, and
+    the slot's observation then updates the learners for the deployed arms.
+    """
+    pop, fail = learners
+    q_est = popularity_estimate(pop, t)
+    v_est = failure_estimate(fail, t)
+    deployed: list[tuple[int, PlacementPlan]] = []
+    residual: list[int] = []
+    kernels.slot_decide(graph, q_est, v_est, weights.omega, weights.mu, deployed, residual)
+    catalog = graph.catalog
     x = [0] * catalog.n_sfcs
     placed = [0] * catalog.n_vnfs
     for f, _ in deployed:
@@ -68,136 +87,12 @@ def _verified(network: EdgeNetwork, catalog: Catalog, t: int,
             placed[i] += 1
     decision = SlotDecision(t=int(t), deployed=deployed, x=x, placed_counts=placed,
                             residual_after=residual)
-    verify_decision(network, catalog, decision)
-    return decision
-
-
-def _decide(graph: kernels.PlanGraph, q_est: list[float], v_est: list[float],
-            weights: RewardWeights, t: int) -> SlotDecision:
-    """Run the greedy selection kernel and wrap its output, verifying invariants."""
-    deployed: list[tuple[int, PlacementPlan]] = []
-    residual: list[int] = []
-    kernels.slot_decide(graph, q_est, v_est, weights.omega, weights.mu,
-                        deployed, residual)
-    return _verified(graph.network, graph.catalog, t, deployed, residual)
-
-
-def _plan_graph(network: EdgeNetwork, catalog: Catalog, mode: int,
-                graph: kernels.PlanGraph | None) -> kernels.PlanGraph:
-    """graph, checked to be the one for (network, catalog, mode); None gives a fresh one."""
-    if graph is None:
-        return kernels.PlanGraph(network, catalog, mode)
-    if graph.network is not network or graph.catalog is not catalog or graph.mode != mode:
-        raise ValueError("the plan graph belongs to another network, catalog or placement mode")
-    return graph
-
-
-def _learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
-                  obs: SlotObservation, weights: RewardWeights,
-                  graph: kernels.PlanGraph) -> SlotDecision:
-    """Decide on the learners' optimistic estimates, then learn from the slot.
-
-    graph carries the network, the catalog and the kernel's placement walk
-    (kernels.GREEDY or kernels.FIRST_FIT).
-    """
-    pop, fail = learners
-    q_est = popularity_estimate(pop, t)
-    v_est = failure_estimate(fail, t)
-    decision = _decide(graph, q_est, v_est, weights, t)
+    verify_decision(graph.network, catalog, decision)
     pop.request_ucb = q_est
     fail.failure_ucb = v_est
-    popularity_update(pop, obs, decision.x)
-    failure_update(fail, obs, decision.placed_counts)
+    popularity_update(pop, obs, x)
+    failure_update(fail, obs, placed)
     return decision
-
-
-def rtsd_slot(network: EdgeNetwork, catalog: Catalog,
-              learners: tuple[PopularityLearner, FailureLearner], t: int,
-              obs: SlotObservation,
-              weights: RewardWeights = RewardWeights(),
-              graph: kernels.PlanGraph | None = None) -> SlotDecision:
-    """Learned greedy selection with latency-aware placement.
-
-    Scores every remaining chain's greedy plan with the current optimistic
-    estimates, commits the best positive score, re-plans, repeats; then folds
-    the slot's observation back into the learners for the deployed arms.
-    graph is a kernels.PlanGraph of (network, catalog, GREEDY) kept across
-    slots, so that repeated residual states are not re-planned; None plans
-    on a fresh one.
-    """
-    return _learned_slot(learners, t, obs, weights,
-                         _plan_graph(network, catalog, kernels.GREEDY, graph))
-
-
-def bandit_scheme_slot(network: EdgeNetwork, catalog: Catalog,
-                       learners: tuple[PopularityLearner, FailureLearner], t: int,
-                       obs: SlotObservation,
-                       weights: RewardWeights = RewardWeights(),
-                       graph: kernels.PlanGraph | None = None) -> SlotDecision:
-    """Same learners and greedy selection as rtsd_slot, but first-fit placement.
-
-    graph, if given, is a kernels.PlanGraph of (network, catalog, FIRST_FIT).
-    """
-    return _learned_slot(learners, t, obs, weights,
-                         _plan_graph(network, catalog, kernels.FIRST_FIT, graph))
-
-
-def random_scheme_slot(network: EdgeNetwork, catalog: Catalog, t: int,
-                       obs: SlotObservation, u: Sequence[float]) -> SlotDecision:
-    """No learning: random SFC order, each occurrence on a random server with room.
-
-    Each SFC is attempted once per slot; an attempt places every occurrence
-    and commits only if the whole chain fits at the edge at finite latency.
-    u holds the slot's W uniforms in [0, 1), laid out by
-    catalog.uniform_layout (harness.simulate_run and workload.policy_uniforms
-    draw them). Chains are attempted in ascending u[f], ties by id.
-    Occurrence j of chain f takes fits[int(u[starts[f] + j] * len(fits))],
-    where fits lists, in id order, the servers whose residual, less what the
-    chain's earlier occurrences took, still holds the VNF's demand.
-
-    This is the law of picking each next chain uniformly among those not yet
-    attempted and placing each occurrence on the first server with room in a
-    fresh uniform permutation of the servers. Popping a uniform index from
-    the remaining candidates gives a uniform order, as does ranking i.i.d.
-    uniforms; and the first qualified server of a fresh uniform permutation
-    is uniform over the qualified set, independently of earlier draws.
-    """
-    deployed, residual = random_placement(network, catalog, u)
-    return _verified(network, catalog, t, deployed, residual)
-
-
-def random_placement(network: EdgeNetwork, catalog: Catalog, u: Sequence[float]
-                     ) -> tuple[list[tuple[int, PlacementPlan]], list[int]]:
-    """random_scheme_slot's commits, unverified: (deployed, residual after them)."""
-    lat = network.latency_rows
-    demands = catalog.vnf_demand
-    _, starts = catalog.uniform_layout
-    residual = list(network.capacities)
-    deployed: list[tuple[int, PlacementPlan]] = []
-
-    for f in sorted(range(catalog.n_sfcs), key=u.__getitem__):
-        chain = catalog.sfc_chain[f]
-        base = starts[f]
-        room = residual[:]
-        assign: list[int] = []
-        latency = 0.0
-        for j, i in enumerate(chain):
-            need = demands[i]
-            fits = [s for s, r in enumerate(room) if r >= need]
-            if not fits:
-                break
-            # u < 1, so the index stays below len(fits)
-            spot = fits[int(u[base + j] * len(fits))]
-            if assign:
-                latency += lat[assign[-1]][spot]
-            assign.append(spot)
-            room[spot] -= need
-        if not chain or len(assign) < len(chain) or math.isinf(latency):
-            continue
-        residual = room
-        deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign),
-                                          latency=latency, at_edge=True)))
-    return deployed, residual
 
 
 def realized_reward(weights: RewardWeights, obs: SlotObservation,

@@ -8,8 +8,8 @@ observation sequence no matter which or how many policies run.
 
 The environment's slot streams are not independent: Philox advances the
 counter once per four doubles, so slot t's stream is slot t-1's shifted by
-SLOT_STRIDE draws and consecutive slots share most of their uniforms. Open
-item 2 of ROADMAP.md ("Independent per-slot random streams") removes the
+SLOT_STRIDE draws and consecutive slots share most of their uniforms. The
+ROADMAP.md item "Independent per-slot environment streams" removes the
 overlap. sample_arrays relies on the same shift to draw a range of slots at
 once.
 
@@ -35,8 +35,9 @@ POLICY_DOMAIN = 1
 PHILOX_BLOCK_DOUBLES = 4
 
 # Doubles between the starts of consecutive slots' environment streams. Slots
-# that draw more than this many uniforms overlap their successors; ROADMAP.md
-# open item 2 moves the stride to a non-overlapping 4 * ceil(D / 4).
+# that draw more than this many uniforms overlap their successors; the ROADMAP.md
+# item "Independent per-slot environment streams" moves the stride to a
+# non-overlapping 4 * ceil(D / 4).
 SLOT_STRIDE = PHILOX_BLOCK_DOUBLES
 
 # The simulators draw observations and random-policy uniforms this many slots
@@ -201,10 +202,20 @@ def policy_uniforms(seed: int, t: int, width: int) -> list[float]:
     """Slot t's width policy-domain uniforms, from counter blocks [t*B, (t+1)*B).
 
     B = counter_blocks(width), so no two slots share a draw. Pure in
-    (seed, t, width); harness._policy_uniform_block draws the same values for
-    many slots at once.
+    (seed, t, width).
     """
-    return slot_stream(seed, t * counter_blocks(width), POLICY_DOMAIN).random(width).tolist()
+    return policy_uniform_block(seed, t, t + 1, width)[0].tolist()
+
+
+def policy_uniform_block(seed: int, t0: int, t1: int, width: int) -> np.ndarray:
+    """policy_uniforms of slots t0 .. t1-1 as a (t1 - t0, width) array, from one stream.
+
+    Slot t owns counter blocks [t*B, (t+1)*B), so one stream started at block
+    t0*B yields the slots as consecutive rows of 4B doubles.
+    """
+    blocks = counter_blocks(width)
+    rng = slot_stream(seed, t0 * blocks, POLICY_DOMAIN)
+    return rng.random((t1 - t0, PHILOX_BLOCK_DOUBLES * blocks))[:, :width]
 
 
 def sample_arrays(gt: GroundTruth, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,20 +1,29 @@
-"""Unpruned reference definitions of the slot kernels, for the tests.
+"""Reference definitions of the slot kernels and the random policy, for the tests.
 
-These are the selection loop and the two chain walks as the definition reads:
-every round plans every remaining chain against the live residual, and the
-strictly best positive score is committed, ties to the smallest SFC id. They
-run on int64/float64 numpy arrays, with chains flattened as (chain_vnf,
-chain_start) and neighbors as a padded (ids, count) table; the array walks
-fill an assignment buffer and return the latency, +inf where the chain does
-not fit at the edge. sfcbackup.kernels, which prunes the loop, keeps plans
-in a plan graph and works on Python lists, is tested against them.
+The selection loop and the two chain walks are written as the definition
+reads: every round plans every remaining chain against the live residual,
+and the strictly best positive score is committed, ties to the smallest SFC
+id. They run on int64/float64 numpy arrays, with chains flattened as
+(chain_vnf, chain_start) and neighbors as a padded (ids, count) table; the
+array walks fill an assignment buffer and return the latency, +inf where the
+chain does not fit at the edge. sfcbackup.kernels, which prunes the loop,
+keeps plans in a plan graph and works on Python lists, is tested against
+them. get_consumption plans one chain with the greedy walk.
+
+random_placement is the random policy one slot at a time, as a loop over
+Python lists; sfcbackup.lockstep.random_rows, which decides many slots at
+once on numpy arrays, is tested against it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from sfcbackup import kernels, lockstep
 from sfcbackup.kernels import GREEDY
+from sfcbackup.model import PlacementPlan, cheapest_link_anchor
 
 
 def chain_arrays(catalog) -> tuple[np.ndarray, np.ndarray]:
@@ -183,3 +192,88 @@ def slot_decide_array(mode, caps, demands, chain_vnf, chain_start, nbr_ids,
         order_out[n_committed] = best_f
         n_committed += 1
     return n_committed
+
+
+def cloud_plan(f: int) -> PlacementPlan:
+    return PlacementPlan(sfc=int(f), assignment=(), latency=math.inf, at_edge=False)
+
+
+def get_consumption(network, catalog, residual, f: int) -> PlacementPlan:
+    """Plan SFC f's chain with the greedy walk; cloud verdict when it dead-ends.
+
+    The walk starts at the cheapest link's larger-residual endpoint, keeps
+    packing the current server while its effective residual lasts, and
+    otherwise hops to the cheapest direct neighbor that fits. A chain that
+    fits inside any single pool co-locates there outright (latency 0 is
+    already optimal). Nothing here changes residual.
+    """
+    chain = catalog.sfc_chain[f]
+    if len(chain) == 0:
+        return cloud_plan(f)
+    res = np.asarray(residual, dtype=np.int64).tolist()
+    latency, assign = kernels.greedy_chain_walk(
+        res, sorted(res), catalog.vnf_demand, chain, network.neighbor_lists,
+        network.latency_rows, cheapest_link_anchor(network, res),
+    )
+    if latency == math.inf:
+        return cloud_plan(f)
+    return PlacementPlan(sfc=int(f), assignment=assign, latency=latency, at_edge=True)
+
+
+def random_placement(network, catalog, u) -> tuple[list[tuple[int, PlacementPlan]], list[int]]:
+    """One random-policy slot on u, its W uniforms: (deployed in commit order, residual after).
+
+    Chains are attempted in ascending u[f], ties by id. Occurrence j of chain
+    f takes fits[int(u[starts[f] + j] * len(fits))], where fits lists, in id
+    order, the servers whose residual, less what the chain's earlier
+    occurrences took, still holds the VNF's demand. A chain commits only if
+    every occurrence fits and its latency is finite.
+    """
+    lat = network.latency_rows
+    demands = catalog.vnf_demand
+    _, starts = catalog.uniform_layout
+    residual = list(network.capacities)
+    deployed: list[tuple[int, PlacementPlan]] = []
+
+    for f in sorted(range(catalog.n_sfcs), key=u.__getitem__):
+        chain = catalog.sfc_chain[f]
+        base = starts[f]
+        room = residual[:]
+        assign: list[int] = []
+        latency = 0.0
+        for j, i in enumerate(chain):
+            need = demands[i]
+            fits = [s for s, r in enumerate(room) if r >= need]
+            if not fits:
+                break
+            # u < 1, so the index stays below len(fits)
+            spot = fits[int(u[base + j] * len(fits))]
+            if assign:
+                latency += lat[assign[-1]][spot]
+            assign.append(spot)
+            room[spot] -= need
+        if not chain or len(assign) < len(chain) or math.isinf(latency):
+            continue
+        residual = room
+        deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign),
+                                          latency=latency, at_edge=True)))
+    return deployed, residual
+
+
+def unpack_rows(rec, n_rows: int) -> list[tuple[list, list[int]]]:
+    """lockstep.Records as random_placement's output: one (deployed, residual) pair per row."""
+    out = [([], rec.residual[k].tolist()) for k in range(n_rows)]
+    ends = np.cumsum(rec.positions).tolist()
+    for r, (k, f) in enumerate(zip(rec.row.tolist(), rec.sfc.tolist())):
+        assignment = tuple(rec.servers[ends[r] - int(rec.positions[r]):ends[r]].tolist())
+        out[k][0].append((f, PlacementPlan(sfc=f, assignment=assignment,
+                                           latency=float(rec.latency[r]),
+                                           at_edge=bool(rec.at_edge[r]))))
+    return out
+
+
+def random_slots(network, catalog, u) -> list[tuple[list, list[int]]]:
+    """lockstep.random_rows on the rows of u, in one call, unpacked row by row."""
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    return unpack_rows(lockstep.random_rows(lockstep.Layout.of(network, catalog), u),
+                       u.shape[0])

@@ -15,17 +15,21 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sfcbackup import (Catalog, EdgeNetwork, SlotObservation, apply_overrides,
-                       bandit_scheme_slot, default_config_path, emit,
-                       failure_estimate, failure_update, get_consumption,
-                       init_learners, load_config, make_ground_truth,
-                       optimal_chain_latency, popularity_estimate,
-                       policy_uniforms, popularity_update, random_scheme_slot,
-                       rtsd_slot, run, sample_slots)
+                       default_config_path, emit, failure_estimate, failure_update,
+                       init_learners, learned_slot, load_config, lockstep,
+                       make_ground_truth, optimal_chain_latency, popularity_estimate,
+                       popularity_update, run, sample_slots)
+from sfcbackup.harness import PLACEMENT_MODES
+from sfcbackup.kernels import GREEDY, PlanGraph
+from sfcbackup.workload import policy_uniform_block
+
+from reference_kernels import get_consumption, unpack_rows
 
 
 def report(name: str, ok: bool, details: str) -> str:
@@ -143,10 +147,11 @@ def test_04_capacity_sweep(capacity_sweep) -> None:
 def test_05_per_slot_invariants(canonical) -> None:
     """Capacity safety and completeness coupling, re-derived from raw plans.
 
-    Every slot of every experiment already passes verify_decision inside the
-    policy layer (an InvariantViolation aborts the run), so the headline runs
-    enforce this by construction. Here a replay of the first three seeds
-    recomputes both invariants from the committed assignments alone.
+    Every slot of every experiment already passes verify_decision, or for the
+    random policy lockstep.check, its batched form (an InvariantViolation
+    aborts the run), so the headline runs enforce this by construction. Here
+    a replay of the first three seeds recomputes both invariants from the
+    committed assignments alone.
     """
     cfg, _, _ = canonical
     network = cfg.network
@@ -154,23 +159,30 @@ def test_05_per_slot_invariants(canonical) -> None:
     caps = np.asarray(network.capacities)
     demands = catalog.vnf_demand
     checked = 0
+    layout = lockstep.Layout.of(network, catalog)
     for policy in cfg.policies:
         for seed in cfg.seeds[:3]:
-            gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
-                                   catalog.n_sfcs, seed)
-            observations = sample_slots(gt, 0, cfg.slots + 1)
-            learners = init_learners(observations[0], cfg.users,
-                                     failure_bonus_scale=cfg.failure_bonus_scale,
-                                     failure_bonus_sign=cfg.failure_bonus_sign)
-            for t in range(1, cfg.slots + 1):
-                obs = observations[t]
-                if policy == "rtsd":
-                    d = rtsd_slot(network, catalog, learners, t, obs, cfg.weights)
-                elif policy == "bandit":
-                    d = bandit_scheme_slot(network, catalog, learners, t, obs, cfg.weights)
-                else:
-                    u = policy_uniforms(gt.rng_seed, t, catalog.uniform_layout[0])
-                    d = random_scheme_slot(network, catalog, t, obs, u)
+            if policy == "random":
+                # the random policy decides every slot of the seed in one call
+                u = policy_uniform_block(seed, 1, cfg.slots + 1, catalog.uniform_layout[0])
+                rec = lockstep.random_rows(layout, u)
+                xs, placed = lockstep.check(layout, rec, lambda k: (seed, k + 1))
+                decisions = [SimpleNamespace(deployed=deployed, residual_after=residual,
+                                             x=x, placed_counts=copies)
+                             for (deployed, residual), x, copies
+                             in zip(unpack_rows(rec, cfg.slots), xs.astype(int).tolist(),
+                                    placed.tolist())]
+            else:
+                gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
+                                       catalog.n_sfcs, seed)
+                observations = sample_slots(gt, 0, cfg.slots + 1)
+                learners = init_learners(observations[0], cfg.users,
+                                         failure_bonus_scale=cfg.failure_bonus_scale,
+                                         failure_bonus_sign=cfg.failure_bonus_sign)
+                graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
+                decisions = [learned_slot(learners, t, observations[t], cfg.weights, graph)
+                             for t in range(1, cfg.slots + 1)]
+            for d in decisions:
                 load = np.zeros(network.n_servers, dtype=np.int64)
                 placed = np.zeros(catalog.n_vnfs, dtype=np.int64)
                 covered = set()
@@ -261,10 +273,11 @@ def test_06_learner_replay_exactness() -> None:
     pop, fail = init_learners(observations[0], cfg.users,
                               failure_bonus_scale=cfg.failure_bonus_scale,
                               failure_bonus_sign=cfg.failure_bonus_sign)
+    graph = PlanGraph(cfg.network, cfg.catalog, GREEDY)
     history = []
     for t in range(1, slots + 1):
         obs = observations[t]
-        d = rtsd_slot(cfg.network, cfg.catalog, (pop, fail), t, obs, cfg.weights)
+        d = learned_slot((pop, fail), t, obs, cfg.weights, graph)
         history.append((obs, d.x.copy(), d.placed_counts.copy()))
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
                                            fail.bonus_scale, fail.bonus_sign))

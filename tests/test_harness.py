@@ -14,15 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
-                       harness, load_config, make_ground_truth, policy_uniforms,
-                       random_scheme_slot, run, sample_slots, simulate_run,
-                       validate_instance)
+from sfcbackup import (ConfigError, SlotDecision, apply_overrides, default_config_path,
+                       emit, expected_slot_value, harness, load_config, lockstep,
+                       make_ground_truth, policy_uniforms, realized_reward, run,
+                       sample_slots, simulate_run, validate_instance, verify_decision)
 from sfcbackup.cli import main
 from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
-                               OBS_BLOCK_SLOTS, POLICY_ORDER, parse_policies,
-                               parse_seeds)
+                               OBS_BLOCK_SLOTS, PLACEMENT_MODES, POLICY_ORDER,
+                               parse_policies, parse_seeds)
 from sfcbackup.kernels import PlanGraph
+
+from reference_kernels import random_placement
 
 
 def tiny_config(**extra) -> dict:
@@ -63,6 +65,10 @@ def test_parse_policies_forms() -> None:
         parse_policies("greedy")
     with pytest.raises(ConfigError):
         parse_policies([])
+    # every name is checked, also after "all"
+    for spec in (["all", "bogus"], ["rtsd", "bogus"]):
+        with pytest.raises(ConfigError, match="unknown policy 'bogus'"):
+            parse_policies(spec)
 
 
 def test_bundled_config_loads_clean() -> None:
@@ -133,7 +139,7 @@ def test_simulate_run_shapes_and_determinism() -> None:
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 3)
     kw = dict(users=cfg.users, failure_bonus_scale=1.0, failure_bonus_sign=-1)
-    for policy in POLICY_ORDER:
+    for policy in PLACEMENT_MODES:
         a = simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy,
                          25, **kw)
         b = simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy,
@@ -146,37 +152,53 @@ def test_simulate_run_shapes_and_determinism() -> None:
             assert a[key] == b[key]
         assert all(v >= 0 for v in a["remaining"])
         assert all(v >= 0 for v in a["deployed"])
-    with pytest.raises(ValueError):
-        simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, "nope", 5,
-                     users=cfg.users)
+    # the random policy runs in lockstep.simulate_random
+    for policy in ("nope", "random"):
+        with pytest.raises(ValueError, match=repr(policy)):
+            simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy, 5,
+                         users=cfg.users)
 
 
-def test_random_run_draws_each_slot_from_its_own_counter_blocks(
-        monkeypatch: pytest.MonkeyPatch) -> None:
+def reference_random_series(cfg, gt, slots: int) -> dict[str, list]:
+    """One seed's random-policy series, slot by slot, from the per-slot definitions.
+
+    Slot t places with reference_kernels.random_placement on
+    policy_uniforms(seed, t, W), and realized_reward and expected_slot_value
+    value its verified decision.
+    """
+    catalog = cfg.catalog
+    width, _ = catalog.uniform_layout
+    out = {"realized": [], "expected": [], "remaining": [], "deployed": []}
+    for t, obs in enumerate(sample_slots(gt, 1, slots + 1), start=1):
+        deployed, residual = random_placement(cfg.network, catalog,
+                                              policy_uniforms(gt.rng_seed, t, width))
+        x = [0] * catalog.n_sfcs
+        placed = [0] * catalog.n_vnfs
+        for f, _ in deployed:
+            x[f] = 1
+            for i in catalog.sfc_chain[f]:
+                placed[i] += 1
+        decision = SlotDecision(t=t, deployed=deployed, x=x, placed_counts=placed,
+                                residual_after=residual)
+        verify_decision(cfg.network, catalog, decision)
+        out["realized"].append(realized_reward(cfg.weights, obs, decision, catalog)[1])
+        out["expected"].append(expected_slot_value(cfg.weights, gt, decision, catalog))
+        out["remaining"].append(sum(residual))
+        out["deployed"].append(len(deployed))
+    return out
+
+
+def test_random_run_draws_each_slot_from_its_own_counter_blocks() -> None:
     cfg = load_config(tiny_config())
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 8)
-    decided = []
-
-    def record(*args):
-        decision = random_scheme_slot(*args)
-        decided.append(decision)
-        return decision
-
-    monkeypatch.setattr(harness, "random_scheme_slot", record)
     slots = OBS_BLOCK_SLOTS + 44       # crosses one block of drawn slots
-    simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, "random", slots,
-                 users=cfg.users)
-    assert len(decided) == slots
-    width, _ = cfg.catalog.uniform_layout
-    observations = sample_slots(gt, 0, slots + 1)
-    for t, ours in enumerate(decided, start=1):
-        ref = random_scheme_slot(cfg.network, cfg.catalog, t, observations[t],
-                                 policy_uniforms(gt.rng_seed, t, width))
-        assert ours.t == t
-        assert [(f, p.assignment, p.latency) for f, p in ours.deployed] == \
-               [(f, p.assignment, p.latency) for f, p in ref.deployed]
-        assert ours.residual_after == ref.residual_after
+    [series] = lockstep.simulate_random(cfg.network, cfg.catalog, [gt], cfg.weights, slots)
+    for key, kind in (("realized", float), ("expected", float),
+                      ("remaining", int), ("deployed", int)):
+        assert all(type(v) is kind for v in series[key])
+    assert series == reference_random_series(cfg, gt, slots)
+    assert any(series["deployed"])
 
 
 def test_run_emits_one_row_per_policy_seed_slot() -> None:
@@ -420,6 +442,11 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
                        "failure_mean": [0.05, 0.1, 0.02]}}, []),
     ({}, ["--seed", "0..1000000000"]),
     ({}, ["--users", "10000000000"]),
+    ({"policies": ["all", "bogus"]}, []),
+    ({"policies": ["rtsd", "bogus"]}, []),
+    ({"catalog": {"vnf_demand": [], "sfc_chain": []},
+      "ground_truth": {"request_prob": 0.5, "failure_mean": []}}, []),
+    ({"catalog": {"vnf_demand": [2 ** 63, 3, 2], "sfc_chain": [[0, 1], [2, 2], [1]]}}, []),
 ], ids=["users-string", "two-element-link", "fractional-slots", "omega-inf-string",
         "nan-failure-mean", "fractional-capacity", "int64-overflowing-capacity",
         "fractional-link-endpoint", "string-latency", "overflowing-latency",
@@ -428,7 +455,9 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
         "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf",
         "users-flag-past-int64", "seed-range-past-64-bits", "seed-range-past-maxsize",
         "users-past-int64", "bool-failure-mean", "string-request-prob", "bool-request-prob",
-        "seed-range-past-max-seeds", "users-flag-past-request-draws"])
+        "seed-range-past-max-seeds", "users-flag-past-request-draws",
+        "unknown-policy-after-all", "unknown-policy", "empty-catalog",
+        "int64-overflowing-demand"])
 def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFixture,
                                        extra: dict, flags: list[str]) -> None:
     cfg_path = write_config(tmp_path, **extra)
@@ -457,6 +486,9 @@ def test_config_errors_name_the_field() -> None:
     with pytest.raises(ConfigError, match=r"ground_truth\.request_prob\[0\]\[1\] must be a number, got '0\.1'"):
         load_config(tiny_config(ground_truth={"request_prob": [[0.8, "0.1", 0.3]] * 5,
                                               "failure_mean": [0.05, 0.1, 0.02]}))
+    with pytest.raises(ConfigError, match=r"bad instance: catalog has no SFCs"):
+        load_config(tiny_config(catalog={"vnf_demand": [], "sfc_chain": []},
+                                ground_truth={"request_prob": 0.5, "failure_mean": []}))
     with pytest.raises(ConfigError, match=r"users must be at most 2\*\*63 - 1"):
         load_config(tiny_config(users=2 ** 63))
     # three chains: users x n_sfcs passes the per-slot request draws one past this

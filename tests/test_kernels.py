@@ -12,8 +12,8 @@ from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_wal
                                greedy_chain_walk, slot_decide)
 from sfcbackup.harness import PLACEMENT_MODES, _observations
 from sfcbackup.learning import init_learners
-from sfcbackup.policy import bandit_scheme_slot, rtsd_slot
-from sfcbackup.workload import make_ground_truth, sample_slot
+from sfcbackup.policy import learned_slot
+from sfcbackup.workload import make_ground_truth
 
 from reference_kernels import (chain_arrays, first_fit_chain_walk_array,
                                greedy_chain_walk_array, neighbor_table,
@@ -251,8 +251,8 @@ def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
     slots = 50
-    for policy, slot_fn in (("rtsd", rtsd_slot), ("bandit", bandit_scheme_slot)):
-        shared = PlanGraph(net, cat, PLACEMENT_MODES[policy])
+    for mode in PLACEMENT_MODES.values():
+        shared = PlanGraph(net, cat, mode)
         for seed in range(1, 31):
             gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                                    cat.n_sfcs, seed)
@@ -262,7 +262,8 @@ def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
                 learners = init_learners(observations[0], cfg.users,
                                          failure_bonus_scale=cfg.failure_bonus_scale,
                                          failure_bonus_sign=cfg.failure_bonus_sign)
-                runs.append([slot_fn(net, cat, learners, t, obs, cfg.weights, graph)
+                runs.append([learned_slot(learners, t, obs, cfg.weights,
+                                          graph or PlanGraph(net, cat, mode))
                              for t, obs in enumerate(observations[1:], start=1)])
             for a, b in zip(*runs):
                 assert a.deployed == b.deployed
@@ -320,13 +321,7 @@ def test_slot_decide_is_idempotent_on_outputs() -> None:
 
 
 def test_plan_graph_checks_its_owner() -> None:
+    # the plan graph carries its network and catalog, so only its mode can be wrong
     cfg = load_config(default_config_path())
-    net, cat = cfg.network, cfg.catalog
     with pytest.raises(ValueError, match="placement mode"):
-        PlanGraph(net, cat, 7)
-    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 1)
-    learners = init_learners(sample_slot(gt, 0), cfg.users)
-    obs = sample_slot(gt, 1)
-    for graph in (PlanGraph(net, cat, FIRST_FIT), PlanGraph(net.scaled(1.0), cat, GREEDY)):
-        with pytest.raises(ValueError, match="another network"):
-            rtsd_slot(net, cat, learners, 1, obs, cfg.weights, graph)
+        PlanGraph(cfg.network, cfg.catalog, 7)

@@ -1,8 +1,12 @@
-"""The seed-lockstep path of harness.run against the per-seed simulate_run path.
+"""The batched simulators of harness.run against their one-seed and one-slot definitions.
 
-A run of at least LOCKSTEP_MIN_SEEDS seeds advances them together
-(sfcbackup.lockstep); a single-seed run always takes the per-seed path, so
-the concatenation of single-seed runs is the reference for every column.
+A learned policy's run of at least LOCKSTEP_MIN_SEEDS seeds advances them
+together (lockstep.simulate_seeds); a single-seed run always takes the
+per-seed path, so the concatenation of single-seed runs is the reference for
+every column. The random policy runs in lockstep.simulate_random for every
+seed count: its run must equal the concatenation of its single-seed runs,
+and lockstep.random_rows must equal reference_kernels.random_placement row
+by row.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (InvariantViolation, SlotObservation, apply_overrides,
-                       default_config_path, failure_estimate, failure_update, harness,
-                       init_learners, kernels, load_config, lockstep,
-                       popularity_estimate, popularity_update, run)
-from sfcbackup.harness import CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, POLICY_ORDER
+from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, SlotObservation,
+                       apply_overrides, default_config_path, failure_estimate,
+                       failure_update, harness, init_learners, kernels, load_config,
+                       lockstep, popularity_estimate, popularity_update, run)
+from sfcbackup.harness import CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, PLACEMENT_MODES
+
+from reference_kernels import random_placement, unpack_rows
 
 
 def per_seed_reference(cfg):
@@ -66,8 +72,9 @@ def assert_matches_per_seed(cfg, monkeypatch) -> None:
 
 
 def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
-    calls = {"lockstep": 0, "per_seed": 0}
+    calls = {"lockstep": 0, "per_seed": 0, "random": 0}
     real_lockstep, real_simulate = lockstep.simulate_seeds, harness.simulate_run
+    real_random = lockstep.simulate_random
 
     def batched(*args, **kwargs):
         calls["lockstep"] += 1
@@ -77,19 +84,26 @@ def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
         calls["per_seed"] += 1
         return real_simulate(*args, **kwargs)
 
+    def random_policy(*args, **kwargs):
+        calls["random"] += 1
+        return real_random(*args, **kwargs)
+
     monkeypatch.setattr(lockstep, "simulate_seeds", batched)
     monkeypatch.setattr(harness, "simulate_run", single)
+    monkeypatch.setattr(lockstep, "simulate_random", random_policy)
     cfg = load_config(default_config_path())
+    learned = len(PLACEMENT_MODES)
     run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS}"))
-    assert calls == {"lockstep": len(POLICY_ORDER), "per_seed": 0}
+    assert calls == {"lockstep": learned, "per_seed": 0, "random": 1}
     run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS - 1}"))
-    assert calls == {"lockstep": len(POLICY_ORDER),
-                     "per_seed": len(POLICY_ORDER) * (LOCKSTEP_MIN_SEEDS - 1)}
+    assert calls == {"lockstep": learned, "per_seed": learned * (LOCKSTEP_MIN_SEEDS - 1),
+                     "random": 2}
 
 
 def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
     seen = []
     real_lockstep, real_simulate = lockstep.simulate_seeds, harness.simulate_run
+    real_random = lockstep.simulate_random
     built = []
     real_make = harness.make_ground_truth
 
@@ -98,24 +112,30 @@ def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
         return real_make(*args)
 
     def batched(network, catalog, gts, *args, **kwargs):
-        seen.append(tuple(map(id, gts)))
+        seen.extend(map(id, gts))
         return real_lockstep(network, catalog, gts, *args, **kwargs)
 
     def single(network, catalog, gt, *args, **kwargs):
         seen.append(id(gt))
         return real_simulate(network, catalog, gt, *args, **kwargs)
 
+    def random_policy(network, catalog, gts, *args, **kwargs):
+        seen.extend(map(id, gts))
+        return real_random(network, catalog, gts, *args, **kwargs)
+
     monkeypatch.setattr(harness, "make_ground_truth", make)
     monkeypatch.setattr(lockstep, "simulate_seeds", batched)
     monkeypatch.setattr(harness, "simulate_run", single)
+    monkeypatch.setattr(lockstep, "simulate_random", random_policy)
     cfg = load_config(default_config_path())
-    run(apply_overrides(cfg, slots=2, seeds=f"1..{LOCKSTEP_MIN_SEEDS}"))
-    assert len(built) == 1 and len(set(seen)) == 1
-    seen.clear()
-    built.clear()
-    run(apply_overrides(cfg, slots=2, seeds="1..2"))
-    assert len(built) == 1
-    assert seen[:2] == seen[2:4] == seen[4:]     # rtsd, bandit, random: the same two
+    for n in (LOCKSTEP_MIN_SEEDS, 2):
+        seen.clear()
+        built.clear()
+        run(apply_overrides(cfg, slots=2, seeds=f"1..{n}"))
+        assert len(built) == 1
+        # rtsd, bandit, random: the same n ground truths
+        assert len(seen) == 3 * n and len(set(seen)) == n
+        assert seen[:n] == seen[n:2 * n] == seen[2 * n:]
 
 
 @st.composite
@@ -232,20 +252,34 @@ def test_lockstep_matches_past_the_plan_graph_node_cap(monkeypatch) -> None:
 def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     cfg = apply_overrides(load_config(default_config_path()), slots=20,
                           seeds=f"1..{2 * LOCKSTEP_MIN_SEEDS + 3}")
-    per_seed = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + cfg.catalog.uniform_layout[0]
-    # two lockstep groups of LOCKSTEP_MIN_SEEDS, then three seeds one by one
+    per_row = (cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + cfg.catalog.uniform_layout[0]
+               + cfg.network.n_servers)
+    # learned: two lockstep groups of LOCKSTEP_MIN_SEEDS, then three seeds one
+    # by one; random: calls of LOCKSTEP_MIN_SEEDS rows at most, and of one
+    # seed's 20 slots at least
     monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES",
-                        per_seed * LOCKSTEP_MIN_SEEDS + per_seed - 1)
-    sizes = []
-    real = lockstep.simulate_seeds
+                        per_row * LOCKSTEP_MIN_SEEDS + per_row - 1)
+    sizes = {"simulate_seeds": [], "simulate_random": []}
 
-    def batched(network, catalog, gts, *args, **kwargs):
-        sizes.append(len(gts))
-        return real(network, catalog, gts, *args, **kwargs)
+    def recorded(name):
+        real = getattr(lockstep, name)
 
-    monkeypatch.setattr(lockstep, "simulate_seeds", batched)
+        def batched(network, catalog, gts, *args, **kwargs):
+            sizes[name].append(len(gts))
+            return real(network, catalog, gts, *args, **kwargs)
+        return batched
+
+    for name in sizes:
+        monkeypatch.setattr(lockstep, name, recorded(name))
     assert_matches_per_seed(cfg, monkeypatch)
-    assert sizes[:2] == [LOCKSTEP_MIN_SEEDS] * 2 and set(sizes) == {LOCKSTEP_MIN_SEEDS}
+    learned = sizes["simulate_seeds"]
+    assert learned[:2] == [LOCKSTEP_MIN_SEEDS] * 2 and set(learned) == {LOCKSTEP_MIN_SEEDS}
+    assert set(sizes["simulate_random"]) == {1}
+    sizes["simulate_random"].clear()
+    short = apply_overrides(cfg, slots=2, policy="random")
+    assert_matches_per_seed(short, monkeypatch)
+    half = LOCKSTEP_MIN_SEEDS // 2
+    assert sizes["simulate_random"][:5] == [half] * 4 + [len(cfg.seeds) - 4 * half]
 
 
 # --- the batched verification -------------------------------------------------
@@ -311,19 +345,95 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str) -> N
         run(cfg)
 
 
+def _first_record(rec, row: int) -> int:
+    return int(np.flatnonzero(rec.row == row)[0])
+
+
+def _tamper_server(rec, row: int) -> None:
+    r = _first_record(rec, row)
+    rec.servers[int(rec.positions[:r].sum())] = rec.residual.shape[1]
+
+
+RANDOM_TAMPERS = {
+    "assigned to unknown server 2": _tamper_server,
+    "residual bookkeeping mismatch":
+        lambda rec, row: rec.residual[row].__setitem__(-1, rec.residual[row, -1] + 1),
+    "committed at infinite latency":
+        lambda rec, row: rec.latency.__setitem__(_first_record(rec, row), math.inf),
+}
+
+
 def test_batched_check_rejects_a_tampered_random_commit(monkeypatch) -> None:
     cfg = apply_overrides(load_config(TAMPER_DOC), policy="random", slots=6)
-    real = lockstep.random_placement
+    real = lockstep.random_rows
+    for message, tamper in RANDOM_TAMPERS.items():
+        def tampered(layout, u, tamper=tamper):
+            rec = real(layout, u)
+            # the rows are seed-major: row 3 * 6 + 1 is the fourth seed's slot 2,
+            # where chain 0 always fits
+            tamper(rec, 3 * cfg.slots + 1)
+            return rec
 
-    def tampered(network, catalog, u):
-        deployed, residual = real(network, catalog, u)
-        residual[-1] += 1
-        return deployed, residual
+        monkeypatch.setattr(lockstep, "random_rows", tampered)
+        with pytest.raises(InvariantViolation,
+                           match=f"^seed {cfg.seeds[3]}, slot 2: .*{message}"):
+            run(cfg)
 
-    monkeypatch.setattr(lockstep, "random_placement", tampered)
-    with pytest.raises(InvariantViolation,
-                       match=f"^seed {cfg.seeds[0]}, slot 1: residual bookkeeping mismatch"):
-        run(cfg)
+
+# --- the random policy ----------------------------------------------------------
+
+NEAR_ONE = math.nextafter(1.0, 0.0)
+
+
+@st.composite
+def random_policy_cases(draw) -> tuple:
+    """An instance and rows of uniforms: ties, missing links, zero capacity, repeats."""
+    n_servers = draw(st.integers(1, 4))
+    links = [(u, v, draw(st.sampled_from([0.0, 0.5, 1.0])))
+             for u in range(n_servers) for v in range(u + 1, n_servers)
+             if draw(st.booleans())]
+    n_vnfs = draw(st.integers(1, 4))
+    chains = draw(st.lists(st.lists(st.integers(0, n_vnfs - 1), max_size=3), max_size=4))
+    net = EdgeNetwork(draw(st.lists(st.integers(0, 12), min_size=n_servers,
+                                    max_size=n_servers)), links)
+    cat = Catalog(draw(st.lists(st.integers(0, 15), min_size=n_vnfs, max_size=n_vnfs)),
+                  chains)
+    value = st.one_of(st.sampled_from([0.0, 0.5, NEAR_ONE]),
+                      st.floats(0.0, 1.0, exclude_max=True))
+    width, _ = cat.uniform_layout
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    return net, cat, rows
+
+
+@settings(max_examples=100, deadline=None)
+@example(case=(EdgeNetwork([9], []), Catalog([2, 3, 20], [[0, 0], [1], [2], [0, 1]]),
+               [[0.5] * 10, [NEAR_ONE] * 10, [0.0] * 10]))
+@example(case=(EdgeNetwork([6, 6, 0], [(0, 1, 0.5)]), Catalog([3], [[0, 0, 0], [0]]),
+               [[0.1, 0.1, 0.0, 0.9, NEAR_ONE, NEAR_ONE], [0.2, 0.1, NEAR_ONE, 0.0, 0.0, 0.5]]))
+@example(case=(EdgeNetwork([5, 5], []), Catalog([3], [[0, 0]]),    # a split needs a missing link
+               [[0.0, 0.0, NEAR_ONE], [0.5, NEAR_ONE, 0.0]]))
+@given(case=random_policy_cases())
+def test_random_rows_equal_the_per_slot_loop(case) -> None:
+    net, cat, rows = case
+    layout = lockstep.Layout.of(net, cat)
+    u = np.array(rows, dtype=np.float64).reshape(len(rows), cat.uniform_layout[0])
+    rec = lockstep.random_rows(layout, u)
+    assert unpack_rows(rec, len(rows)) == [random_placement(net, cat, row) for row in rows]
+    x, _ = lockstep.check(layout, rec, lambda k: (0, k + 1))
+    assert [sorted(f for f, _ in deployed) for deployed, _ in unpack_rows(rec, len(rows))] == \
+           [np.flatnonzero(row).tolist() for row in x]
+
+
+@pytest.mark.parametrize("n_seeds", [1, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS, 30])
+def test_random_run_equals_single_seed_runs(n_seeds: int) -> None:
+    cfg = apply_overrides(load_config(default_config_path()), slots=40, policy="random",
+                          seeds=f"3..{2 + n_seeds}")
+    batched = run(cfg)
+    trace, means = per_seed_reference(cfg)
+    for col in CSV_COLUMNS:
+        assert batched.trace[col] == trace[col], col
+    assert per_seed_means(batched) == means
 
 
 # --- the reduction order the traces rely on -------------------------------------

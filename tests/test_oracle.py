@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcbackup import (Catalog, EdgeNetwork, RewardWeights, SearchSpaceTooLarge,
-                       chain_failure_rate, get_consumption, init_learners,
+                       chain_failure_rate, init_learners, learned_slot, lockstep,
                        make_ground_truth, optimal_chain_latency,
-                       optimal_slot_value, policy_uniforms, random_scheme_slot,
-                       rtsd_slot, sample_slot, shortest_path_matrix,
+                       optimal_slot_value, sample_slot, shortest_path_matrix,
                        true_popularity, expected_slot_value)
+from sfcbackup.kernels import GREEDY, PlanGraph
+
+from reference_kernels import get_consumption
 
 
 def test_shortest_paths_take_multi_hop_shortcuts() -> None:
@@ -181,15 +183,15 @@ def test_policies_never_beat_the_oracle() -> None:
     obs0 = sample_slot(gt, 0)
     learners = init_learners(obs0, gt.n_users, failure_bonus_scale=1.0,
                              failure_bonus_sign=-1)
+    graph = PlanGraph(net, cat, GREEDY)
     worst_gap = math.inf
     for t in range(1, 51):
         obs = sample_slot(gt, t)
-        dec = rtsd_slot(net, cat, learners, t, obs, w)
+        dec = learned_slot(learners, t, obs, w, graph)
         gap = ceiling - expected_slot_value(w, gt, dec, cat)
         assert gap >= -1e-9
         worst_gap = min(worst_gap, gap)
-        rnd = random_scheme_slot(net, cat, t, obs,
-                                 policy_uniforms(gt.rng_seed, t, cat.uniform_layout[0]))
-        assert ceiling - expected_slot_value(w, gt, rnd, cat) >= -1e-9
+    [random_series] = lockstep.simulate_random(net, cat, [gt], w, 50)
+    assert all(ceiling - value >= -1e-9 for value in random_series["expected"])
     # the learned policy should actually approach the ceiling on this instance
     assert worst_gap < ceiling

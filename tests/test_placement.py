@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import Catalog, EdgeNetwork, get_consumption
+from sfcbackup import Catalog, EdgeNetwork
+
+from reference_kernels import get_consumption
 
 
 def two_servers(c0: int = 10, c1: int = 10, lat: float = 5.0) -> EdgeNetwork:

@@ -8,16 +8,19 @@ import pytest
 
 from sfcbackup import (Catalog, EdgeNetwork, FailureLearner, InvariantViolation,
                        PlacementPlan, PopularityLearner, RewardWeights,
-                       SlotDecision, bandit_scheme_slot, chain_failure_rate,
+                       SlotDecision, chain_failure_rate,
                        default_config_path, expected_slot_value,
-                       failure_estimate, failure_update, get_consumption,
-                       init_learners, load_config, make_ground_truth,
+                       failure_estimate, failure_update,
+                       init_learners, learned_slot, load_config, make_ground_truth,
                        popularity_estimate,
-                       policy_uniforms, popularity_update,
-                       random_scheme_slot, realized_reward, rtsd_slot,
+                       popularity_update,
+                       realized_reward,
                        sample_slot, sample_slots, verify_decision)
-from sfcbackup.harness import _policy_uniforms
-from sfcbackup.workload import SlotObservation
+from sfcbackup.harness import PLACEMENT_MODES
+from sfcbackup.kernels import PlanGraph
+from sfcbackup.workload import SlotObservation, policy_uniform_block
+
+from reference_kernels import get_consumption, random_slots
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
@@ -35,6 +38,13 @@ def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
 
 def obs_of(t: int, requests, failed) -> SlotObservation:
     return SlotObservation(t=t, requests=list(requests), vnf_failed=list(failed))
+
+
+def slot_of(policy: str, net: EdgeNetwork, cat: Catalog, learners, t: int,
+            obs: SlotObservation, weights: RewardWeights = RewardWeights()) -> SlotDecision:
+    """learned_slot of rtsd or bandit on a fresh plan graph."""
+    graph = PlanGraph(net, cat, PLACEMENT_MODES[policy])
+    return learned_slot(learners, t, obs, weights, graph)
 
 
 # --- reward pieces ---------------------------------------------------------
@@ -90,7 +100,7 @@ def test_zero_capacity_deploys_nothing() -> None:
     net = EdgeNetwork([0, 0], {(0, 1): 1.0})
     cat = Catalog([1, 2], [[0], [1, 0]])
     pop, fail = learners_with([9.0, 9.0], [0.0, 0.0])
-    dec = rtsd_slot(net, cat, (pop, fail), 4, obs_of(4, [1, 1], [0, 0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 4, obs_of(4, [1, 1], [0, 0]))
     assert dec.deployed == []
     assert dec.x == [0, 0]
     assert dec.residual_after == [0, 0]
@@ -101,7 +111,7 @@ def test_ample_capacity_commits_in_score_order() -> None:
     cat = Catalog([2, 2, 2], [[0], [1], [2]])
     pop, fail = learners_with([5.0, 4.0, 3.0], [0.0, 0.0, 0.0], selected=1000,
                               placements=1000, users=0)
-    dec = rtsd_slot(net, cat, (pop, fail), 2, obs_of(2, [0, 0, 0], [0, 0, 0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [0, 0, 0], [0, 0, 0]))
     assert [f for f, _ in dec.deployed] == [0, 1, 2]
     assert dec.x == [1, 1, 1]
     assert all(plan.latency == 0.0 for _, plan in dec.deployed)
@@ -112,7 +122,7 @@ def test_equal_scores_commit_smallest_sfc_first() -> None:
     cat = Catalog([2], [[0], [0]])
     pop, fail = learners_with([4.0, 4.0], [0.0], selected=1000, placements=1000,
                               users=0)
-    dec = rtsd_slot(net, cat, (pop, fail), 2, obs_of(2, [0, 0], [0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [0, 0], [0]))
     assert [f for f, _ in dec.deployed] == [0, 1]
 
 
@@ -122,7 +132,7 @@ def test_nonpositive_scores_are_never_committed() -> None:
     # popularity 0 and zero latency gives score exactly 0: stay out
     pop, fail = learners_with([0.0, 0.0], [0.0], selected=1000, placements=1000,
                               users=0)
-    dec = rtsd_slot(net, cat, (pop, fail), 2, obs_of(2, [0, 0], [0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [0, 0], [0]))
     assert dec.deployed == []
 
 
@@ -133,13 +143,13 @@ def test_walks_differ_between_learned_policies() -> None:
     cat = Catalog([4, 8], [[1, 0]])
     args = dict(selected=1000, placements=1000, users=0)
     pop, fail = learners_with([6.0], [0.0, 0.0], **args)
-    dec = rtsd_slot(net, cat, (pop, fail), 2, obs_of(2, [0], [0, 0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [0], [0, 0]))
     assert [f for f, _ in dec.deployed] == [0]
     assert dec.deployed[0][1].assignment == (1, 0)
     assert dec.deployed[0][1].latency == pytest.approx(0.9)
 
     pop, fail = learners_with([6.0], [0.0, 0.0], **args)
-    dec = bandit_scheme_slot(net, cat, (pop, fail), 2, obs_of(2, [0], [0, 0]))
+    dec = slot_of("bandit", net, cat, (pop, fail), 2, obs_of(2, [0], [0, 0]))
     assert dec.deployed == []
 
 
@@ -148,7 +158,7 @@ def test_learned_policies_update_only_deployed_arms() -> None:
     cat = Catalog([6, 6], [[0], [1]])
     pop, fail = learners_with([5.0, 4.0], [0.0, 0.0], selected=2, placements=2,
                               users=0)
-    dec = rtsd_slot(net, cat, (pop, fail), 3, obs_of(3, [4, 4], [1, 1]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 3, obs_of(3, [4, 4], [1, 1]))
     # capacity admits one chain; the higher estimate wins
     assert dec.x == [1, 0]
     assert pop.selected == [3, 2]
@@ -166,7 +176,7 @@ def test_slot_call_stashes_the_estimates_it_used() -> None:
     t = 7
     want_q = popularity_estimate(pop, t).copy()
     want_v = failure_estimate(fail, t).copy()
-    rtsd_slot(net, cat, (pop, fail), t, obs_of(t, [2], [0]))
+    slot_of("rtsd", net, cat, (pop, fail), t, obs_of(t, [2], [0]))
     assert pop.request_ucb == want_q
     assert fail.failure_ucb == want_v
 
@@ -220,7 +230,7 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
     any_deployed = False
     for t in range(1, 31):
         obs = sample_slot(gt, t)
-        dec = rtsd_slot(net, cat, live, t, obs, w)
+        dec = slot_of("rtsd", net, cat, live, t, obs, w)
         want, want_res, want_q, want_v = reference_slot(net, cat, *ref, t, w)
 
         assert [f for f, _ in dec.deployed] == [f for f, _ in want]
@@ -251,9 +261,13 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
 
 
 # --- random scheme ---------------------------------------------------------
+#
+# lockstep.random_rows decides many slots at once: each test hands it all its
+# slots' uniforms as the rows of one array.
 
-def uniforms(seed: int, t: int, cat: Catalog) -> list[float]:
-    return policy_uniforms(seed, t, cat.uniform_layout[0])
+def uniforms(seed: int, t0: int, t1: int, cat: Catalog) -> np.ndarray:
+    """Slots t0 .. t1-1's policy uniforms, one row per slot."""
+    return policy_uniform_block(seed, t0, t1, cat.uniform_layout[0])
 
 
 def reference_random_slot(net: EdgeNetwork, cat: Catalog,
@@ -262,7 +276,7 @@ def reference_random_slot(net: EdgeNetwork, cat: Catalog,
 
     Pops a uniformly drawn chain from those not yet attempted; places each
     occurrence on the first server with room in a fresh random permutation.
-    random_scheme_slot must follow the same law.
+    lockstep.random_rows must follow the same law.
     """
     n = net.n_servers
     lat = net.latency_rows
@@ -298,10 +312,8 @@ def test_random_scheme_follows_the_permutation_scan_law() -> None:
     n_slots = 10_000
     rng = np.random.default_rng(2024)
     ref = Counter(reference_random_slot(net, cat, rng) for _ in range(n_slots))
-    obs = obs_of(1, [0, 0, 0], [0, 0, 0, 0])
-    ours = Counter(
-        frozenset((f, p.assignment) for f, p in random_scheme_slot(net, cat, t, obs, u).deployed)
-        for t, u in enumerate(_policy_uniforms(7, cat, n_slots), start=1))
+    ours = Counter(frozenset((f, p.assignment) for f, p in deployed)
+                   for deployed, _ in random_slots(net, cat, uniforms(7, 1, n_slots + 1, cat)))
     # two-sample chi-square over outcomes, cells with fewer than 10 hits pooled
     stat, cells, pooled = 0.0, 0, [0, 0]
     for outcome in set(ref) | set(ours):
@@ -331,43 +343,38 @@ def test_random_scheme_reads_the_documented_layout() -> None:
          0.0, 0.99,          # chain 0
          0.5,                # chain 1
          0.7, 0.3]           # chain 2
-    dec = random_scheme_slot(net, cat, 1, obs_of(1, [1, 1, 1], [0, 0]), u)
+    [(deployed, residual)] = random_slots(net, cat, [u])
     # chain 2: all three servers fit -> index 2, then index 0; rooms [6, 9, 6].
     # chain 0: index 0 -> server 0; rooms [3, 9, 6] leave servers 1, 2 for demand 4
     # -> index 1 -> server 2. chain 1: only server 1 holds 4.
-    assert [(f, p.assignment) for f, p in dec.deployed] == [(2, (2, 0)), (0, (0, 2)), (1, (1,))]
-    assert dec.residual_after == [3, 5, 2]
+    assert [(f, p.assignment) for f, p in deployed] == [(2, (2, 0)), (0, (0, 2)), (1, (1,))]
+    assert [p.latency for _, p in deployed] == [0.6, 0.6, 0.0]
+    assert residual == [3, 5, 2]
 
 
 def test_random_scheme_zero_capacity() -> None:
     net = EdgeNetwork([0, 0], {(0, 1): 1.0})
     cat = Catalog([1], [[0]])
-    dec = random_scheme_slot(net, cat, 1, obs_of(1, [2], [0]), uniforms(3, 1, cat))
-    assert dec.deployed == []
+    assert random_slots(net, cat, uniforms(3, 1, 2, cat)) == [([], [0, 0])]
 
 
 def test_random_scheme_is_deterministic_per_stream() -> None:
     net = EdgeNetwork([9, 9], {(0, 1): 0.4})
     cat = Catalog([3, 4], [[0, 1], [1], [0, 0]])
-    obs = obs_of(5, [1, 1, 1], [0, 0])
-    a = random_scheme_slot(net, cat, 5, obs, uniforms(11, 5, cat))
-    b = random_scheme_slot(net, cat, 5, obs, uniforms(11, 5, cat))
-    assert a.x == b.x
-    assert [(f, p.assignment) for f, p in a.deployed] == \
-           [(f, p.assignment) for f, p in b.deployed]
+    a = random_slots(net, cat, uniforms(11, 5, 6, cat))
+    b = random_slots(net, cat, uniforms(11, 5, 6, cat))
+    assert a == b
 
 
 def test_random_scheme_splits_contended_capacity_evenly() -> None:
     # one server, room for exactly one of two identical chains
     net = EdgeNetwork([5], ())
     cat = Catalog([5], [[0], [0]])
-    obs = obs_of(1, [0, 0], [0])
-    wins = 0
     slots = 400
-    for t in range(1, slots + 1):
-        dec = random_scheme_slot(net, cat, t, obs, uniforms(2, t, cat))
-        assert sum(dec.x) == 1
-        wins += dec.x[0]
+    wins = 0
+    for deployed, _ in random_slots(net, cat, uniforms(2, 1, slots + 1, cat)):
+        assert len(deployed) == 1
+        wins += deployed[0][0] == 0
     # binomial(400, .5) has sigma 10; stay 5 sigma inside
     assert 150 <= wins <= 250
 
@@ -376,10 +383,7 @@ def test_random_scheme_rejects_unlinked_crossings() -> None:
     # capacity would allow a split, but the servers share no link
     net = EdgeNetwork([5, 5], ())
     cat = Catalog([3], [[0, 0]])
-    for t in range(1, 30):
-        dec = random_scheme_slot(net, cat, t, obs_of(t, [4], [0]), uniforms(9, t, cat))
-        assert dec.deployed == []
-        assert dec.residual_after == [5, 5]
+    assert random_slots(net, cat, uniforms(9, 1, 30, cat)) == [([], [5, 5])] * 29
 
 
 # --- Monte-Carlo consistency of realized vs expected -----------------------
@@ -416,7 +420,7 @@ def legit_decision():
     cat = Catalog([4, 3], [[0, 1], [1]])
     pop, fail = learners_with([6.0, 5.0], [0.0, 0.0], selected=1000,
                               placements=1000, users=0)
-    dec = rtsd_slot(net, cat, (pop, fail), 2, obs_of(2, [1, 1], [0, 0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [1, 1], [0, 0]))
     assert dec.deployed
     return net, cat, dec
 
@@ -513,7 +517,6 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
     net, cat = cfg.network, cfg.catalog
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 5)
     observations = sample_slots(gt, 0, 9)
-    width = cat.uniform_layout[0]
     checked = Counter()
 
     def check(name: str, vector) -> None:
@@ -521,24 +524,20 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
         assert all(type(v) in (int, float) for v in vector), (name, vector)
         checked[name] += 1
 
-    for policy in ("rtsd", "bandit", "random"):
+    for policy in PLACEMENT_MODES:
         learners = init_learners(observations[0], cfg.users)
+        graph = PlanGraph(net, cat, PLACEMENT_MODES[policy])
         deployed = 0
         for t, obs in enumerate(observations[1:], start=1):
             check("requests", obs.requests)
             check("vnf_failed", obs.vnf_failed)
-            if policy == "random":
-                dec = random_scheme_slot(net, cat, t, obs,
-                                         policy_uniforms(gt.rng_seed, t, width))
-            else:
-                pop, fail = learners
-                check("popularity_estimate", popularity_estimate(pop, t))
-                check("failure_estimate", failure_estimate(fail, t))
-                slot = rtsd_slot if policy == "rtsd" else bandit_scheme_slot
-                dec = slot(net, cat, learners, t, obs, cfg.weights)
-                for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
-                    for name in names:
-                        check(name, getattr(learner, name))
+            pop, fail = learners
+            check("popularity_estimate", popularity_estimate(pop, t))
+            check("failure_estimate", failure_estimate(fail, t))
+            dec = learned_slot(learners, t, obs, cfg.weights, graph)
+            for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
+                for name in names:
+                    check(name, getattr(learner, name))
             deployed += len(dec.deployed)
             for name in ("x", "placed_counts", "residual_after"):
                 check(name, getattr(dec, name))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sfcbackup import (Catalog, GroundTruth, default_config_path, load_config,
                        make_ground_truth, policy_uniforms, sample_slot, sample_slots,
                        slot_stream, true_popularity, workload)
-from sfcbackup.harness import OBS_BLOCK_SLOTS, _observations, _policy_uniforms
-from sfcbackup.workload import ENV_DOMAIN, POLICY_DOMAIN, counter_blocks
+from sfcbackup.harness import OBS_BLOCK_SLOTS, _observations
+from sfcbackup.workload import ENV_DOMAIN, POLICY_DOMAIN, counter_blocks, policy_uniform_block
 
 
 def reference_slot(gt: GroundTruth, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +191,14 @@ def test_slot_stream_matches_philox_keyed_directly() -> None:
         assert ours.integers(1000, size=7).tolist() == ref.integers(1000, size=7).tolist()
 
 
+def drawn_uniforms(seed: int, cat: Catalog, slots: int) -> list[list[float]]:
+    """Slots 1 .. slots's policy uniforms, drawn OBS_BLOCK_SLOTS slots per call as runs draw them."""
+    width, _ = cat.uniform_layout
+    return [row for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS)
+            for row in policy_uniform_block(seed, t0, min(t0 + OBS_BLOCK_SLOTS, slots + 1),
+                                            width).tolist()]
+
+
 def test_policy_uniforms_own_their_counter_blocks() -> None:
     # W = 30 (bundled config, B = 8, two doubles of padding), 8 (B = 2, none), 1
     for cat in (load_config(default_config_path()).catalog,
@@ -199,7 +207,7 @@ def test_policy_uniforms_own_their_counter_blocks() -> None:
         blocks = counter_blocks(width)
         assert 4 * (blocks - 1) < width <= 4 * blocks
         n_slots = OBS_BLOCK_SLOTS + 5
-        rows = list(_policy_uniforms(13, cat, n_slots))
+        rows = drawn_uniforms(13, cat, n_slots)
         assert len(rows) == n_slots
         for t in (1, 2, OBS_BLOCK_SLOTS, OBS_BLOCK_SLOTS + 1, n_slots):
             expected = slot_stream(13, t * blocks, POLICY_DOMAIN).random(width).tolist()
@@ -209,7 +217,7 @@ def test_policy_uniforms_own_their_counter_blocks() -> None:
 
 def test_consecutive_policy_slots_share_no_draws() -> None:
     cat = load_config(default_config_path()).catalog
-    rows = list(_policy_uniforms(3, cat, OBS_BLOCK_SLOTS + 2))
+    rows = drawn_uniforms(3, cat, OBS_BLOCK_SLOTS + 2)
     for t in (1, 2, 250, OBS_BLOCK_SLOTS, OBS_BLOCK_SLOTS + 1):
         assert not set(rows[t - 1]) & set(rows[t])
 
@@ -245,8 +253,8 @@ def slot_uniforms(monkeypatch: pytest.MonkeyPatch, gt: GroundTruth, t: int) -> s
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "slot t+1's stream is slot t's shifted by SLOT_STRIDE doubles, so consecutive "
-    "slots reuse most uniforms; ROADMAP.md open item 2 gives each slot its own "
-    "counter blocks, and this marker goes when it lands"))
+    "slots reuse most uniforms; the ROADMAP.md item \"Independent per-slot environment "
+    "streams\" gives each slot its own counter blocks, and this marker goes when it lands"))
 def test_consecutive_slots_share_no_draws(monkeypatch: pytest.MonkeyPatch) -> None:
     # the bundled config's shape: 10 users x 6 chains plus 15 VNFs, D = 75
     gt = make_ground_truth(0.5, [0.05] * 15, users=10, n_sfcs=6, rng_seed=3)
