@@ -29,9 +29,9 @@ from .kernels import FIRST_FIT, GREEDY, PlanGraph
 from .learning import init_learners
 from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
-from .policy import RewardWeights, expected_slot_value, learned_slot, realized_reward
-from .workload import (OBS_BLOCK_SLOTS, GroundTruth, check_parameters, make_ground_truth,
-                       sample_slots)
+from .policy import RewardWeights, learned_slot
+from .workload import (OBS_BLOCK_SLOTS, GroundTruth, SlotObservation, check_parameters,
+                       make_ground_truth, sample_arrays)
 
 POLICY_ORDER = ("rtsd", "bandit", "random")
 
@@ -53,6 +53,9 @@ MAX_SEEDS = 1_000_000
 # OBS_BLOCK_SLOTS-slot observation draw then holds about 128 MiB of uniforms
 # (256 slots x 2**16 draws x 8 bytes), plus an eighth of that in flags.
 MAX_REQUEST_DRAWS = 2 ** 16
+# policies x seeds x slots, the trace rows a run holds, is at most this: a row
+# takes about 170 bytes until emit writes it, so a run holds at most about 0.7 GB.
+MAX_TRACE_ROWS = 2 ** 22
 
 # A learned policy's run of at least this many seeds advances them in lockstep
 # (lockstep.simulate_seeds); a smaller one runs its seeds one by one through
@@ -168,6 +171,11 @@ def _check(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("bad instance: " + "; ".join(problems))
     if cfg.slots < 1:
         raise ConfigError("slots must be >= 1")
+    rows = len(cfg.policies) * len(cfg.seeds) * cfg.slots
+    if rows > MAX_TRACE_ROWS:
+        raise ConfigError(f"policies x seeds x slots = {len(cfg.policies)} x {len(cfg.seeds)} "
+                          f"x {cfg.slots} passes {MAX_TRACE_ROWS} trace rows; lower slots "
+                          f"or seeds")
     if cfg.users < 1:
         raise ConfigError("users must be >= 1")
     if cfg.users > INT64_MAX:
@@ -365,36 +373,44 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
                  failure_bonus_scale: float | None = None,
                  failure_bonus_sign: int = 1,
                  graph: PlanGraph | None = None) -> dict[str, list]:
-    """One (learned policy, seed) trajectory; slot 0 only initializes the learners.
+    """One (learned policy, seed) trajectory over slots 1 .. slots.
 
     Returns per-slot lists (index 0 is slot 1) of realized and expected
     reward (floats), total remaining resource and deployment count (ints).
     graph is the policy's kernels.PlanGraph, shared across seeds; None gives
     the run a fresh one. The random policy runs in lockstep.simulate_random.
+
+    Slots are drawn OBS_BLOCK_SLOTS at a time. Every slot is decided,
+    verified and learned from in turn; lockstep.slot_values then accounts
+    the block's verified decisions at once.
     """
     if policy not in PLACEMENT_MODES:
         raise ValueError(f"simulate_run runs a learned policy {tuple(PLACEMENT_MODES)}, "
                          f"not {policy!r}")
     if graph is None:
         graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
-    realized: list[float] = []
-    expected: list[float] = []
-    remaining: list[int] = []
-    deployed: list[int] = []
-
-    observations = _observations(gt, slots + 1)
-    learners = init_learners(next(observations), users,
+    layout = lockstep.Layout.of(network, catalog)
+    value_true, gate_true = lockstep.true_values(catalog, [gt], weights)
+    learners = init_learners(catalog.n_sfcs, catalog.n_vnfs, users,
                              failure_bonus_scale=failure_bonus_scale,
                              failure_bonus_sign=failure_bonus_sign)
-    for t, obs in enumerate(observations, start=1):
-        decision = learned_slot(learners, t, obs, weights, graph)
-        _, total = realized_reward(weights, obs, decision, catalog)
-        realized.append(total)
-        expected.append(expected_slot_value(weights, gt, decision, catalog))
-        remaining.append(sum(decision.residual_after))
-        deployed.append(len(decision.deployed))
-    return {"realized": realized, "expected": expected,
-            "remaining": remaining, "deployed": deployed}
+    series: dict[str, list] = {key: [] for key in lockstep.SERIES}
+    for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
+        t1 = min(t0 + OBS_BLOCK_SLOTS, slots + 1)
+        requests, failed = sample_arrays(gt, t0, t1)
+        decided = []
+        residuals = []
+        for t, r, v in zip(range(t0, t1), requests.tolist(), failed.tolist()):
+            decision = learned_slot(learners, t, SlotObservation(t, r, v), weights, graph)
+            decided.append(decision.deployed)
+            residuals.append(decision.residual_after)
+        rec = lockstep.records_of(decided, residuals, network.n_servers)
+        rows = [0] * (t1 - t0)
+        for key, values in lockstep.slot_values(layout, weights.omega, weights.mu, requests,
+                                                failed, rec, value_true[rows],
+                                                gate_true[rows]).items():
+            series[key].extend(values)
+    return series
 
 
 def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
@@ -406,12 +422,6 @@ def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
     first = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                               cfg.catalog.n_sfcs, cfg.seeds[0])
     return [first] + [first.reseeded(seed) for seed in cfg.seeds[1:]]
-
-
-def _observations(gt, n_slots: int):
-    """Observations of slots 0 .. n_slots-1, drawn OBS_BLOCK_SLOTS at a time."""
-    for t0 in range(0, n_slots, OBS_BLOCK_SLOTS):
-        yield from sample_slots(gt, t0, min(t0 + OBS_BLOCK_SLOTS, n_slots))
 
 
 def _batch_rows(network: EdgeNetwork, catalog: Catalog) -> int:
@@ -473,8 +483,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
     trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
     per_policy: dict[str, dict[str, list[float]]] = {
-        p: {"realized": [], "expected": [], "remaining": [], "deployed": []}
-        for p in cfg.policies}
+        p: {key: [] for key in lockstep.SERIES} for p in cfg.policies}
     for policy in cfg.policies:
         if policy == "random":
             seed_series = _random_series(cfg, network, gts)

@@ -19,16 +19,14 @@ from .workload import SlotObservation
 class PopularityLearner:
     """Per-SFC request-count estimator.
 
-    selected[f] counts the slots where SFC f was backed up, request_mean[f]
-    averages the observed request counts over exactly those slots, and
-    request_ucb holds the estimate vector most recently used for selection.
+    selected[f] counts the slots where SFC f was backed up, and request_mean[f]
+    averages the observed request counts over exactly those slots.
     """
 
     users: int
     selected: list[int]
     request_total: list[float]
     request_mean: list[float]
-    request_ucb: list[float]
 
 
 @dataclass(eq=False)
@@ -45,17 +43,14 @@ class FailureLearner:
     placements: list[int]
     failure_total: list[float]
     failure_mean: list[float]
-    failure_ucb: list[float]
     bonus_scale: float
     bonus_sign: int
 
 
-def init_learners(obs0: SlotObservation, users: int, *,
+def init_learners(n_sfcs: int, n_vnfs: int, users: int, *,
                   failure_bonus_scale: float | None = None,
                   failure_bonus_sign: int = 1) -> tuple[PopularityLearner, FailureLearner]:
-    """Slot-0 initialization: zero counts, estimate snapshots seeded from obs0."""
-    n_sfcs = len(obs0.requests)
-    n_vnfs = len(obs0.vnf_failed)
+    """Fresh learners for n_sfcs chains and n_vnfs VNFs: every count and total zero."""
     if failure_bonus_scale is None:
         failure_bonus_scale = float(users)
     pop = PopularityLearner(
@@ -63,13 +58,11 @@ def init_learners(obs0: SlotObservation, users: int, *,
         selected=[0] * n_sfcs,
         request_total=[0.0] * n_sfcs,
         request_mean=[0.0] * n_sfcs,
-        request_ucb=[float(r) for r in obs0.requests],
     )
     fail = FailureLearner(
         placements=[0] * n_vnfs,
         failure_total=[0.0] * n_vnfs,
         failure_mean=[0.0] * n_vnfs,
-        failure_ucb=[float(v) for v in obs0.vnf_failed],
         bonus_scale=float(failure_bonus_scale),
         bonus_sign=int(failure_bonus_sign),
     )

@@ -10,15 +10,19 @@ simulate_random takes whole blocks of (seed, slot) rows at once, for any
 seed count, and random_rows is its definition. Both hold their commits, as
 flat Records, to the eight conditions of policy.verify_decision in check.
 
-Exactness. Every float is computed by the expression learning.py and policy.py
-evaluate, one operation at a time: numpy's sqrt, division, multiplication
-and addition round correctly, as Python's do, and an int converts to float64
+slot_values is the one reward accounting: simulate_seeds applies it to the
+seeds of a slot, simulate_random and harness.simulate_run to a block of
+slots.
+
+Exactness. Every float is computed by the expression learning.py evaluates,
+one operation at a time: numpy's sqrt, division, multiplication and
+addition round correctly, as Python's do, and an int converts to float64
 exactly as Python converts it. No 0/0 is computed: the updates divide only
 the arms numpy's where= selects, and the estimates divide an unexplored arm by
-2.0 and then discard it. A slot's realised reward is numpy's pairwise sum of a
-C-contiguous row, the sum policy.realized_reward takes of its per-chain
-array; the expected value adds each row's terms in commit order, as
-policy.expected_slot_value does.
+2.0 and then discard it. A slot's realised reward is numpy's pairwise sum of
+its C-contiguous row of per-chain payoffs, whatever rows share the array,
+and its expected value adds the row's terms left to right in commit order,
+so a slot's values do not depend on the rows accounted with it.
 
 The stage functions (estimates, decide_learned, records_of, random_rows,
 check, slot_values, update) live at module level and are looked up as module
@@ -42,6 +46,9 @@ from .workload import OBS_BLOCK_SLOTS, GroundTruth, policy_uniform_block, sample
 
 
 _PLAN_FIELDS = attrgetter("latency", "at_edge", "assignment")
+
+# The per-slot series of a run, the keys of slot_values' result.
+SERIES = ("realized", "expected", "remaining", "deployed")
 
 
 @dataclass(eq=False)
@@ -133,8 +140,8 @@ class Records:
     residual: np.ndarray        # (R, N) int64
 
 
-def _true_values(catalog: Catalog, gts: list[GroundTruth],
-                 weights: RewardWeights) -> tuple[np.ndarray, np.ndarray]:
+def true_values(catalog: Catalog, gts: list[GroundTruth],
+                weights: RewardWeights) -> tuple[np.ndarray, np.ndarray]:
     """slot_values' value_true and gate_true, one row per seed in gts."""
     value_true = np.array([[weights.omega * q for q in gt.popularity_list] for gt in gts])
     gate_true = np.array([[1.0 - chain_failure_rate(catalog, gt.failure_rate_list, f)
@@ -142,15 +149,15 @@ def _true_values(catalog: Catalog, gts: list[GroundTruth],
     return value_true, gate_true
 
 
-def observations(gts: list[GroundTruth], n_slots: int):
-    """Slots 0 .. n_slots-1 of every seed: per slot, (S, F) request counts and (S, I) flags.
+def observations(gts: list[GroundTruth], slots: int):
+    """Slots 1 .. slots of every seed: per slot, (S, F) request counts and (S, I) flags.
 
     Each seed draws OBS_BLOCK_SLOTS slots per Philox call, as simulate_run does,
     straight into the block's (slots, S, F) and (slots, S, I) arrays.
     """
     n_seeds = len(gts)
-    for t0 in range(0, n_slots, OBS_BLOCK_SLOTS):
-        n = min(OBS_BLOCK_SLOTS, n_slots - t0)
+    for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
+        n = min(OBS_BLOCK_SLOTS, slots + 1 - t0)
         requests = np.empty((n, n_seeds, gts[0].n_sfcs), dtype=np.int64)
         failed = np.empty((n, n_seeds, gts[0].n_vnfs), dtype=np.uint8)
         for s, gt in enumerate(gts):
@@ -348,27 +355,31 @@ def records_of(decided: list, residuals: list, n_servers: int) -> Records:
 
 
 def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,
-                failed: np.ndarray, rec: Records, x: np.ndarray, value_true: np.ndarray,
-                gate_true: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """policy.realized_reward's totals and policy.expected_slot_value of every row.
+                failed: np.ndarray, rec: Records, value_true: np.ndarray,
+                gate_true: np.ndarray) -> dict[str, list]:
+    """Every row's series entries: realized and expected reward, remaining resource, deployed.
 
-    rec holds the rows' verified commits and x their backup vectors;
-    value_true[k, f] is omega times chain f's true popularity in row k,
-    gate_true[k, f] one minus its worst true failure rate.
+    rec holds the rows' verified commits, and requests and failed the rows'
+    observations. A committed chain earns omega times its requests less mu
+    times its latency, and nothing if any of its VNFs failed; copies of a VNF
+    share one failure flag. Its expected value is value_true[k, f] (omega
+    times chain f's true popularity in row k) less mu times the latency,
+    times gate_true[k, f] (one minus its worst true failure rate).
     """
-    n_rows, n_sfcs = x.shape
+    n_rows = rec.residual.shape[0]
     row, sfc = rec.row, rec.sfc
-    latency = np.zeros((n_rows, n_sfcs))
-    latency[row, sfc] = rec.latency
-    survived = x & ((failed @ layout.uses) == 0)
-    earned = np.where(survived, omega * requests - mu * latency, 0.0)
+    survived = ((failed @ layout.uses) == 0)[row, sfc]
+    earned = np.zeros((n_rows, layout.catalog.n_sfcs))
+    earned[row, sfc] = np.where(survived, omega * requests[row, sfc] - mu * rec.latency, 0.0)
     realized = earned.sum(axis=1)       # numpy's pairwise sum of each row
 
     terms = (value_true[row, sfc] - mu * rec.latency) * gate_true[row, sfc]
     expected = [0.0] * n_rows
     for k, term in zip(row.tolist(), terms.tolist()):   # left to right, in commit order
         expected[k] += term
-    return realized, expected
+    return {"realized": realized.tolist(), "expected": expected,
+            "remaining": rec.residual.sum(axis=1).tolist(),
+            "deployed": np.bincount(row, minlength=n_rows).tolist()}
 
 
 def update(learners: Learners, requests: np.ndarray, failed: np.ndarray, x: np.ndarray,
@@ -400,29 +411,21 @@ def simulate_seeds(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth
     layout = Layout.of(network, catalog)
     seeds = [gt.rng_seed for gt in gts]
     omega, mu = weights.omega, weights.mu
-    value_true, gate_true = _true_values(catalog, gts, weights)
+    value_true, gate_true = true_values(catalog, gts, weights)
     learners = Learners.fresh(n_seeds, catalog.n_sfcs, catalog.n_vnfs, users,
                               failure_bonus_scale, failure_bonus_sign)
-    realized = np.empty((slots, n_seeds))
-    expected = np.empty((slots, n_seeds))
-    remaining = np.empty((slots, n_seeds), dtype=np.int64)
-    deployed = np.empty((slots, n_seeds), dtype=np.int64)
-
-    drawn = observations(gts, slots + 1)
-    next(drawn)             # slot 0: simulate_run only snapshots it as estimates no slot reads
-    for t, (requests, failed) in enumerate(drawn, start=1):
+    series = [{key: [] for key in SERIES} for _ in gts]
+    for t, (requests, failed) in enumerate(observations(gts, slots), start=1):
         q_rows, v_rows = estimates(learners, t)
         decided, residuals = decide_learned(graph, q_rows, v_rows, omega, mu)
         rec = records_of(decided, residuals, network.n_servers)
         x, placed = check(layout, rec, lambda k: (seeds[k], t))
-        realized[t - 1], expected[t - 1] = slot_values(layout, omega, mu, requests, failed,
-                                                       rec, x, value_true, gate_true)
+        for key, values in slot_values(layout, omega, mu, requests, failed, rec,
+                                       value_true, gate_true).items():
+            for out, value in zip(series, values):
+                out[key].append(value)
         update(learners, requests, failed, x, placed)
-        remaining[t - 1] = rec.residual.sum(axis=1)
-        deployed[t - 1] = x.sum(axis=1)
-    return [{"realized": r, "expected": e, "remaining": m, "deployed": d}
-            for r, e, m, d in zip(realized.T.tolist(), expected.T.tolist(),
-                                  remaining.T.tolist(), deployed.T.tolist())]
+    return series
 
 
 def simulate_random(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
@@ -435,22 +438,19 @@ def simulate_random(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTrut
     layout = Layout.of(network, catalog)
     width, _ = catalog.uniform_layout
     seeds = [gt.rng_seed for gt in gts]
-    value_true, gate_true = _true_values(catalog, gts, weights)
-    series = [{"realized": [], "expected": [], "remaining": [], "deployed": []} for _ in gts]
+    value_true, gate_true = true_values(catalog, gts, weights)
+    series = [{key: [] for key in SERIES} for _ in gts]
     for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
         t1 = min(t0 + OBS_BLOCK_SLOTS, slots + 1)
         n = t1 - t0
         rec = random_rows(layout, np.concatenate(
             [policy_uniform_block(seed, t0, t1, width) for seed in seeds]))
-        x, _ = check(layout, rec, lambda k: (seeds[k // n], t0 + k % n))
+        check(layout, rec, lambda k: (seeds[k // n], t0 + k % n))
         requests, failed = zip(*(sample_arrays(gt, t0, t1) for gt in gts))
         seed_of = np.repeat(np.arange(len(gts)), n)
-        realized, expected = slot_values(layout, weights.omega, weights.mu,
-                                         np.concatenate(requests), np.concatenate(failed),
-                                         rec, x, value_true[seed_of], gate_true[seed_of])
-        columns = {"realized": realized.tolist(), "expected": expected,
-                   "remaining": rec.residual.sum(axis=1).tolist(),
-                   "deployed": x.sum(axis=1).tolist()}
+        columns = slot_values(layout, weights.omega, weights.mu, np.concatenate(requests),
+                              np.concatenate(failed), rec, value_true[seed_of],
+                              gate_true[seed_of])
         for s, out in enumerate(series):
             for key, values in columns.items():
                 out[key].extend(values[s * n:(s + 1) * n])

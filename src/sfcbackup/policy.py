@@ -1,4 +1,4 @@
-"""Per-slot learned policies, reward accounting and the decision checker.
+"""Per-slot learned policies and the decision checker.
 
 All three policies work on a fresh residual every slot (capacity is
 reclaimed between slots) and never commit a plan with an infinite latency;
@@ -7,6 +7,9 @@ one slot of a learned policy, rtsd or bandit, which differ only in the
 kernel's placement walk, carried by the kernels.PlanGraph they plan on.
 Learner updates happen inside the call, after deployment, using that slot's
 observation.
+
+Rewards are not accounted here: every simulator hands its verified
+decisions to lockstep.slot_values, many rows at a time.
 
 The random policy keeps no state across slots, so it has no per-slot
 function: lockstep.random_rows defines it over whole blocks of (seed, slot)
@@ -19,14 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
-from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
-                       failure_estimate, failure_update, popularity_estimate,
-                       popularity_update)
+from .learning import (FailureLearner, PopularityLearner, failure_estimate, failure_update,
+                       popularity_estimate, popularity_update)
 from .model import Catalog, EdgeNetwork, PlacementPlan
-from .workload import GroundTruth, SlotObservation
+from .workload import SlotObservation
 
 
 class InvariantViolation(RuntimeError):
@@ -88,44 +88,9 @@ def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
     decision = SlotDecision(t=int(t), deployed=deployed, x=x, placed_counts=placed,
                             residual_after=residual)
     verify_decision(graph.network, catalog, decision)
-    pop.request_ucb = q_est
-    fail.failure_ucb = v_est
     popularity_update(pop, obs, x)
     failure_update(fail, obs, placed)
     return decision
-
-
-def realized_reward(weights: RewardWeights, obs: SlotObservation,
-                    decision: SlotDecision,
-                    catalog: Catalog) -> tuple[np.ndarray, float]:
-    """What the slot actually earned, per SFC and in total.
-
-    A deployed chain pays off only if none of its constituent VNFs failed
-    this slot (copies of the same VNF share one failure outcome); the payoff
-    uses the realized request count. Cloud chains earn 0.
-    """
-    failed = obs.vnf_failed
-    requests = obs.requests
-    earned = [0.0] * catalog.n_sfcs
-    for f, plan in decision.deployed:
-        if any(failed[i] for i in catalog.sfc_chain[f]):
-            continue
-        earned[f] = weights.omega * requests[f] - weights.mu * plan.latency
-    per_sfc = np.array(earned, dtype=np.float64)
-    # numpy's pairwise summation order, not Python's left-to-right one
-    return per_sfc, float(per_sfc.sum())
-
-
-def expected_slot_value(weights: RewardWeights, gt: GroundTruth,
-                        decision: SlotDecision, catalog: Catalog) -> float:
-    """Decision value under the true parameters (the selection objective)."""
-    q = gt.popularity_list
-    rates = gt.failure_rate_list
-    total = 0.0
-    for f, plan in decision.deployed:
-        u_true = chain_failure_rate(catalog, rates, f)
-        total += (weights.omega * q[f] - weights.mu * plan.latency) * (1.0 - u_true)
-    return total
 
 
 def verify_decision(network: EdgeNetwork, catalog: Catalog,

@@ -15,7 +15,7 @@ once.
 
 The policy domain has no overlap: a slot that reads W uniforms owns the
 counter blocks [t*B, (t+1)*B) with B = counter_blocks(W), so its draws are
-disjoint from every other slot's (see policy_uniforms).
+disjoint from every other slot's (see policy_uniform_block).
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def slot_stream(seed: int, t: int, domain: int = ENV_DOMAIN) -> np.random.Genera
     Construction order never matters. Not independent across t: the stream
     for t + 1 is the stream for t shifted by SLOT_STRIDE doubles (see the
     module docstring). The environment starts slot t at block t;
-    policy_uniforms starts it at block t*B.
+    policy_uniform_block starts it at block t*B.
     """
     bitgen = np.random.Philox(_philox_key_type()(seed, domain),
                               counter=[np.uint64(t), 0, 0, 0])
@@ -198,20 +198,12 @@ def counter_blocks(width: int) -> int:
     return -(-width // PHILOX_BLOCK_DOUBLES)
 
 
-def policy_uniforms(seed: int, t: int, width: int) -> list[float]:
-    """Slot t's width policy-domain uniforms, from counter blocks [t*B, (t+1)*B).
-
-    B = counter_blocks(width), so no two slots share a draw. Pure in
-    (seed, t, width).
-    """
-    return policy_uniform_block(seed, t, t + 1, width)[0].tolist()
-
-
 def policy_uniform_block(seed: int, t0: int, t1: int, width: int) -> np.ndarray:
-    """policy_uniforms of slots t0 .. t1-1 as a (t1 - t0, width) array, from one stream.
+    """The width policy-domain uniforms of slots t0 .. t1-1, as a (t1 - t0, width) array.
 
-    Slot t owns counter blocks [t*B, (t+1)*B), so one stream started at block
-    t0*B yields the slots as consecutive rows of 4B doubles.
+    Slot t owns counter blocks [t*B, (t+1)*B) with B = counter_blocks(width),
+    so no two slots share a draw, and one stream started at block t0*B yields
+    the slots as consecutive rows of 4B doubles. Pure in (seed, t, width).
     """
     blocks = counter_blocks(width)
     rng = slot_stream(seed, t0 * blocks, POLICY_DOMAIN)

@@ -13,6 +13,10 @@ them. get_consumption plans one chain with the greedy walk.
 random_placement is the random policy one slot at a time, as a loop over
 Python lists; sfcbackup.lockstep.random_rows, which decides many slots at
 once on numpy arrays, is tested against it.
+
+realized_reward and expected_slot_value value one slot's decision as the
+objective defines it; sfcbackup.lockstep.slot_values, which values many
+rows at once, is tested against them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from sfcbackup import kernels, lockstep
+from sfcbackup import chain_failure_rate, kernels, lockstep
 from sfcbackup.kernels import GREEDY
 from sfcbackup.model import PlacementPlan, cheapest_link_anchor
 
@@ -277,3 +281,33 @@ def random_slots(network, catalog, u) -> list[tuple[list, list[int]]]:
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     return unpack_rows(lockstep.random_rows(lockstep.Layout.of(network, catalog), u),
                        u.shape[0])
+
+
+def realized_reward(weights, obs, decision, catalog) -> tuple[np.ndarray, float]:
+    """What the slot actually earned, per SFC and in total.
+
+    A deployed chain pays off only if none of its constituent VNFs failed
+    this slot (copies of the same VNF share one failure outcome); the payoff
+    uses the realized request count. Cloud chains earn 0.
+    """
+    failed = obs.vnf_failed
+    requests = obs.requests
+    earned = [0.0] * catalog.n_sfcs
+    for f, plan in decision.deployed:
+        if any(failed[i] for i in catalog.sfc_chain[f]):
+            continue
+        earned[f] = weights.omega * requests[f] - weights.mu * plan.latency
+    per_sfc = np.array(earned, dtype=np.float64)
+    # numpy's pairwise summation order, not Python's left-to-right one
+    return per_sfc, float(per_sfc.sum())
+
+
+def expected_slot_value(weights, gt, decision, catalog) -> float:
+    """Decision value under the true parameters (the selection objective)."""
+    q = gt.popularity_list
+    rates = gt.failure_rate_list
+    total = 0.0
+    for f, plan in decision.deployed:
+        u_true = chain_failure_rate(catalog, rates, f)
+        total += (weights.omega * q[f] - weights.mu * plan.latency) * (1.0 - u_true)
+    return total

@@ -175,13 +175,12 @@ def test_05_per_slot_invariants(canonical) -> None:
             else:
                 gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                                        catalog.n_sfcs, seed)
-                observations = sample_slots(gt, 0, cfg.slots + 1)
-                learners = init_learners(observations[0], cfg.users,
+                learners = init_learners(catalog.n_sfcs, catalog.n_vnfs, cfg.users,
                                          failure_bonus_scale=cfg.failure_bonus_scale,
                                          failure_bonus_sign=cfg.failure_bonus_sign)
                 graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
-                decisions = [learned_slot(learners, t, observations[t], cfg.weights, graph)
-                             for t in range(1, cfg.slots + 1)]
+                decisions = [learned_slot(learners, obs.t, obs, cfg.weights, graph)
+                             for obs in sample_slots(gt, 1, cfg.slots + 1)]
             for d in decisions:
                 load = np.zeros(network.n_servers, dtype=np.int64)
                 placed = np.zeros(catalog.n_vnfs, dtype=np.int64)
@@ -269,14 +268,14 @@ def test_06_learner_replay_exactness() -> None:
     # trace A: a live rtsd trajectory
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, rng_seed=424242)
-    observations = sample_slots(gt, 0, slots + 1)
-    pop, fail = init_learners(observations[0], cfg.users,
+    observations = sample_slots(gt, 1, slots + 1)
+    n_sfcs, n_vnfs = cfg.catalog.n_sfcs, cfg.catalog.n_vnfs
+    pop, fail = init_learners(n_sfcs, n_vnfs, cfg.users,
                               failure_bonus_scale=cfg.failure_bonus_scale,
                               failure_bonus_sign=cfg.failure_bonus_sign)
     graph = PlanGraph(cfg.network, cfg.catalog, GREEDY)
     history = []
-    for t in range(1, slots + 1):
-        obs = observations[t]
+    for t, obs in enumerate(observations, start=1):
         d = learned_slot((pop, fail), t, obs, cfg.weights, graph)
         history.append((obs, d.x.copy(), d.placed_counts.copy()))
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
@@ -284,12 +283,11 @@ def test_06_learner_replay_exactness() -> None:
 
     # trace B: synthetic deployment vectors decoupled from any policy
     rng = np.random.default_rng(6)
-    pop, fail = init_learners(observations[0], cfg.users,
+    pop, fail = init_learners(n_sfcs, n_vnfs, cfg.users,
                               failure_bonus_scale=cfg.failure_bonus_scale,
                               failure_bonus_sign=cfg.failure_bonus_sign)
     history = []
-    for t in range(1, slots + 1):
-        obs = observations[t]
+    for obs in observations:
         x = (rng.random(cfg.catalog.n_sfcs) < 0.5).astype(np.uint8)
         placed = rng.integers(0, 4, size=cfg.catalog.n_vnfs)
         popularity_update(pop, obs, x.tolist())
@@ -316,9 +314,8 @@ def test_07_learner_consistency() -> None:
     ok_q = ok_v = 0
     for seed in range(n_seeds):
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
-        observations = sample_slots(gt, 0, slots + 1)
-        pop, fail = init_learners(observations[0], users)
-        for obs in observations[1:]:
+        pop, fail = init_learners(1, 1, users)
+        for obs in sample_slots(gt, 1, slots + 1):
             popularity_update(pop, obs, always)
             failure_update(fail, obs, one_copy)
         ok_q += abs(float(pop.request_mean[0]) - q_true) < tol_q

@@ -15,16 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfcbackup import (ConfigError, SlotDecision, apply_overrides, default_config_path,
-                       emit, expected_slot_value, harness, load_config, lockstep,
-                       make_ground_truth, policy_uniforms, realized_reward, run,
-                       sample_slots, simulate_run, validate_instance, verify_decision)
+                       emit, harness, init_learners, learned_slot, load_config, lockstep,
+                       make_ground_truth, optimal_slot_value, run, sample_slots,
+                       simulate_run, validate_instance, verify_decision)
 from sfcbackup.cli import main
 from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
-                               OBS_BLOCK_SLOTS, PLACEMENT_MODES, POLICY_ORDER,
-                               parse_policies, parse_seeds)
+                               MAX_TRACE_ROWS, OBS_BLOCK_SLOTS, PLACEMENT_MODES,
+                               POLICY_ORDER, parse_policies, parse_seeds)
 from sfcbackup.kernels import PlanGraph
+from sfcbackup.workload import policy_uniform_block
 
-from reference_kernels import random_placement
+from reference_kernels import expected_slot_value, random_placement, realized_reward
 
 
 def tiny_config(**extra) -> dict:
@@ -162,16 +163,16 @@ def test_simulate_run_shapes_and_determinism() -> None:
 def reference_random_series(cfg, gt, slots: int) -> dict[str, list]:
     """One seed's random-policy series, slot by slot, from the per-slot definitions.
 
-    Slot t places with reference_kernels.random_placement on
-    policy_uniforms(seed, t, W), and realized_reward and expected_slot_value
-    value its verified decision.
+    Slot t places with reference_kernels.random_placement on slot t's own W
+    policy uniforms, and realized_reward and expected_slot_value value its
+    verified decision.
     """
     catalog = cfg.catalog
     width, _ = catalog.uniform_layout
     out = {"realized": [], "expected": [], "remaining": [], "deployed": []}
     for t, obs in enumerate(sample_slots(gt, 1, slots + 1), start=1):
-        deployed, residual = random_placement(cfg.network, catalog,
-                                              policy_uniforms(gt.rng_seed, t, width))
+        u = policy_uniform_block(gt.rng_seed, t, t + 1, width)[0].tolist()
+        deployed, residual = random_placement(cfg.network, catalog, u)
         x = [0] * catalog.n_sfcs
         placed = [0] * catalog.n_vnfs
         for f, _ in deployed:
@@ -199,6 +200,57 @@ def test_random_run_draws_each_slot_from_its_own_counter_blocks() -> None:
         assert all(type(v) is kind for v in series[key])
     assert series == reference_random_series(cfg, gt, slots)
     assert any(series["deployed"])
+
+
+def reference_learned_series(cfg, gt, policy: str) -> tuple[dict[str, list], int]:
+    """One seed's learned-policy series, slot by slot, from the per-slot definitions.
+
+    Slot t is learned_slot on slot t's observation alone, and realized_reward
+    and expected_slot_value value its verified decision. Also returns how
+    many deployed chains a failed VNF voided.
+    """
+    catalog = cfg.catalog
+    learners = init_learners(catalog.n_sfcs, catalog.n_vnfs, cfg.users,
+                             failure_bonus_scale=cfg.failure_bonus_scale,
+                             failure_bonus_sign=cfg.failure_bonus_sign)
+    graph = PlanGraph(cfg.network, catalog, PLACEMENT_MODES[policy])
+    out = {"realized": [], "expected": [], "remaining": [], "deployed": []}
+    voided = 0
+    for t in range(1, cfg.slots + 1):
+        [obs] = sample_slots(gt, t, t + 1)
+        decision = learned_slot(learners, t, obs, cfg.weights, graph)
+        out["realized"].append(realized_reward(cfg.weights, obs, decision, catalog)[1])
+        out["expected"].append(expected_slot_value(cfg.weights, gt, decision, catalog))
+        out["remaining"].append(sum(decision.residual_after))
+        out["deployed"].append(len(decision.deployed))
+        voided += sum(any(obs.vnf_failed[i] for i in catalog.sfc_chain[f])
+                      for f, _ in decision.deployed)
+    return out, voided
+
+
+@pytest.mark.parametrize("policy", list(PLACEMENT_MODES))
+def test_per_seed_run_accounts_each_slot_by_the_definitions(policy: str) -> None:
+    cfg = apply_overrides(load_config(tiny_config()), seeds=[8], policy=policy,
+                          slots=OBS_BLOCK_SLOTS + 44)     # crosses one block of drawn slots
+    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
+                           cfg.catalog.n_sfcs, 8)
+    want, voided = reference_learned_series(cfg, gt, policy)
+    assert voided and any(want["deployed"])
+    assert simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy, cfg.slots,
+                        users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
+                        failure_bonus_sign=cfg.failure_bonus_sign) == want
+    oracle = optimal_slot_value(cfg.network, cfg.catalog, gt, cfg.weights).best_value
+    for regret in (False, True):
+        trace = run(apply_overrides(cfg, regret=regret)).trace
+        assert trace["realized_reward"] == want["realized"]
+        assert trace["expected_reward"] == want["expected"]
+        assert trace["remaining_resource"] == want["remaining"]
+        assert trace["num_deployed"] == want["deployed"]
+        if regret:
+            assert trace["oracle_value"] == [oracle] * cfg.slots
+            assert trace["regret"] == [oracle - e for e in want["expected"]]
+        else:
+            assert trace["oracle_value"] == trace["regret"] == [None] * cfg.slots
 
 
 def test_run_emits_one_row_per_policy_seed_slot() -> None:
@@ -447,6 +499,7 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
     ({"catalog": {"vnf_demand": [], "sfc_chain": []},
       "ground_truth": {"request_prob": 0.5, "failure_mean": []}}, []),
     ({"catalog": {"vnf_demand": [2 ** 63, 3, 2], "sfc_chain": [[0, 1], [2, 2], [1]]}}, []),
+    ({}, ["--slots", "10000000000000", "--seed", "0..7", "--policy", "rtsd"]),
 ], ids=["users-string", "two-element-link", "fractional-slots", "omega-inf-string",
         "nan-failure-mean", "fractional-capacity", "int64-overflowing-capacity",
         "fractional-link-endpoint", "string-latency", "overflowing-latency",
@@ -457,7 +510,7 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
         "users-past-int64", "bool-failure-mean", "string-request-prob", "bool-request-prob",
         "seed-range-past-max-seeds", "users-flag-past-request-draws",
         "unknown-policy-after-all", "unknown-policy", "empty-catalog",
-        "int64-overflowing-demand"])
+        "int64-overflowing-demand", "slots-past-trace-rows"])
 def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFixture,
                                        extra: dict, flags: list[str]) -> None:
     cfg_path = write_config(tmp_path, **extra)
@@ -496,6 +549,11 @@ def test_config_errors_name_the_field() -> None:
     with pytest.raises(ConfigError, match=r"users x n_sfcs = 21846 x 3 passes 65536 "
                                           r"request draws per slot; lower users"):
         load_config(tiny_config(users=MAX_REQUEST_DRAWS // 3 + 1))
+    # three policies x two seeds: the trace rows pass the bound one slot later
+    load_config(tiny_config(slots=MAX_TRACE_ROWS // 6))
+    with pytest.raises(ConfigError, match=r"policies x seeds x slots = 3 x 2 x 699051 passes "
+                                          r"4194304 trace rows; lower slots or seeds"):
+        load_config(tiny_config(slots=MAX_TRACE_ROWS // 6 + 1))
 
 
 # Values that are wrong somewhere in a config: fractional, negative, zero, the

@@ -10,10 +10,10 @@ from sfcbackup import default_config_path, load_config
 from sfcbackup import kernels
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_walk,
                                greedy_chain_walk, slot_decide)
-from sfcbackup.harness import PLACEMENT_MODES, _observations
+from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.learning import init_learners
 from sfcbackup.policy import learned_slot
-from sfcbackup.workload import make_ground_truth
+from sfcbackup.workload import make_ground_truth, sample_slots
 
 from reference_kernels import (chain_arrays, first_fit_chain_walk_array,
                                greedy_chain_walk_array, neighbor_table,
@@ -256,15 +256,15 @@ def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
         for seed in range(1, 31):
             gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                                    cat.n_sfcs, seed)
-            observations = list(_observations(gt, slots + 1))
+            observations = sample_slots(gt, 1, slots + 1)
             runs = []
             for graph in (shared, None):
-                learners = init_learners(observations[0], cfg.users,
+                learners = init_learners(cat.n_sfcs, cat.n_vnfs, cfg.users,
                                          failure_bonus_scale=cfg.failure_bonus_scale,
                                          failure_bonus_sign=cfg.failure_bonus_sign)
-                runs.append([learned_slot(learners, t, obs, cfg.weights,
+                runs.append([learned_slot(learners, obs.t, obs, cfg.weights,
                                           graph or PlanGraph(net, cat, mode))
-                             for t, obs in enumerate(observations[1:], start=1)])
+                             for obs in observations])
             for a, b in zip(*runs):
                 assert a.deployed == b.deployed
                 assert a.residual_after == b.residual_after

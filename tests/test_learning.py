@@ -19,17 +19,16 @@ def obs(t: int, requests, failed) -> SlotObservation:
 
 
 def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
-    return init_learners(obs(0, [0] * n_sfcs, [0] * n_vnfs), users, **kw)
+    return init_learners(n_sfcs, n_vnfs, users, **kw)
 
 
-def test_init_snapshots_come_from_slot_zero() -> None:
-    pop, fail = init_learners(obs(0, [7, 2], [1, 0, 1]), users=10)
+def test_init_learners_start_at_zero() -> None:
+    pop, fail = init_learners(2, 3, users=10)
+    assert pop.users == 10
     assert pop.selected == [0, 0]
-    assert pop.request_mean == [0.0, 0.0]
-    assert pop.request_ucb == [7.0, 2.0]
+    assert pop.request_total == pop.request_mean == [0.0, 0.0]
     assert fail.placements == [0, 0, 0]
-    assert fail.failure_mean == [0.0, 0.0, 0.0]
-    assert fail.failure_ucb == [1.0, 0.0, 1.0]
+    assert fail.failure_total == fail.failure_mean == [0.0, 0.0, 0.0]
     assert fail.bonus_scale == 10.0 and fail.bonus_sign == 1
 
 
@@ -169,7 +168,7 @@ def test_learner_converges_on_always_deploy() -> None:
     # quick version of the long-horizon consistency check
     from sfcbackup import make_ground_truth, sample_slot
     gt = make_ground_truth(0.4, [0.3], users=10, n_sfcs=1, rng_seed=21)
-    pop, fail = init_learners(sample_slot(gt, 0), users=10)
+    pop, fail = init_learners(1, 1, users=10)
     n = 2000
     for t in range(1, n + 1):
         o = sample_slot(gt, t)

@@ -220,8 +220,7 @@ def test_lockstep_learners_equal_the_per_seed_learners() -> None:
     n_seeds, n_sfcs, n_vnfs, users = 5, 4, 6, 7
     for sign, scale in ((1, None), (-1, 0.8), (1, 1e308)):
         batch = lockstep.Learners.fresh(n_seeds, n_sfcs, n_vnfs, users, scale, sign)
-        first = SlotObservation(t=0, requests=[0] * n_sfcs, vnf_failed=[0] * n_vnfs)
-        singles = [init_learners(first, users, failure_bonus_scale=scale,
+        singles = [init_learners(n_sfcs, n_vnfs, users, failure_bonus_scale=scale,
                                  failure_bonus_sign=sign) for _ in range(n_seeds)]
         for t in range(1, 40):
             q_rows, v_rows = lockstep.estimates(batch, t)
@@ -439,9 +438,11 @@ def test_random_run_equals_single_seed_runs(n_seeds: int) -> None:
 # --- the reduction order the traces rely on -------------------------------------
 
 def test_row_sums_of_a_matrix_equal_sums_of_its_rows() -> None:
-    # lockstep sums each seed's per-chain rewards with earned.sum(axis=1);
-    # policy.realized_reward sums one seed's as a 1-D array. The traces agree
-    # only while numpy reduces both in the same (pairwise) order.
+    # lockstep.slot_values sums each row's per-chain rewards with
+    # earned.sum(axis=1), whether its rows are the seeds of a slot or the slots
+    # of a block; the reference realized_reward sums one slot's as a 1-D array.
+    # Both paths match the reference, and each other, only while numpy reduces
+    # both in the same (pairwise) order.
     rng = np.random.default_rng(2024)
     for n_cols in range(1, 65):
         a = rng.standard_normal((9, n_cols)) * 10.0 ** rng.integers(-8, 9, size=(9, n_cols))

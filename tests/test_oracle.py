@@ -12,10 +12,10 @@ from sfcbackup import (Catalog, EdgeNetwork, RewardWeights, SearchSpaceTooLarge,
                        chain_failure_rate, init_learners, learned_slot, lockstep,
                        make_ground_truth, optimal_chain_latency,
                        optimal_slot_value, sample_slot, shortest_path_matrix,
-                       true_popularity, expected_slot_value)
+                       true_popularity)
 from sfcbackup.kernels import GREEDY, PlanGraph
 
-from reference_kernels import get_consumption
+from reference_kernels import expected_slot_value, get_consumption
 
 
 def test_shortest_paths_take_multi_hop_shortcuts() -> None:
@@ -180,8 +180,7 @@ def test_policies_never_beat_the_oracle() -> None:
     w = RewardWeights()
     ceiling = optimal_slot_value(net, cat, gt, w).best_value
 
-    obs0 = sample_slot(gt, 0)
-    learners = init_learners(obs0, gt.n_users, failure_bonus_scale=1.0,
+    learners = init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users, failure_bonus_scale=1.0,
                              failure_bonus_sign=-1)
     graph = PlanGraph(net, cat, GREEDY)
     worst_gap = math.inf

@@ -9,30 +9,29 @@ import pytest
 from sfcbackup import (Catalog, EdgeNetwork, FailureLearner, InvariantViolation,
                        PlacementPlan, PopularityLearner, RewardWeights,
                        SlotDecision, chain_failure_rate,
-                       default_config_path, expected_slot_value,
+                       default_config_path,
                        failure_estimate, failure_update,
-                       init_learners, learned_slot, load_config, make_ground_truth,
+                       init_learners, learned_slot, load_config, lockstep,
+                       make_ground_truth,
                        popularity_estimate,
                        popularity_update,
-                       realized_reward,
                        sample_slot, sample_slots, verify_decision)
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import PlanGraph
 from sfcbackup.workload import SlotObservation, policy_uniform_block
 
-from reference_kernels import get_consumption, random_slots
+from reference_kernels import (expected_slot_value, get_consumption, random_slots,
+                               realized_reward)
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
                   placements: int = 5, sign: int = 1, scale: float = 1.0):
     pop = PopularityLearner(users=users, selected=[selected] * len(q_mean),
                             request_total=[q * selected for q in q_mean],
-                            request_mean=list(q_mean),
-                            request_ucb=list(q_mean))
+                            request_mean=list(q_mean))
     fail = FailureLearner(placements=[placements] * len(v_mean),
                           failure_total=[v * placements for v in v_mean],
-                          failure_mean=list(v_mean), failure_ucb=list(v_mean),
-                          bonus_scale=scale, bonus_sign=sign)
+                          failure_mean=list(v_mean), bonus_scale=scale, bonus_sign=sign)
     return pop, fail
 
 
@@ -92,6 +91,43 @@ def test_expected_slot_value_hand_case() -> None:
                                SlotDecision(1, [], np.zeros(1, np.uint8),
                                             np.zeros(2, np.int64),
                                             np.zeros(1, np.int64)), cat) == 0.0
+
+
+def test_slot_values_rows_take_the_hand_values() -> None:
+    # the two hand cases above, as rows of lockstep.slot_values
+    w = RewardWeights()
+    net = EdgeNetwork([4], ())
+    cat = Catalog([2, 3], [[0, 0], [1]])
+    plan0 = PlacementPlan(sfc=0, assignment=(0, 0), latency=1.0, at_edge=True)
+    rec = lockstep.records_of([[(0, plan0)]] * 3, [[0]] * 3, net.n_servers)
+    ones = np.ones((3, 2))
+    values = lockstep.slot_values(lockstep.Layout.of(net, cat), w.omega, w.mu,
+                                  np.array([[6, 9], [6, 9], [0, 9]], dtype=np.int64),
+                                  np.array([[0, 0], [1, 0], [0, 1]], dtype=np.uint8),
+                                  rec, ones, ones)
+    # the failed VNF runs twice in chain 0 and voids its payoff once; no
+    # requests still pays the latency cost
+    assert values["realized"] == [5.0, 0.0, -1.0]
+    assert values["remaining"] == [0, 0, 0]
+    assert values["deployed"] == [1, 1, 1]
+
+    net = EdgeNetwork([5], ())
+    cat = Catalog([2, 3], [[0, 1]])
+    gt = make_ground_truth(0.6, [0.1, 0.25], users=5, n_sfcs=1, rng_seed=0)
+    plan = PlacementPlan(sfc=0, assignment=(0, 0), latency=0.4, at_edge=True)
+    dec = SlotDecision(t=1, deployed=[(0, plan)], x=[1], placed_counts=[1, 1],
+                       residual_after=[0])
+    rec = lockstep.records_of([dec.deployed, []], [[0], [5]], net.n_servers)
+    value_true, gate_true = lockstep.true_values(cat, [gt, gt], w)
+    values = lockstep.slot_values(lockstep.Layout.of(net, cat), w.omega, w.mu,
+                                  np.array([[2], [4]], dtype=np.int64),
+                                  np.array([[0, 1], [0, 0]], dtype=np.uint8),
+                                  rec, value_true, gate_true)
+    assert values["expected"] == [expected_slot_value(w, gt, dec, cat), 0.0]
+    assert values["expected"][0] == pytest.approx((1.0 * 3.0 - 1.0 * 0.4) * (1.0 - 0.25))
+    assert values["realized"] == [0.0, 0.0]
+    assert values["remaining"] == [0, 5]
+    assert values["deployed"] == [1, 0]
 
 
 # --- learned policies ------------------------------------------------------
@@ -169,18 +205,6 @@ def test_learned_policies_update_only_deployed_arms() -> None:
     assert fail.failure_mean[1] == pytest.approx(0.0)
 
 
-def test_slot_call_stashes_the_estimates_it_used() -> None:
-    net = EdgeNetwork([6], ())
-    cat = Catalog([3], [[0]])
-    pop, fail = learners_with([5.0], [0.1], selected=4, placements=4, users=2)
-    t = 7
-    want_q = popularity_estimate(pop, t).copy()
-    want_v = failure_estimate(fail, t).copy()
-    slot_of("rtsd", net, cat, (pop, fail), t, obs_of(t, [2], [0]))
-    assert pop.request_ucb == want_q
-    assert fail.failure_ucb == want_v
-
-
 # --- trace equivalence against a plain-surface reference -------------------
 
 def reference_slot(net, cat, pop, fail, t, weights):
@@ -221,25 +245,26 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
                            users=6, n_sfcs=4, rng_seed=7)
     w = RewardWeights(omega=1.0, mu=0.7)
 
-    obs0 = sample_slot(gt, 0)
-    live = init_learners(obs0, gt.n_users, failure_bonus_scale=1.0,
+    live = init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users, failure_bonus_scale=1.0,
                          failure_bonus_sign=-1)
-    ref = init_learners(obs0, gt.n_users, failure_bonus_scale=1.0,
+    ref = init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users, failure_bonus_scale=1.0,
                         failure_bonus_sign=-1)
 
     any_deployed = False
     for t in range(1, 31):
         obs = sample_slot(gt, t)
+        want_q = popularity_estimate(live[0], t)
+        want_v = failure_estimate(live[1], t)
         dec = slot_of("rtsd", net, cat, live, t, obs, w)
-        want, want_res, want_q, want_v = reference_slot(net, cat, *ref, t, w)
+        want, want_res, ref_q, ref_v = reference_slot(net, cat, *ref, t, w)
 
         assert [f for f, _ in dec.deployed] == [f for f, _ in want]
         for (_, got_plan), (_, ref_plan) in zip(dec.deployed, want):
             assert got_plan.assignment == ref_plan.assignment
             assert got_plan.latency == ref_plan.latency
         assert dec.residual_after == want_res.tolist()
-        assert live[0].request_ucb == want_q
-        assert live[1].failure_ucb == want_v
+        assert ref_q == want_q
+        assert ref_v == want_v
 
         x_ref = [0] * cat.n_sfcs
         placed_ref = [0] * cat.n_vnfs
@@ -247,8 +272,6 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
             x_ref[f] = 1
             for i in cat.sfc_chain[f]:
                 placed_ref[i] += 1
-        ref[0].request_ucb = want_q
-        ref[1].failure_ucb = want_v
         popularity_update(ref[0], obs, x_ref)
         failure_update(ref[1], obs, placed_ref)
 
@@ -505,8 +528,8 @@ def test_verify_decision_catches_placement_count_mismatch() -> None:
 
 # --- vector format -----------------------------------------------------------
 
-POPULARITY_FIELDS = ("selected", "request_total", "request_mean", "request_ucb")
-FAILURE_FIELDS = ("placements", "failure_total", "failure_mean", "failure_ucb")
+POPULARITY_FIELDS = ("selected", "request_total", "request_mean")
+FAILURE_FIELDS = ("placements", "failure_total", "failure_mean")
 
 
 def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
@@ -516,7 +539,7 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 5)
-    observations = sample_slots(gt, 0, 9)
+    observations = sample_slots(gt, 1, 9)
     checked = Counter()
 
     def check(name: str, vector) -> None:
@@ -525,10 +548,10 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
         checked[name] += 1
 
     for policy in PLACEMENT_MODES:
-        learners = init_learners(observations[0], cfg.users)
+        learners = init_learners(cat.n_sfcs, cat.n_vnfs, cfg.users)
         graph = PlanGraph(net, cat, PLACEMENT_MODES[policy])
         deployed = 0
-        for t, obs in enumerate(observations[1:], start=1):
+        for t, obs in enumerate(observations, start=1):
             check("requests", obs.requests)
             check("vnf_failed", obs.vnf_failed)
             pop, fail = learners
@@ -542,4 +565,4 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
             for name in ("x", "placed_counts", "residual_after"):
                 check(name, getattr(dec, name))
         assert deployed, policy
-    assert len(checked) == 15
+    assert len(checked) == 13

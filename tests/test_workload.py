@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (Catalog, GroundTruth, default_config_path, load_config,
-                       make_ground_truth, policy_uniforms, sample_slot, sample_slots,
-                       slot_stream, true_popularity, workload)
-from sfcbackup.harness import OBS_BLOCK_SLOTS, _observations
-from sfcbackup.workload import ENV_DOMAIN, POLICY_DOMAIN, counter_blocks, policy_uniform_block
+from sfcbackup import (Catalog, GroundTruth, default_config_path, load_config, lockstep,
+                       make_ground_truth, sample_slot, sample_slots, true_popularity,
+                       workload)
+from sfcbackup.harness import OBS_BLOCK_SLOTS
+from sfcbackup.workload import (ENV_DOMAIN, POLICY_DOMAIN, counter_blocks,
+                                policy_uniform_block, slot_stream)
 
 
 def reference_slot(gt: GroundTruth, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +175,12 @@ def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: in
 def test_block_sampling_crosses_block_boundaries() -> None:
     gt = make_ground_truth([0.7, 0.2], [0.3, 0.05, 0.5], users=3, n_sfcs=2, rng_seed=12)
     n_slots = 2 * OBS_BLOCK_SLOTS + 3
-    assert_matches_reference(gt, list(_observations(gt, n_slots)), 0)
+    drawn = list(lockstep.observations([gt], n_slots))
+    assert len(drawn) == n_slots
+    for t, (requests, failed) in enumerate(drawn, start=1):
+        want_requests, want_failed = reference_slot(gt, t)
+        assert requests[0].tolist() == want_requests.tolist()
+        assert failed[0].tolist() == want_failed.tolist()
 
 
 def test_sample_slots_rejects_empty_range() -> None:
@@ -212,7 +218,7 @@ def test_policy_uniforms_own_their_counter_blocks() -> None:
         for t in (1, 2, OBS_BLOCK_SLOTS, OBS_BLOCK_SLOTS + 1, n_slots):
             expected = slot_stream(13, t * blocks, POLICY_DOMAIN).random(width).tolist()
             assert rows[t - 1] == expected
-            assert policy_uniforms(13, t, width) == expected
+            assert policy_uniform_block(13, t, t + 1, width)[0].tolist() == expected
 
 
 def test_consecutive_policy_slots_share_no_draws() -> None:
