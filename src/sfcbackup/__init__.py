@@ -3,37 +3,28 @@
 A time-slotted simulator plus three policies: a learned latency-aware scheme
 (rtsd), a learned first-fit baseline (bandit), and an uninformed random
 baseline, with exhaustive oracles for small instances.
+
+The package exports what a caller needs to describe an instance, run an
+experiment and write its trace. The lower-level pieces (learners, kernels,
+batched simulators, the per-slot policy step) are imported from their
+submodules.
 """
 
-from .model import (Catalog, EdgeNetwork, PlacementPlan, cheapest_link_anchor,
-                    validate_instance)
-from .workload import (GroundTruth, SlotObservation, make_ground_truth, sample_slot,
-                       sample_slots, true_popularity)
-from .learning import (FailureLearner, PopularityLearner, chain_failure_rate,
-                       failure_estimate, failure_update, init_learners,
-                       popularity_estimate, popularity_update)
-from .policy import (InvariantViolation, RewardWeights, SlotDecision, learned_slot,
-                     verify_decision)
-from .oracle import (OracleResult, SearchSpaceTooLarge, optimal_chain_latency,
-                     optimal_slot_value, shortest_path_matrix)
+from .model import Catalog, EdgeNetwork, validate_instance
+from .workload import GroundTruth, make_ground_truth
+from .policy import InvariantViolation, RewardWeights
+from .oracle import OracleResult, SearchSpaceTooLarge, optimal_slot_value
 from .harness import (ConfigError, ExperimentConfig, RunResult, apply_overrides,
-                      default_config_path, emit, load_config, run, simulate_run)
+                      default_config_path, emit, load_config, run)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Catalog", "EdgeNetwork", "cheapest_link_anchor", "validate_instance",
-    "GroundTruth", "SlotObservation", "make_ground_truth", "sample_slot", "sample_slots",
-    "true_popularity",
-    "FailureLearner", "PopularityLearner", "chain_failure_rate",
-    "failure_estimate", "failure_update", "init_learners",
-    "popularity_estimate", "popularity_update",
-    "PlacementPlan",
-    "InvariantViolation", "RewardWeights", "SlotDecision",
-    "learned_slot", "verify_decision",
-    "OracleResult", "SearchSpaceTooLarge", "optimal_chain_latency",
-    "optimal_slot_value", "shortest_path_matrix",
+    "Catalog", "EdgeNetwork", "validate_instance",
+    "GroundTruth", "make_ground_truth",
+    "RewardWeights", "InvariantViolation",
+    "OracleResult", "SearchSpaceTooLarge", "optimal_slot_value",
     "ConfigError", "ExperimentConfig", "RunResult", "apply_overrides",
-    "default_config_path", "emit", "load_config", "run", "simulate_run",
+    "default_config_path", "emit", "load_config", "run",
     "__version__",
 ]

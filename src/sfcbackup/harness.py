@@ -30,8 +30,8 @@ from .learning import init_learners
 from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
 from .policy import RewardWeights, learned_slot
-from .workload import (OBS_BLOCK_SLOTS, GroundTruth, SlotObservation, check_parameters,
-                       make_ground_truth, sample_arrays)
+from .workload import (OBS_BLOCK_SLOTS, GroundTruth, check_parameters, make_ground_truth,
+                       sample_arrays)
 
 POLICY_ORDER = ("rtsd", "bandit", "random")
 
@@ -401,7 +401,7 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
         decided = []
         residuals = []
         for t, r, v in zip(range(t0, t1), requests.tolist(), failed.tolist()):
-            decision = learned_slot(learners, t, SlotObservation(t, r, v), weights, graph)
+            decision = learned_slot(learners, t, r, v, weights, graph)
             decided.append(decision.deployed)
             residuals.append(decision.residual_after)
         rec = lockstep.records_of(decided, residuals, network.n_servers)
@@ -416,8 +416,8 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
 def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
     """Each seed's hidden parameters, built once per run and shared by every policy.
 
-    The seeds share one set of arrays and list views, so a run holds the
-    parameters once however many seeds it has.
+    The seeds share one set of arrays, so a run holds the parameters once
+    however many seeds it has.
     """
     first = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                               cfg.catalog.n_sfcs, cfg.seeds[0])

@@ -177,8 +177,7 @@ class PlanGraph:
             residual[s] -= demands[i]
         key = tuple(residual)
         nxt = self.node(key)
-        edge = (nxt, PlacementPlan(sfc=f, assignment=assign, latency=latency,
-                                   at_edge=True))
+        edge = (nxt, PlacementPlan(sfc=f, assignment=assign, latency=latency))
         if self.nodes.get(key) is nxt:
             node[2][f] = edge
         return edge

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .workload import SlotObservation
-
 
 @dataclass(eq=False)
 class PopularityLearner:
@@ -69,10 +67,8 @@ def init_learners(n_sfcs: int, n_vnfs: int, users: int, *,
     return pop, fail
 
 
-def popularity_update(learner: PopularityLearner, obs: SlotObservation,
-                      deployed) -> None:
-    """Fold obs into every arm flagged in ``deployed`` (the slot's backup vector)."""
-    requests = obs.requests
+def popularity_update(learner: PopularityLearner, requests, deployed) -> None:
+    """Fold the slot's request counts into every arm flagged in ``deployed``, its backup vector."""
     selected, total, mean = learner.selected, learner.request_total, learner.request_mean
     for f, on in enumerate(deployed):
         if on:
@@ -91,14 +87,12 @@ def popularity_estimate(learner: PopularityLearner, t: int) -> list[float]:
             for c, mean in zip(learner.selected, learner.request_mean)]
 
 
-def failure_update(learner: FailureLearner, obs: SlotObservation,
-                   placed) -> None:
-    """Fold obs into every VNF with placed copies this slot.
+def failure_update(learner: FailureLearner, failed, placed) -> None:
+    """Fold the slot's failure flags into every VNF with placed copies this slot.
 
-    placed[i] is the copy count (may exceed 1); the observed failure flag is
-    added once per slot regardless of how many copies went out.
+    placed[i] is the copy count (may exceed 1); the flag failed[i] is added
+    once per slot regardless of how many copies went out.
     """
-    failed = obs.vnf_failed
     placements, total, mean = learner.placements, learner.failure_total, learner.failure_mean
     for i, copies in enumerate(placed):
         if copies > 0:

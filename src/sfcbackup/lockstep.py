@@ -42,10 +42,11 @@ from . import kernels
 from .learning import chain_failure_rate
 from .model import Catalog, EdgeNetwork, PlacementPlan
 from .policy import InvariantViolation, RewardWeights, SlotDecision, verify_decision
-from .workload import OBS_BLOCK_SLOTS, GroundTruth, policy_uniform_block, sample_arrays
+from .workload import (OBS_BLOCK_SLOTS, GroundTruth, policy_uniform_block, sample_arrays,
+                       true_popularity)
 
 
-_PLAN_FIELDS = attrgetter("latency", "at_edge", "assignment")
+_PLAN_FIELDS = attrgetter("latency", "assignment")
 
 # The per-slot series of a run, the keys of slot_values' result.
 SERIES = ("realized", "expected", "remaining", "deployed")
@@ -127,14 +128,13 @@ class Records:
     """The commits of R rows (seeds of a slot, or (seed, slot) pairs) as flat arrays.
 
     Record r commits chain sfc[r] in row row[r], in commit order within the
-    row, at latency[r], as an edge plan if at_edge[r], on the next positions[r]
-    entries of servers. residual[k] is the capacity row k says is left.
+    row, at latency[r], on the next positions[r] entries of servers.
+    residual[k] is the capacity row k says is left.
     """
 
     row: np.ndarray             # (C,) int64
     sfc: np.ndarray             # (C,) int64
     latency: np.ndarray         # (C,) float64
-    at_edge: np.ndarray         # (C,) bool
     positions: np.ndarray       # (C,) int64
     servers: np.ndarray         # (sum of positions,) int64
     residual: np.ndarray        # (R, N) int64
@@ -143,8 +143,8 @@ class Records:
 def true_values(catalog: Catalog, gts: list[GroundTruth],
                 weights: RewardWeights) -> tuple[np.ndarray, np.ndarray]:
     """slot_values' value_true and gate_true, one row per seed in gts."""
-    value_true = np.array([[weights.omega * q for q in gt.popularity_list] for gt in gts])
-    gate_true = np.array([[1.0 - chain_failure_rate(catalog, gt.failure_rate_list, f)
+    value_true = weights.omega * np.array([true_popularity(gt) for gt in gts])
+    gate_true = np.array([[1.0 - chain_failure_rate(catalog, gt.failure_mean, f)
                            for f in range(catalog.n_sfcs)] for gt in gts])
     return value_true, gate_true
 
@@ -255,14 +255,13 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
     # row-major: each row's commits in rank order, each commit's servers in chain order
     taken = committed[:, :, None] & (np.arange(longest) < lengths[:, :, None])
     return Records(row=rec_row, sfc=order[rec_row, rec_rank], latency=latency[rec_row, rec_rank],
-                   at_edge=np.ones(rec_row.shape[0], dtype=bool), positions=positions,
-                   servers=spots[taken], residual=residual)
+                   positions=positions, servers=spots[taken], residual=residual)
 
 
 def check(layout: Layout, rec: Records, label) -> tuple[np.ndarray, np.ndarray]:
     """Recount every row's commits and check the eight conditions of verify_decision.
 
-    No chain committed twice; no partial or cloud plan; no infinite latency;
+    No chain committed twice; no partial plan; no infinite latency;
     every server id in range; load within capacity; the residual equal to
     capacity minus load; x equal to the committed set; and the copies that
     feed the failure update equal to the per-position recount. label(k) is
@@ -281,10 +280,10 @@ def check(layout: Layout, rec: Records, label) -> tuple[np.ndarray, np.ndarray]:
     commits = np.bincount(row * n_sfcs + sfc, minlength=n_rows * n_sfcs).reshape(n_rows, n_sfcs)
     placed = commits @ layout.copies
 
-    # per record: a whole edge plan at finite latency on known servers
+    # per record: a whole plan at finite latency on known servers
     pos_rec = np.repeat(np.arange(sfc.shape[0]), rec.positions)
     known = rec.servers % n_servers      # in range, and equal to the id where it was
-    whole = (rec.at_edge & (rec.positions == layout.chain_len[sfc]) & ~np.isinf(rec.latency)
+    whole = ((rec.positions == layout.chain_len[sfc]) & ~np.isinf(rec.latency)
              & (np.bincount(pos_rec[known != rec.servers], minlength=sfc.shape[0]) == 0))
     # position p of a whole plan runs VNF chain_flat[p + shift]; known and the
     # clamp keep the positions of the other plans, whose rows fail anyway, in range
@@ -318,8 +317,7 @@ def _violation(layout: Layout, rec: Records, x: np.ndarray, placed: np.ndarray,
         f = int(rec.sfc[r])
         assignment = tuple(rec.servers[ends[r] - int(rec.positions[r]):ends[r]].tolist())
         deployed.append((f, PlacementPlan(sfc=f, assignment=assignment,
-                                          latency=float(rec.latency[r]),
-                                          at_edge=bool(rec.at_edge[r]))))
+                                          latency=float(rec.latency[r]))))
     decision = SlotDecision(t=t, deployed=deployed, x=x[k].astype(np.int64).tolist(),
                             placed_counts=placed[k].tolist(),
                             residual_after=rec.residual[k].tolist())
@@ -340,7 +338,7 @@ def records_of(decided: list, residuals: list, n_servers: int) -> Records:
     """
     pairs = [pair for deployed in decided for pair in deployed]
     sfcs, plans = zip(*pairs) if pairs else ((), ())
-    latency, at_edge, assigned = zip(*map(_PLAN_FIELDS, plans)) if pairs else ((), (), ())
+    latency, assigned = zip(*map(_PLAN_FIELDS, plans)) if pairs else ((), ())
     residual = np.fromiter(chain.from_iterable(r if len(r) == n_servers else [-1] * n_servers
                                                for r in residuals),
                            np.int64, len(residuals) * n_servers).reshape(-1, n_servers)
@@ -348,7 +346,6 @@ def records_of(decided: list, residuals: list, n_servers: int) -> Records:
                                 dtype=np.int64),
                    sfc=np.array(sfcs, dtype=np.int64),
                    latency=np.array(latency, dtype=np.float64),
-                   at_edge=np.array(at_edge, dtype=bool),
                    positions=np.fromiter(map(len, assigned), np.int64, len(assigned)),
                    servers=np.fromiter(chain.from_iterable(assigned), np.int64),
                    residual=residual)

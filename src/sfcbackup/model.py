@@ -34,16 +34,16 @@ def _normalize_links(links) -> tuple[tuple[int, int, float], ...]:
 
 @dataclass(frozen=True, slots=True)
 class PlacementPlan:
-    """Where one SFC's chain would go.
+    """Where one committed SFC's chain goes at the edge.
 
-    at_edge False means the chain is pushed to the cloud: empty assignment
-    and +inf latency, never committed against edge capacity.
+    assignment holds one server per chain position, and latency sums the link
+    latencies between consecutive positions. A chain that does not fit is
+    never committed, so it has no plan.
     """
 
     sfc: int
     assignment: tuple[int, ...]
     latency: float
-    at_edge: bool
 
 
 @dataclass(eq=False)

@@ -56,34 +56,15 @@ def optimal_chain_latency(network: EdgeNetwork, catalog: Catalog, residual,
     if n ** len(chain) > node_budget:
         raise SearchSpaceTooLarge(
             f"{n}^{len(chain)} assignments exceed the budget of {node_budget}")
-    sp = shortest_path_matrix(network)
-    demands = catalog.vnf_demand
-    res = np.array(residual, dtype=np.int64)
-    best = math.inf
-
-    def walk(j: int, prev: int, acc: float) -> None:
-        nonlocal best
-        if j == len(chain):
-            best = acc
-            return
-        need = demands[chain[j]]
-        for s in range(n):
-            if res[s] >= need:
-                step = 0.0 if j == 0 else sp[prev, s]
-                if acc + step < best:
-                    res[s] -= need
-                    walk(j + 1, s, acc + step)
-                    res[s] += need
-
-    walk(0, -1, 0.0)
-    return float(best)
+    return float(_joint_min_weighted_latency(network, catalog, [f], [1.0],
+                                             shortest_path_matrix(network), residual))
 
 
 def _joint_min_weighted_latency(network: EdgeNetwork, catalog: Catalog,
                                 subset: list[int], weights_per_sfc: list[float],
-                                sp: np.ndarray) -> float:
-    """Min over joint capacity-feasible placements of sum_f w_f * L_f; inf if none."""
-    res = np.array(network.capacities, dtype=np.int64)
+                                sp: np.ndarray, residual) -> float:
+    """Min over joint placements within ``residual`` of sum_f w_f * L_f; inf if none."""
+    res = np.array(residual, dtype=np.int64)
     demands = catalog.vnf_demand
     chains = [catalog.sfc_chain[f] for f in subset]
     best = math.inf
@@ -140,7 +121,8 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
         subset = [f for f in range(n_sfcs) if mask >> f & 1]
         base = sum(weights.omega * q[f] * gate[f] for f in subset)
         lat_weights = [weights.mu * gate[f] for f in subset]
-        penalty = _joint_min_weighted_latency(network, catalog, subset, lat_weights, sp)
+        penalty = _joint_min_weighted_latency(network, catalog, subset, lat_weights, sp,
+                                              network.capacities)
         if math.isinf(penalty):
             continue
         value = base - penalty
@@ -148,8 +130,11 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
             best_value = value
             best_sel = tuple(subset)
 
-    standalone = {f: optimal_chain_latency(network, catalog, network.capacities, f,
-                                           node_budget)
+    # each chain alone, on the same shortest paths; the joint budget check above
+    # covers its enumeration, and an empty chain has no plan
+    standalone = {f: float(_joint_min_weighted_latency(network, catalog, [f], [1.0], sp,
+                                                       network.capacities))
+                  if catalog.sfc_chain[f] else math.inf
                   for f in range(n_sfcs)}
     return OracleResult(best_latency=standalone, best_selection=best_sel,
                         best_value=float(best_value))

@@ -26,7 +26,6 @@ from . import kernels
 from .learning import (FailureLearner, PopularityLearner, failure_estimate, failure_update,
                        popularity_estimate, popularity_update)
 from .model import Catalog, EdgeNetwork, PlacementPlan
-from .workload import SlotObservation
 
 
 class InvariantViolation(RuntimeError):
@@ -61,7 +60,7 @@ class SlotDecision:
 
 
 def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
-                 obs: SlotObservation, weights: RewardWeights,
+                 requests, failed, weights: RewardWeights,
                  graph: kernels.PlanGraph) -> SlotDecision:
     """One slot of a learned policy: decide on the learners' optimistic estimates, then learn.
 
@@ -70,7 +69,8 @@ def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
     bandit. Kept across slots, it spares re-planning residual states the run
     has seen. The kernel scores every remaining chain's plan, commits the
     best positive score, re-plans and repeats; the decision is verified, and
-    the slot's observation then updates the learners for the deployed arms.
+    the slot's observation, its request counts and VNF failure flags, then
+    updates the learners for the deployed arms.
     """
     pop, fail = learners
     q_est = popularity_estimate(pop, t)
@@ -88,8 +88,8 @@ def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
     decision = SlotDecision(t=int(t), deployed=deployed, x=x, placed_counts=placed,
                             residual_after=residual)
     verify_decision(graph.network, catalog, decision)
-    popularity_update(pop, obs, x)
-    failure_update(fail, obs, placed)
+    popularity_update(pop, requests, x)
+    failure_update(fail, failed, placed)
     return decision
 
 
@@ -111,7 +111,7 @@ def verify_decision(network: EdgeNetwork, catalog: Catalog,
         if f in seen:
             raise InvariantViolation(f"slot {decision.t}: SFC {f} committed twice")
         seen.add(f)
-        if not plan.at_edge or len(plan.assignment) != len(chain):
+        if len(plan.assignment) != len(chain):
             raise InvariantViolation(f"slot {decision.t}: SFC {f} committed a partial plan")
         if math.isinf(plan.latency):
             raise InvariantViolation(f"slot {decision.t}: SFC {f} committed at infinite latency")

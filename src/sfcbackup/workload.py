@@ -2,8 +2,10 @@
 
 Slot t draws from a counter-based RNG stream (Philox keyed by the run seed,
 counter set to [t, 0, 0, 0]), so the observation at slot t depends only on
-(seed, t). Policies never consume environment randomness; policy-side draws
-use a separate key domain. A given seed therefore produces the identical
+(seed, t). sample_arrays is the one way to draw observations: a range of
+slots at once, as (slots, F) request counts and (slots, I) failure flags.
+Policies never consume environment randomness; policy-side draws use a
+separate key domain. A given seed therefore produces the identical
 observation sequence no matter which or how many policies run.
 
 The environment's slot streams are not independent: Philox advances the
@@ -23,7 +25,6 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -52,8 +53,8 @@ class GroundTruth:
 
     request_prob[k, f] is user k's per-slot probability of requesting SFC f;
     failure_mean[i] is VNF i's per-slot failure probability. Instances are
-    treated as immutable after construction; list views are cached on first
-    use.
+    treated as immutable after construction, so reseeded copies share the
+    arrays.
     """
 
     request_prob: np.ndarray
@@ -64,13 +65,12 @@ class GroundTruth:
         self.request_prob = np.atleast_2d(np.asarray(request_prob, dtype=np.float64))
         self.failure_mean = np.asarray(failure_mean, dtype=np.float64)
         self.rng_seed = int(rng_seed)
-        self._cache: dict[str, list[float]] = {}
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
         _check_probabilities(self.request_prob, self.failure_mean)
 
     def reseeded(self, rng_seed: int) -> "GroundTruth":
-        """The same parameters under another seed; the arrays and list views are shared."""
+        """The same parameters under another seed; the arrays are shared."""
         if rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
         other = copy.copy(self)
@@ -88,33 +88,6 @@ class GroundTruth:
     @property
     def n_vnfs(self) -> int:
         return self.failure_mean.shape[0]
-
-    @property
-    def popularity_list(self) -> list[float]:
-        """true_popularity as Python floats, summed once on first use."""
-        q = self._cache.get("popularity")
-        if q is None:
-            q = true_popularity(self).tolist()
-            self._cache["popularity"] = q
-        return q
-
-    @property
-    def failure_rate_list(self) -> list[float]:
-        """failure_mean as Python floats, converted once on first use."""
-        rates = self._cache.get("failure")
-        if rates is None:
-            rates = self.failure_mean.tolist()
-            self._cache["failure"] = rates
-        return rates
-
-
-@dataclass(eq=False)
-class SlotObservation:
-    """What slot t actually produced: request counts per SFC, failure flags per VNF."""
-
-    t: int
-    requests: list[int]       # F entries, each in [0, K]
-    vnf_failed: list[int]     # I entries, each 0 or 1
 
 
 def check_parameters(request_prob, failure_mean, users: int, n_sfcs: int) -> np.ndarray:
@@ -233,23 +206,6 @@ def sample_arrays(gt: GroundTruth, t0: int, t1: int) -> tuple[np.ndarray, np.nda
     hit = u < threshold
     requests = hit[:, :n_req].reshape((n,) + p.shape).sum(axis=1, dtype=np.int64)
     return requests, hit[:, n_req:].view(np.uint8)
-
-
-def sample_slots(gt: GroundTruth, t0: int, t1: int) -> list[SlotObservation]:
-    """The observations of slots t0 .. t1-1, drawn by sample_arrays.
-
-    The counts and flags of the whole range are copied into lists once, one
-    .tolist() per field.
-    """
-    requests, vnf_failed = sample_arrays(gt, t0, t1)
-    return [SlotObservation(t=t, requests=r, vnf_failed=v)
-            for t, r, v in zip(range(int(t0), int(t1)), requests.tolist(),
-                               vnf_failed.tolist())]
-
-
-def sample_slot(gt: GroundTruth, t: int) -> SlotObservation:
-    """Draw slot t's observation. Pure in (gt parameters, seed, t)."""
-    return sample_slots(gt, t, t + 1)[0]
 
 
 def true_popularity(gt: GroundTruth) -> np.ndarray:

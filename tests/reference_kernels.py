@@ -17,6 +17,11 @@ once on numpy arrays, is tested against it.
 realized_reward and expected_slot_value value one slot's decision as the
 objective defines it; sfcbackup.lockstep.slot_values, which values many
 rows at once, is tested against them.
+
+slot_rows and slot_row give sample_arrays' draws as Python lists, one
+(requests, failed) pair per slot, the form the per-slot functions take.
+A cloud plan, which only get_consumption returns, has an empty assignment
+and +inf latency.
 """
 
 from __future__ import annotations
@@ -25,9 +30,22 @@ import math
 
 import numpy as np
 
-from sfcbackup import chain_failure_rate, kernels, lockstep
+from sfcbackup import kernels, lockstep
 from sfcbackup.kernels import GREEDY
+from sfcbackup.learning import chain_failure_rate
 from sfcbackup.model import PlacementPlan, cheapest_link_anchor
+from sfcbackup.workload import sample_arrays, true_popularity
+
+
+def slot_rows(gt, t0: int, t1: int) -> list[tuple[list[int], list[int]]]:
+    """Slots t0 .. t1-1 drawn by sample_arrays: a (requests, failed) pair of lists per slot."""
+    requests, failed = sample_arrays(gt, t0, t1)
+    return list(zip(requests.tolist(), failed.tolist()))
+
+
+def slot_row(gt, t: int) -> tuple[list[int], list[int]]:
+    """Slot t's (requests, failed) lists, drawn by sample_arrays."""
+    return slot_rows(gt, t, t + 1)[0]
 
 
 def chain_arrays(catalog) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +217,7 @@ def slot_decide_array(mode, caps, demands, chain_vnf, chain_start, nbr_ids,
 
 
 def cloud_plan(f: int) -> PlacementPlan:
-    return PlacementPlan(sfc=int(f), assignment=(), latency=math.inf, at_edge=False)
+    return PlacementPlan(sfc=int(f), assignment=(), latency=math.inf)
 
 
 def get_consumption(network, catalog, residual, f: int) -> PlacementPlan:
@@ -221,7 +239,7 @@ def get_consumption(network, catalog, residual, f: int) -> PlacementPlan:
     )
     if latency == math.inf:
         return cloud_plan(f)
-    return PlacementPlan(sfc=int(f), assignment=assign, latency=latency, at_edge=True)
+    return PlacementPlan(sfc=int(f), assignment=assign, latency=latency)
 
 
 def random_placement(network, catalog, u) -> tuple[list[tuple[int, PlacementPlan]], list[int]]:
@@ -259,8 +277,7 @@ def random_placement(network, catalog, u) -> tuple[list[tuple[int, PlacementPlan
         if not chain or len(assign) < len(chain) or math.isinf(latency):
             continue
         residual = room
-        deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign),
-                                          latency=latency, at_edge=True)))
+        deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign), latency=latency)))
     return deployed, residual
 
 
@@ -271,8 +288,7 @@ def unpack_rows(rec, n_rows: int) -> list[tuple[list, list[int]]]:
     for r, (k, f) in enumerate(zip(rec.row.tolist(), rec.sfc.tolist())):
         assignment = tuple(rec.servers[ends[r] - int(rec.positions[r]):ends[r]].tolist())
         out[k][0].append((f, PlacementPlan(sfc=f, assignment=assignment,
-                                           latency=float(rec.latency[r]),
-                                           at_edge=bool(rec.at_edge[r]))))
+                                           latency=float(rec.latency[r]))))
     return out
 
 
@@ -283,15 +299,13 @@ def random_slots(network, catalog, u) -> list[tuple[list, list[int]]]:
                        u.shape[0])
 
 
-def realized_reward(weights, obs, decision, catalog) -> tuple[np.ndarray, float]:
+def realized_reward(weights, requests, failed, decision, catalog) -> tuple[np.ndarray, float]:
     """What the slot actually earned, per SFC and in total.
 
     A deployed chain pays off only if none of its constituent VNFs failed
     this slot (copies of the same VNF share one failure outcome); the payoff
-    uses the realized request count. Cloud chains earn 0.
+    uses the realized request count. Chains not deployed earn 0.
     """
-    failed = obs.vnf_failed
-    requests = obs.requests
     earned = [0.0] * catalog.n_sfcs
     for f, plan in decision.deployed:
         if any(failed[i] for i in catalog.sfc_chain[f]):
@@ -304,8 +318,8 @@ def realized_reward(weights, obs, decision, catalog) -> tuple[np.ndarray, float]
 
 def expected_slot_value(weights, gt, decision, catalog) -> float:
     """Decision value under the true parameters (the selection objective)."""
-    q = gt.popularity_list
-    rates = gt.failure_rate_list
+    q = true_popularity(gt).tolist()
+    rates = gt.failure_mean.tolist()
     total = 0.0
     for f, plan in decision.deployed:
         u_true = chain_failure_rate(catalog, rates, f)

@@ -20,16 +20,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sfcbackup import (Catalog, EdgeNetwork, SlotObservation, apply_overrides,
-                       default_config_path, emit, failure_estimate, failure_update,
-                       init_learners, learned_slot, load_config, lockstep,
-                       make_ground_truth, optimal_chain_latency, popularity_estimate,
-                       popularity_update, run, sample_slots)
+from sfcbackup import (Catalog, EdgeNetwork, apply_overrides, default_config_path, emit,
+                       load_config, make_ground_truth, run)
+from sfcbackup import lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import GREEDY, PlanGraph
+from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
+                                popularity_estimate, popularity_update)
+from sfcbackup.oracle import optimal_chain_latency
+from sfcbackup.policy import learned_slot
 from sfcbackup.workload import policy_uniform_block
 
-from reference_kernels import get_consumption, unpack_rows
+from reference_kernels import get_consumption, slot_rows, unpack_rows
 
 
 def report(name: str, ok: bool, details: str) -> str:
@@ -179,15 +181,16 @@ def test_05_per_slot_invariants(canonical) -> None:
                                          failure_bonus_scale=cfg.failure_bonus_scale,
                                          failure_bonus_sign=cfg.failure_bonus_sign)
                 graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
-                decisions = [learned_slot(learners, obs.t, obs, cfg.weights, graph)
-                             for obs in sample_slots(gt, 1, cfg.slots + 1)]
+                decisions = [learned_slot(learners, t, requests, failed, cfg.weights, graph)
+                             for t, (requests, failed)
+                             in enumerate(slot_rows(gt, 1, cfg.slots + 1), start=1)]
             for d in decisions:
                 load = np.zeros(network.n_servers, dtype=np.int64)
                 placed = np.zeros(catalog.n_vnfs, dtype=np.int64)
                 covered = set()
                 for f, plan in d.deployed:
                     chain = catalog.sfc_chain[f]
-                    assert plan.at_edge and len(plan.assignment) == len(chain)
+                    assert len(plan.assignment) == len(chain) and math.isfinite(plan.latency)
                     for i, s in zip(chain, plan.assignment):
                         assert 0 <= s < network.n_servers
                         load[s] += demands[i]
@@ -222,14 +225,14 @@ def _replay_and_compare(history, pop, fail, users: int, scale: float,
     qsum = np.zeros(n_sfcs, dtype=np.float64)
     h = np.zeros(n_vnfs, dtype=np.int64)
     vsum = np.zeros(n_vnfs, dtype=np.float64)
-    for obs, x, placed in history:
+    for requests, failed, x, placed in history:
         sel = np.array(x, dtype=bool)
         c[sel] += 1
-        qsum[sel] += np.array(obs.requests)[sel]
+        qsum[sel] += np.array(requests)[sel]
         placed = np.array(placed, dtype=np.int64)
         m = placed > 0
         h[m] += placed[m]
-        vsum[m] += np.array(obs.vnf_failed)[m]
+        vsum[m] += np.array(failed)[m]
     qbar = np.where(c > 0, qsum / np.maximum(c, 1), 0.0)
     vbar = np.where(h > 0, vsum / np.maximum(h, 1), 0.0)
     err = max(
@@ -268,16 +271,16 @@ def test_06_learner_replay_exactness() -> None:
     # trace A: a live rtsd trajectory
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, rng_seed=424242)
-    observations = sample_slots(gt, 1, slots + 1)
+    observations = slot_rows(gt, 1, slots + 1)
     n_sfcs, n_vnfs = cfg.catalog.n_sfcs, cfg.catalog.n_vnfs
     pop, fail = init_learners(n_sfcs, n_vnfs, cfg.users,
                               failure_bonus_scale=cfg.failure_bonus_scale,
                               failure_bonus_sign=cfg.failure_bonus_sign)
     graph = PlanGraph(cfg.network, cfg.catalog, GREEDY)
     history = []
-    for t, obs in enumerate(observations, start=1):
-        d = learned_slot((pop, fail), t, obs, cfg.weights, graph)
-        history.append((obs, d.x.copy(), d.placed_counts.copy()))
+    for t, (requests, failed) in enumerate(observations, start=1):
+        d = learned_slot((pop, fail), t, requests, failed, cfg.weights, graph)
+        history.append((requests, failed, d.x.copy(), d.placed_counts.copy()))
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
                                            fail.bonus_scale, fail.bonus_sign))
 
@@ -287,12 +290,12 @@ def test_06_learner_replay_exactness() -> None:
                               failure_bonus_scale=cfg.failure_bonus_scale,
                               failure_bonus_sign=cfg.failure_bonus_sign)
     history = []
-    for obs in observations:
+    for requests, failed in observations:
         x = (rng.random(cfg.catalog.n_sfcs) < 0.5).astype(np.uint8)
         placed = rng.integers(0, 4, size=cfg.catalog.n_vnfs)
-        popularity_update(pop, obs, x.tolist())
-        failure_update(fail, obs, placed.tolist())
-        history.append((obs, x, placed.astype(np.int64)))
+        popularity_update(pop, requests, x.tolist())
+        failure_update(fail, failed, placed.tolist())
+        history.append((requests, failed, x, placed.astype(np.int64)))
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
                                            fail.bonus_scale, fail.bonus_sign))
 
@@ -315,9 +318,9 @@ def test_07_learner_consistency() -> None:
     for seed in range(n_seeds):
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
         pop, fail = init_learners(1, 1, users)
-        for obs in sample_slots(gt, 1, slots + 1):
-            popularity_update(pop, obs, always)
-            failure_update(fail, obs, one_copy)
+        for requests, failed in slot_rows(gt, 1, slots + 1):
+            popularity_update(pop, requests, always)
+            failure_update(fail, failed, one_copy)
         ok_q += abs(float(pop.request_mean[0]) - q_true) < tol_q
         ok_v += abs(float(fail.failure_mean[0]) - v) < tol_v
     ok = ok_q >= 95 and ok_v >= 95

@@ -14,18 +14,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (ConfigError, SlotDecision, apply_overrides, default_config_path,
-                       emit, harness, init_learners, learned_slot, load_config, lockstep,
-                       make_ground_truth, optimal_slot_value, run, sample_slots,
-                       simulate_run, validate_instance, verify_decision)
+from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
+                       load_config, make_ground_truth, optimal_slot_value, run,
+                       validate_instance)
+from sfcbackup import harness, lockstep
 from sfcbackup.cli import main
 from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
                                MAX_TRACE_ROWS, OBS_BLOCK_SLOTS, PLACEMENT_MODES,
-                               POLICY_ORDER, parse_policies, parse_seeds)
+                               POLICY_ORDER, parse_policies, parse_seeds, simulate_run)
 from sfcbackup.kernels import PlanGraph
+from sfcbackup.learning import init_learners
+from sfcbackup.policy import SlotDecision, learned_slot, verify_decision
 from sfcbackup.workload import policy_uniform_block
 
-from reference_kernels import expected_slot_value, random_placement, realized_reward
+from reference_kernels import (expected_slot_value, random_placement, realized_reward,
+                               slot_row, slot_rows)
 
 
 def tiny_config(**extra) -> dict:
@@ -170,7 +173,7 @@ def reference_random_series(cfg, gt, slots: int) -> dict[str, list]:
     catalog = cfg.catalog
     width, _ = catalog.uniform_layout
     out = {"realized": [], "expected": [], "remaining": [], "deployed": []}
-    for t, obs in enumerate(sample_slots(gt, 1, slots + 1), start=1):
+    for t, (requests, failed) in enumerate(slot_rows(gt, 1, slots + 1), start=1):
         u = policy_uniform_block(gt.rng_seed, t, t + 1, width)[0].tolist()
         deployed, residual = random_placement(cfg.network, catalog, u)
         x = [0] * catalog.n_sfcs
@@ -182,7 +185,8 @@ def reference_random_series(cfg, gt, slots: int) -> dict[str, list]:
         decision = SlotDecision(t=t, deployed=deployed, x=x, placed_counts=placed,
                                 residual_after=residual)
         verify_decision(cfg.network, catalog, decision)
-        out["realized"].append(realized_reward(cfg.weights, obs, decision, catalog)[1])
+        out["realized"].append(realized_reward(cfg.weights, requests, failed, decision,
+                                               catalog)[1])
         out["expected"].append(expected_slot_value(cfg.weights, gt, decision, catalog))
         out["remaining"].append(sum(residual))
         out["deployed"].append(len(deployed))
@@ -217,13 +221,14 @@ def reference_learned_series(cfg, gt, policy: str) -> tuple[dict[str, list], int
     out = {"realized": [], "expected": [], "remaining": [], "deployed": []}
     voided = 0
     for t in range(1, cfg.slots + 1):
-        [obs] = sample_slots(gt, t, t + 1)
-        decision = learned_slot(learners, t, obs, cfg.weights, graph)
-        out["realized"].append(realized_reward(cfg.weights, obs, decision, catalog)[1])
+        requests, failed = slot_row(gt, t)
+        decision = learned_slot(learners, t, requests, failed, cfg.weights, graph)
+        out["realized"].append(realized_reward(cfg.weights, requests, failed, decision,
+                                               catalog)[1])
         out["expected"].append(expected_slot_value(cfg.weights, gt, decision, catalog))
         out["remaining"].append(sum(decision.residual_after))
         out["deployed"].append(len(decision.deployed))
-        voided += sum(any(obs.vnf_failed[i] for i in catalog.sfc_chain[f])
+        voided += sum(any(failed[i] for i in catalog.sfc_chain[f])
                       for f, _ in decision.deployed)
     return out, voided
 

@@ -5,19 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from sfcbackup import Catalog, EdgeNetwork, cheapest_link_anchor
+from sfcbackup import Catalog, EdgeNetwork
 from sfcbackup import default_config_path, load_config
 from sfcbackup import kernels
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_walk,
                                greedy_chain_walk, slot_decide)
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.learning import init_learners
+from sfcbackup.model import cheapest_link_anchor
 from sfcbackup.policy import learned_slot
-from sfcbackup.workload import make_ground_truth, sample_slots
+from sfcbackup.workload import make_ground_truth
 
 from reference_kernels import (chain_arrays, first_fit_chain_walk_array,
                                greedy_chain_walk_array, neighbor_table,
-                               slot_decide_array)
+                               slot_decide_array, slot_rows)
 
 
 def random_setup(rng: np.random.Generator):
@@ -113,7 +114,7 @@ def run_slot_decide(mode, net, cat, q, v, graph=None, omega=1.0, mu=1.0):
     lat = [math.inf] * cat.n_sfcs
     assign = [[-1] * len(chain) for chain in cat.sfc_chain]
     for k, (f, plan) in enumerate(deployed):
-        assert plan.sfc == f and plan.at_edge
+        assert plan.sfc == f and len(plan.assignment) == len(cat.sfc_chain[f])
         x[f] = 1
         order[k] = f
         lat[f] = plan.latency
@@ -256,15 +257,15 @@ def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
         for seed in range(1, 31):
             gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                                    cat.n_sfcs, seed)
-            observations = sample_slots(gt, 1, slots + 1)
+            observations = slot_rows(gt, 1, slots + 1)
             runs = []
             for graph in (shared, None):
                 learners = init_learners(cat.n_sfcs, cat.n_vnfs, cfg.users,
                                          failure_bonus_scale=cfg.failure_bonus_scale,
                                          failure_bonus_sign=cfg.failure_bonus_sign)
-                runs.append([learned_slot(learners, obs.t, obs, cfg.weights,
+                runs.append([learned_slot(learners, t, requests, failed, cfg.weights,
                                           graph or PlanGraph(net, cat, mode))
-                             for obs in observations])
+                             for t, (requests, failed) in enumerate(observations, start=1)])
             for a, b in zip(*runs):
                 assert a.deployed == b.deployed
                 assert a.residual_after == b.residual_after

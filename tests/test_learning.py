@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (Catalog, chain_failure_rate, failure_estimate,
-                       failure_update, init_learners, popularity_estimate,
-                       popularity_update)
-from sfcbackup.workload import SlotObservation
+from sfcbackup import Catalog, make_ground_truth
+from sfcbackup.learning import (chain_failure_rate, failure_estimate, failure_update,
+                                init_learners, popularity_estimate, popularity_update)
 
-
-def obs(t: int, requests, failed) -> SlotObservation:
-    return SlotObservation(t=t, requests=np.asarray(requests, dtype=np.int64).tolist(),
-                           vnf_failed=np.asarray(failed, dtype=np.uint8).tolist())
+from reference_kernels import slot_rows
 
 
 def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
@@ -34,15 +30,15 @@ def test_init_learners_start_at_zero() -> None:
 
 def test_popularity_update_first_pull() -> None:
     pop, _ = fresh()
-    popularity_update(pop, obs(1, [4, 9], [0, 0, 0]), [1, 0])
+    popularity_update(pop, [4, 9], [1, 0])
     assert pop.selected == [1, 0]
     assert pop.request_mean == [4.0, 0.0]
 
 
 def test_popularity_update_running_mean() -> None:
     pop, _ = fresh()
-    popularity_update(pop, obs(1, [4, 0], [0, 0, 0]), [1, 0])
-    popularity_update(pop, obs(2, [2, 5], [0, 0, 0]), [1, 0])
+    popularity_update(pop, [4, 0], [1, 0])
+    popularity_update(pop, [2, 5], [1, 0])
     assert pop.selected == [2, 0]
     assert pop.request_mean[0] == pytest.approx(3.0)
     # the unselected arm never moved
@@ -51,7 +47,7 @@ def test_popularity_update_running_mean() -> None:
 
 def test_popularity_estimate_no_bonus_at_t1() -> None:
     pop, _ = fresh()
-    popularity_update(pop, obs(1, [4, 0], [0, 0, 0]), [1, 0])
+    popularity_update(pop, [4, 0], [1, 0])
     est = popularity_estimate(pop, 1)
     assert est[0] == 4.0           # ln 1 = 0, bare mean
     assert math.isinf(est[1])      # unexplored arm forces a pull
@@ -59,7 +55,7 @@ def test_popularity_estimate_no_bonus_at_t1() -> None:
 
 def test_popularity_estimate_bonus_value() -> None:
     pop, _ = fresh(users=5)
-    popularity_update(pop, obs(1, [3, 0], [0, 0, 0]), [1, 0])
+    popularity_update(pop, [3, 0], [1, 0])
     est = popularity_estimate(pop, math.e)
     assert est[0] == pytest.approx(3.0 + 5.0 * math.sqrt(1.5))
 
@@ -68,28 +64,28 @@ def test_popularity_bonus_shrinks_with_count() -> None:
     pop, _ = fresh(users=5)
     values = []
     for t in range(1, 6):
-        popularity_update(pop, obs(t, [3, 0], [0, 0, 0]), [1, 0])
+        popularity_update(pop, [3, 0], [1, 0])
         values.append(popularity_estimate(pop, 10)[0])
     assert values == sorted(values, reverse=True)
 
 
 def test_failure_update_counts_copies_but_one_flag() -> None:
     _, fail = fresh()
-    failure_update(fail, obs(1, [0, 0], [1, 0, 0]), [1, 0, 0])
+    failure_update(fail, [1, 0, 0], [1, 0, 0])
     assert fail.placements == [1, 0, 0]
     assert fail.failure_mean[0] == 1.0
     # two copies placed, one observed flag: mean stays put at 0.5
     fail.placements[1] = 2
     fail.failure_total[1] = 1.0
     fail.failure_mean[1] = 0.5
-    failure_update(fail, obs(2, [0, 0], [0, 1, 0]), [0, 2, 0])
+    failure_update(fail, [0, 1, 0], [0, 2, 0])
     assert fail.placements[1] == 4
     assert fail.failure_mean[1] == pytest.approx(0.5)
 
 
 def test_failure_update_skips_unplaced() -> None:
     _, fail = fresh()
-    failure_update(fail, obs(1, [0, 0], [1, 1, 1]), [0, 0, 0])
+    failure_update(fail, [1, 1, 1], [0, 0, 0])
     assert fail.placements == [0, 0, 0]
     assert fail.failure_mean == [0.0, 0.0, 0.0]
 
@@ -145,9 +141,8 @@ def test_counting_and_mean_identities(seed: int) -> None:
         placed = rng.integers(0, 3, 4)
         requests = rng.integers(0, 11, 3)
         failed = (rng.random(4) < 0.3).astype(np.uint8)
-        o = obs(t, requests, failed)
-        popularity_update(pop, o, x)
-        failure_update(fail, o, placed)
+        popularity_update(pop, requests.tolist(), x)
+        failure_update(fail, failed.tolist(), placed)
         x_hist.append(x); q_hist.append(requests)
         p_hist.append(placed); v_hist.append(failed)
     x_all = np.array(x_hist); q_all = np.array(q_hist)
@@ -166,14 +161,12 @@ def test_counting_and_mean_identities(seed: int) -> None:
 
 def test_learner_converges_on_always_deploy() -> None:
     # quick version of the long-horizon consistency check
-    from sfcbackup import make_ground_truth, sample_slot
     gt = make_ground_truth(0.4, [0.3], users=10, n_sfcs=1, rng_seed=21)
     pop, fail = init_learners(1, 1, users=10)
     n = 2000
-    for t in range(1, n + 1):
-        o = sample_slot(gt, t)
-        popularity_update(pop, o, [1])
-        failure_update(fail, o, [1])
+    for requests, failed in slot_rows(gt, 1, n + 1):
+        popularity_update(pop, requests, [1])
+        failure_update(fail, failed, [1])
     sigma_q = math.sqrt(10 * 0.4 * 0.6 / n)
     sigma_v = math.sqrt(0.3 * 0.7 / n)
     assert abs(pop.request_mean[0] - 4.0) < 4 * sigma_q
@@ -194,15 +187,15 @@ def array_estimates(pop, fail, t: int) -> tuple[np.ndarray, np.ndarray]:
     return q, v
 
 
-def array_updates(pop, fail, o: SlotObservation, x, placed) -> None:
+def array_updates(pop, fail, requests, failed, x, placed) -> None:
     """The learner updates as masked numpy assignments, the reference."""
     sel = np.asarray(x).astype(bool)
     pop.selected[sel] += 1
-    pop.request_total[sel] += np.array(o.requests)[sel]
+    pop.request_total[sel] += np.array(requests)[sel]
     pop.request_mean[sel] = pop.request_total[sel] / pop.selected[sel]
     m = placed > 0
     fail.placements[m] += placed[m]
-    fail.failure_total[m] += np.array(o.vnf_failed)[m]
+    fail.failure_total[m] += np.array(failed)[m]
     fail.failure_mean[m] = fail.failure_total[m] / fail.placements[m]
 
 
@@ -231,10 +224,11 @@ def test_learners_match_array_formulas_bit_for_bit(seed: int, users: int, scale:
         assert q == q_ref.tolist() and v == v_ref.tolist()
         x = (rng.random(4) < 0.5).astype(np.uint8)
         placed = rng.integers(0, 4, 5)
-        o = obs(t, rng.integers(0, users + 1, 4), rng.random(5) < 0.4)
-        popularity_update(pop, o, x.tolist())
-        failure_update(fail, o, placed.tolist())
-        array_updates(ref_pop, ref_fail, o, x, placed)
+        requests = rng.integers(0, users + 1, 4).tolist()
+        failed = (rng.random(5) < 0.4).astype(np.uint8).tolist()
+        popularity_update(pop, requests, x.tolist())
+        failure_update(fail, failed, placed.tolist())
+        array_updates(ref_pop, ref_fail, requests, failed, x, placed)
         for name in ("selected", "request_total", "request_mean"):
             assert getattr(pop, name) == getattr(ref_pop, name).tolist()
         for name in ("placements", "failure_total", "failure_mean"):

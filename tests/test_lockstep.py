@@ -19,11 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, SlotObservation,
-                       apply_overrides, default_config_path, failure_estimate,
-                       failure_update, harness, init_learners, kernels, load_config,
-                       lockstep, popularity_estimate, popularity_update, run)
+from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, apply_overrides,
+                       default_config_path, load_config, run)
+from sfcbackup import harness, kernels, lockstep
 from sfcbackup.harness import CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, PLACEMENT_MODES
+from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
+                                popularity_estimate, popularity_update)
 
 from reference_kernels import random_placement, unpack_rows
 
@@ -233,10 +234,8 @@ def test_lockstep_learners_equal_the_per_seed_learners() -> None:
             placed = rng.integers(0, 3, size=(n_seeds, n_vnfs)) * (rng.random((n_seeds, n_vnfs)) < 0.5)
             lockstep.update(batch, requests, failed, x, placed)
             for s, (pop, fail) in enumerate(singles):
-                obs = SlotObservation(t=t, requests=requests[s].tolist(),
-                                      vnf_failed=failed[s].tolist())
-                popularity_update(pop, obs, x[s].tolist())
-                failure_update(fail, obs, placed[s].tolist())
+                popularity_update(pop, requests[s].tolist(), x[s].tolist())
+                failure_update(fail, failed[s].tolist(), placed[s].tolist())
                 assert batch.request_mean[s].tolist() == pop.request_mean
                 assert batch.failure_mean[s].tolist() == fail.failure_mean
 

@@ -3,11 +3,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import Catalog, EdgeNetwork, cheapest_link_anchor, validate_instance
+from sfcbackup import Catalog, EdgeNetwork, validate_instance
+from sfcbackup.model import cheapest_link_anchor
 
 from reference_kernels import chain_arrays, neighbor_table
 

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcbackup import (Catalog, EdgeNetwork, RewardWeights, SearchSpaceTooLarge,
-                       chain_failure_rate, init_learners, learned_slot, lockstep,
-                       make_ground_truth, optimal_chain_latency,
-                       optimal_slot_value, sample_slot, shortest_path_matrix,
-                       true_popularity)
+                       make_ground_truth, optimal_slot_value)
+from sfcbackup import lockstep
 from sfcbackup.kernels import GREEDY, PlanGraph
+from sfcbackup.learning import chain_failure_rate, init_learners
+from sfcbackup.oracle import optimal_chain_latency, shortest_path_matrix
+from sfcbackup.policy import learned_slot
+from sfcbackup.workload import true_popularity
 
-from reference_kernels import expected_slot_value, get_consumption
+from reference_kernels import expected_slot_value, get_consumption, slot_rows
 
 
 def test_shortest_paths_take_multi_hop_shortcuts() -> None:
@@ -55,7 +57,7 @@ def test_optimal_latency_routes_through_saturated_middle() -> None:
     assert optimal_chain_latency(net, cat, residual, 0) == pytest.approx(2.0)
     # the one-hop greedy walk cannot reach the far server
     plan = get_consumption(net, cat, residual, 0)
-    assert not plan.at_edge
+    assert plan.assignment == () and math.isinf(plan.latency)
 
 
 def test_optimal_latency_infeasible_is_inf() -> None:
@@ -71,6 +73,70 @@ def test_optimal_latency_budget_guard() -> None:
         optimal_chain_latency(net, cat, [5, 5, 5], 0, node_budget=80)
     # 3^4 = 81 states squeaks under a budget of 81
     assert optimal_chain_latency(net, cat, [5, 5, 5], 0, node_budget=81) == 0.0
+
+
+def brute_chain_latency(net: EdgeNetwork, cat: Catalog, residual, f: int) -> float:
+    """Independent check: the cheapest of every assignment of chain f within residual.
+
+    Each of the N^L server tuples is kept if its per-server load fits the
+    residual and priced by the shortest-path latency between consecutive
+    positions; +inf when none fits or every fitting one crosses a missing link.
+    """
+    sp = shortest_path_matrix(net)
+    chain = cat.sfc_chain[f]
+    best = math.inf
+    for combo in itertools.product(range(net.n_servers), repeat=len(chain)):
+        load = [0] * net.n_servers
+        for s, i in zip(combo, chain):
+            load[s] += cat.vnf_demand[i]
+        if all(used <= room for used, room in zip(load, residual)):
+            best = min(best, sum(sp[combo[j - 1], combo[j]] for j in range(1, len(combo))))
+    return float(best)
+
+
+def random_chain_instance(rng: np.random.Generator,
+                          longest: int = 4) -> tuple[EdgeNetwork, Catalog, list[int]]:
+    """1-4 servers with some links missing, 1-3 chains of 1-longest positions that
+    may repeat a VNF, and a residual with zeros and room too small for the larger
+    demands."""
+    n = int(rng.integers(1, 5))
+    links = {(u, v): round(float(rng.uniform(0.1, 2.0)), 3)
+             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6}
+    net = EdgeNetwork(rng.integers(0, 12, n), links)
+    n_vnfs = int(rng.integers(1, 4))
+    cat = Catalog(rng.integers(0, 9, n_vnfs),
+                  [rng.integers(0, n_vnfs, int(rng.integers(1, longest + 1))).tolist()
+                   for _ in range(int(rng.integers(1, 4)))])
+    residual = [int(r) if rng.random() < 0.8 else 0 for r in rng.integers(0, 12, n)]
+    return net, cat, residual
+
+
+def test_optimal_chain_latency_matches_brute_force() -> None:
+    outcomes = {"fits": 0, "never fits": 0, "repeats a VNF": 0, "zero residual": 0,
+                "missing link": 0}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        net, cat, residual = random_chain_instance(rng)
+        outcomes["zero residual"] += 0 in residual
+        outcomes["missing link"] += len(net.links) < net.n_servers * (net.n_servers - 1) // 2
+        for f, chain in enumerate(cat.sfc_chain):
+            got = optimal_chain_latency(net, cat, residual, f)
+            assert got == brute_chain_latency(net, cat, residual, f), (seed, f)
+            outcomes["never fits" if math.isinf(got) else "fits"] += 1
+            outcomes["repeats a VNF"] += len(set(chain)) < len(chain)
+    # every kind of case the enumeration is meant to cover did come up
+    assert all(count > 10 for count in outcomes.values()), outcomes
+
+
+def test_slot_value_standalone_latencies_match_optimal_chain_latency() -> None:
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        net, cat, _ = random_chain_instance(rng, longest=2)    # the joint search's budget
+        gt = make_ground_truth(0.5, [0.1] * cat.n_vnfs, users=2, n_sfcs=cat.n_sfcs,
+                               rng_seed=seed)
+        result = optimal_slot_value(net, cat, gt)
+        assert result.best_latency == {
+            f: optimal_chain_latency(net, cat, net.capacities, f) for f in range(cat.n_sfcs)}
 
 
 def brute_slot_value(net: EdgeNetwork, cat: Catalog, gt, w: RewardWeights) -> float:
@@ -184,9 +250,8 @@ def test_policies_never_beat_the_oracle() -> None:
                              failure_bonus_sign=-1)
     graph = PlanGraph(net, cat, GREEDY)
     worst_gap = math.inf
-    for t in range(1, 51):
-        obs = sample_slot(gt, t)
-        dec = learned_slot(learners, t, obs, w, graph)
+    for t, (requests, failed) in enumerate(slot_rows(gt, 1, 51), start=1):
+        dec = learned_slot(learners, t, requests, failed, w, graph)
         gap = ceiling - expected_slot_value(w, gt, dec, cat)
         assert gap >= -1e-9
         worst_gap = min(worst_gap, gap)

@@ -6,22 +6,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sfcbackup import (Catalog, EdgeNetwork, FailureLearner, InvariantViolation,
-                       PlacementPlan, PopularityLearner, RewardWeights,
-                       SlotDecision, chain_failure_rate,
-                       default_config_path,
-                       failure_estimate, failure_update,
-                       init_learners, learned_slot, load_config, lockstep,
-                       make_ground_truth,
-                       popularity_estimate,
-                       popularity_update,
-                       sample_slot, sample_slots, verify_decision)
+from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, RewardWeights,
+                       default_config_path, load_config, make_ground_truth)
+from sfcbackup import lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import PlanGraph
-from sfcbackup.workload import SlotObservation, policy_uniform_block
+from sfcbackup.learning import (FailureLearner, PopularityLearner, chain_failure_rate,
+                                failure_estimate, failure_update, init_learners,
+                                popularity_estimate, popularity_update)
+from sfcbackup.model import PlacementPlan
+from sfcbackup.policy import SlotDecision, learned_slot, verify_decision
+from sfcbackup.workload import policy_uniform_block
 
 from reference_kernels import (expected_slot_value, get_consumption, random_slots,
-                               realized_reward)
+                               realized_reward, slot_rows)
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
@@ -35,15 +33,12 @@ def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
     return pop, fail
 
 
-def obs_of(t: int, requests, failed) -> SlotObservation:
-    return SlotObservation(t=t, requests=list(requests), vnf_failed=list(failed))
-
-
 def slot_of(policy: str, net: EdgeNetwork, cat: Catalog, learners, t: int,
-            obs: SlotObservation, weights: RewardWeights = RewardWeights()) -> SlotDecision:
+            requests: list[int], failed: list[int],
+            weights: RewardWeights = RewardWeights()) -> SlotDecision:
     """learned_slot of rtsd or bandit on a fresh plan graph."""
     graph = PlanGraph(net, cat, PLACEMENT_MODES[policy])
-    return learned_slot(learners, t, obs, weights, graph)
+    return learned_slot(learners, t, requests, failed, weights, graph)
 
 
 # --- reward pieces ---------------------------------------------------------
@@ -60,27 +55,27 @@ def test_weights_validation() -> None:
 def test_realized_reward_hand_values() -> None:
     cat = Catalog([2, 3], [[0, 0], [1]])
     w = RewardWeights()
-    plan0 = PlacementPlan(sfc=0, assignment=(0, 0), latency=1.0, at_edge=True)
+    plan0 = PlacementPlan(sfc=0, assignment=(0, 0), latency=1.0)
     dec = SlotDecision(t=3, deployed=[(0, plan0)],
                        x=np.array([1, 0], dtype=np.uint8),
                        placed_counts=np.array([2, 0], dtype=np.int64),
                        residual_after=np.zeros(1, dtype=np.int64))
-    per, total = realized_reward(w, obs_of(3, [6, 9], [0, 0]), dec, cat)
+    per, total = realized_reward(w, [6, 9], [0, 0], dec, cat)
     assert per.tolist() == [5.0, 0.0]
     assert total == 5.0
     # a failed constituent VNF voids the payoff, once, no matter how many copies
-    per, total = realized_reward(w, obs_of(3, [6, 9], [1, 0]), dec, cat)
+    per, total = realized_reward(w, [6, 9], [1, 0], dec, cat)
     assert per.tolist() == [0.0, 0.0]
     assert total == 0.0
     # no requests still pays the latency cost
-    per, total = realized_reward(w, obs_of(3, [0, 9], [0, 1]), dec, cat)
+    per, total = realized_reward(w, [0, 9], [0, 1], dec, cat)
     assert total == pytest.approx(-1.0)
 
 
 def test_expected_slot_value_hand_case() -> None:
     cat = Catalog([2, 3], [[0, 1]])
     gt = make_ground_truth(0.6, [0.1, 0.25], users=5, n_sfcs=1, rng_seed=0)
-    plan = PlacementPlan(sfc=0, assignment=(0, 0), latency=0.4, at_edge=True)
+    plan = PlacementPlan(sfc=0, assignment=(0, 0), latency=0.4)
     dec = SlotDecision(t=1, deployed=[(0, plan)],
                        x=np.array([1], dtype=np.uint8),
                        placed_counts=np.array([1, 1], dtype=np.int64),
@@ -98,7 +93,7 @@ def test_slot_values_rows_take_the_hand_values() -> None:
     w = RewardWeights()
     net = EdgeNetwork([4], ())
     cat = Catalog([2, 3], [[0, 0], [1]])
-    plan0 = PlacementPlan(sfc=0, assignment=(0, 0), latency=1.0, at_edge=True)
+    plan0 = PlacementPlan(sfc=0, assignment=(0, 0), latency=1.0)
     rec = lockstep.records_of([[(0, plan0)]] * 3, [[0]] * 3, net.n_servers)
     ones = np.ones((3, 2))
     values = lockstep.slot_values(lockstep.Layout.of(net, cat), w.omega, w.mu,
@@ -114,7 +109,7 @@ def test_slot_values_rows_take_the_hand_values() -> None:
     net = EdgeNetwork([5], ())
     cat = Catalog([2, 3], [[0, 1]])
     gt = make_ground_truth(0.6, [0.1, 0.25], users=5, n_sfcs=1, rng_seed=0)
-    plan = PlacementPlan(sfc=0, assignment=(0, 0), latency=0.4, at_edge=True)
+    plan = PlacementPlan(sfc=0, assignment=(0, 0), latency=0.4)
     dec = SlotDecision(t=1, deployed=[(0, plan)], x=[1], placed_counts=[1, 1],
                        residual_after=[0])
     rec = lockstep.records_of([dec.deployed, []], [[0], [5]], net.n_servers)
@@ -136,7 +131,7 @@ def test_zero_capacity_deploys_nothing() -> None:
     net = EdgeNetwork([0, 0], {(0, 1): 1.0})
     cat = Catalog([1, 2], [[0], [1, 0]])
     pop, fail = learners_with([9.0, 9.0], [0.0, 0.0])
-    dec = slot_of("rtsd", net, cat, (pop, fail), 4, obs_of(4, [1, 1], [0, 0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 4, [1, 1], [0, 0])
     assert dec.deployed == []
     assert dec.x == [0, 0]
     assert dec.residual_after == [0, 0]
@@ -147,7 +142,7 @@ def test_ample_capacity_commits_in_score_order() -> None:
     cat = Catalog([2, 2, 2], [[0], [1], [2]])
     pop, fail = learners_with([5.0, 4.0, 3.0], [0.0, 0.0, 0.0], selected=1000,
                               placements=1000, users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [0, 0, 0], [0, 0, 0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [0, 0, 0], [0, 0, 0])
     assert [f for f, _ in dec.deployed] == [0, 1, 2]
     assert dec.x == [1, 1, 1]
     assert all(plan.latency == 0.0 for _, plan in dec.deployed)
@@ -158,7 +153,7 @@ def test_equal_scores_commit_smallest_sfc_first() -> None:
     cat = Catalog([2], [[0], [0]])
     pop, fail = learners_with([4.0, 4.0], [0.0], selected=1000, placements=1000,
                               users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [0, 0], [0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [0, 0], [0])
     assert [f for f, _ in dec.deployed] == [0, 1]
 
 
@@ -168,7 +163,7 @@ def test_nonpositive_scores_are_never_committed() -> None:
     # popularity 0 and zero latency gives score exactly 0: stay out
     pop, fail = learners_with([0.0, 0.0], [0.0], selected=1000, placements=1000,
                               users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [0, 0], [0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [0, 0], [0])
     assert dec.deployed == []
 
 
@@ -179,13 +174,13 @@ def test_walks_differ_between_learned_policies() -> None:
     cat = Catalog([4, 8], [[1, 0]])
     args = dict(selected=1000, placements=1000, users=0)
     pop, fail = learners_with([6.0], [0.0, 0.0], **args)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [0], [0, 0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [0], [0, 0])
     assert [f for f, _ in dec.deployed] == [0]
     assert dec.deployed[0][1].assignment == (1, 0)
     assert dec.deployed[0][1].latency == pytest.approx(0.9)
 
     pop, fail = learners_with([6.0], [0.0, 0.0], **args)
-    dec = slot_of("bandit", net, cat, (pop, fail), 2, obs_of(2, [0], [0, 0]))
+    dec = slot_of("bandit", net, cat, (pop, fail), 2, [0], [0, 0])
     assert dec.deployed == []
 
 
@@ -194,7 +189,7 @@ def test_learned_policies_update_only_deployed_arms() -> None:
     cat = Catalog([6, 6], [[0], [1]])
     pop, fail = learners_with([5.0, 4.0], [0.0, 0.0], selected=2, placements=2,
                               users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 3, obs_of(3, [4, 4], [1, 1]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 3, [4, 4], [1, 1])
     # capacity admits one chain; the higher estimate wins
     assert dec.x == [1, 0]
     assert pop.selected == [3, 2]
@@ -220,7 +215,7 @@ def reference_slot(net, cat, pop, fail, t, weights):
             if f in done:
                 continue
             plan = get_consumption(net, cat, residual, f)
-            if not plan.at_edge:
+            if math.isinf(plan.latency):    # a cloud plan
                 continue
             gate = 1.0 - chain_failure_rate(cat, v, f)
             if gate <= 0.0:     # certain failure scores 0, even against +inf optimism
@@ -251,11 +246,10 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
                         failure_bonus_sign=-1)
 
     any_deployed = False
-    for t in range(1, 31):
-        obs = sample_slot(gt, t)
+    for t, (requests, failed) in enumerate(slot_rows(gt, 1, 31), start=1):
         want_q = popularity_estimate(live[0], t)
         want_v = failure_estimate(live[1], t)
-        dec = slot_of("rtsd", net, cat, live, t, obs, w)
+        dec = slot_of("rtsd", net, cat, live, t, requests, failed, w)
         want, want_res, ref_q, ref_v = reference_slot(net, cat, *ref, t, w)
 
         assert [f for f, _ in dec.deployed] == [f for f, _ in want]
@@ -272,8 +266,8 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
             x_ref[f] = 1
             for i in cat.sfc_chain[f]:
                 placed_ref[i] += 1
-        popularity_update(ref[0], obs, x_ref)
-        failure_update(ref[1], obs, placed_ref)
+        popularity_update(ref[0], requests, x_ref)
+        failure_update(ref[1], failed, placed_ref)
 
         assert live[0].selected == ref[0].selected
         assert live[0].request_total == ref[0].request_total
@@ -415,7 +409,7 @@ def test_realized_reward_averages_to_expected_value() -> None:
     # one fallible VNF per chain keeps the survival chance equal to 1 - max rate
     cat = Catalog([2, 3], [[0, 1]])
     gt = make_ground_truth(0.6, [0.3, 0.0], users=5, n_sfcs=1, rng_seed=123)
-    plan = PlacementPlan(sfc=0, assignment=(0, 0), latency=0.5, at_edge=True)
+    plan = PlacementPlan(sfc=0, assignment=(0, 0), latency=0.5)
     dec = SlotDecision(t=1, deployed=[(0, plan)],
                        x=np.array([1], dtype=np.uint8),
                        placed_counts=np.array([1, 1], dtype=np.int64),
@@ -427,8 +421,8 @@ def test_realized_reward_averages_to_expected_value() -> None:
     slots = 20000
     total = 0.0
     sq = 0.0
-    for t in range(1, slots + 1):
-        _, r = realized_reward(w, sample_slot(gt, t), dec, cat)
+    for requests, failed in slot_rows(gt, 1, slots + 1):
+        _, r = realized_reward(w, requests, failed, dec, cat)
         total += r
         sq += r * r
     mean = total / slots
@@ -443,7 +437,7 @@ def legit_decision():
     cat = Catalog([4, 3], [[0, 1], [1]])
     pop, fail = learners_with([6.0, 5.0], [0.0, 0.0], selected=1000,
                               placements=1000, users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, obs_of(2, [1, 1], [0, 0]))
+    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [1, 1], [0, 0])
     assert dec.deployed
     return net, cat, dec
 
@@ -477,7 +471,7 @@ def test_verify_decision_catches_duplicate_commit() -> None:
 def test_verify_decision_catches_overload() -> None:
     net = EdgeNetwork([3], ())
     cat = Catalog([4], [[0]])
-    plan = PlacementPlan(sfc=0, assignment=(0,), latency=0.0, at_edge=True)
+    plan = PlacementPlan(sfc=0, assignment=(0,), latency=0.0)
     dec = SlotDecision(t=1, deployed=[(0, plan)],
                        x=np.array([1], dtype=np.uint8),
                        placed_counts=np.array([1], dtype=np.int64),
@@ -487,14 +481,15 @@ def test_verify_decision_catches_overload() -> None:
 
 
 def test_verify_decision_catches_cloud_commit() -> None:
+    # a cloud-shaped plan: no servers and +inf latency
     net = EdgeNetwork([10], ())
     cat = Catalog([4], [[0]])
-    plan = PlacementPlan(sfc=0, assignment=(), latency=math.inf, at_edge=False)
+    plan = PlacementPlan(sfc=0, assignment=(), latency=math.inf)
     dec = SlotDecision(t=1, deployed=[(0, plan)],
                        x=np.array([1], dtype=np.uint8),
                        placed_counts=np.array([1], dtype=np.int64),
                        residual_after=np.array([10], dtype=np.int64))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="committed a partial plan"):
         verify_decision(net, cat, dec)
 
 
@@ -502,7 +497,7 @@ def test_verify_decision_catches_infinite_latency_commit() -> None:
     net, cat, dec = legit_decision()
     f, plan = dec.deployed[0]
     dec.deployed[0] = (f, PlacementPlan(sfc=f, assignment=plan.assignment,
-                                        latency=math.inf, at_edge=True))
+                                        latency=math.inf))
     with pytest.raises(InvariantViolation, match="infinite latency"):
         verify_decision(net, cat, dec)
 
@@ -514,7 +509,7 @@ def test_verify_decision_catches_unknown_server(server: int) -> None:
     f, plan = dec.deployed[0]
     bad = (server,) + plan.assignment[1:]
     dec.deployed[0] = (f, PlacementPlan(sfc=f, assignment=bad,
-                                        latency=plan.latency, at_edge=True))
+                                        latency=plan.latency))
     with pytest.raises(InvariantViolation, match=f"unknown server {server}"):
         verify_decision(net, cat, dec)
 
@@ -539,7 +534,7 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 5)
-    observations = sample_slots(gt, 1, 9)
+    observations = slot_rows(gt, 1, 9)
     checked = Counter()
 
     def check(name: str, vector) -> None:
@@ -551,13 +546,13 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
         learners = init_learners(cat.n_sfcs, cat.n_vnfs, cfg.users)
         graph = PlanGraph(net, cat, PLACEMENT_MODES[policy])
         deployed = 0
-        for t, obs in enumerate(observations, start=1):
-            check("requests", obs.requests)
-            check("vnf_failed", obs.vnf_failed)
+        for t, (requests, failed) in enumerate(observations, start=1):
+            check("requests", requests)
+            check("vnf_failed", failed)
             pop, fail = learners
             check("popularity_estimate", popularity_estimate(pop, t))
             check("failure_estimate", failure_estimate(fail, t))
-            dec = learned_slot(learners, t, obs, cfg.weights, graph)
+            dec = learned_slot(learners, t, requests, failed, cfg.weights, graph)
             for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
                 for name in names:
                     check(name, getattr(learner, name))

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (Catalog, GroundTruth, default_config_path, load_config, lockstep,
-                       make_ground_truth, sample_slot, sample_slots, true_popularity,
-                       workload)
+from sfcbackup import (Catalog, GroundTruth, RewardWeights, default_config_path, load_config,
+                       make_ground_truth)
+from sfcbackup import lockstep, workload
 from sfcbackup.harness import OBS_BLOCK_SLOTS
 from sfcbackup.workload import (ENV_DOMAIN, POLICY_DOMAIN, counter_blocks,
-                                policy_uniform_block, slot_stream)
+                                policy_uniform_block, sample_arrays, slot_stream,
+                                true_popularity)
+
+from reference_kernels import slot_row, slot_rows
 
 
 def reference_slot(gt: GroundTruth, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -24,48 +27,46 @@ def reference_slot(gt: GroundTruth, t: int) -> tuple[np.ndarray, np.ndarray]:
     return requests, (fu < gt.failure_mean).astype(np.uint8)
 
 
-def assert_matches_reference(gt: GroundTruth, observations, t0: int) -> None:
-    for k, obs in enumerate(observations):
-        requests, failed = reference_slot(gt, t0 + k)
-        assert obs.t == t0 + k
-        assert all(type(v) is int for v in obs.requests + obs.vnf_failed)
-        assert obs.requests == requests.tolist()
-        assert obs.vnf_failed == failed.tolist()
+def assert_matches_reference(gt: GroundTruth, rows, t0: int) -> None:
+    """rows, slot_rows' (requests, failed) lists from slot t0 on, equal the per-slot draws."""
+    for k, (requests, failed) in enumerate(rows):
+        want_requests, want_failed = reference_slot(gt, t0 + k)
+        assert all(type(v) is int for v in requests + failed)
+        assert requests == want_requests.tolist()
+        assert failed == want_failed.tolist()
 
 
 def test_degenerate_probabilities() -> None:
     gt = make_ground_truth([0.0, 1.0], [0.0, 1.0], users=10, n_sfcs=2, rng_seed=4)
-    obs = sample_slot(gt, 17)
-    assert obs.requests[0] == 0
-    assert obs.requests[1] == 10
-    assert obs.vnf_failed == [0, 1]
+    requests, failed = slot_row(gt, 17)
+    assert requests[0] == 0
+    assert requests[1] == 10
+    assert failed == [0, 1]
 
 
 def test_requests_bounded_by_users() -> None:
     gt = make_ground_truth(0.5, [0.1], users=7, n_sfcs=3, rng_seed=1)
-    for t in range(50):
-        obs = sample_slot(gt, t)
-        assert all(0 <= r <= 7 for r in obs.requests)
+    for requests, _ in slot_rows(gt, 0, 50):
+        assert all(0 <= r <= 7 for r in requests)
 
 
 def test_sample_slot_deterministic_in_seed_and_slot() -> None:
+    """sample_arrays draws slot t from (seed, t) alone."""
     gt = make_ground_truth(0.4, [0.2, 0.3], users=5, n_sfcs=2, rng_seed=9)
-    a = sample_slot(gt, 123)
-    b = sample_slot(gt, 123)
-    assert np.array_equal(a.requests, b.requests)
-    assert np.array_equal(a.vnf_failed, b.vnf_failed)
-    c = sample_slot(gt, 124)
+    a = slot_row(gt, 123)
+    b = slot_row(gt, 123)
+    assert a == b
+    c = slot_row(gt, 124)
     # different slots come from different counter values
-    assert not (np.array_equal(a.requests, c.requests)
-                and np.array_equal(a.vnf_failed, c.vnf_failed))
+    assert a != c
 
 
 def test_sampling_order_independence() -> None:
     gt = make_ground_truth(0.4, [0.2], users=5, n_sfcs=2, rng_seed=9)
-    forward = [sample_slot(gt, t).requests.copy() for t in range(10)]
-    backward = [sample_slot(gt, t).requests.copy() for t in reversed(range(10))]
+    forward = [slot_row(gt, t)[0] for t in range(10)]
+    backward = [slot_row(gt, t)[0] for t in reversed(range(10))]
     for t in range(10):
-        assert np.array_equal(forward[t], backward[9 - t])
+        assert forward[t] == backward[9 - t]
 
 
 def test_env_and_policy_domains_are_disjoint_streams() -> None:
@@ -78,10 +79,8 @@ def test_request_mean_matches_binomial() -> None:
     # K=10, p=0.3: per-slot mean 3.0, var 2.1
     gt = make_ground_truth(0.3, [0.0], users=10, n_sfcs=1, rng_seed=77)
     n = 20_000
-    total = 0
-    for t in range(n):
-        total += int(sample_slot(gt, t).requests[0])
-    mean = total / n
+    requests, _ = sample_arrays(gt, 0, n)
+    mean = int(requests[:, 0].sum()) / n
     sigma = np.sqrt(10 * 0.3 * 0.7 / n)
     assert abs(mean - 3.0) < 3 * sigma
 
@@ -93,13 +92,17 @@ def test_true_popularity_forms() -> None:
     assert np.allclose(true_popularity(gt), [1.0, 0.0, 0.0])
 
 
-def test_ground_truth_list_views_are_computed_once() -> None:
-    gt = make_ground_truth(np.array([[0.1, 0.7], [0.3, 0.2]]), [0.25, 0.5],
-                           users=2, n_sfcs=2, rng_seed=0)
-    assert gt.popularity_list == true_popularity(gt).tolist()
-    assert gt.failure_rate_list == [0.25, 0.5]
-    assert gt.popularity_list is gt.popularity_list
-    assert gt.failure_rate_list is gt.failure_rate_list
+def test_true_values_match_per_chain_definition() -> None:
+    """lockstep.true_values: omega times each chain's true popularity, and one
+    minus its worst VNF's true failure rate, evaluated one float at a time."""
+    cat = Catalog([1, 1, 1], [[0, 1], [2], [1, 1, 2]])
+    gt = make_ground_truth(np.array([[0.1, 0.7, 0.3], [0.3, 0.2, 0.9]]), [0.25, 0.5, 0.125],
+                           users=2, n_sfcs=3, rng_seed=0)
+    weights = RewardWeights(omega=1.5, mu=0.5)
+    value_true, gate_true = lockstep.true_values(cat, [gt, gt.reseeded(4)], weights)
+    q = [0.1 + 0.3, 0.7 + 0.2, 0.3 + 0.9]
+    assert value_true.tolist() == [[1.5 * v for v in q]] * 2
+    assert gate_true.tolist() == [[1.0 - 0.5, 1.0 - 0.125, 1.0 - 0.5]] * 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -129,10 +132,8 @@ def test_reseeded_ground_truth_shares_parameters_and_draws_its_own_seed() -> Non
     other = gt.reseeded(9)
     assert other.rng_seed == 9 and gt.rng_seed == 4
     assert other.request_prob is gt.request_prob and other.failure_mean is gt.failure_mean
-    assert other.popularity_list is gt.popularity_list
     fresh = make_ground_truth([0.7, 0.2], [0.3, 0.05], users=3, n_sfcs=2, rng_seed=9)
-    for ours, ref in zip(sample_slots(other, 0, 40), sample_slots(fresh, 0, 40)):
-        assert (ours.requests, ours.vnf_failed) == (ref.requests, ref.vnf_failed)
+    assert slot_rows(other, 0, 40) == slot_rows(fresh, 0, 40)
     with pytest.raises(ValueError):
         gt.reseeded(-1)
 
@@ -164,12 +165,16 @@ def test_parameter_check_never_expands_request_prob() -> None:
 @example(users=2, n_sfcs=3, n_vnfs=2, t0=1, n=1, seed=4)      # D = 8, one slot
 def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: int,
                                              t0: int, n: int, seed: int) -> None:
+    """sample_arrays over a range of slots draws what each slot draws on its own."""
     rng = np.random.default_rng(seed)
     gt = GroundTruth(rng.random((users, n_sfcs)), rng.random(n_vnfs), rng_seed=seed)
-    observations = sample_slots(gt, t0, t0 + n)
-    assert len(observations) == n
-    assert_matches_reference(gt, observations, t0)
-    assert_matches_reference(gt, [sample_slot(gt, t0 + n - 1)], t0 + n - 1)
+    requests, failed = sample_arrays(gt, t0, t0 + n)
+    assert requests.shape == (n, n_sfcs) and requests.dtype == np.int64
+    assert failed.shape == (n, n_vnfs) and failed.dtype == np.uint8
+    rows = slot_rows(gt, t0, t0 + n)
+    assert len(rows) == n
+    assert_matches_reference(gt, rows, t0)
+    assert_matches_reference(gt, [slot_row(gt, t0 + n - 1)], t0 + n - 1)
 
 
 def test_block_sampling_crosses_block_boundaries() -> None:
@@ -186,7 +191,7 @@ def test_block_sampling_crosses_block_boundaries() -> None:
 def test_sample_slots_rejects_empty_range() -> None:
     gt = make_ground_truth(0.5, [0.1], users=2, n_sfcs=1, rng_seed=0)
     with pytest.raises(ValueError):
-        sample_slots(gt, 4, 4)
+        sample_arrays(gt, 4, 4)
 
 
 def test_slot_stream_matches_philox_keyed_directly() -> None:
@@ -236,7 +241,7 @@ def test_ground_truth_rejects_nan_probabilities() -> None:
 
 
 def slot_uniforms(monkeypatch: pytest.MonkeyPatch, gt: GroundTruth, t: int) -> set[float]:
-    """Every uniform sample_slot(gt, t) draws, recorded at the generator."""
+    """Every uniform sample_arrays(gt, t, t + 1) draws, recorded at the generator."""
     drawn: list[float] = []
     real = workload.slot_stream
 
@@ -251,9 +256,9 @@ def slot_uniforms(monkeypatch: pytest.MonkeyPatch, gt: GroundTruth, t: int) -> s
 
     with monkeypatch.context() as patch:
         patch.setattr(workload, "slot_stream", lambda *a, **kw: Recorder(real(*a, **kw)))
-        sample_slot(gt, t)
+        workload.sample_arrays(gt, t, t + 1)
     if not drawn:       # not an AssertionError, so the strict xfail below cannot absorb it
-        pytest.fail("sample_slot no longer draws through workload.slot_stream")
+        pytest.fail("sample_arrays no longer draws through workload.slot_stream")
     return set(drawn)
 
 
