@@ -59,15 +59,15 @@ MAX_TRACE_ROWS = 2 ** 22
 
 # A learned policy's run of at least this many seeds advances them in lockstep
 # (lockstep.simulate_seeds); a smaller one runs its seeds one by one through
-# simulate_run. Both write the same trace; this is the smallest seed count at
-# which the lockstep path was no slower for either learned policy on the three
-# benchmark instances.
+# simulate_run. Both write the same trace; timed at 2 to 12 seeds x 100
+# slots, this is the smallest seed count at which lockstep was no slower for
+# either learned policy on the three benchmark instances (6 lost on wide-edge).
 LOCKSTEP_MIN_SEEDS = 8
 # The batched paths take rows of F request counts, I failure flags, W
-# random-policy uniforms and an N-server residual: a lockstep group one row per
-# seed, drawn OBS_BLOCK_SLOTS slots ahead, a random-policy call one per (seed,
-# slot). Either takes at most this many values' worth of rows, F + I + W + N
-# per row, so that it stays under 32 MiB however many seeds a run has.
+# random-policy uniforms and an N-server residual: a lockstep group one per
+# seed, drawn OBS_BLOCK_SLOTS slots ahead, a check or random-policy call one
+# per (seed, slot). Each takes at most this many values' worth of rows, F + I +
+# W + N per row, so that it stays under 32 MiB however many seeds a run has.
 LOCKSTEP_MAX_VALUES = 2 ** 14
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
@@ -380,9 +380,9 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
     graph is the policy's kernels.PlanGraph, shared across seeds; None gives
     the run a fresh one. The random policy runs in lockstep.simulate_random.
 
-    Slots are drawn OBS_BLOCK_SLOTS at a time. Every slot is decided,
-    verified and learned from in turn; lockstep.slot_values then accounts
-    the block's verified decisions at once.
+    Slots are drawn OBS_BLOCK_SLOTS at a time. Every slot is decided and
+    learned from in turn; lockstep.check then verifies the block's decisions
+    at once, and lockstep.slot_values accounts them.
     """
     if policy not in PLACEMENT_MODES:
         raise ValueError(f"simulate_run runs a learned policy {tuple(PLACEMENT_MODES)}, "
@@ -398,13 +398,11 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeig
     for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
         t1 = min(t0 + OBS_BLOCK_SLOTS, slots + 1)
         requests, failed = sample_arrays(gt, t0, t1)
-        decided = []
-        residuals = []
-        for t, r, v in zip(range(t0, t1), requests.tolist(), failed.tolist()):
-            decision = learned_slot(learners, t, r, v, weights, graph)
-            decided.append(decision.deployed)
-            residuals.append(decision.residual_after)
-        rec = lockstep.records_of(decided, residuals, network.n_servers)
+        decisions = [learned_slot(learners, t, r, v, weights, graph)
+                     for t, r, v in zip(range(t0, t1), requests.tolist(), failed.tolist())]
+        rec = lockstep.records_of([d.deployed for d in decisions],
+                                  [d.residual_after for d in decisions], network.n_servers)
+        lockstep.check(layout, rec, lambda k: (gt.rng_seed, t0 + k))
         rows = [0] * (t1 - t0)
         for key, values in lockstep.slot_values(layout, weights.omega, weights.mu, requests,
                                                 failed, rec, value_true[rows],
@@ -450,7 +448,7 @@ def _seed_series(cfg: ExperimentConfig, network: EdgeNetwork, gts: list[GroundTr
                 yield simulate_run(network, catalog, gt, cfg.weights, policy, cfg.slots, **kw)
             continue
         yield from lockstep.simulate_seeds(network, catalog, group, cfg.weights, cfg.slots,
-                                           **kw)
+                                           chunk_slots=max(1, size // len(group)), **kw)
 
 
 def _random_series(cfg: ExperimentConfig, network: EdgeNetwork, gts: list[GroundTruth]):

@@ -7,12 +7,9 @@ are (S, F) and (S, I) arrays, and every stage of a slot but the selection
 kernel (kernels.slot_decide, once per seed) is a few numpy operations over
 all S seeds. The random policy keeps no state across slots, so
 simulate_random takes whole blocks of (seed, slot) rows at once, for any
-seed count, and random_rows is its definition. Both hold their commits, as
-flat Records, to the eight conditions of policy.verify_decision in check.
-
-slot_values is the one reward accounting: simulate_seeds applies it to the
-seeds of a slot, simulate_random and harness.simulate_run to a block of
-slots.
+seed count, and random_rows is its definition. These two and
+harness.simulate_run hold a block of rows' commits to the eight conditions
+of policy.verify_decision in check, then value them in slot_values.
 
 Exactness. Every float is computed by the expression learning.py evaluates,
 one operation at a time: numpy's sqrt, division, multiplication and
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -125,7 +122,7 @@ class Learners:
 
 @dataclass(eq=False)
 class Records:
-    """The commits of R rows (seeds of a slot, or (seed, slot) pairs) as flat arrays.
+    """The commits of R rows, each one (seed, slot), as flat arrays.
 
     Record r commits chain sfc[r] in row row[r], in commit order within the
     row, at latency[r], on the next positions[r] entries of servers.
@@ -182,10 +179,8 @@ def estimates(learners: Learners, t: int) -> tuple[list, list]:
 
 
 def decide_learned(graph: kernels.PlanGraph, q_rows: list, v_rows: list,
-                   omega: float, mu: float) -> tuple[list, list]:
-    """kernels.slot_decide once per seed: (deployed, residual) lists, one per seed."""
-    decided = []
-    residuals = []
+                   omega: float, mu: float, decided: list, residuals: list) -> None:
+    """kernels.slot_decide once per seed, appending its deployed and residual lists."""
     for q_est, v_est in zip(q_rows, v_rows):
         deployed: list = []
         residual: list = []
@@ -193,7 +188,6 @@ def decide_learned(graph: kernels.PlanGraph, q_rows: list, v_rows: list,
         kernels.slot_decide(graph, q_est, v_est, omega, mu, deployed, residual)
         decided.append(deployed)
         residuals.append(residual)
-    return decided, residuals
 
 
 def random_rows(layout: Layout, u: np.ndarray) -> Records:
@@ -330,9 +324,9 @@ def _violation(layout: Layout, rec: Records, x: np.ndarray, placed: np.ndarray,
 
 
 def records_of(decided: list, residuals: list, n_servers: int) -> Records:
-    """One slot's decisions as Records, one row per seed.
+    """Decisions as Records, one row each.
 
-    decided[s] lists seed s's (sfc, PlacementPlan) commits and residuals[s] its
+    decided[k] lists row k's (sfc, PlacementPlan) commits and residuals[k] its
     residual list. A residual of the wrong length reads as -1 on every server,
     which no load within capacity leaves.
     """
@@ -399,29 +393,40 @@ def simulate_seeds(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth
                    weights: RewardWeights, slots: int, *, users: int,
                    failure_bonus_scale: float | None = None,
                    failure_bonus_sign: int = 1,
-                   graph: kernels.PlanGraph) -> list[dict[str, list]]:
+                   graph: kernels.PlanGraph, chunk_slots: int) -> list[dict[str, list]]:
     """harness.simulate_run of every seed in gts, in lockstep; one series dict per seed.
 
     graph is the learned policy's PlanGraph, whose mode picks rtsd or bandit.
+    Each chunk of chunk_slots slots is checked and valued at once.
     """
-    n_seeds = len(gts)
+    n_seeds, n_sfcs = len(gts), catalog.n_sfcs
     layout = Layout.of(network, catalog)
-    seeds = [gt.rng_seed for gt in gts]
     omega, mu = weights.omega, weights.mu
     value_true, gate_true = true_values(catalog, gts, weights)
     learners = Learners.fresh(n_seeds, catalog.n_sfcs, catalog.n_vnfs, users,
                               failure_bonus_scale, failure_bonus_sign)
     series = [{key: [] for key in SERIES} for _ in gts]
-    for t, (requests, failed) in enumerate(observations(gts, slots), start=1):
-        q_rows, v_rows = estimates(learners, t)
-        decided, residuals = decide_learned(graph, q_rows, v_rows, omega, mu)
+    drawn = observations(gts, slots)
+    for t0 in range(1, slots + 1, chunk_slots):
+        chunk = list(islice(drawn, chunk_slots))
+        decided, residuals = [], []
+        for t, (requests, failed) in enumerate(chunk, start=t0):
+            q_rows, v_rows = estimates(learners, t)
+            decide_learned(graph, q_rows, v_rows, omega, mu, decided, residuals)
+            # x and the copies as learned_slot counts them
+            commits = np.bincount(np.array([s * n_sfcs + f for s, deployed
+                                            in enumerate(decided[-n_seeds:]) for f, _ in deployed],
+                                           dtype=np.int64),
+                                  minlength=n_seeds * n_sfcs).reshape(n_seeds, n_sfcs)
+            update(learners, requests, failed, commits > 0, commits @ layout.copies)
         rec = records_of(decided, residuals, network.n_servers)
-        x, placed = check(layout, rec, lambda k: (seeds[k], t))
+        check(layout, rec, lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds))
+        requests, failed = (np.concatenate(column) for column in zip(*chunk))
         for key, values in slot_values(layout, omega, mu, requests, failed, rec,
-                                       value_true, gate_true).items():
-            for out, value in zip(series, values):
-                out[key].append(value)
-        update(learners, requests, failed, x, placed)
+                                       np.tile(value_true, (len(chunk), 1)),
+                                       np.tile(gate_true, (len(chunk), 1))).items():
+            for s, out in enumerate(series):
+                out[key].extend(values[s::n_seeds])
     return series
 
 

@@ -8,13 +8,12 @@ kernel's placement walk, carried by the kernels.PlanGraph they plan on.
 Learner updates happen inside the call, after deployment, using that slot's
 observation.
 
-Rewards are not accounted here: every simulator hands its verified
-decisions to lockstep.slot_values, many rows at a time.
+Decisions are neither verified nor accounted here: every simulator hands
+them, a block at a time, to lockstep.check and then lockstep.slot_values.
 
 The random policy keeps no state across slots, so it has no per-slot
 function: lockstep.random_rows defines it over whole blocks of (seed, slot)
-rows at once, and lockstep.check holds its commits to the conditions of
-verify_decision.
+rows at once.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
     walk: kernels.GREEDY, latency-aware, for rtsd and kernels.FIRST_FIT for
     bandit. Kept across slots, it spares re-planning residual states the run
     has seen. The kernel scores every remaining chain's plan, commits the
-    best positive score, re-plans and repeats; the decision is verified, and
-    the slot's observation, its request counts and VNF failure flags, then
-    updates the learners for the deployed arms.
+    best positive score, re-plans and repeats; the slot's observation, its
+    request counts and VNF failure flags, then updates the learners for the
+    deployed arms. The caller verifies the decision, with the rest of its block.
     """
     pop, fail = learners
     q_est = popularity_estimate(pop, t)
@@ -85,21 +84,19 @@ def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
         x[f] = 1
         for i in catalog.sfc_chain[f]:
             placed[i] += 1
-    decision = SlotDecision(t=int(t), deployed=deployed, x=x, placed_counts=placed,
-                            residual_after=residual)
-    verify_decision(graph.network, catalog, decision)
     popularity_update(pop, requests, x)
     failure_update(fail, failed, placed)
-    return decision
+    return SlotDecision(t=int(t), deployed=deployed, x=x, placed_counts=placed,
+                        residual_after=residual)
 
 
 def verify_decision(network: EdgeNetwork, catalog: Catalog,
                     decision: SlotDecision) -> None:
     """Always-on safety net: capacity, coupling, and bookkeeping must agree.
 
-    Raises InvariantViolation on the first inconsistency. Cheap enough to run
-    on every slot of every experiment. The decision's vectors are compared by
-    value, so lists, tuples and arrays are all checked alike.
+    Raises InvariantViolation on the first inconsistency. The decision's
+    vectors are compared by value, so lists, tuples and arrays are all checked
+    alike. The simulators run its batched form, lockstep.check.
     """
     n = network.n_servers
     demand = catalog.vnf_demand

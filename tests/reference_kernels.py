@@ -18,6 +18,10 @@ realized_reward and expected_slot_value value one slot's decision as the
 objective defines it; sfcbackup.lockstep.slot_values, which values many
 rows at once, is tested against them.
 
+verified_slot is one slot of a learned policy as the definition reads:
+policy.learned_slot, then policy.verify_decision on its decision. The
+simulators verify whole blocks of decisions at once, with lockstep.check.
+
 slot_rows and slot_row give sample_arrays' draws as Python lists, one
 (requests, failed) pair per slot, the form the per-slot functions take.
 A cloud plan, which only get_consumption returns, has an empty assignment
@@ -34,6 +38,7 @@ from sfcbackup import kernels, lockstep
 from sfcbackup.kernels import GREEDY
 from sfcbackup.learning import chain_failure_rate
 from sfcbackup.model import PlacementPlan, cheapest_link_anchor
+from sfcbackup.policy import learned_slot, verify_decision
 from sfcbackup.workload import sample_arrays, true_popularity
 
 
@@ -46,6 +51,13 @@ def slot_rows(gt, t0: int, t1: int) -> list[tuple[list[int], list[int]]]:
 def slot_row(gt, t: int) -> tuple[list[int], list[int]]:
     """Slot t's (requests, failed) lists, drawn by sample_arrays."""
     return slot_rows(gt, t, t + 1)[0]
+
+
+def verified_slot(learners, t: int, requests, failed, weights, graph):
+    """policy.learned_slot, its decision then held to policy.verify_decision."""
+    decision = learned_slot(learners, t, requests, failed, weights, graph)
+    verify_decision(graph.network, graph.catalog, decision)
+    return decision
 
 
 def chain_arrays(catalog) -> tuple[np.ndarray, np.ndarray]:

@@ -28,10 +28,9 @@ from sfcbackup.kernels import GREEDY, PlanGraph
 from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
                                 popularity_estimate, popularity_update)
 from sfcbackup.oracle import optimal_chain_latency
-from sfcbackup.policy import learned_slot
 from sfcbackup.workload import policy_uniform_block
 
-from reference_kernels import get_consumption, slot_rows, unpack_rows
+from reference_kernels import get_consumption, slot_rows, unpack_rows, verified_slot
 
 
 def report(name: str, ok: bool, details: str) -> str:
@@ -149,11 +148,11 @@ def test_04_capacity_sweep(capacity_sweep) -> None:
 def test_05_per_slot_invariants(canonical) -> None:
     """Capacity safety and completeness coupling, re-derived from raw plans.
 
-    Every slot of every experiment already passes verify_decision, or for the
-    random policy lockstep.check, its batched form (an InvariantViolation
-    aborts the run), so the headline runs enforce this by construction. Here
-    a replay of the first three seeds recomputes both invariants from the
-    committed assignments alone.
+    Every slot of every experiment already passes lockstep.check, the batched
+    form of verify_decision (an InvariantViolation aborts the run), so the
+    headline runs enforce this by construction. Here a replay of the first
+    three seeds, slot by slot through verified_slot for the learned policies,
+    recomputes both invariants from the committed assignments alone.
     """
     cfg, _, _ = canonical
     network = cfg.network
@@ -181,7 +180,7 @@ def test_05_per_slot_invariants(canonical) -> None:
                                          failure_bonus_scale=cfg.failure_bonus_scale,
                                          failure_bonus_sign=cfg.failure_bonus_sign)
                 graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
-                decisions = [learned_slot(learners, t, requests, failed, cfg.weights, graph)
+                decisions = [verified_slot(learners, t, requests, failed, cfg.weights, graph)
                              for t, (requests, failed)
                              in enumerate(slot_rows(gt, 1, cfg.slots + 1), start=1)]
             for d in decisions:
@@ -279,7 +278,7 @@ def test_06_learner_replay_exactness() -> None:
     graph = PlanGraph(cfg.network, cfg.catalog, GREEDY)
     history = []
     for t, (requests, failed) in enumerate(observations, start=1):
-        d = learned_slot((pop, fail), t, requests, failed, cfg.weights, graph)
+        d = verified_slot((pop, fail), t, requests, failed, cfg.weights, graph)
         history.append((requests, failed, d.x.copy(), d.placed_counts.copy()))
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
                                            fail.bonus_scale, fail.bonus_sign))

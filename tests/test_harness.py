@@ -24,11 +24,11 @@ from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAW
                                POLICY_ORDER, parse_policies, parse_seeds, simulate_run)
 from sfcbackup.kernels import PlanGraph
 from sfcbackup.learning import init_learners
-from sfcbackup.policy import SlotDecision, learned_slot, verify_decision
+from sfcbackup.policy import SlotDecision, verify_decision
 from sfcbackup.workload import policy_uniform_block
 
 from reference_kernels import (expected_slot_value, random_placement, realized_reward,
-                               slot_row, slot_rows)
+                               slot_row, slot_rows, verified_slot)
 
 
 def tiny_config(**extra) -> dict:
@@ -209,7 +209,7 @@ def test_random_run_draws_each_slot_from_its_own_counter_blocks() -> None:
 def reference_learned_series(cfg, gt, policy: str) -> tuple[dict[str, list], int]:
     """One seed's learned-policy series, slot by slot, from the per-slot definitions.
 
-    Slot t is learned_slot on slot t's observation alone, and realized_reward
+    Slot t is verified_slot on slot t's observation alone, and realized_reward
     and expected_slot_value value its verified decision. Also returns how
     many deployed chains a failed VNF voided.
     """
@@ -222,7 +222,7 @@ def reference_learned_series(cfg, gt, policy: str) -> tuple[dict[str, list], int
     voided = 0
     for t in range(1, cfg.slots + 1):
         requests, failed = slot_row(gt, t)
-        decision = learned_slot(learners, t, requests, failed, cfg.weights, graph)
+        decision = verified_slot(learners, t, requests, failed, cfg.weights, graph)
         out["realized"].append(realized_reward(cfg.weights, requests, failed, decision,
                                                catalog)[1])
         out["expected"].append(expected_slot_value(cfg.weights, gt, decision, catalog))

@@ -13,12 +13,11 @@ from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_wal
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.learning import init_learners
 from sfcbackup.model import cheapest_link_anchor
-from sfcbackup.policy import learned_slot
 from sfcbackup.workload import make_ground_truth
 
 from reference_kernels import (chain_arrays, first_fit_chain_walk_array,
                                greedy_chain_walk_array, neighbor_table,
-                               slot_decide_array, slot_rows)
+                               slot_decide_array, slot_rows, verified_slot)
 
 
 def random_setup(rng: np.random.Generator):
@@ -263,8 +262,8 @@ def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
                 learners = init_learners(cat.n_sfcs, cat.n_vnfs, cfg.users,
                                          failure_bonus_scale=cfg.failure_bonus_scale,
                                          failure_bonus_sign=cfg.failure_bonus_sign)
-                runs.append([learned_slot(learners, t, requests, failed, cfg.weights,
-                                          graph or PlanGraph(net, cat, mode))
+                runs.append([verified_slot(learners, t, requests, failed, cfg.weights,
+                                           graph or PlanGraph(net, cat, mode))
                              for t, (requests, failed) in enumerate(observations, start=1)])
             for a, b in zip(*runs):
                 assert a.deployed == b.deployed

