@@ -1,4 +1,4 @@
-"""Experiment harness: config parsing, the slot loop, trace emission.
+"""Experiment harness: config parsing, the simulator loop, trace emission.
 
 Configs are JSON documents; the bundled configs/default.json carries the
 six-server testbed. A run's trace is a set of columns, one list per name
@@ -10,6 +10,10 @@ in the fixed order
 with one entry per (policy, seed, slot) and the last two left empty unless
 regret evaluation is requested. A summary sidecar aggregates per-policy means
 and sample standard deviations across seeds.
+
+simulate_run is the one simulator loop: run calls it once per policy and
+group of seeds, and only its decide step depends on the policy and on the
+group's seed count. Its batched stages live in lockstep.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +36,7 @@ from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
 from .policy import RewardWeights, learned_slot
 from .workload import (OBS_BLOCK_SLOTS, GroundTruth, check_parameters, make_ground_truth,
-                       sample_arrays)
+                       policy_uniform_block, sample_arrays)
 
 POLICY_ORDER = ("rtsd", "bandit", "random")
 
@@ -57,17 +62,26 @@ MAX_REQUEST_DRAWS = 2 ** 16
 # takes about 170 bytes until emit writes it, so a run holds at most about 0.7 GB.
 MAX_TRACE_ROWS = 2 ** 22
 
-# A learned policy's run of at least this many seeds advances them in lockstep
-# (lockstep.simulate_seeds); a smaller one runs its seeds one by one through
-# simulate_run. Both write the same trace; timed at 2 to 12 seeds x 100
-# slots, this is the smallest seed count at which lockstep was no slower for
-# either learned policy on the three benchmark instances (6 lost on wide-edge).
+# A learned policy's seed group of at least this many seeds keeps its learners
+# in lockstep.Learners arrays, a smaller one a learning.py learner pair per
+# seed. Both write the same trace; only speed picks. Timed at 2, 4, 6, 8 and
+# 12 seeds x 100 slots (harness.run, min of 7 alternating runs, 2 shared
+# CPUs), numpy / per-seed time, rtsd then bandit: canonical 1.31 1.00 0.82
+# 0.80 0.75, 1.34 1.00 0.87 0.80 0.74; wide-edge 1.00 0.84 0.87 0.84 0.81,
+# 1.16 1.10 0.88 0.91 0.93; small-regret 1.67 1.35 1.03 0.88 0.80, 1.72 1.09
+# 1.01 0.89 0.79. 8 is the smallest count at which numpy was no slower on any
+# of them (6 lost on small-regret). At the benchmark sizes, numpy learners at
+# 1 seed make small-regret's run 2.98x (rtsd) and 2.78x (bandit) slower, and
+# per-seed learners at 30 seeds make canonical's 1.89x and 1.61x slower.
 LOCKSTEP_MIN_SEEDS = 8
-# The batched paths take rows of F request counts, I failure flags, W
-# random-policy uniforms and an N-server residual: a lockstep group one per
-# seed, drawn OBS_BLOCK_SLOTS slots ahead, a check or random-policy call one
-# per (seed, slot). Each takes at most this many values' worth of rows, F + I +
-# W + N per row, so that it stays under 32 MiB however many seeds a run has.
+# simulate_run holds a seed group's draws OBS_BLOCK_SLOTS slots ahead: per
+# (slot, seed) row, F request counts, I failure flags and, for random, W policy
+# uniforms. It decides, checks and values them one chunk of rows at a time,
+# each row then also holding an N-server residual. A group has at most
+# LOCKSTEP_MAX_VALUES // (F + I + W + N) seeds and a chunk as many rows (and
+# at least one). So a chunk's rows hold at most this many values, 128 KiB at 8
+# bytes each, and a block's draws OBS_BLOCK_SLOTS times that, 32 MiB, however
+# many seeds a run has.
 LOCKSTEP_MAX_VALUES = 2 ** 14
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
@@ -368,47 +382,103 @@ def apply_overrides(cfg: ExperimentConfig, *, slots: int | None = None,
     return _check(dataclasses.replace(cfg, **updates))
 
 
-def simulate_run(network: EdgeNetwork, catalog: Catalog, gt, weights: RewardWeights,
-                 policy: str, slots: int, *, users: int,
+def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
+                 weights: RewardWeights, policy: str, slots: int, *, users: int,
                  failure_bonus_scale: float | None = None,
                  failure_bonus_sign: int = 1,
-                 graph: PlanGraph | None = None) -> dict[str, list]:
-    """One (learned policy, seed) trajectory over slots 1 .. slots.
+                 graph: PlanGraph | None = None) -> list[dict[str, list]]:
+    """The trajectories of every seed in gts under policy, over slots 1 .. slots.
 
-    Returns per-slot lists (index 0 is slot 1) of realized and expected
-    reward (floats), total remaining resource and deployment count (ints).
-    graph is the policy's kernels.PlanGraph, shared across seeds; None gives
-    the run a fresh one. The random policy runs in lockstep.simulate_random.
+    Returns one dict per seed of per-slot lists (index 0 is slot 1): realized
+    and expected reward (floats), total remaining resource and deployment
+    count (ints). graph is a learned policy's kernels.PlanGraph, shared across
+    seeds; None gives the run a fresh one.
 
-    Slots are drawn OBS_BLOCK_SLOTS at a time. Every slot is decided and
-    learned from in turn; lockstep.check then verifies the block's decisions
-    at once, and lockstep.slot_values accounts them.
+    Each seed draws its observations, and for random its policy uniforms,
+    OBS_BLOCK_SLOTS slots per Philox call. A block is cut into chunks of
+    (slot, seed) rows, slot-major, at most _batch_rows of them; each chunk is
+    decided, then lockstep.check verifies it and lockstep.slot_values
+    accounts it. Only the decide step depends on the policy: random_rows for
+    random, and for a learned policy one learner state for all seeds, the
+    numpy lockstep.Learners from LOCKSTEP_MIN_SEEDS seeds on and a
+    learned_slot learner pair per seed below that.
     """
-    if policy not in PLACEMENT_MODES:
-        raise ValueError(f"simulate_run runs a learned policy {tuple(PLACEMENT_MODES)}, "
-                         f"not {policy!r}")
-    if graph is None:
-        graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
+    if policy != "random" and policy not in PLACEMENT_MODES:
+        raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_ORDER}")
+    n_seeds, n_sfcs, n_vnfs = len(gts), catalog.n_sfcs, catalog.n_vnfs
+    width, _ = catalog.uniform_layout
     layout = lockstep.Layout.of(network, catalog)
-    value_true, gate_true = lockstep.true_values(catalog, [gt], weights)
-    learners = init_learners(catalog.n_sfcs, catalog.n_vnfs, users,
-                             failure_bonus_scale=failure_bonus_scale,
-                             failure_bonus_sign=failure_bonus_sign)
-    series: dict[str, list] = {key: [] for key in lockstep.SERIES}
-    for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
-        t1 = min(t0 + OBS_BLOCK_SLOTS, slots + 1)
-        requests, failed = sample_arrays(gt, t0, t1)
-        decisions = [learned_slot(learners, t, r, v, weights, graph)
-                     for t, r, v in zip(range(t0, t1), requests.tolist(), failed.tolist())]
-        rec = lockstep.records_of([d.deployed for d in decisions],
-                                  [d.residual_after for d in decisions], network.n_servers)
-        lockstep.check(layout, rec, lambda k: (gt.rng_seed, t0 + k))
-        rows = [0] * (t1 - t0)
-        for key, values in lockstep.slot_values(layout, weights.omega, weights.mu, requests,
-                                                failed, rec, value_true[rows],
-                                                gate_true[rows]).items():
-            series[key].extend(values)
+    omega, mu = weights.omega, weights.mu
+    chunk = min(OBS_BLOCK_SLOTS, max(1, _batch_rows(network, catalog) // n_seeds))
+    value_true, gate_true = (np.tile(a, (chunk, 1))
+                             for a in lockstep.true_values(catalog, gts, weights))
+    if policy == "random":
+        learners = None
+    elif n_seeds >= LOCKSTEP_MIN_SEEDS:
+        learners = lockstep.Learners.fresh(n_seeds, n_sfcs, n_vnfs, users,
+                                           failure_bonus_scale, failure_bonus_sign)
+    else:
+        learners = [init_learners(n_sfcs, n_vnfs, users,
+                                  failure_bonus_scale=failure_bonus_scale,
+                                  failure_bonus_sign=failure_bonus_sign) for _ in gts]
+    if graph is None and learners is not None:
+        graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
+    series = [{key: [] for key in lockstep.SERIES} for _ in gts]
+    for b0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
+        n = min(OBS_BLOCK_SLOTS, slots + 1 - b0)
+        requests = np.empty((n, n_seeds, n_sfcs), dtype=np.int64)
+        failed = np.empty((n, n_seeds, n_vnfs), dtype=np.uint8)
+        uniforms = np.empty((n, n_seeds, width)) if learners is None else None
+        for s, gt in enumerate(gts):
+            requests[:, s], failed[:, s] = sample_arrays(gt, b0, b0 + n)
+            if uniforms is not None:
+                uniforms[:, s] = policy_uniform_block(gt.rng_seed, b0, b0 + n, width)
+        for c0 in range(0, n, chunk):
+            t0, req, fail = b0 + c0, requests[c0:c0 + chunk], failed[c0:c0 + chunk]
+            if uniforms is None:
+                rec = _learned_records(learners, graph, weights, layout, t0, req, fail)
+            else:
+                rec = lockstep.random_rows(layout, uniforms[c0:c0 + chunk].reshape(-1, width))
+            lockstep.check(layout, rec, lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds))
+            n_rows = len(req) * n_seeds
+            values = lockstep.slot_values(layout, omega, mu, req.reshape(n_rows, n_sfcs),
+                                          fail.reshape(n_rows, n_vnfs), rec,
+                                          value_true[:n_rows], gate_true[:n_rows])
+            for key, column in values.items():
+                for s, out in enumerate(series):
+                    out[key].extend(column[s::n_seeds])
     return series
+
+
+def _learned_records(learners, graph: PlanGraph, weights: RewardWeights,
+                     layout: lockstep.Layout, t0: int, requests: np.ndarray,
+                     failed: np.ndarray) -> lockstep.Records:
+    """A learned policy's decisions on a chunk of slots from t0, learning from each slot.
+
+    requests and failed are the chunk's (slots, S, F) and (slots, S, I)
+    observations; learners is a lockstep.Learners of the S seeds or a list of
+    their learning.py pairs. The Records rows are slot-major.
+    """
+    n_seeds, n_sfcs = requests.shape[1:]
+    decided, residuals = [], []
+    if isinstance(learners, lockstep.Learners):
+        for t, req, fail in zip(count(t0), requests, failed):
+            q_rows, v_rows = lockstep.estimates(learners, t)
+            lockstep.decide_learned(graph, q_rows, v_rows, weights.omega, weights.mu, decided,
+                                    residuals)
+            # x and the copies as learned_slot counts them
+            commits = np.bincount(np.array([s * n_sfcs + f for s, deployed
+                                            in enumerate(decided[-n_seeds:]) for f, _ in deployed],
+                                           dtype=np.int64),
+                                  minlength=n_seeds * n_sfcs).reshape(n_seeds, n_sfcs)
+            lockstep.update(learners, req, fail, commits > 0, commits @ layout.copies)
+    else:
+        for t, req, fail in zip(count(t0), requests.tolist(), failed.tolist()):
+            for pair, r, v in zip(learners, req, fail):
+                decision = learned_slot(pair, t, r, v, weights, graph)
+                decided.append(decision.deployed)
+                residuals.append(decision.residual_after)
+    return lockstep.records_of(decided, residuals, layout.network.n_servers)
 
 
 def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
@@ -423,44 +493,13 @@ def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
 
 
 def _batch_rows(network: EdgeNetwork, catalog: Catalog) -> int:
-    """Rows a batched path takes at once: LOCKSTEP_MAX_VALUES // (F + I + W + N)."""
+    """The most seeds in a simulate_run group, and rows in its chunks.
+
+    LOCKSTEP_MAX_VALUES // (F + I + W + N); 0 where one row passes the bound.
+    """
     width, _ = catalog.uniform_layout
     per_row = catalog.n_sfcs + catalog.n_vnfs + width + network.n_servers
     return LOCKSTEP_MAX_VALUES // per_row
-
-
-def _seed_series(cfg: ExperimentConfig, network: EdgeNetwork, gts: list[GroundTruth],
-                 policy: str, graph: PlanGraph):
-    """simulate_run's series of each seed of a learned policy, in seed order.
-
-    Seeds go in groups of at most _batch_rows (and at least one); a group of
-    at least LOCKSTEP_MIN_SEEDS seeds runs in lockstep, a smaller one seed by
-    seed.
-    """
-    catalog = cfg.catalog
-    kw = dict(users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
-              failure_bonus_sign=cfg.failure_bonus_sign, graph=graph)
-    size = max(1, _batch_rows(network, catalog))
-    for k in range(0, len(gts), size):
-        group = gts[k:k + size]
-        if len(group) < LOCKSTEP_MIN_SEEDS:
-            for gt in group:
-                yield simulate_run(network, catalog, gt, cfg.weights, policy, cfg.slots, **kw)
-            continue
-        yield from lockstep.simulate_seeds(network, catalog, group, cfg.weights, cfg.slots,
-                                           chunk_slots=max(1, size // len(group)), **kw)
-
-
-def _random_series(cfg: ExperimentConfig, network: EdgeNetwork, gts: list[GroundTruth]):
-    """lockstep.simulate_random's series of each seed, in seed order.
-
-    Seeds go in groups whose blocks of up to OBS_BLOCK_SLOTS slots hold at
-    most _batch_rows (seed, slot) rows, and at least one seed.
-    """
-    size = max(1, _batch_rows(network, cfg.catalog) // min(cfg.slots, OBS_BLOCK_SLOTS))
-    for k in range(0, len(gts), size):
-        yield from lockstep.simulate_random(network, cfg.catalog, gts[k:k + size],
-                                            cfg.weights, cfg.slots)
 
 
 def _mean_std(values: list[float]) -> dict[str, float]:
@@ -482,13 +521,16 @@ def run(cfg: ExperimentConfig) -> RunResult:
     trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
     per_policy: dict[str, dict[str, list[float]]] = {
         p: {key: [] for key in lockstep.SERIES} for p in cfg.policies}
+    size = max(1, _batch_rows(network, catalog))     # seeds per simulate_run group
     for policy in cfg.policies:
-        if policy == "random":
-            seed_series = _random_series(cfg, network, gts)
-        else:
-            # one plan graph per learned policy, shared by its seeds and dropped after them
-            graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
-            seed_series = _seed_series(cfg, network, gts, policy, graph)
+        # one plan graph per learned policy, shared by its seeds and dropped after them
+        graph = (PlanGraph(network, catalog, PLACEMENT_MODES[policy])
+                 if policy in PLACEMENT_MODES else None)
+        seed_series = chain.from_iterable(
+            simulate_run(network, catalog, gts[k:k + size], cfg.weights, policy, cfg.slots,
+                         users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
+                         failure_bonus_sign=cfg.failure_bonus_sign, graph=graph)
+            for k in range(0, len(gts), size))
         for seed, series in zip(cfg.seeds, seed_series):
             expected = series["expected"]
             trace["t"].extend(range(1, cfg.slots + 1))

@@ -1,15 +1,16 @@
-"""Batched simulators: many seeds, or many slots, per numpy operation.
+"""The batched stages of harness.simulate_run: many seeds, or many slots, per numpy operation.
 
-simulate_seeds advances every seed of a learned policy in lockstep, slot by
-slot; harness.run takes it for a run of at least harness.LOCKSTEP_MIN_SEEDS
-seeds, and harness.simulate_run, its definition, below that. The learners
-are (S, F) and (S, I) arrays, and every stage of a slot but the selection
-kernel (kernels.slot_decide, once per seed) is a few numpy operations over
-all S seeds. The random policy keeps no state across slots, so
-simulate_random takes whole blocks of (seed, slot) rows at once, for any
-seed count, and random_rows is its definition. These two and
-harness.simulate_run hold a block of rows' commits to the eight conditions
-of policy.verify_decision in check, then value them in slot_values.
+harness.simulate_run runs every policy through one loop over chunks of
+(slot, seed) rows, and these are its stages. The learned policies keep one
+of two learner states. From harness.LOCKSTEP_MIN_SEEDS seeds on it is
+Learners, whose (S, F) and (S, I) arrays estimates reads and update
+advances with a few numpy operations per slot for all S seeds, while
+decide_learned runs the selection kernel (kernels.slot_decide) once per
+seed; below that it is one learning.py learner pair per seed. The random
+policy keeps no state across slots, so random_rows decides a whole chunk's
+rows at once. Every chunk's commits then go through check, which holds them
+to the eight conditions of policy.verify_decision, and slot_values, which
+values them.
 
 Exactness. Every float is computed by the expression learning.py evaluates,
 one operation at a time: numpy's sqrt, division, multiplication and
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -39,8 +40,7 @@ from . import kernels
 from .learning import chain_failure_rate
 from .model import Catalog, EdgeNetwork, PlacementPlan
 from .policy import InvariantViolation, RewardWeights, SlotDecision, verify_decision
-from .workload import (OBS_BLOCK_SLOTS, GroundTruth, policy_uniform_block, sample_arrays,
-                       true_popularity)
+from .workload import GroundTruth, true_popularity
 
 
 _PLAN_FIELDS = attrgetter("latency", "assignment")
@@ -144,22 +144,6 @@ def true_values(catalog: Catalog, gts: list[GroundTruth],
     gate_true = np.array([[1.0 - chain_failure_rate(catalog, gt.failure_mean, f)
                            for f in range(catalog.n_sfcs)] for gt in gts])
     return value_true, gate_true
-
-
-def observations(gts: list[GroundTruth], slots: int):
-    """Slots 1 .. slots of every seed: per slot, (S, F) request counts and (S, I) flags.
-
-    Each seed draws OBS_BLOCK_SLOTS slots per Philox call, as simulate_run does,
-    straight into the block's (slots, S, F) and (slots, S, I) arrays.
-    """
-    n_seeds = len(gts)
-    for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
-        n = min(OBS_BLOCK_SLOTS, slots + 1 - t0)
-        requests = np.empty((n, n_seeds, gts[0].n_sfcs), dtype=np.int64)
-        failed = np.empty((n, n_seeds, gts[0].n_vnfs), dtype=np.uint8)
-        for s, gt in enumerate(gts):
-            requests[:, s], failed[:, s] = sample_arrays(gt, t0, t0 + n)
-        yield from zip(requests, failed)
 
 
 def estimates(learners: Learners, t: int) -> tuple[list, list]:
@@ -387,73 +371,3 @@ def update(learners: Learners, requests: np.ndarray, failed: np.ndarray, x: np.n
     np.add(learners.failure_total, failed, out=learners.failure_total, where=hit)
     np.divide(learners.failure_total, learners.placements, out=learners.failure_mean,
               where=hit)
-
-
-def simulate_seeds(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
-                   weights: RewardWeights, slots: int, *, users: int,
-                   failure_bonus_scale: float | None = None,
-                   failure_bonus_sign: int = 1,
-                   graph: kernels.PlanGraph, chunk_slots: int) -> list[dict[str, list]]:
-    """harness.simulate_run of every seed in gts, in lockstep; one series dict per seed.
-
-    graph is the learned policy's PlanGraph, whose mode picks rtsd or bandit.
-    Each chunk of chunk_slots slots is checked and valued at once.
-    """
-    n_seeds, n_sfcs = len(gts), catalog.n_sfcs
-    layout = Layout.of(network, catalog)
-    omega, mu = weights.omega, weights.mu
-    value_true, gate_true = true_values(catalog, gts, weights)
-    learners = Learners.fresh(n_seeds, catalog.n_sfcs, catalog.n_vnfs, users,
-                              failure_bonus_scale, failure_bonus_sign)
-    series = [{key: [] for key in SERIES} for _ in gts]
-    drawn = observations(gts, slots)
-    for t0 in range(1, slots + 1, chunk_slots):
-        chunk = list(islice(drawn, chunk_slots))
-        decided, residuals = [], []
-        for t, (requests, failed) in enumerate(chunk, start=t0):
-            q_rows, v_rows = estimates(learners, t)
-            decide_learned(graph, q_rows, v_rows, omega, mu, decided, residuals)
-            # x and the copies as learned_slot counts them
-            commits = np.bincount(np.array([s * n_sfcs + f for s, deployed
-                                            in enumerate(decided[-n_seeds:]) for f, _ in deployed],
-                                           dtype=np.int64),
-                                  minlength=n_seeds * n_sfcs).reshape(n_seeds, n_sfcs)
-            update(learners, requests, failed, commits > 0, commits @ layout.copies)
-        rec = records_of(decided, residuals, network.n_servers)
-        check(layout, rec, lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds))
-        requests, failed = (np.concatenate(column) for column in zip(*chunk))
-        for key, values in slot_values(layout, omega, mu, requests, failed, rec,
-                                       np.tile(value_true, (len(chunk), 1)),
-                                       np.tile(gate_true, (len(chunk), 1))).items():
-            for s, out in enumerate(series):
-                out[key].extend(values[s::n_seeds])
-    return series
-
-
-def simulate_random(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
-                    weights: RewardWeights, slots: int) -> list[dict[str, list]]:
-    """The random policy's series of every seed in gts, as simulate_seeds returns them.
-
-    Each block of OBS_BLOCK_SLOTS slots is one set of (seed, slot) rows,
-    seed-major, that random_rows, check and slot_values take at once.
-    """
-    layout = Layout.of(network, catalog)
-    width, _ = catalog.uniform_layout
-    seeds = [gt.rng_seed for gt in gts]
-    value_true, gate_true = true_values(catalog, gts, weights)
-    series = [{key: [] for key in SERIES} for _ in gts]
-    for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
-        t1 = min(t0 + OBS_BLOCK_SLOTS, slots + 1)
-        n = t1 - t0
-        rec = random_rows(layout, np.concatenate(
-            [policy_uniform_block(seed, t0, t1, width) for seed in seeds]))
-        check(layout, rec, lambda k: (seeds[k // n], t0 + k % n))
-        requests, failed = zip(*(sample_arrays(gt, t0, t1) for gt in gts))
-        seed_of = np.repeat(np.arange(len(gts)), n)
-        columns = slot_values(layout, weights.omega, weights.mu, np.concatenate(requests),
-                              np.concatenate(failed), rec, value_true[seed_of],
-                              gate_true[seed_of])
-        for s, out in enumerate(series):
-            for key, values in columns.items():
-                out[key].extend(values[s * n:(s + 1) * n])
-    return series

@@ -6,13 +6,15 @@ the learned ones also never commit a non-positive score. learned_slot is
 one slot of a learned policy, rtsd or bandit, which differ only in the
 kernel's placement walk, carried by the kernels.PlanGraph they plan on.
 Learner updates happen inside the call, after deployment, using that slot's
-observation.
+observation. harness.simulate_run calls it once per (slot, seed) for a seed
+group too small for lockstep.Learners.
 
-Decisions are neither verified nor accounted here: every simulator hands
-them, a block at a time, to lockstep.check and then lockstep.slot_values.
+Decisions are neither verified nor accounted here: harness.simulate_run
+hands them, a chunk of (slot, seed) rows at a time, to lockstep.check and
+then lockstep.slot_values.
 
 The random policy keeps no state across slots, so it has no per-slot
-function: lockstep.random_rows defines it over whole blocks of (seed, slot)
+function: lockstep.random_rows defines it over whole chunks of (slot, seed)
 rows at once.
 """
 
@@ -96,7 +98,7 @@ def verify_decision(network: EdgeNetwork, catalog: Catalog,
 
     Raises InvariantViolation on the first inconsistency. The decision's
     vectors are compared by value, so lists, tuples and arrays are all checked
-    alike. The simulators run its batched form, lockstep.check.
+    alike. The simulator runs its batched form, lockstep.check.
     """
     n = network.n_servers
     demand = catalog.vnf_demand

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
                        load_config, make_ground_truth, optimal_slot_value, run,
                        validate_instance)
-from sfcbackup import harness, lockstep
+from sfcbackup import harness
 from sfcbackup.cli import main
 from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
                                MAX_TRACE_ROWS, OBS_BLOCK_SLOTS, PLACEMENT_MODES,
@@ -143,11 +143,11 @@ def test_simulate_run_shapes_and_determinism() -> None:
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 3)
     kw = dict(users=cfg.users, failure_bonus_scale=1.0, failure_bonus_sign=-1)
-    for policy in PLACEMENT_MODES:
-        a = simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy,
-                         25, **kw)
-        b = simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy,
-                         25, **kw)
+    for policy in POLICY_ORDER:
+        [a] = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, policy,
+                           25, **kw)
+        [b] = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, policy,
+                           25, **kw)
         assert list(a) == ["realized", "expected", "remaining", "deployed"]
         for key, kind in (("realized", float), ("expected", float),
                           ("remaining", int), ("deployed", int)):
@@ -156,11 +156,9 @@ def test_simulate_run_shapes_and_determinism() -> None:
             assert a[key] == b[key]
         assert all(v >= 0 for v in a["remaining"])
         assert all(v >= 0 for v in a["deployed"])
-    # the random policy runs in lockstep.simulate_random
-    for policy in ("nope", "random"):
-        with pytest.raises(ValueError, match=repr(policy)):
-            simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy, 5,
-                         users=cfg.users)
+    with pytest.raises(ValueError, match=repr("nope")):
+        simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, "nope", 5,
+                     users=cfg.users)
 
 
 def reference_random_series(cfg, gt, slots: int) -> dict[str, list]:
@@ -198,7 +196,8 @@ def test_random_run_draws_each_slot_from_its_own_counter_blocks() -> None:
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 8)
     slots = OBS_BLOCK_SLOTS + 44       # crosses one block of drawn slots
-    [series] = lockstep.simulate_random(cfg.network, cfg.catalog, [gt], cfg.weights, slots)
+    [series] = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, "random", slots,
+                            users=cfg.users)
     for key, kind in (("realized", float), ("expected", float),
                       ("remaining", int), ("deployed", int)):
         assert all(type(v) is kind for v in series[key])
@@ -241,9 +240,9 @@ def test_per_seed_run_accounts_each_slot_by_the_definitions(policy: str) -> None
                            cfg.catalog.n_sfcs, 8)
     want, voided = reference_learned_series(cfg, gt, policy)
     assert voided and any(want["deployed"])
-    assert simulate_run(cfg.network, cfg.catalog, gt, cfg.weights, policy, cfg.slots,
+    assert simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, policy, cfg.slots,
                         users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
-                        failure_bonus_sign=cfg.failure_bonus_sign) == want
+                        failure_bonus_sign=cfg.failure_bonus_sign) == [want]
     oracle = optimal_slot_value(cfg.network, cfg.catalog, gt, cfg.weights).best_value
     for regret in (False, True):
         trace = run(apply_overrides(cfg, regret=regret)).trace
@@ -376,9 +375,9 @@ def test_golden_trace_digest(tmp_path: Path) -> None:
 
 
 # sha256 of trace.csv from ``sfcbackup --slots 60 --seed 1..30`` (bundled config,
-# all policies): the seed-lockstep path, which GOLDEN_TRACE_SHA256's three
-# seeds do not reach. Computed on the per-seed path before the lockstep one
-# existed, so the two paths write the same bytes.
+# all policies): the lockstep learners, which GOLDEN_TRACE_SHA256's three
+# seeds do not reach. Computed with per-seed learners before the lockstep ones
+# existed, so the two learner states write the same bytes.
 GOLDEN_LOCKSTEP_SHA256 = "9c037e692b06cc19e9ce5f064f93581603de47b9b17bf50de600da641dc40cd5"
 
 

@@ -1,12 +1,12 @@
-"""The batched simulators of harness.run against their one-seed and one-slot definitions.
+"""harness.simulate_run's batched stages against their one-seed and one-slot definitions.
 
-A learned policy's run of at least LOCKSTEP_MIN_SEEDS seeds advances them
-together (lockstep.simulate_seeds); a single-seed run always takes the
-per-seed path, so the concatenation of single-seed runs is the reference for
-every column. The random policy runs in lockstep.simulate_random for every
-seed count: its run must equal the concatenation of its single-seed runs,
-and lockstep.random_rows must equal reference_kernels.random_placement row
-by row.
+A learned policy's run of at least LOCKSTEP_MIN_SEEDS seeds keeps its seeds'
+learners in lockstep.Learners arrays; a single-seed run always keeps a
+learning.py learner pair, so the concatenation of single-seed runs is the
+reference for every column. The random policy decides whole chunks of rows
+at once for every seed count: its run must equal the concatenation of its
+single-seed runs, and lockstep.random_rows must equal
+reference_kernels.random_placement row by row.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, apply_overrides,
                        default_config_path, load_config, run)
 from sfcbackup import harness, kernels, lockstep
-from sfcbackup.harness import CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, OBS_BLOCK_SLOTS, PLACEMENT_MODES
+from sfcbackup import policy as policy_module
+from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, OBS_BLOCK_SLOTS, PLACEMENT_MODES,
+                              POLICY_ORDER)
 from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
                                 popularity_estimate, popularity_update)
 
@@ -30,7 +32,7 @@ from reference_kernels import random_placement, unpack_rows
 
 
 def per_seed_reference(cfg):
-    """run(cfg) assembled from single-seed runs, which take the per-seed path."""
+    """run(cfg) assembled from single-seed runs, which keep per-seed learners."""
     trace = {col: [] for col in CSV_COLUMNS}
     means = {}
     for policy in cfg.policies:
@@ -67,44 +69,41 @@ def assert_matches_per_seed(cfg, monkeypatch) -> None:
     for col in CSV_COLUMNS:
         assert batched.trace[col] == trace[col], col
     assert per_seed_means(batched) == means
-    # the same config forced onto the per-seed path aggregates identically
+    # the same config forced onto per-seed learners aggregates identically
     monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", len(cfg.seeds) + 1)
     assert run(cfg).summary == batched.summary
 
 
 def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
+    # the seed count picks a learned policy's learner state: lockstep.Learners
+    # (one estimates call per slot for every seed) from LOCKSTEP_MIN_SEEDS seeds
+    # on, a learning.py pair per seed (one popularity_estimate call per seed
+    # and slot) below that
     calls = {"lockstep": 0, "per_seed": 0, "random": 0}
-    real_lockstep, real_simulate = lockstep.simulate_seeds, harness.simulate_run
-    real_random = lockstep.simulate_random
 
-    def batched(*args, **kwargs):
-        calls["lockstep"] += 1
-        return real_lockstep(*args, **kwargs)
+    def count(module, name: str, key: str) -> None:
+        real = getattr(module, name)
 
-    def single(*args, **kwargs):
-        calls["per_seed"] += 1
-        return real_simulate(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
 
-    def random_policy(*args, **kwargs):
-        calls["random"] += 1
-        return real_random(*args, **kwargs)
-
-    monkeypatch.setattr(lockstep, "simulate_seeds", batched)
-    monkeypatch.setattr(harness, "simulate_run", single)
-    monkeypatch.setattr(lockstep, "simulate_random", random_policy)
+    count(lockstep, "estimates", "lockstep")
+    count(policy_module, "popularity_estimate", "per_seed")
+    count(lockstep, "random_rows", "random")
     cfg = load_config(default_config_path())
     learned = len(PLACEMENT_MODES)
     run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS}"))
-    assert calls == {"lockstep": learned, "per_seed": 0, "random": 1}
+    assert calls == {"lockstep": learned * 3, "per_seed": 0, "random": 1}
     run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS - 1}"))
-    assert calls == {"lockstep": learned, "per_seed": learned * (LOCKSTEP_MIN_SEEDS - 1),
+    assert calls == {"lockstep": learned * 3, "per_seed": learned * 3 * (LOCKSTEP_MIN_SEEDS - 1),
                      "random": 2}
 
 
 def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
     seen = []
-    real_lockstep, real_simulate = lockstep.simulate_seeds, harness.simulate_run
-    real_random = lockstep.simulate_random
+    real_simulate = harness.simulate_run
     built = []
     real_make = harness.make_ground_truth
 
@@ -112,22 +111,12 @@ def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
         built.append(args)
         return real_make(*args)
 
-    def batched(network, catalog, gts, *args, **kwargs):
+    def simulate(network, catalog, gts, *args, **kwargs):
         seen.extend(map(id, gts))
-        return real_lockstep(network, catalog, gts, *args, **kwargs)
-
-    def single(network, catalog, gt, *args, **kwargs):
-        seen.append(id(gt))
-        return real_simulate(network, catalog, gt, *args, **kwargs)
-
-    def random_policy(network, catalog, gts, *args, **kwargs):
-        seen.extend(map(id, gts))
-        return real_random(network, catalog, gts, *args, **kwargs)
+        return real_simulate(network, catalog, gts, *args, **kwargs)
 
     monkeypatch.setattr(harness, "make_ground_truth", make)
-    monkeypatch.setattr(lockstep, "simulate_seeds", batched)
-    monkeypatch.setattr(harness, "simulate_run", single)
-    monkeypatch.setattr(lockstep, "simulate_random", random_policy)
+    monkeypatch.setattr(harness, "simulate_run", simulate)
     cfg = load_config(default_config_path())
     for n in (LOCKSTEP_MIN_SEEDS, 2):
         seen.clear()
@@ -252,27 +241,22 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
                           seeds=f"1..{2 * LOCKSTEP_MIN_SEEDS + 3}")
     per_row = (cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + cfg.catalog.uniform_layout[0]
                + cfg.network.n_servers)
-    # learned: two lockstep groups of LOCKSTEP_MIN_SEEDS, then three seeds one
-    # by one; random: calls of LOCKSTEP_MIN_SEEDS rows at most, and of one
-    # seed's 20 slots at least
+    # every policy: two groups of LOCKSTEP_MIN_SEEDS seeds, then the last three,
+    # and check and slot_values calls of LOCKSTEP_MIN_SEEDS rows at most
     max_values = harness.LOCKSTEP_MAX_VALUES
     monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES",
                         per_row * LOCKSTEP_MIN_SEEDS + per_row - 1)
-    sizes = {"simulate_seeds": [], "simulate_random": []}
-    # rows of every check and slot_values call: a lockstep chunk, a per-seed
-    # block or a random-policy block
+    sizes = {policy: [] for policy in POLICY_ORDER}
+    # rows of every check and slot_values call, each one chunk
     rows = {"check": [], "slot_values": []}
+    real_simulate = harness.simulate_run
 
-    def recorded(name):
-        real = getattr(lockstep, name)
-
-        def batched(network, catalog, gts, *args, **kwargs):
-            sizes[name].append(len(gts))
-            return real(network, catalog, gts, *args, **kwargs)
-        return batched
+    def recorded(network, catalog, gts, weights, policy, *args, **kwargs):
+        sizes[policy].append(len(gts))
+        return real_simulate(network, catalog, gts, weights, policy, *args, **kwargs)
 
     def bound() -> int:
-        return max(harness._batch_rows(cfg.network, cfg.catalog), min(cfg.slots, OBS_BLOCK_SLOTS))
+        return max(1, harness._batch_rows(cfg.network, cfg.catalog))
 
     def counted(name, position):
         real = getattr(lockstep, name)
@@ -282,29 +266,28 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
             return real(*args)
         return stage
 
-    for name in sizes:
-        monkeypatch.setattr(lockstep, name, recorded(name))
+    monkeypatch.setattr(harness, "simulate_run", recorded)
     monkeypatch.setattr(lockstep, "check", counted("check", 1))
     monkeypatch.setattr(lockstep, "slot_values", counted("slot_values", 5))
     assert_matches_per_seed(cfg, monkeypatch)
-    learned = sizes["simulate_seeds"]
-    assert learned[:2] == [LOCKSTEP_MIN_SEEDS] * 2 and set(learned) == {LOCKSTEP_MIN_SEEDS}
-    assert set(sizes["simulate_random"]) == {1}
-    sizes["simulate_random"].clear()
+    # the run, then each seed alone, then the run forced onto per-seed learners
+    groups = [LOCKSTEP_MIN_SEEDS] * 2 + [3]
+    assert sizes == {policy: groups + [1] * len(cfg.seeds) + groups for policy in POLICY_ORDER}
+    sizes["random"].clear()
+    # two slots group the random policy's seeds as twenty do
     short = apply_overrides(cfg, slots=2, policy="random")
     assert_matches_per_seed(short, monkeypatch)
-    half = LOCKSTEP_MIN_SEEDS // 2
-    assert sizes["simulate_random"][:5] == [half] * 4 + [len(cfg.seeds) - 4 * half]
+    assert sizes["random"] == groups + [1] * len(cfg.seeds) + groups
     assert rows["check"] and rows["slot_values"]
-    assert max(rows["check"] + rows["slot_values"]) <= bound()
+    assert max(rows["check"] + rows["slot_values"]) == bound()
 
     # at the default bounds a lockstep run checks many slots per call
     monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", max_values)
     monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", LOCKSTEP_MIN_SEEDS)
-    learned.clear()
+    sizes["rtsd"].clear()
     rows["check"].clear()
     run(apply_overrides(cfg, seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd"))
-    assert learned == [LOCKSTEP_MIN_SEEDS]
+    assert sizes["rtsd"] == [LOCKSTEP_MIN_SEEDS]
     assert 0 < len(rows["check"]) < cfg.slots
     assert max(rows["check"]) <= bound()
 
@@ -365,19 +348,18 @@ def _tamper_case(message: str, n_seeds: int, slot: int, slots: int):
 
 @pytest.mark.parametrize("message, n_seeds, slot, slots", [
     *(_tamper_case(message, n, 2, 3) for message in TAMPERS for n in TAMPER_SEED_COUNTS),
-    # past the first block of drawn slots, in the last, partial lockstep chunk
+    # past the first block of drawn slots, in the block's last, partial chunk
     *(_tamper_case(LATE_TAMPER, n, OBS_BLOCK_SLOTS + 3, OBS_BLOCK_SLOTS + 7)
       for n in TAMPER_SEED_COUNTS)])
 def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_seeds: int,
                                                  slot: int, slots: int) -> None:
-    # every learned path checks a block of decisions after deciding it, and
-    # names the earliest slot that fails
+    # both learner states check a chunk of decisions after deciding it, and
+    # name the earliest slot that fails
     cfg = apply_overrides(load_config(TAMPER_DOC), seeds=f"1..{n_seeds}", slots=slots)
     seed = min(3, n_seeds - 1)              # the fourth seed, or the last one
-    # slot_decide runs slot by slot across the seeds in lockstep, and seed by
-    # seed over all slots below LOCKSTEP_MIN_SEEDS
-    target = ((slot - 1) * n_seeds + seed + 1 if n_seeds >= LOCKSTEP_MIN_SEEDS
-              else seed * slots + slot)
+    # slot_decide runs slot by slot, each slot across the seeds, whichever the
+    # learner state
+    target = (slot - 1) * n_seeds + seed + 1
     calls = []
     real = kernels.slot_decide
 
@@ -419,15 +401,48 @@ def test_batched_check_rejects_a_tampered_random_commit(monkeypatch) -> None:
     for message, tamper in RANDOM_TAMPERS.items():
         def tampered(layout, u, tamper=tamper):
             rec = real(layout, u)
-            # the rows are seed-major: row 3 * 6 + 1 is the fourth seed's slot 2,
-            # where chain 0 always fits
-            tamper(rec, 3 * cfg.slots + 1)
+            # the rows are slot-major: row (2 - 1) * S + 3 is the fourth seed's
+            # slot 2, where chain 0 always fits
+            tamper(rec, (2 - 1) * len(cfg.seeds) + 3)
             return rec
 
         monkeypatch.setattr(lockstep, "random_rows", tampered)
         with pytest.raises(InvariantViolation,
                            match=f"^seed {cfg.seeds[3]}, slot 2: .*{message}"):
             run(cfg)
+
+
+@pytest.mark.parametrize("policy", ["rtsd", "random"])
+@pytest.mark.parametrize("n_seeds", [3, LOCKSTEP_MIN_SEEDS])
+def test_check_names_the_earliest_failing_slot(monkeypatch, policy: str, n_seeds: int) -> None:
+    # the first seed's slot 5 and the third seed's slot 2 are both tampered;
+    # the error names slot 2, the earlier one, at every seed count
+    cfg = apply_overrides(load_config(TAMPER_DOC), policy=policy, seeds=f"1..{n_seeds}",
+                          slots=6)
+    targets = {(5 - 1) * n_seeds, (2 - 1) * n_seeds + 2}   # slot-major rows, from 0
+    if policy == "random":
+        real_rows = lockstep.random_rows
+
+        def tampered_rows(layout, u):
+            rec = real_rows(layout, u)
+            for row in targets:
+                rec.residual[row, -1] += 1
+            return rec
+        monkeypatch.setattr(lockstep, "random_rows", tampered_rows)
+    else:
+        calls = []
+        real_decide = kernels.slot_decide
+
+        def tampered_decide(graph, q_est, v_est, omega, mu, deployed, residual):
+            out = real_decide(graph, q_est, v_est, omega, mu, deployed, residual)
+            if len(calls) in targets:
+                residual[0] -= 1
+            calls.append(1)
+            return out
+        monkeypatch.setattr(kernels, "slot_decide", tampered_decide)
+    with pytest.raises(InvariantViolation,
+                       match=f"^seed {cfg.seeds[2]}, slot 2: .*residual bookkeeping mismatch"):
+        run(cfg)
 
 
 # --- the random policy ----------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sfcbackup import (Catalog, EdgeNetwork, RewardWeights, SearchSpaceTooLarge,
                        make_ground_truth, optimal_slot_value)
-from sfcbackup import lockstep
+from sfcbackup.harness import simulate_run
 from sfcbackup.kernels import GREEDY, PlanGraph
 from sfcbackup.learning import chain_failure_rate, init_learners
 from sfcbackup.oracle import optimal_chain_latency, shortest_path_matrix
@@ -254,7 +254,7 @@ def test_policies_never_beat_the_oracle() -> None:
         gap = ceiling - expected_slot_value(w, gt, dec, cat)
         assert gap >= -1e-9
         worst_gap = min(worst_gap, gap)
-    [random_series] = lockstep.simulate_random(net, cat, [gt], w, 50)
+    [random_series] = simulate_run(net, cat, [gt], w, "random", 50, users=gt.n_users)
     assert all(ceiling - value >= -1e-9 for value in random_series["expected"])
     # the learned policy should actually approach the ceiling on this instance
     assert worst_gap < ceiling

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (Catalog, GroundTruth, RewardWeights, default_config_path, load_config,
-                       make_ground_truth)
+from sfcbackup import (Catalog, EdgeNetwork, GroundTruth, RewardWeights, default_config_path,
+                       load_config, make_ground_truth)
 from sfcbackup import lockstep, workload
-from sfcbackup.harness import OBS_BLOCK_SLOTS
+from sfcbackup.harness import OBS_BLOCK_SLOTS, simulate_run
 from sfcbackup.workload import (ENV_DOMAIN, POLICY_DOMAIN, counter_blocks,
                                 policy_uniform_block, sample_arrays, slot_stream,
                                 true_popularity)
@@ -177,15 +177,27 @@ def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: in
     assert_matches_reference(gt, [slot_row(gt, t0 + n - 1)], t0 + n - 1)
 
 
-def test_block_sampling_crosses_block_boundaries() -> None:
+def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
+    # the observations simulate_run accounts, row (slot - 1) * S + s for seed s,
+    # equal each slot's own draw across OBS_BLOCK_SLOTS blocks and chunks
     gt = make_ground_truth([0.7, 0.2], [0.3, 0.05, 0.5], users=3, n_sfcs=2, rng_seed=12)
+    gts = [gt, gt.reseeded(40)]
     n_slots = 2 * OBS_BLOCK_SLOTS + 3
-    drawn = list(lockstep.observations([gt], n_slots))
-    assert len(drawn) == n_slots
-    for t, (requests, failed) in enumerate(drawn, start=1):
-        want_requests, want_failed = reference_slot(gt, t)
-        assert requests[0].tolist() == want_requests.tolist()
-        assert failed[0].tolist() == want_failed.tolist()
+    drawn = []
+    real = lockstep.slot_values
+
+    def recorded(layout, omega, mu, requests, failed, *args):
+        drawn.extend(zip(requests.tolist(), failed.tolist()))
+        return real(layout, omega, mu, requests, failed, *args)
+
+    monkeypatch.setattr(lockstep, "slot_values", recorded)
+    simulate_run(EdgeNetwork([4], []), Catalog([1, 2, 3], [[0, 1], [2]]), gts,
+                 RewardWeights(), "random", n_slots, users=3)
+    assert len(drawn) == n_slots * len(gts)
+    for k, (requests, failed) in enumerate(drawn):
+        want_requests, want_failed = reference_slot(gts[k % 2], k // 2 + 1)
+        assert requests == want_requests.tolist()
+        assert failed == want_failed.tolist()
 
 
 def test_sample_slots_rejects_empty_range() -> None:
