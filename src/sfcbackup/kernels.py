@@ -25,8 +25,8 @@ omega*q*gate, since latency and mu are non-negative and IEEE rounding is
 monotone; so each round scans the chains by descending bound and stops once no
 bound can beat the best score, ties kept for the smallest id. A chain the
 scan never reaches is never looked up or walked. The unpruned definition,
-which plans every remaining chain each round against the live residual, lives
-in tests/reference_kernels.py, and the tests hold this module to it.
+which plans every remaining chain each round against the live residual, is
+select in tests/reference.py, and the tests hold this module to it.
 
 Conventions: residuals and capacities are ints, demands non-negative ints;
 estimates are sequences of Python floats, one per chain or VNF; chains are

@@ -103,14 +103,6 @@ class EdgeNetwork:
             self._cache["lat_rows"] = rows
         return rows
 
-    @property
-    def cheapest_link(self) -> tuple[int, int]:
-        """Endpoints (u, v) of the globally cheapest link, or (-1, -1) if linkless."""
-        if not self.links:
-            return (-1, -1)
-        u, v, _ = self.links[0]
-        return (u, v)
-
     def scaled(self, factor: float) -> "EdgeNetwork":
         """Copy with every capacity multiplied by ``factor`` and floored to int."""
         caps = [int(math.floor(c * factor)) for c in self.capacities]
@@ -222,7 +214,7 @@ def cheapest_link_anchor(network: EdgeNetwork, residual: Sequence[int]) -> int:
     highest-residual server, the first one on ties. residual may be a list or
     an array.
     """
-    u, v = network.cheapest_link
-    if u < 0:
+    if not network.links:
         return max(range(len(residual)), key=residual.__getitem__)
+    u, v, _ = network.links[0]      # links are sorted by (latency, u, v), with u < v
     return u if residual[u] >= residual[v] else v

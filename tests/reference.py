@@ -1,0 +1,528 @@
+"""The simulator written from its definitions, slow and plain, for the tests.
+
+reference_run(cfg) returns the (trace, summary) that harness.run(cfg) must
+return, column for column. It is one loop over policies, seeds and slots,
+and every step of a slot is written as the definition reads:
+
+- draw_slot draws slot t's requests and failure flags on their own, from a
+  Philox keyed (seed, 0) with its counter at [t, 0, 0, 0]: the K x F request
+  uniforms, then the I failure uniforms. policy_uniforms draws the random
+  policy's W uniforms from the key (seed, 1), counter [t * B, 0, 0, 0] with
+  B = ceil(W / 4).
+- array_estimates and array_updates are the learners' formulas, as numpy
+  expressions on as_arrays' learner state.
+- select is the selection loop unpruned: each round plans every remaining
+  chain against the live residual, with no plan graph, and commits the best
+  positive score. greedy_walk and first_fit_walk are the two placements,
+  anchor the greedy walk's start.
+- random_placement is the random policy, one slot at a time, reading its
+  uniforms where uniform_layout puts them.
+- each decision is held to policy.verify_decision, and realized_reward and
+  expected_slot_value value it with plain loops.
+
+None of this calls sfcbackup.kernels, .lockstep or .learning, nor
+workload.sample_arrays or workload.slot_stream; test_lockstep runs it with
+all of them made to raise. Only the oracle value of a regret run comes from
+sfcbackup.oracle, which test_oracle holds to its own enumeration.
+
+The ROADMAP.md item "Make the reported numbers mean what their names say"
+changes one definition here for each of its three parts:
+(a) independent per-slot environment streams: the counter in draw_slot;
+(b) the expected reward as the expectation of the realised one: the gate in
+    expected_slot_value;
+(c) one failure observation per slot in which a VNF was placed: the
+    placements count in array_updates.
+
+reference_random_slot is not a definition but a law: the permutation scan
+the random policy's draws must follow in distribution.
+
+The rest drives src for the tests, one adapter each:
+assert_matches_reference holds harness.run to reference_run under both
+learner states; slot_rows and slot_row give sample_arrays' draws as lists;
+verified_slot is policy.learned_slot held to verify_decision;
+get_consumption plans one chain with kernels.greedy_chain_walk; and
+unpack_rows and random_slots turn lockstep.Records into (deployed,
+residual) pairs.
+"""
+
+from __future__ import annotations
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+
+from sfcbackup import harness, kernels, lockstep
+from sfcbackup.harness import CSV_COLUMNS
+from sfcbackup.model import PlacementPlan, cheapest_link_anchor
+from sfcbackup.oracle import optimal_slot_value
+from sfcbackup.policy import SlotDecision, learned_slot, verify_decision
+from sfcbackup.workload import make_ground_truth, sample_arrays
+
+# --- draws ------------------------------------------------------------------
+
+def _philox(seed: int, domain: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[seed, domain], counter=[block, 0, 0, 0]))
+
+
+def draw_slot(gt, t: int) -> tuple[list[int], list[int]]:
+    """Slot t's request counts and failure flags, drawn on their own as lists."""
+    rng = _philox(gt.rng_seed, 0, t)
+    u = rng.random(gt.request_prob.shape).tolist()
+    fu = rng.random(gt.failure_mean.shape).tolist()
+    p = gt.request_prob.tolist()
+    requests = [sum(row_u[f] < row_p[f] for row_u, row_p in zip(u, p))
+                for f in range(gt.request_prob.shape[1])]
+    return requests, [int(a < b) for a, b in zip(fu, gt.failure_mean.tolist())]
+
+
+def policy_uniforms(seed: int, t: int, width: int) -> list[float]:
+    """Slot t's width random-policy uniforms, from its own counter blocks."""
+    return _philox(seed, 1, t * -(-width // 4)).random(width).tolist()
+
+
+# --- the learners -------------------------------------------------------------
+
+def as_arrays(pop, fail):
+    """The learners with their counts, totals and means copied into numpy arrays."""
+    for learner, names in ((pop, ("selected", "request_total", "request_mean")),
+                           (fail, ("placements", "failure_total", "failure_mean"))):
+        for name in names:
+            setattr(learner, name, np.array(getattr(learner, name)))
+    return pop, fail
+
+
+def fresh_learners(cfg):
+    """A run's learner pair before its first slot: every count, total and mean zero."""
+    n_sfcs, n_vnfs = cfg.catalog.n_sfcs, cfg.catalog.n_vnfs
+    scale = cfg.users if cfg.failure_bonus_scale is None else cfg.failure_bonus_scale
+    pop = SimpleNamespace(users=cfg.users, selected=[0] * n_sfcs,
+                          request_total=[0.0] * n_sfcs, request_mean=[0.0] * n_sfcs)
+    fail = SimpleNamespace(bonus_scale=float(scale), bonus_sign=cfg.failure_bonus_sign,
+                           placements=[0] * n_vnfs, failure_total=[0.0] * n_vnfs,
+                           failure_mean=[0.0] * n_vnfs)
+    return as_arrays(pop, fail)
+
+
+def array_estimates(pop, fail, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The UCB estimates at slot t: +inf for an unpulled chain, 0 for an unplaced VNF."""
+    q = np.full(pop.selected.shape, math.inf)
+    explored = pop.selected > 0
+    c = pop.selected[explored]
+    q[explored] = pop.request_mean[explored] + pop.users * np.sqrt(3.0 * math.log(t) / (2.0 * c))
+    v = np.zeros(fail.placements.shape)
+    explored = fail.placements > 0
+    h = fail.placements[explored]
+    with np.errstate(over="ignore"):    # a huge bonus scale overflows to inf, then clips
+        bonus = fail.bonus_scale * np.sqrt(3.0 * math.log(t) / (2.0 * h))
+        v[explored] = np.clip(fail.failure_mean[explored] + fail.bonus_sign * bonus, 0.0, 1.0)
+    return q, v
+
+
+def array_updates(pop, fail, requests, failed, x, placed) -> None:
+    """The learner updates as masked numpy assignments.
+
+    A deployed chain counts one pull and its requests; a VNF counts every
+    placed copy and the slot's one failure flag.
+    """
+    sel = np.asarray(x).astype(bool)
+    pop.selected[sel] += 1
+    pop.request_total[sel] += np.array(requests)[sel]
+    pop.request_mean[sel] = pop.request_total[sel] / pop.selected[sel]
+    placed = np.asarray(placed)
+    m = placed > 0
+    fail.placements[m] += placed[m]
+    fail.failure_total[m] += np.array(failed)[m]
+    fail.failure_mean[m] = fail.failure_total[m] / fail.placements[m]
+
+
+# --- selection and placement -------------------------------------------------
+
+def latencies(network) -> list[list[float]]:
+    """lat[a][b]: the link latency, 0.0 on the diagonal and +inf where no link exists."""
+    n = network.n_servers
+    lat = [[0.0 if a == b else math.inf for b in range(n)] for a in range(n)]
+    for u, v, w in network.links:
+        lat[u][v] = lat[v][u] = w
+    return lat
+
+
+def neighbors(network) -> list[list[int]]:
+    """nbrs[n]: server n's direct neighbors by ascending latency, ties by id."""
+    adj: list[list[tuple[float, int]]] = [[] for _ in range(network.n_servers)]
+    for u, v, w in network.links:
+        adj[u].append((w, v))
+        adj[v].append((w, u))
+    return [[m for _, m in sorted(entries)] for entries in adj]
+
+
+def path_latency(assign, lat) -> float:
+    total = 0.0
+    for a, b in zip(assign, assign[1:]):
+        total += lat[a][b]
+    return total
+
+
+def anchor(network, residual) -> int:
+    """The cheapest link's endpoint with the larger residual.
+
+    Latency ties go to the smaller (u, v) pair, residual ties to the smaller
+    id; a linkless network starts at its first highest-residual server.
+    """
+    if not network.links:
+        return max(range(len(residual)), key=residual.__getitem__)
+    u, v, _ = min(network.links, key=lambda link: (link[2], link[0], link[1]))
+    return u if residual[u] >= residual[v] else v
+
+
+def greedy_walk(residual, demands, chain, nbrs, lat, start):
+    """rtsd's placement: (latency, assignment), or (+inf, None) at a dead end.
+
+    A chain that fits whole on the anchor stays there; else one that fits
+    whole on some server takes the tightest such (ties to the smaller id).
+    Otherwise the walk packs the current server while it lasts, counting the
+    chain's own earlier occurrences, then hops to the first direct neighbor,
+    by ascending latency, with room.
+    """
+    total = sum(demands[i] for i in chain)
+    if residual[start] >= total:
+        return 0.0, (start,) * len(chain)
+    fits = [s for s, r in enumerate(residual) if r >= total]
+    if fits:
+        return 0.0, (min(fits, key=residual.__getitem__),) * len(chain)
+    tent = [0] * len(residual)
+    cur = start
+    assign = []
+    for i in chain:
+        need = demands[i]
+        if residual[cur] - tent[cur] < need:
+            cur = next((m for m in nbrs[cur] if residual[m] - tent[m] >= need), None)
+            if cur is None:
+                return math.inf, None
+        assign.append(cur)
+        tent[cur] += need
+    return path_latency(assign, lat), tuple(assign)
+
+
+def first_fit_walk(residual, demands, chain, lat):
+    """bandit's placement: each occurrence on the first server, from the last one on, with room.
+
+    Returns (+inf, None) when the scan runs off the end, and a latency of
+    +inf when the plan crosses a missing link.
+    """
+    tent = [0] * len(residual)
+    s = 0
+    assign = []
+    for i in chain:
+        need = demands[i]
+        while s < len(residual) and residual[s] - tent[s] < need:
+            s += 1
+        if s == len(residual):
+            return math.inf, None
+        assign.append(s)
+        tent[s] += need
+    return path_latency(assign, lat), tuple(assign)
+
+
+def select(network, catalog, greedy: bool, q, v, omega: float, mu: float):
+    """One slot's selection on a fresh residual: (deployed in commit order, residual after).
+
+    Every round plans every remaining chain against the live residual and
+    scores it (omega * q[f] - mu * latency) * gate, the gate being one minus
+    the chain's worst VNF estimate. A chain with a gate <= 0 or an infinite
+    latency is skipped. Chains are scanned in id order and a score wins only
+    if it is positive and strictly higher, so ties go to the smallest id. The
+    loop stops when no chain scores positive.
+    """
+    lat, nbrs = latencies(network), neighbors(network)
+    demands = catalog.vnf_demand
+    gates = [1.0 - max(v[i] for i in chain) for chain in catalog.sfc_chain]
+    residual = list(network.capacities)
+    left = [f for f, gate in enumerate(gates) if gate > 0.0]
+    deployed = []
+    while True:
+        start = anchor(network, residual)
+        best, best_score = None, 0.0
+        for f in left:
+            chain = catalog.sfc_chain[f]
+            if greedy:
+                latency, assign = greedy_walk(residual, demands, chain, nbrs, lat, start)
+            else:
+                latency, assign = first_fit_walk(residual, demands, chain, lat)
+            if latency == math.inf:
+                continue
+            score = (omega * q[f] - mu * latency) * gates[f]
+            if score > best_score:
+                best, best_score = PlacementPlan(sfc=f, assignment=assign, latency=latency), score
+        if best is None:
+            return deployed, residual
+        for s, i in zip(best.assignment, catalog.sfc_chain[best.sfc]):
+            residual[s] -= demands[i]
+        left.remove(best.sfc)
+        deployed.append((best.sfc, best))
+
+
+def uniform_layout(catalog) -> tuple[int, list[int]]:
+    """(W, starts): one random-policy slot reads W uniforms; u[0:n_sfcs] ranks
+    the chains and occurrence j of chain f reads u[starts[f] + j]."""
+    lengths = [len(chain) for chain in catalog.sfc_chain]
+    starts = [catalog.n_sfcs + sum(lengths[:f]) for f in range(catalog.n_sfcs)]
+    return catalog.n_sfcs + sum(lengths), starts
+
+
+def random_placement(network, catalog, u) -> tuple[list[tuple[int, PlacementPlan]], list[int]]:
+    """One random-policy slot on u, its W uniforms: (deployed in commit order, residual after).
+
+    Chains are attempted in ascending u[f], ties by id. Occurrence j of chain
+    f takes fits[int(u[starts[f] + j] * len(fits))], where fits lists, in id
+    order, the servers whose residual, less what the chain's earlier
+    occurrences took, still holds the VNF's demand. A chain commits only if
+    every occurrence fits and its latency is finite.
+    """
+    lat = latencies(network)
+    demands = catalog.vnf_demand
+    _, starts = uniform_layout(catalog)
+    residual = list(network.capacities)
+    deployed: list[tuple[int, PlacementPlan]] = []
+
+    for f in sorted(range(catalog.n_sfcs), key=u.__getitem__):
+        chain = catalog.sfc_chain[f]
+        base = starts[f]
+        room = residual[:]
+        assign: list[int] = []
+        latency = 0.0
+        for j, i in enumerate(chain):
+            need = demands[i]
+            fits = [s for s, r in enumerate(room) if r >= need]
+            if not fits:
+                break
+            # u < 1, so the index stays below len(fits)
+            spot = fits[int(u[base + j] * len(fits))]
+            if assign:
+                latency += lat[assign[-1]][spot]
+            assign.append(spot)
+            room[spot] -= need
+        if not chain or len(assign) < len(chain) or math.isinf(latency):
+            continue
+        residual = room
+        deployed.append((f, PlacementPlan(sfc=f, assignment=tuple(assign), latency=latency)))
+    return deployed, residual
+
+
+# --- values -------------------------------------------------------------------
+
+def realized_reward(weights, requests, failed, decision, catalog) -> tuple[np.ndarray, float]:
+    """What the slot actually earned, per SFC and in total.
+
+    A deployed chain pays off only if none of its constituent VNFs failed
+    this slot (copies of the same VNF share one failure outcome); the payoff
+    uses the realized request count. Chains not deployed earn 0.
+    """
+    earned = [0.0] * catalog.n_sfcs
+    for f, plan in decision.deployed:
+        if any(failed[i] for i in catalog.sfc_chain[f]):
+            continue
+        earned[f] = weights.omega * requests[f] - weights.mu * plan.latency
+    per_sfc = np.array(earned, dtype=np.float64)
+    # numpy's pairwise summation order, not Python's left-to-right one
+    return per_sfc, float(per_sfc.sum())
+
+
+def expected_slot_value(weights, gt, decision, catalog) -> float:
+    """Decision value under the true parameters, summed left to right in commit order.
+
+    A chain's true popularity sums its request probabilities over the users;
+    its gate is one minus its worst VNF's true failure rate.
+    """
+    p = gt.request_prob.tolist()
+    rates = gt.failure_mean.tolist()
+    total = 0.0
+    for f, plan in decision.deployed:
+        popularity = 0.0
+        for row in p:
+            popularity += row[f]
+        gate = 1.0 - max(rates[i] for i in catalog.sfc_chain[f])
+        total += (weights.omega * popularity - weights.mu * plan.latency) * gate
+    return total
+
+
+# --- the run --------------------------------------------------------------------
+
+def reference_series(cfg, network, gt, draws, policy: str) -> tuple[list[tuple], list]:
+    """One seed's slots under policy: (realized, expected, remaining, deployed) per
+    slot, and each slot's SlotDecision.
+
+    draws holds the seed's draw_slot of every slot, from slot 1 on.
+    """
+    catalog, weights = cfg.catalog, cfg.weights
+    width, _ = uniform_layout(catalog)
+    learners = None if policy == "random" else fresh_learners(cfg)
+    rows, decisions = [], []
+    for t, (requests, failed) in enumerate(draws, start=1):
+        if learners is None:
+            deployed, residual = random_placement(network, catalog,
+                                                  policy_uniforms(gt.rng_seed, t, width))
+        else:
+            q, v = array_estimates(*learners, t)
+            deployed, residual = select(network, catalog, policy == "rtsd", q.tolist(),
+                                        v.tolist(), weights.omega, weights.mu)
+        x = [0] * catalog.n_sfcs
+        placed = [0] * catalog.n_vnfs
+        for f, _ in deployed:
+            x[f] = 1
+            for i in catalog.sfc_chain[f]:
+                placed[i] += 1
+        decision = SlotDecision(t=t, deployed=deployed, x=x, placed_counts=placed,
+                                residual_after=residual)
+        verify_decision(network, catalog, decision)
+        if learners is not None:
+            array_updates(*learners, requests, failed, x, placed)
+        rows.append((realized_reward(weights, requests, failed, decision, catalog)[1],
+                     expected_slot_value(weights, gt, decision, catalog),
+                     sum(residual), len(deployed)))
+        decisions.append(decision)
+    return rows, decisions
+
+
+def _mean_std(values) -> dict[str, float]:
+    arr = np.asarray(values, dtype=np.float64)
+    return {"mean": float(arr.mean()), "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0}
+
+
+def reference_run(cfg) -> tuple[dict[str, list], dict]:
+    """harness.run(cfg)'s trace columns and summary, from the definitions.
+
+    The summary gives, per policy, the mean and sample std over seeds of each
+    seed's time average, as harness.run computes them with numpy.
+    """
+    network = cfg.network if cfg.capacity_scale == 1.0 else cfg.network.scaled(cfg.capacity_scale)
+    gts = [make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cfg.catalog.n_sfcs,
+                             seed) for seed in cfg.seeds]
+    oracle = (optimal_slot_value(network, cfg.catalog, gts[0], cfg.weights).best_value
+              if cfg.regret else None)
+    # every policy sees the same observations
+    draws = [[draw_slot(gt, t) for t in range(1, cfg.slots + 1)] for gt in gts]
+    rows = []
+    policies = {}
+    for policy in cfg.policies:
+        averages = []
+        for seed, gt, seed_draws in zip(cfg.seeds, gts, draws):
+            series, _ = reference_series(cfg, network, gt, seed_draws, policy)
+            rows += [(t, policy, seed, *values, oracle,
+                      None if oracle is None else oracle - values[1])
+                     for t, values in enumerate(series, start=1)]
+            averages.append([float(np.mean(column)) for column in zip(*series)])
+        policies[policy] = {name: _mean_std(column) for name, column in zip(
+            ("time_avg_realized", "time_avg_expected", "mean_remaining", "mean_deployed"),
+            zip(*averages))}
+    summary = {"slots": cfg.slots, "seeds": list(cfg.seeds), "users": cfg.users,
+               "capacity_scale": cfg.capacity_scale, "total_capacity": sum(network.capacities),
+               "oracle_value": oracle, "policies": policies}
+    return {col: list(column) for col, column in zip(CSV_COLUMNS, zip(*rows))}, summary
+
+
+# --- the random policy's law ----------------------------------------------------
+
+def reference_random_slot(net, cat, rng: np.random.Generator) -> frozenset:
+    """The permutation-scan random slot, as (sfc, assignment) pairs.
+
+    Pops a uniformly drawn chain from those not yet attempted; places each
+    occurrence on the first server with room in a fresh random permutation.
+    lockstep.random_rows must follow the same law.
+    """
+    n = net.n_servers
+    lat = net.latency_rows
+    residual = list(net.capacities)
+    chosen = []
+    candidates = list(range(cat.n_sfcs))
+    while candidates:
+        f = candidates.pop(int(rng.integers(len(candidates))))
+        chain = cat.sfc_chain[f]
+        tent = [0] * n
+        assign: list[int] = []
+        latency = 0.0
+        for i in chain:
+            need = cat.vnf_demand[i]
+            spot = next((s for s in rng.permutation(n).tolist()
+                         if residual[s] - tent[s] >= need), -1)
+            if spot < 0:
+                break
+            if assign:
+                latency += lat[assign[-1]][spot]
+            assign.append(spot)
+            tent[spot] += need
+        if chain and len(assign) == len(chain) and not math.isinf(latency):
+            residual = [r - d for r, d in zip(residual, tent)]
+            chosen.append((f, tuple(assign)))
+    return frozenset(chosen)
+
+
+# --- adapters that drive src ------------------------------------------------------
+
+def assert_matches_reference(cfg, monkeypatch) -> dict[str, list]:
+    """harness.run(cfg) equals reference_run(cfg) under both learner states, type for type.
+
+    LOCKSTEP_MIN_SEEDS = 1 puts every seed group on lockstep.Learners, one
+    past the seed count on a learning.py pair per seed. The shipped value, run
+    too where the seeds outnumber it, may put one seed group on each. Returns
+    the trace.
+    """
+    trace, summary = reference_run(cfg)
+    n_seeds, shipped = len(cfg.seeds), harness.LOCKSTEP_MIN_SEEDS
+    for min_seeds in (1, shipped, n_seeds + 1) if shipped < n_seeds else (1, n_seeds + 1):
+        monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", min_seeds)
+        result = harness.run(cfg)
+        for col in CSV_COLUMNS:
+            assert [(type(v), v) for v in result.trace[col]] == \
+                   [(type(v), v) for v in trace[col]], (min_seeds, col)
+        assert result.summary == summary, min_seeds
+    monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", shipped)
+    return trace
+
+
+def slot_rows(gt, t0: int, t1: int) -> list[tuple[list[int], list[int]]]:
+    """Slots t0 .. t1-1 drawn by sample_arrays: a (requests, failed) pair of lists per slot."""
+    requests, failed = sample_arrays(gt, t0, t1)
+    return list(zip(requests.tolist(), failed.tolist()))
+
+
+def slot_row(gt, t: int) -> tuple[list[int], list[int]]:
+    """Slot t's (requests, failed) lists, drawn by sample_arrays."""
+    return slot_rows(gt, t, t + 1)[0]
+
+
+def verified_slot(learners, t: int, requests, failed, weights, graph):
+    """policy.learned_slot, its decision then held to policy.verify_decision."""
+    decision = learned_slot(learners, t, requests, failed, weights, graph)
+    verify_decision(graph.network, graph.catalog, decision)
+    return decision
+
+
+def get_consumption(network, catalog, residual, f: int) -> PlacementPlan:
+    """SFC f's plan by kernels.greedy_chain_walk; a cloud plan, () at +inf, when it dead-ends.
+
+    Nothing here changes residual, which may be a list or an array.
+    """
+    res = np.asarray(residual, dtype=np.int64).tolist()
+    latency, assign = kernels.greedy_chain_walk(
+        res, sorted(res), catalog.vnf_demand, catalog.sfc_chain[f], network.neighbor_lists,
+        network.latency_rows, cheapest_link_anchor(network, res))
+    return PlacementPlan(sfc=int(f), assignment=assign or (), latency=latency)
+
+
+def unpack_rows(rec, n_rows: int) -> list[tuple[list, list[int]]]:
+    """lockstep.Records as random_placement's output: one (deployed, residual) pair per row."""
+    out = [([], rec.residual[k].tolist()) for k in range(n_rows)]
+    ends = np.cumsum(rec.positions).tolist()
+    for r, (k, f) in enumerate(zip(rec.row.tolist(), rec.sfc.tolist())):
+        assignment = tuple(rec.servers[ends[r] - int(rec.positions[r]):ends[r]].tolist())
+        out[k][0].append((f, PlacementPlan(sfc=f, assignment=assignment,
+                                           latency=float(rec.latency[r]))))
+    return out
+
+
+def random_slots(network, catalog, u) -> list[tuple[list, list[int]]]:
+    """lockstep.random_rows on the rows of u, in one call, unpacked row by row."""
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    return unpack_rows(lockstep.random_rows(lockstep.Layout.of(network, catalog), u),
+                       u.shape[0])

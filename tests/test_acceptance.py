@@ -30,7 +30,7 @@ from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
 from sfcbackup.oracle import optimal_chain_latency
 from sfcbackup.workload import policy_uniform_block
 
-from reference_kernels import get_consumption, slot_rows, unpack_rows, verified_slot
+from reference import get_consumption, slot_rows, unpack_rows, verified_slot
 
 
 def report(name: str, ok: bool, details: str) -> str:

@@ -15,20 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
-                       load_config, make_ground_truth, optimal_slot_value, run,
-                       validate_instance)
+                       load_config, make_ground_truth, run, validate_instance)
 from sfcbackup import harness
 from sfcbackup.cli import main
 from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
-                               MAX_TRACE_ROWS, OBS_BLOCK_SLOTS, PLACEMENT_MODES,
-                               POLICY_ORDER, parse_policies, parse_seeds, simulate_run)
+                               MAX_TRACE_ROWS, OBS_BLOCK_SLOTS, POLICY_ORDER, parse_policies,
+                               parse_seeds, simulate_run)
 from sfcbackup.kernels import PlanGraph
-from sfcbackup.learning import init_learners
-from sfcbackup.policy import SlotDecision, verify_decision
-from sfcbackup.workload import policy_uniform_block
 
-from reference_kernels import (expected_slot_value, random_placement, realized_reward,
-                               slot_row, slot_rows, verified_slot)
+from reference import assert_matches_reference, draw_slot, reference_series
 
 
 def tiny_config(**extra) -> dict:
@@ -161,100 +156,22 @@ def test_simulate_run_shapes_and_determinism() -> None:
                      users=cfg.users)
 
 
-def reference_random_series(cfg, gt, slots: int) -> dict[str, list]:
-    """One seed's random-policy series, slot by slot, from the per-slot definitions.
-
-    Slot t places with reference_kernels.random_placement on slot t's own W
-    policy uniforms, and realized_reward and expected_slot_value value its
-    verified decision.
-    """
-    catalog = cfg.catalog
-    width, _ = catalog.uniform_layout
-    out = {"realized": [], "expected": [], "remaining": [], "deployed": []}
-    for t, (requests, failed) in enumerate(slot_rows(gt, 1, slots + 1), start=1):
-        u = policy_uniform_block(gt.rng_seed, t, t + 1, width)[0].tolist()
-        deployed, residual = random_placement(cfg.network, catalog, u)
-        x = [0] * catalog.n_sfcs
-        placed = [0] * catalog.n_vnfs
-        for f, _ in deployed:
-            x[f] = 1
-            for i in catalog.sfc_chain[f]:
-                placed[i] += 1
-        decision = SlotDecision(t=t, deployed=deployed, x=x, placed_counts=placed,
-                                residual_after=residual)
-        verify_decision(cfg.network, catalog, decision)
-        out["realized"].append(realized_reward(cfg.weights, requests, failed, decision,
-                                               catalog)[1])
-        out["expected"].append(expected_slot_value(cfg.weights, gt, decision, catalog))
-        out["remaining"].append(sum(residual))
-        out["deployed"].append(len(deployed))
-    return out
-
-
-def test_random_run_draws_each_slot_from_its_own_counter_blocks() -> None:
-    cfg = load_config(tiny_config())
+@pytest.mark.parametrize("policy", ["rtsd", "bandit", "random"])
+def test_run_across_a_block_of_drawn_slots_equals_the_reference(policy: str,
+                                                                monkeypatch) -> None:
+    # each policy on one seed, past the first block of drawn slots, with the
+    # oracle columns on
+    cfg = apply_overrides(load_config(tiny_config()), seeds=[8], regret=True,
+                          policy=policy, slots=OBS_BLOCK_SLOTS + 44)
+    assert_matches_reference(cfg, monkeypatch)
+    # the run pays some deployed chains and voids others on a failed VNF
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 8)
-    slots = OBS_BLOCK_SLOTS + 44       # crosses one block of drawn slots
-    [series] = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, "random", slots,
-                            users=cfg.users)
-    for key, kind in (("realized", float), ("expected", float),
-                      ("remaining", int), ("deployed", int)):
-        assert all(type(v) is kind for v in series[key])
-    assert series == reference_random_series(cfg, gt, slots)
-    assert any(series["deployed"])
-
-
-def reference_learned_series(cfg, gt, policy: str) -> tuple[dict[str, list], int]:
-    """One seed's learned-policy series, slot by slot, from the per-slot definitions.
-
-    Slot t is verified_slot on slot t's observation alone, and realized_reward
-    and expected_slot_value value its verified decision. Also returns how
-    many deployed chains a failed VNF voided.
-    """
-    catalog = cfg.catalog
-    learners = init_learners(catalog.n_sfcs, catalog.n_vnfs, cfg.users,
-                             failure_bonus_scale=cfg.failure_bonus_scale,
-                             failure_bonus_sign=cfg.failure_bonus_sign)
-    graph = PlanGraph(cfg.network, catalog, PLACEMENT_MODES[policy])
-    out = {"realized": [], "expected": [], "remaining": [], "deployed": []}
-    voided = 0
-    for t in range(1, cfg.slots + 1):
-        requests, failed = slot_row(gt, t)
-        decision = verified_slot(learners, t, requests, failed, cfg.weights, graph)
-        out["realized"].append(realized_reward(cfg.weights, requests, failed, decision,
-                                               catalog)[1])
-        out["expected"].append(expected_slot_value(cfg.weights, gt, decision, catalog))
-        out["remaining"].append(sum(decision.residual_after))
-        out["deployed"].append(len(decision.deployed))
-        voided += sum(any(failed[i] for i in catalog.sfc_chain[f])
-                      for f, _ in decision.deployed)
-    return out, voided
-
-
-@pytest.mark.parametrize("policy", list(PLACEMENT_MODES))
-def test_per_seed_run_accounts_each_slot_by_the_definitions(policy: str) -> None:
-    cfg = apply_overrides(load_config(tiny_config()), seeds=[8], policy=policy,
-                          slots=OBS_BLOCK_SLOTS + 44)     # crosses one block of drawn slots
-    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
-                           cfg.catalog.n_sfcs, 8)
-    want, voided = reference_learned_series(cfg, gt, policy)
-    assert voided and any(want["deployed"])
-    assert simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, policy, cfg.slots,
-                        users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
-                        failure_bonus_sign=cfg.failure_bonus_sign) == [want]
-    oracle = optimal_slot_value(cfg.network, cfg.catalog, gt, cfg.weights).best_value
-    for regret in (False, True):
-        trace = run(apply_overrides(cfg, regret=regret)).trace
-        assert trace["realized_reward"] == want["realized"]
-        assert trace["expected_reward"] == want["expected"]
-        assert trace["remaining_resource"] == want["remaining"]
-        assert trace["num_deployed"] == want["deployed"]
-        if regret:
-            assert trace["oracle_value"] == [oracle] * cfg.slots
-            assert trace["regret"] == [oracle - e for e in want["expected"]]
-        else:
-            assert trace["oracle_value"] == trace["regret"] == [None] * cfg.slots
+    draws = [draw_slot(gt, t) for t in range(1, cfg.slots + 1)]
+    _, decisions = reference_series(cfg, cfg.network, gt, draws, policy)
+    voided = [any(failed[i] for i in cfg.catalog.sfc_chain[f])
+              for (_, failed), decision in zip(draws, decisions) for f, _ in decision.deployed]
+    assert any(voided) and not all(voided)
 
 
 def test_run_emits_one_row_per_policy_seed_slot() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,20 +89,21 @@ def references(nodes) -> set[str]:
     return found
 
 
-def orphans(module: ast.Module, others: list[ast.Module]) -> list[str]:
+def orphans(module: ast.Module, used: set[str]) -> list[str]:
     """Top-level definitions of module that nothing reads outside their own definition.
 
-    Inside module a definition is also read by a bare name.
+    used holds the references of every other file. Inside module a definition
+    is also read by a bare name, in any top-level statement but its own; each
+    statement's reads are collected in one walk.
     """
-    used = set().union(*(references(ast.walk(tree)) for tree in others))
-    unread = []
-    for name, node in top_level_names(module).items():
-        inside = {id(n) for n in ast.walk(node)}
-        outside = [n for n in ast.walk(module) if id(n) not in inside]
-        bare = {n.id for n in outside if isinstance(n, ast.Name)}
-        if name not in used | bare | references(outside):
-            unread.append(name)
-    return unread
+    reads = []
+    for stmt in module.body:
+        nodes = list(ast.walk(stmt))
+        reads.append({n.id for n in nodes if isinstance(n, ast.Name)} | references(nodes))
+    count = Counter(name for names in reads for name in names)
+    own = {id(stmt): names for stmt, names in zip(module.body, reads)}
+    return [name for name, node in top_level_names(module).items()
+            if name not in used and count[name] == (name in own[id(node)])]
 
 
 def test_orphans_are_found() -> None:
@@ -110,12 +112,27 @@ def test_orphans_are_found() -> None:
                        "def caller():\n    return 'named'\n"
                        "class Kept: pass\nclass Lost: pass\ndef named(): pass\n")
     other = ast.parse("from pkg.mod import caller\nimport pkg\npkg.mod.Kept()\nLost = 1\n")
-    assert orphans(module, [other]) == ["UNUSED", "helper", "Lost"]
+    assert orphans(module, references(ast.walk(other))) == ["UNUSED", "helper", "Lost"]
 
 
 def test_no_orphaned_definitions() -> None:
+    # every top-level definition of src/sfcbackup and of tests/ but a test
+    # function; pytest hands a fixture in by parameter name, so a parameter
+    # reads a definition only where that definition is a pytest fixture
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
-    found = {str(path.relative_to(ROOT)): names
-             for path in sorted((ROOT / "src" / "sfcbackup").glob("*.py"))
-             if (names := orphans(trees[path], [t for p, t in trees.items() if p != path]))}
+    nodes = {path: list(ast.walk(tree)) for path, tree in trees.items()}
+    refs = {path: references(walked) for path, walked in nodes.items()}
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    fixtures = {node.name for path in tests for node in trees[path].body
+                if isinstance(node, ast.FunctionDef)
+                and any(ast.unparse(d).startswith("pytest.fixture") for d in node.decorator_list)}
+    fixtures &= {node.arg for path in tests for node in nodes[path] if isinstance(node, ast.arg)}
+    found = {}
+    for path in sorted((ROOT / "src" / "sfcbackup").glob("*.py")) + tests:
+        used = set().union(*(names for p, names in refs.items() if p != path))
+        if path in tests:
+            used |= fixtures
+        names = [name for name in orphans(trees[path], used) if not name.startswith("test_")]
+        if names:
+            found[str(path.relative_to(ROOT))] = names
     assert not found, f"defined but never used: {found}"

@@ -15,9 +15,8 @@ from sfcbackup.learning import init_learners
 from sfcbackup.model import cheapest_link_anchor
 from sfcbackup.workload import make_ground_truth
 
-from reference_kernels import (chain_arrays, first_fit_chain_walk_array,
-                               greedy_chain_walk_array, neighbor_table,
-                               slot_decide_array, slot_rows, verified_slot)
+from reference import (anchor, first_fit_walk, greedy_walk, latencies, neighbors, select,
+                       slot_rows, verified_slot)
 
 
 def random_setup(rng: np.random.Generator):
@@ -38,87 +37,48 @@ def random_setup(rng: np.random.Generator):
     return net, cat, q, v
 
 
-def same_latency(array_lat, list_lat) -> bool:
-    # the list path must hand back plain floats, never numpy scalars
-    return type(list_lat) is float and (
-        array_lat == list_lat or (math.isinf(array_lat) and math.isinf(list_lat)))
-
-
 def test_chain_walks_match_python_definitions() -> None:
-    # the list walks against their array reference twins
+    # the list walks, and src's anchor, against the reference's
     rng = np.random.default_rng(2024)
     outcomes = {"edge": 0, "cloud": 0}
     for _ in range(150):
         net, cat, _, _ = random_setup(rng)
-        chain_vnf, chain_start = chain_arrays(cat)
-        nbr_ids, nbr_count = neighbor_table(net)
-        demands = np.asarray(cat.vnf_demand, dtype=np.int64)
-        lat = net.latency_matrix
-        residual = rng.integers(0, 14, net.n_servers).astype(np.int64)
-        res = residual.tolist()
-        for f in range(cat.n_sfcs):
-            chain = chain_vnf[chain_start[f]:chain_start[f + 1]]
-            anchor = cheapest_link_anchor(net, residual)
-
-            a1 = np.full(len(chain), -1, dtype=np.int64)
-            l1 = greedy_chain_walk_array(residual, demands, chain,
-                                         nbr_ids, nbr_count, lat, anchor, a1)
-            l2, a2 = greedy_chain_walk(res, sorted(res), cat.vnf_demand,
-                                       cat.sfc_chain[f], net.neighbor_lists,
-                                       net.latency_rows, anchor)
-            assert same_latency(l1, l2)
-            assert a2 is None if math.isinf(l1) else a1.tolist() == list(a2)
-            outcomes["cloud" if math.isinf(l1) else "edge"] += 1
-
-            b1 = np.full(len(chain), -1, dtype=np.int64)
-            m1 = first_fit_chain_walk_array(residual, demands, chain, lat, b1)
-            m2, b2 = first_fit_chain_walk(res, cat.vnf_demand, cat.sfc_chain[f],
-                                          net.latency_rows)
-            assert same_latency(m1, m2)
-            if not math.isinf(m1):      # +inf may also mean a missing link
-                assert b1.tolist() == list(b2)
+        nbrs, lat = neighbors(net), latencies(net)
+        res = rng.integers(0, 14, net.n_servers).tolist()
+        before = list(res)
+        start = anchor(net, res)
+        assert cheapest_link_anchor(net, res) == start
+        for chain in cat.sfc_chain:
+            want = greedy_walk(res, cat.vnf_demand, chain, nbrs, lat, start)
+            got = greedy_chain_walk(res, sorted(res), cat.vnf_demand, chain,
+                                    net.neighbor_lists, net.latency_rows, start)
+            # the list path must hand back plain floats, never numpy scalars
+            assert got == want and type(got[0]) is float
+            outcomes["cloud" if math.isinf(got[0]) else "edge"] += 1
+            got = first_fit_chain_walk(res, cat.vnf_demand, chain, net.latency_rows)
+            assert got == first_fit_walk(res, cat.vnf_demand, chain, lat)
+            assert type(got[0]) is float
         # plans are tentative: the walks never touch the residual
-        assert res == residual.tolist()
+        assert res == before
     assert min(outcomes.values()) > 50
 
 
-def run_slot_decide_array(mode, net, cat, q, v, omega=1.0, mu=1.0):
-    chain_vnf, chain_start = chain_arrays(cat)
-    nbr_ids, nbr_count = neighbor_table(net)
-    link_u, link_v = net.cheapest_link
-    max_len = max([1] + [len(chain) for chain in cat.sfc_chain])
-    x = np.zeros(cat.n_sfcs, dtype=np.uint8)
-    order = np.full(cat.n_sfcs, -1, dtype=np.int64)
-    lat_out = np.full(cat.n_sfcs, math.inf, dtype=np.float64)
-    assign = np.full((cat.n_sfcs, max_len), -1, dtype=np.int64)
-    residual = np.zeros(net.n_servers, dtype=np.int64)
-    n = slot_decide_array(mode, np.asarray(net.capacities, dtype=np.int64),
-                          np.asarray(cat.vnf_demand, dtype=np.int64), chain_vnf,
-                          chain_start, nbr_ids, nbr_count, net.latency_matrix,
-                          link_u, link_v, q, v, omega, mu, x, order, lat_out,
-                          assign, residual)
-    return n, x, order, lat_out, assign, residual
-
-
 def run_slot_decide(mode, net, cat, q, v, graph=None, omega=1.0, mu=1.0):
-    """slot_decide on graph (a fresh one when None), unpacked like slot_decide_array's outputs.
+    """slot_decide on graph (a fresh one when None): (deployed, residual).
 
-    q and v are the reference kernel's estimate arrays; slot_decide gets them as lists.
+    q and v are estimate arrays; slot_decide gets them as lists.
     """
     graph = graph if graph is not None else PlanGraph(net, cat, mode)
     deployed, residual = [], []
     n = slot_decide(graph, q.tolist(), v.tolist(), omega, mu, deployed, residual)
-    x = [0] * cat.n_sfcs
-    order = [-1] * cat.n_sfcs
-    lat = [math.inf] * cat.n_sfcs
-    assign = [[-1] * len(chain) for chain in cat.sfc_chain]
-    for k, (f, plan) in enumerate(deployed):
-        assert plan.sfc == f and len(plan.assignment) == len(cat.sfc_chain[f])
-        x[f] = 1
-        order[k] = f
-        lat[f] = plan.latency
-        assign[f] = list(plan.assignment)
-    return n, x, order, lat, assign, residual
+    assert type(n) is int and n == len(deployed)
+    assert all(type(plan.latency) is float for _, plan in deployed)
+    return deployed, residual
+
+
+def definition(mode, net, cat, q, v, omega=1.0, mu=1.0):
+    """reference.select, the unpruned loop, on the same estimates."""
+    return select(net, cat, mode == GREEDY, q.tolist(), v.tolist(), omega, mu)
 
 
 def bundled_cases(rng: np.random.Generator, count: int):
@@ -134,29 +94,17 @@ def bundled_cases(rng: np.random.Generator, count: int):
         yield net, cat, q, v
 
 
-def assert_same_decision(want, got, cat) -> None:
-    assert type(got[0]) is int and got[0] == want[0]
-    assert got[1] == want[1].tolist()
-    assert got[2] == want[2].tolist()
-    assert len(got[3]) == len(want[3])
-    assert all(same_latency(w, g) for w, g in zip(want[3].tolist(), got[3]))
-    assert got[4] == [row[:len(chain)] for row, chain
-                      in zip(want[4].tolist(), cat.sfc_chain)]
-    assert got[5] == want[5].tolist()
-
-
 def test_slot_decide_matches_python_definition() -> None:
-    # the pruned graph kernel against the unpruned array reference kernel
+    # the pruned graph kernel against the unpruned reference loop
     rng = np.random.default_rng(77)
     cases = [random_setup(rng) for _ in range(120)]
     cases += bundled_cases(np.random.default_rng(11), 100)
     checked = 0
     for net, cat, q, v in cases:
         for mode in (GREEDY, FIRST_FIT):
-            want = run_slot_decide_array(mode, net, cat, q, v)
             got = run_slot_decide(mode, net, cat, q, v)
-            assert_same_decision(want, got, cat)
-            checked += got[0]
+            assert got == definition(mode, net, cat, q, v)
+            checked += len(got[0])
     # the generator must actually exercise commits, not just empty slots
     assert checked > 50
 
@@ -190,7 +138,7 @@ def tie_heavy_estimates(rng: np.random.Generator, cat):
 
 
 def test_slot_decide_pruning_keeps_ties_on_tie_heavy_instances() -> None:
-    # the pruned graph kernel against the unpruned array kernel where ties
+    # the pruned graph kernel against the unpruned reference loop where ties
     # decide: a chain that only matches the best score must still win on a
     # smaller id, although the scan meets it later. mu = 0 makes every score
     # equal its bound. Each of the 3000 cases runs on a cold graph and on the
@@ -206,12 +154,11 @@ def test_slot_decide_pruning_keeps_ties_on_tie_heavy_instances() -> None:
             q, v, omega, mu = tie_heavy_estimates(rng, cat)
             for mode, warm in graphs.items():
                 cached = sum(len(plans) for _, plans, _ in warm.nodes.values())
-                want = run_slot_decide_array(mode, net, cat, q, v, omega, mu)
-                cold = run_slot_decide(mode, net, cat, q, v, omega=omega, mu=mu)
-                assert_same_decision(want, cold, cat)
+                want = definition(mode, net, cat, q, v, omega, mu)
+                assert run_slot_decide(mode, net, cat, q, v, omega=omega, mu=mu) == want
                 got = run_slot_decide(mode, net, cat, q, v, warm, omega, mu)
-                assert_same_decision(want, got, cat)
-                checked += got[0]
+                assert got == want
+                checked += len(got[0])
                 warm_cases += cached > 0
     assert checked > 3000
     assert warm_cases > 3000
@@ -298,9 +245,9 @@ def test_slot_decide_walks_fewer_chains_than_unpruned_and_none_when_warm(monkeyp
         cold = counter.calls
         again = run_slot_decide(mode, net, cat, q, v, graph)
         monkeypatch.undo()
-        assert_same_decision(run_slot_decide_array(mode, net, cat, q, v), got, cat)
+        assert got == definition(mode, net, cat, q, v)
         assert again == got
-        n = got[0]
+        n = len(got[0])
         unpruned = sum(cat.n_sfcs - r for r in range(n + 1))
         assert n >= 2
         assert 0 < cold < unpruned

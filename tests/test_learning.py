@@ -11,7 +11,7 @@ from sfcbackup import Catalog, make_ground_truth
 from sfcbackup.learning import (chain_failure_rate, failure_estimate, failure_update,
                                 init_learners, popularity_estimate, popularity_update)
 
-from reference_kernels import slot_rows
+from reference import array_estimates, array_updates, as_arrays, slot_rows
 
 
 def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
@@ -171,41 +171,6 @@ def test_learner_converges_on_always_deploy() -> None:
     sigma_v = math.sqrt(0.3 * 0.7 / n)
     assert abs(pop.request_mean[0] - 4.0) < 4 * sigma_q
     assert abs(fail.failure_mean[0] - 0.3) < 4 * sigma_v
-
-
-def array_estimates(pop, fail, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The estimate formulas as whole-array numpy expressions, the reference."""
-    q = np.full(pop.selected.shape, math.inf)
-    explored = pop.selected > 0
-    c = pop.selected[explored]
-    q[explored] = pop.request_mean[explored] + pop.users * np.sqrt(3.0 * math.log(t) / (2.0 * c))
-    v = np.zeros(fail.placements.shape)
-    explored = fail.placements > 0
-    h = fail.placements[explored]
-    bonus = fail.bonus_scale * np.sqrt(3.0 * math.log(t) / (2.0 * h))
-    v[explored] = np.clip(fail.failure_mean[explored] + fail.bonus_sign * bonus, 0.0, 1.0)
-    return q, v
-
-
-def array_updates(pop, fail, requests, failed, x, placed) -> None:
-    """The learner updates as masked numpy assignments, the reference."""
-    sel = np.asarray(x).astype(bool)
-    pop.selected[sel] += 1
-    pop.request_total[sel] += np.array(requests)[sel]
-    pop.request_mean[sel] = pop.request_total[sel] / pop.selected[sel]
-    m = placed > 0
-    fail.placements[m] += placed[m]
-    fail.failure_total[m] += np.array(failed)[m]
-    fail.failure_mean[m] = fail.failure_total[m] / fail.placements[m]
-
-
-def as_arrays(pop, fail):
-    """The learners with their counts, totals and means copied into numpy arrays."""
-    for learner, names in ((pop, ("selected", "request_total", "request_mean")),
-                           (fail, ("placements", "failure_total", "failure_mean"))):
-        for name in names:
-            setattr(learner, name, np.array(getattr(learner, name)))
-    return pop, fail
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,18 +1,18 @@
-"""harness.simulate_run's batched stages against their one-seed and one-slot definitions.
+"""harness.run and its batched stages against the definitions in reference.py.
 
-A learned policy's run of at least LOCKSTEP_MIN_SEEDS seeds keeps its seeds'
-learners in lockstep.Learners arrays; a single-seed run always keeps a
-learning.py learner pair, so the concatenation of single-seed runs is the
-reference for every column. The random policy decides whole chunks of rows
-at once for every seed count: its run must equal the concatenation of its
-single-seed runs, and lockstep.random_rows must equal
-reference_kernels.random_placement row by row.
+reference.reference_run is the simulator written slot by slot from the
+definitions, and every run here must equal it column for column, under both
+learner states: lockstep.Learners, forced by LOCKSTEP_MIN_SEEDS = 1, and a
+learning.py pair per seed, forced by one past the seed count. The random
+policy decides whole chunks of rows at once, and lockstep.random_rows must
+also equal reference.random_placement row by row.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,57 +21,13 @@ from hypothesis import strategies as st
 
 from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, apply_overrides,
                        default_config_path, load_config, run)
-from sfcbackup import harness, kernels, lockstep
+from sfcbackup import harness, kernels, learning, lockstep, workload
 from sfcbackup import policy as policy_module
-from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, OBS_BLOCK_SLOTS, PLACEMENT_MODES,
-                              POLICY_ORDER)
+from sfcbackup.harness import LOCKSTEP_MIN_SEEDS, OBS_BLOCK_SLOTS, PLACEMENT_MODES, POLICY_ORDER
 from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
                                 popularity_estimate, popularity_update)
 
-from reference_kernels import random_placement, unpack_rows
-
-
-def per_seed_reference(cfg):
-    """run(cfg) assembled from single-seed runs, which keep per-seed learners."""
-    trace = {col: [] for col in CSV_COLUMNS}
-    means = {}
-    for policy in cfg.policies:
-        for seed in cfg.seeds:
-            alone = run(apply_overrides(cfg, seeds=[seed], policy=policy))
-            for col in CSV_COLUMNS:
-                trace[col].extend(alone.trace[col])
-            stats = alone.summary["policies"][policy]
-            means[policy, seed] = {key: stats[key]["mean"] for key in stats}
-    return trace, means
-
-
-def per_seed_means(result):
-    """Each (policy, seed)'s time averages, recomputed from the trace columns."""
-    trace = result.trace
-    out = {}
-    for policy in result.config.policies:
-        for seed in result.config.seeds:
-            rows = [k for k, (p, s) in enumerate(zip(trace["policy"], trace["seed"]))
-                    if p == policy and s == seed]
-            out[policy, seed] = {
-                name: float(np.mean([trace[col][k] for k in rows]))
-                for name, col in (("time_avg_realized", "realized_reward"),
-                                  ("time_avg_expected", "expected_reward"),
-                                  ("mean_remaining", "remaining_resource"),
-                                  ("mean_deployed", "num_deployed"))}
-    return out
-
-
-def assert_matches_per_seed(cfg, monkeypatch) -> None:
-    assert len(cfg.seeds) >= LOCKSTEP_MIN_SEEDS
-    batched = run(cfg)
-    trace, means = per_seed_reference(cfg)
-    for col in CSV_COLUMNS:
-        assert batched.trace[col] == trace[col], col
-    assert per_seed_means(batched) == means
-    # the same config forced onto per-seed learners aggregates identically
-    monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", len(cfg.seeds) + 1)
-    assert run(cfg).summary == batched.summary
+from reference import assert_matches_reference, random_placement, reference_run, unpack_rows
 
 
 def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
@@ -143,6 +99,8 @@ def instances(draw) -> dict:
                            min_size=1, max_size=4))
     probs = st.sampled_from([0.0, 0.3, 0.5, 1.0])
     first = draw(st.integers(0, 50))
+    n_seeds = draw(st.sampled_from([1, 2, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS,
+                                    LOCKSTEP_MIN_SEEDS + 1]))
     learner = {"failure_bonus_sign": draw(st.sampled_from([1, -1]))}
     scale = draw(st.sampled_from([None, 0.0, 1.0, 1e308]))    # None: the per-user default
     if scale is not None:
@@ -162,9 +120,18 @@ def instances(draw) -> dict:
                     "mu": draw(st.sampled_from([0.0, 1.0, 3.0]))},
         "users": draw(st.integers(1, 5)),
         "slots": draw(st.integers(1, 12)),
-        "seeds": f"{first}..{first + LOCKSTEP_MIN_SEEDS - 1}",
+        "seeds": f"{first}..{first + n_seeds - 1}",
         "learner": learner,
     }
+
+
+# Module constants that set where blocks, chunks, seed groups and the plan
+# graph end. The small values make a 12-slot run cross every such boundary.
+BOUNDARIES = {"OBS_BLOCK_SLOTS": harness, "LOCKSTEP_MAX_VALUES": harness, "NODE_CAP": kernels}
+DEFAULTS = {name: getattr(module, name) for name, module in BOUNDARIES.items()}
+boundaries = st.fixed_dictionaries({
+    name: st.sampled_from([DEFAULTS[name], *small]) for name, small
+    in (("OBS_BLOCK_SLOTS", [1, 2, 5]), ("LOCKSTEP_MAX_VALUES", [20, 40, 90]), ("NODE_CAP", [2]))})
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,20 +141,31 @@ def instances(draw) -> dict:
     "catalog": {"vnf_demand": [2, 3, 20], "sfc_chain": [[0, 0], [1], [2], [0, 1]]},
     "ground_truth": {"request_prob": 0.5, "failure_mean": [0.1, 0.0, 0.5]},
     "weights": {"omega": 1.0, "mu": 1.0}, "users": 3, "slots": 10,
-    "seeds": f"7..{6 + LOCKSTEP_MIN_SEEDS}", "learner": {"failure_bonus_sign": 1}})
-@given(doc=instances())
-def test_lockstep_run_equals_single_seed_runs(doc: dict) -> None:
+    "seeds": f"7..{6 + LOCKSTEP_MIN_SEEDS}", "learner": {"failure_bonus_sign": 1}},
+    limits=DEFAULTS)
+@example(doc={
+    # perfbench's small-regret instance with regret on, in chunks of one slot
+    "network": {"capacities": [10, 8, 6], "links": [[0, 1, 0.4], [1, 2, 0.7], [0, 2, 1.1]]},
+    "catalog": {"vnf_demand": [3, 4, 2, 5], "sfc_chain": [[0, 1], [2, 3, 2], [1, 1]]},
+    "ground_truth": {"request_prob": [0.7, 0.5, 0.4], "failure_mean": [0.05, 0.1, 0.02, 0.2]},
+    "users": 4, "slots": 30, "seeds": "2..4", "regret": True,
+    "learner": {"failure_bonus_scale": 1.0, "failure_bonus_sign": -1}},
+    limits={"OBS_BLOCK_SLOTS": 3, "LOCKSTEP_MAX_VALUES": 40, "NODE_CAP": 2})
+@given(doc=instances(), limits=boundaries)
+def test_run_equals_the_reference(doc: dict, limits: dict) -> None:
     with pytest.MonkeyPatch.context() as monkeypatch:
-        assert_matches_per_seed(load_config(doc), monkeypatch)
+        for name, value in limits.items():
+            monkeypatch.setattr(BOUNDARIES[name], name, value)
+        assert_matches_reference(load_config(doc), monkeypatch)
 
 
-def test_lockstep_bundled_run_equals_single_seed_runs(monkeypatch) -> None:
+def test_bundled_run_equals_the_reference(monkeypatch) -> None:
     cfg = apply_overrides(load_config(default_config_path()), slots=30,
                           seeds=f"5..{4 + LOCKSTEP_MIN_SEEDS}")
-    assert_matches_per_seed(cfg, monkeypatch)
+    assert_matches_reference(cfg, monkeypatch)
 
 
-def test_lockstep_matches_on_a_ten_chain_instance(monkeypatch) -> None:
+def test_ten_chain_run_equals_the_reference(monkeypatch) -> None:
     # ten chains: numpy sums a row of eight or more in pairwise blocks, not
     # left to right, which the smaller instances above never reach
     cfg = load_config({
@@ -202,7 +180,31 @@ def test_lockstep_matches_on_a_ten_chain_instance(monkeypatch) -> None:
         "users": 6, "slots": 40, "seeds": f"3..{2 + LOCKSTEP_MIN_SEEDS}",
         "learner": {"failure_bonus_scale": 0.5, "failure_bonus_sign": -1},
     })
-    assert_matches_per_seed(cfg, monkeypatch)
+    assert_matches_reference(cfg, monkeypatch)
+
+
+def test_reference_calls_no_simulator_stage(monkeypatch) -> None:
+    # every function and class of kernels, lockstep and learning, and the two
+    # environment draws, raise wherever a module binds them; the reference
+    # still runs every policy
+    stages = [value for module in (kernels, lockstep, learning) for value in vars(module).values()
+              if callable(value) and getattr(value, "__module__", None) == module.__name__]
+    stages += [workload.sample_arrays, workload.slot_stream]
+    assert len(stages) > 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference called a simulator stage")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sfcbackup") or name == "reference":
+            for attr, value in list(vars(module).items()):
+                if any(value is stage for stage in stages):
+                    monkeypatch.setattr(module, attr, refuse)
+    cfg = apply_overrides(load_config(default_config_path()), slots=4, seeds="1..2")
+    trace, _ = reference_run(cfg)
+    assert len(trace["t"]) == len(POLICY_ORDER) * 2 * 4
+    with pytest.raises(AssertionError, match="simulator stage"):
+        run(cfg)
 
 
 def test_lockstep_learners_equal_the_per_seed_learners() -> None:
@@ -229,11 +231,11 @@ def test_lockstep_learners_equal_the_per_seed_learners() -> None:
                 assert batch.failure_mean[s].tolist() == fail.failure_mean
 
 
-def test_lockstep_matches_past_the_plan_graph_node_cap(monkeypatch) -> None:
+def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> None:
     monkeypatch.setattr(kernels, "NODE_CAP", 2)
     cfg = apply_overrides(load_config(default_config_path()), slots=25,
                           seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd")
-    assert_matches_per_seed(cfg, monkeypatch)
+    assert_matches_reference(cfg, monkeypatch)
 
 
 def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
@@ -269,21 +271,21 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     monkeypatch.setattr(harness, "simulate_run", recorded)
     monkeypatch.setattr(lockstep, "check", counted("check", 1))
     monkeypatch.setattr(lockstep, "slot_values", counted("slot_values", 5))
-    assert_matches_per_seed(cfg, monkeypatch)
-    # the run, then each seed alone, then the run forced onto per-seed learners
+    assert_matches_reference(cfg, monkeypatch)
+    # the run on lockstep learners, at the shipped LOCKSTEP_MIN_SEEDS (the last
+    # group on per-seed learners), then on per-seed learners
     groups = [LOCKSTEP_MIN_SEEDS] * 2 + [3]
-    assert sizes == {policy: groups + [1] * len(cfg.seeds) + groups for policy in POLICY_ORDER}
+    assert sizes == {policy: groups * 3 for policy in POLICY_ORDER}
     sizes["random"].clear()
     # two slots group the random policy's seeds as twenty do
     short = apply_overrides(cfg, slots=2, policy="random")
-    assert_matches_per_seed(short, monkeypatch)
-    assert sizes["random"] == groups + [1] * len(cfg.seeds) + groups
+    assert_matches_reference(short, monkeypatch)
+    assert sizes["random"] == groups * 3
     assert rows["check"] and rows["slot_values"]
     assert max(rows["check"] + rows["slot_values"]) == bound()
 
     # at the default bounds a lockstep run checks many slots per call
     monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", max_values)
-    monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", LOCKSTEP_MIN_SEEDS)
     sizes["rtsd"].clear()
     rows["check"].clear()
     run(apply_overrides(cfg, seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd"))
@@ -491,14 +493,10 @@ def test_random_rows_equal_the_per_slot_loop(case) -> None:
 
 
 @pytest.mark.parametrize("n_seeds", [1, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS, 30])
-def test_random_run_equals_single_seed_runs(n_seeds: int) -> None:
+def test_random_run_equals_the_reference(monkeypatch, n_seeds: int) -> None:
     cfg = apply_overrides(load_config(default_config_path()), slots=40, policy="random",
                           seeds=f"3..{2 + n_seeds}")
-    batched = run(cfg)
-    trace, means = per_seed_reference(cfg)
-    for col in CSV_COLUMNS:
-        assert batched.trace[col] == trace[col], col
-    assert per_seed_means(batched) == means
+    assert_matches_reference(cfg, monkeypatch)
 
 
 # --- the reduction order the traces rely on -------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sfcbackup import Catalog, EdgeNetwork, validate_instance
 from sfcbackup.model import cheapest_link_anchor
 
-from reference_kernels import chain_arrays, neighbor_table
+from reference import neighbors
 
 
 def small_net() -> EdgeNetwork:
@@ -83,15 +83,14 @@ def test_neighbors_ordering_property(n: int, raw_seed: int) -> None:
             if rng.random() < 0.6:
                 links[(u, v)] = float(rng.uniform(0.1, 3.0))
     net = EdgeNetwork([1] * n, links)
-    ids, count = neighbor_table(net)
     for node in range(n):
         nbrs = net.neighbor_lists[node]
         lats = [net.latency_rows[node][m] for m in nbrs]
         assert lats == sorted(lats)
         expected = {v for (u, v) in links if u == node} | {u for (u, v) in links if v == node}
         assert set(nbrs) == expected
-        # the reference kernels' padded table lists the same neighbors in the same order
-        assert ids[node, :count[node]].tolist() == list(nbrs)
+        # the reference walks' lists, ties by id, in the same order
+        assert neighbors(net)[node] == list(nbrs)
 
 
 def anchors(net: EdgeNetwork, residual: list[int]) -> set[int]:
@@ -147,12 +146,3 @@ def test_fresh_residual_is_a_copy() -> None:
     res = np.asarray(net.capacities)
     res[0] -= 5
     assert net.capacities == (10, 8, 9)
-
-
-def test_chain_arrays_roundtrip() -> None:
-    cat = Catalog([5, 4, 4], [[0, 1], [2, 2, 1]])
-    flat, starts = chain_arrays(cat)
-    assert flat.tolist() == [0, 1, 2, 2, 1]
-    assert starts.tolist() == [0, 2, 5]
-    assert [flat[starts[f]:starts[f + 1]].tolist() for f in range(cat.n_sfcs)] == \
-           [list(chain) for chain in cat.sfc_chain]

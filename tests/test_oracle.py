@@ -16,7 +16,7 @@ from sfcbackup.learning import chain_failure_rate, init_learners
 from sfcbackup.oracle import optimal_chain_latency, shortest_path_matrix
 from sfcbackup.workload import true_popularity
 
-from reference_kernels import expected_slot_value, get_consumption, slot_rows, verified_slot
+from reference import expected_slot_value, get_consumption, slot_rows, verified_slot
 
 
 def test_shortest_paths_take_multi_hop_shortcuts() -> None:

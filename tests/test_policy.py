@@ -11,15 +11,15 @@ from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, RewardWeights,
 from sfcbackup import lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import PlanGraph
-from sfcbackup.learning import (FailureLearner, PopularityLearner, chain_failure_rate,
-                                failure_estimate, failure_update, init_learners,
-                                popularity_estimate, popularity_update)
+from sfcbackup.learning import (FailureLearner, PopularityLearner, failure_estimate,
+                                init_learners, popularity_estimate)
 from sfcbackup.model import PlacementPlan
 from sfcbackup.policy import SlotDecision, verify_decision
 from sfcbackup.workload import policy_uniform_block
 
-from reference_kernels import (expected_slot_value, get_consumption, random_slots,
-                               realized_reward, slot_rows, verified_slot)
+from reference import (array_estimates, array_updates, as_arrays, expected_slot_value,
+                       random_slots, realized_reward, reference_random_slot, select,
+                       slot_rows, verified_slot)
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
@@ -200,40 +200,9 @@ def test_learned_policies_update_only_deployed_arms() -> None:
     assert fail.failure_mean[1] == pytest.approx(0.0)
 
 
-# --- trace equivalence against a plain-surface reference -------------------
-
-def reference_slot(net, cat, pop, fail, t, weights):
-    """Selection loop written directly on the module surface, no kernel."""
-    q = popularity_estimate(pop, t)
-    v = failure_estimate(fail, t)
-    residual = np.array(net.capacities, dtype=np.int64)
-    done: set[int] = set()
-    deployed = []
-    while True:
-        best_f, best_score, best_plan = -1, 0.0, None
-        for f in range(cat.n_sfcs):
-            if f in done:
-                continue
-            plan = get_consumption(net, cat, residual, f)
-            if math.isinf(plan.latency):    # a cloud plan
-                continue
-            gate = 1.0 - chain_failure_rate(cat, v, f)
-            if gate <= 0.0:     # certain failure scores 0, even against +inf optimism
-                continue
-            score = (weights.omega * q[f] - weights.mu * plan.latency) * gate
-            if score > best_score:
-                best_f, best_score, best_plan = f, score, plan
-        if best_f < 0:
-            break
-        chain = cat.sfc_chain[best_f]
-        for pos, s in enumerate(best_plan.assignment):
-            residual[s] -= cat.vnf_demand[chain[pos]]
-        done.add(best_f)
-        deployed.append((best_f, best_plan))
-    return deployed, residual, q, v
-
-
 def test_rtsd_matches_reference_loop_over_a_trace() -> None:
+    # policy.learned_slot, slot after slot on a hand instance, against the
+    # unpruned select and the learners' array formulas
     net = EdgeNetwork([10, 8, 9], {(0, 1): 0.6, (0, 2): 1.0, (1, 2): 0.5})
     cat = Catalog([5, 4, 3, 2, 6], [[0, 1], [2, 3, 2], [4, 1], [3, 3, 3]])
     gt = make_ground_truth([0.8, 0.6, 0.5, 0.3], [0.05, 0.1, 0.02, 0.3, 0.08],
@@ -242,23 +211,23 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
 
     live = init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users, failure_bonus_scale=1.0,
                          failure_bonus_sign=-1)
-    ref = init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users, failure_bonus_scale=1.0,
-                        failure_bonus_sign=-1)
+    ref = as_arrays(*init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users,
+                                   failure_bonus_scale=1.0, failure_bonus_sign=-1))
 
     any_deployed = False
     for t, (requests, failed) in enumerate(slot_rows(gt, 1, 31), start=1):
-        want_q = popularity_estimate(live[0], t)
-        want_v = failure_estimate(live[1], t)
+        ref_q, ref_v = array_estimates(*ref, t)
+        assert ref_q.tolist() == popularity_estimate(live[0], t)
+        assert ref_v.tolist() == failure_estimate(live[1], t)
         dec = slot_of("rtsd", net, cat, live, t, requests, failed, w)
-        want, want_res, ref_q, ref_v = reference_slot(net, cat, *ref, t, w)
+        want, want_res = select(net, cat, True, ref_q.tolist(), ref_v.tolist(),
+                                w.omega, w.mu)
 
         assert [f for f, _ in dec.deployed] == [f for f, _ in want]
         for (_, got_plan), (_, ref_plan) in zip(dec.deployed, want):
             assert got_plan.assignment == ref_plan.assignment
             assert got_plan.latency == ref_plan.latency
-        assert dec.residual_after == want_res.tolist()
-        assert ref_q == want_q
-        assert ref_v == want_v
+        assert dec.residual_after == want_res
 
         x_ref = [0] * cat.n_sfcs
         placed_ref = [0] * cat.n_vnfs
@@ -266,13 +235,12 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
             x_ref[f] = 1
             for i in cat.sfc_chain[f]:
                 placed_ref[i] += 1
-        popularity_update(ref[0], requests, x_ref)
-        failure_update(ref[1], failed, placed_ref)
+        array_updates(*ref, requests, failed, x_ref, placed_ref)
 
-        assert live[0].selected == ref[0].selected
-        assert live[0].request_total == ref[0].request_total
-        assert live[1].placements == ref[1].placements
-        assert live[1].failure_total == ref[1].failure_total
+        assert live[0].selected == ref[0].selected.tolist()
+        assert live[0].request_total == ref[0].request_total.tolist()
+        assert live[1].placements == ref[1].placements.tolist()
+        assert live[1].failure_total == ref[1].failure_total.tolist()
         any_deployed = any_deployed or bool(dec.deployed)
     assert any_deployed
 
@@ -285,41 +253,6 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
 def uniforms(seed: int, t0: int, t1: int, cat: Catalog) -> np.ndarray:
     """Slots t0 .. t1-1's policy uniforms, one row per slot."""
     return policy_uniform_block(seed, t0, t1, cat.uniform_layout[0])
-
-
-def reference_random_slot(net: EdgeNetwork, cat: Catalog,
-                          rng: np.random.Generator) -> frozenset:
-    """The permutation-scan random slot, as (sfc, assignment) pairs.
-
-    Pops a uniformly drawn chain from those not yet attempted; places each
-    occurrence on the first server with room in a fresh random permutation.
-    lockstep.random_rows must follow the same law.
-    """
-    n = net.n_servers
-    lat = net.latency_rows
-    residual = list(net.capacities)
-    chosen = []
-    candidates = list(range(cat.n_sfcs))
-    while candidates:
-        f = candidates.pop(int(rng.integers(len(candidates))))
-        chain = cat.sfc_chain[f]
-        tent = [0] * n
-        assign: list[int] = []
-        latency = 0.0
-        for i in chain:
-            need = cat.vnf_demand[i]
-            spot = next((s for s in rng.permutation(n).tolist()
-                         if residual[s] - tent[s] >= need), -1)
-            if spot < 0:
-                break
-            if assign:
-                latency += lat[assign[-1]][spot]
-            assign.append(spot)
-            tent[spot] += need
-        if chain and len(assign) == len(chain) and not math.isinf(latency):
-            residual = [r - d for r, d in zip(residual, tent)]
-            chosen.append((f, tuple(assign)))
-    return frozenset(chosen)
 
 
 def test_random_scheme_follows_the_permutation_scan_law() -> None:

@@ -13,27 +13,14 @@ from sfcbackup.workload import (ENV_DOMAIN, POLICY_DOMAIN, counter_blocks,
                                 policy_uniform_block, sample_arrays, slot_stream,
                                 true_popularity)
 
-from reference_kernels import slot_row, slot_rows
+from reference import draw_slot, slot_row, slot_rows
 
 
-def reference_slot(gt: GroundTruth, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slot t drawn on its own: a Philox at counter [t, 0, 0, 0], the (K, F)
-    request uniforms, then the I failure uniforms."""
-    rng = np.random.Generator(np.random.Philox(key=[gt.rng_seed, ENV_DOMAIN],
-                                               counter=[t, 0, 0, 0]))
-    u = rng.random(gt.request_prob.shape)
-    requests = (u < gt.request_prob).sum(axis=0, dtype=np.int64)
-    fu = rng.random(gt.failure_mean.shape)
-    return requests, (fu < gt.failure_mean).astype(np.uint8)
-
-
-def assert_matches_reference(gt: GroundTruth, rows, t0: int) -> None:
+def assert_drawn_alone(gt: GroundTruth, rows, t0: int) -> None:
     """rows, slot_rows' (requests, failed) lists from slot t0 on, equal the per-slot draws."""
     for k, (requests, failed) in enumerate(rows):
-        want_requests, want_failed = reference_slot(gt, t0 + k)
         assert all(type(v) is int for v in requests + failed)
-        assert requests == want_requests.tolist()
-        assert failed == want_failed.tolist()
+        assert (requests, failed) == draw_slot(gt, t0 + k)
 
 
 def test_degenerate_probabilities() -> None:
@@ -173,8 +160,8 @@ def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: in
     assert failed.shape == (n, n_vnfs) and failed.dtype == np.uint8
     rows = slot_rows(gt, t0, t0 + n)
     assert len(rows) == n
-    assert_matches_reference(gt, rows, t0)
-    assert_matches_reference(gt, [slot_row(gt, t0 + n - 1)], t0 + n - 1)
+    assert_drawn_alone(gt, rows, t0)
+    assert_drawn_alone(gt, [slot_row(gt, t0 + n - 1)], t0 + n - 1)
 
 
 def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
@@ -194,10 +181,8 @@ def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
     simulate_run(EdgeNetwork([4], []), Catalog([1, 2, 3], [[0, 1], [2]]), gts,
                  RewardWeights(), "random", n_slots, users=3)
     assert len(drawn) == n_slots * len(gts)
-    for k, (requests, failed) in enumerate(drawn):
-        want_requests, want_failed = reference_slot(gts[k % 2], k // 2 + 1)
-        assert requests == want_requests.tolist()
-        assert failed == want_failed.tolist()
+    for k, row in enumerate(drawn):
+        assert row == draw_slot(gts[k % 2], k // 2 + 1)
 
 
 def test_sample_slots_rejects_empty_range() -> None:
