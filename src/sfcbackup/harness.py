@@ -18,7 +18,6 @@ group's seed count. Its batched stages live in lockstep.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import importlib.resources
 import json
@@ -65,14 +64,14 @@ MAX_TRACE_ROWS = 2 ** 22
 # A learned policy's seed group of at least this many seeds keeps its learners
 # in lockstep.Learners arrays, a smaller one a learning.py learner pair per
 # seed. Both write the same trace; only speed picks. Timed at 2, 4, 6, 8 and
-# 12 seeds x 100 slots (harness.run, min of 7 alternating runs, 2 shared
-# CPUs), numpy / per-seed time, rtsd then bandit: canonical 1.31 1.00 0.82
-# 0.80 0.75, 1.34 1.00 0.87 0.80 0.74; wide-edge 1.00 0.84 0.87 0.84 0.81,
-# 1.16 1.10 0.88 0.91 0.93; small-regret 1.67 1.35 1.03 0.88 0.80, 1.72 1.09
-# 1.01 0.89 0.79. 8 is the smallest count at which numpy was no slower on any
-# of them (6 lost on small-regret). At the benchmark sizes, numpy learners at
-# 1 seed make small-regret's run 2.98x (rtsd) and 2.78x (bandit) slower, and
-# per-seed learners at 30 seeds make canonical's 1.89x and 1.61x slower.
+# 12 seeds x 100 slots (harness.run, min of 11 alternating runs, 2 shared
+# CPUs), numpy / per-seed time, rtsd then bandit: canonical 1.54 1.07 0.92
+# 0.82 0.75, 1.44 1.08 0.91 0.86 0.75; wide-edge 1.04 0.96 0.86 0.99 0.79,
+# 1.03 0.94 0.85 0.95 0.97; small-regret 1.88 1.40 1.16 1.01 0.87, 1.83 1.85
+# 1.12 0.90 0.94. From 8 seeds on, numpy lost by at most 2% in three such
+# timings (6 lost 12-16% on small-regret). At the benchmark sizes, numpy
+# learners at 1 seed make small-regret's run 3.6x (rtsd) and 4.0x (bandit)
+# slower, per-seed learners at 30 seeds canonical's 1.41x and 1.52x.
 LOCKSTEP_MIN_SEEDS = 8
 # simulate_run holds a seed group's draws OBS_BLOCK_SLOTS slots ahead: per
 # (slot, seed) row, F request counts, I failure flags and, for random, W policy
@@ -459,26 +458,18 @@ def _learned_records(learners, graph: PlanGraph, weights: RewardWeights,
     observations; learners is a lockstep.Learners of the S seeds or a list of
     their learning.py pairs. The Records rows are slot-major.
     """
-    n_seeds, n_sfcs = requests.shape[1:]
-    decided, residuals = [], []
+    ids, counts, residuals = [], [], []
     if isinstance(learners, lockstep.Learners):
         for t, req, fail in zip(count(t0), requests, failed):
             q_rows, v_rows = lockstep.estimates(learners, t)
-            lockstep.decide_learned(graph, q_rows, v_rows, weights.omega, weights.mu, decided,
-                                    residuals)
-            # x and the copies as learned_slot counts them
-            commits = np.bincount(np.array([s * n_sfcs + f for s, deployed
-                                            in enumerate(decided[-n_seeds:]) for f, _ in deployed],
-                                           dtype=np.int64),
-                                  minlength=n_seeds * n_sfcs).reshape(n_seeds, n_sfcs)
+            commits = lockstep.decide_learned(graph, q_rows, v_rows, weights.omega, weights.mu,
+                                              ids, counts, residuals)
             lockstep.update(learners, req, fail, commits > 0, commits @ layout.copies)
     else:
         for t, req, fail in zip(count(t0), requests.tolist(), failed.tolist()):
             for pair, r, v in zip(learners, req, fail):
-                decision = learned_slot(pair, t, r, v, weights, graph)
-                decided.append(decision.deployed)
-                residuals.append(decision.residual_after)
-    return lockstep.records_of(decided, residuals, layout.network.n_servers)
+                counts.append(learned_slot(pair, t, r, v, weights, graph, ids, residuals))
+    return lockstep.gather(graph, ids, counts, residuals)
 
 
 def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
@@ -585,10 +576,10 @@ def emit(result: RunResult, out_dir, fmt: str = "csv") -> list[Path]:
 
     if fmt in ("csv", "both"):
         path = out / "trace.csv"
+        # no cell needs quoting: policy names are fixed, the rest numbers or empty
+        rows = zip(*(map(_cell, result.trace[col]) for col in CSV_COLUMNS))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(zip(*(map(_cell, result.trace[col]) for col in CSV_COLUMNS)))
+            fh.writelines(f"{','.join(row)}\n" for row in chain([CSV_COLUMNS], rows))
         written.append(path)
 
     if fmt in ("jsonl", "both"):

@@ -9,16 +9,18 @@ commit, and a chain walk is a pure function of (mode, residual, chain).
 Capacity resets every slot, so the residual after k commits is fixed by which
 plans were committed, and a run keeps revisiting the same few residual states.
 A PlanGraph stores them: each node is one residual with the plans walked on it
-so far and an edge per committed chain to the next node, carrying the
-committed PlacementPlan. slot_decide reads a chain's plan from the current node
-and walks only on a miss, so a warm slot is dict lookups and scoring.
+so far and an edge per committed chain, (next node, id), the id indexing the
+graph's edge tables. slot_decide reads a chain's plan from the current node
+and walks only on a miss, so a warm slot is dict lookups and scoring, and a
+decision is its edge ids and the final node's residual tuple.
 
 Ownership. A graph belongs to one (network, catalog, mode). harness.run builds
 one per learned policy before its seed loop and drops it after, so no graph
 outlives a run and nothing is cached at module level or on the network. A
-graph stores at most NODE_CAP nodes; past that, new residual states are built
-and planned for the slot at hand but not kept, which changes the cost and
-never a decision.
+graph stores at most NODE_CAP nodes, and no new edge once it holds that many:
+past that, new residual states are built and planned for the slot at hand but
+not kept, and a commit's id lasts until PlanGraph.trim. This changes the cost
+and never a decision.
 
 Pruning. A plan's score (omega*q - mu*latency)*gate never exceeds its bound
 omega*q*gate, since latency and mu are non-negative and IEEE rounding is
@@ -43,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import inf
 
-from .model import PlacementPlan, cheapest_link_anchor
+from .model import cheapest_link_anchor
 
 # There is no compiled backend; perfbench's run manifest still reports this.
 NUMBA_ENABLED = False
@@ -139,13 +141,14 @@ class PlanGraph:
 
     nodes maps a residual tuple to its node (residual, plans, edges): plans[f]
     is chain f's walk (latency, assignment) against that residual, and
-    edges[f] = (next_node, plan) commits f's plan, plan being the
-    PlacementPlan a decision reports. Both fill lazily and are never
-    invalidated: walks are pure, and the graph belongs to one network,
-    catalog and placement mode (GREEDY or FIRST_FIT).
+    edges[f] = (next_node, id) commits f's plan, whose chain, latency and
+    assignment are edge_sfc[id], edge_latency[id] and edge_servers[id]. Both
+    fill lazily and are never invalidated: walks are pure, and the graph
+    belongs to one network, catalog and placement mode (GREEDY or FIRST_FIT).
     """
 
-    __slots__ = ("network", "catalog", "mode", "nodes")
+    __slots__ = ("network", "catalog", "mode", "nodes", "edge_sfc", "edge_latency",
+                 "edge_servers", "stored")
 
     def __init__(self, network, catalog, mode: int) -> None:
         if mode not in (GREEDY, FIRST_FIT):
@@ -154,6 +157,8 @@ class PlanGraph:
         self.catalog = catalog
         self.mode = mode
         self.nodes: dict[tuple[int, ...], tuple] = {}
+        self.edge_sfc, self.edge_latency, self.edge_servers = [], [], []
+        self.stored = 0
 
     def node(self, residual: tuple[int, ...]) -> tuple:
         """The node of a residual tuple; a new one is stored while under NODE_CAP."""
@@ -165,25 +170,33 @@ class PlanGraph:
         return node
 
     def commit(self, node: tuple, f: int) -> tuple:
-        """Edge (next_node, plan) for committing chain f's plan at node.
+        """Edge (next_node, id) for committing chain f's plan at node, under a new id.
 
-        The edge is kept only when the next node is stored, so an edge never
-        holds on to a node past the cap.
+        The edge is stored only while the graph holds fewer than NODE_CAP
+        nodes, so it never holds on to a node past the cap, and the first
+        stored ids are the stored edges'.
         """
         latency, assign = node[1][f]
         demands = self.catalog.vnf_demand
         residual = list(node[0])
         for s, i in zip(assign, self.catalog.sfc_chain[f]):
             residual[s] -= demands[i]
-        key = tuple(residual)
-        nxt = self.node(key)
-        edge = (nxt, PlacementPlan(sfc=f, assignment=assign, latency=latency))
-        if self.nodes.get(key) is nxt:
+        edge = (self.node(tuple(residual)), len(self.edge_sfc))
+        self.edge_sfc.append(f)
+        self.edge_latency.append(latency)
+        self.edge_servers.append(assign)
+        if len(self.nodes) < NODE_CAP:
             node[2][f] = edge
+            self.stored = len(self.edge_sfc)
         return edge
 
+    def trim(self) -> None:
+        """Cut the edge tables back to the stored edges, dropping the ids handed out since."""
+        for table in self.edge_sfc, self.edge_latency, self.edge_servers:
+            del table[self.stored:]
 
-def slot_decide(graph, q_est, v_est, omega, mu, deployed_out, residual_out):
+
+def slot_decide(graph, q_est, v_est, omega, mu, ids, residuals):
     """One slot's full greedy selection loop, on the plan graph.
 
     Repeatedly plans the not-yet-deployed chains against the current
@@ -192,10 +205,9 @@ def slot_decide(graph, q_est, v_est, omega, mu, deployed_out, residual_out):
     and commits the strictly-best positive score (ties fall to the smallest
     SFC id). Stops when nothing scores positive. graph.mode selects the
     placement walk (GREEDY or FIRST_FIT); the greedy anchor is
-    model.cheapest_link_anchor of the live residual. Returns the number of
-    committed chains. deployed_out is overwritten with the (sfc,
-    PlacementPlan) pairs in commit order, residual_out with the residual
-    after them.
+    model.cheapest_link_anchor of the live residual. Appends the committed
+    edge ids to ids, in commit order, and the final node's residual tuple to
+    residuals, and returns the number of committed chains.
 
     A round plans only the chains that could still win, and commits what
     planning every chain would commit. A chain's score never exceeds its
@@ -230,7 +242,7 @@ def slot_decide(graph, q_est, v_est, omega, mu, deployed_out, residual_out):
                     key=bounds.__getitem__, reverse=True)
 
     node = graph.node(network.capacities)
-    deployed_out.clear()
+    first = len(ids)
     while ranked:
         residual, plans, edges = node
         pools = None
@@ -266,6 +278,6 @@ def slot_decide(graph, q_est, v_est, omega, mu, deployed_out, residual_out):
         if edge is None:
             edge = graph.commit(node, best_f)
         node = edge[0]
-        deployed_out.append((best_f, edge[1]))
-    residual_out[:] = node[0]
-    return len(deployed_out)
+        ids.append(edge[1])
+    residuals.append(node[0])
+    return len(ids) - first

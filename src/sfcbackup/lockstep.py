@@ -8,9 +8,9 @@ advances with a few numpy operations per slot for all S seeds, while
 decide_learned runs the selection kernel (kernels.slot_decide) once per
 seed; below that it is one learning.py learner pair per seed. The random
 policy keeps no state across slots, so random_rows decides a whole chunk's
-rows at once. Every chunk's commits then go through check, which holds them
-to the eight conditions of policy.verify_decision, and slot_values, which
-values them.
+rows at once, and gather turns a learned chunk's edge ids into Records. Every
+chunk's Records then go through check, which holds them to the eight
+conditions of policy.verify_decision, and slot_values, which values them.
 
 Exactness. Every float is computed by the expression learning.py evaluates,
 one operation at a time: numpy's sqrt, division, multiplication and
@@ -22,8 +22,8 @@ its C-contiguous row of per-chain payoffs, whatever rows share the array,
 and its expected value adds the row's terms left to right in commit order,
 so a slot's values do not depend on the rows accounted with it.
 
-The stage functions (estimates, decide_learned, records_of, random_rows,
-check, slot_values, update) live at module level and are looked up as module
+The stage functions (estimates, decide_learned, gather, random_rows, check,
+slot_values, update) live at module level and are looked up as module
 globals on every call, so a profiler can wrap them.
 """
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -41,9 +40,6 @@ from .learning import chain_failure_rate
 from .model import Catalog, EdgeNetwork, PlacementPlan
 from .policy import InvariantViolation, RewardWeights, SlotDecision, verify_decision
 from .workload import GroundTruth, true_popularity
-
-
-_PLAN_FIELDS = attrgetter("latency", "assignment")
 
 # The per-slot series of a run, the keys of slot_values' result.
 SERIES = ("realized", "expected", "remaining", "deployed")
@@ -162,16 +158,40 @@ def estimates(learners: Learners, t: int) -> tuple[list, list]:
     return q.tolist(), v.tolist()
 
 
-def decide_learned(graph: kernels.PlanGraph, q_rows: list, v_rows: list,
-                   omega: float, mu: float, decided: list, residuals: list) -> None:
-    """kernels.slot_decide once per seed, appending its deployed and residual lists."""
+def decide_learned(graph: kernels.PlanGraph, q_rows: list, v_rows: list, omega: float,
+                   mu: float, ids: list, counts: list, residuals: list) -> np.ndarray:
+    """kernels.slot_decide per seed, appending to ids, counts and residuals; the (S, F) commits."""
+    first = len(ids)
     for q_est, v_est in zip(q_rows, v_rows):
-        deployed: list = []
-        residual: list = []
         # looked up on the module every call, so that a profiler can wrap it
-        kernels.slot_decide(graph, q_est, v_est, omega, mu, deployed, residual)
-        decided.append(deployed)
-        residuals.append(residual)
+        counts.append(kernels.slot_decide(graph, q_est, v_est, omega, mu, ids, residuals))
+    n_seeds, n_sfcs = len(q_rows), graph.catalog.n_sfcs
+    row = np.repeat(np.arange(n_seeds), counts[-n_seeds:])
+    sfc = np.fromiter(map(graph.edge_sfc.__getitem__, ids[first:]), np.int64, len(ids) - first)
+    return np.bincount(row * n_sfcs + sfc, minlength=n_seeds * n_sfcs).reshape(n_seeds, n_sfcs)
+
+
+def gather(graph: kernels.PlanGraph, ids: list, counts: list, residuals: list) -> Records:
+    """A chunk's learned decisions as Records, read from the graph's edge tables by id.
+
+    Row k committed the next counts[k] ids and left residuals[k]. The graph is
+    then trimmed, so an id past its stored edges lasts one chunk.
+    """
+    ids = np.array(ids, dtype=np.int64)
+    lengths = np.fromiter(map(len, graph.edge_servers), np.int64, len(graph.edge_servers))
+    positions = lengths[ids]
+    # record r's servers start at its edge's offset in flat, and at shift[r] less in servers
+    shift = (np.cumsum(lengths) - lengths)[ids] - (np.cumsum(positions) - positions)
+    flat = np.fromiter(chain.from_iterable(graph.edge_servers), np.int64)
+    rec = Records(row=np.repeat(np.arange(len(counts)), counts),
+                  sfc=np.array(graph.edge_sfc, dtype=np.int64)[ids],
+                  latency=np.array(graph.edge_latency, dtype=np.float64)[ids],
+                  positions=positions,
+                  servers=flat[np.repeat(shift, positions) + np.arange(positions.sum())],
+                  residual=np.fromiter(chain.from_iterable(residuals),
+                                       np.int64).reshape(len(residuals), -1))
+    graph.trim()
+    return rec
 
 
 def random_rows(layout: Layout, u: np.ndarray) -> Records:
@@ -305,28 +325,6 @@ def _violation(layout: Layout, rec: Records, x: np.ndarray, placed: np.ndarray,
         return InvariantViolation(f"seed {seed}, {exc}")
     return InvariantViolation(f"seed {seed}, slot {t}: the batched check failed a "
                               f"decision that verify_decision passes")
-
-
-def records_of(decided: list, residuals: list, n_servers: int) -> Records:
-    """Decisions as Records, one row each.
-
-    decided[k] lists row k's (sfc, PlacementPlan) commits and residuals[k] its
-    residual list. A residual of the wrong length reads as -1 on every server,
-    which no load within capacity leaves.
-    """
-    pairs = [pair for deployed in decided for pair in deployed]
-    sfcs, plans = zip(*pairs) if pairs else ((), ())
-    latency, assigned = zip(*map(_PLAN_FIELDS, plans)) if pairs else ((), ())
-    residual = np.fromiter(chain.from_iterable(r if len(r) == n_servers else [-1] * n_servers
-                                               for r in residuals),
-                           np.int64, len(residuals) * n_servers).reshape(-1, n_servers)
-    return Records(row=np.array([s for s, deployed in enumerate(decided) for _ in deployed],
-                                dtype=np.int64),
-                   sfc=np.array(sfcs, dtype=np.int64),
-                   latency=np.array(latency, dtype=np.float64),
-                   positions=np.fromiter(map(len, assigned), np.int64, len(assigned)),
-                   servers=np.fromiter(chain.from_iterable(assigned), np.int64),
-                   residual=residual)
 
 
 def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,

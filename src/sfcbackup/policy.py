@@ -9,9 +9,9 @@ Learner updates happen inside the call, after deployment, using that slot's
 observation. harness.simulate_run calls it once per (slot, seed) for a seed
 group too small for lockstep.Learners.
 
-Decisions are neither verified nor accounted here: harness.simulate_run
-hands them, a chunk of (slot, seed) rows at a time, to lockstep.check and
-then lockstep.slot_values.
+A decision, plan-graph edge ids and a residual tuple, is neither verified nor
+accounted here: harness.simulate_run hands chunks of (slot, seed) rows to
+lockstep.gather, check and slot_values; check words errors as SlotDecisions.
 
 The random policy keeps no state across slots, so it has no per-slot
 function: lockstep.random_rows defines it over whole chunks of (slot, seed)
@@ -61,8 +61,8 @@ class SlotDecision:
 
 
 def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
-                 requests, failed, weights: RewardWeights,
-                 graph: kernels.PlanGraph) -> SlotDecision:
+                 requests, failed, weights: RewardWeights, graph: kernels.PlanGraph,
+                 ids: list[int], residuals: list[tuple[int, ...]]) -> int:
     """One slot of a learned policy: decide on the learners' optimistic estimates, then learn.
 
     graph is the kernels.PlanGraph of the run's network, catalog and placement
@@ -71,25 +71,23 @@ def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
     has seen. The kernel scores every remaining chain's plan, commits the
     best positive score, re-plans and repeats; the slot's observation, its
     request counts and VNF failure flags, then updates the learners for the
-    deployed arms. The caller verifies the decision, with the rest of its block.
+    deployed arms. Appends to ids and residuals and returns as slot_decide;
+    the caller verifies the decision, with the rest of its chunk.
     """
     pop, fail = learners
     q_est = popularity_estimate(pop, t)
     v_est = failure_estimate(fail, t)
-    deployed: list[tuple[int, PlacementPlan]] = []
-    residual: list[int] = []
-    kernels.slot_decide(graph, q_est, v_est, weights.omega, weights.mu, deployed, residual)
+    n = kernels.slot_decide(graph, q_est, v_est, weights.omega, weights.mu, ids, residuals)
     catalog = graph.catalog
     x = [0] * catalog.n_sfcs
     placed = [0] * catalog.n_vnfs
-    for f, _ in deployed:
+    for f in map(graph.edge_sfc.__getitem__, ids[len(ids) - n:]):
         x[f] = 1
         for i in catalog.sfc_chain[f]:
             placed[i] += 1
     popularity_update(pop, requests, x)
     failure_update(fail, failed, placed)
-    return SlotDecision(t=int(t), deployed=deployed, x=x, placed_counts=placed,
-                        residual_after=residual)
+    return n
 
 
 def verify_decision(network: EdgeNetwork, catalog: Catalog,

@@ -39,10 +39,12 @@ the random policy's draws must follow in distribution.
 The rest drives src for the tests, one adapter each:
 assert_matches_reference holds harness.run to reference_run under both
 learner states; slot_rows and slot_row give sample_arrays' draws as lists;
-verified_slot is policy.learned_slot held to verify_decision;
-get_consumption plans one chain with kernels.greedy_chain_walk; and
-unpack_rows and random_slots turn lockstep.Records into (deployed,
-residual) pairs.
+decoded turns plan-graph edge ids into (sfc, PlacementPlan) pairs;
+verified_slot is policy.learned_slot as a SlotDecision held to
+verify_decision; get_consumption plans one chain with
+kernels.greedy_chain_walk; records builds lockstep.Records from (sfc,
+PlacementPlan) lists; and unpack_rows and random_slots turn lockstep.Records
+into (deployed, residual) pairs.
 """
 
 from __future__ import annotations
@@ -348,6 +350,18 @@ def expected_slot_value(weights, gt, decision, catalog) -> float:
 
 # --- the run --------------------------------------------------------------------
 
+def decision_of(catalog, t: int, deployed: list, residual: list) -> SlotDecision:
+    """A slot's commits as a SlotDecision, x and the copies per VNF counted from them."""
+    x = [0] * catalog.n_sfcs
+    placed = [0] * catalog.n_vnfs
+    for f, _ in deployed:
+        x[f] = 1
+        for i in catalog.sfc_chain[f]:
+            placed[i] += 1
+    return SlotDecision(t=t, deployed=deployed, x=x, placed_counts=placed,
+                        residual_after=residual)
+
+
 def reference_series(cfg, network, gt, draws, policy: str) -> tuple[list[tuple], list]:
     """One seed's slots under policy: (realized, expected, remaining, deployed) per
     slot, and each slot's SlotDecision.
@@ -366,17 +380,10 @@ def reference_series(cfg, network, gt, draws, policy: str) -> tuple[list[tuple],
             q, v = array_estimates(*learners, t)
             deployed, residual = select(network, catalog, policy == "rtsd", q.tolist(),
                                         v.tolist(), weights.omega, weights.mu)
-        x = [0] * catalog.n_sfcs
-        placed = [0] * catalog.n_vnfs
-        for f, _ in deployed:
-            x[f] = 1
-            for i in catalog.sfc_chain[f]:
-                placed[i] += 1
-        decision = SlotDecision(t=t, deployed=deployed, x=x, placed_counts=placed,
-                                residual_after=residual)
+        decision = decision_of(catalog, t, deployed, residual)
         verify_decision(network, catalog, decision)
         if learners is not None:
-            array_updates(*learners, requests, failed, x, placed)
+            array_updates(*learners, requests, failed, decision.x, decision.placed_counts)
         rows.append((realized_reward(weights, requests, failed, decision, catalog)[1],
                      expected_slot_value(weights, gt, decision, catalog),
                      sum(residual), len(deployed)))
@@ -491,9 +498,22 @@ def slot_row(gt, t: int) -> tuple[list[int], list[int]]:
     return slot_rows(gt, t, t + 1)[0]
 
 
-def verified_slot(learners, t: int, requests, failed, weights, graph):
-    """policy.learned_slot, its decision then held to policy.verify_decision."""
-    decision = learned_slot(learners, t, requests, failed, weights, graph)
+def decoded(graph, ids) -> list[tuple[int, PlacementPlan]]:
+    """Plan-graph edge ids as (sfc, PlacementPlan) pairs, read from the graph's edge tables."""
+    return [(graph.edge_sfc[e], PlacementPlan(sfc=graph.edge_sfc[e],
+                                              assignment=graph.edge_servers[e],
+                                              latency=graph.edge_latency[e])) for e in ids]
+
+
+def verified_slot(learners, t: int, requests, failed, weights, graph) -> SlotDecision:
+    """policy.learned_slot's decision as a SlotDecision, held to policy.verify_decision.
+
+    The decision's residual_after is the kernel's residual tuple as a list.
+    """
+    ids, residuals = [], []
+    n = learned_slot(learners, t, requests, failed, weights, graph, ids, residuals)
+    assert n == len(ids) and len(residuals) == 1
+    decision = decision_of(graph.catalog, t, decoded(graph, ids), list(residuals[0]))
     verify_decision(graph.network, graph.catalog, decision)
     return decision
 
@@ -508,6 +528,21 @@ def get_consumption(network, catalog, residual, f: int) -> PlacementPlan:
         res, sorted(res), catalog.vnf_demand, catalog.sfc_chain[f], network.neighbor_lists,
         network.latency_rows, cheapest_link_anchor(network, res))
     return PlacementPlan(sfc=int(f), assignment=assign or (), latency=latency)
+
+
+def records(decided: list, residuals: list) -> lockstep.Records:
+    """lockstep.Records of rows of (sfc, PlacementPlan) commits, built from plain lists.
+
+    decided[k] lists row k's commits in order and residuals[k] its residual.
+    """
+    pairs = [(k, f, plan) for k, deployed in enumerate(decided) for f, plan in deployed]
+    return lockstep.Records(
+        row=np.array([k for k, _, _ in pairs], dtype=np.int64),
+        sfc=np.array([f for _, f, _ in pairs], dtype=np.int64),
+        latency=np.array([plan.latency for _, _, plan in pairs], dtype=np.float64),
+        positions=np.array([len(plan.assignment) for _, _, plan in pairs], dtype=np.int64),
+        servers=np.array([s for _, _, plan in pairs for s in plan.assignment], dtype=np.int64),
+        residual=np.array(residuals, dtype=np.int64))
 
 
 def unpack_rows(rec, n_rows: int) -> list[tuple[list, list[int]]]:

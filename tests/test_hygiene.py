@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,14 +16,21 @@ READERS = sorted(p for folder in ("src", "tests", "perfbench")
                  for p in (ROOT / folder).rglob("*.py"))
 
 
-def unused_imports(source: str) -> list[str]:
+@cache
+def parsed(path: Path) -> ast.Module:
+    """The file's syntax tree, parsed once per test run and shared by the checks below."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def unused_imports(source: str | ast.Module) -> list[str]:
     """Names a module imports but never reads, in import order.
 
-    A name counts as read where it appears as a bare name anywhere in the
-    module, annotations included, or as a whole string annotation such as
-    "GroundTruth". `from __future__` imports are skipped.
+    source is the module's text or its parsed tree. A name counts as read
+    where it appears as a bare name anywhere in the module, annotations
+    included, or as a whole string annotation such as "GroundTruth".
+    `from __future__` imports are skipped.
     """
-    tree = ast.parse(source)
+    tree = ast.parse(source) if isinstance(source, str) else source
     imported: list[str] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -54,7 +62,7 @@ def test_unused_imports_are_found() -> None:
 
 def test_no_unused_imports() -> None:
     found = {str(path.relative_to(ROOT)): names for path in CHECKED
-             if (names := unused_imports(path.read_text(encoding="utf-8")))}
+             if (names := unused_imports(parsed(path)))}
     assert not found, f"imported but never used: {found}"
 
 
@@ -119,7 +127,7 @@ def test_no_orphaned_definitions() -> None:
     # every top-level definition of src/sfcbackup and of tests/ but a test
     # function; pytest hands a fixture in by parameter name, so a parameter
     # reads a definition only where that definition is a pytest fixture
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    trees = {path: parsed(path) for path in READERS}
     nodes = {path: list(ast.walk(tree)) for path, tree in trees.items()}
     refs = {path: references(walked) for path, walked in nodes.items()}
     tests = sorted((ROOT / "tests").glob("*.py"))

@@ -15,8 +15,8 @@ from sfcbackup.learning import init_learners
 from sfcbackup.model import cheapest_link_anchor
 from sfcbackup.workload import make_ground_truth
 
-from reference import (anchor, first_fit_walk, greedy_walk, latencies, neighbors, select,
-                       slot_rows, verified_slot)
+from reference import (anchor, decoded, first_fit_walk, greedy_walk, latencies, neighbors,
+                       select, slot_rows, verified_slot)
 
 
 def random_setup(rng: np.random.Generator):
@@ -64,16 +64,17 @@ def test_chain_walks_match_python_definitions() -> None:
 
 
 def run_slot_decide(mode, net, cat, q, v, graph=None, omega=1.0, mu=1.0):
-    """slot_decide on graph (a fresh one when None): (deployed, residual).
+    """slot_decide on graph (a fresh one when None): (deployed, residual) as lists.
 
     q and v are estimate arrays; slot_decide gets them as lists.
     """
     graph = graph if graph is not None else PlanGraph(net, cat, mode)
-    deployed, residual = [], []
-    n = slot_decide(graph, q.tolist(), v.tolist(), omega, mu, deployed, residual)
-    assert type(n) is int and n == len(deployed)
+    ids, residuals = [], []
+    n = slot_decide(graph, q.tolist(), v.tolist(), omega, mu, ids, residuals)
+    assert type(n) is int and n == len(ids) and len(residuals) == 1
+    deployed = decoded(graph, ids)
     assert all(type(plan.latency) is float for _, plan in deployed)
-    return deployed, residual
+    return deployed, list(residuals[0])
 
 
 def definition(mode, net, cat, q, v, omega=1.0, mu=1.0):
@@ -184,10 +185,13 @@ def test_capped_graph_decides_as_an_uncapped_one(monkeypatch, cap: int) -> None:
             monkeypatch.undo()
             assert got == want
             assert len(capped[key].nodes) <= cap
-            # a stored node never keeps an edge to a node that was not stored
-            for _, _, edges in capped[key].nodes.values():
-                for nxt, _ in edges.values():
-                    assert capped[key].nodes.get(nxt[0]) is nxt
+            # a capped graph stores no edge, and a stored edge never keeps
+            # a node that was not stored
+            for graph in capped[key], uncapped[key]:
+                edges = [edge for _, _, out in graph.nodes.values() for edge in out.values()]
+                assert sorted(e for _, e in edges) == list(range(graph.stored))
+                assert all(graph.nodes.get(nxt[0]) is nxt for nxt, _ in edges)
+            assert capped[key].stored == 0
     # the uncapped graphs did grow past the cap
     assert any(len(graph.nodes) > cap + 1 for graph in uncapped.values())
 
@@ -254,17 +258,21 @@ def test_slot_decide_walks_fewer_chains_than_unpruned_and_none_when_warm(monkeyp
         assert counter.calls == cold
 
 
-def test_slot_decide_is_idempotent_on_outputs() -> None:
-    # output lists are fully overwritten by the kernel, so reuse is safe
-    rng = np.random.default_rng(5)
-    net, cat, q, v = random_setup(rng)
-    graph = PlanGraph(net, cat, GREEDY)
-    deployed, residual = [(9, None)], [7]
-    n = slot_decide(graph, q.tolist(), v.tolist(), 1.0, 1.0, deployed, residual)
-    first = (n, list(deployed), list(residual))
-    n = slot_decide(graph, q.tolist(), v.tolist(), 1.0, 1.0, deployed, residual)
-    assert first == (n, deployed, residual)
-    assert n == len(deployed)
+def test_slot_decide_appends_to_its_outputs() -> None:
+    # the kernel appends a slot's ids and residual after what its output lists
+    # held, so one pair of lists collects a chunk of slots; the same call on a
+    # warm graph hands back the same edge ids
+    cfg = load_config(default_config_path())
+    graph = PlanGraph(cfg.network, cfg.catalog, GREEDY)
+    q = [4.0, 9.0, 1.0, 6.0, 2.0, 7.0]
+    v = [0.1] * cfg.catalog.n_vnfs
+    ids, residuals = [-1], ["held"]
+    n = slot_decide(graph, q, v, 1.0, 1.0, ids, residuals)
+    assert n >= 2 and len(ids) == 1 + n and len(residuals) == 2
+    assert slot_decide(graph, q, v, 1.0, 1.0, ids, residuals) == n
+    assert ids == [-1] + ids[1:1 + n] * 2
+    assert residuals == ["held"] + [residuals[1]] * 2
+    assert sorted(ids[1:1 + n]) == list(range(n)) == list(range(graph.stored))
 
 
 def test_plan_graph_checks_its_owner() -> None:

@@ -10,7 +10,6 @@ also equal reference.random_placement row by row.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 
@@ -232,10 +231,36 @@ def test_lockstep_learners_equal_the_per_seed_learners() -> None:
 
 
 def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> None:
+    # the bundled instance reaches many more than two residual states, so past
+    # the cap nearly every commit reaches a state the graph never stores and
+    # takes an id after the stored edges'; each chunk's gather then drops
+    # those ids, and after the run the edge tables hold the stored edges alone
+    graphs, handed = [], []
+
+    class RecordedGraph(kernels.PlanGraph):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            graphs.append(self)
+
+        def commit(self, node, f):
+            edge = super().commit(node, f)
+            handed.append((self, edge[1]))
+            return edge
+
     monkeypatch.setattr(kernels, "NODE_CAP", 2)
+    monkeypatch.setattr(harness, "PlanGraph", RecordedGraph)
     cfg = apply_overrides(load_config(default_config_path()), slots=25,
                           seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd")
     assert_matches_reference(cfg, monkeypatch)
+    assert len(graphs) == 2         # one run per learner state
+    for graph in graphs:
+        stored = [e for _, _, edges in graph.nodes.values() for _, e in edges.values()]
+        assert len(graph.nodes) == 2
+        assert sorted(stored) == list(range(graph.stored))
+        assert len(graph.edge_sfc) == len(graph.edge_latency) == len(graph.edge_servers) \
+            == graph.stored
+        unstored = [e for g, e in handed if g is graph and e >= graph.stored]
+        assert len(unstored) > 10 * cfg.slots
 
 
 def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
@@ -305,35 +330,65 @@ TAMPER_DOC = {
 }
 
 
-def _replace_first(deployed: list, **changes) -> None:
-    f, plan = deployed[0]
-    deployed[0] = (f, dataclasses.replace(plan, **changes))
+def _swap_first(graph, ids: list, first: int, **changes) -> None:
+    # a tampered copy of the row's first edge goes to the end of the edge
+    # tables, and its id replaces the row's first id, so no other row changes
+    e = ids[first]
+    entry = {"sfc": graph.edge_sfc[e], "latency": graph.edge_latency[e],
+             "servers": graph.edge_servers[e], **changes}
+    graph.edge_sfc.append(entry["sfc"])
+    graph.edge_latency.append(entry["latency"])
+    graph.edge_servers.append(entry["servers"])
+    ids[first] = len(graph.edge_sfc) - 1
 
 
-def _overload(deployed: list, residual: list) -> None:
-    # the first commit moves onto server 1, which holds 1, with the residual kept
-    # equal to capacity minus load, so that only the capacity check can object
-    f, plan = deployed[0]
+def _load(residuals: list, f: int, servers, sign: int) -> None:
+    # takes (sign 1) or gives back (sign -1) chain f's load on servers, one
+    # position each, from the row's residual, so that a tampered plan keeps it
+    # equal to capacity minus load and only the condition under test objects
     demand, chains = TAMPER_DOC["catalog"]["vnf_demand"], TAMPER_DOC["catalog"]["sfc_chain"]
-    for server, i in zip(plan.assignment, chains[f]):
-        residual[server] += demand[i]
-        residual[1] -= demand[i]
-    _replace_first(deployed, assignment=(1,) * len(plan.assignment))
+    residual = list(residuals[-1])
+    for server, i in zip(servers, chains[f]):
+        residual[server] -= sign * demand[i]
+    residuals[-1] = tuple(residual)
 
 
+def _tamper_plan(graph, ids: list, first: int, residuals: list, servers) -> None:
+    # the row's first commit moves onto servers, the residual following it
+    f = graph.edge_sfc[ids[first]]
+    _load(residuals, f, graph.edge_servers[ids[first]], -1)
+    _load(residuals, f, servers, 1)
+    _swap_first(graph, ids, first, servers=servers)
+
+
+def _twice(graph, ids: list, first: int, residuals: list) -> None:
+    # chain 0 again: its demand of 3 still fits what the row leaves on server 0
+    e = next(e for e in ids[first:] if graph.edge_sfc[e] == 0)
+    ids.append(e)
+    _load(residuals, 0, graph.edge_servers[e], 1)
+
+
+def _short_residual(graph, ids: list, first: int, residuals: list) -> None:
+    residuals[-1] = (residuals[-1][0] - 1,) + residuals[-1][1:]
+
+
+# Each tamper acts on one call of kernels.slot_decide: ids[first:] are the
+# row's edge ids and residuals[-1] its residual. Server 1 holds 1, and the
+# unknown server 2 is left off the residual.
 TAMPERS = {
-    "server load exceeds capacity": _overload,
-    "residual bookkeeping mismatch":
-        lambda deployed, residual: residual.__setitem__(0, residual[0] - 1),
+    "server load exceeds capacity":
+        lambda graph, ids, first, residuals: _tamper_plan(
+            graph, ids, first, residuals, (1,) * len(graph.edge_servers[ids[first]])),
+    "residual bookkeeping mismatch": _short_residual,
     "committed a partial plan":
-        lambda deployed, residual: _replace_first(
-            deployed, assignment=deployed[0][1].assignment[:-1]),
+        lambda graph, ids, first, residuals: _tamper_plan(
+            graph, ids, first, residuals, graph.edge_servers[ids[first]][:-1]),
     "assigned to unknown server 2":
-        lambda deployed, residual: _replace_first(
-            deployed, assignment=(2,) * len(deployed[0][1].assignment)),
-    "committed twice": lambda deployed, residual: deployed.append(deployed[0]),
+        lambda graph, ids, first, residuals: _swap_first(
+            graph, ids, first, servers=(2,) * len(graph.edge_servers[ids[first]])),
+    "committed twice": _twice,
     "committed at infinite latency":
-        lambda deployed, residual: _replace_first(deployed, latency=math.inf),
+        lambda graph, ids, first, residuals: _swap_first(graph, ids, first, latency=math.inf),
 }
 
 
@@ -365,13 +420,14 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
     calls = []
     real = kernels.slot_decide
 
-    def tampered(graph, q_est, v_est, omega, mu, deployed, residual):
-        out = real(graph, q_est, v_est, omega, mu, deployed, residual)
+    def tampered(graph, q_est, v_est, omega, mu, ids, residuals):
+        first = len(ids)
+        real(graph, q_est, v_est, omega, mu, ids, residuals)
         calls.append(1)
         if len(calls) == target:
-            assert deployed, "the tampered seed must have committed a chain"
-            TAMPERS[message](deployed, residual)
-        return out
+            assert len(ids) > first, "the tampered seed must have committed a chain"
+            TAMPERS[message](graph, ids, first, residuals)
+        return len(ids) - first
 
     monkeypatch.setattr(kernels, "slot_decide", tampered)
     with pytest.raises(InvariantViolation,
@@ -435,10 +491,10 @@ def test_check_names_the_earliest_failing_slot(monkeypatch, policy: str, n_seeds
         calls = []
         real_decide = kernels.slot_decide
 
-        def tampered_decide(graph, q_est, v_est, omega, mu, deployed, residual):
-            out = real_decide(graph, q_est, v_est, omega, mu, deployed, residual)
+        def tampered_decide(graph, q_est, v_est, omega, mu, ids, residuals):
+            out = real_decide(graph, q_est, v_est, omega, mu, ids, residuals)
             if len(calls) in targets:
-                residual[0] -= 1
+                _short_residual(graph, ids, len(ids) - out, residuals)
             calls.append(1)
             return out
         monkeypatch.setattr(kernels, "slot_decide", tampered_decide)

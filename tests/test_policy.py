@@ -14,11 +14,11 @@ from sfcbackup.kernels import PlanGraph
 from sfcbackup.learning import (FailureLearner, PopularityLearner, failure_estimate,
                                 init_learners, popularity_estimate)
 from sfcbackup.model import PlacementPlan
-from sfcbackup.policy import SlotDecision, verify_decision
+from sfcbackup.policy import SlotDecision, learned_slot, verify_decision
 from sfcbackup.workload import policy_uniform_block
 
 from reference import (array_estimates, array_updates, as_arrays, expected_slot_value,
-                       random_slots, realized_reward, reference_random_slot, select,
+                       random_slots, realized_reward, records, reference_random_slot, select,
                        slot_rows, verified_slot)
 
 
@@ -94,7 +94,7 @@ def test_slot_values_rows_take_the_hand_values() -> None:
     net = EdgeNetwork([4], ())
     cat = Catalog([2, 3], [[0, 0], [1]])
     plan0 = PlacementPlan(sfc=0, assignment=(0, 0), latency=1.0)
-    rec = lockstep.records_of([[(0, plan0)]] * 3, [[0]] * 3, net.n_servers)
+    rec = records([[(0, plan0)]] * 3, [[0]] * 3)
     ones = np.ones((3, 2))
     values = lockstep.slot_values(lockstep.Layout.of(net, cat), w.omega, w.mu,
                                   np.array([[6, 9], [6, 9], [0, 9]], dtype=np.int64),
@@ -112,7 +112,7 @@ def test_slot_values_rows_take_the_hand_values() -> None:
     plan = PlacementPlan(sfc=0, assignment=(0, 0), latency=0.4)
     dec = SlotDecision(t=1, deployed=[(0, plan)], x=[1], placed_counts=[1, 1],
                        residual_after=[0])
-    rec = lockstep.records_of([dec.deployed, []], [[0], [5]], net.n_servers)
+    rec = records([dec.deployed, []], [[0], [5]])
     value_true, gate_true = lockstep.true_values(cat, [gt, gt], w)
     values = lockstep.slot_values(lockstep.Layout.of(net, cat), w.omega, w.mu,
                                   np.array([[2], [4]], dtype=np.int64),
@@ -461,9 +461,10 @@ FAILURE_FIELDS = ("placements", "failure_total", "failure_mean")
 
 
 def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
-    # numpy draws the observation blocks; from the observation to the verified
-    # decision every per-slot vector is a list of plain ints and floats, so no
-    # numpy scalar rides along into the kernel or the learners
+    # numpy draws the observation blocks; from the observation to the kernel's
+    # decision every per-slot vector is a list (the residual a tuple) of plain
+    # ints and floats, and so are the edge table entries the decision's ids
+    # name, so no numpy scalar rides along into the kernel or the learners
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 5)
@@ -471,7 +472,7 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
     checked = Counter()
 
     def check(name: str, vector) -> None:
-        assert type(vector) is list, name
+        assert type(vector) is (tuple if name == "residual" else list), name
         assert all(type(v) in (int, float) for v in vector), (name, vector)
         checked[name] += 1
 
@@ -485,12 +486,15 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
             pop, fail = learners
             check("popularity_estimate", popularity_estimate(pop, t))
             check("failure_estimate", failure_estimate(fail, t))
-            dec = verified_slot(learners, t, requests, failed, cfg.weights, graph)
+            ids, residuals = [], []
+            deployed += learned_slot(learners, t, requests, failed, cfg.weights, graph, ids,
+                                     residuals)
             for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
                 for name in names:
                     check(name, getattr(learner, name))
-            deployed += len(dec.deployed)
-            for name in ("x", "placed_counts", "residual_after"):
-                check(name, getattr(dec, name))
+            check("edge ids", ids)
+            check("residual", residuals[0])
+            check("latency", [graph.edge_latency[e] for e in ids])
+            check("servers", [s for e in ids for s in graph.edge_servers[e]])
         assert deployed, policy
-    assert len(checked) == 13
+    assert len(checked) == 14
