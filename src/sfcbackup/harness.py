@@ -64,14 +64,16 @@ MAX_TRACE_ROWS = 2 ** 22
 # A learned policy's seed group of at least this many seeds keeps its learners
 # in lockstep.Learners arrays, a smaller one a learning.py learner pair per
 # seed. Both write the same trace; only speed picks. Timed at 2, 4, 6, 8 and
-# 12 seeds x 100 slots (harness.run, min of 11 alternating runs, 2 shared
-# CPUs), numpy / per-seed time, rtsd then bandit: canonical 1.54 1.07 0.92
-# 0.82 0.75, 1.44 1.08 0.91 0.86 0.75; wide-edge 1.04 0.96 0.86 0.99 0.79,
-# 1.03 0.94 0.85 0.95 0.97; small-regret 1.88 1.40 1.16 1.01 0.87, 1.83 1.85
-# 1.12 0.90 0.94. From 8 seeds on, numpy lost by at most 2% in three such
-# timings (6 lost 12-16% on small-regret). At the benchmark sizes, numpy
-# learners at 1 seed make small-regret's run 3.6x (rtsd) and 4.0x (bandit)
-# slower, per-seed learners at 30 seeds canonical's 1.41x and 1.52x.
+# 12 seeds x 100 slots (harness.run, regret off, min of 11 alternating runs,
+# 2 shared CPUs), numpy / per-seed time, rtsd then bandit, the median of
+# three such timings: canonical 1.68 1.09 0.86 0.73 0.65, 1.73 1.10 0.92 0.73
+# 0.64; wide-edge 1.04 0.89 0.85 0.75 0.78, 1.01 0.95 0.94 0.86 0.87;
+# small-regret 2.39 1.44 1.11 0.98 0.76, 2.53 1.54 1.09 0.96 0.79. At 6 seeds
+# numpy lost on small-regret in all six timings (by 8-13%); at 8 it won in 16
+# of the 18 and lost twice, by 3% (small-regret rtsd) and 8% (wide-edge
+# bandit). At the benchmark sizes, numpy learners at 1 seed make
+# small-regret's run 4.7x (rtsd) and 4.8x (bandit) slower, per-seed learners
+# at 30 seeds canonical's 1.85x and 1.85x.
 LOCKSTEP_MIN_SEEDS = 8
 # simulate_run holds a seed group's draws OBS_BLOCK_SLOTS slots ahead: per
 # (slot, seed) row, F request counts, I failure flags and, for random, W policy
@@ -435,10 +437,12 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
         for c0 in range(0, n, chunk):
             t0, req, fail = b0 + c0, requests[c0:c0 + chunk], failed[c0:c0 + chunk]
             if uniforms is None:
-                rec = _learned_records(learners, graph, weights, layout, t0, req, fail)
+                rec, commits = _learned_records(learners, graph, weights, layout, t0, req, fail)
             else:
                 rec = lockstep.random_rows(layout, uniforms[c0:c0 + chunk].reshape(-1, width))
-            lockstep.check(layout, rec, lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds))
+                commits = None
+            lockstep.check(layout, rec, lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds),
+                           commits)
             n_rows = len(req) * n_seeds
             values = lockstep.slot_values(layout, omega, mu, req.reshape(n_rows, n_sfcs),
                                           fail.reshape(n_rows, n_vnfs), rec,
@@ -451,25 +455,31 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
 
 def _learned_records(learners, graph: PlanGraph, weights: RewardWeights,
                      layout: lockstep.Layout, t0: int, requests: np.ndarray,
-                     failed: np.ndarray) -> lockstep.Records:
+                     failed: np.ndarray) -> tuple[lockstep.Records, np.ndarray]:
     """A learned policy's decisions on a chunk of slots from t0, learning from each slot.
 
     requests and failed are the chunk's (slots, S, F) and (slots, S, I)
     observations; learners is a lockstep.Learners of the S seeds or a list of
-    their learning.py pairs. The Records rows are slot-major.
+    their learning.py pairs. Returns the Records, rows slot-major, and the
+    rows' (R, F) commits the learners were updated with, for lockstep.check
+    to hold the records to.
     """
-    ids, counts, residuals = [], [], []
+    ids, counts, residuals, commits = [], [], [], []
     if isinstance(learners, lockstep.Learners):
         for t, req, fail in zip(count(t0), requests, failed):
-            q_rows, v_rows = lockstep.estimates(learners, t)
-            commits = lockstep.decide_learned(graph, q_rows, v_rows, weights.omega, weights.mu,
-                                              ids, counts, residuals)
-            lockstep.update(learners, req, fail, commits > 0, commits @ layout.copies)
+            q, v = lockstep.estimates(learners, t)
+            slot = lockstep.decide_learned(graph, layout, q, v, weights.omega, weights.mu,
+                                           ids, counts, residuals)
+            lockstep.update(learners, req, fail, slot > 0, slot @ layout.copies)
+            commits.append(slot)
     else:
         for t, req, fail in zip(count(t0), requests.tolist(), failed.tolist()):
             for pair, r, v in zip(learners, req, fail):
-                counts.append(learned_slot(pair, t, r, v, weights, graph, ids, residuals))
-    return lockstep.gather(graph, ids, counts, residuals)
+                first = len(ids)
+                commits += learned_slot(pair, t, r, v, weights, graph, ids, residuals)
+                counts.append(len(ids) - first)
+    return (lockstep.gather(graph, ids, counts, residuals),
+            np.array(commits, dtype=np.int64).reshape(len(counts), layout.catalog.n_sfcs))
 
 
 def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:

@@ -4,6 +4,14 @@ The kernels work on Python ints, floats and lists: indexing a numpy array one
 element at a time builds a numpy scalar per access, which makes plain Python
 several times slower on arrays than on lists.
 
+Selection runs in two parts, inputs and then the scan. selection_inputs
+turns one seed's optimistic estimates into the slot's per-chain lists: each
+chain's value omega*q, its gate (one minus its worst VNF failure estimate),
+its bound value*gate, and the chains worth scanning ranked by bound.
+lockstep.selection_rows builds the same lists for many seeds with numpy.
+slot_decide is the scan alone: it takes those lists and runs the greedy
+rounds on the plan graph, committing one chain per round.
+
 Plan graph. The selection loop re-plans every remaining chain after each
 commit, and a chain walk is a pure function of (mode, residual, chain).
 Capacity resets every slot, so the residual after k commits is fixed by which
@@ -31,8 +39,8 @@ which plans every remaining chain each round against the live residual, is
 select in tests/reference.py, and the tests hold this module to it.
 
 Conventions: residuals and capacities are ints, demands non-negative ints;
-estimates are sequences of Python floats, one per chain or VNF; chains are
-sequences of VNF ids; ``nbrs[n]`` lists server n's direct
+estimates and selection inputs are sequences of Python floats, one per chain
+or VNF; chains are sequences of VNF ids; ``nbrs[n]`` lists server n's direct
 neighbors by ascending latency (EdgeNetwork.neighbor_lists); ``lat[a][b]`` is
 the link latency, 0 on the diagonal and +inf where no link exists
 (EdgeNetwork.latency_rows). The walks return (latency, assignment), the
@@ -196,30 +204,58 @@ class PlanGraph:
             del table[self.stored:]
 
 
-def slot_decide(graph, q_est, v_est, omega, mu, ids, residuals):
+def selection_inputs(catalog, q_est, v_est, omega):
+    """One slot's selection inputs from the learners' estimates: (value, gates, bounds, ranked).
+
+    value[f] is omega * q_est[f]; gates[f] is 1 - the worst failure estimate
+    of chain f's VNFs, the worst floored at 0.0; bounds[f] is value[f] *
+    gates[f], the most chain f can score. ranked lists the chains with a
+    positive gate and a positive bound by descending bound, ties by ascending
+    id. The first three are lists of floats, one per chain, and ranked a list
+    of chain ids that slot_decide consumes. lockstep.selection_rows builds
+    the same lists for many seeds at once.
+    """
+    value = [omega * q for q in q_est]
+    gates = []
+    for chain in catalog.sfc_chain:
+        worst = 0.0
+        for i in chain:
+            if v_est[i] > worst:
+                worst = v_est[i]
+        gates.append(1.0 - worst)
+    bounds = [v * g for v, g in zip(value, gates)]
+    # descending bound, ties by ascending id (reverse=True keeps the sort stable)
+    ranked = sorted([f for f in range(len(gates)) if gates[f] > 0.0 and bounds[f] > 0.0],
+                    key=bounds.__getitem__, reverse=True)
+    return value, gates, bounds, ranked
+
+
+def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
     """One slot's full greedy selection loop, on the plan graph.
 
-    Repeatedly plans the not-yet-deployed chains against the current
-    residual, scores each edge-feasible plan with
-    (omega * q_est - mu * latency) * (1 - worst chain failure estimate),
-    and commits the strictly-best positive score (ties fall to the smallest
-    SFC id). Stops when nothing scores positive. graph.mode selects the
-    placement walk (GREEDY or FIRST_FIT); the greedy anchor is
-    model.cheapest_link_anchor of the live residual. Appends the committed
-    edge ids to ids, in commit order, and the final node's residual tuple to
-    residuals, and returns the number of committed chains.
+    value, gates, bounds and ranked are the slot's selection_inputs; ranked
+    is consumed. Repeatedly plans the not-yet-deployed chains against the
+    current residual, scores each edge-feasible plan with
+    (value - mu * latency) * gate, that is (omega * q_est - mu * latency) *
+    (1 - worst chain failure estimate), and commits the strictly-best
+    positive score (ties fall to the smallest SFC id). Stops when nothing
+    scores positive. graph.mode selects the placement walk (GREEDY or
+    FIRST_FIT); the greedy anchor is model.cheapest_link_anchor of the live
+    residual. Appends the committed edge ids to ids, in commit order, and the
+    final node's residual tuple to residuals, and returns the number of
+    committed chains.
 
     A round plans only the chains that could still win, and commits what
     planning every chain would commit. A chain's score never exceeds its
-    bound omega * q_est * gate (latency and mu are non-negative, and
-    rounding is monotone), so chains with a positive bound are scanned by
-    descending bound, ties by id, and the scan stops at the first bound below
-    the best score so far, or equal to it with a larger id than the best
-    chain's. Chains with no positive bound are never planned: they cannot
-    score above 0. A plan is taken on a higher score, or on an equal score
-    with a smaller id, so the winner is still the smallest id among the best.
-    A plan comes from the current node, and is walked only on a miss; the
-    anchor and the sorted pools are computed on a round's first miss.
+    bound (latency and mu are non-negative, and rounding is monotone), so
+    the ranked chains are scanned in order, and the scan stops at the first
+    bound below the best score so far, or equal to it with a larger id than
+    the best chain's. Chains left out of ranked have no positive bound and
+    are never planned: they cannot score above 0. A plan is taken on a
+    higher score, or on an equal score with a smaller id, so the winner is
+    still the smallest id among the best. A plan comes from the current
+    node, and is walked only on a miss; the anchor and the sorted pools are
+    computed on a round's first miss.
     """
     network = graph.network
     catalog = graph.catalog
@@ -228,19 +264,6 @@ def slot_decide(graph, q_est, v_est, omega, mu, ids, residuals):
     nbrs = network.neighbor_lists
     lat = network.latency_rows
     greedy = graph.mode == GREEDY
-    value = [omega * q for q in q_est]
-    gates = []
-    for chain in chains:
-        worst = 0.0
-        for i in chain:
-            if v_est[i] > worst:
-                worst = v_est[i]
-        gates.append(1.0 - worst)
-    bounds = [v * g for v, g in zip(value, gates)]
-    # descending bound, ties by ascending id (reverse=True keeps the sort stable)
-    ranked = sorted([f for f in range(len(chains)) if gates[f] > 0.0 and bounds[f] > 0.0],
-                    key=bounds.__getitem__, reverse=True)
-
     node = graph.node(network.capacities)
     first = len(ids)
     while ranked:

@@ -3,28 +3,39 @@
 harness.simulate_run runs every policy through one loop over chunks of
 (slot, seed) rows, and these are its stages. The learned policies keep one
 of two learner states. From harness.LOCKSTEP_MIN_SEEDS seeds on it is
-Learners, whose (S, F) and (S, I) arrays estimates reads and update
-advances with a few numpy operations per slot for all S seeds, while
-decide_learned runs the selection kernel (kernels.slot_decide) once per
-seed; below that it is one learning.py learner pair per seed. The random
-policy keeps no state across slots, so random_rows decides a whole chunk's
-rows at once, and gather turns a learned chunk's edge ids into Records. Every
-chunk's Records then go through check, which holds them to the eight
-conditions of policy.verify_decision, and slot_values, which values them.
+Learners, and each slot runs, for all S seeds at once:
+
+- estimates: the (S, F) and (S, I) optimistic estimates, a few numpy
+  operations;
+- decide_learned: selection_rows builds every seed's selection inputs
+  (kernels.selection_inputs) with about ten numpy operations, then the
+  selection scan (kernels.slot_decide) runs once per seed on its row;
+- update: the learners learn from the slot's observation and commits.
+
+Below that seed count the learner state is one learning.py pair per seed,
+and policy.learned_slot runs each (slot, seed). The random policy keeps no
+state across slots, so random_rows decides a whole chunk's rows at once.
+gather turns a learned chunk's edge ids into Records. Every chunk's Records
+then go through check, which holds them, and the commits the learners were
+updated with, to the eight conditions of policy.verify_decision, and
+slot_values, which values them.
 
 Exactness. Every float is computed by the expression learning.py evaluates,
 one operation at a time: numpy's sqrt, division, multiplication and
 addition round correctly, as Python's do, and an int converts to float64
 exactly as Python converts it. No 0/0 is computed: the updates divide only
 the arms numpy's where= selects, and the estimates divide an unexplored arm by
-2.0 and then discard it. A slot's realised reward is numpy's pairwise sum of
-its C-contiguous row of per-chain payoffs, whatever rows share the array,
-and its expected value adds the row's terms left to right in commit order,
-so a slot's values do not depend on the rows accounted with it.
+2.0 and then discard it. The selection inputs take the same products and
+differences as kernels.selection_inputs, and a maximum is exact, so each
+seed's row equals that seed's lists. A slot's realised reward is numpy's
+pairwise sum of its C-contiguous row of per-chain payoffs, whatever rows
+share the array, and its expected value adds the row's terms left to right
+in commit order, so a slot's values do not depend on the rows accounted with
+it.
 
-The stage functions (estimates, decide_learned, gather, random_rows, check,
-slot_values, update) live at module level and are looked up as module
-globals on every call, so a profiler can wrap them.
+The stage functions (estimates, selection_rows, decide_learned, gather,
+random_rows, check, slot_values, update) live at module level and are looked
+up as module globals on every call, so a profiler can wrap them.
 """
 
 from __future__ import annotations
@@ -142,8 +153,11 @@ def true_values(catalog: Catalog, gts: list[GroundTruth],
     return value_true, gate_true
 
 
-def estimates(learners: Learners, t: int) -> tuple[list, list]:
-    """learning.popularity_estimate and failure_estimate of every seed, as row lists."""
+def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """learning.popularity_estimate and failure_estimate of every seed, as two arrays.
+
+    q is (S, F) and v is (S, I); row s holds seed s's estimates.
+    """
     log_term = 3.0 * math.log(t)
     c = learners.selected
     # an unexplored arm divides by 2.0 instead of 0.0; np.where then discards it
@@ -155,17 +169,45 @@ def estimates(learners: Learners, t: int) -> tuple[list, list]:
             learners.bonus_scale * np.sqrt(log_term / (2.0 * np.maximum(h, 1))))
     v = np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v))
     v = np.where(h > 0, v, 0.0)
-    return q.tolist(), v.tolist()
+    return q, v
 
 
-def decide_learned(graph: kernels.PlanGraph, q_rows: list, v_rows: list, omega: float,
-                   mu: float, ids: list, counts: list, residuals: list) -> np.ndarray:
-    """kernels.slot_decide per seed, appending to ids, counts and residuals; the (S, F) commits."""
+def selection_rows(layout: Layout, q: np.ndarray, v: np.ndarray,
+                   omega: float) -> tuple[list, list, list, list]:
+    """kernels.selection_inputs of every seed: value, gates, bounds and ranked, one row per seed.
+
+    q and v are estimates' (S, F) and (S, I) arrays. Row s of each result is
+    the list selection_inputs builds from q[s] and v[s], value for value: the
+    same IEEE operations, the worst estimate of a chain taken by a maximum
+    over its VNFs and floored at 0.0 as the loop starts from 0.0, and the
+    chains ranked by a stable sort, which keeps equal bounds in id order.
+    Every chain must run at least one VNF.
+    """
+    value = omega * q
+    gates = 1.0 - np.maximum(np.maximum.reduceat(v[:, layout.chain_flat], layout.chain_start,
+                                                 axis=1), 0.0)
+    with np.errstate(invalid="ignore"):     # inf * 0.0 is nan, as in Python
+        bounds = value * gates
+    eligible = (gates > 0.0) & (bounds > 0.0)
+    order = np.argsort(np.where(eligible, -bounds, math.inf), axis=1, kind="stable")
+    ranked = [row[:n] for row, n in zip(order.tolist(), eligible.sum(axis=1).tolist())]
+    return value.tolist(), gates.tolist(), bounds.tolist(), ranked
+
+
+def decide_learned(graph: kernels.PlanGraph, layout: Layout, q: np.ndarray, v: np.ndarray,
+                   omega: float, mu: float, ids: list, counts: list,
+                   residuals: list) -> np.ndarray:
+    """One slot of every seed: selection_rows, then kernels.slot_decide per seed.
+
+    Appends to ids, counts and residuals; returns the (S, F) count of each
+    chain's commits.
+    """
     first = len(ids)
-    for q_est, v_est in zip(q_rows, v_rows):
+    for value, gates, bounds, ranked in zip(*selection_rows(layout, q, v, omega)):
         # looked up on the module every call, so that a profiler can wrap it
-        counts.append(kernels.slot_decide(graph, q_est, v_est, omega, mu, ids, residuals))
-    n_seeds, n_sfcs = len(q_rows), graph.catalog.n_sfcs
+        counts.append(kernels.slot_decide(graph, value, gates, bounds, ranked, mu, ids,
+                                          residuals))
+    n_seeds, n_sfcs = q.shape
     row = np.repeat(np.arange(n_seeds), counts[-n_seeds:])
     sfc = np.fromiter(map(graph.edge_sfc.__getitem__, ids[first:]), np.int64, len(ids) - first)
     return np.bincount(row * n_sfcs + sfc, minlength=n_seeds * n_sfcs).reshape(n_seeds, n_sfcs)
@@ -256,13 +298,17 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
                    positions=positions, servers=spots[taken], residual=residual)
 
 
-def check(layout: Layout, rec: Records, label) -> tuple[np.ndarray, np.ndarray]:
+def check(layout: Layout, rec: Records, label,
+          commits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Recount every row's commits and check the eight conditions of verify_decision.
 
     No chain committed twice; no partial plan; no infinite latency;
     every server id in range; load within capacity; the residual equal to
     capacity minus load; x equal to the committed set; and the copies that
-    feed the failure update equal to the per-position recount. label(k) is
+    feed the failure update equal to the per-position recount. commits is
+    the (R, F) count of each chain's commits the learners were updated with,
+    so x is commits > 0 and the copies commits @ copies; None, for the
+    random policy, which keeps no learners, takes them from rec. label(k) is
     row k's (seed, slot). Returns the (R, F) backup vectors x and the (R, I)
     copies per VNF. A violation raises InvariantViolation for the first row
     that has one, with verify_decision's message and the seed.
@@ -272,10 +318,11 @@ def check(layout: Layout, rec: Records, label) -> tuple[np.ndarray, np.ndarray]:
     n_vnfs = layout.catalog.n_vnfs
     row, sfc = rec.row, rec.sfc
 
-    # the bookkeeping the learners read: x from the records, copies from x's chains
-    x = np.zeros((n_rows, n_sfcs), dtype=bool)
-    x[row, sfc] = True
-    commits = np.bincount(row * n_sfcs + sfc, minlength=n_rows * n_sfcs).reshape(n_rows, n_sfcs)
+    counted = np.bincount(row * n_sfcs + sfc, minlength=n_rows * n_sfcs).reshape(n_rows, n_sfcs)
+    if commits is None:
+        commits = counted
+    # the bookkeeping the learners read
+    x = commits > 0
     placed = commits @ layout.copies
 
     # per record: a whole plan at finite latency on known servers
@@ -297,7 +344,7 @@ def check(layout: Layout, rec: Records, label) -> tuple[np.ndarray, np.ndarray]:
 
     # per row: load within capacity, and residual, x and copies as recounted
     bad = ((left < 0) | (rec.residual != left)).any(axis=1)
-    bad |= (commits > 1).any(axis=1) | (x != (commits > 0)).any(axis=1)
+    bad |= (counted > 1).any(axis=1) | (x != (counted > 0)).any(axis=1)
     bad |= (placed != recount).any(axis=1)
     bad[row[~whole]] = True
     if bad.any():

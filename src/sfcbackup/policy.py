@@ -9,9 +9,13 @@ Learner updates happen inside the call, after deployment, using that slot's
 observation. harness.simulate_run calls it once per (slot, seed) for a seed
 group too small for lockstep.Learners.
 
-A decision, plan-graph edge ids and a residual tuple, is neither verified nor
-accounted here: harness.simulate_run hands chunks of (slot, seed) rows to
-lockstep.gather, check and slot_values; check words errors as SlotDecisions.
+A slot's selection runs in two parts: kernels.selection_inputs builds the
+slot's per-chain inputs from the estimates, and kernels.slot_decide scans
+them. The decision, plan-graph edge ids and a residual tuple, is neither
+verified nor accounted here: harness.simulate_run hands chunks of (slot,
+seed) rows to lockstep.gather, then to check, with the backup vectors the
+learners were updated with, and to slot_values; check words errors as
+SlotDecisions.
 
 The random policy keeps no state across slots, so it has no per-slot
 function: lockstep.random_rows defines it over whole chunks of (slot, seed)
@@ -62,23 +66,26 @@ class SlotDecision:
 
 def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
                  requests, failed, weights: RewardWeights, graph: kernels.PlanGraph,
-                 ids: list[int], residuals: list[tuple[int, ...]]) -> int:
+                 ids: list[int], residuals: list[tuple[int, ...]]) -> list[int]:
     """One slot of a learned policy: decide on the learners' optimistic estimates, then learn.
 
     graph is the kernels.PlanGraph of the run's network, catalog and placement
     walk: kernels.GREEDY, latency-aware, for rtsd and kernels.FIRST_FIT for
     bandit. Kept across slots, it spares re-planning residual states the run
-    has seen. The kernel scores every remaining chain's plan, commits the
-    best positive score, re-plans and repeats; the slot's observation, its
-    request counts and VNF failure flags, then updates the learners for the
-    deployed arms. Appends to ids and residuals and returns as slot_decide;
-    the caller verifies the decision, with the rest of its chunk.
+    has seen. kernels.selection_inputs turns the estimates into the slot's
+    values, gates, bounds and ranking, and kernels.slot_decide scans them:
+    it scores every remaining chain's plan, commits the best positive score,
+    re-plans and repeats. The slot's observation, its request counts and VNF
+    failure flags, then updates the learners for the deployed arms. Appends
+    to ids and residuals as slot_decide, and returns the backup vector x (one
+    0 or 1 per chain) the learners were updated with; the caller checks the
+    decision against it, with the rest of its chunk.
     """
     pop, fail = learners
-    q_est = popularity_estimate(pop, t)
-    v_est = failure_estimate(fail, t)
-    n = kernels.slot_decide(graph, q_est, v_est, weights.omega, weights.mu, ids, residuals)
     catalog = graph.catalog
+    value, gates, bounds, ranked = kernels.selection_inputs(
+        catalog, popularity_estimate(pop, t), failure_estimate(fail, t), weights.omega)
+    n = kernels.slot_decide(graph, value, gates, bounds, ranked, weights.mu, ids, residuals)
     x = [0] * catalog.n_sfcs
     placed = [0] * catalog.n_vnfs
     for f in map(graph.edge_sfc.__getitem__, ids[len(ids) - n:]):
@@ -87,7 +94,7 @@ def learned_slot(learners: tuple[PopularityLearner, FailureLearner], t: int,
             placed[i] += 1
     popularity_update(pop, requests, x)
     failure_update(fail, failed, placed)
-    return n
+    return x
 
 
 def verify_decision(network: EdgeNetwork, catalog: Catalog,

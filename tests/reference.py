@@ -511,9 +511,11 @@ def verified_slot(learners, t: int, requests, failed, weights, graph) -> SlotDec
     The decision's residual_after is the kernel's residual tuple as a list.
     """
     ids, residuals = [], []
-    n = learned_slot(learners, t, requests, failed, weights, graph, ids, residuals)
-    assert n == len(ids) and len(residuals) == 1
+    x = learned_slot(learners, t, requests, failed, weights, graph, ids, residuals)
+    assert len(residuals) == 1
     decision = decision_of(graph.catalog, t, decoded(graph, ids), list(residuals[0]))
+    # the backup vector the learners were updated with is the decision's
+    assert x == decision.x
     verify_decision(graph.network, graph.catalog, decision)
     return decision
 

@@ -9,7 +9,7 @@ from sfcbackup import Catalog, EdgeNetwork
 from sfcbackup import default_config_path, load_config
 from sfcbackup import kernels
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_walk,
-                               greedy_chain_walk, slot_decide)
+                               greedy_chain_walk, selection_inputs, slot_decide)
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.learning import init_learners
 from sfcbackup.model import cheapest_link_anchor
@@ -66,11 +66,13 @@ def test_chain_walks_match_python_definitions() -> None:
 def run_slot_decide(mode, net, cat, q, v, graph=None, omega=1.0, mu=1.0):
     """slot_decide on graph (a fresh one when None): (deployed, residual) as lists.
 
-    q and v are estimate arrays; slot_decide gets them as lists.
+    q and v are estimate arrays; selection_inputs builds slot_decide's
+    inputs from them as lists.
     """
     graph = graph if graph is not None else PlanGraph(net, cat, mode)
     ids, residuals = [], []
-    n = slot_decide(graph, q.tolist(), v.tolist(), omega, mu, ids, residuals)
+    inputs = selection_inputs(cat, q.tolist(), v.tolist(), omega)
+    n = slot_decide(graph, *inputs, mu, ids, residuals)
     assert type(n) is int and n == len(ids) and len(residuals) == 1
     deployed = decoded(graph, ids)
     assert all(type(plan.latency) is float for _, plan in deployed)
@@ -267,9 +269,10 @@ def test_slot_decide_appends_to_its_outputs() -> None:
     q = [4.0, 9.0, 1.0, 6.0, 2.0, 7.0]
     v = [0.1] * cfg.catalog.n_vnfs
     ids, residuals = [-1], ["held"]
-    n = slot_decide(graph, q, v, 1.0, 1.0, ids, residuals)
+    n = slot_decide(graph, *selection_inputs(cfg.catalog, q, v, 1.0), 1.0, ids, residuals)
     assert n >= 2 and len(ids) == 1 + n and len(residuals) == 2
-    assert slot_decide(graph, q, v, 1.0, 1.0, ids, residuals) == n
+    assert slot_decide(graph, *selection_inputs(cfg.catalog, q, v, 1.0), 1.0, ids,
+                       residuals) == n
     assert ids == [-1] + ids[1:1 + n] * 2
     assert residuals == ["held"] + [residuals[1]] * 2
     assert sorted(ids[1:1 + n]) == list(range(n)) == list(range(graph.stored))

@@ -215,7 +215,7 @@ def test_lockstep_learners_equal_the_per_seed_learners() -> None:
                                  failure_bonus_sign=sign) for _ in range(n_seeds)]
         for t in range(1, 40):
             q_rows, v_rows = lockstep.estimates(batch, t)
-            for (pop, fail), q, v in zip(singles, q_rows, v_rows):
+            for (pop, fail), q, v in zip(singles, q_rows.tolist(), v_rows.tolist()):
                 assert q == popularity_estimate(pop, t)
                 assert v == failure_estimate(fail, t)
             requests = rng.integers(0, users + 1, size=(n_seeds, n_sfcs))
@@ -420,9 +420,9 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
     calls = []
     real = kernels.slot_decide
 
-    def tampered(graph, q_est, v_est, omega, mu, ids, residuals):
+    def tampered(graph, value, gates, bounds, ranked, mu, ids, residuals):
         first = len(ids)
-        real(graph, q_est, v_est, omega, mu, ids, residuals)
+        real(graph, value, gates, bounds, ranked, mu, ids, residuals)
         calls.append(1)
         if len(calls) == target:
             assert len(ids) > first, "the tampered seed must have committed a chain"
@@ -432,6 +432,78 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
     monkeypatch.setattr(kernels, "slot_decide", tampered)
     with pytest.raises(InvariantViolation,
                        match=f"^seed {cfg.seeds[seed]}, slot {slot}: .*{message}"):
+        run(cfg)
+
+
+# The learners' commits of one row, a numpy row of counts or learned_slot's x,
+# tampered so that x, the copies, or both fall out of step with the records.
+# Chain 2 runs what chain 0 runs, so moving a commit between them keeps the
+# copies and changes x alone, and counting a chain twice changes the copies alone.
+SYNC_DOC = {**TAMPER_DOC, "catalog": {"vnf_demand": [3, 2], "sfc_chain": [[0], [1, 1], [0]]}}
+
+
+def _first_commit(commits) -> int:
+    return next(f for f, n in enumerate(commits) if n)
+
+
+def _drop_chain(commits) -> None:
+    commits[_first_commit(commits)] = 0
+
+
+def _move_chain(commits) -> None:
+    assert commits[0], "the tampered seed must have committed chain 0"
+    commits[0] -= 1
+    commits[2] += 1
+
+
+def _count_twice(commits) -> None:
+    commits[_first_commit(commits)] += 1
+
+
+SYNC_TAMPERS = {
+    "dropped": (_drop_chain, "backup vector out of sync with plans"),
+    "moved": (_move_chain, "backup vector out of sync with plans"),
+    "twice": (_count_twice, "placement counts out of sync with plans"),
+}
+
+
+@pytest.mark.parametrize("n_seeds", TAMPER_SEED_COUNTS)
+@pytest.mark.parametrize("tamper", SYNC_TAMPERS)
+def test_batched_check_rejects_learners_out_of_sync(monkeypatch, tamper: str,
+                                                    n_seeds: int) -> None:
+    # the commits the learners are updated with are tampered at the fourth (or
+    # the last) seed's slot 2 and the first seed's slot 3: check holds the
+    # records to those commits, on either learner state, and names the
+    # earlier slot
+    cfg = apply_overrides(load_config(SYNC_DOC), seeds=f"1..{n_seeds}", slots=4)
+    seed = min(3, n_seeds - 1)
+    targets = {(2 - 1) * n_seeds + seed, (3 - 1) * n_seeds}    # slot-major rows, from 0
+    change, message = SYNC_TAMPERS[tamper]
+    decided = []
+
+    def tampered_row(commits) -> None:
+        if len(decided) in targets:
+            change(commits)
+        decided.append(1)
+
+    if n_seeds >= LOCKSTEP_MIN_SEEDS:
+        real_decide = lockstep.decide_learned
+
+        def tampered_decide(*args):
+            commits = real_decide(*args)
+            for row in commits:
+                tampered_row(row)
+            return commits
+        monkeypatch.setattr(lockstep, "decide_learned", tampered_decide)
+    else:
+        real_slot = harness.learned_slot
+
+        def tampered_slot(*args):
+            x = real_slot(*args)
+            tampered_row(x)
+            return x
+        monkeypatch.setattr(harness, "learned_slot", tampered_slot)
+    with pytest.raises(InvariantViolation, match=f"^seed {cfg.seeds[seed]}, slot 2: .*{message}"):
         run(cfg)
 
 
@@ -491,8 +563,8 @@ def test_check_names_the_earliest_failing_slot(monkeypatch, policy: str, n_seeds
         calls = []
         real_decide = kernels.slot_decide
 
-        def tampered_decide(graph, q_est, v_est, omega, mu, ids, residuals):
-            out = real_decide(graph, q_est, v_est, omega, mu, ids, residuals)
+        def tampered_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
+            out = real_decide(graph, value, gates, bounds, ranked, mu, ids, residuals)
             if len(calls) in targets:
                 _short_residual(graph, ids, len(ids) - out, residuals)
             calls.append(1)
@@ -501,6 +573,52 @@ def test_check_names_the_earliest_failing_slot(monkeypatch, policy: str, n_seeds
     with pytest.raises(InvariantViolation,
                        match=f"^seed {cfg.seeds[2]}, slot 2: .*residual bookkeeping mismatch"):
         run(cfg)
+
+
+# --- the selection inputs -------------------------------------------------------
+
+@st.composite
+def selection_cases(draw) -> tuple:
+    """Several seeds' estimates on one catalog: unexplored arms, certain failures, ties.
+
+    Up to 40 chains and few distinct estimates, so that equal bounds are
+    common, also among many keys, where a sort that is not stable reorders
+    them whatever path numpy's default sort takes on the CPU. A negative
+    failure estimate never reaches the builders in a run, where estimates are
+    clamped to [0, 1]; it holds them to the loop's floor of the worst
+    estimate at 0.0.
+    """
+    n_vnfs = draw(st.integers(1, 5))
+    chains = draw(st.lists(st.lists(st.integers(0, n_vnfs - 1), min_size=1, max_size=4),
+                           min_size=1, max_size=40))
+    n_seeds = draw(st.integers(1, 4))
+    q_value = st.one_of(st.sampled_from([math.inf, 0.0, 1.0, 2.5]), st.floats(0.0, 10.0))
+    v_value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -0.25]), st.floats(-1.0, 1.0))
+    q = draw(st.lists(st.lists(q_value, min_size=len(chains), max_size=len(chains)),
+                      min_size=n_seeds, max_size=n_seeds))
+    v = draw(st.lists(st.lists(v_value, min_size=n_vnfs, max_size=n_vnfs),
+                      min_size=n_seeds, max_size=n_seeds))
+    omega = draw(st.one_of(st.sampled_from([1.0, 0.5, 3.0]), st.floats(0.01, 10.0)))
+    return Catalog([1] * n_vnfs, chains), q, v, omega
+
+
+@settings(max_examples=100, deadline=None)
+# two bounds ten times each, which numpy's default argsort reorders, and 20 equal bounds
+@example(case=(Catalog([1], [[0]] * 20), [[2.0, 1.0] * 10, [1.0] * 20], [[0.0], [0.5]], 1.0))
+# unexplored arms with a gate of 0 (bound nan) and of 1 (bound inf), a
+# repeated VNF, a negative estimate floored, and two equal bounds
+@example(case=(Catalog([1, 1, 1], [[0], [1, 1], [2], [1, 2]]),
+               [[math.inf, math.inf, 2.0, 2.0]], [[1.0, 0.0, -0.25]], 0.5))
+@given(case=selection_cases())
+def test_selection_rows_equal_the_per_seed_inputs(case) -> None:
+    # lockstep.selection_rows, every seed at once, against kernels.selection_inputs
+    # seed by seed; repr holds each value's type and every bit of each float, so
+    # nan matches nan and 0.0 does not match -0.0
+    cat, q, v, omega = case
+    layout = lockstep.Layout.of(EdgeNetwork([1], []), cat)
+    rows = lockstep.selection_rows(layout, np.array(q), np.array(v), omega)
+    want = [kernels.selection_inputs(cat, q_row, v_row, omega) for q_row, v_row in zip(q, v)]
+    assert repr(rows) == repr(tuple(list(part) for part in zip(*want)))
 
 
 # --- the random policy ----------------------------------------------------------

@@ -487,8 +487,9 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
             check("popularity_estimate", popularity_estimate(pop, t))
             check("failure_estimate", failure_estimate(fail, t))
             ids, residuals = [], []
-            deployed += learned_slot(learners, t, requests, failed, cfg.weights, graph, ids,
-                                     residuals)
+            x = learned_slot(learners, t, requests, failed, cfg.weights, graph, ids, residuals)
+            check("x", x)
+            deployed += len(ids)
             for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
                 for name in names:
                     check(name, getattr(learner, name))
@@ -497,4 +498,4 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
             check("latency", [graph.edge_latency[e] for e in ids])
             check("servers", [s for e in ids for s in graph.edge_servers[e]])
         assert deployed, policy
-    assert len(checked) == 14
+    assert len(checked) == 15
