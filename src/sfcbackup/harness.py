@@ -407,10 +407,10 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     if policy != "random" and policy not in PLACEMENT_MODES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_ORDER}")
     n_seeds, n_sfcs, n_vnfs = len(gts), catalog.n_sfcs, catalog.n_vnfs
-    width, _ = catalog.uniform_layout
     layout = lockstep.Layout.of(network, catalog)
+    width = layout.width
     omega, mu = weights.omega, weights.mu
-    chunk = min(OBS_BLOCK_SLOTS, max(1, _batch_rows(network, catalog) // n_seeds))
+    chunk = min(OBS_BLOCK_SLOTS, max(1, _batch_rows(layout) // n_seeds))
     value_true, gate_true = (np.tile(a, (chunk, 1))
                              for a in lockstep.true_values(catalog, gts, weights))
     if policy == "random":
@@ -437,12 +437,13 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
         for c0 in range(0, n, chunk):
             t0, req, fail = b0 + c0, requests[c0:c0 + chunk], failed[c0:c0 + chunk]
             if uniforms is None:
-                rec, commits = _learned_records(learners, graph, weights, layout, t0, req, fail)
+                rec, x, placed = _learned_records(learners, graph, weights, layout, t0, req,
+                                                  fail)
             else:
                 rec = lockstep.random_rows(layout, uniforms[c0:c0 + chunk].reshape(-1, width))
-                commits = None
+                x = placed = None
             lockstep.check(layout, rec, lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds),
-                           commits)
+                           x, placed)
             n_rows = len(req) * n_seeds
             values = lockstep.slot_values(layout, omega, mu, req.reshape(n_rows, n_sfcs),
                                           fail.reshape(n_rows, n_vnfs), rec,
@@ -455,31 +456,39 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
 
 def _learned_records(learners, graph: PlanGraph, weights: RewardWeights,
                      layout: lockstep.Layout, t0: int, requests: np.ndarray,
-                     failed: np.ndarray) -> tuple[lockstep.Records, np.ndarray]:
+                     failed: np.ndarray) -> tuple[lockstep.Records, np.ndarray, np.ndarray]:
     """A learned policy's decisions on a chunk of slots from t0, learning from each slot.
 
     requests and failed are the chunk's (slots, S, F) and (slots, S, I)
     observations; learners is a lockstep.Learners of the S seeds or a list of
-    their learning.py pairs. Returns the Records, rows slot-major, and the
-    rows' (R, F) commits the learners were updated with, for lockstep.check
-    to hold the records to.
+    their learning.py pairs. Returns the Records, rows slot-major, and what
+    the learners were updated with, for lockstep.check to hold the records
+    to: the rows' (R, F) backup vectors and (R, I) copies per VNF.
     """
-    ids, counts, residuals, commits = [], [], [], []
+    ids, counts, residuals, xs, copies = [], [], [], [], []
     if isinstance(learners, lockstep.Learners):
         for t, req, fail in zip(count(t0), requests, failed):
             q, v = lockstep.estimates(learners, t)
             slot = lockstep.decide_learned(graph, layout, q, v, weights.omega, weights.mu,
                                            ids, counts, residuals)
-            lockstep.update(learners, req, fail, slot > 0, slot @ layout.copies)
-            commits.append(slot)
+            x, placed = slot > 0, slot @ layout.copies
+            lockstep.update(learners, req, fail, x, placed)
+            xs.append(x)
+            copies.append(placed)
     else:
         for t, req, fail in zip(count(t0), requests.tolist(), failed.tolist()):
             for pair, r, v in zip(learners, req, fail):
                 first = len(ids)
-                commits += learned_slot(pair, t, r, v, weights, graph, ids, residuals)
+                x, placed = learned_slot(pair, t, r, v, weights, graph, ids, residuals)
+                xs += x
+                copies += placed
                 counts.append(len(ids) - first)
+    # xs and copies hold one (S, F) or (S, I) array per slot on lockstep
+    # learners, and flat lists on per-seed ones; either way rows are slot-major
+    n_rows = len(counts)
     return (lockstep.gather(graph, ids, counts, residuals),
-            np.array(commits, dtype=np.int64).reshape(len(counts), layout.catalog.n_sfcs))
+            np.array(xs, dtype=np.int64).reshape(n_rows, layout.catalog.n_sfcs),
+            np.array(copies, dtype=np.int64).reshape(n_rows, layout.catalog.n_vnfs))
 
 
 def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
@@ -493,14 +502,14 @@ def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
     return [first] + [first.reseeded(seed) for seed in cfg.seeds[1:]]
 
 
-def _batch_rows(network: EdgeNetwork, catalog: Catalog) -> int:
+def _batch_rows(layout: lockstep.Layout) -> int:
     """The most seeds in a simulate_run group, and rows in its chunks.
 
     LOCKSTEP_MAX_VALUES // (F + I + W + N); 0 where one row passes the bound.
     """
-    width, _ = catalog.uniform_layout
-    per_row = catalog.n_sfcs + catalog.n_vnfs + width + network.n_servers
-    return LOCKSTEP_MAX_VALUES // per_row
+    catalog = layout.catalog
+    return LOCKSTEP_MAX_VALUES // (catalog.n_sfcs + catalog.n_vnfs + layout.width
+                                   + layout.network.n_servers)
 
 
 def _mean_std(values: list[float]) -> dict[str, float]:
@@ -522,11 +531,11 @@ def run(cfg: ExperimentConfig) -> RunResult:
     trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
     per_policy: dict[str, dict[str, list[float]]] = {
         p: {key: [] for key in lockstep.SERIES} for p in cfg.policies}
-    size = max(1, _batch_rows(network, catalog))     # seeds per simulate_run group
     for policy in cfg.policies:
         # one plan graph per learned policy, shared by its seeds and dropped after them
         graph = (PlanGraph(network, catalog, PLACEMENT_MODES[policy])
                  if policy in PLACEMENT_MODES else None)
+        size = max(1, _batch_rows(lockstep.Layout.of(network, catalog)))  # seeds per group
         seed_series = chain.from_iterable(
             simulate_run(network, catalog, gts[k:k + size], cfg.weights, policy, cfg.slots,
                          users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,

@@ -16,9 +16,9 @@ Below that seed count the learner state is one learning.py pair per seed,
 and policy.learned_slot runs each (slot, seed). The random policy keeps no
 state across slots, so random_rows decides a whole chunk's rows at once.
 gather turns a learned chunk's edge ids into Records. Every chunk's Records
-then go through check, which holds them, and the commits the learners were
-updated with, to the eight conditions of policy.verify_decision, and
-slot_values, which values them.
+then go through check, which holds them, and the backup vectors and VNF
+copies the learners were updated with, to the eight conditions of a sound
+slot decision, and slot_values, which values them.
 
 Exactness. Every float is computed by the expression learning.py evaluates,
 one operation at a time: numpy's sqrt, division, multiplication and
@@ -48,8 +48,8 @@ import numpy as np
 
 from . import kernels
 from .learning import chain_failure_rate
-from .model import Catalog, EdgeNetwork, PlacementPlan
-from .policy import InvariantViolation, RewardWeights, SlotDecision, verify_decision
+from .model import Catalog, EdgeNetwork
+from .policy import InvariantViolation, RewardWeights
 from .workload import GroundTruth, true_popularity
 
 # The per-slot series of a run, the keys of slot_values' result.
@@ -62,7 +62,8 @@ class Layout:
 
     chain_flat concatenates the chains, chain f starting at chain_start[f];
     copies[f, i] counts VNF i's occurrences in chain f, and uses[i, f] is 1
-    where chain f runs VNF i.
+    where chain f runs VNF i. width is W, the uniforms one random-policy slot
+    reads: one per chain, then one per chain position.
     """
 
     network: EdgeNetwork
@@ -74,6 +75,7 @@ class Layout:
     chain_flat: np.ndarray      # (L,) int64
     copies: np.ndarray          # (F, I) int64
     uses: np.ndarray            # (I, F) int64
+    width: int
 
     @classmethod
     def of(cls, network: EdgeNetwork, catalog: Catalog) -> "Layout":
@@ -90,7 +92,8 @@ class Layout:
                    chain_start=(np.cumsum(chain_len) - chain_len).astype(np.int64),
                    chain_flat=np.array([i for chain in chains for i in chain], dtype=np.int64),
                    copies=copies,
-                   uses=(copies > 0).astype(np.int64).T.copy())
+                   uses=(copies > 0).astype(np.int64).T.copy(),
+                   width=catalog.n_sfcs + int(chain_len.sum()))
 
 
 @dataclass(eq=False)
@@ -239,16 +242,17 @@ def gather(graph: kernels.PlanGraph, ids: list, counts: list, residuals: list) -
 def random_rows(layout: Layout, u: np.ndarray) -> Records:
     """The random policy's commits in every row of u, an (R, W) array of slot uniforms.
 
-    Each row is one slot on a fresh residual, its uniforms in [0, 1) laid out
-    by Catalog.uniform_layout as (W, starts). Chains are attempted once each,
-    in ascending u[f], ties by id. Occurrence j of chain f goes to the server
-    at index int(u[starts[f] + j] * count) among the count servers, in id
-    order, whose residual, less what the chain's earlier occurrences took,
-    holds the VNF's demand; the hops' link latencies add up in position
-    order from 0.0. A chain commits only if every occurrence found room and
-    its latency is finite. This is the law of drawing each next chain
-    uniformly among those left and placing each occurrence on the first
-    server with room in a fresh uniform permutation of the servers.
+    Each row is one slot on a fresh residual, its W = layout.width uniforms
+    in [0, 1): one per chain, then one per chain position. Chains are
+    attempted once each, in ascending u[f], ties by id. Occurrence j of chain
+    f goes to the server at index int(u[n_sfcs + chain_start[f] + j] * count)
+    among the count servers, in id order, whose residual, less what the
+    chain's earlier occurrences took, holds the VNF's demand; the hops' link
+    latencies add up in position order from 0.0. A chain commits only if
+    every occurrence found room and its latency is finite. This is the law of
+    drawing each next chain uniformly among those left and placing each
+    occurrence on the first server with room in a fresh uniform permutation
+    of the servers.
 
     The rows advance together, one step per chain rank and chain position.
     """
@@ -298,20 +302,19 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
                    positions=positions, servers=spots[taken], residual=residual)
 
 
-def check(layout: Layout, rec: Records, label,
-          commits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Recount every row's commits and check the eight conditions of verify_decision.
+def check(layout: Layout, rec: Records, label, x: np.ndarray | None = None,
+          placed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Recount every row's commits and hold them to the eight conditions of a sound decision.
 
-    No chain committed twice; no partial plan; no infinite latency;
-    every server id in range; load within capacity; the residual equal to
-    capacity minus load; x equal to the committed set; and the copies that
-    feed the failure update equal to the per-position recount. commits is
-    the (R, F) count of each chain's commits the learners were updated with,
-    so x is commits > 0 and the copies commits @ copies; None, for the
-    random policy, which keeps no learners, takes them from rec. label(k) is
-    row k's (seed, slot). Returns the (R, F) backup vectors x and the (R, I)
-    copies per VNF. A violation raises InvariantViolation for the first row
-    that has one, with verify_decision's message and the seed.
+    No chain committed twice; no partial plan; no infinite latency; every
+    server id in range; load within capacity; the residual equal to capacity
+    minus load; the backup vector x equal to the committed set; and the
+    copies per VNF that feed the failure update equal to the per-position
+    recount. x and placed are the (R, F) backup vectors and (R, I) copies the
+    learners were updated with; None, for the random policy, which keeps no
+    learners, takes them from rec. label(k) is row k's (seed, slot). Returns
+    x and placed. A violation raises InvariantViolation for the first row
+    that has one, worded by _fault.
     """
     n_rows, n_servers = rec.residual.shape
     n_sfcs = layout.catalog.n_sfcs
@@ -319,11 +322,8 @@ def check(layout: Layout, rec: Records, label,
     row, sfc = rec.row, rec.sfc
 
     counted = np.bincount(row * n_sfcs + sfc, minlength=n_rows * n_sfcs).reshape(n_rows, n_sfcs)
-    if commits is None:
-        commits = counted
-    # the bookkeeping the learners read
-    x = commits > 0
-    placed = commits @ layout.copies
+    if x is None:
+        x, placed = counted > 0, counted @ layout.copies
 
     # per record: a whole plan at finite latency on known servers
     pos_rec = np.repeat(np.arange(sfc.shape[0]), rec.positions)
@@ -348,30 +348,42 @@ def check(layout: Layout, rec: Records, label,
     bad |= (placed != recount).any(axis=1)
     bad[row[~whole]] = True
     if bad.any():
-        raise _violation(layout, rec, x, placed, int(bad.argmax()), label)
+        k = int(bad.argmax())
+        # the row's totals count only once each of its commits is whole
+        totals = (((left[k] < 0).any(), "server load exceeds capacity"),
+                  ((rec.residual[k] != left[k]).any(), "residual bookkeeping mismatch"),
+                  ((x[k] != (counted[k] > 0)).any(), "backup vector out of sync with plans"),
+                  ((placed[k] != recount[k]).any(), "placement counts out of sync with plans"))
+        fault = _fault(layout, rec, k) or next(text for broken, text in totals if broken)
+        seed, t = label(k)
+        raise InvariantViolation(f"seed {seed}, slot {t}: {fault}")
     return x, placed
 
 
-def _violation(layout: Layout, rec: Records, x: np.ndarray, placed: np.ndarray,
-               k: int, label) -> InvariantViolation:
-    """Row k's error as verify_decision words it, with the row's seed in front."""
-    seed, t = label(k)
+def _fault(layout: Layout, rec: Records, k: int) -> str | None:
+    """The first of row k's commits, in commit order, that breaks a condition, worded.
+
+    A commit fails if its chain was committed before in the row, if its plan
+    is partial, if its latency is infinite, or on its first unknown server,
+    checked in that order. None if every commit passes.
+    """
+    n_servers = layout.network.n_servers
     ends = np.cumsum(rec.positions).tolist()
-    deployed = []
+    seen = set()
     for r in np.flatnonzero(rec.row == k).tolist():
         f = int(rec.sfc[r])
-        assignment = tuple(rec.servers[ends[r] - int(rec.positions[r]):ends[r]].tolist())
-        deployed.append((f, PlacementPlan(sfc=f, assignment=assignment,
-                                          latency=float(rec.latency[r]))))
-    decision = SlotDecision(t=t, deployed=deployed, x=x[k].astype(np.int64).tolist(),
-                            placed_counts=placed[k].tolist(),
-                            residual_after=rec.residual[k].tolist())
-    try:
-        verify_decision(layout.network, layout.catalog, decision)
-    except InvariantViolation as exc:
-        return InvariantViolation(f"seed {seed}, {exc}")
-    return InvariantViolation(f"seed {seed}, slot {t}: the batched check failed a "
-                              f"decision that verify_decision passes")
+        servers = rec.servers[ends[r] - int(rec.positions[r]):ends[r]].tolist()
+        if f in seen:
+            return f"SFC {f} committed twice"
+        seen.add(f)
+        if len(servers) != len(layout.catalog.sfc_chain[f]):
+            return f"SFC {f} committed a partial plan"
+        if math.isinf(rec.latency[r]):
+            return f"SFC {f} committed at infinite latency"
+        for server in servers:
+            if not 0 <= server < n_servers:
+                return f"SFC {f} assigned to unknown server {server}"
+    return None
 
 
 def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,

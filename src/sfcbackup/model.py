@@ -32,20 +32,6 @@ def _normalize_links(links) -> tuple[tuple[int, int, float], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class PlacementPlan:
-    """Where one committed SFC's chain goes at the edge.
-
-    assignment holds one server per chain position, and latency sums the link
-    latencies between consecutive positions. A chain that does not fit is
-    never committed, so it has no plan.
-    """
-
-    sfc: int
-    assignment: tuple[int, ...]
-    latency: float
-
-
 @dataclass(eq=False)
 class EdgeNetwork:
     """Edge servers plus symmetric weighted links.
@@ -119,7 +105,6 @@ class Catalog:
     def __init__(self, vnf_demand: Sequence[int], sfc_chain: Iterable[Sequence[int]]) -> None:
         self.vnf_demand = tuple(int(d) for d in vnf_demand)
         self.sfc_chain = tuple(tuple(int(i) for i in chain) for chain in sfc_chain)
-        self._cache: dict[str, object] = {}
 
     @property
     def n_vnfs(self) -> int:
@@ -128,24 +113,6 @@ class Catalog:
     @property
     def n_sfcs(self) -> int:
         return len(self.sfc_chain)
-
-    @property
-    def uniform_layout(self) -> tuple[int, tuple[int, ...]]:
-        """(W, starts): the uniforms one random-policy slot reads, and where each chain's are.
-
-        W = n_sfcs + L, with L the total number of chain positions. u[0:n_sfcs]
-        ranks the chains; occurrence j of chain f reads u[starts[f] + j].
-        """
-        tab = self._cache.get("uniforms")
-        if tab is None:
-            starts: list[int] = []
-            width = self.n_sfcs
-            for chain in self.sfc_chain:
-                starts.append(width)
-                width += len(chain)
-            tab = (width, tuple(starts))
-            self._cache["uniforms"] = tab
-        return tab
 
 
 def validate_instance(network: EdgeNetwork, catalog: Catalog) -> list[str]:

@@ -28,7 +28,6 @@ class SearchSpaceTooLarge(RuntimeError):
 
 @dataclass(eq=False)
 class OracleResult:
-    best_latency: dict[int, float]      # per-SFC standalone optimum (inf if unplaceable)
     best_selection: tuple[int, ...]     # value-maximizing SFC subset
     best_value: float                   # its objective value (>= 0, empty subset allowed)
 
@@ -130,11 +129,4 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
             best_value = value
             best_sel = tuple(subset)
 
-    # each chain alone, on the same shortest paths; the joint budget check above
-    # covers its enumeration, and an empty chain has no plan
-    standalone = {f: float(_joint_min_weighted_latency(network, catalog, [f], [1.0], sp,
-                                                       network.capacities))
-                  if catalog.sfc_chain[f] else math.inf
-                  for f in range(n_sfcs)}
-    return OracleResult(best_latency=standalone, best_selection=best_sel,
-                        best_value=float(best_value))
+    return OracleResult(best_selection=best_sel, best_value=float(best_value))

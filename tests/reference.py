@@ -17,7 +17,8 @@ and every step of a slot is written as the definition reads:
   anchor the greedy walk's start.
 - random_placement is the random policy, one slot at a time, reading its
   uniforms where uniform_layout puts them.
-- each decision is held to policy.verify_decision, and realized_reward and
+- each decision is held to verify_decision, the eight conditions of a sound
+  decision checked one commit at a time, and realized_reward and
   expected_slot_value value it with plain loops.
 
 None of this calls sfcbackup.kernels, .lockstep or .learning, nor
@@ -41,25 +42,101 @@ assert_matches_reference holds harness.run to reference_run under both
 learner states; slot_rows and slot_row give sample_arrays' draws as lists;
 decoded turns plan-graph edge ids into (sfc, PlacementPlan) pairs;
 verified_slot is policy.learned_slot as a SlotDecision held to
-verify_decision; get_consumption plans one chain with
-kernels.greedy_chain_walk; records builds lockstep.Records from (sfc,
-PlacementPlan) lists; and unpack_rows and random_slots turn lockstep.Records
-into (deployed, residual) pairs.
+verify_decision and to what the learners were updated with; get_consumption
+plans one chain with kernels.greedy_chain_walk; records builds
+lockstep.Records from (sfc, PlacementPlan) lists; and unpack_rows and
+random_slots turn lockstep.Records into (deployed, residual) pairs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from sfcbackup import harness, kernels, lockstep
 from sfcbackup.harness import CSV_COLUMNS
-from sfcbackup.model import PlacementPlan, cheapest_link_anchor
+from sfcbackup.model import cheapest_link_anchor
 from sfcbackup.oracle import optimal_slot_value
-from sfcbackup.policy import SlotDecision, learned_slot, verify_decision
+from sfcbackup.policy import InvariantViolation, learned_slot
 from sfcbackup.workload import make_ground_truth, sample_arrays
+
+# --- decisions -----------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class PlacementPlan:
+    """Where one committed SFC's chain goes at the edge.
+
+    assignment holds one server per chain position, and latency sums the link
+    latencies between consecutive positions. A chain that does not fit is
+    never committed, so it has no plan.
+    """
+
+    sfc: int
+    assignment: tuple[int, ...]
+    latency: float
+
+
+@dataclass(eq=False)
+class SlotDecision:
+    """One slot's committed backups.
+
+    deployed lists (sfc, plan) in commit order; x is the per-SFC backup
+    vector (0 or 1); placed_counts[i] totals deployed copies of VNF i across
+    all committed chains this slot; residual_after is each server's capacity
+    left after them. The three vectors are lists of Python ints.
+    """
+
+    t: int
+    deployed: list[tuple[int, PlacementPlan]]
+    x: list[int]
+    placed_counts: list[int]
+    residual_after: list[int]
+
+
+def verify_decision(network, catalog, decision: SlotDecision) -> None:
+    """Capacity, coupling and bookkeeping must agree: the eight conditions, one commit at a time.
+
+    Raises InvariantViolation on the first inconsistency. lockstep.check
+    words the same fault the same way, after the row's seed. The decision's
+    vectors are compared by value, so lists, tuples and arrays are all
+    checked alike.
+    """
+    n = network.n_servers
+    demand = catalog.vnf_demand
+    load = [0] * n
+    placed = [0] * catalog.n_vnfs
+    seen: set[int] = set()
+    for f, plan in decision.deployed:
+        chain = catalog.sfc_chain[f]
+        if f in seen:
+            raise InvariantViolation(f"slot {decision.t}: SFC {f} committed twice")
+        seen.add(f)
+        if len(plan.assignment) != len(chain):
+            raise InvariantViolation(f"slot {decision.t}: SFC {f} committed a partial plan")
+        if math.isinf(plan.latency):
+            raise InvariantViolation(f"slot {decision.t}: SFC {f} committed at infinite latency")
+        for server, i in zip(plan.assignment, chain):
+            # bound check first: a negative id would index a list from the end
+            if not (0 <= server < n):
+                raise InvariantViolation(f"slot {decision.t}: SFC {f} assigned to unknown server {server}")
+            load[server] += demand[i]
+            placed[i] += 1
+    caps = network.capacities
+    if any(used > cap for used, cap in zip(load, caps)):
+        raise InvariantViolation(f"slot {decision.t}: server load exceeds capacity")
+    if list(decision.residual_after) != [cap - used for cap, used in zip(caps, load)]:
+        raise InvariantViolation(f"slot {decision.t}: residual bookkeeping mismatch")
+    x_expect = [0] * catalog.n_sfcs
+    for f in seen:
+        x_expect[f] = 1
+    if list(decision.x) != x_expect:
+        raise InvariantViolation(f"slot {decision.t}: backup vector out of sync with plans")
+    if list(decision.placed_counts) != placed:
+        raise InvariantViolation(f"slot {decision.t}: placement counts out of sync with plans")
+
 
 # --- draws ------------------------------------------------------------------
 
@@ -506,16 +583,17 @@ def decoded(graph, ids) -> list[tuple[int, PlacementPlan]]:
 
 
 def verified_slot(learners, t: int, requests, failed, weights, graph) -> SlotDecision:
-    """policy.learned_slot's decision as a SlotDecision, held to policy.verify_decision.
+    """policy.learned_slot's decision as a SlotDecision, held to verify_decision.
 
     The decision's residual_after is the kernel's residual tuple as a list.
     """
     ids, residuals = [], []
-    x = learned_slot(learners, t, requests, failed, weights, graph, ids, residuals)
+    x, placed = learned_slot(learners, t, requests, failed, weights, graph, ids, residuals)
     assert len(residuals) == 1
     decision = decision_of(graph.catalog, t, decoded(graph, ids), list(residuals[0]))
-    # the backup vector the learners were updated with is the decision's
+    # the backup vector and copies the learners were updated with are the decision's
     assert x == decision.x
+    assert placed == decision.placed_counts
     verify_decision(graph.network, graph.catalog, decision)
     return decision
 

@@ -148,9 +148,10 @@ def test_04_capacity_sweep(capacity_sweep) -> None:
 def test_05_per_slot_invariants(canonical) -> None:
     """Capacity safety and completeness coupling, re-derived from raw plans.
 
-    Every slot of every experiment already passes lockstep.check, the batched
-    form of verify_decision (an InvariantViolation aborts the run), so the
-    headline runs enforce this by construction. Here a replay of the first
+    Every slot of every experiment already passes lockstep.check, which holds
+    it to the conditions reference.verify_decision checks one commit at a
+    time (an InvariantViolation aborts the run), so the headline runs
+    enforce this by construction. Here a replay of the first
     three seeds, slot by slot through verified_slot for the learned policies,
     recomputes both invariants from the committed assignments alone.
     """
@@ -165,7 +166,7 @@ def test_05_per_slot_invariants(canonical) -> None:
         for seed in cfg.seeds[:3]:
             if policy == "random":
                 # the random policy decides every slot of the seed in one call
-                u = policy_uniform_block(seed, 1, cfg.slots + 1, catalog.uniform_layout[0])
+                u = policy_uniform_block(seed, 1, cfg.slots + 1, layout.width)
                 rec = lockstep.random_rows(layout, u)
                 xs, placed = lockstep.check(layout, rec, lambda k: (seed, k + 1))
                 decisions = [SimpleNamespace(deployed=deployed, residual_after=residual,

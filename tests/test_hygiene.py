@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import io
+import re
+import tokenize
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -14,6 +18,9 @@ CHECKED += sorted((ROOT / "tests").glob("*.py"))
 # every Python file that may use a definition of the package
 READERS = sorted(p for folder in ("src", "tests", "perfbench")
                  for p in (ROOT / folder).rglob("*.py"))
+# the package's modules, which a docstring or comment cites as <module>.<name>
+MODULES = sorted(p.stem for p in (ROOT / "src" / "sfcbackup").glob("*.py")
+                 if not p.stem.startswith("_"))
 
 
 @cache
@@ -144,3 +151,40 @@ def test_no_orphaned_definitions() -> None:
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert not found, f"defined but never used: {found}"
+
+
+def prose(path: Path) -> str:
+    """A module's comments and docstrings, one after another."""
+    source = path.read_text(encoding="utf-8")
+    parts = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.COMMENT]
+    parts += [doc for node in ast.walk(parsed(path))
+              if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                   ast.AsyncFunctionDef))
+              and (doc := ast.get_docstring(node))]
+    return "\n".join(parts)
+
+
+def citations(text: str) -> list[tuple[str, str]]:
+    """Every (module, name) text cites as <module>.<name>; a file name such as model.py is none."""
+    pattern = re.compile(rf"\b({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
+    return [(module, name) for module, name in pattern.findall(text) if name != "py"]
+
+
+def test_citations_are_found() -> None:
+    text = ("# lockstep.check, sfcbackup.policy.learned_slot and kernels.PlanGraph.commit\n"
+            "model.py, mylockstep.y and `harness.run`")
+    assert citations(text) == [("lockstep", "check"), ("policy", "learned_slot"),
+                               ("kernels", "PlanGraph"), ("harness", "run")]
+
+
+def test_cited_names_resolve() -> None:
+    # a name the docs still cite after its definition is gone reads as live
+    texts = {str(path.relative_to(ROOT)): prose(path)
+             for path in sorted((ROOT / "src" / "sfcbackup").glob("*.py"))}
+    texts["README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = {place: names for place, text in texts.items()
+               if (names := [f"{module}.{name}" for module, name in citations(text)
+                             if not hasattr(importlib.import_module(f"sfcbackup.{module}"),
+                                            name)])}
+    assert not missing, f"cited but not defined: {missing}"

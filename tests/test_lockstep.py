@@ -266,8 +266,8 @@ def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> N
 def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     cfg = apply_overrides(load_config(default_config_path()), slots=20,
                           seeds=f"1..{2 * LOCKSTEP_MIN_SEEDS + 3}")
-    per_row = (cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + cfg.catalog.uniform_layout[0]
-               + cfg.network.n_servers)
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
     # every policy: two groups of LOCKSTEP_MIN_SEEDS seeds, then the last three,
     # and check and slot_values calls of LOCKSTEP_MIN_SEEDS rows at most
     max_values = harness.LOCKSTEP_MAX_VALUES
@@ -283,7 +283,7 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
         return real_simulate(network, catalog, gts, weights, policy, *args, **kwargs)
 
     def bound() -> int:
-        return max(1, harness._batch_rows(cfg.network, cfg.catalog))
+        return max(1, harness._batch_rows(layout))
 
     def counted(name, position):
         real = getattr(lockstep, name)
@@ -330,9 +330,10 @@ TAMPER_DOC = {
 }
 
 
-def _swap_first(graph, ids: list, first: int, **changes) -> None:
+def _swap_first(graph, ids: list, first: int, **changes) -> int:
     # a tampered copy of the row's first edge goes to the end of the edge
-    # tables, and its id replaces the row's first id, so no other row changes
+    # tables, and its id replaces the row's first id, so no other row changes;
+    # returns the edge's chain
     e = ids[first]
     entry = {"sfc": graph.edge_sfc[e], "latency": graph.edge_latency[e],
              "servers": graph.edge_servers[e], **changes}
@@ -340,6 +341,7 @@ def _swap_first(graph, ids: list, first: int, **changes) -> None:
     graph.edge_latency.append(entry["latency"])
     graph.edge_servers.append(entry["servers"])
     ids[first] = len(graph.edge_sfc) - 1
+    return entry["sfc"]
 
 
 def _load(residuals: list, f: int, servers, sign: int) -> None:
@@ -353,32 +355,41 @@ def _load(residuals: list, f: int, servers, sign: int) -> None:
     residuals[-1] = tuple(residual)
 
 
-def _tamper_plan(graph, ids: list, first: int, residuals: list, servers) -> None:
+def _tamper_plan(graph, ids: list, first: int, residuals: list, servers) -> int:
     # the row's first commit moves onto servers, the residual following it
     f = graph.edge_sfc[ids[first]]
     _load(residuals, f, graph.edge_servers[ids[first]], -1)
     _load(residuals, f, servers, 1)
-    _swap_first(graph, ids, first, servers=servers)
+    return _swap_first(graph, ids, first, servers=servers)
 
 
-def _twice(graph, ids: list, first: int, residuals: list) -> None:
+def _overload(graph, ids: list, first: int, residuals: list) -> None:
+    _tamper_plan(graph, ids, first, residuals, (1,) * len(graph.edge_servers[ids[first]]))
+
+
+def _twice(graph, ids: list, first: int, residuals: list) -> int:
     # chain 0 again: its demand of 3 still fits what the row leaves on server 0
     e = next(e for e in ids[first:] if graph.edge_sfc[e] == 0)
     ids.append(e)
     _load(residuals, 0, graph.edge_servers[e], 1)
+    return 0
 
 
 def _short_residual(graph, ids: list, first: int, residuals: list) -> None:
     residuals[-1] = (residuals[-1][0] - 1,) + residuals[-1][1:]
 
 
+def _expected(message: str, sfc: int | None) -> str:
+    # the full text after "slot t: ", with the chain a commit's fault names
+    return message if sfc is None else f"SFC {sfc} {message}"
+
+
 # Each tamper acts on one call of kernels.slot_decide: ids[first:] are the
-# row's edge ids and residuals[-1] its residual. Server 1 holds 1, and the
-# unknown server 2 is left off the residual.
+# row's edge ids and residuals[-1] its residual. It returns the chain whose
+# commit it broke, or None for a fault of the row's totals. Server 1 holds 1,
+# and the unknown server 2 is left off the residual.
 TAMPERS = {
-    "server load exceeds capacity":
-        lambda graph, ids, first, residuals: _tamper_plan(
-            graph, ids, first, residuals, (1,) * len(graph.edge_servers[ids[first]])),
+    "server load exceeds capacity": _overload,
     "residual bookkeeping mismatch": _short_residual,
     "committed a partial plan":
         lambda graph, ids, first, residuals: _tamper_plan(
@@ -417,7 +428,7 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
     # slot_decide runs slot by slot, each slot across the seeds, whichever the
     # learner state
     target = (slot - 1) * n_seeds + seed + 1
-    calls = []
+    calls, named = [], []
     real = kernels.slot_decide
 
     def tampered(graph, value, gates, bounds, ranked, mu, ids, residuals):
@@ -426,44 +437,57 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
         calls.append(1)
         if len(calls) == target:
             assert len(ids) > first, "the tampered seed must have committed a chain"
-            TAMPERS[message](graph, ids, first, residuals)
+            named.append(TAMPERS[message](graph, ids, first, residuals))
         return len(ids) - first
 
     monkeypatch.setattr(kernels, "slot_decide", tampered)
-    with pytest.raises(InvariantViolation,
-                       match=f"^seed {cfg.seeds[seed]}, slot {slot}: .*{message}"):
+    with pytest.raises(InvariantViolation) as err:
         run(cfg)
+    assert str(err.value) == f"seed {cfg.seeds[seed]}, slot {slot}: {_expected(message, *named)}"
 
 
-# The learners' commits of one row, a numpy row of counts or learned_slot's x,
-# tampered so that x, the copies, or both fall out of step with the records.
-# Chain 2 runs what chain 0 runs, so moving a commit between them keeps the
-# copies and changes x alone, and counting a chain twice changes the copies alone.
+# What the learners of one row were updated with, its backup vector x and its
+# copies per VNF (numpy rows or learned_slot's lists), tampered in place so
+# that x, the copies, or both fall out of step with the records. Chain 2 runs
+# what chain 0 runs, so moving a commit between them keeps the copies and
+# changes x alone; counting a chain twice, or every copy twice, changes the
+# copies alone.
 SYNC_DOC = {**TAMPER_DOC, "catalog": {"vnf_demand": [3, 2], "sfc_chain": [[0], [1, 1], [0]]}}
+SYNC_CHAINS = SYNC_DOC["catalog"]["sfc_chain"]
 
 
-def _first_commit(commits) -> int:
-    return next(f for f, n in enumerate(commits) if n)
+def _first_commit(x) -> int:
+    return next(f for f, n in enumerate(x) if n)
 
 
-def _drop_chain(commits) -> None:
-    commits[_first_commit(commits)] = 0
+def _drop_chain(x, placed) -> None:
+    f = _first_commit(x)
+    x[f] = 0
+    for i in SYNC_CHAINS[f]:
+        placed[i] -= 1
 
 
-def _move_chain(commits) -> None:
-    assert commits[0], "the tampered seed must have committed chain 0"
-    commits[0] -= 1
-    commits[2] += 1
+def _move_chain(x, placed) -> None:
+    assert x[0], "the tampered seed must have committed chain 0"
+    x[0] = 0
+    x[2] = 1
 
 
-def _count_twice(commits) -> None:
-    commits[_first_commit(commits)] += 1
+def _count_twice(x, placed) -> None:
+    for i in SYNC_CHAINS[_first_commit(x)]:
+        placed[i] += 1
+
+
+def _double_copies(x, placed) -> None:
+    for i in range(len(placed)):
+        placed[i] *= 2
 
 
 SYNC_TAMPERS = {
     "dropped": (_drop_chain, "backup vector out of sync with plans"),
     "moved": (_move_chain, "backup vector out of sync with plans"),
     "twice": (_count_twice, "placement counts out of sync with plans"),
+    "doubled": (_double_copies, "placement counts out of sync with plans"),
 }
 
 
@@ -471,57 +495,67 @@ SYNC_TAMPERS = {
 @pytest.mark.parametrize("tamper", SYNC_TAMPERS)
 def test_batched_check_rejects_learners_out_of_sync(monkeypatch, tamper: str,
                                                     n_seeds: int) -> None:
-    # the commits the learners are updated with are tampered at the fourth (or
-    # the last) seed's slot 2 and the first seed's slot 3: check holds the
-    # records to those commits, on either learner state, and names the
-    # earlier slot
+    # the backup vector and copies the learners are updated with, handed to
+    # lockstep.update or returned by learned_slot, are tampered at the fourth
+    # (or the last) seed's slot 2 and the first seed's slot 3: check holds the
+    # records to those arrays, on either learner state, and names the earlier
+    # slot
     cfg = apply_overrides(load_config(SYNC_DOC), seeds=f"1..{n_seeds}", slots=4)
     seed = min(3, n_seeds - 1)
     targets = {(2 - 1) * n_seeds + seed, (3 - 1) * n_seeds}    # slot-major rows, from 0
     change, message = SYNC_TAMPERS[tamper]
     decided = []
 
-    def tampered_row(commits) -> None:
+    def tampered_row(x, placed) -> None:
         if len(decided) in targets:
-            change(commits)
+            change(x, placed)
         decided.append(1)
 
     if n_seeds >= LOCKSTEP_MIN_SEEDS:
-        real_decide = lockstep.decide_learned
+        real_update = lockstep.update
 
-        def tampered_decide(*args):
-            commits = real_decide(*args)
-            for row in commits:
-                tampered_row(row)
-            return commits
-        monkeypatch.setattr(lockstep, "decide_learned", tampered_decide)
+        def tampered_update(learners, requests, failed, x, placed):
+            for row in zip(x, placed):
+                tampered_row(*row)
+            real_update(learners, requests, failed, x, placed)
+        monkeypatch.setattr(lockstep, "update", tampered_update)
     else:
         real_slot = harness.learned_slot
 
         def tampered_slot(*args):
-            x = real_slot(*args)
-            tampered_row(x)
-            return x
+            x, placed = real_slot(*args)
+            tampered_row(x, placed)
+            return x, placed
         monkeypatch.setattr(harness, "learned_slot", tampered_slot)
-    with pytest.raises(InvariantViolation, match=f"^seed {cfg.seeds[seed]}, slot 2: .*{message}"):
+    with pytest.raises(InvariantViolation) as err:
         run(cfg)
+    assert str(err.value) == f"seed {cfg.seeds[seed]}, slot 2: {message}"
 
 
 def _first_record(rec, row: int) -> int:
     return int(np.flatnonzero(rec.row == row)[0])
 
 
-def _tamper_server(rec, row: int) -> None:
+def _tamper_server(rec, row: int, server: int) -> int:
     r = _first_record(rec, row)
-    rec.servers[int(rec.positions[:r].sum())] = rec.residual.shape[1]
+    rec.servers[int(rec.positions[:r].sum())] = server
+    return int(rec.sfc[r])
 
 
+def _tamper_latency(rec, row: int) -> int:
+    r = _first_record(rec, row)
+    rec.latency[r] = math.inf
+    return int(rec.sfc[r])
+
+
+# Each tamper returns the chain whose commit it broke, or None, as TAMPERS do.
+# TAMPER_DOC has two servers, so -1 would index the last one from the end.
 RANDOM_TAMPERS = {
-    "assigned to unknown server 2": _tamper_server,
+    "assigned to unknown server 2": lambda rec, row: _tamper_server(rec, row, 2),
+    "assigned to unknown server -1": lambda rec, row: _tamper_server(rec, row, -1),
     "residual bookkeeping mismatch":
         lambda rec, row: rec.residual[row].__setitem__(-1, rec.residual[row, -1] + 1),
-    "committed at infinite latency":
-        lambda rec, row: rec.latency.__setitem__(_first_record(rec, row), math.inf),
+    "committed at infinite latency": _tamper_latency,
 }
 
 
@@ -529,17 +563,19 @@ def test_batched_check_rejects_a_tampered_random_commit(monkeypatch) -> None:
     cfg = apply_overrides(load_config(TAMPER_DOC), policy="random", slots=6)
     real = lockstep.random_rows
     for message, tamper in RANDOM_TAMPERS.items():
-        def tampered(layout, u, tamper=tamper):
+        named = []
+
+        def tampered(layout, u, tamper=tamper, named=named):
             rec = real(layout, u)
             # the rows are slot-major: row (2 - 1) * S + 3 is the fourth seed's
             # slot 2, where chain 0 always fits
-            tamper(rec, (2 - 1) * len(cfg.seeds) + 3)
+            named.append(tamper(rec, (2 - 1) * len(cfg.seeds) + 3))
             return rec
 
         monkeypatch.setattr(lockstep, "random_rows", tampered)
-        with pytest.raises(InvariantViolation,
-                           match=f"^seed {cfg.seeds[3]}, slot 2: .*{message}"):
+        with pytest.raises(InvariantViolation) as err:
             run(cfg)
+        assert str(err.value) == f"seed {cfg.seeds[3]}, slot 2: {_expected(message, *named)}"
 
 
 @pytest.mark.parametrize("policy", ["rtsd", "random"])
@@ -570,9 +606,9 @@ def test_check_names_the_earliest_failing_slot(monkeypatch, policy: str, n_seeds
             calls.append(1)
             return out
         monkeypatch.setattr(kernels, "slot_decide", tampered_decide)
-    with pytest.raises(InvariantViolation,
-                       match=f"^seed {cfg.seeds[2]}, slot 2: .*residual bookkeeping mismatch"):
+    with pytest.raises(InvariantViolation) as err:
         run(cfg)
+    assert str(err.value) == f"seed {cfg.seeds[2]}, slot 2: residual bookkeeping mismatch"
 
 
 # --- the selection inputs -------------------------------------------------------
@@ -641,7 +677,7 @@ def random_policy_cases(draw) -> tuple:
                   chains)
     value = st.one_of(st.sampled_from([0.0, 0.5, NEAR_ONE]),
                       st.floats(0.0, 1.0, exclude_max=True))
-    width, _ = cat.uniform_layout
+    width = lockstep.Layout.of(net, cat).width
     rows = draw(st.lists(st.lists(value, min_size=width, max_size=width),
                          min_size=1, max_size=6))
     return net, cat, rows
@@ -658,7 +694,7 @@ def random_policy_cases(draw) -> tuple:
 def test_random_rows_equal_the_per_slot_loop(case) -> None:
     net, cat, rows = case
     layout = lockstep.Layout.of(net, cat)
-    u = np.array(rows, dtype=np.float64).reshape(len(rows), cat.uniform_layout[0])
+    u = np.array(rows, dtype=np.float64).reshape(len(rows), layout.width)
     rec = lockstep.random_rows(layout, u)
     assert unpack_rows(rec, len(rows)) == [random_placement(net, cat, row) for row in rows]
     x, _ = lockstep.check(layout, rec, lambda k: (0, k + 1))

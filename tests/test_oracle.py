@@ -127,17 +127,6 @@ def test_optimal_chain_latency_matches_brute_force() -> None:
     assert all(count > 10 for count in outcomes.values()), outcomes
 
 
-def test_slot_value_standalone_latencies_match_optimal_chain_latency() -> None:
-    for seed in range(60):
-        rng = np.random.default_rng(seed)
-        net, cat, _ = random_chain_instance(rng, longest=2)    # the joint search's budget
-        gt = make_ground_truth(0.5, [0.1] * cat.n_vnfs, users=2, n_sfcs=cat.n_sfcs,
-                               rng_seed=seed)
-        result = optimal_slot_value(net, cat, gt)
-        assert result.best_latency == {
-            f: optimal_chain_latency(net, cat, net.capacities, f) for f in range(cat.n_sfcs)}
-
-
 def brute_slot_value(net: EdgeNetwork, cat: Catalog, gt, w: RewardWeights) -> float:
     """Independent check: enumerate every (selection, placement) outright.
 
@@ -212,15 +201,6 @@ def test_slot_value_matches_enumeration_on_random_instances(seed: int) -> None:
     w = RewardWeights(omega=1.0, mu=0.8)
     result = optimal_slot_value(net, cat, gt, w)
     assert result.best_value == pytest.approx(brute_slot_value(net, cat, gt, w))
-
-
-def test_slot_value_standalone_latencies_cover_every_sfc() -> None:
-    net, cat, gt = small_instance()
-    result = optimal_slot_value(net, cat, gt)
-    assert set(result.best_latency) == {0, 1, 2}
-    for f, best in result.best_latency.items():
-        assert best <= 1.0  # this catalog places comfortably
-        assert best >= 0.0
 
 
 def test_slot_value_subset_budget_guard() -> None:

@@ -13,13 +13,13 @@ from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import PlanGraph
 from sfcbackup.learning import (FailureLearner, PopularityLearner, failure_estimate,
                                 init_learners, popularity_estimate)
-from sfcbackup.model import PlacementPlan
-from sfcbackup.policy import SlotDecision, learned_slot, verify_decision
+from sfcbackup.policy import learned_slot
 from sfcbackup.workload import policy_uniform_block
 
-from reference import (array_estimates, array_updates, as_arrays, expected_slot_value,
-                       random_slots, realized_reward, records, reference_random_slot, select,
-                       slot_rows, verified_slot)
+from reference import (PlacementPlan, SlotDecision, array_estimates, array_updates, as_arrays,
+                       expected_slot_value, random_slots, realized_reward, records,
+                       reference_random_slot, select, slot_rows, uniform_layout, verified_slot,
+                       verify_decision)
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
@@ -252,7 +252,7 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
 
 def uniforms(seed: int, t0: int, t1: int, cat: Catalog) -> np.ndarray:
     """Slots t0 .. t1-1's policy uniforms, one row per slot."""
-    return policy_uniform_block(seed, t0, t1, cat.uniform_layout[0])
+    return policy_uniform_block(seed, t0, t1, uniform_layout(cat)[0])
 
 
 def test_random_scheme_follows_the_permutation_scan_law() -> None:
@@ -286,8 +286,9 @@ def test_random_scheme_follows_the_permutation_scan_law() -> None:
 def test_random_scheme_reads_the_documented_layout() -> None:
     net = EdgeNetwork([9, 9, 9], {(0, 1): 0.4, (1, 2): 0.5, (0, 2): 0.6})
     cat = Catalog([3, 4], [[0, 1], [1], [0, 0]])
-    width, starts = cat.uniform_layout
-    assert (width, starts) == (8, (3, 5, 6))
+    width, starts = uniform_layout(cat)
+    assert (width, starts) == (8, [3, 5, 6])
+    assert lockstep.Layout.of(net, cat).width == width
     # chains ranked 2, 0, 1; each pick reads u[starts[f] + j]
     u = [0.5, 0.9, 0.1,      # ranks
          0.0, 0.99,          # chain 0
@@ -363,7 +364,10 @@ def test_realized_reward_averages_to_expected_value() -> None:
     assert abs(mean - want) < 4.0 * math.sqrt(var / slots)
 
 
-# --- invariant checker -----------------------------------------------------
+# --- the reference's checker ----------------------------------------------
+#
+# reference.verify_decision, which reference_run and verified_slot hold every
+# decision to, must reject each kind of fault lockstep.check rejects.
 
 def legit_decision():
     net = EdgeNetwork([10, 8], {(0, 1): 0.5})
@@ -487,8 +491,10 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
             check("popularity_estimate", popularity_estimate(pop, t))
             check("failure_estimate", failure_estimate(fail, t))
             ids, residuals = [], []
-            x = learned_slot(learners, t, requests, failed, cfg.weights, graph, ids, residuals)
+            x, placed = learned_slot(learners, t, requests, failed, cfg.weights, graph, ids,
+                                     residuals)
             check("x", x)
+            check("placed", placed)
             deployed += len(ids)
             for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
                 for name in names:
@@ -498,4 +504,4 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
             check("latency", [graph.edge_latency[e] for e in ids])
             check("servers", [s for e in ids for s in graph.edge_servers[e]])
         assert deployed, policy
-    assert len(checked) == 15
+    assert len(checked) == 16

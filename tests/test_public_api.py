@@ -28,7 +28,7 @@ BENCHMARK_NAMES = {
     "sfcbackup.harness": ("load_config", "apply_overrides", "default_config_path", "run",
                           "emit", "simulate_run", "make_ground_truth", "optimal_slot_value"),
     "sfcbackup.policy": ("popularity_estimate", "failure_estimate", "popularity_update",
-                         "failure_update", "verify_decision"),
+                         "failure_update"),
     "sfcbackup.kernels": ("NUMBA_ENABLED", "slot_decide", "greedy_chain_walk",
                           "first_fit_chain_walk"),
     "sfcbackup.workload": ("slot_stream",),

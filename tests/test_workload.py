@@ -13,7 +13,7 @@ from sfcbackup.workload import (ENV_DOMAIN, POLICY_DOMAIN, counter_blocks,
                                 policy_uniform_block, sample_arrays, slot_stream,
                                 true_popularity)
 
-from reference import draw_slot, slot_row, slot_rows
+from reference import draw_slot, slot_row, slot_rows, uniform_layout
 
 
 def assert_drawn_alone(gt: GroundTruth, rows, t0: int) -> None:
@@ -201,7 +201,7 @@ def test_slot_stream_matches_philox_keyed_directly() -> None:
 
 def drawn_uniforms(seed: int, cat: Catalog, slots: int) -> list[list[float]]:
     """Slots 1 .. slots's policy uniforms, drawn OBS_BLOCK_SLOTS slots per call as runs draw them."""
-    width, _ = cat.uniform_layout
+    width, _ = uniform_layout(cat)
     return [row for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS)
             for row in policy_uniform_block(seed, t0, min(t0 + OBS_BLOCK_SLOTS, slots + 1),
                                             width).tolist()]
@@ -211,7 +211,7 @@ def test_policy_uniforms_own_their_counter_blocks() -> None:
     # W = 30 (bundled config, B = 8, two doubles of padding), 8 (B = 2, none), 1
     for cat in (load_config(default_config_path()).catalog,
                 Catalog([3, 4], [[0, 1], [1], [0, 0]]), Catalog([1], [[]])):
-        width, _ = cat.uniform_layout
+        width, _ = uniform_layout(cat)
         blocks = counter_blocks(width)
         assert 4 * (blocks - 1) < width <= 4 * blocks
         n_slots = OBS_BLOCK_SLOTS + 5
