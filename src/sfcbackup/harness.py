@@ -80,10 +80,13 @@ LOCKSTEP_MIN_SEEDS = 8
 # uniforms. It decides, checks and values them one chunk of rows at a time,
 # each row then also holding an N-server residual. A group has at most
 # LOCKSTEP_MAX_VALUES // (F + I + W + N) seeds and a chunk as many rows (and
-# at least one). So a chunk's rows hold at most this many values, 128 KiB at 8
-# bytes each, and a block's draws OBS_BLOCK_SLOTS times that, 32 MiB, however
-# many seeds a run has.
-LOCKSTEP_MAX_VALUES = 2 ** 14
+# at least one). So a chunk's rows hold at most this many values, 256 KiB at 8
+# bytes each, and a block's draws OBS_BLOCK_SLOTS times that, 64 MiB, however
+# many seeds a run has. At this bound a 2-seed, 50-slot run with 178 values a
+# row (perfbench's wide-edge) decides its block in one chunk. Whole-block
+# chunks on the bundled config (2 ** 17) raised perfbench's canonical
+# peak_rss_mb by 1.0-1.7 MB (3 runs, 2 shared CPUs).
+LOCKSTEP_MAX_VALUES = 2 ** 15
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
 # is squared, all in float64. A config whose slot reward could pass this bound
@@ -531,11 +534,11 @@ def run(cfg: ExperimentConfig) -> RunResult:
     trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
     per_policy: dict[str, dict[str, list[float]]] = {
         p: {key: [] for key in lockstep.SERIES} for p in cfg.policies}
+    size = max(1, _batch_rows(lockstep.Layout.of(network, catalog)))  # seeds per group
     for policy in cfg.policies:
         # one plan graph per learned policy, shared by its seeds and dropped after them
         graph = (PlanGraph(network, catalog, PLACEMENT_MODES[policy])
                  if policy in PLACEMENT_MODES else None)
-        size = max(1, _batch_rows(lockstep.Layout.of(network, catalog)))  # seeds per group
         seed_series = chain.from_iterable(
             simulate_run(network, catalog, gts[k:k + size], cfg.weights, policy, cfg.slots,
                          users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,

@@ -254,52 +254,69 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
     occurrence on the first server with room in a fresh uniform permutation
     of the servers.
 
-    The rows advance together, one step per chain rank and chain position.
+    Each row's L chain occurrences, in rank order and then chain order, are
+    laid out once as (L, R) tables, and the rows advance together, one step
+    per occurrence, on server-major (N, R) residuals. Where a row's chain has
+    already failed its steps go on, on numbers that nothing reads: the room
+    is reset from the residual at the row's next chain, and neither its
+    latency nor its servers are recorded.
     """
     n_rows = u.shape[0]
     n_sfcs = layout.catalog.n_sfcs
-    lat = layout.network.latency_matrix
-    chain_len, chain_start, chain_flat = layout.chain_len, layout.chain_start, layout.chain_flat
-    longest = int(chain_len.max(initial=0))
-    last = max(chain_flat.shape[0] - 1, 0)
+    lat_matrix = layout.network.latency_matrix
+    chain_len = layout.chain_len
     rows = np.arange(n_rows)
+    # layout.chain_flat[p] is VNF number place[p] of chain chain_of[p]
+    chain_of = np.repeat(np.arange(n_sfcs), chain_len)
+    place = np.arange(chain_of.shape[0]) - layout.chain_start[chain_of]
+    # row r attempts its chains in order[r]; chain f's positions are then its
+    # occurrences begin[r, f] .. begin[r, f] + chain_len[f] - 1
     order = np.argsort(u[:, :n_sfcs], axis=1, kind="stable")
-    lengths = chain_len[order]                              # by rank
-    residual = np.repeat(layout.capacities[None, :], n_rows, axis=0)
-    committed = np.zeros((n_rows, n_sfcs), dtype=bool)     # by rank
-    latency = np.zeros((n_rows, n_sfcs))                    # by rank
-    spots = np.zeros((n_rows, n_sfcs, longest), dtype=np.int64)    # by rank and position
-    for k in range(n_sfcs):
-        length = lengths[:, k]
-        start = chain_start[order[:, k]]
-        room = residual.copy()
-        fitting = length > 0
-        lat_k = np.zeros(n_rows)
-        for j in range(longest):
-            active = fitting & (j < length)
-            pos = np.minimum(start + j, last)     # clamped where the chain is shorter
-            need = layout.demand[chain_flat[pos]]
-            count_to = np.cumsum(room >= need[:, None], axis=1)
-            count = count_to[:, -1]
-            idx = (u[rows, n_sfcs + pos] * count).astype(np.int64)
-            spot = np.argmax(count_to > idx[:, None], axis=1)
-            took = active & (count > 0)
-            fitting &= took | ~active
-            room[rows, spot] -= np.where(took, need, 0)
-            if j:
-                lat_k = np.where(took, lat_k + lat[spots[:, k, j - 1], spot], lat_k)
-            spots[:, k, j] = spot
-        fits = fitting & (lat_k < math.inf)
-        residual = np.where(fits[:, None], room, residual)
-        committed[:, k] = fits
-        latency[:, k] = lat_k
+    lengths = chain_len[order]
+    begin = np.empty_like(order)
+    begin[rows[:, None], order] = np.cumsum(lengths, axis=1) - lengths
+    n_occ = chain_of.shape[0]
+    pos = np.empty((n_occ, n_rows), dtype=np.int64)     # (L, R): occurrence -> position
+    pos[begin.T[chain_of] + place[:, None], rows] = np.arange(n_occ)[:, None]
+    first = (place == 0)[pos]
+    last = (place == chain_len[chain_of] - 1)[pos]
+    # step k reads row k of spots and latency as the position's demand and
+    # uniform, then overwrites it with the server it chose and the chain's
+    # latency so far: two (L, R) tables, not four
+    spots = layout.demand[layout.chain_flat][pos]
+    latency = u[:, n_sfcs:].T[pos, rows]
+    sfc = np.take(chain_of, pos, out=pos)      # each occurrence's chain, over pos
 
-    rec_row, rec_rank = np.nonzero(committed)
-    positions = lengths[rec_row, rec_rank]
+    residual = np.repeat(layout.capacities[:, None], n_rows, axis=1)    # (N, R)
+    room = residual
+    fitting = np.ones(n_rows, dtype=bool)
+    lat = np.zeros(n_rows)
+    spot = np.zeros(n_rows, dtype=np.int64)
+    done = np.empty((n_occ, n_rows), dtype=bool)        # where a row commits a chain
+    for k in range(n_occ):
+        need = spots[k]
+        room = np.where(first[k], residual, room)
+        count_to = np.cumsum(room >= need, axis=0)
+        count = count_to[-1]
+        # the servers before the chosen one are those whose count_to is at most
+        # the index int(latency[k] * count), so at most latency[k] * count;
+        # count_to[-1] = count is more, unless no server has room and the row fails
+        prev, spot = spot, (count_to[:-1] <= latency[k] * count).sum(axis=0)
+        fitting = (fitting | first[k]) & (count > 0)
+        room[spot, rows] -= need
+        lat = np.where(first[k], 0.0, lat + lat_matrix[prev, spot])
+        spots[k], latency[k] = spot, lat
+        done[k] = fits = fitting & last[k] & (lat < math.inf)
+        residual = np.where(fits, room, residual)
+
     # row-major: each row's commits in rank order, each commit's servers in chain order
-    taken = committed[:, :, None] & (np.arange(longest) < lengths[:, :, None])
-    return Records(row=rec_row, sfc=order[rec_row, rec_rank], latency=latency[rec_row, rec_rank],
-                   positions=positions, servers=spots[taken], residual=residual)
+    rec_row, rec_at = np.nonzero(done.T)
+    rec_sfc = sfc[rec_at, rec_row]
+    committed = np.zeros((n_rows, n_sfcs), dtype=bool)
+    committed[rec_row, rec_sfc] = True
+    return Records(row=rec_row, sfc=rec_sfc, latency=latency[rec_at, rec_row],
+                   positions=chain_len[rec_sfc], servers=spots.T[committed[rows, sfc].T],
+                   residual=np.ascontiguousarray(residual.T))
 
 
 def check(layout: Layout, rec: Records, label, x: np.ndarray | None = None,

@@ -191,9 +191,16 @@ def test_reference_calls_no_simulator_stage(monkeypatch) -> None:
     stages += [workload.sample_arrays, workload.slot_stream]
     assert len(stages) > 20
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the reference called a simulator stage")
+    class Refused:
+        """A stage's stand-in: calling it, or reading an attribute such as Layout.of, raises."""
 
+        def __call__(self, *args, **kwargs):
+            raise AssertionError("the reference called a simulator stage")
+
+        def __getattr__(self, name):
+            raise AssertionError("the reference called a simulator stage")
+
+    refuse = Refused()
     for name, module in list(sys.modules.items()):
         if name.startswith("sfcbackup") or name == "reference":
             for attr, value in list(vars(module).items()):
@@ -664,13 +671,17 @@ NEAR_ONE = math.nextafter(1.0, 0.0)
 
 @st.composite
 def random_policy_cases(draw) -> tuple:
-    """An instance and rows of uniforms: ties, missing links, zero capacity, repeats."""
-    n_servers = draw(st.integers(1, 4))
+    """An instance and rows of uniforms: ties, missing links, zero capacity, repeats.
+
+    Up to 24 rows rank up to 6 chains of up to 5 VNFs each their own way, so
+    one call puts chains of different lengths at the same rank.
+    """
+    n_servers = draw(st.integers(1, 6))
     links = [(u, v, draw(st.sampled_from([0.0, 0.5, 1.0])))
              for u in range(n_servers) for v in range(u + 1, n_servers)
              if draw(st.booleans())]
     n_vnfs = draw(st.integers(1, 4))
-    chains = draw(st.lists(st.lists(st.integers(0, n_vnfs - 1), max_size=3), max_size=4))
+    chains = draw(st.lists(st.lists(st.integers(0, n_vnfs - 1), max_size=5), max_size=6))
     net = EdgeNetwork(draw(st.lists(st.integers(0, 12), min_size=n_servers,
                                     max_size=n_servers)), links)
     cat = Catalog(draw(st.lists(st.integers(0, 15), min_size=n_vnfs, max_size=n_vnfs)),
@@ -679,7 +690,7 @@ def random_policy_cases(draw) -> tuple:
                       st.floats(0.0, 1.0, exclude_max=True))
     width = lockstep.Layout.of(net, cat).width
     rows = draw(st.lists(st.lists(value, min_size=width, max_size=width),
-                         min_size=1, max_size=6))
+                         min_size=1, max_size=24))
     return net, cat, rows
 
 
@@ -700,6 +711,33 @@ def test_random_rows_equal_the_per_slot_loop(case) -> None:
     x, _ = lockstep.check(layout, rec, lambda k: (0, k + 1))
     assert [sorted(f for f, _ in deployed) for deployed, _ in unpack_rows(rec, len(rows))] == \
            [np.flatnonzero(row).tolist() for row in x]
+
+
+def test_random_rows_decide_a_wide_block_in_one_call(monkeypatch) -> None:
+    # 16 servers, 30 VNFs and 24 chains of 3 or 4 VNFs (84 positions): a row
+    # holds 24 + 30 + (24 + 84) + 16 = 178 values, so 2 seeds x 50 slots, one
+    # block, fit one chunk of LOCKSTEP_MAX_VALUES values
+    n_servers, n_vnfs = 16, 30
+    doc = {"network": {"capacities": [20] * n_servers,
+                       "links": [[s, (s + 1) % n_servers, 0.5] for s in range(n_servers)]},
+           "catalog": {"vnf_demand": [1 + i % 8 for i in range(n_vnfs)],
+                       "sfc_chain": [[(5 * f + j) % n_vnfs for j in range(3 + f % 2)]
+                                     for f in range(24)]},
+           "ground_truth": {"request_prob": 0.5, "failure_mean": [0.05] * n_vnfs},
+           "users": 10, "slots": 50, "seeds": "1..2", "policies": "random"}
+    cfg = load_config(doc)
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    assert cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers == 178
+    rows = []
+    real = lockstep.random_rows
+
+    def counted(layout, u):
+        rows.append(u.shape[0])
+        return real(layout, u)
+
+    monkeypatch.setattr(lockstep, "random_rows", counted)
+    run(cfg)
+    assert rows == [2 * 50]
 
 
 @pytest.mark.parametrize("n_seeds", [1, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS, 30])
