@@ -11,9 +11,12 @@ with one entry per (policy, seed, slot) and the last two left empty unless
 regret evaluation is requested. A summary sidecar aggregates per-policy means
 and sample standard deviations across seeds.
 
-simulate_run is the one simulator loop: run calls it once per policy and
-group of seeds, and only its decide step depends on the policy and on the
-group's seed count. Its batched stages live in lockstep.
+simulate_run is the one simulator loop: run calls it once per group of
+seeds, for every policy at once, so that each seed's observations are drawn
+once and the learned policies' learners advance together. Only its decide
+step depends on the policy and on the group's learner rows. It returns each
+policy's series as (seeds, slots) arrays, and run reads the trace columns and
+the summary's per-seed means off them. Its batched stages live in lockstep.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,8 @@ PLACEMENT_MODES = {"rtsd": GREEDY, "bandit": FIRST_FIT}
 
 CSV_COLUMNS = ("t", "policy", "seed", "realized_reward", "expected_reward",
                "remaining_resource", "num_deployed", "oracle_value", "regret")
+# the columns a run leaves empty (None) unless regret evaluation is requested
+REGRET_COLUMNS = ("oracle_value", "regret")
 
 
 # Residuals, demands and the remaining-resource column are int64, and a seed is one
@@ -61,31 +66,33 @@ MAX_REQUEST_DRAWS = 2 ** 16
 # takes about 170 bytes until emit writes it, so a run holds at most about 0.7 GB.
 MAX_TRACE_ROWS = 2 ** 22
 
-# A learned policy's seed group of at least this many seeds keeps its learners
-# in lockstep.Learners arrays, a smaller one a learning.py learner pair per
-# seed. Both write the same trace; only speed picks. Timed at 2, 4, 6, 8 and
-# 12 seeds x 100 slots (harness.run, regret off, min of 11 alternating runs,
-# 2 shared CPUs), numpy / per-seed time, rtsd then bandit, the median of
-# three such timings: canonical 1.68 1.09 0.86 0.73 0.65, 1.73 1.10 0.92 0.73
-# 0.64; wide-edge 1.04 0.89 0.85 0.75 0.78, 1.01 0.95 0.94 0.86 0.87;
-# small-regret 2.39 1.44 1.11 0.98 0.76, 2.53 1.54 1.09 0.96 0.79. At 6 seeds
-# numpy lost on small-regret in all six timings (by 8-13%); at 8 it won in 16
-# of the 18 and lost twice, by 3% (small-regret rtsd) and 8% (wide-edge
-# bandit). At the benchmark sizes, numpy learners at 1 seed make
-# small-regret's run 4.7x (rtsd) and 4.8x (bandit) slower, per-seed learners
-# at 30 seeds canonical's 1.85x and 1.85x.
+# A seed group whose learned policies hold at least this many learner rows
+# (learned policies x seeds) keeps them stacked in one lockstep.Learners, a
+# smaller one a learning.py learner pair per policy and seed. Both write the
+# same trace; only speed picks. Timed at 2, 4, 6, 8 and 12 seeds x 100 slots
+# (harness.run, regret off, min of 11 alternating runs, 2 shared CPUs), numpy /
+# per-seed time, the median of three such timings. rtsd and bandit together
+# (4 to 24 rows): canonical 1.10 0.76 0.66 0.59 0.52; wide-edge 0.93 0.85 0.92
+# 0.80 0.78; small-regret 1.54 0.97 0.78 0.68 0.58. rtsd alone, then bandit
+# alone (2 to 12 rows): canonical 1.66 1.14 0.91 0.75 0.63, 1.76 1.15 0.91 0.79
+# 0.65; wide-edge 1.01 0.88 0.83 0.82 0.75, 1.09 0.93 0.90 0.86 0.84;
+# small-regret 2.39 1.44 1.12 0.94 0.72, 2.39 1.45 1.11 0.92 0.74. At 6 rows
+# numpy lost on small-regret (by 11-12%); from 8 rows on it won on every
+# instance, alone and together (by 3% at the least, small-regret's 4 seeds).
 LOCKSTEP_MIN_SEEDS = 8
-# simulate_run holds a seed group's draws OBS_BLOCK_SLOTS slots ahead: per
-# (slot, seed) row, F request counts, I failure flags and, for random, W policy
-# uniforms. It decides, checks and values them one chunk of rows at a time,
-# each row then also holding an N-server residual. A group has at most
+# simulate_run holds a seed group's draws OBS_BLOCK_SLOTS slots ahead, once for
+# every policy: per (slot, seed) row, F request counts, I failure flags and,
+# when random runs, W policy uniforms. It decides a chunk of rows for every
+# policy, then checks and values one policy's records at a time, each row then
+# also holding an N-server residual. A group has at most
 # LOCKSTEP_MAX_VALUES // (F + I + W + N) seeds and a chunk as many rows (and
-# at least one). So a chunk's rows hold at most this many values, 256 KiB at 8
-# bytes each, and a block's draws OBS_BLOCK_SLOTS times that, 64 MiB, however
-# many seeds a run has. At this bound a 2-seed, 50-slot run with 178 values a
-# row (perfbench's wide-edge) decides its block in one chunk. Whole-block
-# chunks on the bundled config (2 ** 17) raised perfbench's canonical
-# peak_rss_mb by 1.0-1.7 MB (3 runs, 2 shared CPUs).
+# at least one). So a chunk's draws and the records checked with them hold at
+# most this many values, 256 KiB at 8 bytes each, and a block's draws
+# OBS_BLOCK_SLOTS times that, 64 MiB, however many seeds a run has. At this
+# bound a 2-seed, 50-slot run with 178 values a row (perfbench's wide-edge)
+# decides its block in one chunk. Whole-block chunks on the bundled config
+# (2 ** 17) raised perfbench's canonical peak_rss_mb by 1.0-1.7 MB (3 runs, 2
+# shared CPUs).
 LOCKSTEP_MAX_VALUES = 2 ** 15
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
@@ -387,28 +394,37 @@ def apply_overrides(cfg: ExperimentConfig, *, slots: int | None = None,
 
 
 def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
-                 weights: RewardWeights, policy: str, slots: int, *, users: int,
+                 weights: RewardWeights, policies: tuple[str, ...], slots: int, *, users: int,
                  failure_bonus_scale: float | None = None,
                  failure_bonus_sign: int = 1,
-                 graph: PlanGraph | None = None) -> list[dict[str, list]]:
-    """The trajectories of every seed in gts under policy, over slots 1 .. slots.
+                 graphs: dict[str, PlanGraph] | None = None) -> dict[str, dict[str, np.ndarray]]:
+    """The trajectories of every seed in gts under each of policies, over slots 1 .. slots.
 
-    Returns one dict per seed of per-slot lists (index 0 is slot 1): realized
-    and expected reward (floats), total remaining resource and deployment
-    count (ints). graph is a learned policy's kernels.PlanGraph, shared across
-    seeds; None gives the run a fresh one.
+    Returns, per policy, its lockstep.SERIES as (seeds, slots) arrays, row s
+    for gts[s] and column 0 for slot 1: realized and expected reward
+    (float64), total remaining resource and deployment count (int64).
+    graphs maps each learned policy to its kernels.PlanGraph, shared across
+    seeds; None gives the run fresh ones.
 
-    Each seed draws its observations, and for random its policy uniforms,
-    OBS_BLOCK_SLOTS slots per Philox call. A block is cut into chunks of
-    (slot, seed) rows, slot-major, at most _batch_rows of them; each chunk is
-    decided, then lockstep.check verifies it and lockstep.slot_values
-    accounts it. Only the decide step depends on the policy: random_rows for
-    random, and for a learned policy one learner state for all seeds, the
-    numpy lockstep.Learners from LOCKSTEP_MIN_SEEDS seeds on and a
-    learned_slot learner pair per seed below that.
+    Each seed draws its observations, and when random runs its policy
+    uniforms, OBS_BLOCK_SLOTS slots per Philox call, once for all policies.
+    A block is cut into chunks of (slot, seed) rows, slot-major, at most
+    _batch_rows of them. Each chunk is decided for every policy; then, policy
+    by policy, lockstep.check verifies its records and lockstep.slot_values
+    accounts them. Only the decide step depends on the policy: random_rows
+    for random, and for the learned policies one learner state for all
+    seeds: from LOCKSTEP_MIN_SEEDS learner rows (learned policies x seeds)
+    on, one lockstep.Learners that stacks the policies' seeds as row blocks,
+    and below that a learned_slot learner pair per policy and seed.
     """
-    if policy != "random" and policy not in PLACEMENT_MODES:
-        raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_ORDER}")
+    for policy in policies:
+        if policy not in POLICY_ORDER:
+            raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_ORDER}")
+    learned = [policy for policy in policies if policy in PLACEMENT_MODES]
+    if graphs is None:
+        graphs = {policy: PlanGraph(network, catalog, PLACEMENT_MODES[policy])
+                  for policy in learned}
+    plan_graphs = [graphs[policy] for policy in learned]
     n_seeds, n_sfcs, n_vnfs = len(gts), catalog.n_sfcs, catalog.n_vnfs
     layout = lockstep.Layout.of(network, catalog)
     width = layout.width
@@ -416,82 +432,105 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     chunk = min(OBS_BLOCK_SLOTS, max(1, _batch_rows(layout) // n_seeds))
     value_true, gate_true = (np.tile(a, (chunk, 1))
                              for a in lockstep.true_values(catalog, gts, weights))
-    if policy == "random":
-        learners = None
-    elif n_seeds >= LOCKSTEP_MIN_SEEDS:
-        learners = lockstep.Learners.fresh(n_seeds, n_sfcs, n_vnfs, users,
+    if learned and len(learned) * n_seeds >= LOCKSTEP_MIN_SEEDS:
+        learners = lockstep.Learners.fresh(len(learned) * n_seeds, n_sfcs, n_vnfs, users,
                                            failure_bonus_scale, failure_bonus_sign)
     else:
-        learners = [init_learners(n_sfcs, n_vnfs, users,
-                                  failure_bonus_scale=failure_bonus_scale,
-                                  failure_bonus_sign=failure_bonus_sign) for _ in gts]
-    if graph is None and learners is not None:
-        graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
-    series = [{key: [] for key in lockstep.SERIES} for _ in gts]
+        learners = [[init_learners(n_sfcs, n_vnfs, users,
+                                   failure_bonus_scale=failure_bonus_scale,
+                                   failure_bonus_sign=failure_bonus_sign) for _ in gts]
+                    for _ in learned]
+    draw_random = "random" in policies
+    # each policy's series, one slot-major list per key
+    series = {policy: {key: [] for key in lockstep.SERIES} for policy in policies}
     for b0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
         n = min(OBS_BLOCK_SLOTS, slots + 1 - b0)
         requests = np.empty((n, n_seeds, n_sfcs), dtype=np.int64)
         failed = np.empty((n, n_seeds, n_vnfs), dtype=np.uint8)
-        uniforms = np.empty((n, n_seeds, width)) if learners is None else None
+        uniforms = np.empty((n, n_seeds, width)) if draw_random else None
         for s, gt in enumerate(gts):
             requests[:, s], failed[:, s] = sample_arrays(gt, b0, b0 + n)
-            if uniforms is not None:
+            if draw_random:
                 uniforms[:, s] = policy_uniform_block(gt.rng_seed, b0, b0 + n, width)
         for c0 in range(0, n, chunk):
             t0, req, fail = b0 + c0, requests[c0:c0 + chunk], failed[c0:c0 + chunk]
-            if uniforms is None:
-                rec, x, placed = _learned_records(learners, graph, weights, layout, t0, req,
-                                                  fail)
-            else:
-                rec = lockstep.random_rows(layout, uniforms[c0:c0 + chunk].reshape(-1, width))
-                x = placed = None
-            lockstep.check(layout, rec, lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds),
-                           x, placed)
             n_rows = len(req) * n_seeds
-            values = lockstep.slot_values(layout, omega, mu, req.reshape(n_rows, n_sfcs),
-                                          fail.reshape(n_rows, n_vnfs), rec,
-                                          value_true[:n_rows], gate_true[:n_rows])
-            for key, column in values.items():
-                for s, out in enumerate(series):
-                    out[key].extend(column[s::n_seeds])
-    return series
+            if learned:
+                decided = dict(zip(learned, _learned_chunk(learners, plan_graphs, weights,
+                                                           layout, t0, req, fail)))
+            for policy in policies:
+                if policy == "random":
+                    rec = lockstep.random_rows(layout,
+                                               uniforms[c0:c0 + chunk].reshape(-1, width))
+                    x = placed = None
+                else:
+                    ids, counts, residuals, x, placed = decided[policy]
+                    rec = lockstep.gather(graphs[policy], ids, counts, residuals)
+                lockstep.check(layout, rec,
+                               lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds),
+                               x, placed)
+                values = lockstep.slot_values(layout, omega, mu, req.reshape(n_rows, n_sfcs),
+                                              fail.reshape(n_rows, n_vnfs), rec,
+                                              value_true[:n_rows], gate_true[:n_rows])
+                for key, column in values.items():
+                    series[policy][key] += column
+    return {policy: {key: np.array(column).reshape(slots, n_seeds).T.copy()
+                     for key, column in out.items()} for policy, out in series.items()}
 
 
-def _learned_records(learners, graph: PlanGraph, weights: RewardWeights,
-                     layout: lockstep.Layout, t0: int, requests: np.ndarray,
-                     failed: np.ndarray) -> tuple[lockstep.Records, np.ndarray, np.ndarray]:
-    """A learned policy's decisions on a chunk of slots from t0, learning from each slot.
+def _learned_chunk(learners, graphs: list[PlanGraph], weights: RewardWeights,
+                   layout: lockstep.Layout, t0: int, requests: np.ndarray,
+                   failed: np.ndarray) -> list[tuple]:
+    """The learned policies' decisions on a chunk of slots from t0, learning from each slot.
 
     requests and failed are the chunk's (slots, S, F) and (slots, S, I)
-    observations; learners is a lockstep.Learners of the S seeds or a list of
-    their learning.py pairs. Returns the Records, rows slot-major, and what
-    the learners were updated with, for lockstep.check to hold the records
-    to: the rows' (R, F) backup vectors and (R, I) copies per VNF.
+    observations, and graphs[k] is learned policy k's plan graph. learners
+    is one lockstep.Learners whose rows [k*S, (k+1)*S) are policy k's seeds,
+    or per policy a list of its seeds' learning.py pairs. Returns per policy
+    its rows' edge ids, commits per row and residuals, for lockstep.gather,
+    and what its learners were updated with, for lockstep.check to hold the
+    records to: the rows' (R, F) backup vectors and (R, I) copies per VNF.
+    Rows are slot-major.
     """
-    ids, counts, residuals, xs, copies = [], [], [], [], []
+    n_slots, n_seeds, n_sfcs = requests.shape
+    n_vnfs = failed.shape[2]
+    n_policies = len(graphs)
+    ids, counts, residuals = ([[] for _ in graphs] for _ in range(3))
     if isinstance(learners, lockstep.Learners):
-        for t, req, fail in zip(count(t0), requests, failed):
+        # every policy's block of learner rows learns from the same observations
+        stacked = (np.concatenate((requests,) * n_policies, axis=1),
+                   np.concatenate((failed,) * n_policies, axis=1))
+        xs, copies = [], []
+        for t, req, fail in zip(count(t0), *stacked):
             q, v = lockstep.estimates(learners, t)
-            slot = lockstep.decide_learned(graph, layout, q, v, weights.omega, weights.mu,
+            slot = lockstep.decide_learned(graphs, layout, q, v, weights.omega, weights.mu,
                                            ids, counts, residuals)
             x, placed = slot > 0, slot @ layout.copies
             lockstep.update(learners, req, fail, x, placed)
             xs.append(x)
             copies.append(placed)
+        # (slots, P * S, .) arrays; policy k's rows are block k of each slot
+        xs = np.array(xs, dtype=np.int64).reshape(n_slots, n_policies, n_seeds, n_sfcs)
+        copies = np.array(copies, dtype=np.int64).reshape(n_slots, n_policies, n_seeds, n_vnfs)
+        updated = [(xs[:, k].reshape(-1, n_sfcs), copies[:, k].reshape(-1, n_vnfs))
+                   for k in range(n_policies)]
     else:
-        for t, req, fail in zip(count(t0), requests.tolist(), failed.tolist()):
-            for pair, r, v in zip(learners, req, fail):
-                first = len(ids)
-                x, placed = learned_slot(pair, t, r, v, weights, graph, ids, residuals)
-                xs += x
-                copies += placed
-                counts.append(len(ids) - first)
-    # xs and copies hold one (S, F) or (S, I) array per slot on lockstep
-    # learners, and flat lists on per-seed ones; either way rows are slot-major
-    n_rows = len(counts)
-    return (lockstep.gather(graph, ids, counts, residuals),
-            np.array(xs, dtype=np.int64).reshape(n_rows, layout.catalog.n_sfcs),
-            np.array(copies, dtype=np.int64).reshape(n_rows, layout.catalog.n_vnfs))
+        requests, failed = requests.tolist(), failed.tolist()
+        updated = []
+        for pairs, graph, policy_ids, policy_counts, policy_residuals in zip(
+                learners, graphs, ids, counts, residuals):
+            xs, copies = [], []
+            for t, req, fail in zip(count(t0), requests, failed):
+                for pair, r, v in zip(pairs, req, fail):
+                    first = len(policy_ids)
+                    x, placed = learned_slot(pair, t, r, v, weights, graph, policy_ids,
+                                             policy_residuals)
+                    xs += x
+                    copies += placed
+                    policy_counts.append(len(policy_ids) - first)
+            updated.append((np.array(xs, dtype=np.int64).reshape(-1, n_sfcs),
+                            np.array(copies, dtype=np.int64).reshape(-1, n_vnfs)))
+    return [(i, c, r, *u) for i, c, r, u in zip(ids, counts, residuals, updated)]
 
 
 def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
@@ -515,10 +554,15 @@ def _batch_rows(layout: lockstep.Layout) -> int:
                                    + layout.network.n_servers)
 
 
-def _mean_std(values: list[float]) -> dict[str, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return {"mean": float(arr.mean()), "std": std}
+def _mean_std(values: np.ndarray) -> dict[str, float]:
+    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return {"mean": float(values.mean()), "std": std}
+
+
+# summary.json's statistic of each series: its time average per seed, then
+# their mean and std across seeds
+SUMMARY_KEYS = {"time_avg_realized": "realized", "time_avg_expected": "expected",
+                "mean_remaining": "remaining", "mean_deployed": "deployed"}
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
@@ -531,61 +575,66 @@ def run(cfg: ExperimentConfig) -> RunResult:
     if cfg.regret:
         oracle_value = optimal_slot_value(network, catalog, gts[0], cfg.weights).best_value
 
-    trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
-    per_policy: dict[str, dict[str, list[float]]] = {
-        p: {key: [] for key in lockstep.SERIES} for p in cfg.policies}
     size = max(1, _batch_rows(lockstep.Layout.of(network, catalog)))  # seeds per group
-    for policy in cfg.policies:
-        # one plan graph per learned policy, shared by its seeds and dropped after them
-        graph = (PlanGraph(network, catalog, PLACEMENT_MODES[policy])
-                 if policy in PLACEMENT_MODES else None)
-        seed_series = chain.from_iterable(
-            simulate_run(network, catalog, gts[k:k + size], cfg.weights, policy, cfg.slots,
-                         users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
-                         failure_bonus_sign=cfg.failure_bonus_sign, graph=graph)
-            for k in range(0, len(gts), size))
-        for seed, series in zip(cfg.seeds, seed_series):
-            expected = series["expected"]
-            trace["t"].extend(range(1, cfg.slots + 1))
-            trace["policy"].extend([policy] * cfg.slots)
-            trace["seed"].extend([seed] * cfg.slots)
-            trace["realized_reward"].extend(series["realized"])
-            trace["expected_reward"].extend(expected)
-            trace["remaining_resource"].extend(series["remaining"])
-            trace["num_deployed"].extend(series["deployed"])
-            trace["oracle_value"].extend([oracle_value] * cfg.slots)
-            trace["regret"].extend([None] * cfg.slots if oracle_value is None
-                                   else [oracle_value - e for e in expected])
-            for key, agg in per_policy[policy].items():
-                agg.append(float(np.mean(series[key])))
+    # one plan graph per learned policy, shared by its seeds and dropped after the run
+    graphs = {policy: PlanGraph(network, catalog, mode)
+              for policy, mode in PLACEMENT_MODES.items() if policy in cfg.policies}
+    groups = [simulate_run(network, catalog, gts[k:k + size], cfg.weights, cfg.policies,
+                           cfg.slots, users=cfg.users,
+                           failure_bonus_scale=cfg.failure_bonus_scale,
+                           failure_bonus_sign=cfg.failure_bonus_sign, graphs=graphs)
+              for k in range(0, len(gts), size)]
 
-    total_capacity = sum(network.capacities)
+    trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
+    rows = len(cfg.seeds) * cfg.slots           # per policy, seed-major
+    t_column = list(range(1, cfg.slots + 1)) * len(cfg.seeds)
+    seed_column = [seed for seed in cfg.seeds for _ in range(cfg.slots)]
+    per_policy = {}
+    for policy in cfg.policies:
+        # (seeds, slots) arrays, the groups' rows one after another
+        series = {key: np.concatenate([group[policy][key] for group in groups])
+                  for key in lockstep.SERIES}
+        expected = series["expected"]
+        trace["t"] += t_column
+        trace["policy"] += [policy] * rows
+        trace["seed"] += seed_column
+        trace["realized_reward"] += series["realized"].ravel().tolist()
+        trace["expected_reward"] += expected.ravel().tolist()
+        trace["remaining_resource"] += series["remaining"].ravel().tolist()
+        trace["num_deployed"] += series["deployed"].ravel().tolist()
+        trace["oracle_value"] += [oracle_value] * rows
+        trace["regret"] += ([None] * rows if oracle_value is None
+                            else (oracle_value - expected).ravel().tolist())
+        per_policy[policy] = {name: _mean_std(series[key].mean(axis=1))
+                              for name, key in SUMMARY_KEYS.items()}
+
     summary = {
         "slots": cfg.slots,
         "seeds": list(cfg.seeds),
         "users": cfg.users,
         "capacity_scale": cfg.capacity_scale,
-        "total_capacity": total_capacity,
+        "total_capacity": sum(network.capacities),
         "oracle_value": oracle_value,
-        "policies": {
-            p: {
-                "time_avg_realized": _mean_std(agg["realized"]),
-                "time_avg_expected": _mean_std(agg["expected"]),
-                "mean_remaining": _mean_std(agg["remaining"]),
-                "mean_deployed": _mean_std(agg["deployed"]),
-            }
-            for p, agg in per_policy.items()
-        },
+        "policies": per_policy,
     }
     return RunResult(config=cfg, trace=trace, summary=summary)
 
 
+# trace.csv rows joined per write: the text of one write stays a few MB
+EMIT_ROWS = 2 ** 16
+
+
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else repr(value)
+
+
+def _cells(name: str, column: list):
+    """A trace column as CSV cells: policy names as they are, numbers by repr, None empty."""
+    if name == "policy":
+        return column
+    if name in REGRET_COLUMNS and None in column:
+        return map(_cell, column)
+    return map(repr, column)
 
 
 def emit(result: RunResult, out_dir, fmt: str = "csv") -> list[Path]:
@@ -599,9 +648,13 @@ def emit(result: RunResult, out_dir, fmt: str = "csv") -> list[Path]:
     if fmt in ("csv", "both"):
         path = out / "trace.csv"
         # no cell needs quoting: policy names are fixed, the rest numbers or empty
-        rows = zip(*(map(_cell, result.trace[col]) for col in CSV_COLUMNS))
+        rows = map(",".join, zip(*(_cells(name, result.trace[name]) for name in CSV_COLUMNS)))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(f"{','.join(row)}\n" for row in chain([CSV_COLUMNS], rows))
+            fh.write(",".join(CSV_COLUMNS))
+            while block := list(islice(rows, EMIT_ROWS)):
+                fh.write("\n")
+                fh.write("\n".join(block))
+            fh.write("\n")
         written.append(path)
 
     if fmt in ("jsonl", "both"):

@@ -23,7 +23,7 @@ and walks only on a miss, so a warm slot is dict lookups and scoring, and a
 decision is its edge ids and the final node's residual tuple.
 
 Ownership. A graph belongs to one (network, catalog, mode). harness.run builds
-one per learned policy before its seed loop and drops it after, so no graph
+one per learned policy before its seed groups and drops them after, so no graph
 outlives a run and nothing is cached at module level or on the network. A
 graph stores at most NODE_CAP nodes, and no new edge once it holds that many:
 past that, new residual states are built and planned for the slot at hand but

@@ -1,24 +1,30 @@
 """The batched stages of harness.simulate_run: many seeds, or many slots, per numpy operation.
 
-harness.simulate_run runs every policy through one loop over chunks of
-(slot, seed) rows, and these are its stages. The learned policies keep one
-of two learner states. From harness.LOCKSTEP_MIN_SEEDS seeds on it is
-Learners, and each slot runs, for all S seeds at once:
+harness.simulate_run runs every policy of a seed group through one loop over
+chunks of (slot, seed) rows, and these are its stages. The learned policies
+keep one of two learner states. From harness.LOCKSTEP_MIN_SEEDS learner rows
+(learned policies x seeds) on it is one Learners, whose rows [k*S, (k+1)*S)
+are learned policy k's S seeds, and each slot runs, for all rows at once:
 
-- estimates: the (S, F) and (S, I) optimistic estimates, a few numpy
+- estimates: the (P*S, F) and (P*S, I) optimistic estimates, a few numpy
   operations;
-- decide_learned: selection_rows builds every seed's selection inputs
+- decide_learned: selection_rows builds every row's selection inputs
   (kernels.selection_inputs) with about ten numpy operations, then the
-  selection scan (kernels.slot_decide) runs once per seed on its row;
-- update: the learners learn from the slot's observation and commits.
+  selection scan (kernels.slot_decide) runs once per row, on its policy's
+  plan graph;
+- update: the learners learn from the slot's observation, repeated for each
+  policy's block of rows, and from each row's commits.
 
-Below that seed count the learner state is one learning.py pair per seed,
-and policy.learned_slot runs each (slot, seed). The random policy keeps no
-state across slots, so random_rows decides a whole chunk's rows at once.
-gather turns a learned chunk's edge ids into Records. Every chunk's Records
-then go through check, which holds them, and the backup vectors and VNF
-copies the learners were updated with, to the eight conditions of a sound
-slot decision, and slot_values, which values them.
+Below that row count the learner state is one learning.py pair per policy and
+seed, and policy.learned_slot runs each (policy, slot, seed). The random
+policy keeps no state across slots, so random_rows decides a whole chunk's
+rows at once. gather turns one learned policy's chunk of edge ids into
+Records. Each policy's Records of a chunk then go through check, which holds
+them, and the backup vectors and VNF copies its learners were updated with,
+to the eight conditions of a sound slot decision, and slot_values, which
+values them. A policy's learners, ids, records and series never mix with
+another's: the rows of a Learners are independent, and each block scans on
+its own graph.
 
 Exactness. Every float is computed by the expression learning.py evaluates,
 one operation at a time: numpy's sqrt, division, multiplication and
@@ -27,11 +33,11 @@ exactly as Python converts it. No 0/0 is computed: the updates divide only
 the arms numpy's where= selects, and the estimates divide an unexplored arm by
 2.0 and then discard it. The selection inputs take the same products and
 differences as kernels.selection_inputs, and a maximum is exact, so each
-seed's row equals that seed's lists. A slot's realised reward is numpy's
-pairwise sum of its C-contiguous row of per-chain payoffs, whatever rows
-share the array, and its expected value adds the row's terms left to right
-in commit order, so a slot's values do not depend on the rows accounted with
-it.
+learner row's inputs equal the lists selection_inputs builds for it. A slot's
+realised reward is numpy's pairwise sum of its C-contiguous row of per-chain
+payoffs, whatever rows share the array, and its expected value adds the
+row's terms left to right in commit order, so a slot's values do not depend
+on the rows accounted with it.
 
 The stage functions (estimates, selection_rows, decide_learned, gather,
 random_rows, check, slot_values, update) live at module level and are looked
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -98,7 +104,7 @@ class Layout:
 
 @dataclass(eq=False)
 class Learners:
-    """Both learners of every seed; row s holds seed s's arms.
+    """Both learners of every learner row; row r holds one (policy, seed)'s arms.
 
     The fields mirror learning.PopularityLearner and learning.FailureLearner:
     selected and placements count, the totals sum the observations, and the
@@ -108,26 +114,26 @@ class Learners:
     users: float
     bonus_scale: float
     bonus_sign: int
-    selected: np.ndarray        # (S, F) int64
-    request_total: np.ndarray   # (S, F) float64
-    request_mean: np.ndarray    # (S, F) float64
-    placements: np.ndarray      # (S, I) int64
-    failure_total: np.ndarray   # (S, I) float64
-    failure_mean: np.ndarray    # (S, I) float64
+    selected: np.ndarray        # (R, F) int64
+    request_total: np.ndarray   # (R, F) float64
+    request_mean: np.ndarray    # (R, F) float64
+    placements: np.ndarray      # (R, I) int64
+    failure_total: np.ndarray   # (R, I) float64
+    failure_mean: np.ndarray    # (R, I) float64
 
     @classmethod
-    def fresh(cls, n_seeds: int, n_sfcs: int, n_vnfs: int, users: int,
+    def fresh(cls, n_rows: int, n_sfcs: int, n_vnfs: int, users: int,
               failure_bonus_scale: float | None, failure_bonus_sign: int) -> "Learners":
         if failure_bonus_scale is None:
             failure_bonus_scale = float(users)
         return cls(users=float(users), bonus_scale=float(failure_bonus_scale),
                    bonus_sign=int(failure_bonus_sign),
-                   selected=np.zeros((n_seeds, n_sfcs), dtype=np.int64),
-                   request_total=np.zeros((n_seeds, n_sfcs)),
-                   request_mean=np.zeros((n_seeds, n_sfcs)),
-                   placements=np.zeros((n_seeds, n_vnfs), dtype=np.int64),
-                   failure_total=np.zeros((n_seeds, n_vnfs)),
-                   failure_mean=np.zeros((n_seeds, n_vnfs)))
+                   selected=np.zeros((n_rows, n_sfcs), dtype=np.int64),
+                   request_total=np.zeros((n_rows, n_sfcs)),
+                   request_mean=np.zeros((n_rows, n_sfcs)),
+                   placements=np.zeros((n_rows, n_vnfs), dtype=np.int64),
+                   failure_total=np.zeros((n_rows, n_vnfs)),
+                   failure_mean=np.zeros((n_rows, n_vnfs)))
 
 
 @dataclass(eq=False)
@@ -157,9 +163,9 @@ def true_values(catalog: Catalog, gts: list[GroundTruth],
 
 
 def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """learning.popularity_estimate and failure_estimate of every seed, as two arrays.
+    """learning.popularity_estimate and failure_estimate of every learner row, as two arrays.
 
-    q is (S, F) and v is (S, I); row s holds seed s's estimates.
+    q is (R, F) and v is (R, I); row r holds learner row r's estimates.
     """
     log_term = 3.0 * math.log(t)
     c = learners.selected
@@ -177,10 +183,10 @@ def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
 
 def selection_rows(layout: Layout, q: np.ndarray, v: np.ndarray,
                    omega: float) -> tuple[list, list, list, list]:
-    """kernels.selection_inputs of every seed: value, gates, bounds and ranked, one row per seed.
+    """kernels.selection_inputs of every learner row: value, gates, bounds and ranked, row by row.
 
-    q and v are estimates' (S, F) and (S, I) arrays. Row s of each result is
-    the list selection_inputs builds from q[s] and v[s], value for value: the
+    q and v are estimates' (R, F) and (R, I) arrays. Row r of each result is
+    the list selection_inputs builds from q[r] and v[r], value for value: the
     same IEEE operations, the worst estimate of a chain taken by a maximum
     over its VNFs and floored at 0.0 as the loop starts from 0.0, and the
     chains ranked by a stable sort, which keeps equal bounds in id order.
@@ -197,23 +203,31 @@ def selection_rows(layout: Layout, q: np.ndarray, v: np.ndarray,
     return value.tolist(), gates.tolist(), bounds.tolist(), ranked
 
 
-def decide_learned(graph: kernels.PlanGraph, layout: Layout, q: np.ndarray, v: np.ndarray,
-                   omega: float, mu: float, ids: list, counts: list,
-                   residuals: list) -> np.ndarray:
-    """One slot of every seed: selection_rows, then kernels.slot_decide per seed.
+def decide_learned(graphs: list[kernels.PlanGraph], layout: Layout, q: np.ndarray,
+                   v: np.ndarray, omega: float, mu: float, ids: list[list], counts: list[list],
+                   residuals: list[list]) -> np.ndarray:
+    """One slot of every learner row: selection_rows, then kernels.slot_decide per row.
 
-    Appends to ids, counts and residuals; returns the (S, F) count of each
-    chain's commits.
+    q and v hold one block of S rows per learned policy, block k's rows
+    [k*S, (k+1)*S) its seeds' estimates: block k scans on graphs[k] and
+    appends to ids[k], counts[k] and residuals[k]. Returns the (P*S, F)
+    count of each chain's commits.
     """
-    first = len(ids)
-    for value, gates, bounds, ranked in zip(*selection_rows(layout, q, v, omega)):
-        # looked up on the module every call, so that a profiler can wrap it
-        counts.append(kernels.slot_decide(graph, value, gates, bounds, ranked, mu, ids,
-                                          residuals))
-    n_seeds, n_sfcs = q.shape
-    row = np.repeat(np.arange(n_seeds), counts[-n_seeds:])
-    sfc = np.fromiter(map(graph.edge_sfc.__getitem__, ids[first:]), np.int64, len(ids) - first)
-    return np.bincount(row * n_sfcs + sfc, minlength=n_seeds * n_sfcs).reshape(n_seeds, n_sfcs)
+    n_rows, n_sfcs = q.shape
+    n_seeds = n_rows // len(graphs)
+    rows = zip(*selection_rows(layout, q, v, omega))
+    made, sfc = [], []
+    for graph, block_ids, block_counts, block_residuals in zip(graphs, ids, counts, residuals):
+        first = len(block_ids)
+        for value, gates, bounds, ranked in islice(rows, n_seeds):
+            # looked up on the module every call, so that a profiler can wrap it
+            block_counts.append(kernels.slot_decide(graph, value, gates, bounds, ranked, mu,
+                                                    block_ids, block_residuals))
+        made += block_counts[-n_seeds:]
+        sfc += map(graph.edge_sfc.__getitem__, block_ids[first:])
+    row = np.repeat(np.arange(n_rows), made)
+    return np.bincount(row * n_sfcs + np.array(sfc, dtype=np.int64),
+                       minlength=n_rows * n_sfcs).reshape(n_rows, n_sfcs)
 
 
 def gather(graph: kernels.PlanGraph, ids: list, counts: list, residuals: list) -> Records:
@@ -433,9 +447,10 @@ def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,
 
 def update(learners: Learners, requests: np.ndarray, failed: np.ndarray, x: np.ndarray,
            placed: np.ndarray) -> None:
-    """learning.popularity_update and failure_update of every seed, in place.
+    """learning.popularity_update and failure_update of every learner row, in place.
 
-    x is the slot's (S, F) backup vector, placed its (S, I) copies per VNF.
+    requests and failed are the rows' (R, F) and (R, I) observations, x their
+    (R, F) backup vectors and placed their (R, I) copies per VNF.
     """
     learners.selected += x
     np.add(learners.request_total, requests, out=learners.request_total, where=x)

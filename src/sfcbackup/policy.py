@@ -6,8 +6,8 @@ the learned ones also never commit a non-positive score. learned_slot is
 one slot of a learned policy, rtsd or bandit, which differ only in the
 kernel's placement walk, carried by the kernels.PlanGraph they plan on.
 Learner updates happen inside the call, after deployment, using that slot's
-observation. harness.simulate_run calls it once per (slot, seed) for a seed
-group too small for lockstep.Learners.
+observation. harness.simulate_run calls it once per (policy, slot, seed) for
+a seed group with too few learner rows for lockstep.Learners.
 
 A slot's selection runs in two parts: kernels.selection_inputs builds the
 slot's per-chain inputs from the estimates, and kernels.slot_decide scans

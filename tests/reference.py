@@ -547,13 +547,16 @@ def assert_matches_reference(cfg, monkeypatch) -> dict[str, list]:
     """harness.run(cfg) equals reference_run(cfg) under both learner states, type for type.
 
     LOCKSTEP_MIN_SEEDS = 1 puts every seed group on lockstep.Learners, one
-    past the seed count on a learning.py pair per seed. The shipped value, run
-    too where the seeds outnumber it, may put one seed group on each. Returns
-    the trace.
+    past the run's learner rows (learned policies x seeds) on a learning.py
+    pair per policy and seed. The shipped value, run too where the rows
+    outnumber it, may put one seed group on each. A random-only run keeps no
+    learners and counts its seeds. Returns the trace.
     """
     trace, summary = reference_run(cfg)
-    n_seeds, shipped = len(cfg.seeds), harness.LOCKSTEP_MIN_SEEDS
-    for min_seeds in (1, shipped, n_seeds + 1) if shipped < n_seeds else (1, n_seeds + 1):
+    shipped = harness.LOCKSTEP_MIN_SEEDS
+    learned = sum(policy in harness.PLACEMENT_MODES for policy in cfg.policies)
+    rows = max(learned, 1) * len(cfg.seeds)
+    for min_seeds in (1, shipped, rows + 1) if shipped < rows else (1, rows + 1):
         monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", min_seeds)
         result = harness.run(cfg)
         for col in CSV_COLUMNS:

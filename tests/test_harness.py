@@ -10,6 +10,7 @@ import tempfile
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -138,22 +139,43 @@ def test_simulate_run_shapes_and_determinism() -> None:
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 3)
     kw = dict(users=cfg.users, failure_bonus_scale=1.0, failure_bonus_sign=-1)
+    every = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, POLICY_ORDER, 25, **kw)
+    assert list(every) == list(POLICY_ORDER)
     for policy in POLICY_ORDER:
-        [a] = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, policy,
-                           25, **kw)
-        [b] = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, policy,
-                           25, **kw)
+        a = every[policy]
+        [b] = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, (policy,),
+                           25, **kw).values()
         assert list(a) == ["realized", "expected", "remaining", "deployed"]
-        for key, kind in (("realized", float), ("expected", float),
-                          ("remaining", int), ("deployed", int)):
-            assert len(a[key]) == 25
-            assert all(type(v) is kind for v in a[key])
-            assert a[key] == b[key]
-        assert all(v >= 0 for v in a["remaining"])
-        assert all(v >= 0 for v in a["deployed"])
+        for key, kind in (("realized", np.float64), ("expected", np.float64),
+                          ("remaining", np.int64), ("deployed", np.int64)):
+            assert a[key].shape == (1, 25)
+            assert a[key].dtype == kind
+            # a policy alone runs as it does next to the others
+            assert a[key].tolist() == b[key].tolist()
+        assert (a["remaining"] >= 0).all()
+        assert (a["deployed"] >= 0).all()
     with pytest.raises(ValueError, match=repr("nope")):
-        simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, "nope", 5,
+        simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, ("rtsd", "nope"), 5,
                      users=cfg.users)
+
+
+def test_summary_means_past_the_reduction_buffer() -> None:
+    # 9000 slots: numpy sums a long row in blocks of 8192 (its buffer), so a
+    # mean over a seed's whole row must still be np.mean of that seed's rows
+    cfg = apply_overrides(load_config(tiny_config()), seeds=[4, 9], slots=9000)
+    result = run(cfg)
+    trace = result.trace
+    assert len(trace["t"]) == len(POLICY_ORDER) * 2 * 9000
+    for k, policy in enumerate(POLICY_ORDER):
+        for name, col in (("time_avg_realized", "realized_reward"),
+                          ("time_avg_expected", "expected_reward"),
+                          ("mean_remaining", "remaining_resource"),
+                          ("mean_deployed", "num_deployed")):
+            means = [float(np.mean(trace[col][start:start + 9000]))
+                     for start in range((2 * k) * 9000, (2 * k + 2) * 9000, 9000)]
+            assert result.summary["policies"][policy][name] == {
+                "mean": float(np.mean(means)), "std": float(np.std(means, ddof=1))}, \
+                (policy, name)
 
 
 @pytest.mark.parametrize("policy", ["rtsd", "bandit", "random"])

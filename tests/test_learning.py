@@ -83,6 +83,27 @@ def test_failure_update_counts_copies_but_one_flag() -> None:
     assert fail.failure_mean[1] == pytest.approx(0.5)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "failure_update adds a slot's failure flag once but every placed copy to the count, "
+    "so a chain that runs a VNF twice halves its estimate; ROADMAP.md item 3(c) of "
+    "\"Make the reported numbers mean what their names say\" counts one observation "
+    "per slot, and this marker goes when it lands"))
+def test_failure_estimate_is_consistent_on_a_repeated_vnf() -> None:
+    # acceptance criterion 7's failure check on the chain [0, 0], which places
+    # two copies of VNF 0 in every slot, over 2000 slots instead of 10000
+    users, p, v, slots, n_seeds = 5, 0.4, 0.3, 2_000, 100
+    tol_v = 3.0 * math.sqrt(v * (1.0 - v) / slots)
+    two_copies = [2]
+    ok_v = 0
+    for seed in range(n_seeds):
+        gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
+        _, fail = init_learners(1, 1, users)
+        for _, failed in slot_rows(gt, 1, slots + 1):
+            failure_update(fail, failed, two_copies)
+        ok_v += abs(float(fail.failure_mean[0]) - v) < tol_v
+    assert ok_v >= 95, f"failure mean within {tol_v:.4f} of {v} in {ok_v}/100 seeds"
+
+
 def test_failure_update_skips_unplaced() -> None:
     _, fail = fresh()
     failure_update(fail, [1, 1, 1], [0, 0, 0])

@@ -3,9 +3,10 @@
 reference.reference_run is the simulator written slot by slot from the
 definitions, and every run here must equal it column for column, under both
 learner states: lockstep.Learners, forced by LOCKSTEP_MIN_SEEDS = 1, and a
-learning.py pair per seed, forced by one past the seed count. The random
-policy decides whole chunks of rows at once, and lockstep.random_rows must
-also equal reference.random_placement row by row.
+learning.py pair per policy and seed, forced by one past the learner rows
+(learned policies x seeds). The random policy decides whole chunks of rows
+at once, and lockstep.random_rows must also equal reference.random_placement
+row by row.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from reference import assert_matches_reference, random_placement, reference_run,
 
 
 def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
-    # the seed count picks a learned policy's learner state: lockstep.Learners
-    # (one estimates call per slot for every seed) from LOCKSTEP_MIN_SEEDS seeds
-    # on, a learning.py pair per seed (one popularity_estimate call per seed
-    # and slot) below that
+    # the learner rows, learned policies x seeds, pick the learned policies'
+    # learner state: one lockstep.Learners (one estimates call per slot for
+    # every row, the policies' seeds stacked) from LOCKSTEP_MIN_SEEDS rows on,
+    # a learning.py pair per policy and seed (one popularity_estimate call per
+    # policy, seed and slot) below that; alone, a learned policy's rows are
+    # its seeds
     calls = {"lockstep": 0, "per_seed": 0, "random": 0}
 
     def count(module, name: str, key: str) -> None:
@@ -49,11 +52,16 @@ def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
     count(lockstep, "random_rows", "random")
     cfg = load_config(default_config_path())
     learned = len(PLACEMENT_MODES)
-    run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS}"))
-    assert calls == {"lockstep": learned * 3, "per_seed": 0, "random": 1}
-    run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS - 1}"))
-    assert calls == {"lockstep": learned * 3, "per_seed": learned * 3 * (LOCKSTEP_MIN_SEEDS - 1),
-                     "random": 2}
+    stacked = -(-LOCKSTEP_MIN_SEEDS // learned)     # the fewest seeds whose rows reach it
+    run(apply_overrides(cfg, slots=3, seeds=f"1..{stacked}"))
+    assert calls == {"lockstep": 3, "per_seed": 0, "random": 1}
+    run(apply_overrides(cfg, slots=3, seeds=f"1..{stacked - 1}"))
+    assert calls == {"lockstep": 3, "per_seed": learned * 3 * (stacked - 1), "random": 2}
+    calls.update(lockstep=0, per_seed=0)
+    run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd"))
+    assert calls == {"lockstep": 3, "per_seed": 0, "random": 2}
+    run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS - 1}", policy="rtsd"))
+    assert calls == {"lockstep": 3, "per_seed": 3 * (LOCKSTEP_MIN_SEEDS - 1), "random": 2}
 
 
 def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
@@ -66,9 +74,9 @@ def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
         built.append(args)
         return real_make(*args)
 
-    def simulate(network, catalog, gts, *args, **kwargs):
-        seen.extend(map(id, gts))
-        return real_simulate(network, catalog, gts, *args, **kwargs)
+    def simulate(network, catalog, gts, weights, policies, *args, **kwargs):
+        seen.append((policies, [id(gt) for gt in gts]))
+        return real_simulate(network, catalog, gts, weights, policies, *args, **kwargs)
 
     monkeypatch.setattr(harness, "make_ground_truth", make)
     monkeypatch.setattr(harness, "simulate_run", simulate)
@@ -78,9 +86,10 @@ def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
         built.clear()
         run(apply_overrides(cfg, slots=2, seeds=f"1..{n}"))
         assert len(built) == 1
-        # rtsd, bandit, random: the same n ground truths
-        assert len(seen) == 3 * n and len(set(seen)) == n
-        assert seen[:n] == seen[n:2 * n] == seen[2 * n:]
+        # one call for rtsd, bandit and random on the n ground truths
+        [(policies, ids)] = seen
+        assert policies == POLICY_ORDER
+        assert len(ids) == n and len(set(ids)) == n
 
 
 @st.composite
@@ -285,9 +294,10 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     rows = {"check": [], "slot_values": []}
     real_simulate = harness.simulate_run
 
-    def recorded(network, catalog, gts, weights, policy, *args, **kwargs):
-        sizes[policy].append(len(gts))
-        return real_simulate(network, catalog, gts, weights, policy, *args, **kwargs)
+    def recorded(network, catalog, gts, weights, policies, *args, **kwargs):
+        for policy in policies:
+            sizes[policy].append(len(gts))
+        return real_simulate(network, catalog, gts, weights, policies, *args, **kwargs)
 
     def bound() -> int:
         return max(1, harness._batch_rows(layout))
@@ -324,6 +334,40 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     assert sizes["rtsd"] == [LOCKSTEP_MIN_SEEDS]
     assert 0 < len(rows["check"]) < cfg.slots
     assert max(rows["check"]) <= bound()
+
+
+# the fewest seeds whose learner rows, stacked for both learned policies, reach
+# LOCKSTEP_MIN_SEEDS: a run of every policy takes lockstep.Learners here, a
+# policy alone a learning.py pair per seed
+STACKED_SEEDS = -(-LOCKSTEP_MIN_SEEDS // len(PLACEMENT_MODES))
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3, STACKED_SEEDS, LOCKSTEP_MIN_SEEDS,
+                                     2 * LOCKSTEP_MIN_SEEDS + 3])
+def test_policies_run_together_as_they_run_alone(monkeypatch, n_seeds: int) -> None:
+    # one pass decides every policy on the same draws, the learned policies'
+    # learners stacked in one state; each policy's rows and summary entry must
+    # still be those of a run of that policy alone
+    cfg = apply_overrides(load_config(default_config_path()), slots=20,
+                          seeds=f"1..{n_seeds}")
+    if n_seeds > LOCKSTEP_MIN_SEEDS:
+        # seed groups of LOCKSTEP_MIN_SEEDS, as in the test above, the last one
+        # on per-seed learners
+        layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+        per_row = (cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width
+                   + cfg.network.n_servers)
+        monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", per_row * LOCKSTEP_MIN_SEEDS)
+    together = run(cfg)
+    policy_column = together.trace["policy"]
+    for policy in POLICY_ORDER:
+        alone = run(apply_overrides(cfg, policy=policy))
+        rows = [k for k, name in enumerate(policy_column) if name == policy]
+        assert len(rows) == n_seeds * cfg.slots
+        for col in harness.CSV_COLUMNS:
+            assert [(type(v), v) for v in map(together.trace[col].__getitem__, rows)] == \
+                   [(type(v), v) for v in alone.trace[col]], (policy, col)
+        assert together.summary["policies"][policy] == alone.summary["policies"][policy]
+        assert list(alone.summary["policies"]) == [policy]
 
 
 # --- the batched verification -------------------------------------------------

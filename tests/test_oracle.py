@@ -234,7 +234,7 @@ def test_policies_never_beat_the_oracle() -> None:
         gap = ceiling - expected_slot_value(w, gt, dec, cat)
         assert gap >= -1e-9
         worst_gap = min(worst_gap, gap)
-    [random_series] = simulate_run(net, cat, [gt], w, "random", 50, users=gt.n_users)
-    assert all(ceiling - value >= -1e-9 for value in random_series["expected"])
+    random_series = simulate_run(net, cat, [gt], w, ("random",), 50, users=gt.n_users)["random"]
+    assert all(ceiling - value >= -1e-9 for value in random_series["expected"][0].tolist())
     # the learned policy should actually approach the ceiling on this instance
     assert worst_gap < ceiling

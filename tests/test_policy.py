@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, RewardWeights,
-                       default_config_path, load_config, make_ground_truth)
+                       default_config_path, load_config, make_ground_truth, run)
 from sfcbackup import lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import PlanGraph
@@ -362,6 +362,31 @@ def test_realized_reward_averages_to_expected_value() -> None:
     mean = total / slots
     var = sq / slots - mean * mean
     assert abs(mean - want) < 4.0 * math.sqrt(var / slots)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a chain earns only if none of its VNFs fails, with chance prod(1 - v_i), but "
+    "expected_reward gates it by its worst VNF, 1 - max(v_i); ROADMAP.md item 3(b) of "
+    "\"Make the reported numbers mean what their names say\" values it by the survival "
+    "product, and this marker goes when it lands"))
+def test_expected_reward_is_the_mean_realized_reward_with_several_fallible_vnfs() -> None:
+    # one server holds both chains at zero latency, so random commits both in
+    # every slot; chain 0 runs three fallible VNFs, so 0.8 * 0.85 * 0.75 = 0.51
+    # of its payoff survives against the 0.75 its worst VNF leaves
+    n_seeds, slots = 100, 50
+    cfg = load_config({
+        "network": {"capacities": [20], "links": []},
+        "catalog": {"vnf_demand": [1, 1, 1, 1], "sfc_chain": [[0, 1, 2], [1, 3]]},
+        "ground_truth": {"request_prob": 0.5, "failure_mean": [0.2, 0.15, 0.25, 0.0]},
+        "users": 10, "slots": slots, "seeds": f"1..{n_seeds}", "policies": "random"})
+    trace = run(cfg).trace
+    if set(trace["num_deployed"]) != {2}:   # not an AssertionError, which the mark absorbs
+        pytest.fail("random no longer commits both chains in every slot")
+    # each seed's time average of realized less expected reward; the seeds'
+    # draws are independent, the slots' of one seed are not (item 3a)
+    gap = (np.array(trace["realized_reward"]) - np.array(trace["expected_reward"]))
+    gap = gap.reshape(n_seeds, slots).mean(axis=1)
+    assert abs(gap.mean()) < 4.0 * gap.std(ddof=1) / math.sqrt(n_seeds)
 
 
 # --- the reference's checker ----------------------------------------------

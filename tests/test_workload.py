@@ -179,7 +179,7 @@ def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
 
     monkeypatch.setattr(lockstep, "slot_values", recorded)
     simulate_run(EdgeNetwork([4], []), Catalog([1, 2, 3], [[0, 1], [2]]), gts,
-                 RewardWeights(), "random", n_slots, users=3)
+                 RewardWeights(), ("random",), n_slots, users=3)
     assert len(drawn) == n_slots * len(gts)
     for k, row in enumerate(drawn):
         assert row == draw_slot(gts[k % 2], k // 2 + 1)
