@@ -17,6 +17,13 @@ once and the learned policies' learners advance together. Only its decide
 step depends on the policy and on the group's learner rows. It returns each
 policy's series as (seeds, slots) arrays, and run reads the trace columns and
 the summary's per-seed means off them. Its batched stages live in lockstep.
+
+emit writes the trace EMIT_ROWS rows at a time. Within a block it formats
+each distinct value of a column once, by repr for trace.csv and json.dumps
+for trace.jsonl, and looks every cell up in that table, so a float's
+shortest round-trip digits are worked out once per value, not per cell. Two
+cells share a table entry only when their values share a bit pattern, so the
+bytes are those of formatting each cell alone.
 """
 
 from __future__ import annotations
@@ -47,8 +54,6 @@ PLACEMENT_MODES = {"rtsd": GREEDY, "bandit": FIRST_FIT}
 
 CSV_COLUMNS = ("t", "policy", "seed", "realized_reward", "expected_reward",
                "remaining_resource", "num_deployed", "oracle_value", "regret")
-# the columns a run leaves empty (None) unless regret evaluation is requested
-REGRET_COLUMNS = ("oracle_value", "regret")
 
 
 # Residuals, demands and the remaining-resource column are int64, and a seed is one
@@ -620,21 +625,58 @@ def run(cfg: ExperimentConfig) -> RunResult:
     return RunResult(config=cfg, trace=trace, summary=summary)
 
 
-# trace.csv rows joined per write: the text of one write stays a few MB
+# trace rows formatted and joined per write: the text of one write stays a few MB
 EMIT_ROWS = 2 ** 16
 
 
-def _cell(value) -> str:
+def _csv_text(value) -> str:
     return "" if value is None else repr(value)
 
 
-def _cells(name: str, column: list):
-    """A trace column as CSV cells: policy names as they are, numbers by repr, None empty."""
-    if name == "policy":
-        return column
-    if name in REGRET_COLUMNS and None in column:
-        return map(_cell, column)
-    return map(repr, column)
+def _jsonl_text(name: str):
+    """A column's trace.jsonl text of one value: its key, then json.dumps of the value."""
+    key = json.dumps(name) + ": "
+    return lambda value: key + json.dumps(value)
+
+
+# per format, the text of one value in each column; policy names go to CSV as they are
+CSV_TEXTS = {name: str if name == "policy" else _csv_text for name in CSV_COLUMNS}
+JSONL_TEXTS = {name: _jsonl_text(name) for name in CSV_COLUMNS}
+
+
+class _TextTable(dict):
+    """Each distinct value's text, made by text(value) on its first lookup.
+
+    Keys are the values, and a column holds ints or floats, never both, so
+    values that share a key share their bit pattern and so their text, save
+    0.0 and -0.0, which compare equal: a float zero is never stored, and is
+    formatted on every lookup. A NaN is stored under its own object, which
+    only that object matches.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text) -> None:
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, value) -> str:
+        text = self.text(value)
+        if value or not isinstance(value, float):
+            self[value] = text
+        return text
+
+
+def _blocks(trace: dict[str, list], texts: dict, sep: str):
+    """The trace's rows, EMIT_ROWS per block, each row its cells' texts joined by sep.
+
+    Each column of a block looks its cells up in a table of its own, so a
+    table holds at most one block's distinct values.
+    """
+    columns = [(iter(trace[name]), texts[name]) for name in CSV_COLUMNS]
+    for _ in range(0, len(trace["t"]), EMIT_ROWS):
+        yield map(sep.join, zip(*(map(_TextTable(text).__getitem__, islice(values, EMIT_ROWS))
+                                  for values, text in columns)))
 
 
 def emit(result: RunResult, out_dir, fmt: str = "csv") -> list[Path]:
@@ -648,10 +690,9 @@ def emit(result: RunResult, out_dir, fmt: str = "csv") -> list[Path]:
     if fmt in ("csv", "both"):
         path = out / "trace.csv"
         # no cell needs quoting: policy names are fixed, the rest numbers or empty
-        rows = map(",".join, zip(*(_cells(name, result.trace[name]) for name in CSV_COLUMNS)))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS))
-            while block := list(islice(rows, EMIT_ROWS)):
+            for block in _blocks(result.trace, CSV_TEXTS, ","):
                 fh.write("\n")
                 fh.write("\n".join(block))
             fh.write("\n")
@@ -659,10 +700,12 @@ def emit(result: RunResult, out_dir, fmt: str = "csv") -> list[Path]:
 
     if fmt in ("jsonl", "both"):
         path = out / "trace.jsonl"
+        # each line is json.dumps of the row's dict, written out cell by cell
         with open(path, "w", encoding="utf-8") as fh:
-            for values in zip(*(result.trace[col] for col in CSV_COLUMNS)):
-                fh.write(json.dumps(dict(zip(CSV_COLUMNS, values))))
-                fh.write("\n")
+            for block in _blocks(result.trace, JSONL_TEXTS, ", "):
+                fh.write("{")
+                fh.write("}\n{".join(block))
+                fh.write("}\n")
         written.append(path)
 
     summary_path = out / "summary.json"

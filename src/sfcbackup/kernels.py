@@ -153,10 +153,13 @@ class PlanGraph:
     assignment are edge_sfc[id], edge_latency[id] and edge_servers[id]. Both
     fill lazily and are never invalidated: walks are pure, and the graph
     belongs to one network, catalog and placement mode (GREEDY or FIRST_FIT).
+    The network's neighbor_lists and latency_rows, and the catalog's
+    vnf_demand and sfc_chain, are kept as slots, read by slot_decide on every
+    call.
     """
 
-    __slots__ = ("network", "catalog", "mode", "nodes", "edge_sfc", "edge_latency",
-                 "edge_servers", "stored")
+    __slots__ = ("network", "catalog", "mode", "neighbor_lists", "latency_rows", "vnf_demand",
+                 "sfc_chain", "nodes", "edge_sfc", "edge_latency", "edge_servers", "stored")
 
     def __init__(self, network, catalog, mode: int) -> None:
         if mode not in (GREEDY, FIRST_FIT):
@@ -164,6 +167,10 @@ class PlanGraph:
         self.network = network
         self.catalog = catalog
         self.mode = mode
+        self.neighbor_lists = network.neighbor_lists
+        self.latency_rows = network.latency_rows
+        self.vnf_demand = catalog.vnf_demand
+        self.sfc_chain = catalog.sfc_chain
         self.nodes: dict[tuple[int, ...], tuple] = {}
         self.edge_sfc, self.edge_latency, self.edge_servers = [], [], []
         self.stored = 0
@@ -185,9 +192,9 @@ class PlanGraph:
         stored ids are the stored edges'.
         """
         latency, assign = node[1][f]
-        demands = self.catalog.vnf_demand
+        demands = self.vnf_demand
         residual = list(node[0])
-        for s, i in zip(assign, self.catalog.sfc_chain[f]):
+        for s, i in zip(assign, self.sfc_chain[f]):
             residual[s] -= demands[i]
         edge = (self.node(tuple(residual)), len(self.edge_sfc))
         self.edge_sfc.append(f)
@@ -258,11 +265,10 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
     computed on a round's first miss.
     """
     network = graph.network
-    catalog = graph.catalog
-    demands = catalog.vnf_demand
-    chains = catalog.sfc_chain
-    nbrs = network.neighbor_lists
-    lat = network.latency_rows
+    demands = graph.vnf_demand
+    chains = graph.sfc_chain
+    nbrs = graph.neighbor_lists
+    lat = graph.latency_rows
     greedy = graph.mode == GREEDY
     node = graph.node(network.capacities)
     first = len(ids)

@@ -37,6 +37,10 @@ changes one definition here for each of its three parts:
 reference_random_slot is not a definition but a law: the permutation scan
 the random policy's draws must follow in distribution.
 
+reference_trace_text writes a trace as harness.emit must, one cell at a
+time: trace.csv with repr of each number, "" for None and policy names as
+they are; trace.jsonl with json.dumps of each row's dict.
+
 The rest drives src for the tests, one adapter each:
 assert_matches_reference holds harness.run to reference_run under both
 learner states; slot_rows and slot_row give sample_arrays' draws as lists;
@@ -50,6 +54,7 @@ random_slots turn lockstep.Records into (deployed, residual) pairs.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -503,6 +508,17 @@ def reference_run(cfg) -> tuple[dict[str, list], dict]:
                "capacity_scale": cfg.capacity_scale, "total_capacity": sum(network.capacities),
                "oracle_value": oracle, "policies": policies}
     return {col: list(column) for col, column in zip(CSV_COLUMNS, zip(*rows))}, summary
+
+
+def reference_trace_text(trace: dict[str, list]) -> tuple[str, str]:
+    """The text of trace.csv and of trace.jsonl for trace's columns, each cell formatted alone."""
+    rows = list(zip(*(trace[col] for col in CSV_COLUMNS)))
+    csv_lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        csv_lines.append(",".join(cell if col == "policy" else "" if cell is None else repr(cell)
+                                  for col, cell in zip(CSV_COLUMNS, row)))
+    jsonl_lines = [json.dumps(dict(zip(CSV_COLUMNS, row))) for row in rows]
+    return "".join(line + "\n" for line in csv_lines), "".join(line + "\n" for line in jsonl_lines)
 
 
 # --- the random policy's law ----------------------------------------------------

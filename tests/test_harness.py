@@ -24,7 +24,8 @@ from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAW
                                parse_seeds, simulate_run)
 from sfcbackup.kernels import PlanGraph
 
-from reference import assert_matches_reference, draw_slot, reference_series
+from reference import (assert_matches_reference, draw_slot, reference_series,
+                       reference_trace_text)
 
 
 def tiny_config(**extra) -> dict:
@@ -296,6 +297,58 @@ def test_emit_is_byte_stable(tmp_path: Path) -> None:
     for name in ("trace.csv", "trace.jsonl", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+
+
+# floats that equal-keyed formatting could get wrong: both zeros, NaNs (one
+# object repeated and distinct ones, either sign), both infinities, the least
+# subnormal, values repr writes with an exponent, and repeats across rows
+EXACT_FLOATS = [0.0, -0.0, math.nan, -math.nan, float("nan"), math.inf, -math.inf, 5e-324,
+                -5e-324, 1e16, 1e-05, 0.1, 2.5, 1e16, 0.0, -0.0, 0.1, math.nan, -0.0, 2.5,
+                1e-05, 0.0]
+
+
+def synthetic_result(floats: list[float], regret: list | None = None) -> harness.RunResult:
+    """A RunResult with floats in its reward columns and ints up to 2**64 - 1.
+
+    regret fills the oracle_value and regret columns; None leaves them all None.
+    """
+    n = len(floats)
+    trace = {"t": list(range(1, n + 1)),
+             "policy": [POLICY_ORDER[k % len(POLICY_ORDER)] for k in range(n)],
+             "seed": [(0, 2 ** 64 - 1, 7, 2 ** 63)[k % 4] for k in range(n)],
+             "realized_reward": floats,
+             "expected_reward": floats[::-1],
+             "remaining_resource": [(0, 2 ** 63 - 1, 5)[k % 3] for k in range(n)],
+             "num_deployed": [k % 2 for k in range(n)],
+             "oracle_value": [None] * n if regret is None else [regret[0]] * n,
+             "regret": [None] * n if regret is None else regret}
+    return harness.RunResult(config=None, trace=trace, summary={})
+
+
+def assert_emits_as_the_plain_writer(result: harness.RunResult, out: Path) -> None:
+    emit(result, out, "both")
+    csv_text, jsonl_text = reference_trace_text(result.trace)
+    assert (out / "trace.csv").read_bytes() == csv_text.encode()
+    assert (out / "trace.jsonl").read_bytes() == jsonl_text.encode()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 2 ** 16])
+def test_emit_formats_each_cell_as_the_plain_writer(tmp_path: Path, rows: int,
+                                                     monkeypatch: pytest.MonkeyPatch) -> None:
+    # blocks of a few rows make cells and distinct values cross block boundaries
+    monkeypatch.setattr(harness, "EMIT_ROWS", rows)
+    assert_emits_as_the_plain_writer(synthetic_result(EXACT_FLOATS), tmp_path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(floats=st.lists(st.one_of(st.sampled_from(EXACT_FLOATS), st.floats()), min_size=1,
+                       max_size=30),
+       rows=st.integers(1, 8))
+def test_emit_matches_the_plain_writer_on_any_floats(floats: list[float], rows: int) -> None:
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(harness, "EMIT_ROWS", rows)
+        assert_emits_as_the_plain_writer(synthetic_result(floats, regret=floats[1:] + floats[:1]),
+                                         Path(tmp))
 
 
 # sha256 of trace.csv from ``sfcbackup --slots 60 --seed 1..3`` (bundled config,
