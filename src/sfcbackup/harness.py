@@ -63,9 +63,10 @@ SEED_LIMIT = 2 ** 64
 # A run takes at most this many seeds; a longer range is rejected from its
 # endpoints, before any seed tuple is built.
 MAX_SEEDS = 1_000_000
-# users x n_sfcs, the request draws of one slot, is at most this: one
-# OBS_BLOCK_SLOTS-slot observation draw then holds about 128 MiB of uniforms
-# (256 slots x 2**16 draws x 8 bytes), plus an eighth of that in flags.
+# users x n_sfcs, the request draws of one slot, is at most this. simulate_run
+# sizes its blocks so that one seed's sample_arrays call reads at most
+# OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS = 2**24 request uniforms, 128 MiB were
+# they held as doubles; sample_arrays holds a one-byte flag per draw.
 MAX_REQUEST_DRAWS = 2 ** 16
 # policies x seeds x slots, the trace rows a run holds, is at most this: a row
 # takes about 170 bytes until emit writes it, so a run holds at most about 0.7 GB.
@@ -76,28 +77,34 @@ MAX_TRACE_ROWS = 2 ** 22
 # smaller one a learning.py learner pair per policy and seed. Both write the
 # same trace; only speed picks. Timed at 2, 4, 6, 8 and 12 seeds x 100 slots
 # (harness.run, regret off, min of 11 alternating runs, 2 shared CPUs), numpy /
-# per-seed time, the median of three such timings. rtsd and bandit together
-# (4 to 24 rows): canonical 1.10 0.76 0.66 0.59 0.52; wide-edge 0.93 0.85 0.92
-# 0.80 0.78; small-regret 1.54 0.97 0.78 0.68 0.58. rtsd alone, then bandit
-# alone (2 to 12 rows): canonical 1.66 1.14 0.91 0.75 0.63, 1.76 1.15 0.91 0.79
-# 0.65; wide-edge 1.01 0.88 0.83 0.82 0.75, 1.09 0.93 0.90 0.86 0.84;
-# small-regret 2.39 1.44 1.12 0.94 0.72, 2.39 1.45 1.11 0.92 0.74. At 6 rows
-# numpy lost on small-regret (by 11-12%); from 8 rows on it won on every
-# instance, alone and together (by 3% at the least, small-regret's 4 seeds).
+# per-seed time, the median of three such timings, with the per-seed side at
+# one learning.estimates and one learning.update call a slot. rtsd and bandit
+# together (4 to 24 rows): canonical 1.15 0.78 0.68 0.62 0.54; wide-edge 0.96
+# 0.85 0.84 0.81 0.83; small-regret 1.39 0.69 0.80 0.67 0.55. rtsd alone, then
+# bandit alone (2 to 12 rows): canonical 1.70 1.15 0.89 0.71 0.67, 1.85 1.23
+# 0.93 0.80 0.68; wide-edge 1.04 0.86 0.83 0.81 0.79, 1.04 0.90 0.81 0.90 0.85;
+# small-regret 2.47 1.52 1.28 0.97 0.75, 2.47 1.53 1.16 0.94 0.77. At 6 rows
+# numpy lost on small-regret (by 16-28%); at 8 rows it won everywhere but
+# small-regret alone, where it was at par (0.97 and 0.94 here; a repeat read
+# 0.92 and 1.08), and at 12 it won on every instance. The crossover is still
+# between 6 and 8 rows, and 10 would hand canonical's 4-seed runs of both
+# policies (0.78) to the slower side.
 LOCKSTEP_MIN_SEEDS = 8
-# simulate_run holds a seed group's draws OBS_BLOCK_SLOTS slots ahead, once for
+# simulate_run holds a seed group's draws a block of slots ahead, once for
 # every policy: per (slot, seed) row, F request counts, I failure flags and,
 # when random runs, W policy uniforms. It decides a chunk of rows for every
 # policy, then checks and values one policy's records at a time, each row then
 # also holding an N-server residual. A group has at most
 # LOCKSTEP_MAX_VALUES // (F + I + W + N) seeds and a chunk as many rows (and
 # at least one). So a chunk's draws and the records checked with them hold at
-# most this many values, 256 KiB at 8 bytes each, and a block's draws
-# OBS_BLOCK_SLOTS times that, 64 MiB, however many seeds a run has. At this
-# bound a 2-seed, 50-slot run with 178 values a row (perfbench's wide-edge)
-# decides its block in one chunk. Whole-block chunks on the bundled config
-# (2 ** 17) raised perfbench's canonical peak_rss_mb by 1.0-1.7 MB (3 runs, 2
-# shared CPUs).
+# most this many values, 256 KiB at 8 bytes each. A block is at most one
+# chunk, or OBS_BLOCK_SLOTS slots where a chunk is shorter, so its draws hold
+# at most OBS_BLOCK_SLOTS times that, 64 MiB, however many seeds a run has.
+# At this bound a 2-seed, 50-slot run with 178 values a row (perfbench's
+# wide-edge) decides its block in one chunk, and a 1-seed run with 20 values a
+# row (perfbench's small-regret) takes 1638 slots a chunk, all of its 1000
+# slots at once. Whole-block chunks on the bundled config (2 ** 17) raised
+# perfbench's canonical peak_rss_mb by 1.0-1.7 MB (3 runs, 2 shared CPUs).
 LOCKSTEP_MAX_VALUES = 2 ** 15
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
@@ -411,16 +418,19 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     graphs maps each learned policy to its kernels.PlanGraph, shared across
     seeds; None gives the run fresh ones.
 
-    Each seed draws its observations, and when random runs its policy
-    uniforms, OBS_BLOCK_SLOTS slots per Philox call, once for all policies.
-    A block is cut into chunks of (slot, seed) rows, slot-major, at most
-    _batch_rows of them. Each chunk is decided for every policy; then, policy
-    by policy, lockstep.check verifies its records and lockstep.slot_values
-    accounts them. Only the decide step depends on the policy: random_rows
-    for random, and for the learned policies one learner state for all
-    seeds: from LOCKSTEP_MIN_SEEDS learner rows (learned policies x seeds)
-    on, one lockstep.Learners that stacks the policies' seeds as row blocks,
-    and below that a learned_slot learner pair per policy and seed.
+    The slots run in chunks of (slot, seed) rows, slot-major, at most
+    _batch_rows of them. Each seed draws its observations, and when random
+    runs its policy uniforms, a block of slots per Philox call, once for all
+    policies; _chunk_and_block sizes both, so that a run of few seeds, whose
+    chunks are long, pays each stage once per chunk, while no draw takes more
+    memory than OBS_BLOCK_SLOTS slots at the largest users x n_sfcs. Each
+    chunk is decided for every policy; then, policy by policy, lockstep.check
+    verifies its records and lockstep.slot_values accounts them. Only the
+    decide step depends on the policy: random_rows for random, and for the
+    learned policies one learner state for all seeds: from
+    LOCKSTEP_MIN_SEEDS learner rows (learned policies x seeds) on, one
+    lockstep.Learners that stacks the policies' seeds as row blocks, and
+    below that a learned_slot learner pair per policy and seed.
     """
     for policy in policies:
         if policy not in POLICY_ORDER:
@@ -434,7 +444,7 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     layout = lockstep.Layout.of(network, catalog)
     width = layout.width
     omega, mu = weights.omega, weights.mu
-    chunk = min(OBS_BLOCK_SLOTS, max(1, _batch_rows(layout) // n_seeds))
+    chunk, block = _chunk_and_block(layout, gts)
     value_true, gate_true = (np.tile(a, (chunk, 1))
                              for a in lockstep.true_values(catalog, gts, weights))
     if learned and len(learned) * n_seeds >= LOCKSTEP_MIN_SEEDS:
@@ -448,8 +458,8 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     draw_random = "random" in policies
     # each policy's series, one slot-major list per key
     series = {policy: {key: [] for key in lockstep.SERIES} for policy in policies}
-    for b0 in range(1, slots + 1, OBS_BLOCK_SLOTS):
-        n = min(OBS_BLOCK_SLOTS, slots + 1 - b0)
+    for b0 in range(1, slots + 1, block):
+        n = min(block, slots + 1 - b0)
         requests = np.empty((n, n_seeds, n_sfcs), dtype=np.int64)
         failed = np.empty((n, n_seeds, n_vnfs), dtype=np.uint8)
         uniforms = np.empty((n, n_seeds, width)) if draw_random else None
@@ -547,6 +557,18 @@ def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
     first = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                               cfg.catalog.n_sfcs, cfg.seeds[0])
     return [first] + [first.reseeded(seed) for seed in cfg.seeds[1:]]
+
+
+def _chunk_and_block(layout: lockstep.Layout, gts: list[GroundTruth]) -> tuple[int, int]:
+    """simulate_run's chunk and block lengths, in slots, for a group of seeds gts.
+
+    A chunk is _batch_rows // S slots for S seeds, and at least one. A block
+    is at least OBS_BLOCK_SLOTS slots and one chunk, but at most as many
+    slots as hold OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request draws of a seed.
+    """
+    chunk = max(1, _batch_rows(layout) // len(gts))
+    draws = max(gt.request_prob.size for gt in gts)
+    return chunk, max(OBS_BLOCK_SLOTS, min(chunk, OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // draws))
 
 
 def _batch_rows(layout: lockstep.Layout) -> int:

@@ -155,11 +155,13 @@ class PlanGraph:
     belongs to one network, catalog and placement mode (GREEDY or FIRST_FIT).
     The network's neighbor_lists and latency_rows, and the catalog's
     vnf_demand and sfc_chain, are kept as slots, read by slot_decide on every
-    call.
+    call. The first stored ids are the stored edges', and edge_arrays is
+    lockstep.gather's array copy of their tables, None before its first call.
     """
 
     __slots__ = ("network", "catalog", "mode", "neighbor_lists", "latency_rows", "vnf_demand",
-                 "sfc_chain", "nodes", "edge_sfc", "edge_latency", "edge_servers", "stored")
+                 "sfc_chain", "nodes", "edge_sfc", "edge_latency", "edge_servers", "stored",
+                 "edge_arrays")
 
     def __init__(self, network, catalog, mode: int) -> None:
         if mode not in (GREEDY, FIRST_FIT):
@@ -174,6 +176,7 @@ class PlanGraph:
         self.nodes: dict[tuple[int, ...], tuple] = {}
         self.edge_sfc, self.edge_latency, self.edge_servers = [], [], []
         self.stored = 0
+        self.edge_arrays = None
 
     def node(self, residual: tuple[int, ...]) -> tuple:
         """The node of a residual tuple; a new one is stored while under NODE_CAP."""

@@ -5,12 +5,19 @@ means, so an offline replay of a trace reproduces the state bit-for-bit.
 Estimates carry UCB-style exploration bonuses scaled by sqrt(3 ln t / (2 n)).
 Every per-arm vector, in the learners and in the estimates, is a list of
 Python ints or floats, updated in place.
+
+A learned policy's learners are one (PopularityLearner, FailureLearner)
+pair, and a slot reads and writes them as a pair, as CUCB does its arms:
+estimates takes every arm's optimistic estimate once, before the decision,
+and update folds the slot's observation into the deployed arms once, after
+it. lockstep.estimates and lockstep.update compute the same floats for many
+pairs at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import inf, log, sqrt
 
 
 @dataclass(eq=False)
@@ -67,54 +74,54 @@ def init_learners(n_sfcs: int, n_vnfs: int, users: int, *,
     return pop, fail
 
 
-def popularity_update(learner: PopularityLearner, requests, deployed) -> None:
-    """Fold the slot's request counts into every arm flagged in ``deployed``, its backup vector."""
-    selected, total, mean = learner.selected, learner.request_total, learner.request_mean
-    for f, on in enumerate(deployed):
+def estimates(learners: tuple[PopularityLearner, FailureLearner],
+              t: int) -> tuple[list[float], list[float]]:
+    """Both learners' optimistic estimates at slot t, (q, v), one per chain and one per VNF.
+
+    q[f] is chain f's mean request count plus its bonus, +inf while unexplored,
+    which forces a first pull. v[i] is VNF i's failure-rate mean plus its
+    signed bonus, clamped to [0, 1]; an unexplored VNF reports 0.
+    """
+    if t < 1:
+        raise ValueError("estimates are defined for t >= 1")
+    pop, fail = learners
+    log_term = 3.0 * log(t)
+    scale = pop.users
+    q = [mean + scale * sqrt(log_term / (2.0 * c)) if c > 0 else inf
+         for c, mean in zip(pop.selected, pop.request_mean)]
+    scale, sign = fail.bonus_scale, fail.bonus_sign
+    v = []
+    for h, mean in zip(fail.placements, fail.failure_mean):
+        if h > 0:
+            est = mean + sign * (scale * sqrt(log_term / (2.0 * h)))
+            v.append(0.0 if est < 0.0 else 1.0 if est > 1.0 else est)
+        else:
+            v.append(0.0)
+    return q, v
+
+
+def update(learners: tuple[PopularityLearner, FailureLearner], requests, failed, x,
+           placed) -> None:
+    """Fold one slot's observation into both learners, in place.
+
+    Every chain flagged in x, the slot's backup vector, counts one pull and
+    its request count. Every VNF with placed[i] > 0 copies counts all of them
+    (so several may go out at once) but adds its failure flag failed[i] once
+    per slot.
+    """
+    pop, fail = learners
+    selected, total, mean = pop.selected, pop.request_total, pop.request_mean
+    for f, on in enumerate(x):
         if on:
             selected[f] += 1
             total[f] += requests[f]
             mean[f] = total[f] / selected[f]
-
-
-def popularity_estimate(learner: PopularityLearner, t: int) -> list[float]:
-    """Optimistic request-count estimates at slot t; +inf forces a first pull."""
-    if t < 1:
-        raise ValueError("estimates are defined for t >= 1")
-    scale = learner.users
-    log_term = 3.0 * math.log(t)
-    return [mean + scale * math.sqrt(log_term / (2.0 * c)) if c > 0 else math.inf
-            for c, mean in zip(learner.selected, learner.request_mean)]
-
-
-def failure_update(learner: FailureLearner, failed, placed) -> None:
-    """Fold the slot's failure flags into every VNF with placed copies this slot.
-
-    placed[i] is the copy count (may exceed 1); the flag failed[i] is added
-    once per slot regardless of how many copies went out.
-    """
-    placements, total, mean = learner.placements, learner.failure_total, learner.failure_mean
+    placements, total, mean = fail.placements, fail.failure_total, fail.failure_mean
     for i, copies in enumerate(placed):
         if copies > 0:
             placements[i] += copies
             total[i] += failed[i]
             mean[i] = total[i] / placements[i]
-
-
-def failure_estimate(learner: FailureLearner, t: int) -> list[float]:
-    """Failure-rate estimates at slot t, clamped to [0, 1]; unexplored VNFs report 0."""
-    if t < 1:
-        raise ValueError("estimates are defined for t >= 1")
-    scale, sign = learner.bonus_scale, learner.bonus_sign
-    log_term = 3.0 * math.log(t)
-    est = []
-    for h, mean in zip(learner.placements, learner.failure_mean):
-        if h > 0:
-            v = mean + sign * (scale * math.sqrt(log_term / (2.0 * h)))
-            est.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
-        else:
-            est.append(0.0)
-    return est
 
 
 def chain_failure_rate(catalog, rates, f: int) -> float:

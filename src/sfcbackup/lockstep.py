@@ -163,7 +163,7 @@ def true_values(catalog: Catalog, gts: list[GroundTruth],
 
 
 def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """learning.popularity_estimate and failure_estimate of every learner row, as two arrays.
+    """learning.estimates of every learner row, as two arrays.
 
     q is (R, F) and v is (R, I); row r holds learner row r's estimates.
     """
@@ -233,24 +233,52 @@ def decide_learned(graphs: list[kernels.PlanGraph], layout: Layout, q: np.ndarra
 def gather(graph: kernels.PlanGraph, ids: list, counts: list, residuals: list) -> Records:
     """A chunk's learned decisions as Records, read from the graph's edge tables by id.
 
-    Row k committed the next counts[k] ids and left residuals[k]. The graph is
-    then trimmed, so an id past its stored edges lasts one chunk.
+    Row k committed the next counts[k] ids and left residuals[k]. The stored
+    edges never change, so their arrays are kept on the graph, as
+    graph.edge_arrays, and extended by the edges stored since the last call;
+    only the edges past them are converted here. The graph is then trimmed,
+    so an id past its stored edges lasts one chunk.
     """
+    stored = graph.stored
+    tables = graph.edge_arrays or _edge_arrays(graph, 0, 0, 0)
+    if len(tables[0]) < stored:
+        tables = _joined(tables, _edge_arrays(graph, len(tables[0]), stored, len(tables[4])))
+    graph.edge_arrays = tables
+    if len(graph.edge_sfc) > stored:
+        tables = _joined(tables, _edge_arrays(graph, stored, len(graph.edge_sfc),
+                                              len(tables[4])))
+    sfc, latency, lengths, starts, servers = tables
     ids = np.array(ids, dtype=np.int64)
-    lengths = np.fromiter(map(len, graph.edge_servers), np.int64, len(graph.edge_servers))
     positions = lengths[ids]
-    # record r's servers start at its edge's offset in flat, and at shift[r] less in servers
-    shift = (np.cumsum(lengths) - lengths)[ids] - (np.cumsum(positions) - positions)
-    flat = np.fromiter(chain.from_iterable(graph.edge_servers), np.int64)
+    # record r's servers start at starts[ids[r]] in servers, and at shift[r] less in its own
+    shift = starts[ids] - (np.cumsum(positions) - positions)
     rec = Records(row=np.repeat(np.arange(len(counts)), counts),
-                  sfc=np.array(graph.edge_sfc, dtype=np.int64)[ids],
-                  latency=np.array(graph.edge_latency, dtype=np.float64)[ids],
-                  positions=positions,
-                  servers=flat[np.repeat(shift, positions) + np.arange(positions.sum())],
+                  sfc=sfc[ids], latency=latency[ids], positions=positions,
+                  servers=servers[np.repeat(shift, positions) + np.arange(positions.sum())],
                   residual=np.fromiter(chain.from_iterable(residuals),
                                        np.int64).reshape(len(residuals), -1))
     graph.trim()
     return rec
+
+
+def _edge_arrays(graph: kernels.PlanGraph, first: int, last: int, base: int) -> tuple:
+    """Edges first .. last-1 as arrays: (sfc, latency, lengths, starts, servers).
+
+    The edges' servers follow one another in servers, and starts[e] is the
+    index of edge e's first one once these arrays extend arrays holding base
+    servers.
+    """
+    assignments = graph.edge_servers[first:last]
+    lengths = np.fromiter(map(len, assignments), np.int64, last - first)
+    return (np.array(graph.edge_sfc[first:last], dtype=np.int64),
+            np.array(graph.edge_latency[first:last], dtype=np.float64),
+            lengths, base + np.cumsum(lengths) - lengths,
+            np.fromiter(chain.from_iterable(assignments), np.int64, int(lengths.sum())))
+
+
+def _joined(head: tuple, tail: tuple) -> tuple:
+    """Two _edge_arrays tuples, the first edges' then the next ones'."""
+    return tuple(np.concatenate(pair) for pair in zip(head, tail))
 
 
 def random_rows(layout: Layout, u: np.ndarray) -> Records:
@@ -447,7 +475,7 @@ def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,
 
 def update(learners: Learners, requests: np.ndarray, failed: np.ndarray, x: np.ndarray,
            placed: np.ndarray) -> None:
-    """learning.popularity_update and failure_update of every learner row, in place.
+    """learning.update of every learner row, in place.
 
     requests and failed are the rows' (R, F) and (R, I) observations, x their
     (R, F) backup vectors and placed their (R, I) copies per VNF.

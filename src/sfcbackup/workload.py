@@ -41,9 +41,12 @@ PHILOX_BLOCK_DOUBLES = 4
 # non-overlapping 4 * ceil(D / 4).
 SLOT_STRIDE = PHILOX_BLOCK_DOUBLES
 
-# The simulators draw observations and random-policy uniforms this many slots
-# at a time: one Philox call per block and seed, and memory that stays bounded
-# however long the run is.
+# The simulators draw observations and random-policy uniforms in blocks of at
+# least this many slots: one Philox call per block and seed, and memory that
+# stays bounded however long the run is. harness.simulate_run draws a longer
+# block where one chunk of its (slot, seed) rows spans more slots, as long as
+# a seed's draw stays within OBS_BLOCK_SLOTS x harness.MAX_REQUEST_DRAWS
+# request uniforms.
 OBS_BLOCK_SLOTS = 256
 
 

@@ -25,8 +25,7 @@ from sfcbackup import (Catalog, EdgeNetwork, apply_overrides, default_config_pat
 from sfcbackup import lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import GREEDY, PlanGraph
-from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
-                                popularity_estimate, popularity_update)
+from sfcbackup.learning import estimates, init_learners, update
 from sfcbackup.oracle import optimal_chain_latency
 from sfcbackup.workload import policy_uniform_block
 
@@ -245,8 +244,7 @@ def _replay_and_compare(history, pop, fail, users: int, scale: float,
     )
     # estimate formulas evaluated directly against the library's versions
     for t in (1, 2, 37, 1000):
-        q_est = np.array(popularity_estimate(pop, t))
-        v_est = np.array(failure_estimate(fail, t))
+        q_est, v_est = map(np.array, estimates((pop, fail), t))
         q_direct = np.full(n_sfcs, math.inf)
         mask = c > 0
         q_direct[mask] = qbar[mask] + users * np.sqrt(
@@ -293,8 +291,7 @@ def test_06_learner_replay_exactness() -> None:
     for requests, failed in observations:
         x = (rng.random(cfg.catalog.n_sfcs) < 0.5).astype(np.uint8)
         placed = rng.integers(0, 4, size=cfg.catalog.n_vnfs)
-        popularity_update(pop, requests, x.tolist())
-        failure_update(fail, failed, placed.tolist())
+        update((pop, fail), requests, failed, x.tolist(), placed.tolist())
         history.append((requests, failed, x, placed.astype(np.int64)))
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
                                            fail.bonus_scale, fail.bonus_sign))
@@ -319,8 +316,7 @@ def test_07_learner_consistency() -> None:
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
         pop, fail = init_learners(1, 1, users)
         for requests, failed in slot_rows(gt, 1, slots + 1):
-            popularity_update(pop, requests, always)
-            failure_update(fail, failed, one_copy)
+            update((pop, fail), requests, failed, always, one_copy)
         ok_q += abs(float(pop.request_mean[0]) - q_true) < tol_q
         ok_v += abs(float(fail.failure_mean[0]) - v) < tol_v
     ok = ok_q >= 95 and ok_v >= 95

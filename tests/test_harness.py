@@ -184,17 +184,83 @@ def test_run_across_a_block_of_drawn_slots_equals_the_reference(policy: str,
                                                                 monkeypatch) -> None:
     # each policy on one seed, past the first block of drawn slots, with the
     # oracle columns on
-    cfg = apply_overrides(load_config(tiny_config()), seeds=[8], regret=True,
-                          policy=policy, slots=OBS_BLOCK_SLOTS + 44)
-    assert_matches_reference(cfg, monkeypatch)
-    # the run pays some deployed chains and voids others on a failed VNF
+    cfg = load_config(tiny_config())
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 8)
+    _, block = harness._chunk_and_block(harness.lockstep.Layout.of(cfg.network, cfg.catalog),
+                                        [gt])
+    cfg = apply_overrides(cfg, seeds=[8], regret=True, policy=policy, slots=block + 44)
+    assert_matches_reference(cfg, monkeypatch)
+    # the run pays some deployed chains and voids others on a failed VNF
     draws = [draw_slot(gt, t) for t in range(1, cfg.slots + 1)]
     _, decisions = reference_series(cfg, cfg.network, gt, draws, policy)
     voided = [any(failed[i] for i in cfg.catalog.sfc_chain[f])
               for (_, failed), decision in zip(draws, decisions) for f, _ in decision.deployed]
     assert any(voided) and not all(voided)
+
+
+def small_regret_doc() -> dict:
+    """perfbench's small-regret instance: 3 servers, 3 chains, regret on, 1 seed x 1000 slots."""
+    return {
+        "network": {"capacities": [10, 8, 6],
+                    "links": [[0, 1, 0.4], [1, 2, 0.7], [0, 2, 1.1]]},
+        "catalog": {"vnf_demand": [3, 4, 2, 5], "sfc_chain": [[0, 1], [2, 3, 2], [1, 1]]},
+        "ground_truth": {"request_prob": [0.7, 0.5, 0.4],
+                         "failure_mean": [0.05, 0.1, 0.02, 0.2]},
+        "users": 4, "slots": 1000, "seeds": 1, "policies": "all", "regret": True,
+        "learner": {"failure_bonus_scale": 1.0, "failure_bonus_sign": -1},
+    }
+
+
+def test_one_seed_runs_its_slots_as_one_chunk(monkeypatch) -> None:
+    # one seed's 1000 slots fit one chunk of LOCKSTEP_MAX_VALUES values, so each
+    # stage runs once per policy, however many OBS_BLOCK_SLOTS blocks they span
+    checked, drawn = [], []
+    real_check, real_sample = harness.lockstep.check, harness.sample_arrays
+
+    def check(layout, rec, *args):
+        checked.append(rec.residual.shape[0])
+        return real_check(layout, rec, *args)
+
+    def sample(gt, t0, t1):
+        drawn.append((t0, t1))
+        return real_sample(gt, t0, t1)
+
+    monkeypatch.setattr(harness.lockstep, "check", check)
+    monkeypatch.setattr(harness, "sample_arrays", sample)
+    cfg = load_config(small_regret_doc())
+    assert cfg.slots > OBS_BLOCK_SLOTS
+    run(cfg)
+    assert checked == [cfg.slots] * len(POLICY_ORDER)
+    assert drawn == [(1, cfg.slots + 1)]
+
+
+@pytest.mark.parametrize("users", [MAX_REQUEST_DRAWS, MAX_REQUEST_DRAWS // 2])
+def test_a_block_draws_at_most_the_request_bound(monkeypatch, users: int) -> None:
+    # one one-VNF chain on one server, five values a chunk row: one seed's chunk
+    # is 6553 slots, but at users x n_sfcs = MAX_REQUEST_DRAWS a block is
+    # OBS_BLOCK_SLOTS slots, and at half of it twice as many; no draw holds
+    # more than OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request uniforms
+    doc = {"network": {"capacities": [5], "links": []},
+           "catalog": {"vnf_demand": [1], "sfc_chain": [[0]]},
+           "ground_truth": {"request_prob": 1e-6, "failure_mean": [0.1]},
+           "users": users, "slots": 2 * OBS_BLOCK_SLOTS + 3, "seeds": 3, "policies": "all"}
+    cfg = load_config(doc)
+    chunk, block = harness._chunk_and_block(
+        harness.lockstep.Layout.of(cfg.network, cfg.catalog), harness._ground_truths(cfg))
+    assert chunk > cfg.slots
+    assert block == OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // users
+    drawn = []
+    real = harness.sample_arrays
+
+    def sample(gt, t0, t1):
+        drawn.append((t1 - t0) * gt.request_prob.size)
+        return real(gt, t0, t1)
+
+    monkeypatch.setattr(harness, "sample_arrays", sample)
+    run(cfg)
+    assert sum(drawn) == cfg.slots * users
+    assert max(drawn) == block * users <= OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS
 
 
 def test_run_emits_one_row_per_policy_seed_slot() -> None:

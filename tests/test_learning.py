@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcbackup import Catalog, make_ground_truth
-from sfcbackup.learning import (chain_failure_rate, failure_estimate, failure_update,
-                                init_learners, popularity_estimate, popularity_update)
+from sfcbackup.learning import chain_failure_rate, estimates, init_learners, update
 
 from reference import array_estimates, array_updates, as_arrays, slot_rows
 
@@ -28,17 +27,25 @@ def test_init_learners_start_at_zero() -> None:
     assert fail.bonus_scale == 10.0 and fail.bonus_sign == 1
 
 
+# a slot that deploys chains but places no VNF copy, and one that places
+# copies but deploys no chain, update one learner each
+NO_COPIES = [0, 0, 0]
+NO_FLAGS = [0, 0, 0]
+NO_CHAINS = [0, 0]
+
+
 def test_popularity_update_first_pull() -> None:
-    pop, _ = fresh()
-    popularity_update(pop, [4, 9], [1, 0])
+    pop, fail = learners = fresh()
+    update(learners, [4, 9], NO_FLAGS, [1, 0], NO_COPIES)
+    assert fail.placements == [0, 0, 0]
     assert pop.selected == [1, 0]
     assert pop.request_mean == [4.0, 0.0]
 
 
 def test_popularity_update_running_mean() -> None:
-    pop, _ = fresh()
-    popularity_update(pop, [4, 0], [1, 0])
-    popularity_update(pop, [2, 5], [1, 0])
+    pop, _ = learners = fresh()
+    update(learners, [4, 0], NO_FLAGS, [1, 0], NO_COPIES)
+    update(learners, [2, 5], NO_FLAGS, [1, 0], NO_COPIES)
     assert pop.selected == [2, 0]
     assert pop.request_mean[0] == pytest.approx(3.0)
     # the unselected arm never moved
@@ -46,45 +53,46 @@ def test_popularity_update_running_mean() -> None:
 
 
 def test_popularity_estimate_no_bonus_at_t1() -> None:
-    pop, _ = fresh()
-    popularity_update(pop, [4, 0], [1, 0])
-    est = popularity_estimate(pop, 1)
+    learners = fresh()
+    update(learners, [4, 0], NO_FLAGS, [1, 0], NO_COPIES)
+    est, _ = estimates(learners, 1)
     assert est[0] == 4.0           # ln 1 = 0, bare mean
     assert math.isinf(est[1])      # unexplored arm forces a pull
 
 
 def test_popularity_estimate_bonus_value() -> None:
-    pop, _ = fresh(users=5)
-    popularity_update(pop, [3, 0], [1, 0])
-    est = popularity_estimate(pop, math.e)
+    learners = fresh(users=5)
+    update(learners, [3, 0], NO_FLAGS, [1, 0], NO_COPIES)
+    est, _ = estimates(learners, math.e)
     assert est[0] == pytest.approx(3.0 + 5.0 * math.sqrt(1.5))
 
 
 def test_popularity_bonus_shrinks_with_count() -> None:
-    pop, _ = fresh(users=5)
+    learners = fresh(users=5)
     values = []
     for t in range(1, 6):
-        popularity_update(pop, [3, 0], [1, 0])
-        values.append(popularity_estimate(pop, 10)[0])
+        update(learners, [3, 0], NO_FLAGS, [1, 0], NO_COPIES)
+        values.append(estimates(learners, 10)[0][0])
     assert values == sorted(values, reverse=True)
 
 
 def test_failure_update_counts_copies_but_one_flag() -> None:
-    _, fail = fresh()
-    failure_update(fail, [1, 0, 0], [1, 0, 0])
+    pop, fail = learners = fresh()
+    update(learners, [4, 9], [1, 0, 0], NO_CHAINS, [1, 0, 0])
+    assert pop.selected == [0, 0]
     assert fail.placements == [1, 0, 0]
     assert fail.failure_mean[0] == 1.0
     # two copies placed, one observed flag: mean stays put at 0.5
     fail.placements[1] = 2
     fail.failure_total[1] = 1.0
     fail.failure_mean[1] = 0.5
-    failure_update(fail, [0, 1, 0], [0, 2, 0])
+    update(learners, [4, 9], [0, 1, 0], NO_CHAINS, [0, 2, 0])
     assert fail.placements[1] == 4
     assert fail.failure_mean[1] == pytest.approx(0.5)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "failure_update adds a slot's failure flag once but every placed copy to the count, "
+    "learning.update adds a slot's failure flag once but every placed copy to the count, "
     "so a chain that runs a VNF twice halves its estimate; ROADMAP.md item 3(c) of "
     "\"Make the reported numbers mean what their names say\" counts one observation "
     "per slot, and this marker goes when it lands"))
@@ -94,51 +102,49 @@ def test_failure_estimate_is_consistent_on_a_repeated_vnf() -> None:
     users, p, v, slots, n_seeds = 5, 0.4, 0.3, 2_000, 100
     tol_v = 3.0 * math.sqrt(v * (1.0 - v) / slots)
     two_copies = [2]
+    never = [0]
     ok_v = 0
     for seed in range(n_seeds):
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
-        _, fail = init_learners(1, 1, users)
-        for _, failed in slot_rows(gt, 1, slots + 1):
-            failure_update(fail, failed, two_copies)
+        learners = _, fail = init_learners(1, 1, users)
+        for requests, failed in slot_rows(gt, 1, slots + 1):
+            update(learners, requests, failed, never, two_copies)
         ok_v += abs(float(fail.failure_mean[0]) - v) < tol_v
     assert ok_v >= 95, f"failure mean within {tol_v:.4f} of {v} in {ok_v}/100 seeds"
 
 
 def test_failure_update_skips_unplaced() -> None:
-    _, fail = fresh()
-    failure_update(fail, [1, 1, 1], [0, 0, 0])
+    _, fail = learners = fresh()
+    update(learners, [4, 9], [1, 1, 1], NO_CHAINS, [0, 0, 0])
     assert fail.placements == [0, 0, 0]
     assert fail.failure_mean == [0.0, 0.0, 0.0]
 
 
 def test_failure_estimate_bonus_and_clamp() -> None:
-    _, fail = fresh(users=1, failure_bonus_scale=1.0)
+    _, fail = learners = fresh(users=1, failure_bonus_scale=1.0)
     fail.placements[:] = [8, 1, 0]
     fail.failure_total[:] = [1.6, 1.0, 0.0]
     fail.failure_mean[:] = [0.2, 1.0, 0.0]
-    est = failure_estimate(fail, math.e)
+    _, est = estimates(learners, math.e)
     assert est[0] == pytest.approx(0.2 + math.sqrt(3.0 / 16.0))
     assert est[1] == 1.0            # clamped from above
     assert est[2] == 0.0            # unexplored sentinel
 
 
 def test_failure_estimate_optimistic_sign_clamps_at_zero() -> None:
-    _, fail = fresh(failure_bonus_scale=1.0, failure_bonus_sign=-1)
+    _, fail = learners = fresh(failure_bonus_scale=1.0, failure_bonus_sign=-1)
     fail.placements[:] = [1, 400, 0]
     fail.failure_total[:] = [0.1, 80.0, 0.0]
     fail.failure_mean[:] = [0.1, 0.2, 0.0]
-    est = failure_estimate(fail, 100)
+    _, est = estimates(learners, 100)
     assert est[0] == 0.0                      # big bonus, clamped from below
     assert 0.0 < est[1] < 0.2                 # small bonus subtracts
     assert est[2] == 0.0
 
 
 def test_estimates_reject_slot_zero() -> None:
-    pop, fail = fresh()
     with pytest.raises(ValueError):
-        popularity_estimate(pop, 0)
-    with pytest.raises(ValueError):
-        failure_estimate(fail, 0)
+        estimates(fresh(), 0)
 
 
 def test_chain_failure_rate_takes_worst_occurrence() -> None:
@@ -155,15 +161,14 @@ def test_counting_and_mean_identities(seed: int) -> None:
     # after any decision sequence: selected == sum of X, mean == average of
     # the requests over exactly the selected slots, placements == sum of copies
     rng = np.random.default_rng(seed)
-    pop, fail = fresh(n_sfcs=3, n_vnfs=4)
+    pop, fail = learners = fresh(n_sfcs=3, n_vnfs=4)
     x_hist, q_hist, p_hist, v_hist = [], [], [], []
     for t in range(1, 60):
         x = (rng.random(3) < 0.5).astype(np.int64)
         placed = rng.integers(0, 3, 4)
         requests = rng.integers(0, 11, 3)
         failed = (rng.random(4) < 0.3).astype(np.uint8)
-        popularity_update(pop, requests.tolist(), x)
-        failure_update(fail, failed.tolist(), placed)
+        update(learners, requests.tolist(), failed.tolist(), x, placed)
         x_hist.append(x); q_hist.append(requests)
         p_hist.append(placed); v_hist.append(failed)
     x_all = np.array(x_hist); q_all = np.array(q_hist)
@@ -183,11 +188,10 @@ def test_counting_and_mean_identities(seed: int) -> None:
 def test_learner_converges_on_always_deploy() -> None:
     # quick version of the long-horizon consistency check
     gt = make_ground_truth(0.4, [0.3], users=10, n_sfcs=1, rng_seed=21)
-    pop, fail = init_learners(1, 1, users=10)
+    pop, fail = learners = init_learners(1, 1, users=10)
     n = 2000
     for requests, failed in slot_rows(gt, 1, n + 1):
-        popularity_update(pop, requests, [1])
-        failure_update(fail, failed, [1])
+        update(learners, requests, failed, [1], [1])
     sigma_q = math.sqrt(10 * 0.4 * 0.6 / n)
     sigma_v = math.sqrt(0.3 * 0.7 / n)
     assert abs(pop.request_mean[0] - 4.0) < 4 * sigma_q
@@ -200,20 +204,19 @@ def test_learner_converges_on_always_deploy() -> None:
 def test_learners_match_array_formulas_bit_for_bit(seed: int, users: int, scale: float,
                                                    sign: int) -> None:
     rng = np.random.default_rng(seed)
-    pop, fail = fresh(n_sfcs=4, n_vnfs=5, users=users,
-                      failure_bonus_scale=scale, failure_bonus_sign=sign)
+    pop, fail = learners = fresh(n_sfcs=4, n_vnfs=5, users=users,
+                                 failure_bonus_scale=scale, failure_bonus_sign=sign)
     ref_pop, ref_fail = as_arrays(*fresh(n_sfcs=4, n_vnfs=5, users=users,
                                          failure_bonus_scale=scale, failure_bonus_sign=sign))
     for t in range(1, 80):
-        q, v = popularity_estimate(pop, t), failure_estimate(fail, t)
+        q, v = estimates(learners, t)
         q_ref, v_ref = array_estimates(ref_pop, ref_fail, t)
         assert q == q_ref.tolist() and v == v_ref.tolist()
         x = (rng.random(4) < 0.5).astype(np.uint8)
         placed = rng.integers(0, 4, 5)
         requests = rng.integers(0, users + 1, 4).tolist()
         failed = (rng.random(5) < 0.4).astype(np.uint8).tolist()
-        popularity_update(pop, requests, x.tolist())
-        failure_update(fail, failed, placed.tolist())
+        update(learners, requests, failed, x.tolist(), placed.tolist())
         array_updates(ref_pop, ref_fail, requests, failed, x, placed)
         for name in ("selected", "request_total", "request_mean"):
             assert getattr(pop, name) == getattr(ref_pop, name).tolist()

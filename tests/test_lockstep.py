@@ -23,18 +23,18 @@ from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, apply_overrides
                        default_config_path, load_config, run)
 from sfcbackup import harness, kernels, learning, lockstep, workload
 from sfcbackup import policy as policy_module
-from sfcbackup.harness import LOCKSTEP_MIN_SEEDS, OBS_BLOCK_SLOTS, PLACEMENT_MODES, POLICY_ORDER
-from sfcbackup.learning import (failure_estimate, failure_update, init_learners,
-                                popularity_estimate, popularity_update)
+from sfcbackup.harness import LOCKSTEP_MIN_SEEDS, PLACEMENT_MODES, POLICY_ORDER
+from sfcbackup.learning import estimates, init_learners, update
 
-from reference import assert_matches_reference, random_placement, reference_run, unpack_rows
+from reference import (assert_matches_reference, decoded, random_placement, records,
+                       reference_run, unpack_rows)
 
 
 def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
     # the learner rows, learned policies x seeds, pick the learned policies'
-    # learner state: one lockstep.Learners (one estimates call per slot for
+    # learner state: one lockstep.Learners (one lockstep.estimates call per slot for
     # every row, the policies' seeds stacked) from LOCKSTEP_MIN_SEEDS rows on,
-    # a learning.py pair per policy and seed (one popularity_estimate call per
+    # a learning.py pair per policy and seed (one learning.estimates call per
     # policy, seed and slot) below that; alone, a learned policy's rows are
     # its seeds
     calls = {"lockstep": 0, "per_seed": 0, "random": 0}
@@ -48,7 +48,7 @@ def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
         monkeypatch.setattr(module, name, counted)
 
     count(lockstep, "estimates", "lockstep")
-    count(policy_module, "popularity_estimate", "per_seed")
+    count(policy_module, "estimates", "per_seed")
     count(lockstep, "random_rows", "random")
     cfg = load_config(default_config_path())
     learned = len(PLACEMENT_MODES)
@@ -231,17 +231,17 @@ def test_lockstep_learners_equal_the_per_seed_learners() -> None:
                                  failure_bonus_sign=sign) for _ in range(n_seeds)]
         for t in range(1, 40):
             q_rows, v_rows = lockstep.estimates(batch, t)
-            for (pop, fail), q, v in zip(singles, q_rows.tolist(), v_rows.tolist()):
-                assert q == popularity_estimate(pop, t)
-                assert v == failure_estimate(fail, t)
+            for pair, q, v in zip(singles, q_rows.tolist(), v_rows.tolist()):
+                assert (q, v) == estimates(pair, t)
             requests = rng.integers(0, users + 1, size=(n_seeds, n_sfcs))
             failed = (rng.random((n_seeds, n_vnfs)) < 0.3).astype(np.uint8)
             x = rng.random((n_seeds, n_sfcs)) < 0.5
             placed = rng.integers(0, 3, size=(n_seeds, n_vnfs)) * (rng.random((n_seeds, n_vnfs)) < 0.5)
             lockstep.update(batch, requests, failed, x, placed)
-            for s, (pop, fail) in enumerate(singles):
-                popularity_update(pop, requests[s].tolist(), x[s].tolist())
-                failure_update(fail, failed[s].tolist(), placed[s].tolist())
+            for s, pair in enumerate(singles):
+                pop, fail = pair
+                update(pair, requests[s].tolist(), failed[s].tolist(), x[s].tolist(),
+                       placed[s].tolist())
                 assert batch.request_mean[s].tolist() == pop.request_mean
                 assert batch.failure_mean[s].tolist() == fail.failure_mean
 
@@ -277,6 +277,46 @@ def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> N
             == graph.stored
         unstored = [e for g, e in handed if g is graph and e >= graph.stored]
         assert len(unstored) > 10 * cfg.slots
+
+
+@pytest.mark.parametrize("node_cap", [2, 20, kernels.NODE_CAP])
+def test_gather_equals_the_edge_tables_read_by_id(monkeypatch, node_cap: int) -> None:
+    # gather keeps the stored edges' arrays on the graph from chunk to chunk and
+    # converts only the edges past them; each chunk's Records equal those read
+    # off the edge tables' lists at the call, past NODE_CAP (2: most ids are
+    # unstored), across it (20: the stored edges stop growing mid-run) and
+    # below it (the run reaches fewer than 30 residual states a graph)
+    unstored, graphs = [], {}     # graphs: each one's stored edge counts at the calls
+    real = lockstep.gather
+
+    def gather(graph, ids, counts, residuals):
+        ends = np.cumsum(counts).tolist()
+        want = records([decoded(graph, ids[end - n:end]) for n, end in zip(counts, ends)],
+                       residuals)
+        unstored.append(sum(e >= graph.stored for e in ids))
+        graphs.setdefault(graph, set()).add(graph.stored)
+        got = real(graph, ids, counts, residuals)
+        for name in ("row", "sfc", "latency", "positions", "servers", "residual"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        return got
+
+    monkeypatch.setattr(kernels, "NODE_CAP", node_cap)
+    monkeypatch.setattr(lockstep, "gather", gather)
+    cfg = apply_overrides(load_config(default_config_path()), slots=40, seeds="1..3",
+                          policy=["rtsd", "bandit"])
+    # chunks of one slot for the three seeds
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
+    monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", per_row * 3)
+    run(cfg)
+    assert len(unstored) == 2 * cfg.slots
+    assert any(unstored) == (node_cap < DEFAULTS["NODE_CAP"])
+    for graph, stored in graphs.items():
+        assert len(graph.nodes) <= node_cap
+        assert len(stored) > (node_cap > 2)       # the arrays were extended mid-run
+        assert [len(table) for table in graph.edge_arrays[:4]] == [graph.stored] * 4
+        assert len(graph.edge_arrays[4]) == sum(map(len, graph.edge_servers))
 
 
 def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
@@ -458,23 +498,28 @@ TAMPER_SEED_COUNTS = (1, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS)
 LATE_TAMPER = "residual bookkeeping mismatch"
 
 
-def _tamper_case(message: str, n_seeds: int, slot: int, slots: int):
+def _tamper_case(message: str, n_seeds: int, slot: int | None, slots: int | None):
     name = message if n_seeds == LOCKSTEP_MIN_SEEDS else f"{message}, seeds={n_seeds}"
-    if slot != 2:
+    if slot is None:
+        name += ", past the first block"
+    elif slot != 2:
         name += f", slot={slot}"
     return pytest.param(message, n_seeds, slot, slots, id=name)
 
 
 @pytest.mark.parametrize("message, n_seeds, slot, slots", [
     *(_tamper_case(message, n, 2, 3) for message in TAMPERS for n in TAMPER_SEED_COUNTS),
-    # past the first block of drawn slots, in the block's last, partial chunk
-    *(_tamper_case(LATE_TAMPER, n, OBS_BLOCK_SLOTS + 3, OBS_BLOCK_SLOTS + 7)
-      for n in TAMPER_SEED_COUNTS)])
+    *(_tamper_case(LATE_TAMPER, n, None, None) for n in TAMPER_SEED_COUNTS)])
 def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_seeds: int,
-                                                 slot: int, slots: int) -> None:
+                                                 slot: int | None, slots: int | None) -> None:
     # both learner states check a chunk of decisions after deciding it, and
     # name the earliest slot that fails
     cfg = apply_overrides(load_config(TAMPER_DOC), seeds=f"1..{n_seeds}", slots=slots)
+    if slot is None:
+        # past the first block of drawn slots, in the next block's one, partial chunk
+        _, block = harness._chunk_and_block(lockstep.Layout.of(cfg.network, cfg.catalog),
+                                            harness._ground_truths(cfg))
+        slot, cfg = block + 3, apply_overrides(cfg, slots=block + 7)
     seed = min(3, n_seeds - 1)              # the fourth seed, or the last one
     # slot_decide runs slot by slot, each slot across the seeds, whichever the
     # learner state

@@ -11,8 +11,7 @@ from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, RewardWeights,
 from sfcbackup import lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import PlanGraph
-from sfcbackup.learning import (FailureLearner, PopularityLearner, failure_estimate,
-                                init_learners, popularity_estimate)
+from sfcbackup.learning import FailureLearner, PopularityLearner, estimates, init_learners
 from sfcbackup.policy import learned_slot
 from sfcbackup.workload import policy_uniform_block
 
@@ -217,8 +216,7 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
     any_deployed = False
     for t, (requests, failed) in enumerate(slot_rows(gt, 1, 31), start=1):
         ref_q, ref_v = array_estimates(*ref, t)
-        assert ref_q.tolist() == popularity_estimate(live[0], t)
-        assert ref_v.tolist() == failure_estimate(live[1], t)
+        assert (ref_q.tolist(), ref_v.tolist()) == estimates(live, t)
         dec = slot_of("rtsd", net, cat, live, t, requests, failed, w)
         want, want_res = select(net, cat, True, ref_q.tolist(), ref_v.tolist(),
                                 w.omega, w.mu)
@@ -513,8 +511,9 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
             check("requests", requests)
             check("vnf_failed", failed)
             pop, fail = learners
-            check("popularity_estimate", popularity_estimate(pop, t))
-            check("failure_estimate", failure_estimate(fail, t))
+            q, v = estimates(learners, t)
+            check("q", q)
+            check("v", v)
             ids, residuals = [], []
             x, placed = learned_slot(learners, t, requests, failed, cfg.weights, graph, ids,
                                      residuals)

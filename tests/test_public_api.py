@@ -22,13 +22,15 @@ PUBLIC = {
 }
 
 # perfbench/ reads or wraps these by module and name; a missing one would fail
-# a benchmark run or show up only as an absent traced layer.
+# a benchmark run or show up only as an absent traced layer. policy's two
+# learner calls are what perfbench's learning.estimate and learning.update
+# layers are to wrap; its tracer still names the four calls they replaced
+# (ROADMAP.md item 9).
 BENCHMARK_NAMES = {
     "sfcbackup": ("make_ground_truth",),
     "sfcbackup.harness": ("load_config", "apply_overrides", "default_config_path", "run",
                           "emit", "simulate_run", "make_ground_truth", "optimal_slot_value"),
-    "sfcbackup.policy": ("popularity_estimate", "failure_estimate", "popularity_update",
-                         "failure_update"),
+    "sfcbackup.policy": ("estimates", "update"),
     "sfcbackup.kernels": ("NUMBA_ENABLED", "slot_decide", "greedy_chain_walk",
                           "first_fit_chain_walk"),
     "sfcbackup.workload": ("slot_stream",),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sfcbackup import (Catalog, EdgeNetwork, GroundTruth, RewardWeights, default_config_path,
                        load_config, make_ground_truth)
-from sfcbackup import lockstep, workload
+from sfcbackup import harness, lockstep, workload
 from sfcbackup.harness import OBS_BLOCK_SLOTS, simulate_run
 from sfcbackup.workload import (ENV_DOMAIN, POLICY_DOMAIN, counter_blocks,
                                 policy_uniform_block, sample_arrays, slot_stream,
@@ -166,20 +166,31 @@ def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: in
 
 def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
     # the observations simulate_run accounts, row (slot - 1) * S + s for seed s,
-    # equal each slot's own draw across OBS_BLOCK_SLOTS blocks and chunks
+    # equal each slot's own draw across blocks and chunks: two whole blocks of
+    # the length this run draws, and three slots more
     gt = make_ground_truth([0.7, 0.2], [0.3, 0.05, 0.5], users=3, n_sfcs=2, rng_seed=12)
     gts = [gt, gt.reseeded(40)]
-    n_slots = 2 * OBS_BLOCK_SLOTS + 3
-    drawn = []
+    net, cat = EdgeNetwork([4], []), Catalog([1, 2, 3], [[0, 1], [2]])
+    _, block = harness._chunk_and_block(lockstep.Layout.of(net, cat), gts)
+    n_slots = 2 * block + 3
+    drawn, ranges = [], []
     real = lockstep.slot_values
+    real_sample = harness.sample_arrays
 
     def recorded(layout, omega, mu, requests, failed, *args):
         drawn.extend(zip(requests.tolist(), failed.tolist()))
         return real(layout, omega, mu, requests, failed, *args)
 
+    def sample(gt, t0, t1):
+        ranges.append((gt.rng_seed, t0, t1))
+        return real_sample(gt, t0, t1)
+
     monkeypatch.setattr(lockstep, "slot_values", recorded)
-    simulate_run(EdgeNetwork([4], []), Catalog([1, 2, 3], [[0, 1], [2]]), gts,
-                 RewardWeights(), ("random",), n_slots, users=3)
+    monkeypatch.setattr(harness, "sample_arrays", sample)
+    simulate_run(net, cat, gts, RewardWeights(), ("random",), n_slots, users=3)
+    assert ranges == [(gt.rng_seed, t0, t1) for t0, t1 in
+                      ((1, block + 1), (block + 1, 2 * block + 1), (2 * block + 1, n_slots + 1))
+                      for gt in gts]
     assert len(drawn) == n_slots * len(gts)
     for k, row in enumerate(drawn):
         assert row == draw_slot(gts[k % 2], k // 2 + 1)
@@ -200,7 +211,7 @@ def test_slot_stream_matches_philox_keyed_directly() -> None:
 
 
 def drawn_uniforms(seed: int, cat: Catalog, slots: int) -> list[list[float]]:
-    """Slots 1 .. slots's policy uniforms, drawn OBS_BLOCK_SLOTS slots per call as runs draw them."""
+    """Slots 1 .. slots's policy uniforms, drawn OBS_BLOCK_SLOTS slots per call, as many-seed runs do."""
     width, _ = uniform_layout(cat)
     return [row for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS)
             for row in policy_uniform_block(seed, t0, min(t0 + OBS_BLOCK_SLOTS, slots + 1),
