@@ -29,6 +29,7 @@ bytes are those of formatting each cell alone.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import importlib.resources
 import json
 import math
@@ -593,58 +594,74 @@ SUMMARY_KEYS = {"time_avg_realized": "realized", "time_avg_expected": "expected"
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
-    """Run every (policy, seed) pair and collect the trace plus aggregates."""
-    network = cfg.network if cfg.capacity_scale == 1.0 else cfg.network.scaled(cfg.capacity_scale)
-    catalog = cfg.catalog
+    """Run every (policy, seed) pair and collect the trace plus aggregates.
 
-    gts = _ground_truths(cfg)
-    oracle_value: float | None = None
-    if cfg.regret:
-        oracle_value = optimal_slot_value(network, catalog, gts[0], cfg.weights).best_value
+    The cyclic garbage collector is paused for the run and left as it was
+    found, also when the run raises. The plan graphs and per-slot lists a run
+    allocates would trigger collections that traverse the growing graphs
+    again and again, about a tenth of a pass on an instance whose graphs stay
+    cold, yet a run frees all it allocates by reference counting: its only
+    possible cycle is a plan-graph node whose zero-demand chain commits back
+    onto it, which the next collection after the run frees.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        network = (cfg.network if cfg.capacity_scale == 1.0
+                   else cfg.network.scaled(cfg.capacity_scale))
+        catalog = cfg.catalog
 
-    size = max(1, _batch_rows(lockstep.Layout.of(network, catalog)))  # seeds per group
-    # one plan graph per learned policy, shared by its seeds and dropped after the run
-    graphs = {policy: PlanGraph(network, catalog, mode)
-              for policy, mode in PLACEMENT_MODES.items() if policy in cfg.policies}
-    groups = [simulate_run(network, catalog, gts[k:k + size], cfg.weights, cfg.policies,
-                           cfg.slots, users=cfg.users,
-                           failure_bonus_scale=cfg.failure_bonus_scale,
-                           failure_bonus_sign=cfg.failure_bonus_sign, graphs=graphs)
-              for k in range(0, len(gts), size)]
+        gts = _ground_truths(cfg)
+        oracle_value: float | None = None
+        if cfg.regret:
+            oracle_value = optimal_slot_value(network, catalog, gts[0], cfg.weights).best_value
 
-    trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
-    rows = len(cfg.seeds) * cfg.slots           # per policy, seed-major
-    t_column = list(range(1, cfg.slots + 1)) * len(cfg.seeds)
-    seed_column = [seed for seed in cfg.seeds for _ in range(cfg.slots)]
-    per_policy = {}
-    for policy in cfg.policies:
-        # (seeds, slots) arrays, the groups' rows one after another
-        series = {key: np.concatenate([group[policy][key] for group in groups])
-                  for key in lockstep.SERIES}
-        expected = series["expected"]
-        trace["t"] += t_column
-        trace["policy"] += [policy] * rows
-        trace["seed"] += seed_column
-        trace["realized_reward"] += series["realized"].ravel().tolist()
-        trace["expected_reward"] += expected.ravel().tolist()
-        trace["remaining_resource"] += series["remaining"].ravel().tolist()
-        trace["num_deployed"] += series["deployed"].ravel().tolist()
-        trace["oracle_value"] += [oracle_value] * rows
-        trace["regret"] += ([None] * rows if oracle_value is None
-                            else (oracle_value - expected).ravel().tolist())
-        per_policy[policy] = {name: _mean_std(series[key].mean(axis=1))
-                              for name, key in SUMMARY_KEYS.items()}
+        size = max(1, _batch_rows(lockstep.Layout.of(network, catalog)))  # seeds per group
+        # one plan graph per learned policy, shared by its seeds and dropped after the run
+        graphs = {policy: PlanGraph(network, catalog, mode)
+                  for policy, mode in PLACEMENT_MODES.items() if policy in cfg.policies}
+        groups = [simulate_run(network, catalog, gts[k:k + size], cfg.weights, cfg.policies,
+                               cfg.slots, users=cfg.users,
+                               failure_bonus_scale=cfg.failure_bonus_scale,
+                               failure_bonus_sign=cfg.failure_bonus_sign, graphs=graphs)
+                  for k in range(0, len(gts), size)]
 
-    summary = {
-        "slots": cfg.slots,
-        "seeds": list(cfg.seeds),
-        "users": cfg.users,
-        "capacity_scale": cfg.capacity_scale,
-        "total_capacity": sum(network.capacities),
-        "oracle_value": oracle_value,
-        "policies": per_policy,
-    }
-    return RunResult(config=cfg, trace=trace, summary=summary)
+        trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
+        rows = len(cfg.seeds) * cfg.slots           # per policy, seed-major
+        t_column = list(range(1, cfg.slots + 1)) * len(cfg.seeds)
+        seed_column = [seed for seed in cfg.seeds for _ in range(cfg.slots)]
+        per_policy = {}
+        for policy in cfg.policies:
+            # (seeds, slots) arrays, the groups' rows one after another
+            series = {key: np.concatenate([group[policy][key] for group in groups])
+                      for key in lockstep.SERIES}
+            expected = series["expected"]
+            trace["t"] += t_column
+            trace["policy"] += [policy] * rows
+            trace["seed"] += seed_column
+            trace["realized_reward"] += series["realized"].ravel().tolist()
+            trace["expected_reward"] += expected.ravel().tolist()
+            trace["remaining_resource"] += series["remaining"].ravel().tolist()
+            trace["num_deployed"] += series["deployed"].ravel().tolist()
+            trace["oracle_value"] += [oracle_value] * rows
+            trace["regret"] += ([None] * rows if oracle_value is None
+                                else (oracle_value - expected).ravel().tolist())
+            per_policy[policy] = {name: _mean_std(series[key].mean(axis=1))
+                                  for name, key in SUMMARY_KEYS.items()}
+
+        summary = {
+            "slots": cfg.slots,
+            "seeds": list(cfg.seeds),
+            "users": cfg.users,
+            "capacity_scale": cfg.capacity_scale,
+            "total_capacity": sum(network.capacities),
+            "oracle_value": oracle_value,
+            "policies": per_policy,
+        }
+        return RunResult(config=cfg, trace=trace, summary=summary)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # trace rows formatted and joined per write: the text of one write stays a few MB

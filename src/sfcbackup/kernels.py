@@ -40,12 +40,14 @@ select in tests/reference.py, and the tests hold this module to it.
 
 Conventions: residuals and capacities are ints, demands non-negative ints;
 estimates and selection inputs are sequences of Python floats, one per chain
-or VNF; chains are sequences of VNF ids; ``nbrs[n]`` lists server n's direct
+or VNF; a walk reads its chain as ``needs``, the tuple of its VNFs' demands
+in chain order (PlanGraph.chain_needs); ``nbrs[n]`` lists server n's direct
 neighbors by ascending latency (EdgeNetwork.neighbor_lists); ``lat[a][b]`` is
 the link latency, 0 on the diagonal and +inf where no link exists
-(EdgeNetwork.latency_rows). The walks return (latency, assignment), the
-assignment a tuple with one server per chain position; a latency of +inf
-means the chain does not fit at the edge (cloud verdict).
+(EdgeNetwork.latency_rows). A walk returns a finite plan (latency,
+assignment), the assignment a tuple with one server per chain position, or
+DEAD_END = (+inf, None) when the chain does not fit at the edge (cloud
+verdict), which slot_decide never scores or commits.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ DEAD_END = (inf, None)
 NODE_CAP = 10_000
 
 
-def greedy_chain_walk(residual, pools, demands, chain, nbrs, lat, anchor):
-    """Walk a chain from the anchor, packing the current server first.
+def greedy_chain_walk(residual, pools, needs, nbrs, lat, anchor):
+    """Walk a chain of demands needs from the anchor, packing the current server first.
 
     Consecutive occurrences stay on the current server while its effective
     residual (real residual minus this plan's own tentative consumption)
@@ -84,23 +86,21 @@ def greedy_chain_walk(residual, pools, demands, chain, nbrs, lat, anchor):
     but some single server can, the chain co-locates on the tightest such
     pool (best fit, ties to the smallest id), since zero latency cannot be
     beaten. pools is sorted(residual), shared by all walks against one
-    residual, which may be a list or a tuple. Returns (latency, assignment), or
-    DEAD_END = (+inf, None) when the walk dead-ends.
+    residual, which may be a list or a tuple. Returns (latency, assignment),
+    every hop over a direct link, or DEAD_END = (+inf, None) when the walk
+    dead-ends.
     """
-    total = 0
-    for i in chain:
-        total += demands[i]
+    total = sum(needs)
     if residual[anchor] >= total:
-        return 0.0, (anchor,) * len(chain)
+        return 0.0, (anchor,) * len(needs)
     k = bisect_left(pools, total)
     if k < len(pools):
-        return 0.0, (residual.index(pools[k]),) * len(chain)
+        return 0.0, (residual.index(pools[k]),) * len(needs)
     tent = [0] * len(residual)
     cur = anchor
     latency = 0.0
     assign = []
-    for i in chain:
-        need = demands[i]
+    for need in needs:
         if residual[cur] - tent[cur] < need:
             for m in nbrs[cur]:
                 if residual[m] - tent[m] >= need:
@@ -115,21 +115,21 @@ def greedy_chain_walk(residual, pools, demands, chain, nbrs, lat, anchor):
     return latency, tuple(assign)
 
 
-def first_fit_chain_walk(residual, demands, chain, lat):
-    """Pack the chain onto servers in index order with a forward-only pointer.
+def first_fit_chain_walk(residual, needs, lat):
+    """Pack a chain of demands needs onto servers in index order, with a forward-only pointer.
 
     Occurrences pile onto the current server until it cannot afford the next
-    one, then the pointer advances (never wraps). Returns (latency,
-    assignment): DEAD_END = (+inf, None) when the scan runs off the end, and
-    latency +inf when the plan crosses a missing link.
+    one, then the pointer advances (never wraps). Returns a finite (latency,
+    assignment), or DEAD_END = (+inf, None) when the scan runs off the end or
+    the plan crosses a missing link: link latencies are non-negative, so a
+    sum that reached +inf stays there, and the walk stops at that hop.
     """
     n = len(residual)
     s = 0
     used = 0        # this plan's load on server s; the pointer never returns
     latency = 0.0
     assign = []
-    for i in chain:
-        need = demands[i]
+    for need in needs:
         if residual[s] - used < need:
             s += 1
             while s < n and residual[s] < need:
@@ -138,6 +138,8 @@ def first_fit_chain_walk(residual, demands, chain, lat):
                 return DEAD_END
             if assign:
                 latency += lat[assign[-1]][s]
+                if latency == inf:
+                    return DEAD_END
             used = 0
         assign.append(s)
         used += need
@@ -148,20 +150,23 @@ class PlanGraph:
     """The residual states one run's selection loops visit, with their plans.
 
     nodes maps a residual tuple to its node (residual, plans, edges): plans[f]
-    is chain f's walk (latency, assignment) against that residual, and
-    edges[f] = (next_node, id) commits f's plan, whose chain, latency and
-    assignment are edge_sfc[id], edge_latency[id] and edge_servers[id]. Both
-    fill lazily and are never invalidated: walks are pure, and the graph
-    belongs to one network, catalog and placement mode (GREEDY or FIRST_FIT).
-    The network's neighbor_lists and latency_rows, and the catalog's
-    vnf_demand and sfc_chain, are kept as slots, read by slot_decide on every
-    call. The first stored ids are the stored edges', and edge_arrays is
-    lockstep.gather's array copy of their tables, None before its first call.
+    is chain f's walk against that residual, a finite (latency, assignment) or
+    DEAD_END, and edges[f] = (next_node, id) commits f's plan, whose chain,
+    latency and assignment are edge_sfc[id], edge_latency[id] and
+    edge_servers[id]. Both fill lazily and are never invalidated: walks are
+    pure, and the graph belongs to one network, catalog and placement mode
+    (GREEDY or FIRST_FIT). The network's neighbor_lists and latency_rows, and
+    the catalog's vnf_demand and sfc_chain, are kept as slots, read on every
+    slot_decide or policy.learned_slot call; chain_needs[f] is the tuple of
+    chain f's VNF demands in chain order, built once here and read by every
+    walk and commit of f. The first stored ids are the stored edges', and
+    edge_arrays is lockstep.gather's array copy of their tables, None before
+    its first call.
     """
 
     __slots__ = ("network", "catalog", "mode", "neighbor_lists", "latency_rows", "vnf_demand",
-                 "sfc_chain", "nodes", "edge_sfc", "edge_latency", "edge_servers", "stored",
-                 "edge_arrays")
+                 "sfc_chain", "chain_needs", "nodes", "edge_sfc", "edge_latency",
+                 "edge_servers", "stored", "edge_arrays")
 
     def __init__(self, network, catalog, mode: int) -> None:
         if mode not in (GREEDY, FIRST_FIT):
@@ -173,6 +178,8 @@ class PlanGraph:
         self.latency_rows = network.latency_rows
         self.vnf_demand = catalog.vnf_demand
         self.sfc_chain = catalog.sfc_chain
+        self.chain_needs = [tuple(catalog.vnf_demand[i] for i in chain)
+                            for chain in catalog.sfc_chain]
         self.nodes: dict[tuple[int, ...], tuple] = {}
         self.edge_sfc, self.edge_latency, self.edge_servers = [], [], []
         self.stored = 0
@@ -190,22 +197,31 @@ class PlanGraph:
     def commit(self, node: tuple, f: int) -> tuple:
         """Edge (next_node, id) for committing chain f's plan at node, under a new id.
 
-        The edge is stored only while the graph holds fewer than NODE_CAP
-        nodes, so it never holds on to a node past the cap, and the first
-        stored ids are the stored edges'.
+        The next node is stored as by node(), and the edge only while the
+        graph then holds fewer than NODE_CAP nodes, so it never holds on to a
+        node past the cap, and the first stored ids are the stored edges'.
         """
         latency, assign = node[1][f]
-        demands = self.vnf_demand
         residual = list(node[0])
-        for s, i in zip(assign, self.sfc_chain[f]):
-            residual[s] -= demands[i]
-        edge = (self.node(tuple(residual)), len(self.edge_sfc))
-        self.edge_sfc.append(f)
+        for s, need in zip(assign, self.chain_needs[f]):
+            residual[s] -= need
+        residual = tuple(residual)
+        nodes = self.nodes
+        size = len(nodes)
+        child = nodes.get(residual)
+        if child is None:
+            child = (residual, {}, {})
+            if size < NODE_CAP:
+                nodes[residual] = child
+                size += 1
+        edge_sfc = self.edge_sfc
+        edge = (child, len(edge_sfc))
+        edge_sfc.append(f)
         self.edge_latency.append(latency)
         self.edge_servers.append(assign)
-        if len(self.nodes) < NODE_CAP:
+        if size < NODE_CAP:
             node[2][f] = edge
-            self.stored = len(self.edge_sfc)
+            self.stored = len(edge_sfc)
         return edge
 
     def trim(self) -> None:
@@ -268,8 +284,7 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
     computed on a round's first miss.
     """
     network = graph.network
-    demands = graph.vnf_demand
-    chains = graph.sfc_chain
+    needs = graph.chain_needs
     nbrs = graph.neighbor_lists
     lat = graph.latency_rows
     greedy = graph.mode == GREEDY
@@ -291,10 +306,9 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
                     if pools is None:
                         anchor = cheapest_link_anchor(network, residual)
                         pools = sorted(residual)
-                    plan = greedy_chain_walk(residual, pools, demands, chains[f],
-                                             nbrs, lat, anchor)
+                    plan = greedy_chain_walk(residual, pools, needs[f], nbrs, lat, anchor)
                 else:
-                    plan = first_fit_chain_walk(residual, demands, chains[f], lat)
+                    plan = first_fit_chain_walk(residual, needs[f], lat)
                 plans[f] = plan
             latency = plan[0]
             if latency == inf:

@@ -55,39 +55,44 @@ def optimal_chain_latency(network: EdgeNetwork, catalog: Catalog, residual,
     if n ** len(chain) > node_budget:
         raise SearchSpaceTooLarge(
             f"{n}^{len(chain)} assignments exceed the budget of {node_budget}")
-    return float(_joint_min_weighted_latency(network, catalog, [f], [1.0],
+    return float(_joint_min_weighted_latency(catalog, [f], [1.0],
                                              shortest_path_matrix(network), residual))
 
 
-def _joint_min_weighted_latency(network: EdgeNetwork, catalog: Catalog,
-                                subset: list[int], weights_per_sfc: list[float],
-                                sp: np.ndarray, residual) -> float:
+def _joint_min_weighted_latency(catalog: Catalog, subset: list[int],
+                                weights_per_sfc: list[float], sp: np.ndarray,
+                                residual) -> float:
     """Min over joint placements within ``residual`` of sum_f w_f * L_f; inf if none."""
     res = np.array(residual, dtype=np.int64)
-    demands = catalog.vnf_demand
     chains = [catalog.sfc_chain[f] for f in subset]
-    best = math.inf
+    return _placements(chains, weights_per_sfc, catalog.vnf_demand, sp, res,
+                       0, 0, -1, 0.0, math.inf)
 
-    def walk(ci: int, j: int, prev: int, acc: float) -> None:
-        nonlocal best
-        if ci == len(chains):
-            best = acc
-            return
-        chain = chains[ci]
-        if j == len(chain):
-            walk(ci + 1, 0, -1, acc)
-            return
-        need = demands[chain[j]]
-        w = weights_per_sfc[ci]
-        for s in range(network.n_servers):
-            if res[s] >= need:
-                step = 0.0 if j == 0 else w * sp[prev, s]
-                if acc + step < best:
-                    res[s] -= need
-                    walk(ci, j + 1, s, acc + step)
-                    res[s] += need
 
-    walk(0, 0, -1, 0.0)
+def _placements(chains, weights, demands, sp, res, ci: int, j: int, prev: int,
+                acc: float, best: float) -> float:
+    """The DFS of _joint_min_weighted_latency from occurrence j of chains[ci]: the new best.
+
+    acc is the weighted latency of the occurrences placed so far, prev the
+    server of the last one in this chain, and best the least complete sum
+    found so far; a branch is followed only while it stays below best. res is
+    the live residual, restored on return. A plain recursive function, so a
+    search leaves no reference cycle behind.
+    """
+    while ci < len(chains) and j == len(chains[ci]):
+        ci, j, prev = ci + 1, 0, -1
+    if ci == len(chains):
+        return acc
+    need = demands[chains[ci][j]]
+    w = weights[ci]
+    for s in range(len(res)):
+        if res[s] >= need:
+            step = 0.0 if j == 0 else w * sp[prev, s]
+            if acc + step < best:
+                res[s] -= need
+                best = _placements(chains, weights, demands, sp, res, ci, j + 1, s,
+                                   acc + step, best)
+                res[s] += need
     return best
 
 
@@ -120,7 +125,7 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
         subset = [f for f in range(n_sfcs) if mask >> f & 1]
         base = sum(weights.omega * q[f] * gate[f] for f in subset)
         lat_weights = [weights.mu * gate[f] for f in subset]
-        penalty = _joint_min_weighted_latency(network, catalog, subset, lat_weights, sp,
+        penalty = _joint_min_weighted_latency(catalog, subset, lat_weights, sp,
                                               network.capacities)
         if math.isinf(penalty):
             continue

@@ -623,9 +623,10 @@ def get_consumption(network, catalog, residual, f: int) -> PlacementPlan:
     Nothing here changes residual, which may be a list or an array.
     """
     res = np.asarray(residual, dtype=np.int64).tolist()
+    needs = tuple(catalog.vnf_demand[i] for i in catalog.sfc_chain[f])
     latency, assign = kernels.greedy_chain_walk(
-        res, sorted(res), catalog.vnf_demand, catalog.sfc_chain[f], network.neighbor_lists,
-        network.latency_rows, cheapest_link_anchor(network, res))
+        res, sorted(res), needs, network.neighbor_lists, network.latency_rows,
+        cheapest_link_anchor(network, res))
     return PlacementPlan(sfc=int(f), assignment=assign or (), latency=latency)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (ConfigError, apply_overrides, default_config_path, emit,
-                       load_config, make_ground_truth, run, validate_instance)
+from sfcbackup import (ConfigError, InvariantViolation, apply_overrides, default_config_path,
+                       emit, load_config, make_ground_truth, optimal_slot_value, run,
+                       validate_instance)
 from sfcbackup import harness
 from sfcbackup.cli import main
 from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
@@ -301,6 +303,59 @@ def test_run_drops_one_plan_graph_per_learned_policy(monkeypatch) -> None:
     run(cfg)
     assert len(built) == 2
     assert all(ref() is None for ref in built)
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic garbage collector enabled or disabled inside, and as it was after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_run_and_the_oracle_leave_no_reference_cycle() -> None:
+    # run pauses the collector, so a cycle made inside it would outlive the
+    # run: with the collector off, nothing either leaves is unreachable
+    cfg = load_config(small_regret_doc())
+    bundled = apply_overrides(load_config(default_config_path()), slots=20)
+    with collector(False):
+        gc.collect()
+        optimal_slot_value(cfg.network, cfg.catalog, harness._ground_truths(cfg)[0],
+                           cfg.weights)
+        assert gc.collect() == 0
+        run(bundled)
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_state(monkeypatch, enabled: bool) -> None:
+    # the collector is paused inside run and left as run found it, also when
+    # the run raises
+    paused = []
+    real_check = harness.lockstep.check
+
+    def check(*args):
+        paused.append(not gc.isenabled())
+        return real_check(*args)
+
+    monkeypatch.setattr(harness.lockstep, "check", check)
+    cfg = load_config(tiny_config())
+    with collector(enabled):
+        run(cfg)
+        assert gc.isenabled() == enabled
+    assert paused and all(paused)
+
+    def refuse(*args):
+        raise InvariantViolation("refused")
+
+    monkeypatch.setattr(harness.lockstep, "check", refuse)
+    with collector(enabled):
+        with pytest.raises(InvariantViolation, match="refused"):
+            run(cfg)
+        assert gc.isenabled() == enabled
 
 
 def test_run_with_regret_attaches_nonnegative_regret() -> None:

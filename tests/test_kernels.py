@@ -38,9 +38,12 @@ def random_setup(rng: np.random.Generator):
 
 
 def test_chain_walks_match_python_definitions() -> None:
-    # the list walks, and src's anchor, against the reference's
+    # the list walks, and src's anchor, against the reference's: a walk hands
+    # back the reference plan when it is finite and DEAD_END when it is not,
+    # a first-fit plan over a missing link included
     rng = np.random.default_rng(2024)
     outcomes = {"edge": 0, "cloud": 0}
+    missing_link = 0        # first-fit plans the reference finds crossing a missing link
     for _ in range(150):
         net, cat, _, _ = random_setup(rng)
         nbrs, lat = neighbors(net), latencies(net)
@@ -49,18 +52,23 @@ def test_chain_walks_match_python_definitions() -> None:
         start = anchor(net, res)
         assert cheapest_link_anchor(net, res) == start
         for chain in cat.sfc_chain:
+            needs = tuple(cat.vnf_demand[i] for i in chain)
             want = greedy_walk(res, cat.vnf_demand, chain, nbrs, lat, start)
-            got = greedy_chain_walk(res, sorted(res), cat.vnf_demand, chain,
-                                    net.neighbor_lists, net.latency_rows, start)
+            got = greedy_chain_walk(res, sorted(res), needs, net.neighbor_lists,
+                                    net.latency_rows, start)
             # the list path must hand back plain floats, never numpy scalars
-            assert got == want and type(got[0]) is float
-            outcomes["cloud" if math.isinf(got[0]) else "edge"] += 1
-            got = first_fit_chain_walk(res, cat.vnf_demand, chain, net.latency_rows)
-            assert got == first_fit_walk(res, cat.vnf_demand, chain, lat)
+            assert got == (want if math.isfinite(want[0]) else kernels.DEAD_END)
             assert type(got[0]) is float
+            outcomes["cloud" if math.isinf(got[0]) else "edge"] += 1
+            want = first_fit_walk(res, cat.vnf_demand, chain, lat)
+            got = first_fit_chain_walk(res, needs, net.latency_rows)
+            assert got == (want if math.isfinite(want[0]) else kernels.DEAD_END)
+            assert type(got[0]) is float
+            missing_link += math.isinf(want[0]) and want[1] is not None
         # plans are tentative: the walks never touch the residual
         assert res == before
     assert min(outcomes.values()) > 50
+    assert missing_link > 20
 
 
 def run_slot_decide(mode, net, cat, q, v, graph=None, omega=1.0, mu=1.0):
