@@ -44,7 +44,7 @@ from .kernels import FIRST_FIT, GREEDY, PlanGraph
 from .learning import init_learners
 from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
-from .policy import RewardWeights, learned_slot
+from .policy import RewardWeights, learned_rows
 from .workload import (OBS_BLOCK_SLOTS, GroundTruth, check_parameters, make_ground_truth,
                        policy_uniform_block, sample_arrays)
 
@@ -79,17 +79,19 @@ MAX_TRACE_ROWS = 2 ** 22
 # same trace; only speed picks. Timed at 2, 4, 6, 8 and 12 seeds x 100 slots
 # (harness.run, regret off, min of 11 alternating runs, 2 shared CPUs), numpy /
 # per-seed time, the median of three such timings, with the per-seed side at
-# one learning.estimates and one learning.update call a slot. rtsd and bandit
-# together (4 to 24 rows): canonical 1.15 0.78 0.68 0.62 0.54; wide-edge 0.96
-# 0.85 0.84 0.81 0.83; small-regret 1.39 0.69 0.80 0.67 0.55. rtsd alone, then
-# bandit alone (2 to 12 rows): canonical 1.70 1.15 0.89 0.71 0.67, 1.85 1.23
-# 0.93 0.80 0.68; wide-edge 1.04 0.86 0.83 0.81 0.79, 1.04 0.90 0.81 0.90 0.85;
-# small-regret 2.47 1.52 1.28 0.97 0.75, 2.47 1.53 1.16 0.94 0.77. At 6 rows
-# numpy lost on small-regret (by 16-28%); at 8 rows it won everywhere but
-# small-regret alone, where it was at par (0.97 and 0.94 here; a repeat read
-# 0.92 and 1.08), and at 12 it won on every instance. The crossover is still
-# between 6 and 8 rows, and 10 would hand canonical's 4-seed runs of both
-# policies (0.78) to the slower side.
+# one policy.learned_rows call per policy and chunk. rtsd and bandit together
+# (4 to 24 rows): canonical 1.38 0.94 0.81 0.74 0.65; wide-edge 0.95 0.90 0.84
+# 0.82 0.79; small-regret 2.05 1.30 1.08 0.90 0.74. rtsd alone, then bandit
+# alone (2 to 12 rows): canonical 2.01 1.38 1.09 0.92 0.84, 2.07 1.38 1.09 0.95
+# 0.80; wide-edge 1.02 0.94 0.88 0.87 0.83, 1.06 0.94 0.87 0.89 0.90;
+# small-regret 3.11 2.09 1.58 1.28 1.06, 3.26 2.12 1.61 1.36 1.02. On canonical
+# and wide-edge numpy still wins from 8 rows on (by 5-13%) and loses at 6 on
+# canonical; on small-regret the per-seed side now wins up to 12 rows, by
+# 28-36% at 8. The crossover on the bundled instance is still between 6 and
+# 8 rows, and the three instances together are at par at 8 (geometric mean
+# 1.03 for both policies, 1.01 and 1.05 alone), so the bound stays; none of
+# perfbench's workloads is near it (canonical's groups hold 60 rows,
+# wide-edge 4, small-regret 2).
 LOCKSTEP_MIN_SEEDS = 8
 # simulate_run holds a seed group's draws a block of slots ahead, once for
 # every policy: per (slot, seed) row, F request counts, I failure flags and,
@@ -431,7 +433,8 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     learned policies one learner state for all seeds: from
     LOCKSTEP_MIN_SEEDS learner rows (learned policies x seeds) on, one
     lockstep.Learners that stacks the policies' seeds as row blocks, and
-    below that a learned_slot learner pair per policy and seed.
+    below that a learning.py learner pair per policy and seed, which one
+    policy.learned_rows call per policy and chunk runs seed by seed.
     """
     for policy in policies:
         if policy not in POLICY_ORDER:
@@ -502,51 +505,39 @@ def _learned_chunk(learners, graphs: list[PlanGraph], weights: RewardWeights,
     requests and failed are the chunk's (slots, S, F) and (slots, S, I)
     observations, and graphs[k] is learned policy k's plan graph. learners
     is one lockstep.Learners whose rows [k*S, (k+1)*S) are policy k's seeds,
-    or per policy a list of its seeds' learning.py pairs. Returns per policy
-    its rows' edge ids, commits per row and residuals, for lockstep.gather,
-    and what its learners were updated with, for lockstep.check to hold the
-    records to: the rows' (R, F) backup vectors and (R, I) copies per VNF.
-    Rows are slot-major.
+    or per policy a list of its seeds' learning.py pairs, which one
+    policy.learned_rows call per policy runs through the whole chunk.
+    Returns per policy its rows' edge ids, commits per row and residuals,
+    for lockstep.gather, and what its learners were updated with, for
+    lockstep.check to hold the records to: the rows' (R, F) backup vectors
+    and (R, I) copies per VNF. Rows are slot-major.
     """
+    if not isinstance(learners, lockstep.Learners):
+        # each seed's slots as lists, for the per-seed loop
+        requests, failed = requests.swapaxes(0, 1).tolist(), failed.swapaxes(0, 1).tolist()
+        return [learned_rows(pairs, t0, requests, failed, weights, graph)
+                for pairs, graph in zip(learners, graphs)]
     n_slots, n_seeds, n_sfcs = requests.shape
     n_vnfs = failed.shape[2]
     n_policies = len(graphs)
     ids, counts, residuals = ([[] for _ in graphs] for _ in range(3))
-    if isinstance(learners, lockstep.Learners):
-        # every policy's block of learner rows learns from the same observations
-        stacked = (np.concatenate((requests,) * n_policies, axis=1),
-                   np.concatenate((failed,) * n_policies, axis=1))
-        xs, copies = [], []
-        for t, req, fail in zip(count(t0), *stacked):
-            q, v = lockstep.estimates(learners, t)
-            slot = lockstep.decide_learned(graphs, layout, q, v, weights.omega, weights.mu,
-                                           ids, counts, residuals)
-            x, placed = slot > 0, slot @ layout.copies
-            lockstep.update(learners, req, fail, x, placed)
-            xs.append(x)
-            copies.append(placed)
-        # (slots, P * S, .) arrays; policy k's rows are block k of each slot
-        xs = np.array(xs, dtype=np.int64).reshape(n_slots, n_policies, n_seeds, n_sfcs)
-        copies = np.array(copies, dtype=np.int64).reshape(n_slots, n_policies, n_seeds, n_vnfs)
-        updated = [(xs[:, k].reshape(-1, n_sfcs), copies[:, k].reshape(-1, n_vnfs))
-                   for k in range(n_policies)]
-    else:
-        requests, failed = requests.tolist(), failed.tolist()
-        updated = []
-        for pairs, graph, policy_ids, policy_counts, policy_residuals in zip(
-                learners, graphs, ids, counts, residuals):
-            xs, copies = [], []
-            for t, req, fail in zip(count(t0), requests, failed):
-                for pair, r, v in zip(pairs, req, fail):
-                    first = len(policy_ids)
-                    x, placed = learned_slot(pair, t, r, v, weights, graph, policy_ids,
-                                             policy_residuals)
-                    xs += x
-                    copies += placed
-                    policy_counts.append(len(policy_ids) - first)
-            updated.append((np.array(xs, dtype=np.int64).reshape(-1, n_sfcs),
-                            np.array(copies, dtype=np.int64).reshape(-1, n_vnfs)))
-    return [(i, c, r, *u) for i, c, r, u in zip(ids, counts, residuals, updated)]
+    # every policy's block of learner rows learns from the same observations
+    stacked = (np.concatenate((requests,) * n_policies, axis=1),
+               np.concatenate((failed,) * n_policies, axis=1))
+    xs, copies = [], []
+    for t, req, fail in zip(count(t0), *stacked):
+        q, v = lockstep.estimates(learners, t)
+        slot = lockstep.decide_learned(graphs, layout, q, v, weights.omega, weights.mu,
+                                       ids, counts, residuals)
+        x, placed = slot > 0, slot @ layout.copies
+        lockstep.update(learners, req, fail, x, placed)
+        xs.append(x)
+        copies.append(placed)
+    # (slots, P * S, .) arrays; policy k's rows are block k of each slot
+    xs = np.array(xs, dtype=np.int64).reshape(n_slots, n_policies, n_seeds, n_sfcs)
+    copies = np.array(copies, dtype=np.int64).reshape(n_slots, n_policies, n_seeds, n_vnfs)
+    return [(ids[k], counts[k], residuals[k], xs[:, k].reshape(-1, n_sfcs),
+             copies[:, k].reshape(-1, n_vnfs)) for k in range(n_policies)]
 
 
 def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
@@ -600,9 +591,9 @@ def run(cfg: ExperimentConfig) -> RunResult:
     found, also when the run raises. The plan graphs and per-slot lists a run
     allocates would trigger collections that traverse the growing graphs
     again and again, about a tenth of a pass on an instance whose graphs stay
-    cold, yet a run frees all it allocates by reference counting: its only
-    possible cycle is a plan-graph node whose zero-demand chain commits back
-    onto it, which the next collection after the run frees.
+    cold, yet a run frees all it allocates by reference counting: it makes
+    no reference cycle, and a plan-graph node whose zero-demand chain
+    commits back onto it keeps that edge off the node (kernels.PlanGraph.commit).
     """
     enabled = gc.isenabled()
     gc.disable()

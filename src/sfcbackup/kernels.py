@@ -4,13 +4,14 @@ The kernels work on Python ints, floats and lists: indexing a numpy array one
 element at a time builds a numpy scalar per access, which makes plain Python
 several times slower on arrays than on lists.
 
-Selection runs in two parts, inputs and then the scan. selection_inputs
-turns one seed's optimistic estimates into the slot's per-chain lists: each
+Selection runs in two parts, inputs and then the scan. The inputs are one
+seed's per-chain lists, built from its learners' optimistic estimates: each
 chain's value omega*q, its gate (one minus its worst VNF failure estimate),
 its bound value*gate, and the chains worth scanning ranked by bound.
-lockstep.selection_rows builds the same lists for many seeds with numpy.
-slot_decide is the scan alone: it takes those lists and runs the greedy
-rounds on the plan graph, committing one chain per round.
+policy.learned_rows builds them for one seed and slot at a time, and
+lockstep.selection_rows for many seeds with numpy. slot_decide is the scan
+alone: it takes those lists and runs the greedy rounds on the plan graph,
+committing one chain per round.
 
 Plan graph. The selection loop re-plans every remaining chain after each
 commit, and a chain walk is a pure function of (mode, residual, chain).
@@ -157,15 +158,18 @@ class PlanGraph:
     pure, and the graph belongs to one network, catalog and placement mode
     (GREEDY or FIRST_FIT). The network's neighbor_lists and latency_rows, and
     the catalog's vnf_demand and sfc_chain, are kept as slots, read on every
-    slot_decide or policy.learned_slot call; chain_needs[f] is the tuple of
+    slot_decide or policy.learned_rows call; chain_needs[f] is the tuple of
     chain f's VNF demands in chain order, built once here and read by every
-    walk and commit of f. The first stored ids are the stored edges', and
+    walk and commit of f. A chain whose VNFs all have demand 0 commits back
+    onto its node; that edge is kept in loops, keyed (residual, f), and not
+    in the node's edges, which would make the node hold itself in a
+    reference cycle. The first stored ids are the stored edges', and
     edge_arrays is lockstep.gather's array copy of their tables, None before
     its first call.
     """
 
     __slots__ = ("network", "catalog", "mode", "neighbor_lists", "latency_rows", "vnf_demand",
-                 "sfc_chain", "chain_needs", "nodes", "edge_sfc", "edge_latency",
+                 "sfc_chain", "chain_needs", "nodes", "loops", "edge_sfc", "edge_latency",
                  "edge_servers", "stored", "edge_arrays")
 
     def __init__(self, network, catalog, mode: int) -> None:
@@ -181,6 +185,7 @@ class PlanGraph:
         self.chain_needs = [tuple(catalog.vnf_demand[i] for i in chain)
                             for chain in catalog.sfc_chain]
         self.nodes: dict[tuple[int, ...], tuple] = {}
+        self.loops: dict[tuple[tuple[int, ...], int], tuple] = {}
         self.edge_sfc, self.edge_latency, self.edge_servers = [], [], []
         self.stored = 0
         self.edge_arrays = None
@@ -199,7 +204,9 @@ class PlanGraph:
 
         The next node is stored as by node(), and the edge only while the
         graph then holds fewer than NODE_CAP nodes, so it never holds on to a
-        node past the cap, and the first stored ids are the stored edges'.
+        node past the cap, and the first stored ids are the stored edges'. An
+        edge back onto node is stored in loops, and returned from there when
+        f is committed at node again.
         """
         latency, assign = node[1][f]
         residual = list(node[0])
@@ -209,18 +216,25 @@ class PlanGraph:
         nodes = self.nodes
         size = len(nodes)
         child = nodes.get(residual)
-        if child is None:
-            child = (residual, {}, {})
-            if size < NODE_CAP:
-                nodes[residual] = child
-                size += 1
+        if child is node:
+            edges, key = self.loops, (residual, f)
+            edge = edges.get(key)
+            if edge is not None:
+                return edge
+        else:
+            edges, key = node[2], f
+            if child is None:
+                child = (residual, {}, {})
+                if size < NODE_CAP:
+                    nodes[residual] = child
+                    size += 1
         edge_sfc = self.edge_sfc
         edge = (child, len(edge_sfc))
         edge_sfc.append(f)
         self.edge_latency.append(latency)
         self.edge_servers.append(assign)
         if size < NODE_CAP:
-            node[2][f] = edge
+            edges[key] = edge
             self.stored = len(edge_sfc)
         return edge
 
@@ -230,38 +244,13 @@ class PlanGraph:
             del table[self.stored:]
 
 
-def selection_inputs(catalog, q_est, v_est, omega):
-    """One slot's selection inputs from the learners' estimates: (value, gates, bounds, ranked).
-
-    value[f] is omega * q_est[f]; gates[f] is 1 - the worst failure estimate
-    of chain f's VNFs, the worst floored at 0.0; bounds[f] is value[f] *
-    gates[f], the most chain f can score. ranked lists the chains with a
-    positive gate and a positive bound by descending bound, ties by ascending
-    id. The first three are lists of floats, one per chain, and ranked a list
-    of chain ids that slot_decide consumes. lockstep.selection_rows builds
-    the same lists for many seeds at once.
-    """
-    value = [omega * q for q in q_est]
-    gates = []
-    for chain in catalog.sfc_chain:
-        worst = 0.0
-        for i in chain:
-            if v_est[i] > worst:
-                worst = v_est[i]
-        gates.append(1.0 - worst)
-    bounds = [v * g for v, g in zip(value, gates)]
-    # descending bound, ties by ascending id (reverse=True keeps the sort stable)
-    ranked = sorted([f for f in range(len(gates)) if gates[f] > 0.0 and bounds[f] > 0.0],
-                    key=bounds.__getitem__, reverse=True)
-    return value, gates, bounds, ranked
-
-
 def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
     """One slot's full greedy selection loop, on the plan graph.
 
-    value, gates, bounds and ranked are the slot's selection_inputs; ranked
-    is consumed. Repeatedly plans the not-yet-deployed chains against the
-    current residual, scores each edge-feasible plan with
+    value, gates, bounds and ranked are the slot's selection inputs, lists as
+    the module docstring describes them; ranked is consumed. Repeatedly
+    plans the not-yet-deployed chains against the current residual, scores
+    each edge-feasible plan with
     (value - mu * latency) * gate, that is (omega * q_est - mu * latency) *
     (1 - worst chain failure estimate), and commits the strictly-best
     positive score (ties fall to the smallest SFC id). Stops when nothing

@@ -9,16 +9,17 @@ are learned policy k's S seeds, and each slot runs, for all rows at once:
 - estimates: the (P*S, F) and (P*S, I) optimistic estimates, a few numpy
   operations;
 - decide_learned: selection_rows builds every row's selection inputs
-  (kernels.selection_inputs) with about ten numpy operations, then the
-  selection scan (kernels.slot_decide) runs once per row, on its policy's
-  plan graph;
+  (value, gates, bounds and ranked chains, as policy.learned_rows builds
+  them for one seed) with about ten numpy operations, then the selection
+  scan (kernels.slot_decide) runs once per row, on its policy's plan graph;
 - update: the learners learn from the slot's observation, repeated for each
   policy's block of rows, and from each row's commits.
 
 Below that row count the learner state is one learning.py pair per policy and
-seed, and policy.learned_slot runs each (policy, slot, seed). The random
-policy keeps no state across slots, so random_rows decides a whole chunk's
-rows at once. gather turns one learned policy's chunk of edge ids into
+seed, and policy.learned_rows runs each policy's seeds through a chunk in
+one call, in plain Python. The random policy keeps no state across slots,
+so random_rows decides a whole chunk's rows at once. gather turns one
+learned policy's chunk of edge ids into
 Records. Each policy's Records of a chunk then go through check, which holds
 them, and the backup vectors and VNF copies its learners were updated with,
 to the eight conditions of a sound slot decision, and slot_values, which
@@ -26,14 +27,14 @@ values them. A policy's learners, ids, records and series never mix with
 another's: the rows of a Learners are independent, and each block scans on
 its own graph.
 
-Exactness. Every float is computed by the expression learning.py evaluates,
-one operation at a time: numpy's sqrt, division, multiplication and
+Exactness. Every float is computed by the expression policy.learned_rows
+evaluates, one operation at a time: numpy's sqrt, division, multiplication and
 addition round correctly, as Python's do, and an int converts to float64
 exactly as Python converts it. No 0/0 is computed: the updates divide only
 the arms numpy's where= selects, and the estimates divide an unexplored arm by
 2.0 and then discard it. The selection inputs take the same products and
-differences as kernels.selection_inputs, and a maximum is exact, so each
-learner row's inputs equal the lists selection_inputs builds for it. A slot's
+differences as learned_rows, and a maximum is exact, so each learner row's
+inputs equal the lists learned_rows builds for its seed. A slot's
 realised reward is numpy's pairwise sum of its C-contiguous row of per-chain
 payoffs, whatever rows share the array, and its expected value adds the
 row's terms left to right in commit order, so a slot's values do not depend
@@ -163,9 +164,13 @@ def true_values(catalog: Catalog, gts: list[GroundTruth],
 
 
 def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """learning.estimates of every learner row, as two arrays.
+    """The optimistic estimates of every learner row at slot t, as two arrays.
 
-    q is (R, F) and v is (R, I); row r holds learner row r's estimates.
+    q is (R, F) and v is (R, I); row r holds learner row r's estimates, the
+    floats policy.learned_rows computes for one learning.py pair: q[r, f] is
+    chain f's mean request count plus its bonus, +inf while unexplored, and
+    v[r, i] VNF i's failure mean plus its signed bonus, clamped to [0, 1],
+    0 while unexplored.
     """
     log_term = 3.0 * math.log(t)
     c = learners.selected
@@ -183,10 +188,10 @@ def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
 
 def selection_rows(layout: Layout, q: np.ndarray, v: np.ndarray,
                    omega: float) -> tuple[list, list, list, list]:
-    """kernels.selection_inputs of every learner row: value, gates, bounds and ranked, row by row.
+    """The selection inputs of every learner row: value, gates, bounds and ranked, row by row.
 
     q and v are estimates' (R, F) and (R, I) arrays. Row r of each result is
-    the list selection_inputs builds from q[r] and v[r], value for value: the
+    the list policy.learned_rows builds from q[r] and v[r], value for value: the
     same IEEE operations, the worst estimate of a chain taken by a maximum
     over its VNFs and floored at 0.0 as the loop starts from 0.0, and the
     chains ranked by a stable sort, which keeps equal bounds in id order.
@@ -475,10 +480,12 @@ def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,
 
 def update(learners: Learners, requests: np.ndarray, failed: np.ndarray, x: np.ndarray,
            placed: np.ndarray) -> None:
-    """learning.update of every learner row, in place.
+    """Fold one slot's observation into every learner row, in place, as policy.learned_rows does.
 
     requests and failed are the rows' (R, F) and (R, I) observations, x their
-    (R, F) backup vectors and placed their (R, I) copies per VNF.
+    (R, F) backup vectors and placed their (R, I) copies per VNF. A chain with
+    x set counts one pull and its request count; a VNF with placed copies
+    counts all of them and adds its failure flag once.
     """
     learners.selected += x
     np.add(learners.request_total, requests, out=learners.request_total, where=x)

@@ -10,7 +10,10 @@ and every step of a slot is written as the definition reads:
   policy's W uniforms from the key (seed, 1), counter [t * B, 0, 0, 0] with
   B = ceil(W / 4).
 - array_estimates and array_updates are the learners' formulas, as numpy
-  expressions on as_arrays' learner state.
+  expressions on as_arrays' learner state. estimates, update and
+  selection_inputs are the same definitions for one learner pair of lists,
+  the per-pair steps that policy.learned_rows runs inline and lockstep runs
+  for many rows with numpy.
 - select is the selection loop unpruned: each round plans every remaining
   chain against the live residual, with no plan graph, and commits the best
   positive score. greedy_walk and first_fit_walk are the two placements,
@@ -45,11 +48,12 @@ The rest drives src for the tests, one adapter each:
 assert_matches_reference holds harness.run to reference_run under both
 learner states; slot_rows and slot_row give sample_arrays' draws as lists;
 decoded turns plan-graph edge ids into (sfc, PlacementPlan) pairs;
-verified_slot is policy.learned_slot as a SlotDecision held to
-verify_decision and to what the learners were updated with; get_consumption
-plans one chain with kernels.greedy_chain_walk; records builds
-lockstep.Records from (sfc, PlacementPlan) lists; and unpack_rows and
-random_slots turn lockstep.Records into (deployed, residual) pairs.
+verified_slot is a one-slot, one-seed chunk of policy.learned_rows as a
+SlotDecision held to verify_decision and to what the learners were updated
+with; get_consumption plans one chain with kernels.greedy_chain_walk;
+records builds lockstep.Records from (sfc, PlacementPlan) lists; and
+unpack_rows and random_slots turn lockstep.Records into (deployed, residual)
+pairs.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from math import inf, log, sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,7 +70,7 @@ from sfcbackup import harness, kernels, lockstep
 from sfcbackup.harness import CSV_COLUMNS
 from sfcbackup.model import cheapest_link_anchor
 from sfcbackup.oracle import optimal_slot_value
-from sfcbackup.policy import InvariantViolation, learned_slot
+from sfcbackup.policy import InvariantViolation, learned_rows
 from sfcbackup.workload import make_ground_truth, sample_arrays
 
 # --- decisions -----------------------------------------------------------------
@@ -218,6 +223,79 @@ def array_updates(pop, fail, requests, failed, x, placed) -> None:
     fail.placements[m] += placed[m]
     fail.failure_total[m] += np.array(failed)[m]
     fail.failure_mean[m] = fail.failure_total[m] / fail.placements[m]
+
+
+def estimates(learners, t: int) -> tuple[list[float], list[float]]:
+    """Both learners' optimistic estimates at slot t, (q, v), one per chain and one per VNF.
+
+    q[f] is chain f's mean request count plus its bonus, +inf while unexplored,
+    which forces a first pull. v[i] is VNF i's failure-rate mean plus its
+    signed bonus, clamped to [0, 1]; an unexplored VNF reports 0.
+    """
+    if t < 1:
+        raise ValueError("estimates are defined for t >= 1")
+    pop, fail = learners
+    log_term = 3.0 * log(t)
+    scale = pop.users
+    q = [mean + scale * sqrt(log_term / (2.0 * c)) if c > 0 else inf
+         for c, mean in zip(pop.selected, pop.request_mean)]
+    scale, sign = fail.bonus_scale, fail.bonus_sign
+    v = []
+    for h, mean in zip(fail.placements, fail.failure_mean):
+        if h > 0:
+            est = mean + sign * (scale * sqrt(log_term / (2.0 * h)))
+            v.append(0.0 if est < 0.0 else 1.0 if est > 1.0 else est)
+        else:
+            v.append(0.0)
+    return q, v
+
+
+def update(learners, requests, failed, x, placed) -> None:
+    """Fold one slot's observation into both learners, in place.
+
+    Every chain flagged in x, the slot's backup vector, counts one pull and
+    its request count. Every VNF with placed[i] > 0 copies counts all of them
+    (so several may go out at once) but adds its failure flag failed[i] once
+    per slot.
+    """
+    pop, fail = learners
+    selected, total, mean = pop.selected, pop.request_total, pop.request_mean
+    for f, on in enumerate(x):
+        if on:
+            selected[f] += 1
+            total[f] += requests[f]
+            mean[f] = total[f] / selected[f]
+    placements, total, mean = fail.placements, fail.failure_total, fail.failure_mean
+    for i, copies in enumerate(placed):
+        if copies > 0:
+            placements[i] += copies
+            total[i] += failed[i]
+            mean[i] = total[i] / placements[i]
+
+
+def selection_inputs(catalog, q_est, v_est, omega):
+    """One slot's selection inputs from the learners' estimates: (value, gates, bounds, ranked).
+
+    value[f] is omega * q_est[f]; gates[f] is 1 - the worst failure estimate
+    of chain f's VNFs, the worst floored at 0.0; bounds[f] is value[f] *
+    gates[f], the most chain f can score. ranked lists the chains with a
+    positive gate and a positive bound by descending bound, ties by ascending
+    id. The first three are lists of floats, one per chain, and ranked a list
+    of chain ids that slot_decide consumes.
+    """
+    value = [omega * q for q in q_est]
+    gates = []
+    for chain in catalog.sfc_chain:
+        worst = 0.0
+        for i in chain:
+            if v_est[i] > worst:
+                worst = v_est[i]
+        gates.append(1.0 - worst)
+    bounds = [v * g for v, g in zip(value, gates)]
+    # descending bound, ties by ascending id (reverse=True keeps the sort stable)
+    ranked = sorted([f for f in range(len(gates)) if gates[f] > 0.0 and bounds[f] > 0.0],
+                    key=bounds.__getitem__, reverse=True)
+    return value, gates, bounds, ranked
 
 
 # --- selection and placement -------------------------------------------------
@@ -602,17 +680,17 @@ def decoded(graph, ids) -> list[tuple[int, PlacementPlan]]:
 
 
 def verified_slot(learners, t: int, requests, failed, weights, graph) -> SlotDecision:
-    """policy.learned_slot's decision as a SlotDecision, held to verify_decision.
+    """policy.learned_rows on one seed and slot, as a SlotDecision held to verify_decision.
 
     The decision's residual_after is the kernel's residual tuple as a list.
     """
-    ids, residuals = [], []
-    x, placed = learned_slot(learners, t, requests, failed, weights, graph, ids, residuals)
-    assert len(residuals) == 1
+    ids, counts, residuals, x, placed = learned_rows([learners], t, [[requests]], [[failed]],
+                                                     weights, graph)
+    assert counts == [len(ids)] and len(residuals) == 1
     decision = decision_of(graph.catalog, t, decoded(graph, ids), list(residuals[0]))
     # the backup vector and copies the learners were updated with are the decision's
-    assert x == decision.x
-    assert placed == decision.placed_counts
+    assert x.tolist() == [decision.x]
+    assert placed.tolist() == [decision.placed_counts]
     verify_decision(graph.network, graph.catalog, decision)
     return decision
 

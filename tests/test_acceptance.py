@@ -25,11 +25,11 @@ from sfcbackup import (Catalog, EdgeNetwork, apply_overrides, default_config_pat
 from sfcbackup import lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import GREEDY, PlanGraph
-from sfcbackup.learning import estimates, init_learners, update
+from sfcbackup.learning import init_learners
 from sfcbackup.oracle import optimal_chain_latency
 from sfcbackup.workload import policy_uniform_block
 
-from reference import get_consumption, slot_rows, unpack_rows, verified_slot
+from reference import estimates, get_consumption, slot_rows, unpack_rows, update, verified_slot
 
 
 def report(name: str, ok: bool, details: str) -> str:
@@ -242,7 +242,7 @@ def _replay_and_compare(history, pop, fail, users: int, scale: float,
         float(np.max(np.abs(np.array(fail.failure_total) - vsum), initial=0.0)),
         float(np.max(np.abs(np.array(fail.failure_mean) - vbar), initial=0.0)),
     )
-    # estimate formulas evaluated directly against the library's versions
+    # estimate formulas evaluated directly against the per-pair definitions
     for t in (1, 2, 37, 1000):
         q_est, v_est = map(np.array, estimates((pop, fail), t))
         q_direct = np.full(n_sfcs, math.inf)

@@ -316,17 +316,31 @@ def collector(enabled: bool):
         (gc.enable if was else gc.disable)()
 
 
+# two servers; chain 0 runs only VNF 0, of demand 0, so committing it leaves
+# the residual as it was
+ZERO_DEMAND_DOC = {
+    "network": {"capacities": [4, 3], "links": [[0, 1, 0.5]]},
+    "catalog": {"vnf_demand": [0, 2], "sfc_chain": [[0], [1, 0]]},
+    "ground_truth": {"request_prob": 0.8, "failure_mean": [0.1, 0.05]},
+    "users": 3, "slots": 30, "seeds": "1..3", "policies": "all",
+}
+
+
 def test_run_and_the_oracle_leave_no_reference_cycle() -> None:
     # run pauses the collector, so a cycle made inside it would outlive the
-    # run: with the collector off, nothing either leaves is unreachable
+    # run: with the collector off, nothing either leaves is unreachable, also
+    # where a chain of zero demand commits back onto its plan-graph node
     cfg = load_config(small_regret_doc())
     bundled = apply_overrides(load_config(default_config_path()), slots=20)
+    zero_demand = load_config(ZERO_DEMAND_DOC)
     with collector(False):
         gc.collect()
         optimal_slot_value(cfg.network, cfg.catalog, harness._ground_truths(cfg)[0],
                            cfg.weights)
         assert gc.collect() == 0
         run(bundled)
+        assert gc.collect() == 0
+        run(zero_demand)
         assert gc.collect() == 0
 
 

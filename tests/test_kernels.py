@@ -9,14 +9,14 @@ from sfcbackup import Catalog, EdgeNetwork
 from sfcbackup import default_config_path, load_config
 from sfcbackup import kernels
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_walk,
-                               greedy_chain_walk, selection_inputs, slot_decide)
+                               greedy_chain_walk, slot_decide)
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.learning import init_learners
 from sfcbackup.model import cheapest_link_anchor
 from sfcbackup.workload import make_ground_truth
 
 from reference import (anchor, decoded, first_fit_walk, greedy_walk, latencies, neighbors,
-                       select, slot_rows, verified_slot)
+                       select, selection_inputs, slot_rows, verified_slot)
 
 
 def random_setup(rng: np.random.Generator):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcbackup import Catalog, make_ground_truth
-from sfcbackup.learning import chain_failure_rate, estimates, init_learners, update
+from sfcbackup.learning import chain_failure_rate, init_learners
 
-from reference import array_estimates, array_updates, as_arrays, slot_rows
+from reference import array_estimates, array_updates, as_arrays, estimates, slot_rows, update
 
 
 def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
@@ -92,7 +92,8 @@ def test_failure_update_counts_copies_but_one_flag() -> None:
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "learning.update adds a slot's failure flag once but every placed copy to the count, "
+    "update (as policy.learned_rows and lockstep.update) adds a slot's failure flag once "
+    "but every placed copy to the count, "
     "so a chain that runs a VNF twice halves its estimate; ROADMAP.md item 3(c) of "
     "\"Make the reported numbers mean what their names say\" counts one observation "
     "per slot, and this marker goes when it lands"))

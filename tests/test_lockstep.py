@@ -13,30 +13,31 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, apply_overrides,
+from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, RewardWeights, apply_overrides,
                        default_config_path, load_config, run)
 from sfcbackup import harness, kernels, learning, lockstep, workload
 from sfcbackup import policy as policy_module
 from sfcbackup.harness import LOCKSTEP_MIN_SEEDS, PLACEMENT_MODES, POLICY_ORDER
-from sfcbackup.learning import estimates, init_learners, update
+from sfcbackup.learning import init_learners
 
-from reference import (assert_matches_reference, decoded, random_placement, records,
-                       reference_run, unpack_rows)
+from reference import (assert_matches_reference, decoded, estimates, random_placement, records,
+                       reference_run, selection_inputs, unpack_rows, update)
 
 
 def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
     # the learner rows, learned policies x seeds, pick the learned policies'
     # learner state: one lockstep.Learners (one lockstep.estimates call per slot for
     # every row, the policies' seeds stacked) from LOCKSTEP_MIN_SEEDS rows on,
-    # a learning.py pair per policy and seed (one learning.estimates call per
-    # policy, seed and slot) below that; alone, a learned policy's rows are
-    # its seeds
+    # a learning.py pair per policy and seed (one policy.learned_rows call per
+    # policy and chunk, here all three slots) below that; alone, a learned
+    # policy's rows are its seeds
     calls = {"lockstep": 0, "per_seed": 0, "random": 0}
 
     def count(module, name: str, key: str) -> None:
@@ -48,7 +49,7 @@ def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
         monkeypatch.setattr(module, name, counted)
 
     count(lockstep, "estimates", "lockstep")
-    count(policy_module, "estimates", "per_seed")
+    count(harness, "learned_rows", "per_seed")
     count(lockstep, "random_rows", "random")
     cfg = load_config(default_config_path())
     learned = len(PLACEMENT_MODES)
@@ -56,12 +57,12 @@ def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
     run(apply_overrides(cfg, slots=3, seeds=f"1..{stacked}"))
     assert calls == {"lockstep": 3, "per_seed": 0, "random": 1}
     run(apply_overrides(cfg, slots=3, seeds=f"1..{stacked - 1}"))
-    assert calls == {"lockstep": 3, "per_seed": learned * 3 * (stacked - 1), "random": 2}
+    assert calls == {"lockstep": 3, "per_seed": learned, "random": 2}
     calls.update(lockstep=0, per_seed=0)
     run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd"))
     assert calls == {"lockstep": 3, "per_seed": 0, "random": 2}
     run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS - 1}", policy="rtsd"))
-    assert calls == {"lockstep": 3, "per_seed": 3 * (LOCKSTEP_MIN_SEEDS - 1), "random": 2}
+    assert calls == {"lockstep": 3, "per_seed": 1, "random": 2}
 
 
 def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
@@ -159,6 +160,13 @@ boundaries = st.fixed_dictionaries({
     "users": 4, "slots": 30, "seeds": "2..4", "regret": True,
     "learner": {"failure_bonus_scale": 1.0, "failure_bonus_sign": -1}},
     limits={"OBS_BLOCK_SLOTS": 3, "LOCKSTEP_MAX_VALUES": 40, "NODE_CAP": 2})
+@example(doc={
+    # a chain of zero demand, whose commits come back to their plan-graph node
+    "network": {"capacities": [4, 3], "links": [[0, 1, 0.5]]},
+    "catalog": {"vnf_demand": [0, 2], "sfc_chain": [[0], [1, 0]]},
+    "ground_truth": {"request_prob": 0.8, "failure_mean": [0.1, 0.05]},
+    "users": 3, "slots": 12, "seeds": "1..3"},
+    limits={"OBS_BLOCK_SLOTS": 5, "LOCKSTEP_MAX_VALUES": 40, "NODE_CAP": 2})
 @given(doc=instances(), limits=boundaries)
 def test_run_equals_the_reference(doc: dict, limits: dict) -> None:
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -222,28 +230,71 @@ def test_reference_calls_no_simulator_stage(monkeypatch) -> None:
         run(cfg)
 
 
-def test_lockstep_learners_equal_the_per_seed_learners() -> None:
+# a small instance for the learner states: a repeated VNF ([0, 0]), chains
+# that share VNFs, and room for two or three chains a slot
+LEARNER_NETWORK = EdgeNetwork([9, 6, 7], [(0, 1, 0.4), (1, 2, 0.9)])
+LEARNER_CATALOG = Catalog([2, 3, 1, 4], [[0, 0], [1, 2], [3], [2, 0, 1]])
+LEARNER_FIELDS = (("selected", "request_total", "request_mean"),
+                  ("placements", "failure_total", "failure_mean"))
+
+
+def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
+    # policy.learned_rows decides and learns chunk by chunk on its own pairs;
+    # lockstep.Learners, fed the rows it returns, and a reference.update pair
+    # per seed follow it slot by slot. Every slot's lockstep estimates equal
+    # reference.estimates, every seed's kernel inputs equal selection_rows'
+    # row, value for value, and after every chunk all six learner fields
+    # agree. One seed and three, both placement walks, both bonus signs at
+    # the default and a set scale, and a scale whose bonus overflows; the
+    # chunks start at slots 1, 2, 6 and 13.
     rng = np.random.default_rng(5)
-    n_seeds, n_sfcs, n_vnfs, users = 5, 4, 6, 7
-    for sign, scale in ((1, None), (-1, 0.8), (1, 1e308)):
+    n_sfcs, n_vnfs, users = LEARNER_CATALOG.n_sfcs, LEARNER_CATALOG.n_vnfs, 5
+    weights = RewardWeights(omega=1.3, mu=0.7)
+    layout = lockstep.Layout.of(LEARNER_NETWORK, LEARNER_CATALOG)
+    seen = []       # each kernel call's inputs, in call order
+    real = kernels.slot_decide
+
+    def decide(graph, value, gates, bounds, ranked, *rest):
+        seen.append((value, gates, bounds, list(ranked)))
+        return real(graph, value, gates, bounds, ranked, *rest)
+
+    monkeypatch.setattr(kernels, "slot_decide", decide)
+    for n_seeds, policy, (sign, scale) in product(
+            (1, 3), PLACEMENT_MODES, ((1, None), (-1, None), (1, 0.8), (-1, 0.8), (1, 1e308))):
         batch = lockstep.Learners.fresh(n_seeds, n_sfcs, n_vnfs, users, scale, sign)
-        singles = [init_learners(n_sfcs, n_vnfs, users, failure_bonus_scale=scale,
-                                 failure_bonus_sign=sign) for _ in range(n_seeds)]
-        for t in range(1, 40):
-            q_rows, v_rows = lockstep.estimates(batch, t)
-            for pair, q, v in zip(singles, q_rows.tolist(), v_rows.tolist()):
-                assert (q, v) == estimates(pair, t)
-            requests = rng.integers(0, users + 1, size=(n_seeds, n_sfcs))
-            failed = (rng.random((n_seeds, n_vnfs)) < 0.3).astype(np.uint8)
-            x = rng.random((n_seeds, n_sfcs)) < 0.5
-            placed = rng.integers(0, 3, size=(n_seeds, n_vnfs)) * (rng.random((n_seeds, n_vnfs)) < 0.5)
-            lockstep.update(batch, requests, failed, x, placed)
-            for s, pair in enumerate(singles):
-                pop, fail = pair
-                update(pair, requests[s].tolist(), failed[s].tolist(), x[s].tolist(),
-                       placed[s].tolist())
-                assert batch.request_mean[s].tolist() == pop.request_mean
-                assert batch.failure_mean[s].tolist() == fail.failure_mean
+        pairs, shadows = ([init_learners(n_sfcs, n_vnfs, users, failure_bonus_scale=scale,
+                                         failure_bonus_sign=sign) for _ in range(n_seeds)]
+                          for _ in range(2))
+        graph = kernels.PlanGraph(LEARNER_NETWORK, LEARNER_CATALOG, PLACEMENT_MODES[policy])
+        deployed = repeats = 0
+        for t0, n_slots in ((1, 1), (2, 4), (6, 7), (13, 3)):
+            requests = rng.integers(0, users + 1, size=(n_slots, n_seeds, n_sfcs))
+            failed = (rng.random((n_slots, n_seeds, n_vnfs)) < 0.3).astype(np.uint8)
+            seen.clear()
+            _, counts, _, x, placed = policy_module.learned_rows(
+                pairs, t0, requests.swapaxes(0, 1).tolist(), failed.swapaxes(0, 1).tolist(),
+                weights, graph)
+            deployed += sum(counts)
+            repeats += int((placed[:, 0] >= 2).sum())       # [0, 0] and more copies
+            for j, t in enumerate(range(t0, t0 + n_slots)):
+                q, v = lockstep.estimates(batch, t)
+                for shadow, q_row, v_row in zip(shadows, q.tolist(), v.tolist()):
+                    assert (q_row, v_row) == estimates(shadow, t)
+                # the pairs ran one after another, each through the chunk's slots
+                inputs = [seen[s * n_slots + j] for s in range(n_seeds)]
+                rows = lockstep.selection_rows(layout, q, v, weights.omega)
+                assert repr(inputs) == repr(list(zip(*rows)))
+                rows = slice(j * n_seeds, (j + 1) * n_seeds)
+                lockstep.update(batch, requests[j], failed[j], x[rows], placed[rows])
+                for shadow, *observed in zip(shadows, requests[j].tolist(), failed[j].tolist(),
+                                             x[rows].tolist(), placed[rows].tolist()):
+                    update(shadow, *observed)
+            for s, (pair, shadow) in enumerate(zip(pairs, shadows)):
+                for learner, ref, names in zip(pair, shadow, LEARNER_FIELDS):
+                    for name in names:
+                        assert getattr(batch, name)[s].tolist() == getattr(learner, name) \
+                            == getattr(ref, name), (n_seeds, policy, sign, scale, t0, name)
+        assert deployed > 2 * n_seeds and repeats, (n_seeds, policy, sign, scale)
 
 
 def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> None:
@@ -495,6 +546,24 @@ TAMPERS = {
 
 
 TAMPER_SEED_COUNTS = (1, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS)
+
+
+def _decide_call(cfg, slot: int, seed: int) -> int:
+    """The call of kernels.slot_decide, from 0, that decides seed number seed's slot.
+
+    For a run of one learned policy: lockstep learners decide slot by slot,
+    each slot across the seeds, and per-seed learners run a chunk seed by
+    seed, each seed's slots of the chunk in order.
+    """
+    n_seeds = len(cfg.seeds)
+    if n_seeds >= LOCKSTEP_MIN_SEEDS:
+        return (slot - 1) * n_seeds + seed
+    chunk, block = harness._chunk_and_block(lockstep.Layout.of(cfg.network, cfg.catalog),
+                                            harness._ground_truths(cfg))
+    b0 = (slot - 1) // block * block + 1            # the slot's block, then its chunk
+    t0 = b0 + (slot - b0) // chunk * chunk
+    length = min(chunk, b0 + block - t0, cfg.slots + 1 - t0)
+    return (t0 - 1) * n_seeds + seed * length + slot - t0
 LATE_TAMPER = "residual bookkeeping mismatch"
 
 
@@ -521,9 +590,7 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
                                             harness._ground_truths(cfg))
         slot, cfg = block + 3, apply_overrides(cfg, slots=block + 7)
     seed = min(3, n_seeds - 1)              # the fourth seed, or the last one
-    # slot_decide runs slot by slot, each slot across the seeds, whichever the
-    # learner state
-    target = (slot - 1) * n_seeds + seed + 1
+    target = _decide_call(cfg, slot, seed) + 1
     calls, named = [], []
     real = kernels.slot_decide
 
@@ -543,11 +610,11 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
 
 
 # What the learners of one row were updated with, its backup vector x and its
-# copies per VNF (numpy rows or learned_slot's lists), tampered in place so
-# that x, the copies, or both fall out of step with the records. Chain 2 runs
-# what chain 0 runs, so moving a commit between them keeps the copies and
-# changes x alone; counting a chain twice, or every copy twice, changes the
-# copies alone.
+# copies per VNF (rows of the arrays lockstep.update takes and learned_rows
+# returns), tampered in place so that x, the copies, or both fall out of step
+# with the records. Chain 2 runs what chain 0 runs, so moving a commit between
+# them keeps the copies and changes x alone; counting a chain twice, or every
+# copy twice, changes the copies alone.
 SYNC_DOC = {**TAMPER_DOC, "catalog": {"vnf_demand": [3, 2], "sfc_chain": [[0], [1, 1], [0]]}}
 SYNC_CHAINS = SYNC_DOC["catalog"]["sfc_chain"]
 
@@ -592,7 +659,7 @@ SYNC_TAMPERS = {
 def test_batched_check_rejects_learners_out_of_sync(monkeypatch, tamper: str,
                                                     n_seeds: int) -> None:
     # the backup vector and copies the learners are updated with, handed to
-    # lockstep.update or returned by learned_slot, are tampered at the fourth
+    # lockstep.update or returned by learned_rows, are tampered at the fourth
     # (or the last) seed's slot 2 and the first seed's slot 3: check holds the
     # records to those arrays, on either learner state, and names the earlier
     # slot
@@ -616,13 +683,14 @@ def test_batched_check_rejects_learners_out_of_sync(monkeypatch, tamper: str,
             real_update(learners, requests, failed, x, placed)
         monkeypatch.setattr(lockstep, "update", tampered_update)
     else:
-        real_slot = harness.learned_slot
+        real_rows = harness.learned_rows
 
-        def tampered_slot(*args):
-            x, placed = real_slot(*args)
-            tampered_row(x, placed)
-            return x, placed
-        monkeypatch.setattr(harness, "learned_slot", tampered_slot)
+        def tampered_rows(*args):
+            ids, counts, residuals, x, placed = real_rows(*args)
+            for row in zip(x, placed):      # slot-major, as lockstep.update's
+                tampered_row(*row)
+            return ids, counts, residuals, x, placed
+        monkeypatch.setattr(harness, "learned_rows", tampered_rows)
     with pytest.raises(InvariantViolation) as err:
         run(cfg)
     assert str(err.value) == f"seed {cfg.seeds[seed]}, slot 2: {message}"
@@ -681,8 +749,8 @@ def test_check_names_the_earliest_failing_slot(monkeypatch, policy: str, n_seeds
     # the error names slot 2, the earlier one, at every seed count
     cfg = apply_overrides(load_config(TAMPER_DOC), policy=policy, seeds=f"1..{n_seeds}",
                           slots=6)
-    targets = {(5 - 1) * n_seeds, (2 - 1) * n_seeds + 2}   # slot-major rows, from 0
     if policy == "random":
+        targets = {(5 - 1) * n_seeds, (2 - 1) * n_seeds + 2}   # slot-major rows, from 0
         real_rows = lockstep.random_rows
 
         def tampered_rows(layout, u):
@@ -692,6 +760,7 @@ def test_check_names_the_earliest_failing_slot(monkeypatch, policy: str, n_seeds
             return rec
         monkeypatch.setattr(lockstep, "random_rows", tampered_rows)
     else:
+        targets = {_decide_call(cfg, 5, 0), _decide_call(cfg, 2, 2)}
         calls = []
         real_decide = kernels.slot_decide
 
@@ -743,13 +812,13 @@ def selection_cases(draw) -> tuple:
                [[math.inf, math.inf, 2.0, 2.0]], [[1.0, 0.0, -0.25]], 0.5))
 @given(case=selection_cases())
 def test_selection_rows_equal_the_per_seed_inputs(case) -> None:
-    # lockstep.selection_rows, every seed at once, against kernels.selection_inputs
+    # lockstep.selection_rows, every seed at once, against reference.selection_inputs
     # seed by seed; repr holds each value's type and every bit of each float, so
     # nan matches nan and 0.0 does not match -0.0
     cat, q, v, omega = case
     layout = lockstep.Layout.of(EdgeNetwork([1], []), cat)
     rows = lockstep.selection_rows(layout, np.array(q), np.array(v), omega)
-    want = [kernels.selection_inputs(cat, q_row, v_row, omega) for q_row, v_row in zip(q, v)]
+    want = [selection_inputs(cat, q_row, v_row, omega) for q_row, v_row in zip(q, v)]
     assert repr(rows) == repr(tuple(list(part) for part in zip(*want)))
 
 

@@ -8,15 +8,15 @@ import pytest
 
 from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, RewardWeights,
                        default_config_path, load_config, make_ground_truth, run)
-from sfcbackup import lockstep
+from sfcbackup import kernels, lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import PlanGraph
-from sfcbackup.learning import FailureLearner, PopularityLearner, estimates, init_learners
-from sfcbackup.policy import learned_slot
+from sfcbackup.learning import FailureLearner, PopularityLearner, init_learners
+from sfcbackup.policy import learned_rows
 from sfcbackup.workload import policy_uniform_block
 
 from reference import (PlacementPlan, SlotDecision, array_estimates, array_updates, as_arrays,
-                       expected_slot_value, random_slots, realized_reward, records,
+                       estimates, expected_slot_value, random_slots, realized_reward, records,
                        reference_random_slot, select, slot_rows, uniform_layout, verified_slot,
                        verify_decision)
 
@@ -200,7 +200,7 @@ def test_learned_policies_update_only_deployed_arms() -> None:
 
 
 def test_rtsd_matches_reference_loop_over_a_trace() -> None:
-    # policy.learned_slot, slot after slot on a hand instance, against the
+    # policy.learned_rows, slot after slot on a hand instance, against the
     # unpruned select and the learners' array formulas
     net = EdgeNetwork([10, 8, 9], {(0, 1): 0.6, (0, 2): 1.0, (1, 2): 0.5})
     cat = Catalog([5, 4, 3, 2, 6], [[0, 1], [2, 3, 2], [4, 1], [3, 3, 3]])
@@ -487,11 +487,13 @@ POPULARITY_FIELDS = ("selected", "request_total", "request_mean")
 FAILURE_FIELDS = ("placements", "failure_total", "failure_mean")
 
 
-def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
+def test_slot_path_vectors_are_lists_of_python_numbers(monkeypatch) -> None:
     # numpy draws the observation blocks; from the observation to the kernel's
     # decision every per-slot vector is a list (the residual a tuple) of plain
     # ints and floats, and so are the edge table entries the decision's ids
-    # name, so no numpy scalar rides along into the kernel or the learners
+    # name, so no numpy scalar rides along into the kernel or the learners;
+    # what the learners were updated with comes back as bool and int64 arrays
+    # for lockstep.check
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 5)
@@ -503,29 +505,37 @@ def test_slot_path_vectors_are_lists_of_python_numbers() -> None:
         assert all(type(v) in (int, float) for v in vector), (name, vector)
         checked[name] += 1
 
+    real = kernels.slot_decide
+
+    def decide(graph, value, gates, bounds, ranked, *rest):
+        for name, vector in (("value", value), ("gates", gates), ("bounds", bounds),
+                             ("ranked", ranked)):
+            check(name, vector)
+        return real(graph, value, gates, bounds, ranked, *rest)
+
+    monkeypatch.setattr(kernels, "slot_decide", decide)
+    requests = [r for r, _ in observations]
+    failed = [v for _, v in observations]
     for policy in PLACEMENT_MODES:
         learners = init_learners(cat.n_sfcs, cat.n_vnfs, cfg.users)
         graph = PlanGraph(net, cat, PLACEMENT_MODES[policy])
-        deployed = 0
-        for t, (requests, failed) in enumerate(observations, start=1):
-            check("requests", requests)
-            check("vnf_failed", failed)
-            pop, fail = learners
-            q, v = estimates(learners, t)
-            check("q", q)
-            check("v", v)
-            ids, residuals = [], []
-            x, placed = learned_slot(learners, t, requests, failed, cfg.weights, graph, ids,
-                                     residuals)
-            check("x", x)
-            check("placed", placed)
-            deployed += len(ids)
-            for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
-                for name in names:
-                    check(name, getattr(learner, name))
-            check("edge ids", ids)
-            check("residual", residuals[0])
-            check("latency", [graph.edge_latency[e] for e in ids])
-            check("servers", [s for e in ids for s in graph.edge_servers[e]])
-        assert deployed, policy
-    assert len(checked) == 16
+        for r, v in observations:
+            check("requests", r)
+            check("vnf_failed", v)
+        ids, counts, residuals, x, placed = learned_rows([learners], 1, [requests], [failed],
+                                                         cfg.weights, graph)
+        assert x.dtype == bool and placed.dtype == np.int64
+        assert x.shape == (len(observations), cat.n_sfcs)
+        assert placed.shape == (len(observations), cat.n_vnfs)
+        assert ids, policy
+        check("counts", counts)
+        pop, fail = learners
+        for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
+            for name in names:
+                check(name, getattr(learner, name))
+        check("edge ids", ids)
+        for residual in residuals:
+            check("residual", residual)
+        check("latency", [graph.edge_latency[e] for e in ids])
+        check("servers", [s for e in ids for s in graph.edge_servers[e]])
+    assert len(checked) == 17

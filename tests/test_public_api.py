@@ -22,15 +22,16 @@ PUBLIC = {
 }
 
 # perfbench/ reads or wraps these by module and name; a missing one would fail
-# a benchmark run or show up only as an absent traced layer. policy's two
-# learner calls are what perfbench's learning.estimate and learning.update
-# layers are to wrap; its tracer still names the four calls they replaced
-# (ROADMAP.md item 9).
+# a benchmark run or show up only as an absent traced layer. policy's
+# learned_rows is the per-seed learners' one call per policy and chunk, which
+# holds what perfbench's learning.estimate and learning.update layers are to
+# time; its tracer still names the four per-slot calls it replaced (ROADMAP.md
+# item 9).
 BENCHMARK_NAMES = {
     "sfcbackup": ("make_ground_truth",),
     "sfcbackup.harness": ("load_config", "apply_overrides", "default_config_path", "run",
                           "emit", "simulate_run", "make_ground_truth", "optimal_slot_value"),
-    "sfcbackup.policy": ("estimates", "update"),
+    "sfcbackup.policy": ("learned_rows",),
     "sfcbackup.kernels": ("NUMBA_ENABLED", "slot_decide", "greedy_chain_walk",
                           "first_fit_chain_walk"),
     "sfcbackup.workload": ("slot_stream",),
