@@ -65,9 +65,10 @@ SEED_LIMIT = 2 ** 64
 # endpoints, before any seed tuple is built.
 MAX_SEEDS = 1_000_000
 # users x n_sfcs, the request draws of one slot, is at most this. simulate_run
-# sizes its blocks so that one seed's sample_arrays call reads at most
-# OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS = 2**24 request uniforms, 128 MiB were
-# they held as doubles; sample_arrays holds a one-byte flag per draw.
+# sizes its blocks, and splits a seed group's draw of a block into sample_arrays
+# calls, so that one call reads at most OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS =
+# 2**24 request uniforms summed over its seeds, 128 MiB were they held as
+# doubles; sample_arrays holds a one-byte flag per draw.
 MAX_REQUEST_DRAWS = 2 ** 16
 # policies x seeds x slots, the trace rows a run holds, is at most this: a row
 # takes about 170 bytes until emit writes it, so a run holds at most about 0.7 GB.
@@ -103,6 +104,11 @@ LOCKSTEP_MIN_SEEDS = 8
 # most this many values, 256 KiB at 8 bytes each. A block is at most one
 # chunk, or OBS_BLOCK_SLOTS slots where a chunk is shorter, so its draws hold
 # at most OBS_BLOCK_SLOTS times that, 64 MiB, however many seeds a run has.
+# A block is drawn by calls over all of the group's seeds (or runs of them, see
+# MAX_REQUEST_DRAWS): policy_uniform_block keeps the block's uniforms as drawn,
+# 4 * ceil(W / 4) a row, up to three more than W, and random_rows is handed a
+# copy of one chunk's rows at a time; sample_arrays holds a one-byte flag per
+# uniform of its call's slots and seeds while it counts.
 # At this bound a 2-seed, 50-slot run with 178 values a row (perfbench's
 # wide-edge) decides its block in one chunk, and a 1-seed run with 20 values a
 # row (perfbench's small-regret) takes 1638 slots a chunk, all of its 1000
@@ -328,6 +334,10 @@ def load_config(source) -> ExperimentConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
+            except RecursionError as exc:
+                raise ConfigError("config nests too deeply to parse") from exc
     else:
         raw = source
     if not isinstance(raw, dict):
@@ -422,13 +432,17 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     seeds; None gives the run fresh ones.
 
     The slots run in chunks of (slot, seed) rows, slot-major, at most
-    _batch_rows of them. Each seed draws its observations, and when random
-    runs its policy uniforms, a block of slots per Philox call, once for all
-    policies; _chunk_and_block sizes both, so that a run of few seeds, whose
-    chunks are long, pays each stage once per chunk, while no draw takes more
-    memory than OBS_BLOCK_SLOTS slots at the largest users x n_sfcs. Each
-    chunk is decided for every policy; then, policy by policy, lockstep.check
-    verifies its records and lockstep.slot_values accounts them. Only the
+    _batch_rows of them. The group draws its observations, and when random
+    runs its policy uniforms, a block of slots at a time, once for all
+    policies: one sample_arrays and one policy_uniform_block call for every
+    seed, a Philox stream per seed in each. _chunk_and_block sizes both, so
+    that a run of few seeds, whose chunks are long, pays each stage once per
+    chunk. A block's observations take more sample_arrays calls, each on a
+    run of consecutive seeds, only where one call would read more than
+    OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request uniforms. Each chunk is
+    decided for every policy, and its chains' survival flags are computed
+    once for all of them; then, policy by policy, lockstep.check verifies
+    its records and lockstep.slot_values accounts them. Only the
     decide step depends on the policy: random_rows for random, and for the
     learned policies one learner state for all seeds: from
     LOCKSTEP_MIN_SEEDS learner rows (learned policies x seeds) on, one
@@ -450,7 +464,7 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     omega, mu = weights.omega, weights.mu
     chunk, block = _chunk_and_block(layout, gts)
     value_true, gate_true = (np.tile(a, (chunk, 1))
-                             for a in lockstep.true_values(catalog, gts, weights))
+                             for a in lockstep.true_values(layout, gts, weights))
     if learned and len(learned) * n_seeds >= LOCKSTEP_MIN_SEEDS:
         learners = lockstep.Learners.fresh(len(learned) * n_seeds, n_sfcs, n_vnfs, users,
                                            failure_bonus_scale, failure_bonus_sign)
@@ -459,21 +473,26 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
                                    failure_bonus_scale=failure_bonus_scale,
                                    failure_bonus_sign=failure_bonus_sign) for _ in gts]
                     for _ in learned]
-    draw_random = "random" in policies
+    request_draws = gts[0].request_prob.size     # per slot and seed
+    seeds = [gt.rng_seed for gt in gts]
     # each policy's series, one slot-major list per key
     series = {policy: {key: [] for key in lockstep.SERIES} for policy in policies}
     for b0 in range(1, slots + 1, block):
         n = min(block, slots + 1 - b0)
-        requests = np.empty((n, n_seeds, n_sfcs), dtype=np.int64)
-        failed = np.empty((n, n_seeds, n_vnfs), dtype=np.uint8)
-        uniforms = np.empty((n, n_seeds, width)) if draw_random else None
-        for s, gt in enumerate(gts):
-            requests[:, s], failed[:, s] = sample_arrays(gt, b0, b0 + n)
-            if draw_random:
-                uniforms[:, s] = policy_uniform_block(gt.rng_seed, b0, b0 + n, width)
+        # as many seeds per call as keep its request uniforms within the bound
+        per_call = max(1, OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // (n * request_draws))
+        parts = [sample_arrays(gts[s:s + per_call], b0, b0 + n)
+                 for s in range(0, n_seeds, per_call)]
+        requests, failed = (parts[0] if len(parts) == 1
+                            else (np.concatenate(arrays, axis=1) for arrays in zip(*parts)))
+        if "random" in policies:
+            uniforms = policy_uniform_block(seeds, b0, b0 + n, width)
         for c0 in range(0, n, chunk):
             t0, req, fail = b0 + c0, requests[c0:c0 + chunk], failed[c0:c0 + chunk]
             n_rows = len(req) * n_seeds
+            req_rows = req.reshape(n_rows, n_sfcs)
+            # each chain's survival in each row, shared by every policy's accounting
+            survived = (fail.reshape(n_rows, n_vnfs) @ layout.uses) == 0
             if learned:
                 decided = dict(zip(learned, _learned_chunk(learners, plan_graphs, weights,
                                                            layout, t0, req, fail)))
@@ -488,8 +507,7 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
                 lockstep.check(layout, rec,
                                lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds),
                                x, placed)
-                values = lockstep.slot_values(layout, omega, mu, req.reshape(n_rows, n_sfcs),
-                                              fail.reshape(n_rows, n_vnfs), rec,
+                values = lockstep.slot_values(layout, omega, mu, req_rows, survived, rec,
                                               value_true[:n_rows], gate_true[:n_rows])
                 for key, column in values.items():
                     series[policy][key] += column

@@ -36,9 +36,13 @@ the arms numpy's where= selects, and the estimates divide an unexplored arm by
 differences as learned_rows, and a maximum is exact, so each learner row's
 inputs equal the lists learned_rows builds for its seed. A slot's
 realised reward is numpy's pairwise sum of its C-contiguous row of per-chain
-payoffs, whatever rows share the array, and its expected value adds the
-row's terms left to right in commit order, so a slot's values do not depend
-on the rows accounted with it.
+payoffs, whatever rows share the array. Its expected value adds the row's
+terms left to right in commit order: slot_values adds every row's first
+terms at once, then their second, one vector add per commit rank, and a row
+with fewer commits adds +0.0, which leaves a sum begun at +0.0 as it is. So
+a slot's values do not depend on the rows accounted with it. true_values
+stacks a group's parameters and takes every seed's popularity sums and
+worst rates in one operation each, which round as one seed's do.
 
 The stage functions (estimates, selection_rows, decide_learned, gather,
 random_rows, check, slot_values, update) live at module level and are looked
@@ -54,10 +58,9 @@ from itertools import chain, islice
 import numpy as np
 
 from . import kernels
-from .learning import chain_failure_rate
 from .model import Catalog, EdgeNetwork
 from .policy import InvariantViolation, RewardWeights
-from .workload import GroundTruth, true_popularity
+from .workload import GroundTruth, popularity_sums, stacked_parameters
 
 # The per-slot series of a run, the keys of slot_values' result.
 SERIES = ("realized", "expected", "remaining", "deployed")
@@ -141,9 +144,10 @@ class Learners:
 class Records:
     """The commits of R rows, each one (seed, slot), as flat arrays.
 
-    Record r commits chain sfc[r] in row row[r], in commit order within the
-    row, at latency[r], on the next positions[r] entries of servers.
-    residual[k] is the capacity row k says is left.
+    Record r commits chain sfc[r] in row row[r] at latency[r], on the next
+    positions[r] entries of servers. A row's records are consecutive, in
+    commit order, and the rows ascend. residual[k] is the capacity row k says
+    is left.
     """
 
     row: np.ndarray             # (C,) int64
@@ -154,13 +158,23 @@ class Records:
     residual: np.ndarray        # (R, N) int64
 
 
-def true_values(catalog: Catalog, gts: list[GroundTruth],
+def true_values(layout: Layout, gts: list[GroundTruth],
                 weights: RewardWeights) -> tuple[np.ndarray, np.ndarray]:
-    """slot_values' value_true and gate_true, one row per seed in gts."""
-    value_true = weights.omega * np.array([true_popularity(gt) for gt in gts])
-    gate_true = np.array([[1.0 - chain_failure_rate(catalog, gt.failure_mean, f)
-                           for f in range(catalog.n_sfcs)] for gt in gts])
-    return value_true, gate_true
+    """slot_values' value_true and gate_true, one (S, F) row per seed in gts.
+
+    value_true[s, f] is omega times chain f's true popularity, the column sum
+    of gts[s].request_prob in user order (workload.true_popularity), and
+    gate_true[s, f] one minus the worst of gts[s].failure_mean over chain f's
+    VNFs (learning.chain_failure_rate). The group's parameters are stacked
+    (workload.stacked_parameters), so each is one numpy operation for all
+    seeds. The results are read-only views where the seeds share their
+    parameters. Every chain must run at least one VNF.
+    """
+    prob, rates = stacked_parameters(gts)
+    worst = np.maximum.reduceat(rates[:, layout.chain_flat], layout.chain_start, axis=1)
+    shape = (len(gts), layout.catalog.n_sfcs)
+    return (np.broadcast_to(weights.omega * popularity_sums(prob), shape),
+            np.broadcast_to(1.0 - worst, shape))
 
 
 def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,14 +317,18 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
 
     Each row's L chain occurrences, in rank order and then chain order, are
     laid out once as (L, R) tables, and the rows advance together, one step
-    per occurrence, on server-major (N, R) residuals. Where a row's chain has
+    per occurrence, on server-major (N, R) residuals. An occurrence that
+    finds no room sets its row's latency to +inf, which every later hop of
+    the chain keeps, so the one test of a finite latency at the chain's last
+    occurrence also rejects a chain that did not fit. Where a row's chain has
     already failed its steps go on, on numbers that nothing reads: the room
-    is reset from the residual at the row's next chain, and neither its
-    latency nor its servers are recorded.
+    and the latency are reset at the row's next chain, and neither the failed
+    chain's latency nor its servers are recorded.
     """
     n_rows = u.shape[0]
     n_sfcs = layout.catalog.n_sfcs
-    lat_matrix = layout.network.latency_matrix
+    n_servers = layout.network.n_servers
+    hops = layout.network.latency_matrix.ravel()    # hops[a * N + b], a to b
     chain_len = layout.chain_len
     rows = np.arange(n_rows)
     # layout.chain_flat[p] is VNF number place[p] of chain chain_of[p]
@@ -336,7 +354,6 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
 
     residual = np.repeat(layout.capacities[:, None], n_rows, axis=1)    # (N, R)
     room = residual
-    fitting = np.ones(n_rows, dtype=bool)
     lat = np.zeros(n_rows)
     spot = np.zeros(n_rows, dtype=np.int64)
     done = np.empty((n_occ, n_rows), dtype=bool)        # where a row commits a chain
@@ -349,11 +366,11 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
         # the index int(latency[k] * count), so at most latency[k] * count;
         # count_to[-1] = count is more, unless no server has room and the row fails
         prev, spot = spot, (count_to[:-1] <= latency[k] * count).sum(axis=0)
-        fitting = (fitting | first[k]) & (count > 0)
-        room[spot, rows] -= need
-        lat = np.where(first[k], 0.0, lat + lat_matrix[prev, spot])
+        room.reshape(-1)[spot * n_rows + rows] -= need     # room[spot, rows], on the flat view
+        lat = np.where(count > 0, np.where(first[k], 0.0, lat + hops[prev * n_servers + spot]),
+                       math.inf)
         spots[k], latency[k] = spot, lat
-        done[k] = fits = fitting & last[k] & (lat < math.inf)
+        done[k] = fits = last[k] & (lat < math.inf)
         residual = np.where(fits, room, residual)
 
     # row-major: each row's commits in rank order, each commit's servers in chain order
@@ -451,31 +468,40 @@ def _fault(layout: Layout, rec: Records, k: int) -> str | None:
 
 
 def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,
-                failed: np.ndarray, rec: Records, value_true: np.ndarray,
+                survived: np.ndarray, rec: Records, value_true: np.ndarray,
                 gate_true: np.ndarray) -> dict[str, list]:
     """Every row's series entries: realized and expected reward, remaining resource, deployed.
 
-    rec holds the rows' verified commits, and requests and failed the rows'
-    observations. A committed chain earns omega times its requests less mu
-    times its latency, and nothing if any of its VNFs failed; copies of a VNF
-    share one failure flag. Its expected value is value_true[k, f] (omega
-    times chain f's true popularity in row k) less mu times the latency,
-    times gate_true[k, f] (one minus its worst true failure rate).
+    rec holds the rows' verified commits, requests the rows' (R, F) request
+    counts and survived their (R, F) survival flags: survived[k, f] is set
+    where none of chain f's VNFs failed in row k, (failed @ layout.uses) == 0
+    for the rows' failure flags, as copies of a VNF share one flag. A
+    committed chain earns omega times its requests less mu times its latency,
+    and nothing if it did not survive. Its expected value is value_true[k, f]
+    (omega times chain f's true popularity in row k) less mu times the
+    latency, times gate_true[k, f] (one minus its worst true failure rate).
+    A row's expected value adds its terms left to right in commit order,
+    one vector add per commit rank over all rows.
     """
     n_rows = rec.residual.shape[0]
     row, sfc = rec.row, rec.sfc
-    survived = ((failed @ layout.uses) == 0)[row, sfc]
     earned = np.zeros((n_rows, layout.catalog.n_sfcs))
-    earned[row, sfc] = np.where(survived, omega * requests[row, sfc] - mu * rec.latency, 0.0)
+    earned[row, sfc] = np.where(survived[row, sfc],
+                                omega * requests[row, sfc] - mu * rec.latency, 0.0)
     realized = earned.sum(axis=1)       # numpy's pairwise sum of each row
 
-    terms = (value_true[row, sfc] - mu * rec.latency) * gate_true[row, sfc]
-    expected = [0.0] * n_rows
-    for k, term in zip(row.tolist(), terms.tolist()):   # left to right, in commit order
-        expected[k] += term
-    return {"realized": realized.tolist(), "expected": expected,
-            "remaining": rec.residual.sum(axis=1).tolist(),
-            "deployed": np.bincount(row, minlength=n_rows).tolist()}
+    # by_rank[j, k] is row k's (j+1)-th term in commit order, and +0.0 past its
+    # last: a sum that starts from +0.0 is never -0.0, so adding +0.0 leaves it
+    # as it is
+    deployed = np.bincount(row, minlength=n_rows)
+    rank = np.arange(row.shape[0]) - np.repeat(np.cumsum(deployed) - deployed, deployed)
+    by_rank = np.zeros((deployed.max(initial=0), n_rows))
+    by_rank[rank, row] = (value_true[row, sfc] - mu * rec.latency) * gate_true[row, sfc]
+    expected = np.zeros(n_rows)
+    for terms in by_rank:
+        expected += terms
+    return {"realized": realized.tolist(), "expected": expected.tolist(),
+            "remaining": rec.residual.sum(axis=1).tolist(), "deployed": deployed.tolist()}
 
 
 def update(learners: Learners, requests: np.ndarray, failed: np.ndarray, x: np.ndarray,

@@ -2,11 +2,14 @@
 
 Slot t draws from a counter-based RNG stream (Philox keyed by the run seed,
 counter set to [t, 0, 0, 0]), so the observation at slot t depends only on
-(seed, t). sample_arrays is the one way to draw observations: a range of
-slots at once, as (slots, F) request counts and (slots, I) failure flags.
-Policies never consume environment randomness; policy-side draws use a
+(seed, t). sample_arrays is the one way to draw observations, for a group of
+seeds at once: a range of slots of every seed, as (slots, seeds, F) request
+counts and (slots, seeds, I) failure flags. Each seed keeps its own stream;
+the group's streams fill one buffer, which is thresholded and summed in one
+pass. Policies never consume environment randomness; policy-side draws use a
 separate key domain. A given seed therefore produces the identical
-observation sequence no matter which or how many policies run.
+observation sequence no matter which or how many policies run, and whichever
+seeds it is drawn with.
 
 The environment's slot streams are not independent: Philox advances the
 counter once per four doubles, so slot t's stream is slot t-1's shifted by
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +46,12 @@ PHILOX_BLOCK_DOUBLES = 4
 SLOT_STRIDE = PHILOX_BLOCK_DOUBLES
 
 # The simulators draw observations and random-policy uniforms in blocks of at
-# least this many slots: one Philox call per block and seed, and memory that
+# least this many slots: one Philox stream per block and seed, and memory that
 # stays bounded however long the run is. harness.simulate_run draws a longer
 # block where one chunk of its (slot, seed) rows spans more slots, as long as
-# a seed's draw stays within OBS_BLOCK_SLOTS x harness.MAX_REQUEST_DRAWS
-# request uniforms.
+# one seed's draw stays within OBS_BLOCK_SLOTS x harness.MAX_REQUEST_DRAWS
+# request uniforms; it splits a seed group's draw of a block into as few
+# sample_arrays calls as keep each call, summed over its seeds, within that.
 OBS_BLOCK_SLOTS = 256
 
 
@@ -174,43 +179,85 @@ def counter_blocks(width: int) -> int:
     return -(-width // PHILOX_BLOCK_DOUBLES)
 
 
-def policy_uniform_block(seed: int, t0: int, t1: int, width: int) -> np.ndarray:
-    """The width policy-domain uniforms of slots t0 .. t1-1, as a (t1 - t0, width) array.
+def policy_uniform_block(seeds: Sequence[int], t0: int, t1: int, width: int) -> np.ndarray:
+    """The width policy-domain uniforms of slots t0 .. t1-1 of every seed, as an array.
 
-    Slot t owns counter blocks [t*B, (t+1)*B) with B = counter_blocks(width),
-    so no two slots share a draw, and one stream started at block t0*B yields
-    the slots as consecutive rows of 4B doubles. Pure in (seed, t, width).
+    It is (t1 - t0, S, width), [:, s] seed seeds[s]'s. Slot t owns counter blocks [t*B, (t+1)*B)
+    with B = counter_blocks(width), so no two slots share a draw, and one
+    stream per seed started at block t0*B yields its slots as consecutive
+    rows of 4B doubles. The streams fill one buffer, which the result views
+    slot-major; nothing is copied. Pure in (seed, t, width), whatever the
+    range or the group.
     """
     blocks = counter_blocks(width)
-    rng = slot_stream(seed, t0 * blocks, POLICY_DOMAIN)
-    return rng.random((t1 - t0, PHILOX_BLOCK_DOUBLES * blocks))[:, :width]
+    flat = np.empty((len(seeds), t1 - t0, PHILOX_BLOCK_DOUBLES * blocks))
+    for out, seed in zip(flat, seeds):
+        slot_stream(seed, t0 * blocks, POLICY_DOMAIN).random(out=out)
+    return flat.transpose(1, 0, 2)[:, :, :width]
 
 
-def sample_arrays(gt: GroundTruth, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slots t0 .. t1-1 drawn with one Philox call, as arrays.
+def sample_arrays(gts: Sequence[GroundTruth], t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots t0 .. t1-1 of every seed in gts, one Philox stream per seed, as arrays.
 
-    Returns the (t1 - t0, F) int64 request counts and the (t1 - t0, I) uint8
-    failure flags. Slot t's D uniforms (the request block, then the failure
-    flags) are the D doubles starting SLOT_STRIDE * (t - t0) into slot t0's
-    stream, which is exactly what slot_stream(seed, t) draws first. Pure in
-    (gt parameters, seed, t), whatever the range.
+    Returns the (t1 - t0, S, F) int64 request counts and the (t1 - t0, S, I)
+    uint8 failure flags, [:, s] for gts[s], whose parameters must share one
+    shape. Slot t's D uniforms (the request block, then the failure flags)
+    are the D doubles starting SLOT_STRIDE * (t - t0) into slot t0's stream,
+    which is exactly what slot_stream(seed, t) draws first. Each seed's
+    stream fills a row of one buffer, and the group is thresholded and
+    summed in one pass; seeds that share their parameter arrays, as a run's
+    do, share one row of thresholds. Pure in (gt parameters, seed, t),
+    whatever the range or the group.
     """
     n = t1 - t0
     if n < 1:
         raise ValueError("need t1 > t0")
-    p = gt.request_prob
-    n_req = p.size
-    threshold = np.concatenate((p.ravel(), gt.failure_mean))
-    width = threshold.shape[0]
-    flat = slot_stream(gt.rng_seed, t0, ENV_DOMAIN).random(SLOT_STRIDE * (n - 1) + width)
-    # row k views the width doubles that start at SLOT_STRIDE * k; nothing is copied
-    u = np.ndarray((n, width), dtype=np.float64, buffer=flat,
-                   strides=(SLOT_STRIDE * flat.itemsize, flat.itemsize))
-    hit = u < threshold
-    requests = hit[:, :n_req].reshape((n,) + p.shape).sum(axis=1, dtype=np.int64)
-    return requests, hit[:, n_req:].view(np.uint8)
+    prob, rate = stacked_parameters(gts)
+    n_seeds, (n_users, n_sfcs) = len(gts), prob.shape[1:]
+    n_req = n_users * n_sfcs
+    length = SLOT_STRIDE * (n - 1) + n_req + rate.shape[1]
+    flat = np.empty((n_seeds, length))
+    for out, gt in zip(flat, gts):
+        slot_stream(gt.rng_seed, t0, ENV_DOMAIN).random(out=out)
+    # views of the buffer, nothing copied: slot t0 + j of seed s starts
+    # SLOT_STRIDE * j into row s, user k's F request uniforms at users[k, j, s]
+    # and the I failure uniforms at failures[j, s]. Users lead, so the sum over
+    # them adds whole (slots, seeds, F) slabs.
+    step = flat.itemsize
+    users = np.ndarray((n_users, n, n_seeds, n_sfcs), dtype=np.float64, buffer=flat,
+                       strides=(n_sfcs * step, SLOT_STRIDE * step, length * step, step))
+    failures = np.ndarray((n, n_seeds, rate.shape[1]), dtype=np.float64, buffer=flat,
+                          offset=n_req * step, strides=(SLOT_STRIDE * step, length * step, step))
+    requests = np.less(users, prob.swapaxes(0, 1)[:, np.newaxis], order="C").sum(
+        axis=0, dtype=np.int64)
+    return requests, np.less(failures, rate, order="C").view(np.uint8)
+
+
+def stacked_parameters(gts: Sequence[GroundTruth]) -> tuple[np.ndarray, np.ndarray]:
+    """The request_prob and failure_mean of every seed in gts, stacked: (S, K, F) and (S, I).
+
+    Seeds that all share the first one's arrays, as a run's do (see
+    GroundTruth.reseeded), give one row, (1, K, F) and (1, I), which
+    broadcasts against the group; so a group holds its parameters once
+    however many seeds it has. Parameters of different shapes are refused.
+    """
+    prob, rate = gts[0].request_prob, gts[0].failure_mean
+    if all(gt.request_prob is prob and gt.failure_mean is rate for gt in gts):
+        return prob[np.newaxis], rate[np.newaxis]
+    return (np.stack([gt.request_prob for gt in gts]),
+            np.stack([gt.failure_mean for gt in gts]))
+
+
+def popularity_sums(request_prob: np.ndarray) -> np.ndarray:
+    """Column sums over the users axis (the second to last) of request_prob, left to right from 0.0.
+
+    np.add.accumulate adds user k's row to the sum of users 0 .. k-1, so each
+    column is summed in user order, as a Python loop from 0.0 sums it; the
+    final + 0.0 turns a sum of -0.0 terms into the loop's 0.0.
+    """
+    return np.add.accumulate(request_prob, axis=-2)[..., -1, :] + 0.0
 
 
 def true_popularity(gt: GroundTruth) -> np.ndarray:
-    """Expected per-slot request count per SFC: column sums of request_prob."""
-    return gt.request_prob.sum(axis=0)
+    """Expected per-slot request count per SFC: column sums of request_prob, in user order."""
+    return popularity_sums(gt.request_prob)

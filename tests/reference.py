@@ -46,8 +46,8 @@ they are; trace.jsonl with json.dumps of each row's dict.
 
 The rest drives src for the tests, one adapter each:
 assert_matches_reference holds harness.run to reference_run under both
-learner states; slot_rows and slot_row give sample_arrays' draws as lists;
-decoded turns plan-graph edge ids into (sfc, PlacementPlan) pairs;
+learner states; slot_rows and slot_row give one seed's sample_arrays draws
+as lists; decoded turns plan-graph edge ids into (sfc, PlacementPlan) pairs;
 verified_slot is a one-slot, one-seed chunk of policy.learned_rows as a
 SlotDecision held to verify_decision and to what the learners were updated
 with; get_consumption plans one chain with kernels.greedy_chain_walk;
@@ -662,9 +662,9 @@ def assert_matches_reference(cfg, monkeypatch) -> dict[str, list]:
 
 
 def slot_rows(gt, t0: int, t1: int) -> list[tuple[list[int], list[int]]]:
-    """Slots t0 .. t1-1 drawn by sample_arrays: a (requests, failed) pair of lists per slot."""
-    requests, failed = sample_arrays(gt, t0, t1)
-    return list(zip(requests.tolist(), failed.tolist()))
+    """Slots t0 .. t1-1 drawn by sample_arrays for gt alone: (requests, failed) lists per slot."""
+    requests, failed = sample_arrays([gt], t0, t1)
+    return list(zip(requests[:, 0].tolist(), failed[:, 0].tolist()))
 
 
 def slot_row(gt, t: int) -> tuple[list[int], list[int]]:

@@ -165,7 +165,7 @@ def test_05_per_slot_invariants(canonical) -> None:
         for seed in cfg.seeds[:3]:
             if policy == "random":
                 # the random policy decides every slot of the seed in one call
-                u = policy_uniform_block(seed, 1, cfg.slots + 1, layout.width)
+                u = policy_uniform_block([seed], 1, cfg.slots + 1, layout.width)[:, 0]
                 rec = lockstep.random_rows(layout, u)
                 xs, placed = lockstep.check(layout, rec, lambda k: (seed, k + 1))
                 decisions = [SimpleNamespace(deployed=deployed, residual_after=residual,

@@ -224,9 +224,9 @@ def test_one_seed_runs_its_slots_as_one_chunk(monkeypatch) -> None:
         checked.append(rec.residual.shape[0])
         return real_check(layout, rec, *args)
 
-    def sample(gt, t0, t1):
+    def sample(gts, t0, t1):
         drawn.append((t0, t1))
-        return real_sample(gt, t0, t1)
+        return real_sample(gts, t0, t1)
 
     monkeypatch.setattr(harness.lockstep, "check", check)
     monkeypatch.setattr(harness, "sample_arrays", sample)
@@ -237,32 +237,62 @@ def test_one_seed_runs_its_slots_as_one_chunk(monkeypatch) -> None:
     assert drawn == [(1, cfg.slots + 1)]
 
 
+def one_chain_doc(users: int, slots: int, seeds) -> dict:
+    """One one-VNF chain on one server: five values a chunk row, users request draws a slot."""
+    return {"network": {"capacities": [5], "links": []},
+            "catalog": {"vnf_demand": [1], "sfc_chain": [[0]]},
+            "ground_truth": {"request_prob": 1e-4, "failure_mean": [0.1]},
+            "users": users, "slots": slots, "seeds": seeds, "policies": "all"}
+
+
+def record_draws(monkeypatch) -> list[tuple[list[int], int, int]]:
+    """Every harness.sample_arrays call from now on, as (seeds, t0, t1)."""
+    calls = []
+    real = harness.sample_arrays
+
+    def sample(gts, t0, t1):
+        calls.append(([gt.rng_seed for gt in gts], t0, t1))
+        return real(gts, t0, t1)
+
+    monkeypatch.setattr(harness, "sample_arrays", sample)
+    return calls
+
+
 @pytest.mark.parametrize("users", [MAX_REQUEST_DRAWS, MAX_REQUEST_DRAWS // 2])
 def test_a_block_draws_at_most_the_request_bound(monkeypatch, users: int) -> None:
-    # one one-VNF chain on one server, five values a chunk row: one seed's chunk
-    # is 6553 slots, but at users x n_sfcs = MAX_REQUEST_DRAWS a block is
-    # OBS_BLOCK_SLOTS slots, and at half of it twice as many; no draw holds
-    # more than OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request uniforms
-    doc = {"network": {"capacities": [5], "links": []},
-           "catalog": {"vnf_demand": [1], "sfc_chain": [[0]]},
-           "ground_truth": {"request_prob": 1e-6, "failure_mean": [0.1]},
-           "users": users, "slots": 2 * OBS_BLOCK_SLOTS + 3, "seeds": 3, "policies": "all"}
-    cfg = load_config(doc)
+    # one seed's chunk is 6553 slots, but at users x n_sfcs = MAX_REQUEST_DRAWS
+    # a block is OBS_BLOCK_SLOTS slots, and at half of it twice as many; no
+    # draw holds more than OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request uniforms
+    cfg = load_config(one_chain_doc(users, 2 * OBS_BLOCK_SLOTS + 3, 3))
     chunk, block = harness._chunk_and_block(
         harness.lockstep.Layout.of(cfg.network, cfg.catalog), harness._ground_truths(cfg))
     assert chunk > cfg.slots
     assert block == OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // users
-    drawn = []
-    real = harness.sample_arrays
-
-    def sample(gt, t0, t1):
-        drawn.append((t1 - t0) * gt.request_prob.size)
-        return real(gt, t0, t1)
-
-    monkeypatch.setattr(harness, "sample_arrays", sample)
+    calls = record_draws(monkeypatch)
     run(cfg)
+    # request uniforms per call, summed over the call's seeds
+    drawn = [(t1 - t0) * len(seeds) * users for seeds, t0, t1 in calls]
     assert sum(drawn) == cfg.slots * users
     assert max(drawn) == block * users <= OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS
+
+
+def test_a_group_splits_its_draw_at_the_request_bound(monkeypatch) -> None:
+    # five seeds at 2**14 request draws a slot, with OBS_BLOCK_SLOTS at 4 so
+    # that the bound is 2**18 request uniforms a call: a block is 16 slots, a
+    # call of a whole block takes one seed, and the last block of 7 slots two;
+    # the run still equals the reference under every learner state
+    monkeypatch.setattr(harness, "OBS_BLOCK_SLOTS", 4)
+    users = 2 ** 14
+    cfg = load_config(one_chain_doc(users, 2 * 16 + 7, "1..5"))
+    assert harness._chunk_and_block(harness.lockstep.Layout.of(cfg.network, cfg.catalog),
+                                    harness._ground_truths(cfg))[1] == 16
+    calls = record_draws(monkeypatch)
+    run(cfg)
+    assert calls == ([([s], 1, 17) for s in range(1, 6)] + [([s], 17, 33) for s in range(1, 6)]
+                     + [([1, 2], 33, 40), ([3, 4], 33, 40), ([5], 33, 40)])
+    assert max((t1 - t0) * len(seeds) * users for seeds, t0, t1 in calls) <= 4 * MAX_REQUEST_DRAWS
+    trace = assert_matches_reference(cfg, monkeypatch)
+    assert any(trace["realized_reward"])
 
 
 def test_run_emits_one_row_per_policy_seed_slot() -> None:
@@ -685,6 +715,54 @@ def test_config_errors_name_the_field() -> None:
     with pytest.raises(ConfigError, match=r"policies x seeds x slots = 3 x 2 x 699051 passes "
                                           r"4194304 trace rows; lower slots or seeds"):
         load_config(tiny_config(slots=MAX_TRACE_ROWS // 6 + 1))
+
+
+# config files that json.load cannot read: bytes that are not UTF-8, and
+# objects nested past the parser's recursion limit
+MALFORMED_BYTES = [
+    pytest.param(b'{"network": "\xff\xfe"}', "config is not valid UTF-8", id="not-utf-8"),
+    pytest.param(b'{"a":' * 100_000, "config nests too deeply to parse", id="nested-100000-deep"),
+]
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_BYTES)
+def test_malformed_config_bytes_raise_config_error(tmp_path: Path, data: bytes,
+                                                   message: str) -> None:
+    path = tmp_path / "exp.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_BYTES)
+def test_cli_reports_malformed_config_bytes_in_one_line(tmp_path: Path,
+                                                        capsys: pytest.CaptureFixture,
+                                                        data: bytes, message: str) -> None:
+    path = tmp_path / "exp.json"
+    path.write_bytes(data)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def readme_quick_start() -> tuple[list[str], list[str]]:
+    """The README's quick-start command, as argv after the program name, and the lines it prints."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    command, printed = section.split("```\n")[1:4:2]
+    program, *argv = command.split()
+    assert program == "sfcbackup"
+    return argv, printed.splitlines()
+
+
+def test_readme_quick_start_prints_what_the_readme_shows(tmp_path: Path, monkeypatch,
+                                                         capsys: pytest.CaptureFixture) -> None:
+    argv, printed = readme_quick_start()
+    assert argv == ["--slots", "100", "--seed", "1..3", "--out", "runs"]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == printed
 
 
 # Values that are wrong somewhere in a config: fractional, negative, zero, the

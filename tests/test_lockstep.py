@@ -920,3 +920,52 @@ def test_row_sums_of_a_matrix_equal_sums_of_its_rows() -> None:
         sums = a.sum(axis=1).tolist()
         for row, total in zip(a.tolist(), sums):
             assert total == float(np.array(row).sum())
+
+
+# terms whose sum depends on its order, (1e16 + 1.0) - 1e16 = 0.0 against
+# (1e16 - 1e16) + 1.0 = 1.0 among them, and -0.0; SPECIAL adds the infinities and NaN
+TERMS = (1e16, 1.0, -1e16, 3.0, 0.1, 0.2, 0.3, -0.0, 2.5e-16, -1.0, 1e-300, 7.0)
+SPECIAL = (math.inf, -math.inf, math.nan)
+
+
+def test_expected_reward_adds_each_row_in_commit_order() -> None:
+    # every row count of commits from 0 to F = 12, each row in its own order of
+    # chains: slot_values' expected value must be the row's terms added left to
+    # right from 0.0 in commit order, as reference.expected_slot_value adds a
+    # slot's, bit for bit; a sum in chain-id order, or numpy's pairwise sum of
+    # the nine or more terms of a long row, rounds some rows otherwise
+    n_sfcs, n_rows = 12, 91
+    layout = lockstep.Layout.of(EdgeNetwork([1]), Catalog([1], [[0]] * n_sfcs))
+    rng = np.random.default_rng(26)
+    commits = [rng.permutation(n_sfcs)[:k % (n_sfcs + 1)].tolist() for k in range(n_rows)]
+    commits[-2:] = [[4], [9, 2, 5]]            # rows of -0.0 terms only
+    value_true = rng.choice(TERMS, size=(n_rows, n_sfcs))
+    value_true[-26:] = rng.choice(TERMS + SPECIAL, size=(26, n_sfcs))
+    value_true[-2:] = -0.0
+    gate_true = np.ones((n_rows, n_sfcs))
+    mu = 0.7
+    rec = lockstep.Records(
+        row=np.repeat(np.arange(n_rows), [len(row) for row in commits]),
+        sfc=np.array([f for row in commits for f in row], dtype=np.int64),
+        latency=np.zeros(sum(map(len, commits))),
+        positions=np.ones(sum(map(len, commits)), dtype=np.int64),
+        servers=np.zeros(sum(map(len, commits)), dtype=np.int64),
+        residual=np.zeros((n_rows, 1), dtype=np.int64))
+    with np.errstate(invalid="ignore"):     # inf + -inf is nan, as in Python, but numpy warns
+        values = lockstep.slot_values(layout, 1.0, mu,
+                                      np.zeros((n_rows, n_sfcs), dtype=np.int64),
+                                      np.ones((n_rows, n_sfcs), dtype=bool), rec, value_true,
+                                      gate_true)
+    want = []
+    for value, gate, row in zip(value_true.tolist(), gate_true.tolist(), commits):
+        total = 0.0
+        for f in row:
+            total += (value[f] - mu * 0.0) * gate[f]
+        want.append(total)
+    assert np.array(values["expected"]).view(np.int64).tolist() == \
+           np.array(want).view(np.int64).tolist()
+    assert values["deployed"] == [len(row) for row in commits]
+    # the terms do round differently in another order, and reach every special value
+    assert any(math.fsum(value_true[k, row]) != total for k, (row, total)
+               in enumerate(zip(commits, want)) if math.isfinite(total))
+    assert {repr(v) for v in want} >= {"inf", "-inf", "nan", "0.0"}

@@ -95,12 +95,13 @@ def test_slot_values_rows_take_the_hand_values() -> None:
     plan0 = PlacementPlan(sfc=0, assignment=(0, 0), latency=1.0)
     rec = records([[(0, plan0)]] * 3, [[0]] * 3)
     ones = np.ones((3, 2))
-    values = lockstep.slot_values(lockstep.Layout.of(net, cat), w.omega, w.mu,
-                                  np.array([[6, 9], [6, 9], [0, 9]], dtype=np.int64),
-                                  np.array([[0, 0], [1, 0], [0, 1]], dtype=np.uint8),
-                                  rec, ones, ones)
+    layout = lockstep.Layout.of(net, cat)
     # the failed VNF runs twice in chain 0 and voids its payoff once; no
     # requests still pays the latency cost
+    failed = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.uint8)
+    values = lockstep.slot_values(layout, w.omega, w.mu,
+                                  np.array([[6, 9], [6, 9], [0, 9]], dtype=np.int64),
+                                  (failed @ layout.uses) == 0, rec, ones, ones)
     assert values["realized"] == [5.0, 0.0, -1.0]
     assert values["remaining"] == [0, 0, 0]
     assert values["deployed"] == [1, 1, 1]
@@ -112,10 +113,11 @@ def test_slot_values_rows_take_the_hand_values() -> None:
     dec = SlotDecision(t=1, deployed=[(0, plan)], x=[1], placed_counts=[1, 1],
                        residual_after=[0])
     rec = records([dec.deployed, []], [[0], [5]])
-    value_true, gate_true = lockstep.true_values(cat, [gt, gt], w)
-    values = lockstep.slot_values(lockstep.Layout.of(net, cat), w.omega, w.mu,
+    layout = lockstep.Layout.of(net, cat)
+    value_true, gate_true = lockstep.true_values(layout, [gt, gt], w)
+    values = lockstep.slot_values(layout, w.omega, w.mu,
                                   np.array([[2], [4]], dtype=np.int64),
-                                  np.array([[0, 1], [0, 0]], dtype=np.uint8),
+                                  np.array([[False], [True]]),
                                   rec, value_true, gate_true)
     assert values["expected"] == [expected_slot_value(w, gt, dec, cat), 0.0]
     assert values["expected"][0] == pytest.approx((1.0 * 3.0 - 1.0 * 0.4) * (1.0 - 0.25))
@@ -250,7 +252,7 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
 
 def uniforms(seed: int, t0: int, t1: int, cat: Catalog) -> np.ndarray:
     """Slots t0 .. t1-1's policy uniforms, one row per slot."""
-    return policy_uniform_block(seed, t0, t1, uniform_layout(cat)[0])
+    return policy_uniform_block([seed], t0, t1, uniform_layout(cat)[0])[:, 0]
 
 
 def test_random_scheme_follows_the_permutation_scan_law() -> None:

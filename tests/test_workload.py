@@ -66,8 +66,8 @@ def test_request_mean_matches_binomial() -> None:
     # K=10, p=0.3: per-slot mean 3.0, var 2.1
     gt = make_ground_truth(0.3, [0.0], users=10, n_sfcs=1, rng_seed=77)
     n = 20_000
-    requests, _ = sample_arrays(gt, 0, n)
-    mean = int(requests[:, 0].sum()) / n
+    requests, _ = sample_arrays([gt], 0, n)
+    mean = int(requests[:, 0, 0].sum()) / n
     sigma = np.sqrt(10 * 0.3 * 0.7 / n)
     assert abs(mean - 3.0) < 3 * sigma
 
@@ -86,7 +86,8 @@ def test_true_values_match_per_chain_definition() -> None:
     gt = make_ground_truth(np.array([[0.1, 0.7, 0.3], [0.3, 0.2, 0.9]]), [0.25, 0.5, 0.125],
                            users=2, n_sfcs=3, rng_seed=0)
     weights = RewardWeights(omega=1.5, mu=0.5)
-    value_true, gate_true = lockstep.true_values(cat, [gt, gt.reseeded(4)], weights)
+    value_true, gate_true = lockstep.true_values(lockstep.Layout.of(EdgeNetwork([1]), cat),
+                                                 [gt, gt.reseeded(4)], weights)
     q = [0.1 + 0.3, 0.7 + 0.2, 0.3 + 0.9]
     assert value_true.tolist() == [[1.5 * v for v in q]] * 2
     assert gate_true.tolist() == [[1.0 - 0.5, 1.0 - 0.125, 1.0 - 0.5]] * 2
@@ -155,9 +156,9 @@ def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: in
     """sample_arrays over a range of slots draws what each slot draws on its own."""
     rng = np.random.default_rng(seed)
     gt = GroundTruth(rng.random((users, n_sfcs)), rng.random(n_vnfs), rng_seed=seed)
-    requests, failed = sample_arrays(gt, t0, t0 + n)
-    assert requests.shape == (n, n_sfcs) and requests.dtype == np.int64
-    assert failed.shape == (n, n_vnfs) and failed.dtype == np.uint8
+    requests, failed = sample_arrays([gt], t0, t0 + n)
+    assert requests.shape == (n, 1, n_sfcs) and requests.dtype == np.int64
+    assert failed.shape == (n, 1, n_vnfs) and failed.dtype == np.uint8
     rows = slot_rows(gt, t0, t0 + n)
     assert len(rows) == n
     assert_drawn_alone(gt, rows, t0)
@@ -167,7 +168,8 @@ def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: in
 def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
     # the observations simulate_run accounts, row (slot - 1) * S + s for seed s,
     # equal each slot's own draw across blocks and chunks: two whole blocks of
-    # the length this run draws, and three slots more
+    # the length this run draws, and three slots more, each block one draw for
+    # both seeds. slot_values sees the failure flags as each chain's survival.
     gt = make_ground_truth([0.7, 0.2], [0.3, 0.05, 0.5], users=3, n_sfcs=2, rng_seed=12)
     gts = [gt, gt.reseeded(40)]
     net, cat = EdgeNetwork([4], []), Catalog([1, 2, 3], [[0, 1], [2]])
@@ -177,29 +179,104 @@ def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
     real = lockstep.slot_values
     real_sample = harness.sample_arrays
 
-    def recorded(layout, omega, mu, requests, failed, *args):
-        drawn.extend(zip(requests.tolist(), failed.tolist()))
-        return real(layout, omega, mu, requests, failed, *args)
+    def recorded(layout, omega, mu, requests, survived, *args):
+        drawn.extend(zip(requests.tolist(), survived.tolist()))
+        return real(layout, omega, mu, requests, survived, *args)
 
-    def sample(gt, t0, t1):
-        ranges.append((gt.rng_seed, t0, t1))
-        return real_sample(gt, t0, t1)
+    def sample(gts, t0, t1):
+        ranges.append(([gt.rng_seed for gt in gts], t0, t1))
+        return real_sample(gts, t0, t1)
 
     monkeypatch.setattr(lockstep, "slot_values", recorded)
     monkeypatch.setattr(harness, "sample_arrays", sample)
     simulate_run(net, cat, gts, RewardWeights(), ("random",), n_slots, users=3)
-    assert ranges == [(gt.rng_seed, t0, t1) for t0, t1 in
-                      ((1, block + 1), (block + 1, 2 * block + 1), (2 * block + 1, n_slots + 1))
-                      for gt in gts]
+    assert ranges == [([12, 40], t0, t1) for t0, t1 in
+                      ((1, block + 1), (block + 1, 2 * block + 1), (2 * block + 1, n_slots + 1))]
     assert len(drawn) == n_slots * len(gts)
     for k, row in enumerate(drawn):
-        assert row == draw_slot(gts[k % 2], k // 2 + 1)
+        requests, failed = draw_slot(gts[k % 2], k // 2 + 1)
+        assert row == (requests, [not any(failed[i] for i in chain) for chain in cat.sfc_chain])
+
+
+def group_of_two_parameter_sets() -> list[GroundTruth]:
+    """Five seeds over two parameter sets of one shape, seed 5 under both."""
+    a = make_ground_truth([[0.7, 0.2, 0.9], [0.1, 0.5, 0.4]], [0.3, 0.05, 0.5, 0.2],
+                          users=2, n_sfcs=3, rng_seed=5)
+    b = make_ground_truth([[0.2, 0.6, 0.1], [0.8, 0.3, 0.35]], [0.1, 0.4, 0.02, 0.6],
+                          users=2, n_sfcs=3, rng_seed=7)
+    return [a, b, a.reseeded(9), b.reseeded(5), a.reseeded(2 ** 40)]
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal values, bit for bit, dtype and shape."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# slot ranges up to, across and past a block boundary
+BLOCK_RANGES = ((1, OBS_BLOCK_SLOTS + 1), (OBS_BLOCK_SLOTS - 2, OBS_BLOCK_SLOTS + 3),
+                (OBS_BLOCK_SLOTS + 1, OBS_BLOCK_SLOTS + 4))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["two-parameter-sets", "shared"])
+def test_a_group_draws_what_each_seed_draws_alone(shared: bool) -> None:
+    gts = group_of_two_parameter_sets()
+    if shared:      # a run's seeds share one set of arrays
+        gts = [gts[0].reseeded(gt.rng_seed) for gt in gts]
+    width = 11
+    for t0, t1 in BLOCK_RANGES:
+        requests, failed = sample_arrays(gts, t0, t1)
+        uniforms = policy_uniform_block([gt.rng_seed for gt in gts], t0, t1, width)
+        assert requests.shape[:2] == failed.shape[:2] == uniforms.shape[:2] == (t1 - t0, 5)
+        for s, gt in enumerate(gts):
+            alone_requests, alone_failed = sample_arrays([gt], t0, t1)
+            assert_same_array(requests[:, s], alone_requests[:, 0])
+            assert_same_array(failed[:, s], alone_failed[:, 0])
+            assert_same_array(uniforms[:, s],
+                              policy_uniform_block([gt.rng_seed], t0, t1, width)[:, 0])
+            assert slot_rows(gt, t0, t1) == [draw_slot(gt, t) for t in range(t0, t1)]
+
+
+def test_a_group_refuses_parameters_of_another_shape() -> None:
+    a = make_ground_truth(0.5, [0.1], users=2, n_sfcs=3, rng_seed=1)
+    b = make_ground_truth(0.5, [0.1], users=3, n_sfcs=3, rng_seed=2)
+    with pytest.raises(ValueError):
+        sample_arrays([a, b], 1, 4)
+
+
+def test_group_true_values_equal_each_seed_alone() -> None:
+    gts = group_of_two_parameter_sets()
+    cat = Catalog([1] * 4, [[0, 1], [3], [2, 2, 1]])
+    layout = lockstep.Layout.of(EdgeNetwork([1]), cat)
+    weights = RewardWeights(omega=1.3, mu=0.5)
+    value_true, gate_true = lockstep.true_values(layout, gts, weights)
+    assert value_true.shape == gate_true.shape == (5, 3)
+    for s, gt in enumerate(gts):
+        alone = lockstep.true_values(layout, [gt], weights)
+        assert_same_array(value_true[s], alone[0][0])
+        assert_same_array(gate_true[s], alone[1][0])
+
+
+def test_true_popularity_sums_the_users_in_order() -> None:
+    # 2**14 users at 1e-4: numpy's pairwise sum reads 1.6384, a sum in user
+    # order 1.638399999999836; expected_reward's popularity is the latter, as
+    # tests/reference.py defines it
+    users = 2 ** 14
+    gt = make_ground_truth([1e-4, 0.3], [0.1], users=users, n_sfcs=2, rng_seed=3)
+    in_order = [0.0, 0.0]
+    for row in gt.request_prob.tolist():
+        in_order = [total + p for total, p in zip(in_order, row)]
+    assert in_order[0] != float(gt.request_prob[:, 0].sum())
+    assert true_popularity(gt).tolist() == in_order
+    layout = lockstep.Layout.of(EdgeNetwork([1]), Catalog([1], [[0], [0]]))
+    value_true, _ = lockstep.true_values(layout, [gt, gt.reseeded(4)], RewardWeights(omega=1.0))
+    assert value_true.tolist() == [in_order] * 2
 
 
 def test_sample_slots_rejects_empty_range() -> None:
     gt = make_ground_truth(0.5, [0.1], users=2, n_sfcs=1, rng_seed=0)
     with pytest.raises(ValueError):
-        sample_arrays(gt, 4, 4)
+        sample_arrays([gt], 4, 4)
 
 
 def test_slot_stream_matches_philox_keyed_directly() -> None:
@@ -214,8 +291,8 @@ def drawn_uniforms(seed: int, cat: Catalog, slots: int) -> list[list[float]]:
     """Slots 1 .. slots's policy uniforms, drawn OBS_BLOCK_SLOTS slots per call, as many-seed runs do."""
     width, _ = uniform_layout(cat)
     return [row for t0 in range(1, slots + 1, OBS_BLOCK_SLOTS)
-            for row in policy_uniform_block(seed, t0, min(t0 + OBS_BLOCK_SLOTS, slots + 1),
-                                            width).tolist()]
+            for row in policy_uniform_block([seed], t0, min(t0 + OBS_BLOCK_SLOTS, slots + 1),
+                                            width)[:, 0].tolist()]
 
 
 def test_policy_uniforms_own_their_counter_blocks() -> None:
@@ -231,7 +308,7 @@ def test_policy_uniforms_own_their_counter_blocks() -> None:
         for t in (1, 2, OBS_BLOCK_SLOTS, OBS_BLOCK_SLOTS + 1, n_slots):
             expected = slot_stream(13, t * blocks, POLICY_DOMAIN).random(width).tolist()
             assert rows[t - 1] == expected
-            assert policy_uniform_block(13, t, t + 1, width)[0].tolist() == expected
+            assert policy_uniform_block([13], t, t + 1, width)[0, 0].tolist() == expected
 
 
 def test_consecutive_policy_slots_share_no_draws() -> None:
@@ -249,7 +326,7 @@ def test_ground_truth_rejects_nan_probabilities() -> None:
 
 
 def slot_uniforms(monkeypatch: pytest.MonkeyPatch, gt: GroundTruth, t: int) -> set[float]:
-    """Every uniform sample_arrays(gt, t, t + 1) draws, recorded at the generator."""
+    """Every uniform sample_arrays([gt], t, t + 1) draws, recorded at the generator."""
     drawn: list[float] = []
     real = workload.slot_stream
 
@@ -264,7 +341,7 @@ def slot_uniforms(monkeypatch: pytest.MonkeyPatch, gt: GroundTruth, t: int) -> s
 
     with monkeypatch.context() as patch:
         patch.setattr(workload, "slot_stream", lambda *a, **kw: Recorder(real(*a, **kw)))
-        workload.sample_arrays(gt, t, t + 1)
+        workload.sample_arrays([gt], t, t + 1)
     if not drawn:       # not an AssertionError, so the strict xfail below cannot absorb it
         pytest.fail("sample_arrays no longer draws through workload.slot_stream")
     return set(drawn)
