@@ -5,9 +5,11 @@ A time-slotted simulator plus three policies: a learned latency-aware scheme
 baseline, with exhaustive oracles for small instances.
 
 The package exports what a caller needs to describe an instance, run an
-experiment and write its trace. The lower-level pieces (learners, kernels,
-batched simulators, the per-slot policy step) are imported from their
-submodules.
+experiment and write its trace. The lower-level pieces are imported from
+their submodules: lockstep holds the learned policies' one learner state,
+lockstep.Learners, and the batched stages that advance many of its rows at
+once; policy.learned_rows advances a few rows a chunk at a time, seed by
+seed; kernels holds the selection scan and the placement walks.
 """
 
 from .model import Catalog, EdgeNetwork, validate_instance

@@ -13,10 +13,11 @@ and sample standard deviations across seeds.
 
 simulate_run is the one simulator loop: run calls it once per group of
 seeds, for every policy at once, so that each seed's observations are drawn
-once and the learned policies' learners advance together. Only its decide
-step depends on the policy and on the group's learner rows. It returns each
-policy's series as (seeds, slots) arrays, and run reads the trace columns and
-the summary's per-seed means off them. Its batched stages live in lockstep.
+once and the learned policies' learners, one lockstep.Learners for the
+group, advance together. Only its decide step depends on the policy, and on
+each chunk on the group's learner row count. It returns each policy's
+series as (seeds, slots) arrays, and run reads the trace columns and the
+summary's per-seed means off them. Its batched stages live in lockstep.
 
 emit writes the trace EMIT_ROWS rows at a time. Within a block it formats
 each distinct value of a column once, by repr for trace.csv and json.dumps
@@ -41,7 +42,6 @@ import numpy as np
 
 from . import lockstep
 from .kernels import FIRST_FIT, GREEDY, PlanGraph
-from .learning import init_learners
 from .model import Catalog, EdgeNetwork, validate_instance
 from .oracle import optimal_slot_value
 from .policy import RewardWeights, learned_rows
@@ -74,10 +74,12 @@ MAX_REQUEST_DRAWS = 2 ** 16
 # takes about 170 bytes until emit writes it, so a run holds at most about 0.7 GB.
 MAX_TRACE_ROWS = 2 ** 22
 
-# A seed group whose learned policies hold at least this many learner rows
-# (learned policies x seeds) keeps them stacked in one lockstep.Learners, a
-# smaller one a learning.py learner pair per policy and seed. Both write the
-# same trace; only speed picks. Timed at 2, 4, 6, 8 and 12 seeds x 100 slots
+# A seed group keeps its learned policies' learners in one lockstep.Learners,
+# and the row count (learned policies x seeds) picks, on each chunk, how the
+# chunk advances them: from this many rows on, lockstep's numpy stages, all
+# rows a slot at a time; below it, one policy.learned_rows call per policy,
+# which reads its rows into lists and writes them back. Both write the same
+# trace; only speed picks. Timed at 2, 4, 6, 8 and 12 seeds x 100 slots
 # (harness.run, regret off, min of 11 alternating runs, 2 shared CPUs), numpy /
 # per-seed time, the median of three such timings, with the per-seed side at
 # one policy.learned_rows call per policy and chunk. rtsd and bandit together
@@ -444,11 +446,9 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     once for all of them; then, policy by policy, lockstep.check verifies
     its records and lockstep.slot_values accounts them. Only the
     decide step depends on the policy: random_rows for random, and for the
-    learned policies one learner state for all seeds: from
-    LOCKSTEP_MIN_SEEDS learner rows (learned policies x seeds) on, one
-    lockstep.Learners that stacks the policies' seeds as row blocks, and
-    below that a learning.py learner pair per policy and seed, which one
-    policy.learned_rows call per policy and chunk runs seed by seed.
+    learned policies one lockstep.Learners for all seeds, which stacks the
+    policies' seeds as row blocks; _learned_chunk picks how each chunk
+    advances it from its learner rows.
     """
     for policy in policies:
         if policy not in POLICY_ORDER:
@@ -465,14 +465,8 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
     chunk, block = _chunk_and_block(layout, gts)
     value_true, gate_true = (np.tile(a, (chunk, 1))
                              for a in lockstep.true_values(layout, gts, weights))
-    if learned and len(learned) * n_seeds >= LOCKSTEP_MIN_SEEDS:
-        learners = lockstep.Learners.fresh(len(learned) * n_seeds, n_sfcs, n_vnfs, users,
-                                           failure_bonus_scale, failure_bonus_sign)
-    else:
-        learners = [[init_learners(n_sfcs, n_vnfs, users,
-                                   failure_bonus_scale=failure_bonus_scale,
-                                   failure_bonus_sign=failure_bonus_sign) for _ in gts]
-                    for _ in learned]
+    learners = lockstep.Learners.fresh(len(learned) * n_seeds, n_sfcs, n_vnfs, users,
+                                       failure_bonus_scale, failure_bonus_sign)
     request_draws = gts[0].request_prob.size     # per slot and seed
     seeds = [gt.rng_seed for gt in gts]
     # each policy's series, one slot-major list per key
@@ -515,27 +509,27 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
                      for key, column in out.items()} for policy, out in series.items()}
 
 
-def _learned_chunk(learners, graphs: list[PlanGraph], weights: RewardWeights,
-                   layout: lockstep.Layout, t0: int, requests: np.ndarray,
-                   failed: np.ndarray) -> list[tuple]:
+def _learned_chunk(learners: lockstep.Learners, graphs: list[PlanGraph],
+                   weights: RewardWeights, layout: lockstep.Layout, t0: int,
+                   requests: np.ndarray, failed: np.ndarray) -> list[tuple]:
     """The learned policies' decisions on a chunk of slots from t0, learning from each slot.
 
     requests and failed are the chunk's (slots, S, F) and (slots, S, I)
-    observations, and graphs[k] is learned policy k's plan graph. learners
-    is one lockstep.Learners whose rows [k*S, (k+1)*S) are policy k's seeds,
-    or per policy a list of its seeds' learning.py pairs, which one
-    policy.learned_rows call per policy runs through the whole chunk.
-    Returns per policy its rows' edge ids, commits per row and residuals,
-    for lockstep.gather, and what its learners were updated with, for
-    lockstep.check to hold the records to: the rows' (R, F) backup vectors
-    and (R, I) copies per VNF. Rows are slot-major.
+    observations, and graphs[k] is learned policy k's plan graph. learners'
+    rows [k*S, (k+1)*S) are policy k's seeds. From LOCKSTEP_MIN_SEEDS
+    learner rows on, lockstep's stages advance them all a slot at a time;
+    below that, one policy.learned_rows call per policy runs its block
+    through the whole chunk. Returns per policy its rows' edge ids, commits
+    per row and residuals, for lockstep.gather, and what its learners were
+    updated with, for lockstep.check to hold the records to: the rows'
+    (R, F) backup vectors and (R, I) copies per VNF. Rows are slot-major.
     """
-    if not isinstance(learners, lockstep.Learners):
+    n_slots, n_seeds, n_sfcs = requests.shape
+    if len(graphs) * n_seeds < LOCKSTEP_MIN_SEEDS:
         # each seed's slots as lists, for the per-seed loop
         requests, failed = requests.swapaxes(0, 1).tolist(), failed.swapaxes(0, 1).tolist()
-        return [learned_rows(pairs, t0, requests, failed, weights, graph)
-                for pairs, graph in zip(learners, graphs)]
-    n_slots, n_seeds, n_sfcs = requests.shape
+        return [learned_rows(learners, k * n_seeds, t0, requests, failed, weights, graph)
+                for k, graph in enumerate(graphs)]
     n_vnfs = failed.shape[2]
     n_policies = len(graphs)
     ids, counts, residuals = ([[] for _ in graphs] for _ in range(3))

@@ -2,9 +2,10 @@
 
 harness.simulate_run runs every policy of a seed group through one loop over
 chunks of (slot, seed) rows, and these are its stages. The learned policies
-keep one of two learner states. From harness.LOCKSTEP_MIN_SEEDS learner rows
-(learned policies x seeds) on it is one Learners, whose rows [k*S, (k+1)*S)
-are learned policy k's S seeds, and each slot runs, for all rows at once:
+keep one learner state, a Learners whose rows [k*S, (k+1)*S) are learned
+policy k's S seeds, and its row count (learned policies x seeds) picks, on
+each chunk, how the chunk advances it. From harness.LOCKSTEP_MIN_SEEDS rows
+on, each slot runs, for all rows at once:
 
 - estimates: the (P*S, F) and (P*S, I) optimistic estimates, a few numpy
   operations;
@@ -15,17 +16,16 @@ are learned policy k's S seeds, and each slot runs, for all rows at once:
 - update: the learners learn from the slot's observation, repeated for each
   policy's block of rows, and from each row's commits.
 
-Below that row count the learner state is one learning.py pair per policy and
-seed, and policy.learned_rows runs each policy's seeds through a chunk in
-one call, in plain Python. The random policy keeps no state across slots,
-so random_rows decides a whole chunk's rows at once. gather turns one
-learned policy's chunk of edge ids into
-Records. Each policy's Records of a chunk then go through check, which holds
-them, and the backup vectors and VNF copies its learners were updated with,
-to the eight conditions of a sound slot decision, and slot_values, which
-values them. A policy's learners, ids, records and series never mix with
-another's: the rows of a Learners are independent, and each block scans on
-its own graph.
+Below that row count policy.learned_rows runs each policy's block of rows
+through a chunk in one call, in plain Python, on lists read from the block
+and written back at the chunk's end. The random policy keeps no state across
+slots, so random_rows decides a whole chunk's rows at once. gather turns one
+learned policy's chunk of edge ids into Records. Each policy's Records of a
+chunk then go through check, which holds them, and the backup vectors and
+VNF copies its learners were updated with, to the eight conditions of a
+sound slot decision, and slot_values, which values them. A policy's
+learners, ids, records and series never mix with another's: the rows of a
+Learners are independent, and each block scans on its own graph.
 
 Exactness. Every float is computed by the expression policy.learned_rows
 evaluates, one operation at a time: numpy's sqrt, division, multiplication and
@@ -110,9 +110,19 @@ class Layout:
 class Learners:
     """Both learners of every learner row; row r holds one (policy, seed)'s arms.
 
-    The fields mirror learning.PopularityLearner and learning.FailureLearner:
-    selected and placements count, the totals sum the observations, and the
-    means are total / count, updated only on the arms a slot deployed.
+    The one learner state of a seed group's learned policies, whichever path
+    decides a chunk: estimates and update advance every row a slot at a
+    time, and policy.learned_rows a block of rows a chunk at a time. The
+    popularity learner's selected[r, f] counts the slots where chain f was
+    backed up, and request_mean[r, f] averages the request counts over
+    exactly those slots. The failure learner's placements[r, i] counts
+    VNF i's deployed copies (a slot placing several adds all of them), and
+    failure_mean[r, i] divides the once-per-slot failure flags by that
+    count. Means are total / count, updated only on the arms a slot
+    deployed. users scales the popularity bonus; bonus_sign and bonus_scale
+    set the failure bonus's direction and size, +1 and users by default, -1
+    treating unexplored VNFs optimistically. users is a float, exact for a
+    config's users: harness._check bounds users x F by 2 ** 16.
     """
 
     users: float
@@ -165,7 +175,7 @@ def true_values(layout: Layout, gts: list[GroundTruth],
     value_true[s, f] is omega times chain f's true popularity, the column sum
     of gts[s].request_prob in user order (workload.true_popularity), and
     gate_true[s, f] one minus the worst of gts[s].failure_mean over chain f's
-    VNFs (learning.chain_failure_rate). The group's parameters are stacked
+    VNFs (tests/reference.py's chain_failure_rate). The group's parameters are stacked
     (workload.stacked_parameters), so each is one numpy operation for all
     seeds. The results are read-only views where the seeds share their
     parameters. Every chain must run at least one VNF.
@@ -181,7 +191,7 @@ def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
     """The optimistic estimates of every learner row at slot t, as two arrays.
 
     q is (R, F) and v is (R, I); row r holds learner row r's estimates, the
-    floats policy.learned_rows computes for one learning.py pair: q[r, f] is
+    floats policy.learned_rows computes for that row: q[r, f] is
     chain f's mean request count plus its bonus, +inf while unexplored, and
     v[r, i] VNF i's failure mean plus its signed bonus, clamped to [0, 1],
     0 while unexplored.

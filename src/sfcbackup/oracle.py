@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learning import chain_failure_rate
 from .model import Catalog, EdgeNetwork
 from .policy import RewardWeights
 from .workload import GroundTruth, true_popularity
@@ -116,8 +115,9 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
 
     sp = shortest_path_matrix(network)
     q = true_popularity(gt)
-    u_true = [chain_failure_rate(catalog, gt.failure_mean, f) for f in range(n_sfcs)]
-    gate = [1.0 - u for u in u_true]
+    # a chain is only as reliable as its worst VNF
+    rates = gt.failure_mean.tolist()
+    gate = [1.0 - max(rates[i] for i in chain) for chain in catalog.sfc_chain]
 
     best_value = 0.0
     best_sel: tuple[int, ...] = ()

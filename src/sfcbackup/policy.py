@@ -5,19 +5,20 @@ reclaimed between slots) and never commit a plan with an infinite latency;
 the learned ones also never commit a non-positive score. learned_rows runs
 a chunk of slots of one learned policy, rtsd or bandit, which differ only in
 the kernel's placement walk, carried by the kernels.PlanGraph they plan on.
-harness.simulate_run calls it once per learned policy and chunk when a seed
-group has too few learner rows for lockstep.Learners, with one learning.py
-learner pair per seed.
+Its seeds' learners are a block of rows of the group's one
+lockstep.Learners. harness.simulate_run calls it once per learned policy on
+a chunk whose learner rows are too few for lockstep's numpy stages.
 
 A slot of one seed takes the learners' optimistic estimates, turns them into
 the selection inputs, scans them with kernels.slot_decide, and folds the
 slot's observation into the learners, all in learned_rows' own frame, the
-learner lists and constants held in locals. lockstep.estimates,
-lockstep.selection_rows and lockstep.update are its numpy mirror for many
-learner rows at once. The decision, plan-graph edge ids and a residual
-tuple, is neither verified nor accounted here: harness.simulate_run hands
-the chunk's rows to lockstep.gather, then to lockstep.check, with the backup
-vectors and VNF copies the learners were updated with, and to slot_values.
+learner rows read into lists and the constants held in locals.
+lockstep.estimates, lockstep.selection_rows and lockstep.update are its
+numpy mirror for many learner rows at once. The decision, plan-graph edge
+ids and a residual tuple, is neither verified nor accounted here:
+harness.simulate_run hands the chunk's rows to lockstep.gather, then to
+lockstep.check, with the backup vectors and VNF copies the learners were
+updated with, and to slot_values.
 
 The random policy keeps no state across slots, so it has no per-slot
 function: lockstep.random_rows defines it over whole chunks of (slot, seed)
@@ -33,7 +34,6 @@ from math import inf, log, sqrt
 import numpy as np
 
 from . import kernels
-from .learning import FailureLearner, PopularityLearner
 
 
 class InvariantViolation(RuntimeError):
@@ -50,13 +50,14 @@ class RewardWeights:
             raise ValueError("need omega > 0 and mu >= 0")
 
 
-def learned_rows(pairs: list[tuple[PopularityLearner, FailureLearner]], t0: int, requests,
-                 failed, weights: RewardWeights, graph: kernels.PlanGraph) -> tuple:
-    """Slots t0, t0 + 1, ... of a learned policy for every seed's learner pair: decide, then learn.
+def learned_rows(learners, first: int, t0: int, requests, failed, weights: RewardWeights,
+                 graph: kernels.PlanGraph) -> tuple:
+    """Slots t0, t0 + 1, ... of a learned policy for S seeds' learner rows: decide, then learn.
 
-    requests[s][j] and failed[s][j] are seed s's request counts and VNF
-    failure flags at slot t0 + j, lists of ints. graph is the
-    kernels.PlanGraph of the run's network, catalog and placement walk:
+    learners is a lockstep.Learners, and seed s's learners are its row
+    first + s, for s < S = len(requests). requests[s][j] and failed[s][j]
+    are seed s's request counts and VNF failure flags at slot t0 + j, lists
+    of ints. graph is the kernels.PlanGraph of the run's network, catalog and placement walk:
     kernels.GREEDY, latency-aware, for rtsd and kernels.FIRST_FIT for
     bandit. Kept across slots, it spares re-planning residual states the run
     has seen.
@@ -76,12 +77,15 @@ def learned_rows(pairs: list[tuple[PopularityLearner, FailureLearner]], t0: int,
     are these steps' definitions, and lockstep's estimates, selection_rows
     and update compute the same floats with numpy.
 
-    The pairs run one after another, each seed's slots in order. Returns
-    the chunk's rows slot-major, row j * S + s for seed s at slot t0 + j:
-    their edge ids, commits per row and residual tuples, for lockstep.gather,
-    and what the learners were updated with, for lockstep.check to hold the
-    records to: the (R, F) backup vectors, a bool per chain, and the (R, I)
-    int64 copies placed of each VNF, the arrays lockstep.update takes.
+    The S rows' six count, total and mean fields are read into lists once,
+    at the start, and written back once, at the end; the other rows are left
+    as they are. The seeds run one after another, each seed's slots in
+    order. Returns the chunk's rows slot-major, row j * S + s for seed s at
+    slot t0 + j: their edge ids, commits per row and residual tuples, for
+    lockstep.gather, and what the learners were updated with, for
+    lockstep.check to hold the records to: the (R, F) backup vectors, a bool
+    per chain, and the (R, I) int64 copies placed of each VNF, the arrays
+    lockstep.update takes.
     """
     omega, mu = weights.omega, weights.mu
     unexplored = omega * inf
@@ -89,17 +93,19 @@ def learned_rows(pairs: list[tuple[PopularityLearner, FailureLearner]], t0: int,
     # a gate reads each VNF of its chain once: a maximum is the same over repeats
     gate_vnfs = [tuple(dict.fromkeys(chain)) for chain in chains]
     edge_sfc = graph.edge_sfc
-    n_seeds, n_slots = len(pairs), len(requests[0])
+    n_seeds, n_slots = len(requests), len(requests[0])
     n_sfcs, n_vnfs = len(chains), len(graph.vnf_demand)
     sfcs = range(n_sfcs)
     log_terms = [3.0 * log(t) for t in range(t0, t0 + n_slots)]
+    users, scale, sign = learners.users, learners.bonus_scale, learners.bonus_sign
+    rows = slice(first, first + n_seeds)
+    fields = (learners.selected, learners.request_total, learners.request_mean,
+              learners.placements, learners.failure_total, learners.failure_mean)
+    state = [field[rows].tolist() for field in fields]
     ids, counts, residuals, xs, copies = [], [], [], [], []
-    for (pop, fail), seed_requests, seed_failed in zip(pairs, requests, failed):
-        users, selected = pop.users, pop.selected
-        request_total, request_mean = pop.request_total, pop.request_mean
-        scale, sign = fail.bonus_scale, fail.bonus_sign
-        placements, failure_total, failure_mean = (fail.placements, fail.failure_total,
-                                                   fail.failure_mean)
+    for seed_state, seed_requests, seed_failed in zip(zip(*state), requests, failed):
+        (selected, request_total, request_mean,
+         placements, failure_total, failure_mean) = seed_state
         for log_term, req, flags in zip(log_terms, seed_requests, seed_failed):
             v = []
             for h, mean in zip(placements, failure_mean):
@@ -143,6 +149,8 @@ def learned_rows(pairs: list[tuple[PopularityLearner, FailureLearner]], t0: int,
                         failure_mean[i] = failure_total[i] / placements[i]
             xs += x
             copies += placed
+    for field, values in zip(fields, state):
+        field[rows] = values
     x = np.array(xs, dtype=bool).reshape(n_seeds, n_slots, n_sfcs)
     placed = np.array(copies, dtype=np.int64).reshape(n_seeds, n_slots, n_vnfs)
     if n_seeds > 1:

@@ -9,11 +9,10 @@ and every step of a slot is written as the definition reads:
   uniforms, then the I failure uniforms. policy_uniforms draws the random
   policy's W uniforms from the key (seed, 1), counter [t * B, 0, 0, 0] with
   B = ceil(W / 4).
-- array_estimates and array_updates are the learners' formulas, as numpy
-  expressions on as_arrays' learner state. estimates, update and
-  selection_inputs are the same definitions for one learner pair of lists,
-  the per-pair steps that policy.learned_rows runs inline and lockstep runs
-  for many rows with numpy.
+- fresh_learners is one seed's learner pair, its counts, totals and means
+  lists; estimates, update and selection_inputs are the learners' formulas
+  on such a pair, the steps that policy.learned_rows runs inline on a
+  lockstep.Learners row and lockstep runs for many rows with numpy.
 - select is the selection loop unpruned: each round plans every remaining
   chain against the live residual, with no plan graph, and commits the best
   positive score. greedy_walk and first_fit_walk are the two placements,
@@ -22,9 +21,10 @@ and every step of a slot is written as the definition reads:
   uniforms where uniform_layout puts them.
 - each decision is held to verify_decision, the eight conditions of a sound
   decision checked one commit at a time, and realized_reward and
-  expected_slot_value value it with plain loops.
+  expected_slot_value value it with plain loops, a chain's expected value
+  gated by one minus chain_failure_rate, its worst VNF's rate.
 
-None of this calls sfcbackup.kernels, .lockstep or .learning, nor
+None of this calls sfcbackup.kernels or .lockstep, nor
 workload.sample_arrays or workload.slot_stream; test_lockstep runs it with
 all of them made to raise. Only the oracle value of a regret run comes from
 sfcbackup.oracle, which test_oracle holds to its own enumeration.
@@ -33,9 +33,9 @@ The ROADMAP.md item "Make the reported numbers mean what their names say"
 changes one definition here for each of its three parts:
 (a) independent per-slot environment streams: the counter in draw_slot;
 (b) the expected reward as the expectation of the realised one: the gate in
-    expected_slot_value;
+    expected_slot_value, chain_failure_rate;
 (c) one failure observation per slot in which a VNF was placed: the
-    placements count in array_updates.
+    placements count in update.
 
 reference_random_slot is not a definition but a law: the permutation scan
 the random policy's draws must follow in distribution.
@@ -45,12 +45,13 @@ time: trace.csv with repr of each number, "" for None and policy names as
 they are; trace.jsonl with json.dumps of each row's dict.
 
 The rest drives src for the tests, one adapter each:
-assert_matches_reference holds harness.run to reference_run under both
-learner states; slot_rows and slot_row give one seed's sample_arrays draws
+assert_matches_reference holds harness.run to reference_run on both
+decide paths; slot_rows and slot_row give one seed's sample_arrays draws
 as lists; decoded turns plan-graph edge ids into (sfc, PlacementPlan) pairs;
 verified_slot is a one-slot, one-seed chunk of policy.learned_rows as a
 SlotDecision held to verify_decision and to what the learners were updated
-with; get_consumption plans one chain with kernels.greedy_chain_walk;
+with; learner_row reads a lockstep.Learners row as a fresh_learners pair;
+get_consumption plans one chain with kernels.greedy_chain_walk;
 records builds lockstep.Records from (sfc, PlacementPlan) lists; and
 unpack_rows and random_slots turn lockstep.Records into (deployed, residual)
 pairs.
@@ -172,57 +173,24 @@ def policy_uniforms(seed: int, t: int, width: int) -> list[float]:
 
 # --- the learners -------------------------------------------------------------
 
-def as_arrays(pop, fail):
-    """The learners with their counts, totals and means copied into numpy arrays."""
-    for learner, names in ((pop, ("selected", "request_total", "request_mean")),
-                           (fail, ("placements", "failure_total", "failure_mean"))):
-        for name in names:
-            setattr(learner, name, np.array(getattr(learner, name)))
-    return pop, fail
+def fresh_learners(n_sfcs: int, n_vnfs: int, users: int, *,
+                   failure_bonus_scale: float | None = None, failure_bonus_sign: int = 1):
+    """One seed's (popularity, failure) learners before its first slot, every field zero.
 
-
-def fresh_learners(cfg):
-    """A run's learner pair before its first slot: every count, total and mean zero."""
-    n_sfcs, n_vnfs = cfg.catalog.n_sfcs, cfg.catalog.n_vnfs
-    scale = cfg.users if cfg.failure_bonus_scale is None else cfg.failure_bonus_scale
-    pop = SimpleNamespace(users=cfg.users, selected=[0] * n_sfcs,
+    The popularity learner's selected[f] counts the slots where chain f was
+    backed up and request_mean[f] averages their request counts; the failure
+    learner's placements[i] counts VNF i's deployed copies and failure_mean[i]
+    divides its once-per-slot failure flags by that count. The failure bonus
+    is scaled by failure_bonus_scale, users where None, in the direction of
+    failure_bonus_sign.
+    """
+    scale = users if failure_bonus_scale is None else failure_bonus_scale
+    pop = SimpleNamespace(users=users, selected=[0] * n_sfcs,
                           request_total=[0.0] * n_sfcs, request_mean=[0.0] * n_sfcs)
-    fail = SimpleNamespace(bonus_scale=float(scale), bonus_sign=cfg.failure_bonus_sign,
+    fail = SimpleNamespace(bonus_scale=float(scale), bonus_sign=failure_bonus_sign,
                            placements=[0] * n_vnfs, failure_total=[0.0] * n_vnfs,
                            failure_mean=[0.0] * n_vnfs)
-    return as_arrays(pop, fail)
-
-
-def array_estimates(pop, fail, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The UCB estimates at slot t: +inf for an unpulled chain, 0 for an unplaced VNF."""
-    q = np.full(pop.selected.shape, math.inf)
-    explored = pop.selected > 0
-    c = pop.selected[explored]
-    q[explored] = pop.request_mean[explored] + pop.users * np.sqrt(3.0 * math.log(t) / (2.0 * c))
-    v = np.zeros(fail.placements.shape)
-    explored = fail.placements > 0
-    h = fail.placements[explored]
-    with np.errstate(over="ignore"):    # a huge bonus scale overflows to inf, then clips
-        bonus = fail.bonus_scale * np.sqrt(3.0 * math.log(t) / (2.0 * h))
-        v[explored] = np.clip(fail.failure_mean[explored] + fail.bonus_sign * bonus, 0.0, 1.0)
-    return q, v
-
-
-def array_updates(pop, fail, requests, failed, x, placed) -> None:
-    """The learner updates as masked numpy assignments.
-
-    A deployed chain counts one pull and its requests; a VNF counts every
-    placed copy and the slot's one failure flag.
-    """
-    sel = np.asarray(x).astype(bool)
-    pop.selected[sel] += 1
-    pop.request_total[sel] += np.array(requests)[sel]
-    pop.request_mean[sel] = pop.request_total[sel] / pop.selected[sel]
-    placed = np.asarray(placed)
-    m = placed > 0
-    fail.placements[m] += placed[m]
-    fail.failure_total[m] += np.array(failed)[m]
-    fail.failure_mean[m] = fail.failure_total[m] / fail.placements[m]
+    return pop, fail
 
 
 def estimates(learners, t: int) -> tuple[list[float], list[float]]:
@@ -490,6 +458,11 @@ def realized_reward(weights, requests, failed, decision, catalog) -> tuple[np.nd
     return per_sfc, float(per_sfc.sum())
 
 
+def chain_failure_rate(catalog, rates, f: int) -> float:
+    """A chain is only as reliable as its worst VNF: max rate over f's occurrences."""
+    return float(max(rates[i] for i in catalog.sfc_chain[f]))
+
+
 def expected_slot_value(weights, gt, decision, catalog) -> float:
     """Decision value under the true parameters, summed left to right in commit order.
 
@@ -503,7 +476,7 @@ def expected_slot_value(weights, gt, decision, catalog) -> float:
         popularity = 0.0
         for row in p:
             popularity += row[f]
-        gate = 1.0 - max(rates[i] for i in catalog.sfc_chain[f])
+        gate = 1.0 - chain_failure_rate(catalog, rates, f)
         total += (weights.omega * popularity - weights.mu * plan.latency) * gate
     return total
 
@@ -530,20 +503,22 @@ def reference_series(cfg, network, gt, draws, policy: str) -> tuple[list[tuple],
     """
     catalog, weights = cfg.catalog, cfg.weights
     width, _ = uniform_layout(catalog)
-    learners = None if policy == "random" else fresh_learners(cfg)
+    learners = None if policy == "random" else fresh_learners(
+        catalog.n_sfcs, catalog.n_vnfs, cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
+        failure_bonus_sign=cfg.failure_bonus_sign)
     rows, decisions = [], []
     for t, (requests, failed) in enumerate(draws, start=1):
         if learners is None:
             deployed, residual = random_placement(network, catalog,
                                                   policy_uniforms(gt.rng_seed, t, width))
         else:
-            q, v = array_estimates(*learners, t)
-            deployed, residual = select(network, catalog, policy == "rtsd", q.tolist(),
-                                        v.tolist(), weights.omega, weights.mu)
+            q, v = estimates(learners, t)
+            deployed, residual = select(network, catalog, policy == "rtsd", q, v,
+                                        weights.omega, weights.mu)
         decision = decision_of(catalog, t, deployed, residual)
         verify_decision(network, catalog, decision)
         if learners is not None:
-            array_updates(*learners, requests, failed, decision.x, decision.placed_counts)
+            update(learners, requests, failed, decision.x, decision.placed_counts)
         rows.append((realized_reward(weights, requests, failed, decision, catalog)[1],
                      expected_slot_value(weights, gt, decision, catalog),
                      sum(residual), len(deployed)))
@@ -638,13 +613,13 @@ def reference_random_slot(net, cat, rng: np.random.Generator) -> frozenset:
 # --- adapters that drive src ------------------------------------------------------
 
 def assert_matches_reference(cfg, monkeypatch) -> dict[str, list]:
-    """harness.run(cfg) equals reference_run(cfg) under both learner states, type for type.
+    """harness.run(cfg) equals reference_run(cfg) on both decide paths, type for type.
 
-    LOCKSTEP_MIN_SEEDS = 1 puts every seed group on lockstep.Learners, one
-    past the run's learner rows (learned policies x seeds) on a learning.py
-    pair per policy and seed. The shipped value, run too where the rows
-    outnumber it, may put one seed group on each. A random-only run keeps no
-    learners and counts its seeds. Returns the trace.
+    LOCKSTEP_MIN_SEEDS = 1 decides every chunk with lockstep's stages, one
+    past the run's learner rows (learned policies x seeds) every chunk with
+    policy.learned_rows. The shipped value, run too where the rows outnumber
+    it, may put one seed group on each. A random-only run keeps no learners
+    and counts its seeds. Returns the trace.
     """
     trace, summary = reference_run(cfg)
     shipped = harness.LOCKSTEP_MIN_SEEDS
@@ -682,9 +657,10 @@ def decoded(graph, ids) -> list[tuple[int, PlacementPlan]]:
 def verified_slot(learners, t: int, requests, failed, weights, graph) -> SlotDecision:
     """policy.learned_rows on one seed and slot, as a SlotDecision held to verify_decision.
 
-    The decision's residual_after is the kernel's residual tuple as a list.
+    learners is a lockstep.Learners, whose row 0 decides and learns. The
+    decision's residual_after is the kernel's residual tuple as a list.
     """
-    ids, counts, residuals, x, placed = learned_rows([learners], t, [[requests]], [[failed]],
+    ids, counts, residuals, x, placed = learned_rows(learners, 0, t, [[requests]], [[failed]],
                                                      weights, graph)
     assert counts == [len(ids)] and len(residuals) == 1
     decision = decision_of(graph.catalog, t, decoded(graph, ids), list(residuals[0]))
@@ -693,6 +669,18 @@ def verified_slot(learners, t: int, requests, failed, weights, graph) -> SlotDec
     assert placed.tolist() == [decision.placed_counts]
     verify_decision(graph.network, graph.catalog, decision)
     return decision
+
+
+def learner_row(learners, r: int):
+    """Row r of a lockstep.Learners as a fresh_learners pair, its fields copied into lists."""
+    pop = SimpleNamespace(users=learners.users, selected=learners.selected[r].tolist(),
+                          request_total=learners.request_total[r].tolist(),
+                          request_mean=learners.request_mean[r].tolist())
+    fail = SimpleNamespace(bonus_scale=learners.bonus_scale, bonus_sign=learners.bonus_sign,
+                           placements=learners.placements[r].tolist(),
+                           failure_total=learners.failure_total[r].tolist(),
+                           failure_mean=learners.failure_mean[r].tolist())
+    return pop, fail
 
 
 def get_consumption(network, catalog, residual, f: int) -> PlacementPlan:

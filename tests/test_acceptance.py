@@ -25,11 +25,11 @@ from sfcbackup import (Catalog, EdgeNetwork, apply_overrides, default_config_pat
 from sfcbackup import lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import GREEDY, PlanGraph
-from sfcbackup.learning import init_learners
 from sfcbackup.oracle import optimal_chain_latency
 from sfcbackup.workload import policy_uniform_block
 
-from reference import estimates, get_consumption, slot_rows, unpack_rows, update, verified_slot
+from reference import (estimates, fresh_learners, get_consumption, learner_row, slot_rows,
+                       unpack_rows, update, verified_slot)
 
 
 def report(name: str, ok: bool, details: str) -> str:
@@ -176,9 +176,9 @@ def test_05_per_slot_invariants(canonical) -> None:
             else:
                 gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                                        catalog.n_sfcs, seed)
-                learners = init_learners(catalog.n_sfcs, catalog.n_vnfs, cfg.users,
-                                         failure_bonus_scale=cfg.failure_bonus_scale,
-                                         failure_bonus_sign=cfg.failure_bonus_sign)
+                learners = lockstep.Learners.fresh(1, catalog.n_sfcs, catalog.n_vnfs, cfg.users,
+                                                   cfg.failure_bonus_scale,
+                                                   cfg.failure_bonus_sign)
                 graph = PlanGraph(network, catalog, PLACEMENT_MODES[policy])
                 decisions = [verified_slot(learners, t, requests, failed, cfg.weights, graph)
                              for t, (requests, failed)
@@ -271,22 +271,22 @@ def test_06_learner_replay_exactness() -> None:
                            cfg.catalog.n_sfcs, rng_seed=424242)
     observations = slot_rows(gt, 1, slots + 1)
     n_sfcs, n_vnfs = cfg.catalog.n_sfcs, cfg.catalog.n_vnfs
-    pop, fail = init_learners(n_sfcs, n_vnfs, cfg.users,
-                              failure_bonus_scale=cfg.failure_bonus_scale,
-                              failure_bonus_sign=cfg.failure_bonus_sign)
+    learners = lockstep.Learners.fresh(1, n_sfcs, n_vnfs, cfg.users, cfg.failure_bonus_scale,
+                                       cfg.failure_bonus_sign)
     graph = PlanGraph(cfg.network, cfg.catalog, GREEDY)
     history = []
     for t, (requests, failed) in enumerate(observations, start=1):
-        d = verified_slot((pop, fail), t, requests, failed, cfg.weights, graph)
+        d = verified_slot(learners, t, requests, failed, cfg.weights, graph)
         history.append((requests, failed, d.x.copy(), d.placed_counts.copy()))
+    pop, fail = learner_row(learners, 0)
     worst = max(worst, _replay_and_compare(history, pop, fail, cfg.users,
                                            fail.bonus_scale, fail.bonus_sign))
 
     # trace B: synthetic deployment vectors decoupled from any policy
     rng = np.random.default_rng(6)
-    pop, fail = init_learners(n_sfcs, n_vnfs, cfg.users,
-                              failure_bonus_scale=cfg.failure_bonus_scale,
-                              failure_bonus_sign=cfg.failure_bonus_sign)
+    pop, fail = fresh_learners(n_sfcs, n_vnfs, cfg.users,
+                               failure_bonus_scale=cfg.failure_bonus_scale,
+                               failure_bonus_sign=cfg.failure_bonus_sign)
     history = []
     for requests, failed in observations:
         x = (rng.random(cfg.catalog.n_sfcs) < 0.5).astype(np.uint8)
@@ -314,7 +314,7 @@ def test_07_learner_consistency() -> None:
     ok_q = ok_v = 0
     for seed in range(n_seeds):
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
-        pop, fail = init_learners(1, 1, users)
+        pop, fail = fresh_learners(1, 1, users)
         for requests, failed in slot_rows(gt, 1, slots + 1):
             update((pop, fail), requests, failed, always, one_copy)
         ok_q += abs(float(pop.request_mean[0]) - q_true) < tol_q

@@ -280,7 +280,7 @@ def test_a_group_splits_its_draw_at_the_request_bound(monkeypatch) -> None:
     # five seeds at 2**14 request draws a slot, with OBS_BLOCK_SLOTS at 4 so
     # that the bound is 2**18 request uniforms a call: a block is 16 slots, a
     # call of a whole block takes one seed, and the last block of 7 slots two;
-    # the run still equals the reference under every learner state
+    # the run still equals the reference on every decide path
     monkeypatch.setattr(harness, "OBS_BLOCK_SLOTS", 4)
     users = 2 ** 14
     cfg = load_config(one_chain_doc(users, 2 * 16 + 7, "1..5"))
@@ -532,9 +532,9 @@ def test_golden_trace_digest(tmp_path: Path) -> None:
 
 
 # sha256 of trace.csv from ``sfcbackup --slots 60 --seed 1..30`` (bundled config,
-# all policies): the lockstep learners, which GOLDEN_TRACE_SHA256's three
-# seeds do not reach. Computed with per-seed learners before the lockstep ones
-# existed, so the two learner states write the same bytes.
+# all policies): lockstep's decide path, which GOLDEN_TRACE_SHA256's three
+# seeds do not reach. Computed with per-seed learners before lockstep's stages
+# existed, so the two decide paths write the same bytes.
 GOLDEN_LOCKSTEP_SHA256 = "9c037e692b06cc19e9ce5f064f93581603de47b9b17bf50de600da641dc40cd5"
 
 

@@ -171,20 +171,49 @@ def citations(text: str) -> list[tuple[str, str]]:
     return [(module, name) for module, name in pattern.findall(text) if name != "py"]
 
 
+# a path ending in .py, or a module cited as sfcbackup.<module>
+FILE_CITATION = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*\w+\.py)\b|\bsfcbackup\.(\w+)")
+
+
+def missing_files(text: str) -> list[str]:
+    """Every file text cites that does not exist, in order.
+
+    A path such as tests/reference.py is read from the root of the
+    repository, and a bare file name such as model.py, or sfcbackup.model,
+    names a module of the package.
+    """
+    package = ROOT / "src" / "sfcbackup"
+    missing = []
+    for path, module in FILE_CITATION.findall(text):
+        if path:
+            file = ROOT / path if "/" in path else package / path
+        else:
+            path, file = f"sfcbackup.{module}", package / f"{module}.py"
+        if not file.is_file():
+            missing.append(path)
+    return missing
+
+
 def test_citations_are_found() -> None:
     text = ("# lockstep.check, sfcbackup.policy.learned_slot and kernels.PlanGraph.commit\n"
             "model.py, mylockstep.y and `harness.run`")
     assert citations(text) == [("lockstep", "check"), ("policy", "learned_slot"),
                                ("kernels", "PlanGraph"), ("harness", "run")]
+    # a file that is gone, by file name or by module, is cited but not found
+    text += ("\nlearning.py, sfcbackup.learning.init_learners, tests/reference.py, "
+             "sfcbackup.lockstep and perfbench/gone.py")
+    assert missing_files(text) == ["learning.py", "sfcbackup.learning", "perfbench/gone.py"]
 
 
 def test_cited_names_resolve() -> None:
-    # a name the docs still cite after its definition is gone reads as live
+    # a name the docs still cite after its definition is gone reads as live,
+    # and so does a file or module cited after it is deleted, which MODULES,
+    # built from the files that exist, no longer lists
     texts = {str(path.relative_to(ROOT)): prose(path)
              for path in sorted((ROOT / "src" / "sfcbackup").glob("*.py"))}
     texts["README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = {place: names for place, text in texts.items()
                if (names := [f"{module}.{name}" for module, name in citations(text)
                              if not hasattr(importlib.import_module(f"sfcbackup.{module}"),
-                                            name)])}
+                                            name)] + missing_files(text))}
     assert not missing, f"cited but not defined: {missing}"

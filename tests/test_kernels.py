@@ -7,11 +7,10 @@ import pytest
 
 from sfcbackup import Catalog, EdgeNetwork
 from sfcbackup import default_config_path, load_config
-from sfcbackup import kernels
+from sfcbackup import kernels, lockstep
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_walk,
                                greedy_chain_walk, slot_decide)
 from sfcbackup.harness import PLACEMENT_MODES
-from sfcbackup.learning import init_learners
 from sfcbackup.model import cheapest_link_anchor
 from sfcbackup.workload import make_ground_truth
 
@@ -220,9 +219,9 @@ def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
             observations = slot_rows(gt, 1, slots + 1)
             runs = []
             for graph in (shared, None):
-                learners = init_learners(cat.n_sfcs, cat.n_vnfs, cfg.users,
-                                         failure_bonus_scale=cfg.failure_bonus_scale,
-                                         failure_bonus_sign=cfg.failure_bonus_sign)
+                learners = lockstep.Learners.fresh(1, cat.n_sfcs, cat.n_vnfs, cfg.users,
+                                                   cfg.failure_bonus_scale,
+                                                   cfg.failure_bonus_sign)
                 runs.append([verified_slot(learners, t, requests, failed, cfg.weights,
                                            graph or PlanGraph(net, cat, mode))
                              for t, (requests, failed) in enumerate(observations, start=1)])

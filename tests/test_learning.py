@@ -8,23 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcbackup import Catalog, make_ground_truth
-from sfcbackup.learning import chain_failure_rate, init_learners
+from sfcbackup.lockstep import Learners
 
-from reference import array_estimates, array_updates, as_arrays, estimates, slot_rows, update
+from reference import chain_failure_rate, estimates, fresh_learners, slot_rows, update
 
 
 def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
-    return init_learners(n_sfcs, n_vnfs, users, **kw)
+    return fresh_learners(n_sfcs, n_vnfs, users, **kw)
 
 
-def test_init_learners_start_at_zero() -> None:
-    pop, fail = init_learners(2, 3, users=10)
-    assert pop.users == 10
-    assert pop.selected == [0, 0]
-    assert pop.request_total == pop.request_mean == [0.0, 0.0]
-    assert fail.placements == [0, 0, 0]
-    assert fail.failure_total == fail.failure_mean == [0.0, 0.0, 0.0]
-    assert fail.bonus_scale == 10.0 and fail.bonus_sign == 1
+def test_fresh_learners_start_at_zero() -> None:
+    # every learner row starts with zero counts, totals and means; the
+    # failure bonus scale defaults to the user count
+    learners = Learners.fresh(4, 2, 3, 10, None, 1)
+    assert type(learners.users) is float and learners.users == 10.0
+    assert learners.bonus_scale == 10.0 and learners.bonus_sign == 1
+    for name, dtype, width in (("selected", np.int64, 2), ("request_total", np.float64, 2),
+                               ("request_mean", np.float64, 2), ("placements", np.int64, 3),
+                               ("failure_total", np.float64, 3),
+                               ("failure_mean", np.float64, 3)):
+        field = getattr(learners, name)
+        assert field.dtype == dtype and field.shape == (4, width), name
+        assert not field.any(), name
+    learners = Learners.fresh(1, 2, 3, 10, 0.5, -1)
+    assert learners.bonus_scale == 0.5 and learners.bonus_sign == -1
 
 
 # a slot that deploys chains but places no VNF copy, and one that places
@@ -107,7 +114,7 @@ def test_failure_estimate_is_consistent_on_a_repeated_vnf() -> None:
     ok_v = 0
     for seed in range(n_seeds):
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
-        learners = _, fail = init_learners(1, 1, users)
+        learners = _, fail = fresh(1, 1, users)
         for requests, failed in slot_rows(gt, 1, slots + 1):
             update(learners, requests, failed, never, two_copies)
         ok_v += abs(float(fail.failure_mean[0]) - v) < tol_v
@@ -189,7 +196,7 @@ def test_counting_and_mean_identities(seed: int) -> None:
 def test_learner_converges_on_always_deploy() -> None:
     # quick version of the long-horizon consistency check
     gt = make_ground_truth(0.4, [0.3], users=10, n_sfcs=1, rng_seed=21)
-    pop, fail = learners = init_learners(1, 1, users=10)
+    pop, fail = learners = fresh(1, 1, users=10)
     n = 2000
     for requests, failed in slot_rows(gt, 1, n + 1):
         update(learners, requests, failed, [1], [1])
@@ -197,29 +204,3 @@ def test_learner_converges_on_always_deploy() -> None:
     sigma_v = math.sqrt(0.3 * 0.7 / n)
     assert abs(pop.request_mean[0] - 4.0) < 4 * sigma_q
     assert abs(fail.failure_mean[0] - 0.3) < 4 * sigma_v
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 20), st.integers(min_value=1, max_value=15),
-       st.floats(min_value=0.05, max_value=5.0), st.sampled_from([-1, 1]))
-def test_learners_match_array_formulas_bit_for_bit(seed: int, users: int, scale: float,
-                                                   sign: int) -> None:
-    rng = np.random.default_rng(seed)
-    pop, fail = learners = fresh(n_sfcs=4, n_vnfs=5, users=users,
-                                 failure_bonus_scale=scale, failure_bonus_sign=sign)
-    ref_pop, ref_fail = as_arrays(*fresh(n_sfcs=4, n_vnfs=5, users=users,
-                                         failure_bonus_scale=scale, failure_bonus_sign=sign))
-    for t in range(1, 80):
-        q, v = estimates(learners, t)
-        q_ref, v_ref = array_estimates(ref_pop, ref_fail, t)
-        assert q == q_ref.tolist() and v == v_ref.tolist()
-        x = (rng.random(4) < 0.5).astype(np.uint8)
-        placed = rng.integers(0, 4, 5)
-        requests = rng.integers(0, users + 1, 4).tolist()
-        failed = (rng.random(5) < 0.4).astype(np.uint8).tolist()
-        update(learners, requests, failed, x.tolist(), placed.tolist())
-        array_updates(ref_pop, ref_fail, requests, failed, x, placed)
-        for name in ("selected", "request_total", "request_mean"):
-            assert getattr(pop, name) == getattr(ref_pop, name).tolist()
-        for name in ("placements", "failure_total", "failure_mean"):
-            assert getattr(fail, name) == getattr(ref_fail, name).tolist()

@@ -1,10 +1,11 @@
 """harness.run and its batched stages against the definitions in reference.py.
 
 reference.reference_run is the simulator written slot by slot from the
-definitions, and every run here must equal it column for column, under both
-learner states: lockstep.Learners, forced by LOCKSTEP_MIN_SEEDS = 1, and a
-learning.py pair per policy and seed, forced by one past the learner rows
-(learned policies x seeds). The random policy decides whole chunks of rows
+definitions, and every run here must equal it column for column, on both
+decide paths of the one learner state, a lockstep.Learners: lockstep's numpy
+stages, forced by LOCKSTEP_MIN_SEEDS = 1, and one policy.learned_rows call
+per policy and chunk, forced by one past the learner rows (learned policies
+x seeds). The random policy decides whole chunks of rows
 at once, and lockstep.random_rows must also equal reference.random_placement
 row by row.
 """
@@ -22,35 +23,36 @@ from hypothesis import strategies as st
 
 from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, RewardWeights, apply_overrides,
                        default_config_path, load_config, run)
-from sfcbackup import harness, kernels, learning, lockstep, workload
+from sfcbackup import harness, kernels, lockstep, workload
 from sfcbackup import policy as policy_module
 from sfcbackup.harness import LOCKSTEP_MIN_SEEDS, PLACEMENT_MODES, POLICY_ORDER
-from sfcbackup.learning import init_learners
 
-from reference import (assert_matches_reference, decoded, estimates, random_placement, records,
-                       reference_run, selection_inputs, unpack_rows, update)
+from reference import (assert_matches_reference, decoded, estimates, fresh_learners,
+                       random_placement, records, reference_run, selection_inputs, unpack_rows,
+                       update)
+
+
+def counted(monkeypatch, calls: dict, module, name: str, key: str) -> None:
+    """Wraps module.name so that every call adds one to calls[key]."""
+    real = getattr(module, name)
+
+    def call(*args, **kwargs):
+        calls[key] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, call)
 
 
 def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
-    # the learner rows, learned policies x seeds, pick the learned policies'
-    # learner state: one lockstep.Learners (one lockstep.estimates call per slot for
-    # every row, the policies' seeds stacked) from LOCKSTEP_MIN_SEEDS rows on,
-    # a learning.py pair per policy and seed (one policy.learned_rows call per
-    # policy and chunk, here all three slots) below that; alone, a learned
-    # policy's rows are its seeds
+    # the learner rows, learned policies x seeds, pick the decide path: one
+    # lockstep.estimates call per slot for every row, the policies' seeds
+    # stacked, from LOCKSTEP_MIN_SEEDS rows on, and one policy.learned_rows
+    # call per policy and chunk, here all three slots, below that; alone, a
+    # learned policy's rows are its seeds
     calls = {"lockstep": 0, "per_seed": 0, "random": 0}
-
-    def count(module, name: str, key: str) -> None:
-        real = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[key] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-
-    count(lockstep, "estimates", "lockstep")
-    count(harness, "learned_rows", "per_seed")
-    count(lockstep, "random_rows", "random")
+    for module, name, key in ((lockstep, "estimates", "lockstep"),
+                              (harness, "learned_rows", "per_seed"),
+                              (lockstep, "random_rows", "random")):
+        counted(monkeypatch, calls, module, name, key)
     cfg = load_config(default_config_path())
     learned = len(PLACEMENT_MODES)
     stacked = -(-LOCKSTEP_MIN_SEEDS // learned)     # the fewest seeds whose rows reach it
@@ -63,6 +65,42 @@ def test_lockstep_path_is_taken_from_the_seed_threshold(monkeypatch) -> None:
     assert calls == {"lockstep": 3, "per_seed": 0, "random": 2}
     run(apply_overrides(cfg, slots=3, seeds=f"1..{LOCKSTEP_MIN_SEEDS - 1}", policy="rtsd"))
     assert calls == {"lockstep": 3, "per_seed": 1, "random": 2}
+
+
+def test_the_decide_path_can_switch_between_chunks_of_one_run(monkeypatch) -> None:
+    # the row count picks the decide path on each chunk, not once per seed
+    # group: with LOCKSTEP_MIN_SEEDS flipped between 1 and past the group's
+    # learner rows on every chunk, the one learner state passes from
+    # lockstep's stages to policy.learned_rows and back, and the run still
+    # equals the reference
+    calls = {"lockstep": 0, "per_seed": 0}
+    counted(monkeypatch, calls, lockstep, "estimates", "lockstep")
+    counted(monkeypatch, calls, harness, "learned_rows", "per_seed")
+    cfg = apply_overrides(load_config(default_config_path()), slots=12, seeds="1..3")
+    n_rows = len(PLACEMENT_MODES) * len(cfg.seeds)
+    # chunks of two slots for the three seeds, six in the run
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
+    monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", per_row * 2 * len(cfg.seeds))
+    real_chunk = harness._learned_chunk
+    chunks = []
+
+    def flipping(*args):
+        monkeypatch.setattr(harness, "LOCKSTEP_MIN_SEEDS", n_rows + 1 if len(chunks) % 2 else 1)
+        chunks.append(args[4])      # t0
+        return real_chunk(*args)
+
+    monkeypatch.setattr(harness, "_learned_chunk", flipping)
+    result = run(cfg)
+    trace, summary = reference_run(cfg)
+    for col in harness.CSV_COLUMNS:
+        assert [(type(v), v) for v in result.trace[col]] == \
+               [(type(v), v) for v in trace[col]], col
+    assert result.summary == summary
+    assert chunks == list(range(1, cfg.slots + 1, 2))
+    # both paths ran: three chunks of two slots on lockstep's stages, and
+    # three on one policy.learned_rows call per learned policy
+    assert calls == {"lockstep": 3 * 2, "per_seed": 3 * len(PLACEMENT_MODES)}
 
 
 def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
@@ -200,10 +238,10 @@ def test_ten_chain_run_equals_the_reference(monkeypatch) -> None:
 
 
 def test_reference_calls_no_simulator_stage(monkeypatch) -> None:
-    # every function and class of kernels, lockstep and learning, and the two
+    # every function and class of kernels and lockstep, and the two
     # environment draws, raise wherever a module binds them; the reference
     # still runs every policy
-    stages = [value for module in (kernels, lockstep, learning) for value in vars(module).values()
+    stages = [value for module in (kernels, lockstep) for value in vars(module).values()
               if callable(value) and getattr(value, "__module__", None) == module.__name__]
     stages += [workload.sample_arrays, workload.slot_stream]
     assert len(stages) > 20
@@ -230,7 +268,7 @@ def test_reference_calls_no_simulator_stage(monkeypatch) -> None:
         run(cfg)
 
 
-# a small instance for the learner states: a repeated VNF ([0, 0]), chains
+# a small instance for the decide paths: a repeated VNF ([0, 0]), chains
 # that share VNFs, and room for two or three chains a slot
 LEARNER_NETWORK = EdgeNetwork([9, 6, 7], [(0, 1, 0.4), (1, 2, 0.9)])
 LEARNER_CATALOG = Catalog([2, 3, 1, 4], [[0, 0], [1, 2], [3], [2, 0, 1]])
@@ -239,14 +277,16 @@ LEARNER_FIELDS = (("selected", "request_total", "request_mean"),
 
 
 def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
-    # policy.learned_rows decides and learns chunk by chunk on its own pairs;
-    # lockstep.Learners, fed the rows it returns, and a reference.update pair
-    # per seed follow it slot by slot. Every slot's lockstep estimates equal
-    # reference.estimates, every seed's kernel inputs equal selection_rows'
-    # row, value for value, and after every chunk all six learner fields
-    # agree. One seed and three, both placement walks, both bonus signs at
-    # the default and a set scale, and a scale whose bonus overflows; the
-    # chunks start at slots 1, 2, 6 and 13.
+    # policy.learned_rows decides and learns chunk by chunk on one block of a
+    # two-block lockstep.Learners, as harness stacks the two learned
+    # policies: rtsd's block first, bandit's second. A one-block Learners,
+    # fed the rows it returns, and a reference.update pair per seed follow it
+    # slot by slot. Every slot's lockstep estimates equal reference.estimates,
+    # every seed's kernel inputs equal selection_rows' row, value for value,
+    # after every chunk all six learner fields agree, and the other block's
+    # rows are as they were. One seed and three, both placement walks, both
+    # bonus signs at the default and a set scale, and a scale whose bonus
+    # overflows; the chunks start at slots 1, 2, 6 and 13.
     rng = np.random.default_rng(5)
     n_sfcs, n_vnfs, users = LEARNER_CATALOG.n_sfcs, LEARNER_CATALOG.n_vnfs, 5
     weights = RewardWeights(omega=1.3, mu=0.7)
@@ -261,10 +301,18 @@ def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
     monkeypatch.setattr(kernels, "slot_decide", decide)
     for n_seeds, policy, (sign, scale) in product(
             (1, 3), PLACEMENT_MODES, ((1, None), (-1, None), (1, 0.8), (-1, 0.8), (1, 1e308))):
+        live = lockstep.Learners.fresh(2 * n_seeds, n_sfcs, n_vnfs, users, scale, sign)
+        first = list(PLACEMENT_MODES).index(policy) * n_seeds
+        other = slice(n_seeds - first, 2 * n_seeds - first)
+        # the other block holds arms of its own, which the chunks must leave be
+        kept = {}
+        for name in LEARNER_FIELDS[0] + LEARNER_FIELDS[1]:
+            field = getattr(live, name)
+            field[other] = rng.integers(1, 50, size=field[other].shape)
+            kept[name] = field[other].copy()
         batch = lockstep.Learners.fresh(n_seeds, n_sfcs, n_vnfs, users, scale, sign)
-        pairs, shadows = ([init_learners(n_sfcs, n_vnfs, users, failure_bonus_scale=scale,
-                                         failure_bonus_sign=sign) for _ in range(n_seeds)]
-                          for _ in range(2))
+        shadows = [fresh_learners(n_sfcs, n_vnfs, users, failure_bonus_scale=scale,
+                                  failure_bonus_sign=sign) for _ in range(n_seeds)]
         graph = kernels.PlanGraph(LEARNER_NETWORK, LEARNER_CATALOG, PLACEMENT_MODES[policy])
         deployed = repeats = 0
         for t0, n_slots in ((1, 1), (2, 4), (6, 7), (13, 3)):
@@ -272,15 +320,15 @@ def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
             failed = (rng.random((n_slots, n_seeds, n_vnfs)) < 0.3).astype(np.uint8)
             seen.clear()
             _, counts, _, x, placed = policy_module.learned_rows(
-                pairs, t0, requests.swapaxes(0, 1).tolist(), failed.swapaxes(0, 1).tolist(),
-                weights, graph)
+                live, first, t0, requests.swapaxes(0, 1).tolist(),
+                failed.swapaxes(0, 1).tolist(), weights, graph)
             deployed += sum(counts)
             repeats += int((placed[:, 0] >= 2).sum())       # [0, 0] and more copies
             for j, t in enumerate(range(t0, t0 + n_slots)):
                 q, v = lockstep.estimates(batch, t)
                 for shadow, q_row, v_row in zip(shadows, q.tolist(), v.tolist()):
                     assert (q_row, v_row) == estimates(shadow, t)
-                # the pairs ran one after another, each through the chunk's slots
+                # the seeds ran one after another, each through the chunk's slots
                 inputs = [seen[s * n_slots + j] for s in range(n_seeds)]
                 rows = lockstep.selection_rows(layout, q, v, weights.omega)
                 assert repr(inputs) == repr(list(zip(*rows)))
@@ -289,11 +337,13 @@ def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
                 for shadow, *observed in zip(shadows, requests[j].tolist(), failed[j].tolist(),
                                              x[rows].tolist(), placed[rows].tolist()):
                     update(shadow, *observed)
-            for s, (pair, shadow) in enumerate(zip(pairs, shadows)):
-                for learner, ref, names in zip(pair, shadow, LEARNER_FIELDS):
-                    for name in names:
-                        assert getattr(batch, name)[s].tolist() == getattr(learner, name) \
-                            == getattr(ref, name), (n_seeds, policy, sign, scale, t0, name)
+            for k, names in enumerate(LEARNER_FIELDS):
+                for name in names:
+                    field = getattr(live, name)
+                    assert field[first:first + n_seeds].tolist() == getattr(batch, name).tolist() \
+                        == [getattr(shadow[k], name) for shadow in shadows], \
+                        (n_seeds, policy, sign, scale, t0, name)
+                    assert np.array_equal(field[other], kept[name]), name
         assert deployed > 2 * n_seeds and repeats, (n_seeds, policy, sign, scale)
 
 
@@ -319,7 +369,7 @@ def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> N
     cfg = apply_overrides(load_config(default_config_path()), slots=25,
                           seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd")
     assert_matches_reference(cfg, monkeypatch)
-    assert len(graphs) == 2         # one run per learner state
+    assert len(graphs) == 2         # one run per decide path
     for graph in graphs:
         stored = [e for _, _, edges in graph.nodes.values() for _, e in edges.values()]
         assert len(graph.nodes) == 2
@@ -405,8 +455,8 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     monkeypatch.setattr(lockstep, "check", counted("check", 1))
     monkeypatch.setattr(lockstep, "slot_values", counted("slot_values", 5))
     assert_matches_reference(cfg, monkeypatch)
-    # the run on lockstep learners, at the shipped LOCKSTEP_MIN_SEEDS (the last
-    # group on per-seed learners), then on per-seed learners
+    # the run on lockstep's stages, at the shipped LOCKSTEP_MIN_SEEDS (the last
+    # group on policy.learned_rows), then on policy.learned_rows
     groups = [LOCKSTEP_MIN_SEEDS] * 2 + [3]
     assert sizes == {policy: groups * 3 for policy in POLICY_ORDER}
     sizes["random"].clear()
@@ -428,8 +478,8 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
 
 
 # the fewest seeds whose learner rows, stacked for both learned policies, reach
-# LOCKSTEP_MIN_SEEDS: a run of every policy takes lockstep.Learners here, a
-# policy alone a learning.py pair per seed
+# LOCKSTEP_MIN_SEEDS: a run of every policy takes lockstep's stages here, a
+# policy alone policy.learned_rows
 STACKED_SEEDS = -(-LOCKSTEP_MIN_SEEDS // len(PLACEMENT_MODES))
 
 
@@ -443,7 +493,7 @@ def test_policies_run_together_as_they_run_alone(monkeypatch, n_seeds: int) -> N
                           seeds=f"1..{n_seeds}")
     if n_seeds > LOCKSTEP_MIN_SEEDS:
         # seed groups of LOCKSTEP_MIN_SEEDS, as in the test above, the last one
-        # on per-seed learners
+        # on policy.learned_rows
         layout = lockstep.Layout.of(cfg.network, cfg.catalog)
         per_row = (cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width
                    + cfg.network.n_servers)
@@ -551,8 +601,8 @@ TAMPER_SEED_COUNTS = (1, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS)
 def _decide_call(cfg, slot: int, seed: int) -> int:
     """The call of kernels.slot_decide, from 0, that decides seed number seed's slot.
 
-    For a run of one learned policy: lockstep learners decide slot by slot,
-    each slot across the seeds, and per-seed learners run a chunk seed by
+    For a run of one learned policy: lockstep's stages decide slot by slot,
+    each slot across the seeds, and policy.learned_rows runs a chunk seed by
     seed, each seed's slots of the chunk in order.
     """
     n_seeds = len(cfg.seeds)
@@ -581,7 +631,7 @@ def _tamper_case(message: str, n_seeds: int, slot: int | None, slots: int | None
     *(_tamper_case(LATE_TAMPER, n, None, None) for n in TAMPER_SEED_COUNTS)])
 def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_seeds: int,
                                                  slot: int | None, slots: int | None) -> None:
-    # both learner states check a chunk of decisions after deciding it, and
+    # both decide paths check a chunk of decisions after deciding it, and
     # name the earliest slot that fails
     cfg = apply_overrides(load_config(TAMPER_DOC), seeds=f"1..{n_seeds}", slots=slots)
     if slot is None:
@@ -661,7 +711,7 @@ def test_batched_check_rejects_learners_out_of_sync(monkeypatch, tamper: str,
     # the backup vector and copies the learners are updated with, handed to
     # lockstep.update or returned by learned_rows, are tampered at the fourth
     # (or the last) seed's slot 2 and the first seed's slot 3: check holds the
-    # records to those arrays, on either learner state, and names the earlier
+    # records to those arrays, on either decide path, and names the earlier
     # slot
     cfg = apply_overrides(load_config(SYNC_DOC), seeds=f"1..{n_seeds}", slots=4)
     seed = min(3, n_seeds - 1)

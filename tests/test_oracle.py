@@ -12,11 +12,12 @@ from sfcbackup import (Catalog, EdgeNetwork, RewardWeights, SearchSpaceTooLarge,
                        make_ground_truth, optimal_slot_value)
 from sfcbackup.harness import simulate_run
 from sfcbackup.kernels import GREEDY, PlanGraph
-from sfcbackup.learning import chain_failure_rate, init_learners
+from sfcbackup.lockstep import Learners
 from sfcbackup.oracle import optimal_chain_latency, shortest_path_matrix
 from sfcbackup.workload import true_popularity
 
-from reference import expected_slot_value, get_consumption, slot_rows, verified_slot
+from reference import (chain_failure_rate, expected_slot_value, get_consumption, slot_rows,
+                       verified_slot)
 
 
 def test_shortest_paths_take_multi_hop_shortcuts() -> None:
@@ -225,8 +226,7 @@ def test_policies_never_beat_the_oracle() -> None:
     w = RewardWeights()
     ceiling = optimal_slot_value(net, cat, gt, w).best_value
 
-    learners = init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users, failure_bonus_scale=1.0,
-                             failure_bonus_sign=-1)
+    learners = Learners.fresh(1, cat.n_sfcs, cat.n_vnfs, gt.n_users, 1.0, -1)
     graph = PlanGraph(net, cat, GREEDY)
     worst_gap = math.inf
     for t, (requests, failed) in enumerate(slot_rows(gt, 1, 51), start=1):

@@ -11,25 +11,26 @@ from sfcbackup import (Catalog, EdgeNetwork, InvariantViolation, RewardWeights,
 from sfcbackup import kernels, lockstep
 from sfcbackup.harness import PLACEMENT_MODES
 from sfcbackup.kernels import PlanGraph
-from sfcbackup.learning import FailureLearner, PopularityLearner, init_learners
 from sfcbackup.policy import learned_rows
 from sfcbackup.workload import policy_uniform_block
 
-from reference import (PlacementPlan, SlotDecision, array_estimates, array_updates, as_arrays,
-                       estimates, expected_slot_value, random_slots, realized_reward, records,
-                       reference_random_slot, select, slot_rows, uniform_layout, verified_slot,
-                       verify_decision)
+from reference import (PlacementPlan, SlotDecision, estimates, expected_slot_value,
+                       fresh_learners, learner_row, random_slots, realized_reward, records,
+                       reference_random_slot, select, slot_rows, uniform_layout, update,
+                       verified_slot, verify_decision)
 
 
 def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
-                  placements: int = 5, sign: int = 1, scale: float = 1.0):
-    pop = PopularityLearner(users=users, selected=[selected] * len(q_mean),
-                            request_total=[q * selected for q in q_mean],
-                            request_mean=list(q_mean))
-    fail = FailureLearner(placements=[placements] * len(v_mean),
-                          failure_total=[v * placements for v in v_mean],
-                          failure_mean=list(v_mean), bonus_scale=scale, bonus_sign=sign)
-    return pop, fail
+                  placements: int = 5, sign: int = 1, scale: float = 1.0) -> lockstep.Learners:
+    """A one-row lockstep.Learners whose arms were all pulled and placed as often."""
+    learners = lockstep.Learners.fresh(1, len(q_mean), len(v_mean), users, scale, sign)
+    learners.selected[0] = selected
+    learners.request_total[0] = [q * selected for q in q_mean]
+    learners.request_mean[0] = q_mean
+    learners.placements[0] = placements
+    learners.failure_total[0] = [v * placements for v in v_mean]
+    learners.failure_mean[0] = v_mean
+    return learners
 
 
 def slot_of(policy: str, net: EdgeNetwork, cat: Catalog, learners, t: int,
@@ -131,8 +132,8 @@ def test_slot_values_rows_take_the_hand_values() -> None:
 def test_zero_capacity_deploys_nothing() -> None:
     net = EdgeNetwork([0, 0], {(0, 1): 1.0})
     cat = Catalog([1, 2], [[0], [1, 0]])
-    pop, fail = learners_with([9.0, 9.0], [0.0, 0.0])
-    dec = slot_of("rtsd", net, cat, (pop, fail), 4, [1, 1], [0, 0])
+    learners = learners_with([9.0, 9.0], [0.0, 0.0])
+    dec = slot_of("rtsd", net, cat, learners, 4, [1, 1], [0, 0])
     assert dec.deployed == []
     assert dec.x == [0, 0]
     assert dec.residual_after == [0, 0]
@@ -141,9 +142,9 @@ def test_zero_capacity_deploys_nothing() -> None:
 def test_ample_capacity_commits_in_score_order() -> None:
     net = EdgeNetwork([100, 100], {(0, 1): 0.5})
     cat = Catalog([2, 2, 2], [[0], [1], [2]])
-    pop, fail = learners_with([5.0, 4.0, 3.0], [0.0, 0.0, 0.0], selected=1000,
+    learners = learners_with([5.0, 4.0, 3.0], [0.0, 0.0, 0.0], selected=1000,
                               placements=1000, users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [0, 0, 0], [0, 0, 0])
+    dec = slot_of("rtsd", net, cat, learners, 2, [0, 0, 0], [0, 0, 0])
     assert [f for f, _ in dec.deployed] == [0, 1, 2]
     assert dec.x == [1, 1, 1]
     assert all(plan.latency == 0.0 for _, plan in dec.deployed)
@@ -152,9 +153,9 @@ def test_ample_capacity_commits_in_score_order() -> None:
 def test_equal_scores_commit_smallest_sfc_first() -> None:
     net = EdgeNetwork([100], ())
     cat = Catalog([2], [[0], [0]])
-    pop, fail = learners_with([4.0, 4.0], [0.0], selected=1000, placements=1000,
+    learners = learners_with([4.0, 4.0], [0.0], selected=1000, placements=1000,
                               users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [0, 0], [0])
+    dec = slot_of("rtsd", net, cat, learners, 2, [0, 0], [0])
     assert [f for f, _ in dec.deployed] == [0, 1]
 
 
@@ -162,9 +163,9 @@ def test_nonpositive_scores_are_never_committed() -> None:
     net = EdgeNetwork([100], ())
     cat = Catalog([2], [[0], [0]])
     # popularity 0 and zero latency gives score exactly 0: stay out
-    pop, fail = learners_with([0.0, 0.0], [0.0], selected=1000, placements=1000,
+    learners = learners_with([0.0, 0.0], [0.0], selected=1000, placements=1000,
                               users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [0, 0], [0])
+    dec = slot_of("rtsd", net, cat, learners, 2, [0, 0], [0])
     assert dec.deployed == []
 
 
@@ -174,25 +175,26 @@ def test_walks_differ_between_learned_policies() -> None:
     net = EdgeNetwork([4, 10], {(0, 1): 0.9})
     cat = Catalog([4, 8], [[1, 0]])
     args = dict(selected=1000, placements=1000, users=0)
-    pop, fail = learners_with([6.0], [0.0, 0.0], **args)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [0], [0, 0])
+    learners = learners_with([6.0], [0.0, 0.0], **args)
+    dec = slot_of("rtsd", net, cat, learners, 2, [0], [0, 0])
     assert [f for f, _ in dec.deployed] == [0]
     assert dec.deployed[0][1].assignment == (1, 0)
     assert dec.deployed[0][1].latency == pytest.approx(0.9)
 
-    pop, fail = learners_with([6.0], [0.0, 0.0], **args)
-    dec = slot_of("bandit", net, cat, (pop, fail), 2, [0], [0, 0])
+    learners = learners_with([6.0], [0.0, 0.0], **args)
+    dec = slot_of("bandit", net, cat, learners, 2, [0], [0, 0])
     assert dec.deployed == []
 
 
 def test_learned_policies_update_only_deployed_arms() -> None:
     net = EdgeNetwork([6], ())
     cat = Catalog([6, 6], [[0], [1]])
-    pop, fail = learners_with([5.0, 4.0], [0.0, 0.0], selected=2, placements=2,
+    learners = learners_with([5.0, 4.0], [0.0, 0.0], selected=2, placements=2,
                               users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 3, [4, 4], [1, 1])
+    dec = slot_of("rtsd", net, cat, learners, 3, [4, 4], [1, 1])
     # capacity admits one chain; the higher estimate wins
     assert dec.x == [1, 0]
+    pop, fail = learner_row(learners, 0)
     assert pop.selected == [3, 2]
     assert pop.request_mean[0] == pytest.approx((10.0 + 4.0) / 3)
     assert pop.request_mean[1] == pytest.approx(4.0)
@@ -203,25 +205,23 @@ def test_learned_policies_update_only_deployed_arms() -> None:
 
 def test_rtsd_matches_reference_loop_over_a_trace() -> None:
     # policy.learned_rows, slot after slot on a hand instance, against the
-    # unpruned select and the learners' array formulas
+    # unpruned select and the learners' formulas on a reference pair
     net = EdgeNetwork([10, 8, 9], {(0, 1): 0.6, (0, 2): 1.0, (1, 2): 0.5})
     cat = Catalog([5, 4, 3, 2, 6], [[0, 1], [2, 3, 2], [4, 1], [3, 3, 3]])
     gt = make_ground_truth([0.8, 0.6, 0.5, 0.3], [0.05, 0.1, 0.02, 0.3, 0.08],
                            users=6, n_sfcs=4, rng_seed=7)
     w = RewardWeights(omega=1.0, mu=0.7)
 
-    live = init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users, failure_bonus_scale=1.0,
+    live = lockstep.Learners.fresh(1, cat.n_sfcs, cat.n_vnfs, gt.n_users, 1.0, -1)
+    ref = fresh_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users, failure_bonus_scale=1.0,
                          failure_bonus_sign=-1)
-    ref = as_arrays(*init_learners(cat.n_sfcs, cat.n_vnfs, gt.n_users,
-                                   failure_bonus_scale=1.0, failure_bonus_sign=-1))
 
     any_deployed = False
     for t, (requests, failed) in enumerate(slot_rows(gt, 1, 31), start=1):
-        ref_q, ref_v = array_estimates(*ref, t)
-        assert (ref_q.tolist(), ref_v.tolist()) == estimates(live, t)
+        ref_q, ref_v = estimates(ref, t)
+        assert (ref_q, ref_v) == estimates(learner_row(live, 0), t)
         dec = slot_of("rtsd", net, cat, live, t, requests, failed, w)
-        want, want_res = select(net, cat, True, ref_q.tolist(), ref_v.tolist(),
-                                w.omega, w.mu)
+        want, want_res = select(net, cat, True, ref_q, ref_v, w.omega, w.mu)
 
         assert [f for f, _ in dec.deployed] == [f for f, _ in want]
         for (_, got_plan), (_, ref_plan) in zip(dec.deployed, want):
@@ -235,12 +235,10 @@ def test_rtsd_matches_reference_loop_over_a_trace() -> None:
             x_ref[f] = 1
             for i in cat.sfc_chain[f]:
                 placed_ref[i] += 1
-        array_updates(*ref, requests, failed, x_ref, placed_ref)
+        update(ref, requests, failed, x_ref, placed_ref)
 
-        assert live[0].selected == ref[0].selected.tolist()
-        assert live[0].request_total == ref[0].request_total.tolist()
-        assert live[1].placements == ref[1].placements.tolist()
-        assert live[1].failure_total == ref[1].failure_total.tolist()
+        for learner, ref_learner in zip(learner_row(live, 0), ref):
+            assert vars(learner) == vars(ref_learner)
         any_deployed = any_deployed or bool(dec.deployed)
     assert any_deployed
 
@@ -397,9 +395,9 @@ def test_expected_reward_is_the_mean_realized_reward_with_several_fallible_vnfs(
 def legit_decision():
     net = EdgeNetwork([10, 8], {(0, 1): 0.5})
     cat = Catalog([4, 3], [[0, 1], [1]])
-    pop, fail = learners_with([6.0, 5.0], [0.0, 0.0], selected=1000,
+    learners = learners_with([6.0, 5.0], [0.0, 0.0], selected=1000,
                               placements=1000, users=0)
-    dec = slot_of("rtsd", net, cat, (pop, fail), 2, [1, 1], [0, 0])
+    dec = slot_of("rtsd", net, cat, learners, 2, [1, 1], [0, 0])
     assert dec.deployed
     return net, cat, dec
 
@@ -493,9 +491,9 @@ def test_slot_path_vectors_are_lists_of_python_numbers(monkeypatch) -> None:
     # numpy draws the observation blocks; from the observation to the kernel's
     # decision every per-slot vector is a list (the residual a tuple) of plain
     # ints and floats, and so are the edge table entries the decision's ids
-    # name, so no numpy scalar rides along into the kernel or the learners;
-    # what the learners were updated with comes back as bool and int64 arrays
-    # for lockstep.check
+    # name, so no numpy scalar rides along into the kernel; the learner rows
+    # come back as int64 counts and float64 totals and means, and what the
+    # learners were updated with as bool and int64 arrays for lockstep.check
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cat.n_sfcs, 5)
@@ -519,21 +517,24 @@ def test_slot_path_vectors_are_lists_of_python_numbers(monkeypatch) -> None:
     requests = [r for r, _ in observations]
     failed = [v for _, v in observations]
     for policy in PLACEMENT_MODES:
-        learners = init_learners(cat.n_sfcs, cat.n_vnfs, cfg.users)
+        learners = lockstep.Learners.fresh(1, cat.n_sfcs, cat.n_vnfs, cfg.users, None, 1)
         graph = PlanGraph(net, cat, PLACEMENT_MODES[policy])
         for r, v in observations:
             check("requests", r)
             check("vnf_failed", v)
-        ids, counts, residuals, x, placed = learned_rows([learners], 1, [requests], [failed],
+        ids, counts, residuals, x, placed = learned_rows(learners, 0, 1, [requests], [failed],
                                                          cfg.weights, graph)
         assert x.dtype == bool and placed.dtype == np.int64
         assert x.shape == (len(observations), cat.n_sfcs)
         assert placed.shape == (len(observations), cat.n_vnfs)
         assert ids, policy
         check("counts", counts)
-        pop, fail = learners
-        for learner, names in ((pop, POPULARITY_FIELDS), (fail, FAILURE_FIELDS)):
+        for learner, names in zip(learner_row(learners, 0),
+                                  (POPULARITY_FIELDS, FAILURE_FIELDS)):
             for name in names:
+                counts_arms = name in ("selected", "placements")
+                assert getattr(learners, name).dtype == (np.int64 if counts_arms
+                                                         else np.float64), name
                 check(name, getattr(learner, name))
         check("edge ids", ids)
         for residual in residuals:

@@ -23,7 +23,7 @@ PUBLIC = {
 
 # perfbench/ reads or wraps these by module and name; a missing one would fail
 # a benchmark run or show up only as an absent traced layer. policy's
-# learned_rows is the per-seed learners' one call per policy and chunk, which
+# learned_rows is the per-seed decide path's one call per policy and chunk, which
 # holds what perfbench's learning.estimate and learning.update layers are to
 # time; its tracer still names the four per-slot calls it replaced (ROADMAP.md
 # item 9).
