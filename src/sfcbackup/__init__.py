@@ -12,9 +12,8 @@ once; policy.learned_rows advances a few rows a chunk at a time, seed by
 seed; kernels holds the selection scan and the placement walks.
 """
 
-from .model import Catalog, EdgeNetwork, validate_instance
+from .model import Catalog, EdgeNetwork, InvariantViolation, RewardWeights, validate_instance
 from .workload import GroundTruth, make_ground_truth
-from .policy import InvariantViolation, RewardWeights
 from .oracle import OracleResult, SearchSpaceTooLarge, optimal_slot_value
 from .harness import (ConfigError, ExperimentConfig, RunResult, apply_overrides,
                       default_config_path, emit, load_config, run)

@@ -11,13 +11,15 @@ with one entry per (policy, seed, slot) and the last two left empty unless
 regret evaluation is requested. A summary sidecar aggregates per-policy means
 and sample standard deviations across seeds.
 
-simulate_run is the one simulator loop: run calls it once per group of
-seeds, for every policy at once, so that each seed's observations are drawn
-once and the learned policies' learners, one lockstep.Learners for the
-group, advance together. Only its decide step depends on the policy, and on
-each chunk on the group's learner row count. It returns each policy's
-series as (seeds, slots) arrays, and run reads the trace columns and the
-summary's per-seed means off them. Its batched stages live in lockstep.
+simulate_run is the one simulator loop. run builds the hidden parameters
+once, one GroundTruth that every seed shares, and calls simulate_run once
+per group of seeds, for every policy at once, so that each seed's
+observations are drawn once and the learned policies' learners, one
+lockstep.Learners for the group, advance together. Only its decide step
+depends on the policy, and on each chunk on the group's learner row count.
+It returns each policy's series as (seeds, slots) arrays, and run reads the
+trace columns and the summary's per-seed means off them. Its batched stages
+live in lockstep.
 
 emit writes the trace EMIT_ROWS rows at a time. Within a block it formats
 each distinct value of a column once, by repr for trace.csv and json.dumps
@@ -34,6 +36,7 @@ import gc
 import importlib.resources
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
@@ -42,9 +45,9 @@ import numpy as np
 
 from . import lockstep
 from .kernels import FIRST_FIT, GREEDY, PlanGraph
-from .model import Catalog, EdgeNetwork, validate_instance
+from .model import Catalog, EdgeNetwork, RewardWeights, validate_instance
 from .oracle import optimal_slot_value
-from .policy import RewardWeights, learned_rows
+from .policy import learned_rows
 from .workload import (OBS_BLOCK_SLOTS, GroundTruth, check_parameters, make_ground_truth,
                        policy_uniform_block, sample_arrays)
 
@@ -420,15 +423,17 @@ def apply_overrides(cfg: ExperimentConfig, *, slots: int | None = None,
     return _check(dataclasses.replace(cfg, **updates))
 
 
-def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
+def simulate_run(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth, seeds: Sequence[int],
                  weights: RewardWeights, policies: tuple[str, ...], slots: int, *, users: int,
                  failure_bonus_scale: float | None = None,
                  failure_bonus_sign: int = 1,
                  graphs: dict[str, PlanGraph] | None = None) -> dict[str, dict[str, np.ndarray]]:
-    """The trajectories of every seed in gts under each of policies, over slots 1 .. slots.
+    """The trajectories of every seed in seeds under each of policies, over slots 1 .. slots.
 
-    Returns, per policy, its lockstep.SERIES as (seeds, slots) arrays, row s
-    for gts[s] and column 0 for slot 1: realized and expected reward
+    gt holds the hidden parameters every seed shares; each seed keys its own
+    draws, and gt.rng_seed is not read. Returns, per policy, its
+    lockstep.SERIES as (seeds, slots) arrays, row s for seeds[s] and column
+    0 for slot 1: realized and expected reward
     (float64), total remaining resource and deployment count (int64).
     graphs maps each learned policy to its kernels.PlanGraph, shared across
     seeds; None gives the run fresh ones.
@@ -458,24 +463,24 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
         graphs = {policy: PlanGraph(network, catalog, PLACEMENT_MODES[policy])
                   for policy in learned}
     plan_graphs = [graphs[policy] for policy in learned]
-    n_seeds, n_sfcs, n_vnfs = len(gts), catalog.n_sfcs, catalog.n_vnfs
+    n_seeds, n_sfcs, n_vnfs = len(seeds), catalog.n_sfcs, catalog.n_vnfs
     layout = lockstep.Layout.of(network, catalog)
     width = layout.width
     omega, mu = weights.omega, weights.mu
-    chunk, block = _chunk_and_block(layout, gts)
-    value_true, gate_true = (np.tile(a, (chunk, 1))
-                             for a in lockstep.true_values(layout, gts, weights))
+    request_draws = gt.request_prob.size     # per slot and seed
+    chunk, block = _chunk_and_block(layout, n_seeds, request_draws)
+    # every row of a chunk reads the same (F,) values and gates
+    value_true, gate_true = (np.broadcast_to(a, (chunk * n_seeds, n_sfcs))
+                             for a in lockstep.true_values(layout, gt, weights))
     learners = lockstep.Learners.fresh(len(learned) * n_seeds, n_sfcs, n_vnfs, users,
                                        failure_bonus_scale, failure_bonus_sign)
-    request_draws = gts[0].request_prob.size     # per slot and seed
-    seeds = [gt.rng_seed for gt in gts]
     # each policy's series, one slot-major list per key
     series = {policy: {key: [] for key in lockstep.SERIES} for policy in policies}
     for b0 in range(1, slots + 1, block):
         n = min(block, slots + 1 - b0)
         # as many seeds per call as keep its request uniforms within the bound
         per_call = max(1, OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // (n * request_draws))
-        parts = [sample_arrays(gts[s:s + per_call], b0, b0 + n)
+        parts = [sample_arrays(gt, seeds[s:s + per_call], b0, b0 + n)
                  for s in range(0, n_seeds, per_call)]
         requests, failed = (parts[0] if len(parts) == 1
                             else (np.concatenate(arrays, axis=1) for arrays in zip(*parts)))
@@ -498,8 +503,7 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gts: list[GroundTruth],
                 else:
                     ids, counts, residuals, x, placed = decided[policy]
                     rec = lockstep.gather(graphs[policy], ids, counts, residuals)
-                lockstep.check(layout, rec,
-                               lambda k: (gts[k % n_seeds].rng_seed, t0 + k // n_seeds),
+                lockstep.check(layout, rec, lambda k: (seeds[k % n_seeds], t0 + k // n_seeds),
                                x, placed)
                 values = lockstep.slot_values(layout, omega, mu, req_rows, survived, rec,
                                               value_true[:n_rows], gate_true[:n_rows])
@@ -552,26 +556,15 @@ def _learned_chunk(learners: lockstep.Learners, graphs: list[PlanGraph],
              copies[:, k].reshape(-1, n_vnfs)) for k in range(n_policies)]
 
 
-def _ground_truths(cfg: ExperimentConfig) -> list[GroundTruth]:
-    """Each seed's hidden parameters, built once per run and shared by every policy.
+def _chunk_and_block(layout: lockstep.Layout, n_seeds: int, draws: int) -> tuple[int, int]:
+    """simulate_run's chunk and block lengths, in slots, for a group of n_seeds seeds.
 
-    The seeds share one set of arrays, so a run holds the parameters once
-    however many seeds it has.
+    draws is a seed's request draws per slot, users x F. A chunk is
+    _batch_rows // n_seeds slots, and at least one. A block is at least
+    OBS_BLOCK_SLOTS slots and one chunk, but at most as many slots as hold
+    OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request draws of a seed.
     """
-    first = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
-                              cfg.catalog.n_sfcs, cfg.seeds[0])
-    return [first] + [first.reseeded(seed) for seed in cfg.seeds[1:]]
-
-
-def _chunk_and_block(layout: lockstep.Layout, gts: list[GroundTruth]) -> tuple[int, int]:
-    """simulate_run's chunk and block lengths, in slots, for a group of seeds gts.
-
-    A chunk is _batch_rows // S slots for S seeds, and at least one. A block
-    is at least OBS_BLOCK_SLOTS slots and one chunk, but at most as many
-    slots as hold OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request draws of a seed.
-    """
-    chunk = max(1, _batch_rows(layout) // len(gts))
-    draws = max(gt.request_prob.size for gt in gts)
+    chunk = max(1, _batch_rows(layout) // n_seeds)
     return chunk, max(OBS_BLOCK_SLOTS, min(chunk, OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // draws))
 
 
@@ -614,20 +607,22 @@ def run(cfg: ExperimentConfig) -> RunResult:
                    else cfg.network.scaled(cfg.capacity_scale))
         catalog = cfg.catalog
 
-        gts = _ground_truths(cfg)
+        # the hidden parameters of every seed, built once per run
+        gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, catalog.n_sfcs,
+                               cfg.seeds[0])
         oracle_value: float | None = None
         if cfg.regret:
-            oracle_value = optimal_slot_value(network, catalog, gts[0], cfg.weights).best_value
+            oracle_value = optimal_slot_value(network, catalog, gt, cfg.weights).best_value
 
         size = max(1, _batch_rows(lockstep.Layout.of(network, catalog)))  # seeds per group
         # one plan graph per learned policy, shared by its seeds and dropped after the run
         graphs = {policy: PlanGraph(network, catalog, mode)
                   for policy, mode in PLACEMENT_MODES.items() if policy in cfg.policies}
-        groups = [simulate_run(network, catalog, gts[k:k + size], cfg.weights, cfg.policies,
-                               cfg.slots, users=cfg.users,
+        groups = [simulate_run(network, catalog, gt, cfg.seeds[k:k + size], cfg.weights,
+                               cfg.policies, cfg.slots, users=cfg.users,
                                failure_bonus_scale=cfg.failure_bonus_scale,
                                failure_bonus_sign=cfg.failure_bonus_sign, graphs=graphs)
-                  for k in range(0, len(gts), size)]
+                  for k in range(0, len(cfg.seeds), size)]
 
         trace: dict[str, list] = {col: [] for col in CSV_COLUMNS}
         rows = len(cfg.seeds) * cfg.slots           # per policy, seed-major

@@ -40,9 +40,9 @@ payoffs, whatever rows share the array. Its expected value adds the row's
 terms left to right in commit order: slot_values adds every row's first
 terms at once, then their second, one vector add per commit rank, and a row
 with fewer commits adds +0.0, which leaves a sum begun at +0.0 as it is. So
-a slot's values do not depend on the rows accounted with it. true_values
-stacks a group's parameters and takes every seed's popularity sums and
-worst rates in one operation each, which round as one seed's do.
+a slot's values do not depend on the rows accounted with it. The seeds of
+a group share one set of parameters, so true_values computes each chain's
+value and gate once, and every row reads that one (F,) row.
 
 The stage functions (estimates, selection_rows, decide_learned, gather,
 random_rows, check, slot_values, update) live at module level and are looked
@@ -58,9 +58,8 @@ from itertools import chain, islice
 import numpy as np
 
 from . import kernels
-from .model import Catalog, EdgeNetwork
-from .policy import InvariantViolation, RewardWeights
-from .workload import GroundTruth, popularity_sums, stacked_parameters
+from .model import Catalog, EdgeNetwork, InvariantViolation, RewardWeights
+from .workload import GroundTruth, popularity_sums
 
 # The per-slot series of a run, the keys of slot_values' result.
 SERIES = ("realized", "expected", "remaining", "deployed")
@@ -168,23 +167,21 @@ class Records:
     residual: np.ndarray        # (R, N) int64
 
 
-def true_values(layout: Layout, gts: list[GroundTruth],
+def true_values(layout: Layout, gt: GroundTruth,
                 weights: RewardWeights) -> tuple[np.ndarray, np.ndarray]:
-    """slot_values' value_true and gate_true, one (S, F) row per seed in gts.
+    """Each chain's true value and gate under gt's parameters, as two (F,) arrays.
 
-    value_true[s, f] is omega times chain f's true popularity, the column sum
-    of gts[s].request_prob in user order (workload.true_popularity), and
-    gate_true[s, f] one minus the worst of gts[s].failure_mean over chain f's
-    VNFs (tests/reference.py's chain_failure_rate). The group's parameters are stacked
-    (workload.stacked_parameters), so each is one numpy operation for all
-    seeds. The results are read-only views where the seeds share their
-    parameters. Every chain must run at least one VNF.
+    value_true[f] is omega times chain f's true popularity, the column sum of
+    gt.request_prob in user order (workload.popularity_sums), and
+    gate_true[f] one minus the worst of gt.failure_mean over chain f's VNFs
+    (tests/reference.py's chain_failure_rate). They are what slot_values
+    charges every row, and what oracle.optimal_slot_value values a chain
+    with. A chain that runs no VNF has no gate, and is refused.
     """
-    prob, rates = stacked_parameters(gts)
-    worst = np.maximum.reduceat(rates[:, layout.chain_flat], layout.chain_start, axis=1)
-    shape = (len(gts), layout.catalog.n_sfcs)
-    return (np.broadcast_to(weights.omega * popularity_sums(prob), shape),
-            np.broadcast_to(1.0 - worst, shape))
+    if not layout.chain_len.all():
+        raise ValueError("every SFC's chain must run at least one VNF")
+    worst = np.maximum.reduceat(gt.failure_mean[layout.chain_flat], layout.chain_start)
+    return weights.omega * popularity_sums(gt.request_prob), 1.0 - worst
 
 
 def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:

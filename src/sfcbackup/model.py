@@ -1,4 +1,4 @@
-"""Edge network and service chain model.
+"""Edge network and service chain model, the reward weights, and the error a failed check raises.
 
 Servers hold a single scalar resource pool. Links are undirected with a fixed
 latency; a VNF placed next to its predecessor on the same server costs zero
@@ -30,6 +30,20 @@ def _normalize_links(links) -> tuple[tuple[int, int, float], ...]:
         out.append((u, v, float(lat)))
     out.sort(key=lambda e: (e[2], e[0], e[1]))
     return tuple(out)
+
+
+class InvariantViolation(RuntimeError):
+    """A committed decision broke capacity safety or bookkeeping coupling."""
+
+
+@dataclass(frozen=True)
+class RewardWeights:
+    omega: float = 1.0   # weight on served request count
+    mu: float = 1.0      # weight on chain latency
+
+    def __post_init__(self):
+        if not (self.omega > 0.0) or not (self.mu >= 0.0):
+            raise ValueError("need omega > 0 and mu >= 0")
 
 
 @dataclass(eq=False)

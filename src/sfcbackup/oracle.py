@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Catalog, EdgeNetwork
-from .policy import RewardWeights
-from .workload import GroundTruth, true_popularity
+from .lockstep import Layout, true_values
+from .model import Catalog, EdgeNetwork, RewardWeights
+from .workload import GroundTruth
 
 DEFAULT_STATE_BUDGET = 10_000_000
 
@@ -102,8 +102,10 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
 
     Maximizes sum_f (omega * q_f - mu * L_f) * (1 - U_f) over SFC subsets with
     jointly feasible placement, minimizing the weighted latency sum within
-    each subset. Deterministic: the first maximal subset in bitmask order
-    wins ties.
+    each subset. omega * q_f and the gate 1 - U_f are lockstep.true_values',
+    the ones the simulator's expected reward reads: q_f is chain f's true
+    popularity and U_f its worst VNF's true failure rate. Deterministic: the
+    first maximal subset in bitmask order wins ties.
     """
     n_sfcs = catalog.n_sfcs
     if n_sfcs > 16:
@@ -114,16 +116,13 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
             f"{network.n_servers}^{total_len} joint assignments exceed the budget")
 
     sp = shortest_path_matrix(network)
-    q = true_popularity(gt)
-    # a chain is only as reliable as its worst VNF
-    rates = gt.failure_mean.tolist()
-    gate = [1.0 - max(rates[i] for i in chain) for chain in catalog.sfc_chain]
+    worth, gate = (a.tolist() for a in true_values(Layout.of(network, catalog), gt, weights))
 
     best_value = 0.0
     best_sel: tuple[int, ...] = ()
     for mask in range(1, 1 << n_sfcs):
         subset = [f for f in range(n_sfcs) if mask >> f & 1]
-        base = sum(weights.omega * q[f] * gate[f] for f in subset)
+        base = sum(worth[f] * gate[f] for f in subset)
         lat_weights = [weights.mu * gate[f] for f in subset]
         penalty = _joint_min_weighted_latency(catalog, subset, lat_weights, sp,
                                               network.capacities)

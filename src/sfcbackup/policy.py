@@ -1,4 +1,4 @@
-"""The learned policies' per-seed loop, the reward weights, and the error a failed check raises.
+"""The learned policies' per-seed loop.
 
 All three policies work on a fresh residual every slot (capacity is
 reclaimed between slots) and never commit a plan with an infinite latency;
@@ -27,31 +27,18 @@ rows at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import inf, log, sqrt
 
 import numpy as np
 
 from . import kernels
+from .lockstep import Learners
+from .model import RewardWeights
 
 
-class InvariantViolation(RuntimeError):
-    """A committed decision broke capacity safety or bookkeeping coupling."""
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    omega: float = 1.0   # weight on served request count
-    mu: float = 1.0      # weight on chain latency
-
-    def __post_init__(self):
-        if not (self.omega > 0.0) or not (self.mu >= 0.0):
-            raise ValueError("need omega > 0 and mu >= 0")
-
-
-def learned_rows(learners, first: int, t0: int, requests, failed, weights: RewardWeights,
-                 graph: kernels.PlanGraph) -> tuple:
+def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
+                 weights: RewardWeights, graph: kernels.PlanGraph) -> tuple:
     """Slots t0, t0 + 1, ... of a learned policy for S seeds' learner rows: decide, then learn.
 
     learners is a lockstep.Learners, and seed s's learners are its row

@@ -1,15 +1,17 @@
 """Stationary request and failure processes, and the policy-side random stream.
 
-Slot t draws from a counter-based RNG stream (Philox keyed by the run seed,
-counter set to [t, 0, 0, 0]), so the observation at slot t depends only on
-(seed, t). sample_arrays is the one way to draw observations, for a group of
+The hidden parameters, SFC popularity and VNF failure rates, are stationary
+and the same for every seed of a run: one GroundTruth. Slot t of a seed
+draws from a counter-based RNG stream (Philox keyed by the seed, counter set
+to [t, 0, 0, 0]), so the observation at slot t depends only on (parameters,
+seed, t). sample_arrays is the one way to draw observations, for a group of
 seeds at once: a range of slots of every seed, as (slots, seeds, F) request
 counts and (slots, seeds, I) failure flags. Each seed keeps its own stream;
-the group's streams fill one buffer, which is thresholded and summed in one
-pass. Policies never consume environment randomness; policy-side draws use a
-separate key domain. A given seed therefore produces the identical
-observation sequence no matter which or how many policies run, and whichever
-seeds it is drawn with.
+the group's streams fill one buffer, which is thresholded against the one
+set of parameters and summed in one pass. Policies never consume
+environment randomness; policy-side draws use a separate key domain. A given
+seed therefore produces the identical observation sequence no matter which
+or how many policies run, and whichever seeds it is drawn with.
 
 The environment's slot streams are not independent: Philox advances the
 counter once per four doubles, so slot t's stream is slot t-1's shifted by
@@ -25,7 +27,6 @@ disjoint from every other slot's (see policy_uniform_block).
 
 from __future__ import annotations
 
-import copy
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -61,8 +62,9 @@ class GroundTruth:
 
     request_prob[k, f] is user k's per-slot probability of requesting SFC f;
     failure_mean[i] is VNF i's per-slot failure probability. Instances are
-    treated as immutable after construction, so reseeded copies share the
-    arrays.
+    treated as immutable after construction. rng_seed keys the draws of a
+    GroundTruth taken as one seed's instance; sample_arrays and
+    harness.simulate_run take their seeds as ints and never read it.
     """
 
     request_prob: np.ndarray
@@ -76,14 +78,6 @@ class GroundTruth:
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
         _check_probabilities(self.request_prob, self.failure_mean)
-
-    def reseeded(self, rng_seed: int) -> "GroundTruth":
-        """The same parameters under another seed; the arrays are shared."""
-        if rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
-        other = copy.copy(self)
-        other.rng_seed = int(rng_seed)
-        return other
 
     @property
     def n_users(self) -> int:
@@ -196,29 +190,29 @@ def policy_uniform_block(seeds: Sequence[int], t0: int, t1: int, width: int) -> 
     return flat.transpose(1, 0, 2)[:, :, :width]
 
 
-def sample_arrays(gts: Sequence[GroundTruth], t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slots t0 .. t1-1 of every seed in gts, one Philox stream per seed, as arrays.
+def sample_arrays(gt: GroundTruth, seeds: Sequence[int], t0: int,
+                  t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots t0 .. t1-1 of every seed in seeds under gt's parameters, as arrays.
 
     Returns the (t1 - t0, S, F) int64 request counts and the (t1 - t0, S, I)
-    uint8 failure flags, [:, s] for gts[s], whose parameters must share one
-    shape. Slot t's D uniforms (the request block, then the failure flags)
-    are the D doubles starting SLOT_STRIDE * (t - t0) into slot t0's stream,
-    which is exactly what slot_stream(seed, t) draws first. Each seed's
-    stream fills a row of one buffer, and the group is thresholded and
-    summed in one pass; seeds that share their parameter arrays, as a run's
-    do, share one row of thresholds. Pure in (gt parameters, seed, t),
-    whatever the range or the group.
+    uint8 failure flags, [:, s] for seeds[s]. Slot t's D uniforms (the
+    request block, then the failure flags) are the D doubles starting
+    SLOT_STRIDE * (t - t0) into slot t0's stream, which is exactly what
+    slot_stream(seed, t) draws first. Each seed's stream fills a row of one
+    buffer, and the group is thresholded against gt's one row of parameters
+    and summed in one pass. Pure in (gt's parameters, seed, t), whatever the
+    range or the group; gt.rng_seed is not read.
     """
     n = t1 - t0
     if n < 1:
         raise ValueError("need t1 > t0")
-    prob, rate = stacked_parameters(gts)
-    n_seeds, (n_users, n_sfcs) = len(gts), prob.shape[1:]
-    n_req = n_users * n_sfcs
-    length = SLOT_STRIDE * (n - 1) + n_req + rate.shape[1]
+    prob, rate = gt.request_prob, gt.failure_mean
+    n_seeds, (n_users, n_sfcs) = len(seeds), prob.shape
+    n_req = prob.size
+    length = SLOT_STRIDE * (n - 1) + n_req + rate.size
     flat = np.empty((n_seeds, length))
-    for out, gt in zip(flat, gts):
-        slot_stream(gt.rng_seed, t0, ENV_DOMAIN).random(out=out)
+    for out, seed in zip(flat, seeds):
+        slot_stream(seed, t0, ENV_DOMAIN).random(out=out)
     # views of the buffer, nothing copied: slot t0 + j of seed s starts
     # SLOT_STRIDE * j into row s, user k's F request uniforms at users[k, j, s]
     # and the I failure uniforms at failures[j, s]. Users lead, so the sum over
@@ -226,38 +220,19 @@ def sample_arrays(gts: Sequence[GroundTruth], t0: int, t1: int) -> tuple[np.ndar
     step = flat.itemsize
     users = np.ndarray((n_users, n, n_seeds, n_sfcs), dtype=np.float64, buffer=flat,
                        strides=(n_sfcs * step, SLOT_STRIDE * step, length * step, step))
-    failures = np.ndarray((n, n_seeds, rate.shape[1]), dtype=np.float64, buffer=flat,
+    failures = np.ndarray((n, n_seeds, rate.size), dtype=np.float64, buffer=flat,
                           offset=n_req * step, strides=(SLOT_STRIDE * step, length * step, step))
-    requests = np.less(users, prob.swapaxes(0, 1)[:, np.newaxis], order="C").sum(
+    requests = np.less(users, prob[:, np.newaxis, np.newaxis], order="C").sum(
         axis=0, dtype=np.int64)
     return requests, np.less(failures, rate, order="C").view(np.uint8)
 
 
-def stacked_parameters(gts: Sequence[GroundTruth]) -> tuple[np.ndarray, np.ndarray]:
-    """The request_prob and failure_mean of every seed in gts, stacked: (S, K, F) and (S, I).
-
-    Seeds that all share the first one's arrays, as a run's do (see
-    GroundTruth.reseeded), give one row, (1, K, F) and (1, I), which
-    broadcasts against the group; so a group holds its parameters once
-    however many seeds it has. Parameters of different shapes are refused.
-    """
-    prob, rate = gts[0].request_prob, gts[0].failure_mean
-    if all(gt.request_prob is prob and gt.failure_mean is rate for gt in gts):
-        return prob[np.newaxis], rate[np.newaxis]
-    return (np.stack([gt.request_prob for gt in gts]),
-            np.stack([gt.failure_mean for gt in gts]))
-
-
 def popularity_sums(request_prob: np.ndarray) -> np.ndarray:
-    """Column sums over the users axis (the second to last) of request_prob, left to right from 0.0.
+    """Column sums over the users of a (K, F) request_prob, left to right from 0.0.
 
+    Chain f's true popularity, its expected per-slot request count.
     np.add.accumulate adds user k's row to the sum of users 0 .. k-1, so each
     column is summed in user order, as a Python loop from 0.0 sums it; the
     final + 0.0 turns a sum of -0.0 terms into the loop's 0.0.
     """
-    return np.add.accumulate(request_prob, axis=-2)[..., -1, :] + 0.0
-
-
-def true_popularity(gt: GroundTruth) -> np.ndarray:
-    """Expected per-slot request count per SFC: column sums of request_prob, in user order."""
-    return popularity_sums(gt.request_prob)
+    return np.add.accumulate(request_prob, axis=0)[-1] + 0.0

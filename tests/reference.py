@@ -8,7 +8,8 @@ and every step of a slot is written as the definition reads:
   Philox keyed (seed, 0) with its counter at [t, 0, 0, 0]: the K x F request
   uniforms, then the I failure uniforms. policy_uniforms draws the random
   policy's W uniforms from the key (seed, 1), counter [t * B, 0, 0, 0] with
-  B = ceil(W / 4).
+  B = ceil(W / 4). parameters converts a GroundTruth's arrays to lists, and
+  each chain's true popularity, once per GroundTruth.
 - fresh_learners is one seed's learner pair, its counts, totals and means
   lists; estimates, update and selection_inputs are the learners' formulas
   on such a pair, the steps that policy.learned_rows runs inline on a
@@ -27,7 +28,8 @@ and every step of a slot is written as the definition reads:
 None of this calls sfcbackup.kernels or .lockstep, nor
 workload.sample_arrays or workload.slot_stream; test_lockstep runs it with
 all of them made to raise. Only the oracle value of a regret run comes from
-sfcbackup.oracle, which test_oracle holds to its own enumeration.
+sfcbackup.oracle, which reads lockstep.true_values and which test_oracle
+holds to its own enumeration.
 
 The ROADMAP.md item "Make the reported numbers mean what their names say"
 changes one definition here for each of its three parts:
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from math import inf, log, sqrt
 from types import SimpleNamespace
@@ -69,9 +72,9 @@ import numpy as np
 
 from sfcbackup import harness, kernels, lockstep
 from sfcbackup.harness import CSV_COLUMNS
-from sfcbackup.model import cheapest_link_anchor
+from sfcbackup.model import InvariantViolation, cheapest_link_anchor
 from sfcbackup.oracle import optimal_slot_value
-from sfcbackup.policy import InvariantViolation, learned_rows
+from sfcbackup.policy import learned_rows
 from sfcbackup.workload import make_ground_truth, sample_arrays
 
 # --- decisions -----------------------------------------------------------------
@@ -155,15 +158,41 @@ def _philox(seed: int, domain: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, domain], counter=[block, 0, 0, 0]))
 
 
+_PARAMETERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def parameters(gt) -> SimpleNamespace:
+    """gt's parameters as lists, converted once per GroundTruth.
+
+    request_prob[k][f] and failure_mean[i] are floats, and popularity[f] is
+    chain f's true popularity: its request probabilities summed over the
+    users in user order, from 0.0.
+    """
+    lists = _PARAMETERS.get(gt)
+    if lists is None:
+        p = gt.request_prob.tolist()
+        popularity = []
+        for f in range(gt.request_prob.shape[1]):
+            total = 0.0
+            for row in p:
+                total += row[f]
+            popularity.append(total)
+        lists = SimpleNamespace(request_prob=p, failure_mean=gt.failure_mean.tolist(),
+                                popularity=popularity)
+        _PARAMETERS[gt] = lists
+    return lists
+
+
 def draw_slot(gt, t: int) -> tuple[list[int], list[int]]:
     """Slot t's request counts and failure flags, drawn on their own as lists."""
     rng = _philox(gt.rng_seed, 0, t)
     u = rng.random(gt.request_prob.shape).tolist()
     fu = rng.random(gt.failure_mean.shape).tolist()
-    p = gt.request_prob.tolist()
+    lists = parameters(gt)
+    p = lists.request_prob
     requests = [sum(row_u[f] < row_p[f] for row_u, row_p in zip(u, p))
                 for f in range(gt.request_prob.shape[1])]
-    return requests, [int(a < b) for a, b in zip(fu, gt.failure_mean.tolist())]
+    return requests, [int(a < b) for a, b in zip(fu, lists.failure_mean)]
 
 
 def policy_uniforms(seed: int, t: int, width: int) -> list[float]:
@@ -469,15 +498,11 @@ def expected_slot_value(weights, gt, decision, catalog) -> float:
     A chain's true popularity sums its request probabilities over the users;
     its gate is one minus its worst VNF's true failure rate.
     """
-    p = gt.request_prob.tolist()
-    rates = gt.failure_mean.tolist()
+    lists = parameters(gt)
     total = 0.0
     for f, plan in decision.deployed:
-        popularity = 0.0
-        for row in p:
-            popularity += row[f]
-        gate = 1.0 - chain_failure_rate(catalog, rates, f)
-        total += (weights.omega * popularity - weights.mu * plan.latency) * gate
+        gate = 1.0 - chain_failure_rate(catalog, lists.failure_mean, f)
+        total += (weights.omega * lists.popularity[f] - weights.mu * plan.latency) * gate
     return total
 
 
@@ -638,7 +663,7 @@ def assert_matches_reference(cfg, monkeypatch) -> dict[str, list]:
 
 def slot_rows(gt, t0: int, t1: int) -> list[tuple[list[int], list[int]]]:
     """Slots t0 .. t1-1 drawn by sample_arrays for gt alone: (requests, failed) lists per slot."""
-    requests, failed = sample_arrays([gt], t0, t1)
+    requests, failed = sample_arrays(gt, [gt.rng_seed], t0, t1)
     return list(zip(requests[:, 0].tolist(), failed[:, 0].tolist()))
 
 

@@ -26,7 +26,7 @@ from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAW
                                parse_seeds, simulate_run)
 from sfcbackup.kernels import PlanGraph
 
-from reference import (assert_matches_reference, draw_slot, reference_series,
+from reference import (assert_matches_reference, draw_slot, reference_run, reference_series,
                        reference_trace_text)
 
 
@@ -142,11 +142,11 @@ def test_simulate_run_shapes_and_determinism() -> None:
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 3)
     kw = dict(users=cfg.users, failure_bonus_scale=1.0, failure_bonus_sign=-1)
-    every = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, POLICY_ORDER, 25, **kw)
+    every = simulate_run(cfg.network, cfg.catalog, gt, [3], cfg.weights, POLICY_ORDER, 25, **kw)
     assert list(every) == list(POLICY_ORDER)
     for policy in POLICY_ORDER:
         a = every[policy]
-        [b] = simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, (policy,),
+        [b] = simulate_run(cfg.network, cfg.catalog, gt, [3], cfg.weights, (policy,),
                            25, **kw).values()
         assert list(a) == ["realized", "expected", "remaining", "deployed"]
         for key, kind in (("realized", np.float64), ("expected", np.float64),
@@ -158,8 +158,29 @@ def test_simulate_run_shapes_and_determinism() -> None:
         assert (a["remaining"] >= 0).all()
         assert (a["deployed"] >= 0).all()
     with pytest.raises(ValueError, match=repr("nope")):
-        simulate_run(cfg.network, cfg.catalog, [gt], cfg.weights, ("rtsd", "nope"), 5,
+        simulate_run(cfg.network, cfg.catalog, gt, [3], cfg.weights, ("rtsd", "nope"), 5,
                      users=cfg.users)
+
+
+def test_simulate_run_keys_each_seed_by_its_own_seed() -> None:
+    # a GroundTruth keyed 0 over seeds 5 and 6 runs what the reference runs
+    # for seeds 5 and 6: the seeds key the draws, never gt.rng_seed
+    cfg = apply_overrides(load_config(tiny_config()), seeds=[5, 6], slots=20)
+    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
+                           cfg.catalog.n_sfcs, 0)
+    out = simulate_run(cfg.network, cfg.catalog, gt, (5, 6), cfg.weights, cfg.policies,
+                       cfg.slots, users=cfg.users, failure_bonus_scale=cfg.failure_bonus_scale,
+                       failure_bonus_sign=cfg.failure_bonus_sign)
+    trace, _ = reference_run(cfg)
+    columns = {"realized": "realized_reward", "expected": "expected_reward",
+               "remaining": "remaining_resource", "deployed": "num_deployed"}
+    for p, policy in enumerate(cfg.policies):
+        for s in range(2):
+            start = (2 * p + s) * cfg.slots
+            assert trace["seed"][start] == cfg.seeds[s]
+            for key, col in columns.items():
+                assert out[policy][key][s].tolist() == trace[col][start:start + cfg.slots], \
+                    (policy, s, key)
 
 
 def test_summary_means_past_the_reduction_buffer() -> None:
@@ -190,7 +211,7 @@ def test_run_across_a_block_of_drawn_slots_equals_the_reference(policy: str,
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 8)
     _, block = harness._chunk_and_block(harness.lockstep.Layout.of(cfg.network, cfg.catalog),
-                                        [gt])
+                                        1, gt.request_prob.size)
     cfg = apply_overrides(cfg, seeds=[8], regret=True, policy=policy, slots=block + 44)
     assert_matches_reference(cfg, monkeypatch)
     # the run pays some deployed chains and voids others on a failed VNF
@@ -224,9 +245,9 @@ def test_one_seed_runs_its_slots_as_one_chunk(monkeypatch) -> None:
         checked.append(rec.residual.shape[0])
         return real_check(layout, rec, *args)
 
-    def sample(gts, t0, t1):
+    def sample(gt, seeds, t0, t1):
         drawn.append((t0, t1))
-        return real_sample(gts, t0, t1)
+        return real_sample(gt, seeds, t0, t1)
 
     monkeypatch.setattr(harness.lockstep, "check", check)
     monkeypatch.setattr(harness, "sample_arrays", sample)
@@ -250,9 +271,9 @@ def record_draws(monkeypatch) -> list[tuple[list[int], int, int]]:
     calls = []
     real = harness.sample_arrays
 
-    def sample(gts, t0, t1):
-        calls.append(([gt.rng_seed for gt in gts], t0, t1))
-        return real(gts, t0, t1)
+    def sample(gt, seeds, t0, t1):
+        calls.append((list(seeds), t0, t1))
+        return real(gt, seeds, t0, t1)
 
     monkeypatch.setattr(harness, "sample_arrays", sample)
     return calls
@@ -265,7 +286,7 @@ def test_a_block_draws_at_most_the_request_bound(monkeypatch, users: int) -> Non
     # draw holds more than OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request uniforms
     cfg = load_config(one_chain_doc(users, 2 * OBS_BLOCK_SLOTS + 3, 3))
     chunk, block = harness._chunk_and_block(
-        harness.lockstep.Layout.of(cfg.network, cfg.catalog), harness._ground_truths(cfg))
+        harness.lockstep.Layout.of(cfg.network, cfg.catalog), len(cfg.seeds), users)
     assert chunk > cfg.slots
     assert block == OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // users
     calls = record_draws(monkeypatch)
@@ -285,7 +306,7 @@ def test_a_group_splits_its_draw_at_the_request_bound(monkeypatch) -> None:
     users = 2 ** 14
     cfg = load_config(one_chain_doc(users, 2 * 16 + 7, "1..5"))
     assert harness._chunk_and_block(harness.lockstep.Layout.of(cfg.network, cfg.catalog),
-                                    harness._ground_truths(cfg))[1] == 16
+                                    len(cfg.seeds), users)[1] == 16
     calls = record_draws(monkeypatch)
     run(cfg)
     assert calls == ([([s], 1, 17) for s in range(1, 6)] + [([s], 17, 33) for s in range(1, 6)]
@@ -365,8 +386,9 @@ def test_run_and_the_oracle_leave_no_reference_cycle() -> None:
     zero_demand = load_config(ZERO_DEMAND_DOC)
     with collector(False):
         gc.collect()
-        optimal_slot_value(cfg.network, cfg.catalog, harness._ground_truths(cfg)[0],
-                           cfg.weights)
+        optimal_slot_value(cfg.network, cfg.catalog,
+                           make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
+                                             cfg.catalog.n_sfcs, 1), cfg.weights)
         assert gc.collect() == 0
         run(bundled)
         assert gc.collect() == 0

@@ -104,31 +104,39 @@ def test_the_decide_path_can_switch_between_chunks_of_one_run(monkeypatch) -> No
 
 
 def test_ground_truths_are_built_once_per_run(monkeypatch) -> None:
+    # one GroundTruth a run, which every seed group's simulate_run reads
     seen = []
     real_simulate = harness.simulate_run
     built = []
     real_make = harness.make_ground_truth
 
     def make(*args):
-        built.append(args)
-        return real_make(*args)
+        built.append(real_make(*args))
+        return built[-1]
 
-    def simulate(network, catalog, gts, weights, policies, *args, **kwargs):
-        seen.append((policies, [id(gt) for gt in gts]))
-        return real_simulate(network, catalog, gts, weights, policies, *args, **kwargs)
+    def simulate(network, catalog, gt, seeds, weights, policies, *args, **kwargs):
+        seen.append((policies, gt, seeds))
+        return real_simulate(network, catalog, gt, seeds, weights, policies, *args, **kwargs)
 
     monkeypatch.setattr(harness, "make_ground_truth", make)
     monkeypatch.setattr(harness, "simulate_run", simulate)
     cfg = load_config(default_config_path())
-    for n in (LOCKSTEP_MIN_SEEDS, 2):
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
+    max_values = harness.LOCKSTEP_MAX_VALUES
+    # seeds, the values bound, and the seed groups it makes
+    for n, bound, groups in ((LOCKSTEP_MIN_SEEDS, max_values, [range(1, LOCKSTEP_MIN_SEEDS + 1)]),
+                             (2, max_values, [[1, 2]]),
+                             (7, per_row * 3, [[1, 2, 3], [4, 5, 6], [7]])):
+        monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", bound)
         seen.clear()
         built.clear()
         run(apply_overrides(cfg, slots=2, seeds=f"1..{n}"))
-        assert len(built) == 1
-        # one call for rtsd, bandit and random on the n ground truths
-        [(policies, ids)] = seen
-        assert policies == POLICY_ORDER
-        assert len(ids) == n and len(set(ids)) == n
+        [gt] = built
+        # one call for rtsd, bandit and random per group, each on the run's gt
+        assert [(policies, list(seeds)) for policies, _, seeds in seen] == \
+               [(POLICY_ORDER, list(group)) for group in groups]
+        assert all(seen_gt is gt for _, seen_gt, _ in seen)
 
 
 @st.composite
@@ -435,10 +443,10 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     rows = {"check": [], "slot_values": []}
     real_simulate = harness.simulate_run
 
-    def recorded(network, catalog, gts, weights, policies, *args, **kwargs):
+    def recorded(network, catalog, gt, seeds, weights, policies, *args, **kwargs):
         for policy in policies:
-            sizes[policy].append(len(gts))
-        return real_simulate(network, catalog, gts, weights, policies, *args, **kwargs)
+            sizes[policy].append(len(seeds))
+        return real_simulate(network, catalog, gt, seeds, weights, policies, *args, **kwargs)
 
     def bound() -> int:
         return max(1, harness._batch_rows(layout))
@@ -609,7 +617,7 @@ def _decide_call(cfg, slot: int, seed: int) -> int:
     if n_seeds >= LOCKSTEP_MIN_SEEDS:
         return (slot - 1) * n_seeds + seed
     chunk, block = harness._chunk_and_block(lockstep.Layout.of(cfg.network, cfg.catalog),
-                                            harness._ground_truths(cfg))
+                                            n_seeds, cfg.users * cfg.catalog.n_sfcs)
     b0 = (slot - 1) // block * block + 1            # the slot's block, then its chunk
     t0 = b0 + (slot - b0) // chunk * chunk
     length = min(chunk, b0 + block - t0, cfg.slots + 1 - t0)
@@ -637,7 +645,7 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
     if slot is None:
         # past the first block of drawn slots, in the next block's one, partial chunk
         _, block = harness._chunk_and_block(lockstep.Layout.of(cfg.network, cfg.catalog),
-                                            harness._ground_truths(cfg))
+                                            n_seeds, cfg.users * cfg.catalog.n_sfcs)
         slot, cfg = block + 3, apply_overrides(cfg, slots=block + 7)
     seed = min(3, n_seeds - 1)              # the fourth seed, or the last one
     target = _decide_call(cfg, slot, seed) + 1

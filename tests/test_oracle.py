@@ -14,7 +14,6 @@ from sfcbackup.harness import simulate_run
 from sfcbackup.kernels import GREEDY, PlanGraph
 from sfcbackup.lockstep import Learners
 from sfcbackup.oracle import optimal_chain_latency, shortest_path_matrix
-from sfcbackup.workload import true_popularity
 
 from reference import (chain_failure_rate, expected_slot_value, get_consumption, slot_rows,
                        verified_slot)
@@ -135,7 +134,7 @@ def brute_slot_value(net: EdgeNetwork, cat: Catalog, gt, w: RewardWeights) -> fl
     shortest paths; joint capacity feasibility is checked on the total load.
     """
     sp = shortest_path_matrix(net)
-    q = true_popularity(gt)
+    q = gt.request_prob.sum(axis=0)
     options: list[list[tuple[float, np.ndarray] | None]] = []
     for f in range(cat.n_sfcs):
         chain = cat.sfc_chain[f]
@@ -212,6 +211,15 @@ def test_slot_value_subset_budget_guard() -> None:
         optimal_slot_value(net, cat, gt)
 
 
+def test_slot_value_refuses_an_empty_chain() -> None:
+    # an empty chain has no worst VNF to gate it by, wherever it sits
+    net = EdgeNetwork([5, 5], {(0, 1): 1.0})
+    gt = make_ground_truth(0.5, [0.1], users=2, n_sfcs=2, rng_seed=0)
+    for chains in ([[0], []], [[], [0]]):
+        with pytest.raises(ValueError, match="at least one VNF"):
+            optimal_slot_value(net, Catalog([1], chains), gt)
+
+
 def test_slot_value_joint_budget_guard() -> None:
     net = EdgeNetwork([9, 9, 9, 9], {(u, v): 1.0 for u in range(4)
                                      for v in range(u + 1, 4)})
@@ -234,7 +242,8 @@ def test_policies_never_beat_the_oracle() -> None:
         gap = ceiling - expected_slot_value(w, gt, dec, cat)
         assert gap >= -1e-9
         worst_gap = min(worst_gap, gap)
-    random_series = simulate_run(net, cat, [gt], w, ("random",), 50, users=gt.n_users)["random"]
+    random_series = simulate_run(net, cat, gt, [gt.rng_seed], w, ("random",), 50,
+                                 users=gt.n_users)["random"]
     assert all(ceiling - value >= -1e-9 for value in random_series["expected"][0].tolist())
     # the learned policy should actually approach the ceiling on this instance
     assert worst_gap < ceiling

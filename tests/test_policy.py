@@ -115,7 +115,8 @@ def test_slot_values_rows_take_the_hand_values() -> None:
                        residual_after=[0])
     rec = records([dec.deployed, []], [[0], [5]])
     layout = lockstep.Layout.of(net, cat)
-    value_true, gate_true = lockstep.true_values(layout, [gt, gt], w)
+    value_true, gate_true = (np.broadcast_to(a, (2, cat.n_sfcs))
+                             for a in lockstep.true_values(layout, gt, w))
     values = lockstep.slot_values(layout, w.omega, w.mu,
                                   np.array([[2], [4]], dtype=np.int64),
                                   np.array([[False], [True]]),

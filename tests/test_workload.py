@@ -10,8 +10,8 @@ from sfcbackup import (Catalog, EdgeNetwork, GroundTruth, RewardWeights, default
 from sfcbackup import harness, lockstep, workload
 from sfcbackup.harness import OBS_BLOCK_SLOTS, simulate_run
 from sfcbackup.workload import (ENV_DOMAIN, POLICY_DOMAIN, counter_blocks,
-                                policy_uniform_block, sample_arrays, slot_stream,
-                                true_popularity)
+                                policy_uniform_block, popularity_sums, sample_arrays,
+                                slot_stream)
 
 from reference import draw_slot, slot_row, slot_rows, uniform_layout
 
@@ -66,7 +66,7 @@ def test_request_mean_matches_binomial() -> None:
     # K=10, p=0.3: per-slot mean 3.0, var 2.1
     gt = make_ground_truth(0.3, [0.0], users=10, n_sfcs=1, rng_seed=77)
     n = 20_000
-    requests, _ = sample_arrays([gt], 0, n)
+    requests, _ = sample_arrays(gt, [gt.rng_seed], 0, n)
     mean = int(requests[:, 0, 0].sum()) / n
     sigma = np.sqrt(10 * 0.3 * 0.7 / n)
     assert abs(mean - 3.0) < 3 * sigma
@@ -74,9 +74,9 @@ def test_request_mean_matches_binomial() -> None:
 
 def test_true_popularity_forms() -> None:
     gt = make_ground_truth(0.5, [0.0], users=10, n_sfcs=2, rng_seed=0)
-    assert np.allclose(true_popularity(gt), [5.0, 5.0])
+    assert np.allclose(popularity_sums(gt.request_prob), [5.0, 5.0])
     gt = make_ground_truth([1.0, 0.0, 0.0], [0.0], users=1, n_sfcs=3, rng_seed=0)
-    assert np.allclose(true_popularity(gt), [1.0, 0.0, 0.0])
+    assert np.allclose(popularity_sums(gt.request_prob), [1.0, 0.0, 0.0])
 
 
 def test_true_values_match_per_chain_definition() -> None:
@@ -87,10 +87,10 @@ def test_true_values_match_per_chain_definition() -> None:
                            users=2, n_sfcs=3, rng_seed=0)
     weights = RewardWeights(omega=1.5, mu=0.5)
     value_true, gate_true = lockstep.true_values(lockstep.Layout.of(EdgeNetwork([1]), cat),
-                                                 [gt, gt.reseeded(4)], weights)
+                                                 gt, weights)
     q = [0.1 + 0.3, 0.7 + 0.2, 0.3 + 0.9]
-    assert value_true.tolist() == [[1.5 * v for v in q]] * 2
-    assert gate_true.tolist() == [[1.0 - 0.5, 1.0 - 0.125, 1.0 - 0.5]] * 2
+    assert value_true.tolist() == [1.5 * v for v in q]
+    assert gate_true.tolist() == [1.0 - 0.5, 1.0 - 0.125, 1.0 - 0.5]
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,7 +101,7 @@ def test_true_popularity_matches_row_summation(users: int, n_sfcs: int, seed: in
     p = rng.random((users, n_sfcs))
     gt = GroundTruth(p, np.zeros(1), rng_seed=0)
     manual = [sum(p[k][f] for k in range(users)) for f in range(n_sfcs)]
-    assert np.allclose(true_popularity(gt), manual)
+    assert np.allclose(popularity_sums(gt.request_prob), manual)
 
 
 def test_ground_truth_shape_validation() -> None:
@@ -113,17 +113,6 @@ def test_ground_truth_shape_validation() -> None:
         make_ground_truth(1.5, [0.1], users=2, n_sfcs=1, rng_seed=0)
     with pytest.raises(ValueError):
         GroundTruth(np.array([[0.5]]), np.array([0.1]), rng_seed=-1)
-
-
-def test_reseeded_ground_truth_shares_parameters_and_draws_its_own_seed() -> None:
-    gt = make_ground_truth([0.7, 0.2], [0.3, 0.05], users=3, n_sfcs=2, rng_seed=4)
-    other = gt.reseeded(9)
-    assert other.rng_seed == 9 and gt.rng_seed == 4
-    assert other.request_prob is gt.request_prob and other.failure_mean is gt.failure_mean
-    fresh = make_ground_truth([0.7, 0.2], [0.3, 0.05], users=3, n_sfcs=2, rng_seed=9)
-    assert slot_rows(other, 0, 40) == slot_rows(fresh, 0, 40)
-    with pytest.raises(ValueError):
-        gt.reseeded(-1)
 
 
 def test_parameter_check_never_expands_request_prob() -> None:
@@ -156,7 +145,7 @@ def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: in
     """sample_arrays over a range of slots draws what each slot draws on its own."""
     rng = np.random.default_rng(seed)
     gt = GroundTruth(rng.random((users, n_sfcs)), rng.random(n_vnfs), rng_seed=seed)
-    requests, failed = sample_arrays([gt], t0, t0 + n)
+    requests, failed = sample_arrays(gt, [seed], t0, t0 + n)
     assert requests.shape == (n, 1, n_sfcs) and requests.dtype == np.int64
     assert failed.shape == (n, 1, n_vnfs) and failed.dtype == np.uint8
     rows = slot_rows(gt, t0, t0 + n)
@@ -171,9 +160,10 @@ def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
     # the length this run draws, and three slots more, each block one draw for
     # both seeds. slot_values sees the failure flags as each chain's survival.
     gt = make_ground_truth([0.7, 0.2], [0.3, 0.05, 0.5], users=3, n_sfcs=2, rng_seed=12)
-    gts = [gt, gt.reseeded(40)]
+    seeds = (12, 40)
     net, cat = EdgeNetwork([4], []), Catalog([1, 2, 3], [[0, 1], [2]])
-    _, block = harness._chunk_and_block(lockstep.Layout.of(net, cat), gts)
+    _, block = harness._chunk_and_block(lockstep.Layout.of(net, cat), len(seeds),
+                                        gt.request_prob.size)
     n_slots = 2 * block + 3
     drawn, ranges = [], []
     real = lockstep.slot_values
@@ -183,28 +173,24 @@ def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
         drawn.extend(zip(requests.tolist(), survived.tolist()))
         return real(layout, omega, mu, requests, survived, *args)
 
-    def sample(gts, t0, t1):
-        ranges.append(([gt.rng_seed for gt in gts], t0, t1))
-        return real_sample(gts, t0, t1)
+    def sample(parameters, group, t0, t1):
+        ranges.append((list(group), t0, t1))
+        return real_sample(parameters, group, t0, t1)
 
     monkeypatch.setattr(lockstep, "slot_values", recorded)
     monkeypatch.setattr(harness, "sample_arrays", sample)
-    simulate_run(net, cat, gts, RewardWeights(), ("random",), n_slots, users=3)
+    simulate_run(net, cat, gt, seeds, RewardWeights(), ("random",), n_slots, users=3)
     assert ranges == [([12, 40], t0, t1) for t0, t1 in
                       ((1, block + 1), (block + 1, 2 * block + 1), (2 * block + 1, n_slots + 1))]
-    assert len(drawn) == n_slots * len(gts)
+    assert len(drawn) == n_slots * len(seeds)
     for k, row in enumerate(drawn):
-        requests, failed = draw_slot(gts[k % 2], k // 2 + 1)
+        requests, failed = draw_slot(keyed(gt, seeds[k % 2]), k // 2 + 1)
         assert row == (requests, [not any(failed[i] for i in chain) for chain in cat.sfc_chain])
 
 
-def group_of_two_parameter_sets() -> list[GroundTruth]:
-    """Five seeds over two parameter sets of one shape, seed 5 under both."""
-    a = make_ground_truth([[0.7, 0.2, 0.9], [0.1, 0.5, 0.4]], [0.3, 0.05, 0.5, 0.2],
-                          users=2, n_sfcs=3, rng_seed=5)
-    b = make_ground_truth([[0.2, 0.6, 0.1], [0.8, 0.3, 0.35]], [0.1, 0.4, 0.02, 0.6],
-                          users=2, n_sfcs=3, rng_seed=7)
-    return [a, b, a.reseeded(9), b.reseeded(5), a.reseeded(2 ** 40)]
+def keyed(gt: GroundTruth, seed: int) -> GroundTruth:
+    """gt's parameters as the instance of one seed, for the reference's per-seed draws."""
+    return GroundTruth(gt.request_prob, gt.failure_mean, seed)
 
 
 def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
@@ -218,43 +204,23 @@ BLOCK_RANGES = ((1, OBS_BLOCK_SLOTS + 1), (OBS_BLOCK_SLOTS - 2, OBS_BLOCK_SLOTS 
                 (OBS_BLOCK_SLOTS + 1, OBS_BLOCK_SLOTS + 4))
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["two-parameter-sets", "shared"])
-def test_a_group_draws_what_each_seed_draws_alone(shared: bool) -> None:
-    gts = group_of_two_parameter_sets()
-    if shared:      # a run's seeds share one set of arrays
-        gts = [gts[0].reseeded(gt.rng_seed) for gt in gts]
+def test_a_group_draws_what_each_seed_draws_alone() -> None:
+    # five seeds under one set of parameters, as a run draws them
+    gt = make_ground_truth([[0.7, 0.2, 0.9], [0.1, 0.5, 0.4]], [0.3, 0.05, 0.5, 0.2],
+                           users=2, n_sfcs=3, rng_seed=0)
+    seeds = (5, 7, 9, 5, 2 ** 40)
     width = 11
     for t0, t1 in BLOCK_RANGES:
-        requests, failed = sample_arrays(gts, t0, t1)
-        uniforms = policy_uniform_block([gt.rng_seed for gt in gts], t0, t1, width)
+        requests, failed = sample_arrays(gt, seeds, t0, t1)
+        uniforms = policy_uniform_block(seeds, t0, t1, width)
         assert requests.shape[:2] == failed.shape[:2] == uniforms.shape[:2] == (t1 - t0, 5)
-        for s, gt in enumerate(gts):
-            alone_requests, alone_failed = sample_arrays([gt], t0, t1)
+        for s, seed in enumerate(seeds):
+            alone_requests, alone_failed = sample_arrays(gt, [seed], t0, t1)
             assert_same_array(requests[:, s], alone_requests[:, 0])
             assert_same_array(failed[:, s], alone_failed[:, 0])
-            assert_same_array(uniforms[:, s],
-                              policy_uniform_block([gt.rng_seed], t0, t1, width)[:, 0])
-            assert slot_rows(gt, t0, t1) == [draw_slot(gt, t) for t in range(t0, t1)]
-
-
-def test_a_group_refuses_parameters_of_another_shape() -> None:
-    a = make_ground_truth(0.5, [0.1], users=2, n_sfcs=3, rng_seed=1)
-    b = make_ground_truth(0.5, [0.1], users=3, n_sfcs=3, rng_seed=2)
-    with pytest.raises(ValueError):
-        sample_arrays([a, b], 1, 4)
-
-
-def test_group_true_values_equal_each_seed_alone() -> None:
-    gts = group_of_two_parameter_sets()
-    cat = Catalog([1] * 4, [[0, 1], [3], [2, 2, 1]])
-    layout = lockstep.Layout.of(EdgeNetwork([1]), cat)
-    weights = RewardWeights(omega=1.3, mu=0.5)
-    value_true, gate_true = lockstep.true_values(layout, gts, weights)
-    assert value_true.shape == gate_true.shape == (5, 3)
-    for s, gt in enumerate(gts):
-        alone = lockstep.true_values(layout, [gt], weights)
-        assert_same_array(value_true[s], alone[0][0])
-        assert_same_array(gate_true[s], alone[1][0])
+            assert_same_array(uniforms[:, s], policy_uniform_block([seed], t0, t1, width)[:, 0])
+            alone = keyed(gt, seed)
+            assert slot_rows(alone, t0, t1) == [draw_slot(alone, t) for t in range(t0, t1)]
 
 
 def test_true_popularity_sums_the_users_in_order() -> None:
@@ -267,16 +233,16 @@ def test_true_popularity_sums_the_users_in_order() -> None:
     for row in gt.request_prob.tolist():
         in_order = [total + p for total, p in zip(in_order, row)]
     assert in_order[0] != float(gt.request_prob[:, 0].sum())
-    assert true_popularity(gt).tolist() == in_order
+    assert popularity_sums(gt.request_prob).tolist() == in_order
     layout = lockstep.Layout.of(EdgeNetwork([1]), Catalog([1], [[0], [0]]))
-    value_true, _ = lockstep.true_values(layout, [gt, gt.reseeded(4)], RewardWeights(omega=1.0))
-    assert value_true.tolist() == [in_order] * 2
+    value_true, _ = lockstep.true_values(layout, gt, RewardWeights(omega=1.0))
+    assert value_true.tolist() == in_order
 
 
 def test_sample_slots_rejects_empty_range() -> None:
     gt = make_ground_truth(0.5, [0.1], users=2, n_sfcs=1, rng_seed=0)
     with pytest.raises(ValueError):
-        sample_arrays([gt], 4, 4)
+        sample_arrays(gt, [0], 4, 4)
 
 
 def test_slot_stream_matches_philox_keyed_directly() -> None:
@@ -326,7 +292,7 @@ def test_ground_truth_rejects_nan_probabilities() -> None:
 
 
 def slot_uniforms(monkeypatch: pytest.MonkeyPatch, gt: GroundTruth, t: int) -> set[float]:
-    """Every uniform sample_arrays([gt], t, t + 1) draws, recorded at the generator."""
+    """Every uniform sample_arrays(gt, [gt.rng_seed], t, t + 1) draws, recorded at the generator."""
     drawn: list[float] = []
     real = workload.slot_stream
 
@@ -341,7 +307,7 @@ def slot_uniforms(monkeypatch: pytest.MonkeyPatch, gt: GroundTruth, t: int) -> s
 
     with monkeypatch.context() as patch:
         patch.setattr(workload, "slot_stream", lambda *a, **kw: Recorder(real(*a, **kw)))
-        workload.sample_arrays([gt], t, t + 1)
+        workload.sample_arrays(gt, [gt.rng_seed], t, t + 1)
     if not drawn:       # not an AssertionError, so the strict xfail below cannot absorb it
         pytest.fail("sample_arrays no longer draws through workload.slot_stream")
     return set(drawn)
