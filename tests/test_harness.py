@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import (ConfigError, InvariantViolation, apply_overrides, default_config_path,
-                       emit, load_config, make_ground_truth, optimal_slot_value, run,
-                       validate_instance)
+from sfcbackup import (Catalog, ConfigError, InvariantViolation, apply_overrides,
+                       default_config_path, emit, load_config, make_ground_truth,
+                       optimal_slot_value, run, validate_instance)
 from sfcbackup import harness
 from sfcbackup.cli import main
 from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
@@ -181,6 +181,23 @@ def test_simulate_run_keys_each_seed_by_its_own_seed() -> None:
             for key, col in columns.items():
                 assert out[policy][key][s].tolist() == trace[col][start:start + cfg.slots], \
                     (policy, s, key)
+
+
+
+def test_simulate_run_refuses_an_empty_chain(monkeypatch) -> None:
+    # a chain that runs no VNF has no worst failure rate to gate it by; it is
+    # refused before any slot is drawn, first, middle or last in the catalog
+    cfg = load_config(tiny_config())
+    gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users, cfg.catalog.n_sfcs, 0)
+    monkeypatch.setattr(harness, "sample_arrays",
+                        lambda *a: pytest.fail("drew slots for an empty chain"))
+    chains = cfg.catalog.sfc_chain
+    for f in range(len(chains)):
+        catalog = Catalog(cfg.catalog.vnf_demand,
+                          [() if g == f else chain for g, chain in enumerate(chains)])
+        with pytest.raises(ValueError, match="at least one VNF"):
+            simulate_run(cfg.network, catalog, gt, (1, 2), cfg.weights, cfg.policies, 5,
+                         users=cfg.users)
 
 
 def test_summary_means_past_the_reduction_buffer() -> None:

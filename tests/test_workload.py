@@ -154,6 +154,32 @@ def test_sample_slots_matches_per_slot_draws(users: int, n_sfcs: int, n_vnfs: in
     assert_drawn_alone(gt, [slot_row(gt, t0 + n - 1)], t0 + n - 1)
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=20),
+       st.lists(st.integers(min_value=0, max_value=2 ** 40), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=2 ** 32))
+@example(users=1, n_sfcs=1, n_vnfs=0, t0=0, n=3, seeds=[7, 7], param_seed=1)  # D = 1, repeated
+@example(users=3, n_sfcs=2, n_vnfs=4, t0=9, n=1, seeds=[0, 2 ** 40, 3], param_seed=2)
+def test_a_group_of_any_shape_draws_each_seed_per_slot(users: int, n_sfcs: int, n_vnfs: int,
+                                                        t0: int, n: int, seeds: list[int],
+                                                        param_seed: int) -> None:
+    """Seed s of a group draws, slot by slot, what the reference draws for seed s alone."""
+    # the group's buffer rows are SLOT_STRIDE * (n - 1) + D doubles apart, so
+    # a wrong row length shows only with several seeds and a shape of its own
+    rng = np.random.default_rng(param_seed)
+    gt = GroundTruth(rng.random((users, n_sfcs)), rng.random(n_vnfs), rng_seed=param_seed)
+    requests, failed = sample_arrays(gt, seeds, t0, t0 + n)
+    assert requests.shape == (n, len(seeds), n_sfcs) and requests.dtype == np.int64
+    assert failed.shape == (n, len(seeds), n_vnfs) and failed.dtype == np.uint8
+    for s, seed in enumerate(seeds):
+        alone = keyed(gt, seed)
+        for j in range(n):
+            assert (requests[j, s].tolist(), failed[j, s].tolist()) == draw_slot(alone, t0 + j)
+
+
 def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
     # the observations simulate_run accounts, row (slot - 1) * S + s for seed s,
     # equal each slot's own draw across blocks and chunks: two whole blocks of
