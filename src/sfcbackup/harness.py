@@ -70,8 +70,8 @@ MAX_SEEDS = 1_000_000
 # users x n_sfcs, the request draws of one slot, is at most this. simulate_run
 # sizes its blocks, and splits a seed group's draw of a block into sample_arrays
 # calls, so that one call reads at most OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS =
-# 2**24 request uniforms summed over its seeds, 128 MiB were they held as
-# doubles; sample_arrays holds a one-byte flag per draw.
+# 2**24 request uniforms summed over its seeds. sample_arrays holds them as
+# drawn, 128 MiB of doubles, and a one-byte flag per draw while it counts.
 MAX_REQUEST_DRAWS = 2 ** 16
 # policies x seeds x slots, the trace rows a run holds, is at most this: a row
 # takes about 170 bytes until emit writes it, so a run holds at most about 0.7 GB.
@@ -112,8 +112,9 @@ LOCKSTEP_MIN_SEEDS = 8
 # A block is drawn by calls over all of the group's seeds (or runs of them, see
 # MAX_REQUEST_DRAWS): policy_uniform_block keeps the block's uniforms as drawn,
 # 4 * ceil(W / 4) a row, up to three more than W, and random_rows is handed a
-# copy of one chunk's rows at a time; sample_arrays holds a one-byte flag per
-# uniform of its call's slots and seeds while it counts.
+# copy of one chunk's rows at a time; sample_arrays likewise holds its call's
+# D = users x F + I uniforms a row as drawn, 4 * ceil(D / 4) doubles, and a
+# one-byte flag per request uniform while it counts.
 # At this bound a 2-seed, 50-slot run with 178 values a row (perfbench's
 # wide-edge) decides its block in one chunk, and a 1-seed run with 20 values a
 # row (perfbench's small-regret) takes 1638 slots a chunk, all of its 1000

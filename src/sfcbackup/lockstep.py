@@ -35,14 +35,13 @@ the arms numpy's where= selects, and the estimates divide an unexplored arm by
 2.0 and then discard it. The selection inputs take the same products and
 differences as learned_rows, and a maximum is exact, so each learner row's
 inputs equal the lists learned_rows builds for its seed. A slot's
-realised reward is numpy's pairwise sum of its C-contiguous row of per-chain
-payoffs, whatever rows share the array. Its expected value adds the row's
-terms left to right in commit order: slot_values adds every row's first
-terms at once, then their second, one vector add per commit rank, and a row
-with fewer commits adds +0.0, which leaves a sum begun at +0.0 as it is. So
-a slot's values do not depend on the rows accounted with it. The seeds of
-a group share one set of parameters, so true_values computes each chain's
-value and gate once, and every row reads that one (F,) row.
+realised and expected rewards each add its terms left to right in commit
+order: slot_values adds every row's first terms at once, then their second,
+one vector add per commit rank, and a row with fewer commits adds +0.0,
+which leaves a sum begun at +0.0 as it is. So a slot's values do not depend
+on the rows accounted with it. The seeds of a group share one set of
+parameters, so true_values computes each chain's value and gate once, and
+every row reads that one (F,) row.
 
 The stage functions (estimates, selection_rows, decide_learned, gather,
 random_rows, check, slot_values, update) live at module level and are looked
@@ -114,11 +113,10 @@ class Learners:
     time, and policy.learned_rows a block of rows a chunk at a time. The
     popularity learner's selected[r, f] counts the slots where chain f was
     backed up, and request_mean[r, f] averages the request counts over
-    exactly those slots. The failure learner's placements[r, i] counts
-    VNF i's deployed copies (a slot placing several adds all of them), and
-    failure_mean[r, i] divides the once-per-slot failure flags by that
-    count. Means are total / count, updated only on the arms a slot
-    deployed. users scales the popularity bonus; bonus_sign and bonus_scale
+    exactly those slots. The failure learner's placements[r, i] counts the
+    slots that placed VNF i, however many copies (CUCB's T_i), and
+    failure_mean[r, i] averages the failure flags over exactly those slots.
+    Means are total / count, updated only on the arms a slot deployed. users scales the popularity bonus; bonus_sign and bonus_scale
     set the failure bonus's direction and size, +1 and users by default, -1
     treating unexplored VNFs optimistically. users is a float, exact for a
     config's users: harness._check bounds users x F by 2 ** 16.
@@ -173,15 +171,18 @@ def true_values(layout: Layout, gt: GroundTruth,
 
     value_true[f] is omega times chain f's true popularity, the column sum of
     gt.request_prob in user order (workload.popularity_sums), and
-    gate_true[f] one minus the worst of gt.failure_mean over chain f's VNFs
-    (tests/reference.py's chain_failure_rate). They are what slot_values
-    charges every row, and what oracle.optimal_slot_value values a chain
-    with. A chain that runs no VNF has no gate, and is refused.
+    gate_true[f] the chance that chain f survives a slot: the product of
+    1 - gt.failure_mean[i] over its distinct VNFs, left to right in order of
+    first occurrence, as copies of a VNF share one failure flag. They are
+    what slot_values charges every row, and what oracle.optimal_slot_value
+    values a chain with. A chain that runs no VNF has no gate, and is refused.
     """
     if not layout.chain_len.all():
         raise ValueError("every SFC's chain must run at least one VNF")
-    worst = np.maximum.reduceat(gt.failure_mean[layout.chain_flat], layout.chain_start)
-    return weights.omega * popularity_sums(gt.request_prob), 1.0 - worst
+    rate = gt.failure_mean.tolist()
+    survival = [math.prod(1.0 - rate[i] for i in dict.fromkeys(chain))
+                for chain in layout.catalog.sfc_chain]
+    return weights.omega * popularity_sums(gt.request_prob), np.array(survival)
 
 
 def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -485,29 +486,27 @@ def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,
     for the rows' failure flags, as copies of a VNF share one flag. A
     committed chain earns omega times its requests less mu times its latency,
     and nothing if it did not survive. Its expected value is value_true[k, f]
-    (omega times chain f's true popularity in row k) less mu times the
-    latency, times gate_true[k, f] (one minus its worst true failure rate).
-    A row's expected value adds its terms left to right in commit order,
-    one vector add per commit rank over all rows.
+    (omega times chain f's true popularity) less mu times the latency, times
+    gate_true[k, f] (its true survival chance). Each row's realised and
+    expected terms go into one by-rank table, and one loop adds them left to
+    right in commit order, one vector add per commit rank over all rows.
     """
     n_rows = rec.residual.shape[0]
     row, sfc = rec.row, rec.sfc
-    earned = np.zeros((n_rows, layout.catalog.n_sfcs))
-    earned[row, sfc] = np.where(survived[row, sfc],
-                                omega * requests[row, sfc] - mu * rec.latency, 0.0)
-    realized = earned.sum(axis=1)       # numpy's pairwise sum of each row
-
-    # by_rank[j, k] is row k's (j+1)-th term in commit order, and +0.0 past its
-    # last: a sum that starts from +0.0 is never -0.0, so adding +0.0 leaves it
-    # as it is
+    # terms[j, :, k] is row k's (j+1)-th realised and expected term in commit
+    # order, and +0.0 past its last: a sum that starts from +0.0 is never -0.0,
+    # so adding +0.0 leaves it as it is
     deployed = np.bincount(row, minlength=n_rows)
     rank = np.arange(row.shape[0]) - np.repeat(np.cumsum(deployed) - deployed, deployed)
-    by_rank = np.zeros((deployed.max(initial=0), n_rows))
-    by_rank[rank, row] = (value_true[row, sfc] - mu * rec.latency) * gate_true[row, sfc]
-    expected = np.zeros(n_rows)
-    for terms in by_rank:
-        expected += terms
-    return {"realized": realized.tolist(), "expected": expected.tolist(),
+    terms = np.zeros((deployed.max(initial=0), 2, n_rows))
+    terms[rank, 0, row] = np.where(survived[row, sfc],
+                                   omega * requests[row, sfc] - mu * rec.latency, 0.0)
+    terms[rank, 1, row] = (value_true[row, sfc] - mu * rec.latency) * gate_true[row, sfc]
+    sums = np.zeros((2, n_rows))
+    for by_rank in terms:
+        sums += by_rank
+    realized, expected = sums.tolist()
+    return {"realized": realized, "expected": expected,
             "remaining": rec.residual.sum(axis=1).tolist(), "deployed": deployed.tolist()}
 
 
@@ -518,13 +517,13 @@ def update(learners: Learners, requests: np.ndarray, failed: np.ndarray, x: np.n
     requests and failed are the rows' (R, F) and (R, I) observations, x their
     (R, F) backup vectors and placed their (R, I) copies per VNF. A chain with
     x set counts one pull and its request count; a VNF with placed copies
-    counts all of them and adds its failure flag once.
+    counts one observation and its failure flag, however many copies.
     """
     learners.selected += x
     np.add(learners.request_total, requests, out=learners.request_total, where=x)
     np.divide(learners.request_total, learners.selected, out=learners.request_mean, where=x)
     hit = placed > 0
-    learners.placements += placed
+    learners.placements += hit
     np.add(learners.failure_total, failed, out=learners.failure_total, where=hit)
     np.divide(learners.failure_total, learners.placements, out=learners.failure_mean,
               where=hit)

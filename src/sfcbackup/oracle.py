@@ -104,7 +104,8 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
     jointly feasible placement, minimizing the weighted latency sum within
     each subset. omega * q_f and the gate 1 - U_f are lockstep.true_values',
     the ones the simulator's expected reward reads: q_f is chain f's true
-    popularity and U_f its worst VNF's true failure rate. Deterministic: the
+    popularity and 1 - U_f its survival chance, the product of one minus the
+    true failure rates of its distinct VNFs. Deterministic: the
     first maximal subset in bitmask order wins ties.
     """
     n_sfcs = catalog.n_sfcs

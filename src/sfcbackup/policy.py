@@ -54,15 +54,16 @@ def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
     users * sqrt(3 ln t / (2 selected[f])), +inf while unexplored, and VNF
     i's failure estimate, its mean plus its signed bonus scaled by
     sqrt(3 ln t / (2 placements[i])), clamped to [0, 1], 0 while unexplored.
-    A chain's gate is one minus its worst VNF estimate, floored at 0, its
-    bound value * gate, and the chains with a positive gate and bound are
-    ranked by descending bound, ties by id. kernels.slot_decide scans them:
-    it scores every remaining chain's plan, commits the best positive score,
-    re-plans and repeats. Each committed chain then counts one pull and its
-    request count, and each VNF its placed copies and the slot's failure
-    flag once. tests/reference.py's estimates, selection_inputs and update
-    are these steps' definitions, and lockstep's estimates, selection_rows
-    and update compute the same floats with numpy.
+    A chain's gate, the paper's selection surrogate, is one minus its worst
+    VNF estimate, floored at 0, its bound value * gate, and the chains with
+    a positive gate and bound are ranked by descending bound, ties by id.
+    kernels.slot_decide scans them: it scores every remaining chain's plan,
+    commits the best positive score, re-plans and repeats. Each committed
+    chain then counts one pull and its request count, and each VNF placed
+    one observation, the slot's failure flag, however many copies.
+    tests/reference.py's estimates, selection_inputs and update are these
+    steps' definitions, and lockstep's estimates, selection_rows and update
+    compute the same floats with numpy.
 
     The S rows' six count, total and mean fields are read into lists once,
     at the start, and written back once, at the end; the other rows are left
@@ -129,11 +130,11 @@ def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
                     request_total[f] += req[f]
                     request_mean[f] = request_total[f] / selected[f]
                     for i in chains[f]:
-                        if not placed[i]:       # a VNF's failure flag counts once a slot
+                        if not placed[i]:       # one failure observation a slot
                             failure_total[i] += flags[i]
+                            placements[i] += 1
+                            failure_mean[i] = failure_total[i] / placements[i]
                         placed[i] += 1
-                        placements[i] += 1
-                        failure_mean[i] = failure_total[i] / placements[i]
             xs += x
             copies += placed
     for field, values in zip(fields, state):

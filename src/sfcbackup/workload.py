@@ -2,27 +2,23 @@
 
 The hidden parameters, SFC popularity and VNF failure rates, are stationary
 and the same for every seed of a run: one GroundTruth. Slot t of a seed
-draws from a counter-based RNG stream (Philox keyed by the seed, counter set
-to [t, 0, 0, 0]), so the observation at slot t depends only on (parameters,
-seed, t). sample_arrays is the one way to draw observations, for a group of
-seeds at once: a range of slots of every seed, as (slots, seeds, F) request
-counts and (slots, seeds, I) failure flags. Each seed keeps its own stream;
-the group's streams fill one buffer, which is thresholded against the one
-set of parameters and summed in one pass. Policies never consume
-environment randomness; policy-side draws use a separate key domain. A given
-seed therefore produces the identical observation sequence no matter which
-or how many policies run, and whichever seeds it is drawn with.
+draws from a counter-based RNG stream (Philox keyed by the seed and a key
+domain), so the observation at slot t depends only on (parameters, seed, t).
+sample_arrays is the one way to draw observations, for a group of seeds at
+once: a range of slots of every seed, as (slots, seeds, F) request counts
+and (slots, seeds, I) failure flags. Each seed keeps its own stream; the
+group's streams fill one buffer, which is thresholded against the one set
+of parameters and summed in one pass. Policies never consume environment
+randomness; policy-side draws use a separate key domain. A given seed
+therefore produces the identical observation sequence no matter which or
+how many policies run, and whichever seeds it is drawn with.
 
-The environment's slot streams are not independent: Philox advances the
-counter once per four doubles, so slot t's stream is slot t-1's shifted by
-SLOT_STRIDE draws and consecutive slots share most of their uniforms. The
-ROADMAP.md item "Independent per-slot environment streams" removes the
-overlap. sample_arrays relies on the same shift to draw a range of slots at
-once.
-
-The policy domain has no overlap: a slot that reads W uniforms owns the
-counter blocks [t*B, (t+1)*B) with B = counter_blocks(W), so its draws are
-disjoint from every other slot's (see policy_uniform_block).
+Both key domains lay their slots out alike (_slot_rows): a slot that reads
+W uniforms owns the counter blocks [t*B, (t+1)*B) with B = counter_blocks(W),
+so its draws are disjoint from every other slot's, and one stream started
+at block t0*B yields slots t0, t0 + 1, ... as consecutive rows of 4B doubles.
+The environment reads D = K*F + I uniforms a slot (the request block, then
+the failure flags), the random policy W.
 """
 
 from __future__ import annotations
@@ -39,12 +35,6 @@ POLICY_DOMAIN = 1
 
 # Philox produces four 64-bit words per counter step and a double takes one word.
 PHILOX_BLOCK_DOUBLES = 4
-
-# Doubles between the starts of consecutive slots' environment streams. Slots
-# that draw more than this many uniforms overlap their successors; the ROADMAP.md
-# item "Independent per-slot environment streams" moves the stride to a
-# non-overlapping 4 * ceil(D / 4).
-SLOT_STRIDE = PHILOX_BLOCK_DOUBLES
 
 # The simulators draw observations and random-policy uniforms in blocks of at
 # least this many slots: one Philox stream per block and seed, and memory that
@@ -158,10 +148,8 @@ def _philox_key_type() -> type:
 def slot_stream(seed: int, t: int, domain: int = ENV_DOMAIN) -> np.random.Generator:
     """Generator for (seed, domain) whose Philox counter starts at block t.
 
-    Construction order never matters. Not independent across t: the stream
-    for t + 1 is the stream for t shifted by SLOT_STRIDE doubles (see the
-    module docstring). The environment starts slot t at block t;
-    policy_uniform_block starts it at block t*B.
+    Construction order never matters. Slot t of a W-uniform draw starts at
+    block t * counter_blocks(W) (see _slot_rows).
     """
     bitgen = np.random.Philox(_philox_key_type()(seed, domain),
                               counter=[np.uint64(t), 0, 0, 0])
@@ -173,21 +161,28 @@ def counter_blocks(width: int) -> int:
     return -(-width // PHILOX_BLOCK_DOUBLES)
 
 
-def policy_uniform_block(seeds: Sequence[int], t0: int, t1: int, width: int) -> np.ndarray:
-    """The width policy-domain uniforms of slots t0 .. t1-1 of every seed, as an array.
+def _slot_rows(seeds: Sequence[int], t0: int, t1: int, width: int, domain: int) -> np.ndarray:
+    """Slots t0 .. t1-1 of every seed's domain stream, as an (S, t1 - t0, 4B) buffer.
 
-    It is (t1 - t0, S, width), [:, s] seed seeds[s]'s. Slot t owns counter blocks [t*B, (t+1)*B)
-    with B = counter_blocks(width), so no two slots share a draw, and one
-    stream per seed started at block t0*B yields its slots as consecutive
-    rows of 4B doubles. The streams fill one buffer, which the result views
-    slot-major; nothing is copied. Pure in (seed, t, width), whatever the
-    range or the group.
+    B = counter_blocks(width), and slot t owns counter blocks [t*B, (t+1)*B):
+    [s, j] holds slot t0 + j of seeds[s], its first width doubles the slot's
+    uniforms. One stream per seed, started at block t0*B, fills its row.
     """
     blocks = counter_blocks(width)
     flat = np.empty((len(seeds), t1 - t0, PHILOX_BLOCK_DOUBLES * blocks))
     for out, seed in zip(flat, seeds):
-        slot_stream(seed, t0 * blocks, POLICY_DOMAIN).random(out=out)
-    return flat.transpose(1, 0, 2)[:, :, :width]
+        slot_stream(seed, t0 * blocks, domain).random(out=out)
+    return flat
+
+
+def policy_uniform_block(seeds: Sequence[int], t0: int, t1: int, width: int) -> np.ndarray:
+    """The width policy-domain uniforms of slots t0 .. t1-1 of every seed, as an array.
+
+    It is (t1 - t0, S, width), [:, s] seed seeds[s]'s: _slot_rows' buffer
+    viewed slot-major, nothing copied. Pure in (seed, t, width), whatever the
+    range or the group.
+    """
+    return _slot_rows(seeds, t0, t1, width, POLICY_DOMAIN).transpose(1, 0, 2)[:, :, :width]
 
 
 def sample_arrays(gt: GroundTruth, seeds: Sequence[int], t0: int,
@@ -195,13 +190,12 @@ def sample_arrays(gt: GroundTruth, seeds: Sequence[int], t0: int,
     """Slots t0 .. t1-1 of every seed in seeds under gt's parameters, as arrays.
 
     Returns the (t1 - t0, S, F) int64 request counts and the (t1 - t0, S, I)
-    uint8 failure flags, [:, s] for seeds[s]. Slot t's D uniforms (the
-    request block, then the failure flags) are the D doubles starting
-    SLOT_STRIDE * (t - t0) into slot t0's stream, which is exactly what
-    slot_stream(seed, t) draws first. Each seed's stream fills a row of one
-    buffer, and the group is thresholded against gt's one row of parameters
-    and summed in one pass. Pure in (gt's parameters, seed, t), whatever the
-    range or the group; gt.rng_seed is not read.
+    uint8 failure flags, [:, s] for seeds[s]. Slot t's D = K*F + I
+    environment-domain uniforms (user k's F request uniforms, user by user,
+    then the I failure uniforms) are the first D doubles of its row of
+    _slot_rows' buffer, and the group is thresholded against gt's one row of
+    parameters and summed in one pass. Pure in (gt's parameters, seed, t),
+    whatever the range or the group; gt.rng_seed is not read.
     """
     n = t1 - t0
     if n < 1:
@@ -209,19 +203,13 @@ def sample_arrays(gt: GroundTruth, seeds: Sequence[int], t0: int,
     prob, rate = gt.request_prob, gt.failure_mean
     n_seeds, (n_users, n_sfcs) = len(seeds), prob.shape
     n_req = prob.size
-    length = SLOT_STRIDE * (n - 1) + n_req + rate.size
-    flat = np.empty((n_seeds, length))
-    for out, seed in zip(flat, seeds):
-        slot_stream(seed, t0, ENV_DOMAIN).random(out=out)
-    # views of the buffer, nothing copied: slot t0 + j of seed s starts
-    # SLOT_STRIDE * j into row s, user k's F request uniforms at users[k, j, s]
-    # and the I failure uniforms at failures[j, s]. Users lead, so the sum over
-    # them adds whole (slots, seeds, F) slabs.
-    step = flat.itemsize
-    users = np.ndarray((n_users, n, n_seeds, n_sfcs), dtype=np.float64, buffer=flat,
-                       strides=(n_sfcs * step, SLOT_STRIDE * step, length * step, step))
-    failures = np.ndarray((n, n_seeds, rate.size), dtype=np.float64, buffer=flat,
-                          offset=n_req * step, strides=(SLOT_STRIDE * step, length * step, step))
+    flat = _slot_rows(seeds, t0, t1, n_req + rate.size, ENV_DOMAIN)
+    # views of the buffer, nothing copied: users[k, j, s] holds user k's F
+    # request uniforms at slot t0 + j of seeds[s], and failures[j, s] the I
+    # failure uniforms. Users lead, so the sum over them adds whole
+    # (slots, seeds, F) slabs.
+    users = flat[:, :, :n_req].reshape(n_seeds, n, n_users, n_sfcs).transpose(2, 1, 0, 3)
+    failures = flat[:, :, n_req:n_req + rate.size].transpose(1, 0, 2)
     requests = np.less(users, prob[:, np.newaxis, np.newaxis], order="C").sum(
         axis=0, dtype=np.int64)
     return requests, np.less(failures, rate, order="C").view(np.uint8)

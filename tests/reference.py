@@ -5,11 +5,12 @@ return, column for column. It is one loop over policies, seeds and slots,
 and every step of a slot is written as the definition reads:
 
 - draw_slot draws slot t's requests and failure flags on their own, from a
-  Philox keyed (seed, 0) with its counter at [t, 0, 0, 0]: the K x F request
-  uniforms, then the I failure uniforms. policy_uniforms draws the random
-  policy's W uniforms from the key (seed, 1), counter [t * B, 0, 0, 0] with
-  B = ceil(W / 4). parameters converts a GroundTruth's arrays to lists, and
-  each chain's true popularity, once per GroundTruth.
+  Philox keyed (seed, 0) with its counter at [t * B, 0, 0, 0], B = ceil(D / 4)
+  for its D = K x F + I uniforms: the K x F request uniforms, then the I
+  failure uniforms. policy_uniforms draws the random policy's W uniforms the
+  same way from the key (seed, 1), B = ceil(W / 4). A slot owns its B counter
+  blocks, so no two slots share a draw. parameters converts a GroundTruth's
+  arrays to lists, and each chain's true popularity, once per GroundTruth.
 - fresh_learners is one seed's learner pair, its counts, totals and means
   lists; estimates, update and selection_inputs are the learners' formulas
   on such a pair, the steps that policy.learned_rows runs inline on a
@@ -22,8 +23,9 @@ and every step of a slot is written as the definition reads:
   uniforms where uniform_layout puts them.
 - each decision is held to verify_decision, the eight conditions of a sound
   decision checked one commit at a time, and realized_reward and
-  expected_slot_value value it with plain loops, a chain's expected value
-  gated by one minus chain_failure_rate, its worst VNF's rate.
+  expected_slot_value value it with plain loops, left to right in commit
+  order, a chain's expected value gated by its survival chance, the product
+  of one minus the true failure rates of its distinct VNFs.
 
 None of this calls sfcbackup.kernels or .lockstep, nor
 workload.sample_arrays or workload.slot_stream; test_lockstep runs it with
@@ -31,13 +33,10 @@ all of them made to raise. Only the oracle value of a regret run comes from
 sfcbackup.oracle, which reads lockstep.true_values and which test_oracle
 holds to its own enumeration.
 
-The ROADMAP.md item "Make the reported numbers mean what their names say"
-changes one definition here for each of its three parts:
-(a) independent per-slot environment streams: the counter in draw_slot;
-(b) the expected reward as the expectation of the realised one: the gate in
-    expected_slot_value, chain_failure_rate;
-(c) one failure observation per slot in which a VNF was placed: the
-    placements count in update.
+Each definition is stated once: the slot's counter blocks in draw_slot,
+the survival gate in expected_slot_value, one failure observation per slot
+in which a VNF was placed in update, and the commit-order sum of both
+rewards in realized_reward and expected_slot_value.
 
 reference_random_slot is not a definition but a law: the permutation scan
 the random policy's draws must follow in distribution.
@@ -185,7 +184,7 @@ def parameters(gt) -> SimpleNamespace:
 
 def draw_slot(gt, t: int) -> tuple[list[int], list[int]]:
     """Slot t's request counts and failure flags, drawn on their own as lists."""
-    rng = _philox(gt.rng_seed, 0, t)
+    rng = _philox(gt.rng_seed, 0, t * -(-(gt.request_prob.size + gt.failure_mean.size) // 4))
     u = rng.random(gt.request_prob.shape).tolist()
     fu = rng.random(gt.failure_mean.shape).tolist()
     lists = parameters(gt)
@@ -208,10 +207,10 @@ def fresh_learners(n_sfcs: int, n_vnfs: int, users: int, *,
 
     The popularity learner's selected[f] counts the slots where chain f was
     backed up and request_mean[f] averages their request counts; the failure
-    learner's placements[i] counts VNF i's deployed copies and failure_mean[i]
-    divides its once-per-slot failure flags by that count. The failure bonus
-    is scaled by failure_bonus_scale, users where None, in the direction of
-    failure_bonus_sign.
+    learner's placements[i] counts the slots that placed VNF i, however many
+    copies each, and failure_mean[i] averages their failure flags. The
+    failure bonus is scaled by failure_bonus_scale, users where None, in the
+    direction of failure_bonus_sign.
     """
     scale = users if failure_bonus_scale is None else failure_bonus_scale
     pop = SimpleNamespace(users=users, selected=[0] * n_sfcs,
@@ -251,9 +250,8 @@ def update(learners, requests, failed, x, placed) -> None:
     """Fold one slot's observation into both learners, in place.
 
     Every chain flagged in x, the slot's backup vector, counts one pull and
-    its request count. Every VNF with placed[i] > 0 copies counts all of them
-    (so several may go out at once) but adds its failure flag failed[i] once
-    per slot.
+    its request count. Every VNF with placed[i] > 0 copies counts one
+    observation, its failure flag failed[i], however many copies went out.
     """
     pop, fail = learners
     selected, total, mean = pop.selected, pop.request_total, pop.request_mean
@@ -265,7 +263,7 @@ def update(learners, requests, failed, x, placed) -> None:
     placements, total, mean = fail.placements, fail.failure_total, fail.failure_mean
     for i, copies in enumerate(placed):
         if copies > 0:
-            placements[i] += copies
+            placements[i] += 1
             total[i] += failed[i]
             mean[i] = total[i] / placements[i]
 
@@ -471,37 +469,36 @@ def random_placement(network, catalog, u) -> tuple[list[tuple[int, PlacementPlan
 # --- values -------------------------------------------------------------------
 
 def realized_reward(weights, requests, failed, decision, catalog) -> tuple[np.ndarray, float]:
-    """What the slot actually earned, per SFC and in total.
+    """What the slot actually earned, per SFC and in total, the total summed in commit order.
 
     A deployed chain pays off only if none of its constituent VNFs failed
     this slot (copies of the same VNF share one failure outcome); the payoff
     uses the realized request count. Chains not deployed earn 0.
     """
     earned = [0.0] * catalog.n_sfcs
+    total = 0.0
     for f, plan in decision.deployed:
         if any(failed[i] for i in catalog.sfc_chain[f]):
             continue
         earned[f] = weights.omega * requests[f] - weights.mu * plan.latency
-    per_sfc = np.array(earned, dtype=np.float64)
-    # numpy's pairwise summation order, not Python's left-to-right one
-    return per_sfc, float(per_sfc.sum())
-
-
-def chain_failure_rate(catalog, rates, f: int) -> float:
-    """A chain is only as reliable as its worst VNF: max rate over f's occurrences."""
-    return float(max(rates[i] for i in catalog.sfc_chain[f]))
+        total += earned[f]
+    return np.array(earned, dtype=np.float64), total
 
 
 def expected_slot_value(weights, gt, decision, catalog) -> float:
     """Decision value under the true parameters, summed left to right in commit order.
 
-    A chain's true popularity sums its request probabilities over the users;
-    its gate is one minus its worst VNF's true failure rate.
+    A chain's true popularity sums its request probabilities over the users.
+    Its gate is the chance that it survives the slot: the product of one
+    minus the true failure rate of each of its distinct VNFs, in order of
+    first occurrence.
     """
     lists = parameters(gt)
     total = 0.0
     for f, plan in decision.deployed:
-        gate = 1.0 - chain_failure_rate(catalog, lists.failure_mean, f)
+        gate = 1.0
+        for i in dict.fromkeys(catalog.sfc_chain[f]):
+            gate *= 1.0 - lists.failure_mean[i]
         total += (weights.omega * lists.popularity[f] - weights.mu * plan.latency) * gate
     return total
 

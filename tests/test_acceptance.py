@@ -1,10 +1,11 @@
 """End-to-end acceptance checks for the shipped experiment.
 
 Ten criteria, one test each, run against the bundled canonical config
-(6 servers, 15 VNF types, 6 chains, 10 users, 500 slots, seeds 1..30).
-Each test prints a one-line verdict with the measured numbers; run with
--rP (the repo default) or -s to see the lines for passing tests. The
-heavy canonical run happens once per session and is shared.
+(6 servers, 15 VNF types, 6 chains, 10 users, 500 slots, seeds 1..30),
+and a check on the same run that expected_reward is the mean of the
+realised reward. Each test prints a one-line verdict with the measured
+numbers; run with -rP (the repo default) or -s to see the lines for passing
+tests. The heavy canonical run happens once per session and is shared.
 
 Ordering claims are statistical (gap > 1 pooled standard error over the
 seed sample); everything else is exact or at the stated tolerance.
@@ -92,6 +93,26 @@ def test_01_reward_ordering(canonical) -> None:
         f"{r['bandit']['mean']:.3f} > random {r['random']['mean']:.3f}; gaps "
         f"{gap_rb:.3f} (se {se_rb:.3f}) and {gap_br:.3f} (se {se_br:.3f}); "
         f"{n} seeds in {elapsed:.1f}s")
+    assert ok, line
+
+
+def test_expected_reward_is_the_mean_realized_reward_on_the_headline_run(canonical) -> None:
+    # per policy, each seed's time average of realised less expected reward;
+    # the seeds' draws are independent, so a paired t over them tests for a
+    # bias of expected_reward (or of the learners that pick the chains)
+    cfg, result, _ = canonical
+    n_seeds = len(cfg.seeds)
+    assert n_seeds >= 30 and cfg.slots >= 500
+    gap = (np.array(result.trace["realized_reward"]) - np.array(result.trace["expected_reward"]))
+    gap = gap.reshape(len(cfg.policies), n_seeds, cfg.slots).mean(axis=2)
+    t = gap.mean(axis=1) / (gap.std(axis=1, ddof=1) / math.sqrt(n_seeds))
+    ok = bool((np.abs(t) < 3.0).all())
+    line = report(
+        "expected-reward bias", ok,
+        "per-seed time-avg realised - expected, paired t over "
+        f"{n_seeds} seeds: " + ", ".join(
+            f"{policy} {g.mean():+.3f} (t {tp:+.2f})"
+            for policy, g, tp in zip(cfg.policies, gap, t)) + " (need |t| < 3)")
     assert ok, line
 
 
@@ -230,7 +251,7 @@ def _replay_and_compare(history, pop, fail, users: int, scale: float,
         qsum[sel] += np.array(requests)[sel]
         placed = np.array(placed, dtype=np.int64)
         m = placed > 0
-        h[m] += placed[m]
+        h[m] += 1       # one observation per slot that placed the VNF, whatever the copies
         vsum[m] += np.array(failed)[m]
     qbar = np.where(c > 0, qsum / np.maximum(c, 1), 0.0)
     vbar = np.where(h > 0, vsum / np.maximum(h, 1), 0.0)
@@ -310,21 +331,26 @@ def test_07_learner_consistency() -> None:
     tol_q = 3.0 * math.sqrt(users * p * (1.0 - p) / slots)
     tol_v = 3.0 * math.sqrt(v * (1.0 - v) / slots)
     always = [1]
-    one_copy = [1]
-    ok_q = ok_v = 0
+    # the chain [0] places one copy of VNF 0 a slot, the chain [0, 0] two
+    one_copy, two_copies = [1], [2]
+    ok_q = ok_v = ok_repeat = 0
     for seed in range(n_seeds):
         gt = make_ground_truth(p, [v], users=users, n_sfcs=1, rng_seed=seed)
         pop, fail = fresh_learners(1, 1, users)
+        repeat = fresh_learners(1, 1, users)
         for requests, failed in slot_rows(gt, 1, slots + 1):
             update((pop, fail), requests, failed, always, one_copy)
+            update(repeat, requests, failed, always, two_copies)
         ok_q += abs(float(pop.request_mean[0]) - q_true) < tol_q
         ok_v += abs(float(fail.failure_mean[0]) - v) < tol_v
-    ok = ok_q >= 95 and ok_v >= 95
+        ok_repeat += abs(float(repeat[1].failure_mean[0]) - v) < tol_v
+    ok = ok_q >= 95 and ok_v >= 95 and ok_repeat >= 95
     line = report(
         "7 (learner consistency)", ok,
         f"always-deploy single chain, T={slots}: popularity mean within "
         f"{tol_q:.4f} of {q_true} in {ok_q}/100 seeds, failure mean within "
-        f"{tol_v:.4f} of {v} in {ok_v}/100 seeds (need >= 95)")
+        f"{tol_v:.4f} of {v} in {ok_v}/100 seeds on [0] and {ok_repeat}/100 "
+        f"on [0, 0] (need >= 95)")
     assert ok, line
 
 

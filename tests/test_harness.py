@@ -558,7 +558,7 @@ def test_emit_matches_the_plain_writer_on_any_floats(floats: list[float], rows: 
 # sha256 of trace.csv from ``sfcbackup --slots 60 --seed 1..3`` (bundled config,
 # all policies). A refactor must keep it; a change that alters decisions or
 # sampling on purpose updates it and says so in CHANGES.md.
-GOLDEN_TRACE_SHA256 = "1102477d146cadea6477ce81e8417e69ac2392280a2709afddb1fffcb1055712"
+GOLDEN_TRACE_SHA256 = "e2798a6f922ccb5ddbb102e19961b1162e74cdd2a44d61b75c21637a25cd2cb9"
 
 
 def test_golden_trace_digest(tmp_path: Path) -> None:
@@ -572,9 +572,9 @@ def test_golden_trace_digest(tmp_path: Path) -> None:
 
 # sha256 of trace.csv from ``sfcbackup --slots 60 --seed 1..30`` (bundled config,
 # all policies): lockstep's decide path, which GOLDEN_TRACE_SHA256's three
-# seeds do not reach. Computed with per-seed learners before lockstep's stages
-# existed, so the two decide paths write the same bytes.
-GOLDEN_LOCKSTEP_SHA256 = "9c037e692b06cc19e9ce5f064f93581603de47b9b17bf50de600da641dc40cd5"
+# seeds do not reach. The per-seed path, forced on all 30 seeds, writes the
+# same bytes, and lockstep's, forced on three, GOLDEN_TRACE_SHA256's.
+GOLDEN_LOCKSTEP_SHA256 = "d4796385d73f0cc92ad3062dccaf7e5f43d36cdd03ca8d510ab70fa71fdd7d00"
 
 
 def test_golden_lockstep_trace_digest(tmp_path: Path) -> None:
@@ -589,9 +589,9 @@ def test_golden_lockstep_trace_digest(tmp_path: Path) -> None:
 # trace.csv, trace.jsonl and summary.json of a regret run on the 3-server
 # instance of acceptance criterion 9 (perfbench's small-regret workload)
 GOLDEN_REGRET_SHA256 = {
-    "trace.csv": "5de18c8b4703aac788cb5a339d998e5a6ef5793ed5f217e674067ff0ebe800f4",
-    "trace.jsonl": "21a80be3651c4dd1908314219a21c93a097dda24d4758a54eddf05e4a48d9122",
-    "summary.json": "82b4f1719a993369d187d1c9d4dc888069b25d33988cfd564b3170d378a28541",
+    "trace.csv": "2911d12b4ca1ab7083b40ff68e6c80c1e561a5293fbd8465de89abd870dad4d9",
+    "trace.jsonl": "949244f2306f24a78fb2cab7368887669ad0f375eef7314608f5c1bd248ca964",
+    "summary.json": "a9be0753e17ee0321e578353578d0d36f791449a40916bc88b30f3c1d915b4de",
 }
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import Catalog, make_ground_truth
+from sfcbackup import make_ground_truth
 from sfcbackup.lockstep import Learners
 
-from reference import chain_failure_rate, estimates, fresh_learners, slot_rows, update
+from reference import estimates, fresh_learners, slot_rows, update
 
 
 def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
@@ -83,27 +83,22 @@ def test_popularity_bonus_shrinks_with_count() -> None:
     assert values == sorted(values, reverse=True)
 
 
-def test_failure_update_counts_copies_but_one_flag() -> None:
+def test_failure_update_counts_one_observation_per_slot() -> None:
     pop, fail = learners = fresh()
     update(learners, [4, 9], [1, 0, 0], NO_CHAINS, [1, 0, 0])
     assert pop.selected == [0, 0]
     assert fail.placements == [1, 0, 0]
     assert fail.failure_mean[0] == 1.0
-    # two copies placed, one observed flag: mean stays put at 0.5
-    fail.placements[1] = 2
-    fail.failure_total[1] = 1.0
-    fail.failure_mean[1] = 0.5
+    # two copies placed share one flag: one observation, so a failure in one
+    # of two slots reads 0.5 whatever the copies
+    fail.placements[1] = 1
+    fail.failure_total[1] = 0.0
+    fail.failure_mean[1] = 0.0
     update(learners, [4, 9], [0, 1, 0], NO_CHAINS, [0, 2, 0])
-    assert fail.placements[1] == 4
-    assert fail.failure_mean[1] == pytest.approx(0.5)
+    assert fail.placements[1] == 2
+    assert fail.failure_mean[1] == 0.5
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "update (as policy.learned_rows and lockstep.update) adds a slot's failure flag once "
-    "but every placed copy to the count, "
-    "so a chain that runs a VNF twice halves its estimate; ROADMAP.md item 3(c) of "
-    "\"Make the reported numbers mean what their names say\" counts one observation "
-    "per slot, and this marker goes when it lands"))
 def test_failure_estimate_is_consistent_on_a_repeated_vnf() -> None:
     # acceptance criterion 7's failure check on the chain [0, 0], which places
     # two copies of VNF 0 in every slot, over 2000 slots instead of 10000
@@ -155,19 +150,12 @@ def test_estimates_reject_slot_zero() -> None:
         estimates(fresh(), 0)
 
 
-def test_chain_failure_rate_takes_worst_occurrence() -> None:
-    cat = Catalog([1, 1, 1, 1], [[0, 2], [3, 3], [1]])
-    rates = [0.1, 0.0, 0.7, 0.2]
-    assert chain_failure_rate(cat, rates, 0) == pytest.approx(0.7)
-    assert chain_failure_rate(cat, rates, 1) == pytest.approx(0.2)
-    assert chain_failure_rate(cat, rates, 2) == 0.0
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 20))
 def test_counting_and_mean_identities(seed: int) -> None:
     # after any decision sequence: selected == sum of X, mean == average of
-    # the requests over exactly the selected slots, placements == sum of copies
+    # the requests over exactly the selected slots, placements == the slots
+    # that placed a copy, mean == average of the flags over exactly those
     rng = np.random.default_rng(seed)
     pop, fail = learners = fresh(n_sfcs=3, n_vnfs=4)
     x_hist, q_hist, p_hist, v_hist = [], [], [], []
@@ -186,11 +174,12 @@ def test_counting_and_mean_identities(seed: int) -> None:
         picked = x_all[:, f] == 1
         if picked.any():
             assert pop.request_mean[f] == q_all[picked, f].mean()
-    assert np.array_equal(fail.placements, p_all.sum(axis=0))
+    assert np.array_equal(fail.placements, (p_all > 0).sum(axis=0))
+    assert (p_all > 1).any()
     for i in range(4):
         hit = p_all[:, i] > 0
         if hit.any():
-            assert fail.failure_mean[i] == v_all[hit, i].sum() / p_all[:, i].sum()
+            assert fail.failure_mean[i] == v_all[hit, i].mean()
 
 
 def test_learner_converges_on_always_deploy() -> None:

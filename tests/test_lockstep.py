@@ -27,9 +27,9 @@ from sfcbackup import harness, kernels, lockstep, workload
 from sfcbackup import policy as policy_module
 from sfcbackup.harness import LOCKSTEP_MIN_SEEDS, PLACEMENT_MODES, POLICY_ORDER
 
-from reference import (assert_matches_reference, decoded, estimates, fresh_learners,
-                       random_placement, records, reference_run, selection_inputs, unpack_rows,
-                       update)
+from reference import (PlacementPlan, assert_matches_reference, decision_of, decoded, estimates,
+                       fresh_learners, random_placement, realized_reward, records, reference_run,
+                       selection_inputs, unpack_rows, update)
 
 
 def counted(monkeypatch, calls: dict, module, name: str, key: str) -> None:
@@ -228,8 +228,9 @@ def test_bundled_run_equals_the_reference(monkeypatch) -> None:
 
 
 def test_ten_chain_run_equals_the_reference(monkeypatch) -> None:
-    # ten chains: numpy sums a row of eight or more in pairwise blocks, not
-    # left to right, which the smaller instances above never reach
+    # ten chains: slots that commit eight or more, where a pairwise sum over
+    # the chains would round otherwise than the commit-order sum both rewards
+    # take, which the smaller instances above never reach
     cfg = load_config({
         "network": {"capacities": [14, 9, 12, 7],
                     "links": [[0, 1, 0.4], [1, 2, 0.9], [2, 3, 0.3], [0, 3, 1.3]]},
@@ -963,22 +964,7 @@ def test_random_run_equals_the_reference(monkeypatch, n_seeds: int) -> None:
     assert_matches_reference(cfg, monkeypatch)
 
 
-# --- the reduction order the traces rely on -------------------------------------
-
-def test_row_sums_of_a_matrix_equal_sums_of_its_rows() -> None:
-    # lockstep.slot_values sums each row's per-chain rewards with
-    # earned.sum(axis=1), whether its rows are the seeds of a slot or the slots
-    # of a block; the reference realized_reward sums one slot's as a 1-D array.
-    # Both paths match the reference, and each other, only while numpy reduces
-    # both in the same (pairwise) order.
-    rng = np.random.default_rng(2024)
-    for n_cols in range(1, 65):
-        a = rng.standard_normal((9, n_cols)) * 10.0 ** rng.integers(-8, 9, size=(9, n_cols))
-        a = np.ascontiguousarray(a)
-        sums = a.sum(axis=1).tolist()
-        for row, total in zip(a.tolist(), sums):
-            assert total == float(np.array(row).sum())
-
+# --- the summation order of both rewards -----------------------------------------
 
 # terms whose sum depends on its order, (1e16 + 1.0) - 1e16 = 0.0 against
 # (1e16 - 1e16) + 1.0 = 1.0 among them, and -0.0; SPECIAL adds the infinities and NaN
@@ -1026,4 +1012,38 @@ def test_expected_reward_adds_each_row_in_commit_order() -> None:
     # the terms do round differently in another order, and reach every special value
     assert any(math.fsum(value_true[k, row]) != total for k, (row, total)
                in enumerate(zip(commits, want)) if math.isfinite(total))
+    assert {repr(v) for v in want} >= {"inf", "-inf", "nan", "0.0"}
+
+
+def test_realized_reward_adds_each_row_in_commit_order() -> None:
+    # as above for the realised reward: chain f runs VNF f alone, commits at
+    # latency -term with mu = 1.0 and no requests, so that it earns term, and
+    # fails where survived is not set; slot_values must add each row's
+    # surviving terms left to right from 0.0 in commit order, as
+    # reference.realized_reward adds a slot's, bit for bit
+    n_sfcs, n_rows = 12, 91
+    cat = Catalog([1] * n_sfcs, [[f] for f in range(n_sfcs)])
+    layout = lockstep.Layout.of(EdgeNetwork([n_sfcs]), cat)
+    weights = RewardWeights(omega=1.0, mu=1.0)
+    rng = np.random.default_rng(29)
+    commits = [rng.permutation(n_sfcs)[:k % (n_sfcs + 1)].tolist() for k in range(n_rows)]
+    earned = rng.choice(TERMS, size=(n_rows, n_sfcs))
+    earned[-26:] = rng.choice(TERMS + SPECIAL, size=(26, n_sfcs))
+    survived = rng.random((n_rows, n_sfcs)) < 0.8
+    decided = [[(f, PlacementPlan(sfc=f, assignment=(0,), latency=-terms[f])) for f in row]
+               for terms, row in zip(earned.tolist(), commits)]
+    with np.errstate(invalid="ignore"):     # inf + -inf is nan, as in Python, but numpy warns
+        values = lockstep.slot_values(layout, weights.omega, weights.mu,
+                                      np.zeros((n_rows, n_sfcs), dtype=np.int64), survived,
+                                      records(decided, [[0]] * n_rows),
+                                      np.zeros((n_rows, n_sfcs)), np.ones((n_rows, n_sfcs)))
+    want = [realized_reward(weights, [0] * n_sfcs, (~flags).tolist(),
+                            decision_of(cat, 1, deployed, [0]), cat)[1]
+            for flags, deployed in zip(survived, decided)]
+    assert np.array(values["realized"]).view(np.int64).tolist() == \
+           np.array(want).view(np.int64).tolist()
+    # the surviving terms do round differently in another order, and reach
+    # every special value
+    assert any(math.fsum(earned[k, [f for f in row if survived[k, f]]]) != total
+               for k, (row, total) in enumerate(zip(commits, want)) if math.isfinite(total))
     assert {repr(v) for v in want} >= {"inf", "-inf", "nan", "0.0"}

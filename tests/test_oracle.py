@@ -15,8 +15,7 @@ from sfcbackup.kernels import GREEDY, PlanGraph
 from sfcbackup.lockstep import Learners
 from sfcbackup.oracle import optimal_chain_latency, shortest_path_matrix
 
-from reference import (chain_failure_rate, expected_slot_value, get_consumption, slot_rows,
-                       verified_slot)
+from reference import expected_slot_value, get_consumption, slot_rows, verified_slot
 
 
 def test_shortest_paths_take_multi_hop_shortcuts() -> None:
@@ -132,6 +131,8 @@ def brute_slot_value(net: EdgeNetwork, cat: Catalog, gt, w: RewardWeights) -> fl
 
     Each SFC either stays out (None) or takes a full assignment priced by
     shortest paths; joint capacity feasibility is checked on the total load.
+    A chain's gate is its survival chance: the product of one minus the
+    failure rates of its distinct VNFs.
     """
     sp = shortest_path_matrix(net)
     q = gt.request_prob.sum(axis=0)
@@ -157,7 +158,7 @@ def brute_slot_value(net: EdgeNetwork, cat: Catalog, gt, w: RewardWeights) -> fl
                 continue
             cost, chain_load = pick
             load += chain_load
-            gate = 1.0 - chain_failure_rate(cat, gt.failure_mean, f)
+            gate = float(np.prod(1.0 - gt.failure_mean[sorted(set(cat.sfc_chain[f]))]))
             value += (w.omega * q[f] - w.mu * cost) * gate
         if np.all(load <= caps) and value > best:
             best = value
@@ -212,7 +213,7 @@ def test_slot_value_subset_budget_guard() -> None:
 
 
 def test_slot_value_refuses_an_empty_chain() -> None:
-    # an empty chain has no worst VNF to gate it by, wherever it sits
+    # an empty chain has no VNF to gate it by, wherever it sits
     net = EdgeNetwork([5, 5], {(0, 1): 1.0})
     gt = make_ground_truth(0.5, [0.1], users=2, n_sfcs=2, rng_seed=0)
     for chains in ([[0], []], [[], [0]]):

@@ -80,7 +80,8 @@ def test_expected_slot_value_hand_case() -> None:
                        x=np.array([1], dtype=np.uint8),
                        placed_counts=np.array([1, 1], dtype=np.int64),
                        residual_after=np.zeros(1, dtype=np.int64))
-    want = (1.0 * 3.0 - 1.0 * 0.4) * (1.0 - 0.25)
+    # the chain survives both of its VNFs: (1 - 0.1) * (1 - 0.25) = 0.675
+    want = (1.0 * 3.0 - 1.0 * 0.4) * ((1.0 - 0.1) * (1.0 - 0.25))
     assert expected_slot_value(RewardWeights(), gt, dec, cat) == pytest.approx(want)
     assert expected_slot_value(RewardWeights(), gt,
                                SlotDecision(1, [], np.zeros(1, np.uint8),
@@ -122,7 +123,7 @@ def test_slot_values_rows_take_the_hand_values() -> None:
                                   np.array([[False], [True]]),
                                   rec, value_true, gate_true)
     assert values["expected"] == [expected_slot_value(w, gt, dec, cat), 0.0]
-    assert values["expected"][0] == pytest.approx((1.0 * 3.0 - 1.0 * 0.4) * (1.0 - 0.25))
+    assert values["expected"][0] == pytest.approx((1.0 * 3.0 - 1.0 * 0.4) * 0.675)
     assert values["realized"] == [0.0, 0.0]
     assert values["remaining"] == [0, 5]
     assert values["deployed"] == [1, 0]
@@ -363,15 +364,11 @@ def test_realized_reward_averages_to_expected_value() -> None:
     assert abs(mean - want) < 4.0 * math.sqrt(var / slots)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a chain earns only if none of its VNFs fails, with chance prod(1 - v_i), but "
-    "expected_reward gates it by its worst VNF, 1 - max(v_i); ROADMAP.md item 3(b) of "
-    "\"Make the reported numbers mean what their names say\" values it by the survival "
-    "product, and this marker goes when it lands"))
 def test_expected_reward_is_the_mean_realized_reward_with_several_fallible_vnfs() -> None:
     # one server holds both chains at zero latency, so random commits both in
     # every slot; chain 0 runs three fallible VNFs, so 0.8 * 0.85 * 0.75 = 0.51
-    # of its payoff survives against the 0.75 its worst VNF leaves
+    # of its payoff survives, which expected_reward must charge, not the 0.75
+    # its worst VNF leaves
     n_seeds, slots = 100, 50
     cfg = load_config({
         "network": {"capacities": [20], "links": []},
@@ -379,10 +376,9 @@ def test_expected_reward_is_the_mean_realized_reward_with_several_fallible_vnfs(
         "ground_truth": {"request_prob": 0.5, "failure_mean": [0.2, 0.15, 0.25, 0.0]},
         "users": 10, "slots": slots, "seeds": f"1..{n_seeds}", "policies": "random"})
     trace = run(cfg).trace
-    if set(trace["num_deployed"]) != {2}:   # not an AssertionError, which the mark absorbs
-        pytest.fail("random no longer commits both chains in every slot")
+    assert set(trace["num_deployed"]) == {2}, "random commits both chains in every slot"
     # each seed's time average of realized less expected reward; the seeds'
-    # draws are independent, the slots' of one seed are not (item 3a)
+    # draws are independent of each other
     gap = (np.array(trace["realized_reward"]) - np.array(trace["expected_reward"]))
     gap = gap.reshape(n_seeds, slots).mean(axis=1)
     assert abs(gap.mean()) < 4.0 * gap.std(ddof=1) / math.sqrt(n_seeds)
