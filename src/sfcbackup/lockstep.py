@@ -116,10 +116,11 @@ class Learners:
     exactly those slots. The failure learner's placements[r, i] counts the
     slots that placed VNF i, however many copies (CUCB's T_i), and
     failure_mean[r, i] averages the failure flags over exactly those slots.
-    Means are total / count, updated only on the arms a slot deployed. users scales the popularity bonus; bonus_sign and bonus_scale
-    set the failure bonus's direction and size, +1 and users by default, -1
-    treating unexplored VNFs optimistically. users is a float, exact for a
-    config's users: harness._check bounds users x F by 2 ** 16.
+    Means are total / count, updated only on the arms a slot deployed. users
+    scales the popularity bonus; bonus_sign and bonus_scale set the failure
+    bonus's direction and size, +1 and users by default, -1 treating
+    unexplored VNFs optimistically. users is a float, exact for a config's
+    users: harness._check bounds users x F by 2 ** 16.
     """
 
     users: float
@@ -325,10 +326,12 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
 
     Each row's L chain occurrences, in rank order and then chain order, are
     laid out once as (L, R) tables, and the rows advance together, one step
-    per occurrence, on server-major (N, R) residuals. An occurrence that
-    finds no room sets its row's latency to +inf, which every later hop of
-    the chain keeps, so the one test of a finite latency at the chain's last
-    occurrence also rejects a chain that did not fit. Where a row's chain has
+    per occurrence, on server-major (N + 1, R) residuals. Row N is a
+    sentinel: an occurrence that finds no room lands there, and the hop
+    table charges +inf to enter it, which every later hop of the chain
+    keeps, so the one test of a finite latency at the chain's last
+    occurrence also rejects a chain that did not fit. Server counts are
+    kept in the narrowest unsigned type that holds N. Where a row's chain has
     already failed its steps go on, on numbers that nothing reads: the room
     and the latency are reset at the row's next chain, and neither the failed
     chain's latency nor its servers are recorded.
@@ -336,7 +339,6 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
     n_rows = u.shape[0]
     n_sfcs = layout.catalog.n_sfcs
     n_servers = layout.network.n_servers
-    hops = layout.network.latency_matrix.ravel()    # hops[a * N + b], a to b
     chain_len = layout.chain_len
     rows = np.arange(n_rows)
     # layout.chain_flat[p] is VNF number place[p] of chain chain_of[p]
@@ -360,23 +362,38 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
     latency = u[:, n_sfcs:].T[pos, rows]
     sfc = np.take(chain_of, pos, out=pos)      # each occurrence's chain, over pos
 
-    residual = np.repeat(layout.capacities[:, None], n_rows, axis=1)    # (N, R)
+    # server-major (N + 1, R) state: row N is where an occurrence with no room
+    # lands, a sentinel that no count reads, and hops[N] is a chain's start
+    residual = np.zeros((n_servers + 1, n_rows), dtype=np.int64)
+    residual[:n_servers] = layout.capacities[:, None]
     room = residual
+    hops = np.full((n_servers + 1, n_servers + 1), math.inf)
+    hops[:n_servers, :n_servers] = layout.network.latency_matrix
+    hops[n_servers, :n_servers] = 0.0
+    hops = hops.ravel()                 # hops[a * (N + 1) + b], a to b
+    has_room = np.empty((n_servers, n_rows), dtype=bool)
+    below = np.empty((n_servers, n_rows), dtype=bool)
+    count_to = np.empty((n_servers, n_rows), dtype=np.min_scalar_type(n_servers))
     lat = np.zeros(n_rows)
     spot = np.zeros(n_rows, dtype=np.int64)
     done = np.empty((n_occ, n_rows), dtype=bool)        # where a row commits a chain
     for k in range(n_occ):
-        need = spots[k]
-        room = np.where(first[k], residual, room)
-        count_to = np.cumsum(room >= need, axis=0)
-        count = count_to[-1]
+        need, start = spots[k], first[k]
+        room = np.where(start, residual, room)
+        np.greater_equal(room[:n_servers], need, out=has_room)
+        np.add.accumulate(has_room.view(np.uint8), axis=0, out=count_to)
         # the servers before the chosen one are those whose count_to is at most
         # the index int(latency[k] * count), so at most latency[k] * count;
-        # count_to[-1] = count is more, unless no server has room and the row fails
-        prev, spot = spot, (count_to[:-1] <= latency[k] * count).sum(axis=0)
+        # count_to[-1] = count is more, unless no server has room: then all N
+        # are, and the spot is the sentinel row N
+        np.less_equal(count_to, latency[k] * count_to[-1], out=below)
+        prev, spot = spot, np.add.reduce(below.view(np.uint8), axis=0,
+                                         dtype=count_to.dtype).astype(np.int64)
         room.reshape(-1)[spot * n_rows + rows] -= need     # room[spot, rows], on the flat view
-        lat = np.where(count > 0, np.where(first[k], 0.0, lat + hops[prev * n_servers + spot]),
-                       math.inf)
+        # a chain starts from 0.0 at row N; column N, no room, is +inf
+        np.copyto(prev, n_servers, where=start)
+        np.copyto(lat, 0.0, where=start)
+        lat += hops[prev * (n_servers + 1) + spot]
         spots[k], latency[k] = spot, lat
         done[k] = fits = last[k] & (lat < math.inf)
         residual = np.where(fits, room, residual)
@@ -388,7 +405,7 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
     committed[rec_row, rec_sfc] = True
     return Records(row=rec_row, sfc=rec_sfc, latency=latency[rec_at, rec_row],
                    positions=chain_len[rec_sfc], servers=spots.T[committed[rows, sfc].T],
-                   residual=np.ascontiguousarray(residual.T))
+                   residual=np.ascontiguousarray(residual[:n_servers].T))
 
 
 def check(layout: Layout, rec: Records, label, x: np.ndarray | None = None,
@@ -431,22 +448,26 @@ def check(layout: Layout, rec: Records, label, x: np.ndarray | None = None,
     recount = np.bincount(pos_row * n_vnfs + vnfs,
                           minlength=n_rows * n_vnfs).reshape(n_rows, n_vnfs)
 
-    # per row: load within capacity, and residual, x and copies as recounted
+    # per row: load within capacity, and residual, x and copies as recounted;
+    # each is tested over the whole chunk at once, and row by row only to find
+    # the first row that fails
+    if (whole.all() and not (left < 0).any() and (rec.residual == left).all()
+            and not (counted > 1).any() and (x == (counted > 0)).all()
+            and (placed == recount).all()):
+        return x, placed
     bad = ((left < 0) | (rec.residual != left)).any(axis=1)
     bad |= (counted > 1).any(axis=1) | (x != (counted > 0)).any(axis=1)
     bad |= (placed != recount).any(axis=1)
     bad[row[~whole]] = True
-    if bad.any():
-        k = int(bad.argmax())
-        # the row's totals count only once each of its commits is whole
-        totals = (((left[k] < 0).any(), "server load exceeds capacity"),
-                  ((rec.residual[k] != left[k]).any(), "residual bookkeeping mismatch"),
-                  ((x[k] != (counted[k] > 0)).any(), "backup vector out of sync with plans"),
-                  ((placed[k] != recount[k]).any(), "placement counts out of sync with plans"))
-        fault = _fault(layout, rec, k) or next(text for broken, text in totals if broken)
-        seed, t = label(k)
-        raise InvariantViolation(f"seed {seed}, slot {t}: {fault}")
-    return x, placed
+    k = int(bad.argmax())
+    # the row's totals count only once each of its commits is whole
+    totals = (((left[k] < 0).any(), "server load exceeds capacity"),
+              ((rec.residual[k] != left[k]).any(), "residual bookkeeping mismatch"),
+              ((x[k] != (counted[k] > 0)).any(), "backup vector out of sync with plans"),
+              ((placed[k] != recount[k]).any(), "placement counts out of sync with plans"))
+    fault = _fault(layout, rec, k) or next(text for broken, text in totals if broken)
+    seed, t = label(k)
+    raise InvariantViolation(f"seed {seed}, slot {t}: {fault}")
 
 
 def _fault(layout: Layout, rec: Records, k: int) -> str | None:

@@ -55,14 +55,17 @@ def optimal_chain_latency(network: EdgeNetwork, catalog: Catalog, residual,
         raise SearchSpaceTooLarge(
             f"{n}^{len(chain)} assignments exceed the budget of {node_budget}")
     return float(_joint_min_weighted_latency(catalog, [f], [1.0],
-                                             shortest_path_matrix(network), residual))
+                                             shortest_path_matrix(network).tolist(), residual))
 
 
 def _joint_min_weighted_latency(catalog: Catalog, subset: list[int],
-                                weights_per_sfc: list[float], sp: np.ndarray,
+                                weights_per_sfc: list[float], sp: list[list[float]],
                                 residual) -> float:
-    """Min over joint placements within ``residual`` of sum_f w_f * L_f; inf if none."""
-    res = np.array(residual, dtype=np.int64)
+    """Min over joint placements within ``residual`` of sum_f w_f * L_f; inf if none.
+
+    sp is shortest_path_matrix's result as nested lists, sp[a][b] from a to b.
+    """
+    res = np.array(residual, dtype=np.int64).tolist()
     chains = [catalog.sfc_chain[f] for f in subset]
     return _placements(chains, weights_per_sfc, catalog.vnf_demand, sp, res,
                        0, 0, -1, 0.0, math.inf)
@@ -75,7 +78,9 @@ def _placements(chains, weights, demands, sp, res, ci: int, j: int, prev: int,
     acc is the weighted latency of the occurrences placed so far, prev the
     server of the last one in this chain, and best the least complete sum
     found so far; a branch is followed only while it stays below best. res is
-    the live residual, restored on return. A plain recursive function, so a
+    the live residual, a list, restored on return; sp holds the shortest-path
+    latencies as lists, so every access reads a Python float, not a numpy
+    scalar, and computes the same IEEE values. A plain recursive function, so a
     search leaves no reference cycle behind.
     """
     while ci < len(chains) and j == len(chains[ci]):
@@ -86,7 +91,7 @@ def _placements(chains, weights, demands, sp, res, ci: int, j: int, prev: int,
     w = weights[ci]
     for s in range(len(res)):
         if res[s] >= need:
-            step = 0.0 if j == 0 else w * sp[prev, s]
+            step = 0.0 if j == 0 else w * sp[prev][s]
             if acc + step < best:
                 res[s] -= need
                 best = _placements(chains, weights, demands, sp, res, ci, j + 1, s,
@@ -116,7 +121,7 @@ def optimal_slot_value(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth,
         raise SearchSpaceTooLarge(
             f"{network.n_servers}^{total_len} joint assignments exceed the budget")
 
-    sp = shortest_path_matrix(network)
+    sp = shortest_path_matrix(network).tolist()
     worth, gate = (a.tolist() for a in true_values(Layout.of(network, catalog), gt, weights))
 
     best_value = 0.0

@@ -7,11 +7,12 @@ domain), so the observation at slot t depends only on (parameters, seed, t).
 sample_arrays is the one way to draw observations, for a group of seeds at
 once: a range of slots of every seed, as (slots, seeds, F) request counts
 and (slots, seeds, I) failure flags. Each seed keeps its own stream; the
-group's streams fill one buffer, which is thresholded against the one set
-of parameters and summed in one pass. Policies never consume environment
-randomness; policy-side draws use a separate key domain. A given seed
-therefore produces the identical observation sequence no matter which or
-how many policies run, and whichever seeds it is drawn with.
+group's streams fill a buffer of at most MAX_DRAW_DOUBLES doubles at a time,
+which is thresholded against the one set of parameters and summed in one
+pass. Policies never consume environment randomness; policy-side draws use
+a separate key domain. A given seed therefore produces the identical
+observation sequence no matter which or how many policies run, and
+whichever seeds it is drawn with.
 
 Both key domains lay their slots out alike (_slot_rows): a slot that reads
 W uniforms owns the counter blocks [t*B, (t+1)*B) with B = counter_blocks(W),
@@ -44,6 +45,12 @@ PHILOX_BLOCK_DOUBLES = 4
 # request uniforms; it splits a seed group's draw of a block into as few
 # sample_arrays calls as keep each call, summed over its seeds, within that.
 OBS_BLOCK_SLOTS = 256
+
+# sample_arrays draws and thresholds a call's uniforms in pieces of at most
+# this many doubles (8 MiB), so that a call holds one piece and its results
+# however many slots and seeds it spans. The bundled config's 256-slot block of
+# 30 seeds is 583,680 doubles, one piece.
+MAX_DRAW_DOUBLES = 2 ** 20
 
 
 @dataclass(eq=False)
@@ -192,9 +199,11 @@ def sample_arrays(gt: GroundTruth, seeds: Sequence[int], t0: int,
     Returns the (t1 - t0, S, F) int64 request counts and the (t1 - t0, S, I)
     uint8 failure flags, [:, s] for seeds[s]. Slot t's D = K*F + I
     environment-domain uniforms (user k's F request uniforms, user by user,
-    then the I failure uniforms) are the first D doubles of its row of
-    _slot_rows' buffer, and the group is thresholded against gt's one row of
-    parameters and summed in one pass. Pure in (gt's parameters, seed, t),
+    then the I failure uniforms) are the first D of its 4B doubles in the
+    slot layout of _slot_rows, and are thresholded against gt's one row of
+    parameters and summed a piece at a time: runs of whole seeds, or of one
+    seed's slots, of at most MAX_DRAW_DOUBLES doubles, each seed's one stream
+    going on from piece to piece. Pure in (gt's parameters, seed, t),
     whatever the range or the group; gt.rng_seed is not read.
     """
     n = t1 - t0
@@ -203,16 +212,31 @@ def sample_arrays(gt: GroundTruth, seeds: Sequence[int], t0: int,
     prob, rate = gt.request_prob, gt.failure_mean
     n_seeds, (n_users, n_sfcs) = len(seeds), prob.shape
     n_req = prob.size
-    flat = _slot_rows(seeds, t0, t1, n_req + rate.size, ENV_DOMAIN)
-    # views of the buffer, nothing copied: users[k, j, s] holds user k's F
-    # request uniforms at slot t0 + j of seeds[s], and failures[j, s] the I
-    # failure uniforms. Users lead, so the sum over them adds whole
-    # (slots, seeds, F) slabs.
-    users = flat[:, :, :n_req].reshape(n_seeds, n, n_users, n_sfcs).transpose(2, 1, 0, 3)
-    failures = flat[:, :, n_req:n_req + rate.size].transpose(1, 0, 2)
-    requests = np.less(users, prob[:, np.newaxis, np.newaxis], order="C").sum(
-        axis=0, dtype=np.int64)
-    return requests, np.less(failures, rate, order="C").view(np.uint8)
+    blocks = counter_blocks(n_req + rate.size)
+    row = PHILOX_BLOCK_DOUBLES * blocks
+    span = min(n, max(1, MAX_DRAW_DOUBLES // row))              # slots a piece
+    group = max(1, MAX_DRAW_DOUBLES // (n * row)) if span == n else 1   # seeds a piece
+    requests = np.empty((n, n_seeds, n_sfcs), dtype=np.int64)
+    failed = np.empty((n, n_seeds, rate.size), dtype=np.uint8)
+    pieces = np.empty((min(group, n_seeds), span, row))     # each piece in turn
+    for s0 in range(0, n_seeds, group):
+        streams = [slot_stream(seed, t0 * blocks, ENV_DOMAIN) for seed in seeds[s0:s0 + group]]
+        s1 = s0 + len(streams)
+        for j0 in range(0, n, span):
+            j1 = min(n, j0 + span)
+            flat = pieces[:len(streams), :j1 - j0]
+            for out, stream in zip(flat, streams):
+                stream.random(out=out)
+            # views of the piece, nothing copied: users[k, j, s] holds user k's
+            # F request uniforms at slot t0 + j0 + j of seeds[s0 + s]. Users
+            # lead, so the sum over them adds whole (slots, seeds, F) slabs.
+            users = flat[:, :, :n_req].reshape(len(streams), j1 - j0, n_users,
+                                               n_sfcs).transpose(2, 1, 0, 3)
+            np.less(users, prob[:, np.newaxis, np.newaxis], order="C").sum(
+                axis=0, dtype=np.int64, out=requests[j0:j1, s0:s1])
+            np.less(flat[:, :, n_req:n_req + rate.size].transpose(1, 0, 2), rate,
+                    out=failed[j0:j1, s0:s1].view(bool))
+    return requests, failed
 
 
 def popularity_sums(request_prob: np.ndarray) -> np.ndarray:

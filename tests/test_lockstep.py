@@ -930,6 +930,24 @@ def test_random_rows_equal_the_per_slot_loop(case) -> None:
            [np.flatnonzero(row).tolist() for row in x]
 
 
+@pytest.mark.parametrize("n_servers", [255, 256])
+def test_random_rows_count_servers_past_a_byte(n_servers: int) -> None:
+    # random_rows counts the servers with room in the narrowest unsigned type
+    # that holds N: one byte at 255 servers, two at 256. Single-VNF chains on
+    # every fourth server at zero capacity: demand 0 finds room on all N,
+    # demand 9 on none, and demands 1 and 2 on fewer as the chains fill them
+    net = EdgeNetwork([0 if s % 4 == 3 else 1 + s % 3 for s in range(n_servers)], [])
+    cat = Catalog([0, 1, 2, 9], [[0], [1], [2], [1], [3], [2], [0]])
+    layout = lockstep.Layout.of(net, cat)
+    rows = [[0.0] * layout.width, [NEAR_ONE] * layout.width,
+            [0.5] * 7 + [0.0, NEAR_ONE, 0.5, 0.25, 0.0, NEAR_ONE, 0.999]]     # ties in rank
+    rows += np.random.default_rng(n_servers).random((5, layout.width)).tolist()
+    rec = lockstep.random_rows(layout, np.array(rows))
+    assert unpack_rows(rec, len(rows)) == [random_placement(net, cat, row) for row in rows]
+    assert rec.servers.max() == n_servers - 1       # demand 0 at NEAR_ONE takes the last
+    lockstep.check(layout, rec, lambda k: (0, k + 1))
+
+
 def test_random_rows_decide_a_wide_block_in_one_call(monkeypatch) -> None:
     # 16 servers, 30 VNFs and 24 chains of 3 or 4 VNFs (84 positions): a row
     # holds 24 + 30 + (24 + 84) + 16 = 178 values, so 2 seeds x 50 slots, one

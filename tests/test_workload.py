@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -250,6 +252,39 @@ def test_a_group_draws_what_each_seed_draws_alone() -> None:
             assert_same_array(uniforms[:, s], policy_uniform_block([seed], t0, t1, width)[:, 0])
             alone = keyed(gt, seed)
             assert slot_rows(alone, t0, t1) == [draw_slot(alone, t) for t in range(t0, t1)]
+
+
+@pytest.mark.parametrize("max_doubles", [1, 12, 100, 12 * 40 * 2])
+def test_a_draw_in_pieces_equals_one_piece(monkeypatch, max_doubles: int) -> None:
+    # D = 3 x 2 + 3 = 9 uniforms, a row of 12 doubles, 40 slots of three seeds:
+    # pieces of one slot, of one seed's 8 slots, and of two seeds' 40 slots
+    gt = make_ground_truth([[0.7, 0.2], [0.1, 0.5], [0.4, 0.9]], [0.3, 0.05, 0.5],
+                           users=3, n_sfcs=2, rng_seed=0)
+    seeds = (5, 7, 2 ** 40)
+    whole = sample_arrays(gt, seeds, 1, 41)
+    monkeypatch.setattr(workload, "MAX_DRAW_DOUBLES", max_doubles)
+    for got, want in zip(sample_arrays(gt, seeds, 1, 41), whole):
+        assert_same_array(got, want)
+
+
+def test_the_largest_draw_holds_one_piece_at_a_time() -> None:
+    # the most request draws a slot may take, 2**16 users x one chain, over 300
+    # slots of one seed: 19.7 million uniforms, 150 MiB had they been held at
+    # once, drawn and counted 15 slots (2**20 doubles at most) at a time
+    gt = make_ground_truth(1e-4, [0.1], users=2 ** 16, n_sfcs=1, rng_seed=0)
+    tracemalloc.start()
+    try:
+        requests, failed = sample_arrays(gt, [3], 1, 301)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
+    assert requests.sum() > 0
+    # slots at and next to piece boundaries, each drawn alone in one piece
+    for t in (1, 15, 16, 17, 300):
+        alone = sample_arrays(gt, [3], t, t + 1)
+        assert_same_array(requests[t - 1:t], alone[0])
+        assert_same_array(failed[t - 1:t], alone[1])
 
 
 def test_true_popularity_sums_the_users_in_order() -> None:
