@@ -32,6 +32,7 @@ bytes are those of formatting each cell alone.
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import gc
 import importlib.resources
 import json
@@ -67,14 +68,12 @@ SEED_LIMIT = 2 ** 64
 # A run takes at most this many seeds; a longer range is rejected from its
 # endpoints, before any seed tuple is built.
 MAX_SEEDS = 1_000_000
-# users x n_sfcs, the request draws of one slot, is at most this. simulate_run
-# sizes its blocks, and splits a seed group's draw of a block into sample_arrays
-# calls, so that one call reads at most OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS =
-# 2**24 request uniforms summed over its seeds. sample_arrays draws and counts
-# them in pieces of at most workload.MAX_DRAW_DOUBLES (2**20) doubles, 8 MiB
-# and a one-byte flag per request uniform of the piece, so a call holds one
-# piece besides its counts: a one-seed, 300-slot draw at this bound peaks at
-# about 9 MiB in tracemalloc, where holding it whole took 170 MiB.
+# users x n_sfcs, the request draws of one slot, is at most this. A draw, one
+# uniform drawn, thresholded and counted, takes about 11 ns (2 shared CPUs), so
+# a seed's slot takes at most about 0.7 ms to draw, and GroundTruth's (users, F)
+# request_prob matrix holds at most this many doubles, 512 KiB. A draw's memory
+# is bounded apart from it: sample_arrays holds at most workload.MAX_DRAW_DOUBLES
+# uniforms at a time.
 MAX_REQUEST_DRAWS = 2 ** 16
 # policies x seeds x slots, the trace rows a run holds, is at most this: a row
 # takes about 170 bytes until emit writes it, so a run holds at most about 0.7 GB.
@@ -112,8 +111,8 @@ LOCKSTEP_MIN_SEEDS = 8
 # most this many values, 256 KiB at 8 bytes each. A block is at most one
 # chunk, or OBS_BLOCK_SLOTS slots where a chunk is shorter, so its draws hold
 # at most OBS_BLOCK_SLOTS times that, 64 MiB, however many seeds a run has.
-# A block is drawn by calls over all of the group's seeds (or runs of them, see
-# MAX_REQUEST_DRAWS): policy_uniform_block keeps the block's uniforms as drawn,
+# A block is drawn by one call of each over all of the group's seeds:
+# policy_uniform_block keeps the block's uniforms as drawn,
 # 4 * ceil(W / 4) a row, up to three more than W, and random_rows is handed a
 # copy of one chunk's rows at a time; sample_arrays draws its call's
 # D = users x F + I uniforms a row, 4 * ceil(D / 4) doubles, at most
@@ -124,6 +123,18 @@ LOCKSTEP_MIN_SEEDS = 8
 # slots at once. Whole-block chunks on the bundled config (2 ** 17) raised
 # perfbench's canonical peak_rss_mb by 1.0-1.7 MB (3 runs, 2 shared CPUs).
 LOCKSTEP_MAX_VALUES = 2 ** 15
+
+# Each config section's keys, the top level's under "". load_config rejects any
+# other key, so a misspelt one cannot leave its setting at the default.
+CONFIG_KEYS = {
+    "": ("comment", "network", "catalog", "ground_truth", "weights", "learner", "users",
+         "slots", "seeds", "policies", "capacity_scale", "regret"),
+    "network": ("capacities", "links"),
+    "catalog": ("vnf_demand", "sfc_chain"),
+    "ground_truth": ("request_prob", "failure_mean"),
+    "weights": ("omega", "mu"),
+    "learner": ("failure_bonus_scale", "failure_bonus_sign"),
+}
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
 # is squared, all in float64. A config whose slot reward could pass this bound
@@ -325,10 +336,26 @@ def _links(value) -> list[tuple[int, int, float]]:
     return links
 
 
+def _known_keys(spec, section: str) -> None:
+    """Reject a key of the section's object that CONFIG_KEYS does not list.
+
+    The error names the key's dotted path and the nearest known key. A
+    section that is not an object is left to the parsing that reads it.
+    """
+    known = CONFIG_KEYS[section]
+    for key in spec if isinstance(spec, dict) else ():
+        if key not in known:
+            path = f"{section}.{key}" if section else str(key)
+            [nearest] = difflib.get_close_matches(str(key), known, n=1, cutoff=0.0)
+            raise ConfigError(f"unknown config key {path!r}; the nearest known key is "
+                              f"{nearest!r}")
+
+
 def _section(raw: dict, key: str) -> dict:
     spec = raw.get(key, {})
     if not isinstance(spec, dict):
         raise ConfigError(f"{key} must be an object")
+    _known_keys(spec, key)
     return spec
 
 
@@ -351,10 +378,14 @@ def load_config(source) -> ExperimentConfig:
         raw = source
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    _known_keys(raw, "")
     try:
         net_spec = raw["network"]
         cat_spec = raw["catalog"]
         gt_spec = raw["ground_truth"]
+        for section, spec in (("network", net_spec), ("catalog", cat_spec),
+                              ("ground_truth", gt_spec)):
+            _known_keys(spec, section)
         network = EdgeNetwork(_int_list(net_spec["capacities"], "network.capacities"),
                               _links(net_spec.get("links", [])))
         catalog = Catalog(_int_list(cat_spec["vnf_demand"], "catalog.vnf_demand"),
@@ -445,19 +476,16 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth, seeds:
     The slots run in chunks of (slot, seed) rows, slot-major, at most
     _batch_rows of them. The group draws its observations, and when random
     runs its policy uniforms, a block of slots at a time, once for all
-    policies: one sample_arrays and one policy_uniform_block call for every
-    seed, a Philox stream per seed in each. _chunk_and_block sizes both, so
-    that a run of few seeds, whose chunks are long, pays each stage once per
-    chunk. A block's observations take more sample_arrays calls, each on a
-    run of consecutive seeds, only where one call would read more than
-    OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request uniforms. Each chunk is
-    decided for every policy, and its chains' survival flags are computed
-    once for all of them; then, policy by policy, lockstep.check verifies
-    its records and lockstep.slot_values accounts them. Only the
-    decide step depends on the policy: random_rows for random, and for the
-    learned policies one lockstep.Learners for all seeds, which stacks the
-    policies' seeds as row blocks; _learned_chunk picks how each chunk
-    advances it from its learner rows.
+    policies: one sample_arrays and one policy_uniform_block call over all
+    of the group's seeds, a Philox stream per seed in each. _chunk_and_block
+    sizes both, so that a run of few seeds, whose chunks are long, pays each
+    stage once per chunk. Each chunk is decided for every policy, and its
+    chains' survival flags are computed once for all of them; then, policy
+    by policy, lockstep.check verifies its records and lockstep.slot_values
+    accounts them. Only the decide step depends on the policy: random_rows
+    for random, and for the learned policies one lockstep.Learners for all
+    seeds, which stacks the policies' seeds as row blocks; _learned_chunk
+    picks how each chunk advances it from its learner rows.
     """
     for policy in policies:
         if policy not in POLICY_ORDER:
@@ -471,8 +499,7 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth, seeds:
     layout = lockstep.Layout.of(network, catalog)
     width = layout.width
     omega, mu = weights.omega, weights.mu
-    request_draws = gt.request_prob.size     # per slot and seed
-    chunk, block = _chunk_and_block(layout, n_seeds, request_draws)
+    chunk, block = _chunk_and_block(layout, n_seeds)
     # every row of a chunk reads the same (F,) values and gates
     value_true, gate_true = (np.broadcast_to(a, (chunk * n_seeds, n_sfcs))
                              for a in lockstep.true_values(layout, gt, weights))
@@ -482,12 +509,7 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth, seeds:
     series = {policy: {key: [] for key in lockstep.SERIES} for policy in policies}
     for b0 in range(1, slots + 1, block):
         n = min(block, slots + 1 - b0)
-        # as many seeds per call as keep its request uniforms within the bound
-        per_call = max(1, OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // (n * request_draws))
-        parts = [sample_arrays(gt, seeds[s:s + per_call], b0, b0 + n)
-                 for s in range(0, n_seeds, per_call)]
-        requests, failed = (parts[0] if len(parts) == 1
-                            else (np.concatenate(arrays, axis=1) for arrays in zip(*parts)))
+        requests, failed = sample_arrays(gt, seeds, b0, b0 + n)
         if "random" in policies:
             uniforms = policy_uniform_block(seeds, b0, b0 + n, width)
         for c0 in range(0, n, chunk):
@@ -560,16 +582,14 @@ def _learned_chunk(learners: lockstep.Learners, graphs: list[PlanGraph],
              copies[:, k].reshape(-1, n_vnfs)) for k in range(n_policies)]
 
 
-def _chunk_and_block(layout: lockstep.Layout, n_seeds: int, draws: int) -> tuple[int, int]:
+def _chunk_and_block(layout: lockstep.Layout, n_seeds: int) -> tuple[int, int]:
     """simulate_run's chunk and block lengths, in slots, for a group of n_seeds seeds.
 
-    draws is a seed's request draws per slot, users x F. A chunk is
-    _batch_rows // n_seeds slots, and at least one. A block is at least
-    OBS_BLOCK_SLOTS slots and one chunk, but at most as many slots as hold
-    OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request draws of a seed.
+    A chunk is _batch_rows // n_seeds slots, and at least one. A block is
+    OBS_BLOCK_SLOTS slots, or one chunk where that is longer.
     """
     chunk = max(1, _batch_rows(layout) // n_seeds)
-    return chunk, max(OBS_BLOCK_SLOTS, min(chunk, OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // draws))
+    return chunk, max(OBS_BLOCK_SLOTS, chunk)
 
 
 def _batch_rows(layout: lockstep.Layout) -> int:

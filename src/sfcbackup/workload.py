@@ -40,10 +40,8 @@ PHILOX_BLOCK_DOUBLES = 4
 # The simulators draw observations and random-policy uniforms in blocks of at
 # least this many slots: one Philox stream per block and seed, and memory that
 # stays bounded however long the run is. harness.simulate_run draws a longer
-# block where one chunk of its (slot, seed) rows spans more slots, as long as
-# one seed's draw stays within OBS_BLOCK_SLOTS x harness.MAX_REQUEST_DRAWS
-# request uniforms; it splits a seed group's draw of a block into as few
-# sample_arrays calls as keep each call, summed over its seeds, within that.
+# block where one chunk of its (slot, seed) rows spans more slots, in one
+# sample_arrays call over the seed group, whose buffer MAX_DRAW_DOUBLES bounds.
 OBS_BLOCK_SLOTS = 256
 
 # sample_arrays draws and thresholds a call's uniforms in pieces of at most

@@ -4,10 +4,13 @@ import contextlib
 import csv
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
+import re
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sfcbackup
 from sfcbackup import (Catalog, ConfigError, InvariantViolation, apply_overrides,
                        default_config_path, emit, load_config, make_ground_truth,
                        optimal_slot_value, run, validate_instance)
@@ -227,8 +231,7 @@ def test_run_across_a_block_of_drawn_slots_equals_the_reference(policy: str,
     cfg = load_config(tiny_config())
     gt = make_ground_truth(cfg.request_prob, cfg.failure_mean, cfg.users,
                            cfg.catalog.n_sfcs, 8)
-    _, block = harness._chunk_and_block(harness.lockstep.Layout.of(cfg.network, cfg.catalog),
-                                        1, gt.request_prob.size)
+    _, block = harness._chunk_and_block(harness.lockstep.Layout.of(cfg.network, cfg.catalog), 1)
     cfg = apply_overrides(cfg, seeds=[8], regret=True, policy=policy, slots=block + 44)
     assert_matches_reference(cfg, monkeypatch)
     # the run pays some deployed chains and voids others on a failed VNF
@@ -296,41 +299,37 @@ def record_draws(monkeypatch) -> list[tuple[list[int], int, int]]:
     return calls
 
 
-@pytest.mark.parametrize("users", [MAX_REQUEST_DRAWS, MAX_REQUEST_DRAWS // 2])
-def test_a_block_draws_at_most_the_request_bound(monkeypatch, users: int) -> None:
-    # one seed's chunk is 6553 slots, but at users x n_sfcs = MAX_REQUEST_DRAWS
-    # a block is OBS_BLOCK_SLOTS slots, and at half of it twice as many; no
-    # draw holds more than OBS_BLOCK_SLOTS x MAX_REQUEST_DRAWS request uniforms
-    cfg = load_config(one_chain_doc(users, 2 * OBS_BLOCK_SLOTS + 3, 3))
-    chunk, block = harness._chunk_and_block(
-        harness.lockstep.Layout.of(cfg.network, cfg.catalog), len(cfg.seeds), users)
-    assert chunk > cfg.slots
-    assert block == OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS // users
+@pytest.mark.parametrize("users, seeds, limits, lengths", [
+    # the most request draws a slot may take, 2**16 users x one chain, on one
+    # seed: its chunk of 6553 slots holds the whole run, one block
+    (MAX_REQUEST_DRAWS, "1", {}, (6553, 6553)),
+    # five seeds at 2**14 draws a slot in chunks of two slots and blocks of four
+    (2 ** 14, "1..5", {"OBS_BLOCK_SLOTS": 4, "LOCKSTEP_MAX_VALUES": 50}, (2, 4))])
+def test_a_block_is_one_draw_over_its_group(monkeypatch, users: int, seeds: str,
+                                            limits: dict, lengths: tuple[int, int]) -> None:
+    # each block takes one sample_arrays call over all of the group's seeds,
+    # each slot of each seed is drawn once, and sample_arrays's pieces keep the
+    # run's memory within a budget however many uniforms a call reads
+    for name, value in limits.items():
+        monkeypatch.setattr(harness, name, value)
+    cfg = load_config(one_chain_doc(users, 2 * harness.OBS_BLOCK_SLOTS + 3, seeds))
+    chunk, block = harness._chunk_and_block(harness.lockstep.Layout.of(cfg.network, cfg.catalog),
+                                            len(cfg.seeds))
+    assert (chunk, block) == lengths
     calls = record_draws(monkeypatch)
-    run(cfg)
-    # request uniforms per call, summed over the call's seeds
-    drawn = [(t1 - t0) * len(seeds) * users for seeds, t0, t1 in calls]
-    assert sum(drawn) == cfg.slots * users
-    assert max(drawn) == block * users <= OBS_BLOCK_SLOTS * MAX_REQUEST_DRAWS
-
-
-def test_a_group_splits_its_draw_at_the_request_bound(monkeypatch) -> None:
-    # five seeds at 2**14 request draws a slot, with OBS_BLOCK_SLOTS at 4 so
-    # that the bound is 2**18 request uniforms a call: a block is 16 slots, a
-    # call of a whole block takes one seed, and the last block of 7 slots two;
-    # the run still equals the reference on every decide path
-    monkeypatch.setattr(harness, "OBS_BLOCK_SLOTS", 4)
-    users = 2 ** 14
-    cfg = load_config(one_chain_doc(users, 2 * 16 + 7, "1..5"))
-    assert harness._chunk_and_block(harness.lockstep.Layout.of(cfg.network, cfg.catalog),
-                                    len(cfg.seeds), users)[1] == 16
-    calls = record_draws(monkeypatch)
-    run(cfg)
-    assert calls == ([([s], 1, 17) for s in range(1, 6)] + [([s], 17, 33) for s in range(1, 6)]
-                     + [([1, 2], 33, 40), ([3, 4], 33, 40), ([5], 33, 40)])
-    assert max((t1 - t0) * len(seeds) * users for seeds, t0, t1 in calls) <= 4 * MAX_REQUEST_DRAWS
-    trace = assert_matches_reference(cfg, monkeypatch)
-    assert any(trace["realized_reward"])
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+    assert calls == [(list(cfg.seeds), t0, min(t0 + block, cfg.slots + 1))
+                     for t0 in range(1, cfg.slots + 1, block)]
+    # the reference draws a slot user by user, about 24 s for the one-seed case
+    if len(cfg.seeds) > 1:
+        trace = assert_matches_reference(cfg, monkeypatch)
+        assert any(trace["realized_reward"])
 
 
 def test_run_emits_one_row_per_policy_seed_slot() -> None:
@@ -717,6 +716,46 @@ def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFix
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")] + flags) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"slotz": 100}, "unknown config key 'slotz'; the nearest known key is 'slots'"),
+    ({"weights": {"omega": 1.0, "omegaa": 2.0}},
+     "unknown config key 'weights.omegaa'; the nearest known key is 'omega'"),
+    ({"learner": {"bonus": 1.0}},
+     "unknown config key 'learner.bonus'; the nearest known key is 'failure_bonus_sign'"),
+], ids=["top-level", "weights", "learner"])
+def test_cli_rejects_a_misspelt_key(tmp_path: Path, capsys: pytest.CaptureFixture,
+                                    extra: dict, message: str) -> None:
+    # a key no section knows would otherwise leave its setting at the default
+    cfg_path = write_config(tmp_path, **extra)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+KNOWN_KEYS = {key for keys in harness.CONFIG_KEYS.values() for key in keys}
+
+
+@settings(max_examples=50, deadline=None)
+@given(section=st.sampled_from(sorted(harness.CONFIG_KEYS)),
+       key=st.text(min_size=1).filter(lambda key: key not in KNOWN_KEYS))
+def test_an_unknown_key_in_any_section_is_named(section: str, key: str) -> None:
+    doc = json.loads(default_config_path().read_text(encoding="utf-8"))
+    (doc[section] if section else doc)[key] = 1
+    path = f"{section}.{key}" if section else key
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config key {path!r}; the "
+                                                    f"nearest known key is ")):
+        load_config(doc)
+
+
+def test_perfbench_workloads_load(monkeypatch) -> None:
+    # perfbench builds each workload through load_config, canonical from the
+    # bundled config: every key of their configs is a known one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        assert workloads.build(sfcbackup, name, 1).slots == workloads.WORKLOADS[name].slots
 
 
 def test_config_errors_name_the_field() -> None:

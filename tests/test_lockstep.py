@@ -1,4 +1,4 @@
-"""harness.run and its batched stages against the definitions in reference.py.
+"""harness.run and its batched stages against the definitions in tests/reference.py.
 
 reference.reference_run is the simulator written slot by slot from the
 definitions, and every run here must equal it column for column, on both
@@ -618,7 +618,7 @@ def _decide_call(cfg, slot: int, seed: int) -> int:
     if n_seeds >= LOCKSTEP_MIN_SEEDS:
         return (slot - 1) * n_seeds + seed
     chunk, block = harness._chunk_and_block(lockstep.Layout.of(cfg.network, cfg.catalog),
-                                            n_seeds, cfg.users * cfg.catalog.n_sfcs)
+                                            n_seeds)
     b0 = (slot - 1) // block * block + 1            # the slot's block, then its chunk
     t0 = b0 + (slot - b0) // chunk * chunk
     length = min(chunk, b0 + block - t0, cfg.slots + 1 - t0)
@@ -646,7 +646,7 @@ def test_batched_check_rejects_a_tampered_commit(monkeypatch, message: str, n_se
     if slot is None:
         # past the first block of drawn slots, in the next block's one, partial chunk
         _, block = harness._chunk_and_block(lockstep.Layout.of(cfg.network, cfg.catalog),
-                                            n_seeds, cfg.users * cfg.catalog.n_sfcs)
+                                            n_seeds)
         slot, cfg = block + 3, apply_overrides(cfg, slots=block + 7)
     seed = min(3, n_seeds - 1)              # the fourth seed, or the last one
     target = _decide_call(cfg, slot, seed) + 1

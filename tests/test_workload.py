@@ -193,8 +193,7 @@ def test_block_sampling_crosses_block_boundaries(monkeypatch) -> None:
     gt = make_ground_truth([0.7, 0.2], [0.3, 0.05, 0.5], users=3, n_sfcs=2, rng_seed=12)
     seeds = (12, 40)
     net, cat = EdgeNetwork([4], []), Catalog([1, 2, 3], [[0, 1], [2]])
-    _, block = harness._chunk_and_block(lockstep.Layout.of(net, cat), len(seeds),
-                                        gt.request_prob.size)
+    _, block = harness._chunk_and_block(lockstep.Layout.of(net, cat), len(seeds))
     n_slots = 2 * block + 3
     drawn, ranges = [], []
     real = lockstep.slot_values
