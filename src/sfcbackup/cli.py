@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (ConfigError, apply_overrides, default_config_path, emit,
+from .harness import (SETTINGS, ConfigError, apply_overrides, default_config_path, emit,
                       load_config, run)
 from .oracle import SearchSpaceTooLarge
 
@@ -17,19 +17,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "edge network and write per-slot traces.")
     parser.add_argument("--config", metavar="PATH",
                         help="JSON experiment config (default: bundled six-server testbed)")
-    parser.add_argument("--slots", type=int, metavar="T",
-                        help="override the number of time slots")
-    parser.add_argument("--seed", metavar="N|A..B",
-                        help="override seeds: a single seed or an inclusive range")
-    parser.add_argument("--policy", choices=["rtsd", "bandit", "random", "all"],
-                        help="run a single policy instead of the configured set")
-    parser.add_argument("--regret", action="store_true",
-                        help="evaluate the exhaustive oracle and emit per-slot regret "
-                             "(small instances only)")
-    parser.add_argument("--capacity-scale", type=float, metavar="X",
-                        help="scale every server capacity by X (floored to int)")
-    parser.add_argument("--users", type=int, metavar="K",
-                        help="override the user count")
+    for setting in SETTINGS:
+        if setting.flag:
+            parser.add_argument(setting.flag, dest=setting.keyword, **setting.cli)
     parser.add_argument("--out", default="runs", metavar="DIR",
                         help="output directory (default: runs)")
     parser.add_argument("--format", choices=["csv", "jsonl", "both"], default="csv",
@@ -41,11 +31,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config if args.config else default_config_path())
-        cfg = apply_overrides(cfg, slots=args.slots, seeds=args.seed,
-                              policy=args.policy,
-                              regret=True if args.regret else None,
-                              capacity_scale=args.capacity_scale,
-                              users=args.users)
+        cfg = apply_overrides(cfg, **{setting.keyword: getattr(args, setting.keyword)
+                                      for setting in SETTINGS if setting.flag})
         result = run(cfg)
         written = emit(result, args.out, args.format)
     except (ConfigError, SearchSpaceTooLarge, OSError) as exc:

@@ -37,7 +37,7 @@ import gc
 import importlib.resources
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
@@ -124,18 +124,6 @@ LOCKSTEP_MIN_SEEDS = 8
 # perfbench's canonical peak_rss_mb by 1.0-1.7 MB (3 runs, 2 shared CPUs).
 LOCKSTEP_MAX_VALUES = 2 ** 15
 
-# Each config section's keys, the top level's under "". load_config rejects any
-# other key, so a misspelt one cannot leave its setting at the default.
-CONFIG_KEYS = {
-    "": ("comment", "network", "catalog", "ground_truth", "weights", "learner", "users",
-         "slots", "seeds", "policies", "capacity_scale", "regret"),
-    "network": ("capacities", "links"),
-    "catalog": ("vnf_demand", "sfc_chain"),
-    "ground_truth": ("request_prob", "failure_mean"),
-    "weights": ("omega", "mu"),
-    "learner": ("failure_bonus_scale", "failure_bonus_sign"),
-}
-
 # Slot rewards are summed over chains and slots, and their spread across seeds
 # is squared, all in float64. A config whose slot reward could pass this bound
 # is rejected rather than left to overflow to inf or nan.
@@ -174,10 +162,10 @@ def default_config_path() -> Path:
     return Path(str(importlib.resources.files("sfcbackup") / "configs" / "default.json"))
 
 
-def parse_seeds(spec) -> tuple[int, ...]:
+def parse_seeds(spec, name: str = "seeds") -> tuple[int, ...]:
     """Accept a single int, a list of ints, or an inclusive 'A..B' range string."""
     if isinstance(spec, bool):
-        raise ConfigError("seeds must be integers")
+        raise ConfigError(f"{name} must be integers")
     if isinstance(spec, int):
         seeds = (spec,)
     elif isinstance(spec, str):
@@ -190,7 +178,7 @@ def parse_seeds(spec) -> tuple[int, ...]:
                 raise ConfigError(f"bad seed range {spec!r}") from exc
             if hi < lo:
                 raise ConfigError(f"empty seed range {spec!r}")
-            parse_seeds([lo, hi])       # bound-check the ends before building the range
+            parse_seeds([lo, hi], name)     # bound-check the ends before building the range
             if hi - lo + 1 > MAX_SEEDS:
                 raise ConfigError(f"seed range {spec!r} holds more than {MAX_SEEDS} seeds")
             seeds = tuple(range(lo, hi + 1))
@@ -201,29 +189,29 @@ def parse_seeds(spec) -> tuple[int, ...]:
                 raise ConfigError(f"bad seed {spec!r}") from exc
     elif isinstance(spec, (list, tuple)):
         if len(spec) > MAX_SEEDS:
-            raise ConfigError(f"seeds list holds more than {MAX_SEEDS} seeds")
-        seeds = tuple(_as_int(s, f"seeds[{k}]") for k, s in enumerate(spec))
+            raise ConfigError(f"{name} list holds more than {MAX_SEEDS} seeds")
+        seeds = tuple(_as_int(s, f"{name}[{k}]") for k, s in enumerate(spec))
     else:
         raise ConfigError(f"cannot parse seeds from {spec!r}")
     if not seeds:
         raise ConfigError("need at least one seed")
     if any(s < 0 for s in seeds):
-        raise ConfigError("seeds must be nonnegative")
+        raise ConfigError(f"{name} must be nonnegative")
     if any(s >= SEED_LIMIT for s in seeds):
-        raise ConfigError("seeds must be below 2**64")
+        raise ConfigError(f"{name} must be below 2**64")
     return seeds
 
 
-def parse_policies(spec) -> tuple[str, ...]:
+def parse_policies(spec, name: str = "policies") -> tuple[str, ...]:
     if spec in (None, "all"):
         return POLICY_ORDER
     if isinstance(spec, str):
         spec = [spec]
     if not isinstance(spec, (list, tuple)):
-        raise ConfigError(f"policies must be a name or a list of names, got {spec!r}")
-    for name in spec:
-        if name != "all" and name not in POLICY_ORDER:
-            raise ConfigError(f"unknown policy {name!r}; choose from {POLICY_ORDER}")
+        raise ConfigError(f"{name} must be a name or a list of names, got {spec!r}")
+    for policy in spec:
+        if policy != "all" and policy not in POLICY_ORDER:
+            raise ConfigError(f"unknown policy {policy!r}; choose from {POLICY_ORDER}")
     if "all" in spec:
         return POLICY_ORDER
     if not spec:
@@ -235,6 +223,11 @@ def _check(cfg: ExperimentConfig) -> ExperimentConfig:
     problems = validate_instance(cfg.network, cfg.catalog)
     if problems:
         raise ConfigError("bad instance: " + "; ".join(problems))
+    scale, sign = cfg.failure_bonus_scale, cfg.failure_bonus_sign
+    if scale is not None and scale < 0.0:
+        raise ConfigError(f"learner.failure_bonus_scale must be >= 0, got {scale!r}")
+    if sign not in (1, -1):
+        raise ConfigError(f"learner.failure_bonus_sign must be 1 or -1, got {sign!r}")
     if cfg.slots < 1:
         raise ConfigError("slots must be >= 1")
     rows = len(cfg.policies) * len(cfg.seeds) * cfg.slots
@@ -336,6 +329,59 @@ def _links(value) -> list[tuple[int, int, float]]:
     return links
 
 
+@dataclass(frozen=True)
+class Setting:
+    """A scalar run setting. load_config reads SETTINGS in order, apply_overrides takes its
+    keywords, and cli.build_parser adds its flags in order."""
+    key: str                    # the config key, "section.key" inside a section
+    parse: Callable             # (value, key) -> the checked value, or a ConfigError
+    default: object             # a None default is left unparsed
+    keyword: str | None = None  # for a top-level setting the CLI overrides: apply_overrides'
+    flag: str | None = None     # keyword, the flag and the flag's other argparse arguments
+    cli: dict | None = None
+
+
+SETTINGS = (
+    Setting("weights.omega", _as_number, 1.0),
+    Setting("weights.mu", _as_number, 1.0),
+    Setting("learner.failure_bonus_scale", _as_number, None),   # None: the per-user default
+    Setting("learner.failure_bonus_sign", _as_int, 1),
+    Setting("slots", _as_int, 500, "slots", "--slots",
+            {"type": int, "metavar": "T", "help": "override the number of time slots"}),
+    Setting("seeds", parse_seeds, 1, "seeds", "--seed",
+            {"metavar": "N|A..B", "help": "override seeds: a single seed or an inclusive range"}),
+    Setting("policies", parse_policies, "all", "policy", "--policy",
+            {"choices": [*POLICY_ORDER, "all"],
+             "help": "run a single policy instead of the configured set"}),
+    Setting("regret", _as_bool, False, "regret", "--regret",
+            {"action": "store_true", "default": None,
+             "help": "evaluate the exhaustive oracle and emit per-slot regret "
+                     "(small instances only)"}),
+    Setting("capacity_scale", _as_number, 1.0, "capacity_scale", "--capacity-scale",
+            {"type": float, "metavar": "X",
+             "help": "scale every server capacity by X (floored to int)"}),
+    Setting("users", _as_int, 10, "users", "--users",
+            {"type": int, "metavar": "K", "help": "override the user count"}),
+)
+
+
+def _config_keys(*paths: str) -> dict[str, tuple[str, ...]]:
+    """Each section's keys, the top level's under "", from dotted key paths."""
+    keys = {"": ()}
+    for section, _, key in (path.rpartition(".") for path in paths):
+        if section not in keys:
+            keys[""] += (section,)
+        keys[section] = keys.get(section, ()) + (key,)
+    return keys
+
+
+# load_config rejects any key this does not list, so a misspelt one cannot
+# leave its setting at the default.
+CONFIG_KEYS = _config_keys("comment", "network.capacities", "network.links",
+                           "catalog.vnf_demand", "catalog.sfc_chain", "ground_truth.request_prob",
+                           "ground_truth.failure_mean", *(setting.key for setting in SETTINGS))
+
+
 def _known_keys(spec, section: str) -> None:
     """Reject a key of the section's object that CONFIG_KEYS does not list.
 
@@ -349,14 +395,6 @@ def _known_keys(spec, section: str) -> None:
             [nearest] = difflib.get_close_matches(str(key), known, n=1, cutoff=0.0)
             raise ConfigError(f"unknown config key {path!r}; the nearest known key is "
                               f"{nearest!r}")
-
-
-def _section(raw: dict, key: str) -> dict:
-    spec = raw.get(key, {})
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{key} must be an object")
-    _known_keys(spec, key)
-    return spec
 
 
 def load_config(source) -> ExperimentConfig:
@@ -380,12 +418,9 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError("config root must be an object")
     _known_keys(raw, "")
     try:
-        net_spec = raw["network"]
-        cat_spec = raw["catalog"]
-        gt_spec = raw["ground_truth"]
-        for section, spec in (("network", net_spec), ("catalog", cat_spec),
-                              ("ground_truth", gt_spec)):
-            _known_keys(spec, section)
+        net_spec, cat_spec, gt_spec = raw["network"], raw["catalog"], raw["ground_truth"]
+        for section in ("network", "catalog", "ground_truth"):
+            _known_keys(raw[section], section)
         network = EdgeNetwork(_int_list(net_spec["capacities"], "network.capacities"),
                               _links(net_spec.get("links", [])))
         catalog = Catalog(_int_list(cat_spec["vnf_demand"], "catalog.vnf_demand"),
@@ -401,61 +436,38 @@ def load_config(source) -> ExperimentConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config missing or malformed section: {exc}") from exc
 
-    weights_spec = _section(raw, "weights")
+    specs, values = {"": raw}, {}
+    for setting in SETTINGS:
+        section, _, key = setting.key.rpartition(".")
+        if section not in specs:
+            specs[section] = raw.get(section, {})
+            if not isinstance(specs[section], dict):
+                raise ConfigError(f"{section} must be an object")
+            _known_keys(specs[section], section)
+        value = specs[section].get(key, setting.default)
+        if value is not None or setting.default is not None:
+            value = setting.parse(value, setting.key)
+        values[key] = value
     try:
-        weights = RewardWeights(omega=_as_number(weights_spec.get("omega", 1.0), "omega"),
-                                mu=_as_number(weights_spec.get("mu", 1.0), "mu"))
+        weights = RewardWeights(omega=values.pop("omega"), mu=values.pop("mu"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    learner_spec = _section(raw, "learner")
-    scale = learner_spec.get("failure_bonus_scale")
-    if scale is not None:
-        scale = _as_number(scale, "failure_bonus_scale")
-        if scale < 0.0:
-            raise ConfigError(f"failure_bonus_scale must be >= 0, got {scale!r}")
-    sign = _as_int(learner_spec.get("failure_bonus_sign", 1), "failure_bonus_sign")
-    if sign not in (1, -1):
-        raise ConfigError(f"failure_bonus_sign must be 1 or -1, got {sign!r}")
-    cfg = ExperimentConfig(
-        network=network,
-        catalog=catalog,
-        request_prob=request_prob,
-        failure_mean=failure_mean,
-        weights=weights,
-        users=_as_int(raw.get("users", 10), "users"),
-        slots=_as_int(raw.get("slots", 500), "slots"),
-        seeds=parse_seeds(raw.get("seeds", 1)),
-        policies=parse_policies(raw.get("policies", "all")),
-        failure_bonus_scale=scale,
-        failure_bonus_sign=sign,
-        capacity_scale=_as_number(raw.get("capacity_scale", 1.0), "capacity_scale"),
-        regret=_as_bool(raw.get("regret", False), "regret"),
-    )
-    return _check(cfg)
+    return _check(ExperimentConfig(network=network, catalog=catalog,
+                                   request_prob=request_prob, failure_mean=failure_mean,
+                                   weights=weights, **values))
 
 
-def apply_overrides(cfg: ExperimentConfig, *, slots: int | None = None,
-                    seeds=None, policy: str | None = None,
-                    regret: bool | None = None,
-                    capacity_scale: float | None = None,
-                    users: int | None = None) -> ExperimentConfig:
-    """Command-line overrides on a loaded config; each value is checked, never coerced."""
-    updates = {}
-    if slots is not None:
-        updates["slots"] = _as_int(slots, "slots")
-    if seeds is not None:
-        updates["seeds"] = parse_seeds(seeds)
-    if policy is not None:
-        updates["policies"] = parse_policies(policy)
-    if regret is not None:
-        updates["regret"] = _as_bool(regret, "regret")
-    if capacity_scale is not None:
-        updates["capacity_scale"] = _as_number(capacity_scale, "capacity_scale")
-    if users is not None:
-        updates["users"] = _as_int(users, "users")
-    if not updates:
-        return cfg
-    return _check(dataclasses.replace(cfg, **updates))
+def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """Command-line overrides on a loaded config; each value is checked, never coerced.
+
+    The keywords are slots, seeds, policy, regret, capacity_scale and users
+    (SETTINGS' keyword column); one left None keeps its setting.
+    """
+    for keyword in overrides.keys() - {setting.keyword for setting in SETTINGS}:
+        raise TypeError(f"apply_overrides() got an unexpected keyword argument {keyword!r}")
+    updates = {setting.key: setting.parse(overrides[setting.keyword], setting.key)
+               for setting in SETTINGS if overrides.get(setting.keyword) is not None}
+    return _check(dataclasses.replace(cfg, **updates)) if updates else cfg
 
 
 def simulate_run(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth, seeds: Sequence[int],

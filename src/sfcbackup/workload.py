@@ -37,11 +37,11 @@ POLICY_DOMAIN = 1
 # Philox produces four 64-bit words per counter step and a double takes one word.
 PHILOX_BLOCK_DOUBLES = 4
 
-# The simulators draw observations and random-policy uniforms in blocks of at
-# least this many slots: one Philox stream per block and seed, and memory that
-# stays bounded however long the run is. harness.simulate_run draws a longer
-# block where one chunk of its (slot, seed) rows spans more slots, in one
-# sample_arrays call over the seed group, whose buffer MAX_DRAW_DOUBLES bounds.
+# harness.simulate_run draws observations and random-policy uniforms in blocks
+# of at least this many slots: one Philox stream per block and seed, and memory
+# that stays bounded however long the run is. It draws a longer block where one
+# chunk of its (slot, seed) rows spans more slots, in one sample_arrays call
+# over the seed group, whose buffer MAX_DRAW_DOUBLES bounds.
 OBS_BLOCK_SLOTS = 256
 
 # sample_arrays draws and thresholds a call's uniforms in pieces of at most

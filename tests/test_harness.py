@@ -24,10 +24,10 @@ from sfcbackup import (Catalog, ConfigError, InvariantViolation, apply_overrides
                        default_config_path, emit, load_config, make_ground_truth,
                        optimal_slot_value, run, validate_instance)
 from sfcbackup import harness
-from sfcbackup.cli import main
-from sfcbackup.harness import (CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
-                               MAX_TRACE_ROWS, OBS_BLOCK_SLOTS, POLICY_ORDER, parse_policies,
-                               parse_seeds, simulate_run)
+from sfcbackup.cli import build_parser, main
+from sfcbackup.harness import (CONFIG_KEYS, CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
+                               MAX_TRACE_ROWS, OBS_BLOCK_SLOTS, POLICY_ORDER, SETTINGS,
+                               parse_policies, parse_seeds, simulate_run)
 from sfcbackup.kernels import PlanGraph
 
 from reference import (assert_matches_reference, draw_slot, reference_run, reference_series,
@@ -137,6 +137,35 @@ def test_apply_overrides_replaces_and_validates() -> None:
                          ("regret", "no"), ("capacity_scale", "2"), ("slots", "5")):
         with pytest.raises(ConfigError, match=field):
             apply_overrides(cfg, **{field: value})
+
+
+def test_apply_overrides_takes_only_its_keywords() -> None:
+    cfg = load_config(tiny_config())
+    # an unknown keyword is named, before any value is parsed
+    for overrides in ({"slot": 3}, {"slots": 0, "slot": 3}):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'slot'"):
+            apply_overrides(cfg, **overrides)
+    # None leaves its setting as it is
+    assert apply_overrides(cfg, **{s.keyword: None for s in SETTINGS if s.keyword}) is cfg
+    out = apply_overrides(cfg, slots=None, users=9)
+    assert (out.slots, out.seeds, out.users) == (cfg.slots, cfg.seeds, 9)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"weights": {"omega": "x"}}, "weights.omega must be a finite number, got 'x'"),
+    ({"weights": {"mu": "x"}}, "weights.mu must be a finite number, got 'x'"),
+    ({"learner": {"failure_bonus_scale": -1}},
+     "learner.failure_bonus_scale must be >= 0, got -1.0"),
+    ({"learner": {"failure_bonus_sign": 5}}, "learner.failure_bonus_sign must be 1 or -1, got 5"),
+    ({"learner": {"failure_bonus_scale": "x"}},
+     "learner.failure_bonus_scale must be a finite number, got 'x'"),
+    ({"learner": {"failure_bonus_sign": 1.5}},
+     "learner.failure_bonus_sign must be an integer, got 1.5"),
+], ids=["omega", "mu", "negative-scale", "sign-5", "string-scale", "fractional-sign"])
+def test_a_section_setting_error_names_its_section(extra: dict, message: str) -> None:
+    with pytest.raises(ConfigError) as exc:
+        load_config(tiny_config(**extra))
+    assert str(exc.value) == message
 
 
 # --- simulation bookkeeping --------------------------------------------------
@@ -734,6 +763,51 @@ def test_cli_rejects_a_misspelt_key(tmp_path: Path, capsys: pytest.CaptureFixtur
     assert not (tmp_path / "out").exists()
 
 
+# a value other than tiny_config's for each setting the CLI overrides, as the
+# config and apply_overrides take it and as its flag's arguments
+OVERRIDDEN = {"slots": (7, ["7"]), "seeds": ("2..3", ["2..3"]), "policies": ("random", ["random"]),
+              "regret": (True, []), "capacity_scale": (1.5, ["1.5"]), "users": (9, ["9"])}
+
+
+def scalar_settings(cfg) -> tuple:
+    return (cfg.weights.omega, cfg.weights.mu, cfg.failure_bonus_scale, cfg.failure_bonus_sign,
+            cfg.slots, cfg.seeds, cfg.policies, cfg.regret, cfg.capacity_scale, cfg.users)
+
+
+@pytest.mark.parametrize("setting", [s for s in SETTINGS if s.flag], ids=lambda s: s.key)
+def test_a_setting_reads_the_same_from_config_override_and_flag(tmp_path: Path, monkeypatch,
+                                                                setting) -> None:
+    value, arguments = OVERRIDDEN[setting.key]
+    from_config = load_config(tiny_config(**{setting.key: value}))
+    from_override = apply_overrides(load_config(tiny_config()), **{setting.keyword: value})
+    # main's own overrides: its run is replaced by one that keeps the config
+    seen = []
+
+    def keep(cfg):
+        seen.append(cfg)
+        raise ConfigError("kept")
+
+    monkeypatch.setattr("sfcbackup.cli.run", keep)
+    argv = ["--config", str(write_config(tmp_path)), setting.flag, *arguments]
+    assert vars(build_parser().parse_args(argv))[setting.keyword] is not None
+    assert main(argv) == 1
+    # a flag left out keeps the config's value
+    assert main(["--config", str(write_config(tmp_path, **{setting.key: value}))]) == 1
+    from_flag, unflagged = seen
+    assert scalar_settings(from_config) != scalar_settings(load_config(tiny_config()))
+    assert scalar_settings(from_config) == scalar_settings(from_override) \
+        == scalar_settings(from_flag) == scalar_settings(unflagged)
+
+
+def test_config_keys_are_the_settings_and_the_structured_sections() -> None:
+    structured = ("network", "catalog", "ground_truth")
+    sections = {s.key.partition(".")[0] for s in SETTINGS if "." in s.key}
+    assert set(CONFIG_KEYS) == {"", *structured, *sections}
+    paths = {f"{section}.{key}" if section else key for section, keys in CONFIG_KEYS.items()
+             if section not in structured for key in keys}
+    assert paths == {"comment", *structured, *sections, *(s.key for s in SETTINGS)}
+
+
 KNOWN_KEYS = {key for keys in harness.CONFIG_KEYS.values() for key in keys}
 
 
@@ -841,6 +915,17 @@ def test_readme_quick_start_prints_what_the_readme_shows(tmp_path: Path, monkeyp
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == printed
+
+
+def test_readme_lists_every_flag_and_override_keyword() -> None:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    flags = text.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"`(--[\w-]+) ?([^`]*)`", flags)
+    options = [(action.option_strings[0], action.metavar or "|".join(action.choices or ()))
+               for action in build_parser()._actions if action.dest != "help"]
+    assert sorted(listed) == sorted(options)
+    library = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    assert all(f"`{s.keyword}`" in library for s in SETTINGS if s.keyword)
 
 
 # Values that are wrong somewhere in a config: fractional, negative, zero, the
