@@ -103,25 +103,39 @@ MAX_TRACE_ROWS = 2 ** 22
 LOCKSTEP_MIN_SEEDS = 8
 # simulate_run holds a seed group's draws a block of slots ahead, once for
 # every policy: per (slot, seed) row, F request counts, I failure flags and,
-# when random runs, W policy uniforms. It decides a chunk of rows for every
-# policy, then checks and values one policy's records at a time, each row then
-# also holding an N-server residual. A group has at most
-# LOCKSTEP_MAX_VALUES // (F + I + W + N) seeds and a chunk as many rows (and
-# at least one). So a chunk's draws and the records checked with them hold at
-# most this many values, 256 KiB at 8 bytes each. A block is at most one
-# chunk, or OBS_BLOCK_SLOTS slots where a chunk is shorter, so its draws hold
-# at most OBS_BLOCK_SLOTS times that, 64 MiB, however many seeds a run has.
-# A block is drawn by one call of each over all of the group's seeds:
-# policy_uniform_block keeps the block's uniforms as drawn,
-# 4 * ceil(W / 4) a row, up to three more than W, and random_rows is handed a
-# copy of one chunk's rows at a time; sample_arrays draws its call's
-# D = users x F + I uniforms a row, 4 * ceil(D / 4) doubles, at most
-# workload.MAX_DRAW_DOUBLES of them at a time, and keeps only their counts.
-# At this bound a 2-seed, 50-slot run with 178 values a row (perfbench's
-# wide-edge) decides its block in one chunk, and a 1-seed run with 20 values a
-# row (perfbench's small-regret) takes 1638 slots a chunk, all of its 1000
-# slots at once. Whole-block chunks on the bundled config (2 ** 17) raised
+# when random runs, W policy uniforms. A group has at most
+# LOCKSTEP_MAX_VALUES // (F + I + W + N) seeds, and a chunk of the learned
+# policies as many rows (and at least one); each learned policy's records of
+# a chunk are checked and valued on their own, each row then also holding an
+# N-server residual. So a chunk's draws and the records checked with them
+# hold at most this many values, 256 KiB at 8 bytes each. A block is at most
+# one chunk, or OBS_BLOCK_SLOTS slots where a chunk is shorter, so its draws
+# hold at most OBS_BLOCK_SLOTS times that, 64 MiB, however many seeds a run
+# has. A block is drawn by one call of each over all of the group's seeds:
+# sample_arrays draws its call's D = users x F + I uniforms a row,
+# 4 * ceil(D / 4) doubles, at most workload.MAX_DRAW_DOUBLES of them at a
+# time, and keeps only their counts; policy_uniform_block keeps the block's
+# uniforms as drawn, 4 * ceil(W / 4) a row, up to three more than W.
+# simulate_run decides the random policy as soon as they are drawn, reads
+# them in place and drops them before the learned chunks run. It splits the
+# block only into the fewest equal whole-slot pieces whose R rows give
+# random_rows' (L, R) tables, one row per chain occurrence, at most
+# 2 * LOCKSTEP_MAX_VALUES entries: 2730 rows on the bundled layout (L = 24),
+# which peak at about 2.6 MiB in random_rows, measured with tracemalloc. One
+# slot of a group always fits, as L < W. Each piece is checked and valued as
+# one. At this bound a 2-seed, 50-slot run with 178 values a row
+# (perfbench's wide-edge) decides its block in one chunk and one piece, and a
+# 1-seed run with 20 values a row (perfbench's small-regret) takes 1638 slots
+# a chunk, all of its 1000 slots at once. The bundled config's 30 seeds take
+# chunks of 19 slots and pieces of at most 91: perfbench's canonical 50 slots
+# are one random_rows call, and a full run's two blocks of 256 and 244 slots
+# six. Learned chunks of a whole block on the bundled config (a bound of
+# 2 ** 17) raised
 # perfbench's canonical peak_rss_mb by 1.0-1.7 MB (3 runs, 2 shared CPUs).
+# Deciding the random policy a whole block at a time raised a full bundled
+# run's harness.run tracemalloc peak from 7.7 MiB to 11.8 MiB, a 256-slot
+# block of 30 seeds peaking at 7.4 MiB in random_rows, and a block's memory
+# would grow with the group's seeds.
 LOCKSTEP_MAX_VALUES = 2 ** 15
 
 # Slot rewards are summed over chains and slots, and their spread across seeds
@@ -203,7 +217,7 @@ def parse_seeds(spec, name: str = "seeds") -> tuple[int, ...]:
 
 
 def parse_policies(spec, name: str = "policies") -> tuple[str, ...]:
-    if spec in (None, "all"):
+    if spec == "all":
         return POLICY_ORDER
     if isinstance(spec, str):
         spec = [spec]
@@ -485,19 +499,24 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth, seeds:
     graphs maps each learned policy to its kernels.PlanGraph, shared across
     seeds; None gives the run fresh ones.
 
-    The slots run in chunks of (slot, seed) rows, slot-major, at most
-    _batch_rows of them. The group draws its observations, and when random
-    runs its policy uniforms, a block of slots at a time, once for all
-    policies: one sample_arrays and one policy_uniform_block call over all
-    of the group's seeds, a Philox stream per seed in each. _chunk_and_block
-    sizes both, so that a run of few seeds, whose chunks are long, pays each
-    stage once per chunk. Each chunk is decided for every policy, and its
-    chains' survival flags are computed once for all of them; then, policy
-    by policy, lockstep.check verifies its records and lockstep.slot_values
-    accounts them. Only the decide step depends on the policy: random_rows
-    for random, and for the learned policies one lockstep.Learners for all
-    seeds, which stacks the policies' seeds as row blocks; _learned_chunk
-    picks how each chunk advances it from its learner rows.
+    The group draws its observations, and when random runs its policy
+    uniforms, a block of slots at a time, once for all policies: one
+    sample_arrays and one policy_uniform_block call over all of the group's
+    seeds, a Philox stream per seed in each. The block's request rows and
+    its chains' survival flags are computed once, slot-major, and every
+    policy's accounting reads its rows of them. The random policy keeps no
+    state across slots, so it is decided right after the draw: one
+    lockstep.random_rows call per piece of the block (_random_piece), each
+    on a (slots, seeds, W) view of the uniforms, which are then dropped.
+    The learned policies then run the block in chunks of at most _batch_rows
+    (slot, seed) rows; _chunk_and_block sizes chunks and blocks, so that a
+    run of few seeds, whose chunks are long, pays each stage once per chunk.
+    They keep one lockstep.Learners for all seeds, which stacks the
+    policies' seeds as row blocks, and _learned_chunk picks how each chunk
+    advances it from its learner rows. Every piece and chunk is then checked
+    by lockstep.check and accounted by lockstep.slot_values, one policy at
+    a time, random's pieces before the learned policies' chunks of the same
+    block.
     """
     for policy in policies:
         if policy not in POLICY_ORDER:
@@ -509,11 +528,10 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth, seeds:
     plan_graphs = [graphs[policy] for policy in learned]
     n_seeds, n_sfcs, n_vnfs = len(seeds), catalog.n_sfcs, catalog.n_vnfs
     layout = lockstep.Layout.of(network, catalog)
-    width = layout.width
     omega, mu = weights.omega, weights.mu
     chunk, block = _chunk_and_block(layout, n_seeds)
-    # every row of a chunk reads the same (F,) values and gates
-    value_true, gate_true = (np.broadcast_to(a, (chunk * n_seeds, n_sfcs))
+    # every row of a block reads the same (F,) values and gates
+    value_true, gate_true = (np.broadcast_to(a, (block * n_seeds, n_sfcs))
                              for a in lockstep.true_values(layout, gt, weights))
     learners = lockstep.Learners.fresh(len(learned) * n_seeds, n_sfcs, n_vnfs, users,
                                        failure_bonus_scale, failure_bonus_sign)
@@ -522,31 +540,37 @@ def simulate_run(network: EdgeNetwork, catalog: Catalog, gt: GroundTruth, seeds:
     for b0 in range(1, slots + 1, block):
         n = min(block, slots + 1 - b0)
         requests, failed = sample_arrays(gt, seeds, b0, b0 + n)
+        req_rows = requests.reshape(n * n_seeds, n_sfcs)
+        # each chain's survival in each row, shared by every policy's accounting
+        survived = (failed.reshape(n * n_seeds, n_vnfs) @ layout.uses) == 0
+
+        def account(policy: str, t0: int, rec: lockstep.Records, x=None, placed=None) -> None:
+            """Check and value policy's records of the rows from slot t0 on."""
+            lockstep.check(layout, rec, lambda k: (seeds[k % n_seeds], t0 + k // n_seeds),
+                           x, placed)
+            r0 = (t0 - b0) * n_seeds
+            rows = slice(r0, r0 + rec.residual.shape[0])
+            values = lockstep.slot_values(layout, omega, mu, req_rows[rows], survived[rows],
+                                          rec, value_true[rows], gate_true[rows])
+            for key, column in values.items():
+                series[policy][key] += column
+
         if "random" in policies:
-            uniforms = policy_uniform_block(seeds, b0, b0 + n, width)
+            uniforms = policy_uniform_block(seeds, b0, b0 + n, layout.width)
+            piece = _random_piece(layout, n_seeds, n)
+            for p0 in range(0, n, piece):
+                account("random", b0 + p0,
+                        lockstep.random_rows(layout, uniforms[p0:p0 + piece]))
+            del uniforms
+        if not learned:
+            continue
         for c0 in range(0, n, chunk):
-            t0, req, fail = b0 + c0, requests[c0:c0 + chunk], failed[c0:c0 + chunk]
-            n_rows = len(req) * n_seeds
-            req_rows = req.reshape(n_rows, n_sfcs)
-            # each chain's survival in each row, shared by every policy's accounting
-            survived = (fail.reshape(n_rows, n_vnfs) @ layout.uses) == 0
-            if learned:
-                decided = dict(zip(learned, _learned_chunk(learners, plan_graphs, weights,
-                                                           layout, t0, req, fail)))
-            for policy in policies:
-                if policy == "random":
-                    rec = lockstep.random_rows(layout,
-                                               uniforms[c0:c0 + chunk].reshape(-1, width))
-                    x = placed = None
-                else:
-                    ids, counts, residuals, x, placed = decided[policy]
-                    rec = lockstep.gather(graphs[policy], ids, counts, residuals)
-                lockstep.check(layout, rec, lambda k: (seeds[k % n_seeds], t0 + k // n_seeds),
-                               x, placed)
-                values = lockstep.slot_values(layout, omega, mu, req_rows, survived, rec,
-                                              value_true[:n_rows], gate_true[:n_rows])
-                for key, column in values.items():
-                    series[policy][key] += column
+            t0 = b0 + c0
+            decided = _learned_chunk(learners, plan_graphs, weights, layout, t0,
+                                     requests[c0:c0 + chunk], failed[c0:c0 + chunk])
+            for policy, (ids, counts, residuals, x, placed) in zip(learned, decided):
+                account(policy, t0, lockstep.gather(graphs[policy], ids, counts, residuals),
+                        x, placed)
     return {policy: {key: np.array(column).reshape(slots, n_seeds).T.copy()
                      for key, column in out.items()} for policy, out in series.items()}
 
@@ -602,6 +626,18 @@ def _chunk_and_block(layout: lockstep.Layout, n_seeds: int) -> tuple[int, int]:
     """
     chunk = max(1, _batch_rows(layout) // n_seeds)
     return chunk, max(OBS_BLOCK_SLOTS, chunk)
+
+
+def _random_piece(layout: lockstep.Layout, n_seeds: int, n: int) -> int:
+    """Slots per lockstep.random_rows call on a block of n slots of n_seeds seeds.
+
+    The fewest equal whole-slot pieces whose (L, R) tables, L chain
+    occurrences by R rows, hold at most 2 * LOCKSTEP_MAX_VALUES entries; one
+    slot where a slot alone holds more.
+    """
+    most = max(1, 2 * LOCKSTEP_MAX_VALUES // (layout.chain_flat.shape[0] * n_seeds))
+    pieces = -(-n // most)
+    return -(-n // pieces)
 
 
 def _batch_rows(layout: lockstep.Layout) -> int:

@@ -1,10 +1,11 @@
 """The batched stages of harness.simulate_run: many seeds, or many slots, per numpy operation.
 
 harness.simulate_run runs every policy of a seed group through one loop over
-chunks of (slot, seed) rows, and these are its stages. The learned policies
-keep one learner state, a Learners whose rows [k*S, (k+1)*S) are learned
-policy k's S seeds, and its row count (learned policies x seeds) picks, on
-each chunk, how the chunk advances it. From harness.LOCKSTEP_MIN_SEEDS rows
+blocks of (slot, seed) rows, the learned policies in chunks of each block,
+and these are its stages. The learned policies keep one learner state, a
+Learners whose rows [k*S, (k+1)*S) are learned policy k's S seeds, and its
+row count (learned policies x seeds) picks, on each chunk, how the chunk
+advances it. From harness.LOCKSTEP_MIN_SEEDS rows
 on, each slot runs, for all rows at once:
 
 - estimates: the (P*S, F) and (P*S, I) optimistic estimates, a few numpy
@@ -18,14 +19,16 @@ on, each slot runs, for all rows at once:
 
 Below that row count policy.learned_rows runs each policy's block of rows
 through a chunk in one call, in plain Python, on lists read from the block
-and written back at the chunk's end. The random policy keeps no state across
-slots, so random_rows decides a whole chunk's rows at once. gather turns one
-learned policy's chunk of edge ids into Records. Each policy's Records of a
-chunk then go through check, which holds them, and the backup vectors and
-VNF copies its learners were updated with, to the eight conditions of a
-sound slot decision, and slot_values, which values them. A policy's
-learners, ids, records and series never mix with another's: the rows of a
-Learners are independent, and each block scans on its own graph.
+and written back at the chunk's end. gather turns one learned policy's
+chunk of edge ids into Records. The random policy keeps no state across
+slots, so random_rows decides a whole draw block's rows at once, or the
+few equal pieces of it that its (L, R) tables of chain occurrences bound.
+Each policy's Records of a chunk or piece then go through check, which holds
+them, and the backup vectors and VNF copies its learners were updated with,
+to the eight conditions of a sound slot decision, and slot_values, which
+values them. A policy's learners, ids, records and series never mix with
+another's: the rows of a Learners are independent, and each block scans on
+its own graph.
 
 Exactness. Every float is computed by the expression policy.learned_rows
 evaluates, one operation at a time: numpy's sqrt, division, multiplication and
@@ -310,19 +313,21 @@ def _joined(head: tuple, tail: tuple) -> tuple:
 
 
 def random_rows(layout: Layout, u: np.ndarray) -> Records:
-    """The random policy's commits in every row of u, an (R, W) array of slot uniforms.
+    """The random policy's commits in every row of u, an (..., W) array of slot uniforms.
 
-    Each row is one slot on a fresh residual, its W = layout.width uniforms
-    in [0, 1): one per chain, then one per chain position. Chains are
-    attempted once each, in ascending u[f], ties by id. Occurrence j of chain
-    f goes to the server at index int(u[n_sfcs + chain_start[f] + j] * count)
-    among the count servers, in id order, whose residual, less what the
-    chain's earlier occurrences took, holds the VNF's demand; the hops' link
-    latencies add up in position order from 0.0. A chain commits only if
-    every occurrence found room and its latency is finite. This is the law of
-    drawing each next chain uniformly among those left and placing each
-    occurrence on the first server with room in a fresh uniform permutation
-    of the servers.
+    u's leading axes index its rows in C order: harness.simulate_run hands
+    it a (slots, seeds, W) view of a block's uniforms, rows slot-major, which
+    is read where it lies, not copied. Each row is one slot on a fresh
+    residual, its W = layout.width uniforms in [0, 1): one per chain, then
+    one per chain position. Chains are attempted once each, in ascending
+    u[f], ties by id. Occurrence j of chain f goes to the server at index
+    int(u[n_sfcs + chain_start[f] + j] * count) among the count servers, in
+    id order, whose residual, less what the chain's earlier occurrences took,
+    holds the VNF's demand; the hops' link latencies add up in position order
+    from 0.0. A chain commits only if every occurrence found room and its
+    latency is finite. This is the law of drawing each next chain uniformly
+    among those left and placing each occurrence on the first server with
+    room in a fresh uniform permutation of the servers.
 
     Each row's L chain occurrences, in rank order and then chain order, are
     laid out once as (L, R) tables, and the rows advance together, one step
@@ -330,37 +335,21 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
     sentinel: an occurrence that finds no room lands there, and the hop
     table charges +inf to enter it, which every later hop of the chain
     keeps, so the one test of a finite latency at the chain's last
-    occurrence also rejects a chain that did not fit. Server counts are
-    kept in the narrowest unsigned type that holds N. Where a row's chain has
-    already failed its steps go on, on numbers that nothing reads: the room
-    and the latency are reset at the row's next chain, and neither the failed
-    chain's latency nor its servers are recorded.
+    occurrence also rejects a chain that did not fit. Chain ids and server
+    counts are kept in the narrowest unsigned types that hold F and N. Where
+    a row's chain has already failed its steps go on, on numbers that
+    nothing reads: the room and the latency are reset at the row's next
+    chain, and neither the failed chain's latency nor its servers are
+    recorded.
     """
-    n_rows = u.shape[0]
-    n_sfcs = layout.catalog.n_sfcs
     n_servers = layout.network.n_servers
     chain_len = layout.chain_len
-    rows = np.arange(n_rows)
-    # layout.chain_flat[p] is VNF number place[p] of chain chain_of[p]
-    chain_of = np.repeat(np.arange(n_sfcs), chain_len)
-    place = np.arange(chain_of.shape[0]) - layout.chain_start[chain_of]
-    # row r attempts its chains in order[r]; chain f's positions are then its
-    # occurrences begin[r, f] .. begin[r, f] + chain_len[f] - 1
-    order = np.argsort(u[:, :n_sfcs], axis=1, kind="stable")
-    lengths = chain_len[order]
-    begin = np.empty_like(order)
-    begin[rows[:, None], order] = np.cumsum(lengths, axis=1) - lengths
-    n_occ = chain_of.shape[0]
-    pos = np.empty((n_occ, n_rows), dtype=np.int64)     # (L, R): occurrence -> position
-    pos[begin.T[chain_of] + place[:, None], rows] = np.arange(n_occ)[:, None]
-    first = (place == 0)[pos]
-    last = (place == chain_len[chain_of] - 1)[pos]
     # step k reads row k of spots and latency as the position's demand and
     # uniform, then overwrites it with the server it chose and the chain's
     # latency so far: two (L, R) tables, not four
-    spots = layout.demand[layout.chain_flat][pos]
-    latency = u[:, n_sfcs:].T[pos, rows]
-    sfc = np.take(chain_of, pos, out=pos)      # each occurrence's chain, over pos
+    first, last, spots, latency, sfc = _occurrences(layout, u)
+    n_occ, n_rows = sfc.shape
+    rows = np.arange(n_rows)
 
     # server-major (N + 1, R) state: row N is where an occurrence with no room
     # lands, a sentinel that no count reads, and hops[N] is a chain's start
@@ -395,17 +384,61 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
         np.copyto(lat, 0.0, where=start)
         lat += hops[prev * (n_servers + 1) + spot]
         spots[k], latency[k] = spot, lat
-        done[k] = fits = last[k] & (lat < math.inf)
+        fits = np.logical_and(last[k], lat < math.inf, out=done[k])
         residual = np.where(fits, room, residual)
 
-    # row-major: each row's commits in rank order, each commit's servers in chain order
+    # row-major: each row's commits in rank order, each commit's servers in
+    # chain order. Commit c's servers, from entry cumsum(positions)[c] -
+    # positions[c] of servers on, are those its occurrences rec_at[c] -
+    # positions[c] + 1 .. rec_at[c] chose
     rec_row, rec_at = np.nonzero(done.T)
-    rec_sfc = sfc[rec_at, rec_row]
-    committed = np.zeros((n_rows, n_sfcs), dtype=bool)
-    committed[rec_row, rec_sfc] = True
+    rec_sfc = sfc[rec_at, rec_row].astype(np.int64)
+    positions = chain_len[rec_sfc]
+    occ = np.repeat(rec_at + 1 - np.cumsum(positions), positions) + np.arange(positions.sum())
     return Records(row=rec_row, sfc=rec_sfc, latency=latency[rec_at, rec_row],
-                   positions=chain_len[rec_sfc], servers=spots.T[committed[rows, sfc].T],
+                   positions=positions, servers=spots[occ, np.repeat(rec_row, positions)],
                    residual=np.ascontiguousarray(residual[:n_servers].T))
+
+
+def _occurrences(layout: Layout, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """random_rows' (L, R) tables: row k of each is the k-th chain occurrence of every row.
+
+    Occurrences are counted in rank order, then chain order, as random_rows
+    takes them. Returns first and last, set where the occurrence is its
+    chain's first or last; spots, its VNF's demand; latency, its uniform;
+    and sfc, its chain, in the narrowest unsigned type that holds F. So the
+    tables random_rows steps over hold 20 bytes a row and occurrence on the
+    bundled layout; the setup's tables, built on the way, are dropped as
+    soon as they are read.
+    """
+    n_sfcs = layout.catalog.n_sfcs
+    n_occ = layout.chain_flat.shape[0]
+    n_rows = math.prod(u.shape[:-1])
+    rows = np.arange(n_rows)
+    chain_len = layout.chain_len
+    # layout.chain_flat[p] is VNF number place[p] of chain chain_of[p]
+    chain_of = np.repeat(np.arange(n_sfcs), chain_len)
+    place = np.arange(n_occ) - layout.chain_start[chain_of]
+    # row r attempts its chains in order[r]; chain f's positions are then its
+    # occurrences begin[r, f] .. begin[r, f] + chain_len[f] - 1
+    order = np.argsort(u[..., :n_sfcs], axis=-1, kind="stable").reshape(n_rows, n_sfcs)
+    lengths = chain_len[order]
+    begin = np.empty_like(order)
+    begin[rows[:, None], order] = np.cumsum(lengths, axis=1) - lengths
+    # pos[k, r] is the position of row r's occurrence k, scattered on the flat
+    # view from at, where at[p, r] is position p's flat index in pos
+    at = begin.T[chain_of]
+    del order, lengths, begin
+    at += place[:, None]
+    at *= n_rows
+    at += rows
+    pos = np.empty((n_occ, n_rows), dtype=np.intp)
+    pos.reshape(-1)[at] = np.arange(n_occ)[:, None]
+    del at
+    return ((place == 0)[pos], (place == chain_len[chain_of] - 1)[pos],
+            layout.demand[layout.chain_flat][pos],
+            u[..., n_sfcs:][np.unravel_index(rows, u.shape[:-1]) + (pos,)],
+            chain_of.astype(np.min_scalar_type(n_sfcs))[pos])
 
 
 def check(layout: Layout, rec: Records, label, x: np.ndarray | None = None,

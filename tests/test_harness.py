@@ -23,7 +23,7 @@ import sfcbackup
 from sfcbackup import (Catalog, ConfigError, InvariantViolation, apply_overrides,
                        default_config_path, emit, load_config, make_ground_truth,
                        optimal_slot_value, run, validate_instance)
-from sfcbackup import harness
+from sfcbackup import harness, workload
 from sfcbackup.cli import build_parser, main
 from sfcbackup.harness import (CONFIG_KEYS, CSV_COLUMNS, LOCKSTEP_MIN_SEEDS, MAX_REQUEST_DRAWS,
                                MAX_TRACE_ROWS, OBS_BLOCK_SLOTS, POLICY_ORDER, SETTINGS,
@@ -65,7 +65,8 @@ def test_parse_seeds_forms() -> None:
 
 def test_parse_policies_forms() -> None:
     assert parse_policies("all") == POLICY_ORDER
-    assert parse_policies(None) == POLICY_ORDER
+    with pytest.raises(ConfigError, match="policies must be a name or a list of names, got None"):
+        parse_policies(None)
     assert parse_policies("rtsd") == ("rtsd",)
     assert parse_policies(["random", "rtsd", "random"]) == ("random", "rtsd")
     with pytest.raises(ConfigError):
@@ -359,6 +360,19 @@ def test_a_block_is_one_draw_over_its_group(monkeypatch, users: int, seeds: str,
     if len(cfg.seeds) > 1:
         trace = assert_matches_reference(cfg, monkeypatch)
         assert any(trace["realized_reward"])
+
+
+def test_a_run_at_the_request_draw_cap_equals_the_reference(monkeypatch) -> None:
+    # MAX_REQUEST_DRAWS request uniforms a slot, on one seed, run just past
+    # one piece of workload.MAX_DRAW_DOUBLES doubles, so that the second
+    # piece goes on with the seed's stream where the first left it; the
+    # reference draws each slot user by user from its own counter
+    cfg = load_config(one_chain_doc(MAX_REQUEST_DRAWS, 18, "1"))
+    slot_doubles = 4 * -(-(MAX_REQUEST_DRAWS + cfg.catalog.n_vnfs) // 4)
+    span = workload.MAX_DRAW_DOUBLES // slot_doubles       # slots a piece
+    assert span < cfg.slots < 2 * span
+    trace = assert_matches_reference(cfg, monkeypatch)
+    assert any(trace["realized_reward"])
 
 
 def test_run_emits_one_row_per_policy_seed_slot() -> None:
@@ -706,6 +720,7 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
     ({"seeds": [1.5]}, []),
     ({"seeds": [2 ** 64]}, []),
     ({"policies": 7}, []),
+    ({"policies": None}, []),
     ({"learner": {"failure_bonus_scale": 1.0, "failure_bonus_sign": 5}}, []),
     ({"learner": {"failure_bonus_scale": -3.0, "failure_bonus_sign": -1}}, []),
     ({"capacity_scale": 1e308}, []),
@@ -732,8 +747,8 @@ def test_cli_missing_config_fails_cleanly(tmp_path: Path,
         "nan-failure-mean", "fractional-capacity", "int64-overflowing-capacity",
         "fractional-link-endpoint", "string-latency", "overflowing-latency",
         "fractional-demand", "fractional-chain-entry", "object-request-prob",
-        "fractional-seed", "seed-past-64-bits", "numeric-policies", "bonus-sign-5",
-        "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf",
+        "fractional-seed", "seed-past-64-bits", "numeric-policies", "null-policies",
+        "bonus-sign-5", "negative-bonus-scale", "capacity-scale-1e308", "capacity-scale-flag-inf",
         "users-flag-past-int64", "seed-range-past-64-bits", "seed-range-past-maxsize",
         "users-past-int64", "bool-failure-mean", "string-request-prob", "bool-request-prob",
         "seed-range-past-max-seeds", "users-flag-past-request-draws",
@@ -743,7 +758,8 @@ def test_cli_rejects_malformed_scalars(tmp_path: Path, capsys: pytest.CaptureFix
                                        extra: dict, flags: list[str]) -> None:
     cfg_path = write_config(tmp_path, **extra)
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")] + flags) == 1
-    assert "error:" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()      # one line, no traceback
+    assert line.startswith("error: ")
     assert not (tmp_path / "out").exists()
 
 

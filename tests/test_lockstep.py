@@ -5,15 +5,16 @@ definitions, and every run here must equal it column for column, on both
 decide paths of the one learner state, a lockstep.Learners: lockstep's numpy
 stages, forced by LOCKSTEP_MIN_SEEDS = 1, and one policy.learned_rows call
 per policy and chunk, forced by one past the learner rows (learned policies
-x seeds). The random policy decides whole chunks of rows
-at once, and lockstep.random_rows must also equal reference.random_placement
-row by row.
+x seeds). The random policy decides a whole draw block of rows at once, or
+its few equal pieces, and lockstep.random_rows must also equal
+reference.random_placement row by row.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -435,13 +436,16 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     layout = lockstep.Layout.of(cfg.network, cfg.catalog)
     per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
     # every policy: two groups of LOCKSTEP_MIN_SEEDS seeds, then the last three,
-    # and check and slot_values calls of LOCKSTEP_MIN_SEEDS rows at most
+    # and a learned policy's check and slot_values calls of LOCKSTEP_MIN_SEEDS
+    # rows at most; the random policy's hold up to 2 * LOCKSTEP_MAX_VALUES
+    # entries in each (L, R) table of random_rows
     max_values = harness.LOCKSTEP_MAX_VALUES
     monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES",
                         per_row * LOCKSTEP_MIN_SEEDS + per_row - 1)
     sizes = {policy: [] for policy in POLICY_ORDER}
-    # rows of every check and slot_values call, each one chunk
-    rows = {"check": [], "slot_values": []}
+    # rows of every check call, each a learned chunk or a random piece, and of
+    # every slot_values call
+    rows = {"learned": [], "random": [], "slot_values": []}
     real_simulate = harness.simulate_run
 
     def recorded(network, catalog, gt, seeds, weights, policies, *args, **kwargs):
@@ -452,17 +456,20 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     def bound() -> int:
         return max(1, harness._batch_rows(layout))
 
-    def counted(name, position):
-        real = getattr(lockstep, name)
+    real_check, real_values = lockstep.check, lockstep.slot_values
 
-        def stage(*args):
-            rows[name].append(args[position].residual.shape[0])
-            return real(*args)
-        return stage
+    def check(layout, rec, label, x=None, placed=None):
+        # the random policy keeps no learners, and hands check no x
+        rows["random" if x is None else "learned"].append(rec.residual.shape[0])
+        return real_check(layout, rec, label, x, placed)
+
+    def slot_values(*args):
+        rows["slot_values"].append(args[5].residual.shape[0])
+        return real_values(*args)
 
     monkeypatch.setattr(harness, "simulate_run", recorded)
-    monkeypatch.setattr(lockstep, "check", counted("check", 1))
-    monkeypatch.setattr(lockstep, "slot_values", counted("slot_values", 5))
+    monkeypatch.setattr(lockstep, "check", check)
+    monkeypatch.setattr(lockstep, "slot_values", slot_values)
     assert_matches_reference(cfg, monkeypatch)
     # the run on lockstep's stages, at the shipped LOCKSTEP_MIN_SEEDS (the last
     # group on policy.learned_rows), then on policy.learned_rows
@@ -473,17 +480,20 @@ def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
     short = apply_overrides(cfg, slots=2, policy="random")
     assert_matches_reference(short, monkeypatch)
     assert sizes["random"] == groups * 3
-    assert rows["check"] and rows["slot_values"]
-    assert max(rows["check"] + rows["slot_values"]) == bound()
+    # every checked batch of rows is valued as one
+    assert sorted(rows["slot_values"]) == sorted(rows["learned"] + rows["random"])
+    assert max(rows["learned"]) == bound()
+    assert bound() < max(rows["random"]) <= \
+        2 * harness.LOCKSTEP_MAX_VALUES // layout.chain_flat.shape[0]
 
     # at the default bounds a lockstep run checks many slots per call
     monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", max_values)
     sizes["rtsd"].clear()
-    rows["check"].clear()
+    rows["learned"].clear()
     run(apply_overrides(cfg, seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd"))
     assert sizes["rtsd"] == [LOCKSTEP_MIN_SEEDS]
-    assert 0 < len(rows["check"]) < cfg.slots
-    assert max(rows["check"]) <= bound()
+    assert 0 < len(rows["learned"]) < cfg.slots
+    assert max(rows["learned"]) <= bound()
 
 
 # the fewest seeds whose learner rows, stacked for both learned policies, reach
@@ -963,16 +973,110 @@ def test_random_rows_decide_a_wide_block_in_one_call(monkeypatch) -> None:
     cfg = load_config(doc)
     layout = lockstep.Layout.of(cfg.network, cfg.catalog)
     assert cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers == 178
-    rows = []
+    shapes = random_calls(monkeypatch)
+    run(cfg)
+    assert shapes == [(50, 2)]
+
+
+def random_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """The leading shape, (slots, seeds), of every lockstep.random_rows call from now on."""
+    shapes = []
     real = lockstep.random_rows
 
-    def counted(layout, u):
-        rows.append(u.shape[0])
+    def recorded(layout, u):
+        shapes.append(u.shape[:-1])
         return real(layout, u)
 
-    monkeypatch.setattr(lockstep, "random_rows", counted)
+    monkeypatch.setattr(lockstep, "random_rows", recorded)
+    return shapes
+
+
+def test_random_policy_is_decided_once_per_draw_block(monkeypatch) -> None:
+    # the bundled config's 30 seeds are one group: perfbench's canonical 50
+    # slots are one block and one random_rows call, where the learned
+    # policies take chunks of 19 slots; the 500 slots of a full run are two
+    # blocks, each in three pieces within 2 * LOCKSTEP_MAX_VALUES entries
+    cfg = apply_overrides(load_config(default_config_path()), slots=50, seeds="1..30")
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    assert harness._chunk_and_block(layout, 30) == (19, 256)
+    shapes = random_calls(monkeypatch)
     run(cfg)
-    assert rows == [2 * 50]
+    assert shapes == [(50, 30)]
+    shapes.clear()
+    run(apply_overrides(cfg, slots=500, policy="random"))
+    assert shapes == [(86, 30)] * 2 + [(84, 30)] + [(82, 30)] * 2 + [(80, 30)]
+    assert 86 * 30 * layout.chain_flat.shape[0] <= 2 * harness.LOCKSTEP_MAX_VALUES
+
+
+def test_random_pieces_across_chunks_and_blocks_equal_the_reference(monkeypatch) -> None:
+    # three seeds in chunks of 2 slots, blocks of 10 and pieces of at most 9
+    # slots: a block of 10 splits into two pieces of 5, whose boundary falls
+    # inside a learned chunk, and the last block of 3 is one piece
+    cfg = apply_overrides(load_config(default_config_path()), slots=23, seeds="4..6")
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
+    monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", per_row * 3 * 2)
+    monkeypatch.setattr(harness, "OBS_BLOCK_SLOTS", 10)
+    assert harness._chunk_and_block(layout, 3) == (2, 10)
+    assert 2 * harness.LOCKSTEP_MAX_VALUES // (layout.chain_flat.shape[0] * 3) == 9
+    shapes = random_calls(monkeypatch)
+    run(apply_overrides(cfg, policy="random"))
+    assert shapes == [(5, 3)] * 4 + [(3, 3)]
+    assert_matches_reference(cfg, monkeypatch)
+    assert_matches_reference(apply_overrides(cfg, policy="random"), monkeypatch)
+
+
+def decide_peaks(monkeypatch) -> list[int]:
+    """The tracemalloc peak of every lockstep.random_rows call from now on, in bytes.
+
+    Each is the most the call held at once above what was held when it began.
+    """
+    peaks = []
+    real = lockstep.random_rows
+
+    def traced(layout, u):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        rec = real(layout, u)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return rec
+
+    monkeypatch.setattr(lockstep, "random_rows", traced)
+    return peaks
+
+
+def test_a_random_decide_holds_bounded_memory(monkeypatch) -> None:
+    # the largest piece the bundled layout takes, 2 * LOCKSTEP_MAX_VALUES // L
+    # = 2730 rows, read in place from a block's uniforms, peaks at about
+    # 2.6 MiB: 20 bytes a row and occurrence in the tables it steps over, and
+    # 8 more for the setup's position table; and the piece's rows, not the
+    # group's seeds, set a call's memory: a block of 400 seeds holds no more
+    # per call than one of 100
+    cfg = load_config(default_config_path())
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    rows = 2 * harness.LOCKSTEP_MAX_VALUES // layout.chain_flat.shape[0]
+    assert rows == 2730
+    u = workload.policy_uniform_block(list(range(30)), 1, 1 + rows // 30, layout.width)
+    peaks = decide_peaks(monkeypatch)
+    small = {"network": {"capacities": [10, 8, 6],
+                         "links": [[0, 1, 0.4], [1, 2, 0.7], [0, 2, 1.1]]},
+             "catalog": {"vnf_demand": [3, 4, 2, 5], "sfc_chain": [[0, 1], [2, 3, 2], [1, 1]]},
+             "ground_truth": {"request_prob": [0.7, 0.5, 0.4],
+                              "failure_mean": [0.05, 0.1, 0.02, 0.2]},
+             "users": 4, "slots": harness.OBS_BLOCK_SLOTS, "policies": "random"}
+    tracemalloc.start()
+    try:
+        lockstep.random_rows(layout, u)
+        [largest] = peaks
+        most = {}
+        for n_seeds in (100, 400):
+            peaks.clear()
+            run(load_config(dict(small, seeds=f"1..{n_seeds}")))
+            most[n_seeds] = max(peaks)
+    finally:
+        tracemalloc.stop()
+    assert largest <= 3 * 2 ** 20
+    assert most[400] <= 1.1 * most[100]
 
 
 @pytest.mark.parametrize("n_seeds", [1, LOCKSTEP_MIN_SEEDS - 1, LOCKSTEP_MIN_SEEDS, 30])
