@@ -121,7 +121,7 @@ LOCKSTEP_MIN_SEEDS = 8
 # block only into the fewest equal whole-slot pieces whose R rows give
 # random_rows' (L, R) tables, one row per chain occurrence, at most
 # 2 * LOCKSTEP_MAX_VALUES entries: 2730 rows on the bundled layout (L = 24),
-# which peak at about 2.6 MiB in random_rows, measured with tracemalloc. One
+# which peak at about 2.0 MiB in random_rows, measured with tracemalloc. One
 # slot of a group always fits, as L < W. Each piece is checked and valued as
 # one. At this bound a 2-seed, 50-slot run with 178 values a row
 # (perfbench's wide-edge) decides its block in one chunk and one piece, and a

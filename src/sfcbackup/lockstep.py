@@ -179,8 +179,11 @@ def true_values(layout: Layout, gt: GroundTruth,
     1 - gt.failure_mean[i] over its distinct VNFs, left to right in order of
     first occurrence, as copies of a VNF share one failure flag. They are
     what slot_values charges every row, and what oracle.optimal_slot_value
-    values a chain with. A chain that runs no VNF has no gate, and is refused.
+    values a chain with. A chain that runs no VNF has no gate, and is
+    refused, as is a catalog of no chains, which no policy can back up.
     """
+    if not layout.chain_len.size:
+        raise ValueError("the catalog must hold at least one SFC")
     if not layout.chain_len.all():
         raise ValueError("every SFC's chain must run at least one VNF")
     rate = gt.failure_mean.tolist()
@@ -335,57 +338,85 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
     sentinel: an occurrence that finds no room lands there, and the hop
     table charges +inf to enter it, which every later hop of the chain
     keeps, so the one test of a finite latency at the chain's last
-    occurrence also rejects a chain that did not fit. Chain ids and server
-    counts are kept in the narrowest unsigned types that hold F and N. Where
-    a row's chain has already failed its steps go on, on numbers that
-    nothing reads: the room and the latency are reset at the row's next
-    chain, and neither the failed chain's latency nor its servers are
-    recorded.
+    occurrence also rejects a chain that did not fit. Where a row's chain
+    has already failed its steps go on, on numbers that nothing reads: the
+    room and the latency are reset at the row's next chain, and neither the
+    failed chain's latency nor its servers are recorded.
+
+    No step runs a numpy loop per row. The residuals, the room and the
+    spots table share one signed type, the narrowest that holds every
+    capacity, demand and server index and the sentinel row's lowest value,
+    -(longest chain x largest demand), but at most int64: one byte on the
+    bundled layout. A step counts the servers with room as one product of a
+    lower-triangular (N, N) matrix of ones with the (N, R) table of servers
+    with room, in float32, or float64 from 2 ** 16 servers on: sums of 0s
+    and 1s, exact below 2 ** 24. It compares the counts with
+    floor(u * count), an integer, in the same type. Chain ids are kept in
+    the narrowest unsigned type that holds F, and the Records are int64.
     """
     n_servers = layout.network.n_servers
     chain_len = layout.chain_len
+    most_demand = int(layout.demand.max(initial=0))
+    # the state's signed type, from the lowest value it must hold: a signed
+    # type that holds -m - 1 holds m
+    largest = max(n_servers, int(layout.capacities.max(initial=0)), most_demand)
+    lowest = -int(chain_len.max(initial=0)) * most_demand
+    state = np.min_scalar_type(max(min(-1 - largest, lowest), np.iinfo(np.int64).min))
+    counts = np.promote_types(np.float32, np.min_scalar_type(n_servers))
     # step k reads row k of spots and latency as the position's demand and
     # uniform, then overwrites it with the server it chose and the chain's
     # latency so far: two (L, R) tables, not four
-    first, last, spots, latency, sfc = _occurrences(layout, u)
+    first, last, spots, latency, sfc = _occurrences(layout, u, state)
     n_occ, n_rows = sfc.shape
     rows = np.arange(n_rows)
 
     # server-major (N + 1, R) state: row N is where an occurrence with no room
     # lands, a sentinel that no count reads, and hops[N] is a chain's start
-    residual = np.zeros((n_servers + 1, n_rows), dtype=np.int64)
+    residual = np.zeros((n_servers + 1, n_rows), dtype=state)
     residual[:n_servers] = layout.capacities[:, None]
-    room = residual
+    room = residual.copy()
+    change = np.empty_like(residual)
     hops = np.full((n_servers + 1, n_servers + 1), math.inf)
     hops[:n_servers, :n_servers] = layout.network.latency_matrix
     hops[n_servers, :n_servers] = 0.0
     hops = hops.ravel()                 # hops[a * (N + 1) + b], a to b
-    has_room = np.empty((n_servers, n_rows), dtype=bool)
+    # count_to[s] = has_room[0] + ... + has_room[s], one product with a
+    # lower-triangular matrix of ones
+    below_or_at = np.tril(np.ones((n_servers, n_servers), dtype=counts))
+    has_room = np.empty((n_servers, n_rows), dtype=counts)
+    count_to = np.empty((n_servers, n_rows), dtype=counts)
+    index = np.empty(n_rows, dtype=counts)
     below = np.empty((n_servers, n_rows), dtype=bool)
-    count_to = np.empty((n_servers, n_rows), dtype=np.min_scalar_type(n_servers))
     lat = np.zeros(n_rows)
     spot = np.zeros(n_rows, dtype=np.int64)
     done = np.empty((n_occ, n_rows), dtype=bool)        # where a row commits a chain
     for k in range(n_occ):
         need, start = spots[k], first[k]
-        room = np.where(start, residual, room)
-        np.greater_equal(room[:n_servers], need, out=has_room)
-        np.add.accumulate(has_room.view(np.uint8), axis=0, out=count_to)
+        # room = residual where a chain starts; np.where has no fast loop for
+        # narrow integers
+        np.subtract(residual, room, out=change)
+        change *= start
+        room += change
+        np.greater_equal(room[:n_servers], need, out=has_room, casting="unsafe")
+        np.matmul(below_or_at, has_room, out=count_to)
         # the servers before the chosen one are those whose count_to is at most
-        # the index int(latency[k] * count), so at most latency[k] * count;
-        # count_to[-1] = count is more, unless no server has room: then all N
-        # are, and the spot is the sentinel row N
-        np.less_equal(count_to, latency[k] * count_to[-1], out=below)
-        prev, spot = spot, np.add.reduce(below.view(np.uint8), axis=0,
-                                         dtype=count_to.dtype).astype(np.int64)
+        # the index int(latency[k] * count); count_to[-1] = count is more,
+        # unless no server has room: then all N are, and the spot is the
+        # sentinel row N
+        np.floor(latency[k] * count_to[-1], out=index)
+        np.less_equal(count_to, index, out=below)
+        prev, spot = spot, np.add.reduce(below.view(np.int8), axis=0,
+                                         dtype=state).astype(np.int64)
         room.reshape(-1)[spot * n_rows + rows] -= need     # room[spot, rows], on the flat view
         # a chain starts from 0.0 at row N; column N, no room, is +inf
-        np.copyto(prev, n_servers, where=start)
-        np.copyto(lat, 0.0, where=start)
+        np.putmask(prev, start, n_servers)
+        np.putmask(lat, start, 0.0)
         lat += hops[prev * (n_servers + 1) + spot]
         spots[k], latency[k] = spot, lat
         fits = np.logical_and(last[k], lat < math.inf, out=done[k])
-        residual = np.where(fits, room, residual)
+        np.subtract(room, residual, out=change)     # residual = room where it fits
+        change *= fits
+        residual += change
 
     # row-major: each row's commits in rank order, each commit's servers in
     # chain order. Commit c's servers, from entry cumsum(positions)[c] -
@@ -396,20 +427,22 @@ def random_rows(layout: Layout, u: np.ndarray) -> Records:
     positions = chain_len[rec_sfc]
     occ = np.repeat(rec_at + 1 - np.cumsum(positions), positions) + np.arange(positions.sum())
     return Records(row=rec_row, sfc=rec_sfc, latency=latency[rec_at, rec_row],
-                   positions=positions, servers=spots[occ, np.repeat(rec_row, positions)],
-                   residual=np.ascontiguousarray(residual[:n_servers].T))
+                   positions=positions,
+                   servers=spots[occ, np.repeat(rec_row, positions)].astype(np.int64),
+                   residual=residual[:n_servers].T.astype(np.int64, order="C"))
 
 
-def _occurrences(layout: Layout, u: np.ndarray) -> tuple[np.ndarray, ...]:
+def _occurrences(layout: Layout, u: np.ndarray, state: np.dtype) -> tuple[np.ndarray, ...]:
     """random_rows' (L, R) tables: row k of each is the k-th chain occurrence of every row.
 
     Occurrences are counted in rank order, then chain order, as random_rows
     takes them. Returns first and last, set where the occurrence is its
-    chain's first or last; spots, its VNF's demand; latency, its uniform;
-    and sfc, its chain, in the narrowest unsigned type that holds F. So the
-    tables random_rows steps over hold 20 bytes a row and occurrence on the
-    bundled layout; the setup's tables, built on the way, are dropped as
-    soon as they are read.
+    chain's first or last; spots, its VNF's demand, in state, random_rows'
+    integer type; latency, its uniform; and sfc, its chain, in the narrowest
+    unsigned type that holds F. So the tables random_rows steps over hold 12
+    bytes a row and occurrence where state is one byte, as on the bundled
+    layout; the setup's tables, built on the way, are dropped as soon as
+    they are read.
     """
     n_sfcs = layout.catalog.n_sfcs
     n_occ = layout.chain_flat.shape[0]
@@ -436,7 +469,7 @@ def _occurrences(layout: Layout, u: np.ndarray) -> tuple[np.ndarray, ...]:
     pos.reshape(-1)[at] = np.arange(n_occ)[:, None]
     del at
     return ((place == 0)[pos], (place == chain_len[chain_of] - 1)[pos],
-            layout.demand[layout.chain_flat][pos],
+            layout.demand[layout.chain_flat].astype(state)[pos],
             u[..., n_sfcs:][np.unravel_index(rows, u.shape[:-1]) + (pos,)],
             chain_of.astype(np.min_scalar_type(n_sfcs))[pos])
 

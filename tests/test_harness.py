@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sfcbackup
-from sfcbackup import (Catalog, ConfigError, InvariantViolation, apply_overrides,
+from sfcbackup import (Catalog, ConfigError, InvariantViolation, RewardWeights, apply_overrides,
                        default_config_path, emit, load_config, make_ground_truth,
                        optimal_slot_value, run, validate_instance)
 from sfcbackup import harness, workload
@@ -232,6 +232,20 @@ def test_simulate_run_refuses_an_empty_chain(monkeypatch) -> None:
         with pytest.raises(ValueError, match="at least one VNF"):
             simulate_run(cfg.network, catalog, gt, (1, 2), cfg.weights, cfg.policies, 5,
                          users=cfg.users)
+
+
+@pytest.mark.parametrize("policies", [("random",), ("rtsd",), POLICY_ORDER])
+def test_simulate_run_refuses_an_empty_catalog(monkeypatch, policies) -> None:
+    # a catalog of no chains is refused with a worded error before any slot is
+    # drawn, as an empty chain is, whichever policies run
+    catalog = Catalog([1], [])
+    gt = make_ground_truth(0.5, [0.1], 3, catalog.n_sfcs, 0)
+    network = load_config(tiny_config()).network
+    monkeypatch.setattr(harness, "sample_arrays",
+                        lambda *a: pytest.fail("drew slots for an empty catalog"))
+    with pytest.raises(ValueError, match="at least one SFC"):
+        simulate_run(network, catalog, gt, (1, 2), RewardWeights(), policies, 5,
+                     users=3)
 
 
 def test_summary_means_past_the_reduction_buffer() -> None:

@@ -942,8 +942,8 @@ def test_random_rows_equal_the_per_slot_loop(case) -> None:
 
 @pytest.mark.parametrize("n_servers", [255, 256])
 def test_random_rows_count_servers_past_a_byte(n_servers: int) -> None:
-    # random_rows counts the servers with room in the narrowest unsigned type
-    # that holds N: one byte at 255 servers, two at 256. Single-VNF chains on
+    # past a byte of servers: a server index of 255 or 256 no longer fits one
+    # byte of state, and the float counts run past 255. Single-VNF chains on
     # every fourth server at zero capacity: demand 0 finds room on all N,
     # demand 9 on none, and demands 1 and 2 on fewer as the chains fill them
     net = EdgeNetwork([0 if s % 4 == 3 else 1 + s % 3 for s in range(n_servers)], [])
@@ -956,6 +956,99 @@ def test_random_rows_count_servers_past_a_byte(n_servers: int) -> None:
     assert unpack_rows(rec, len(rows)) == [random_placement(net, cat, row) for row in rows]
     assert rec.servers.max() == n_servers - 1       # demand 0 at NEAR_ONE takes the last
     lockstep.check(layout, rec, lambda k: (0, k + 1))
+
+
+def state_types(monkeypatch) -> list[np.dtype]:
+    """The integer type of every lockstep.random_rows call's state from now on."""
+    seen = []
+    real = lockstep._occurrences
+
+    def recorded(layout, u, state):
+        seen.append(state)
+        return real(layout, u, state)
+
+    monkeypatch.setattr(lockstep, "_occurrences", recorded)
+    return seen
+
+
+def assert_random_rows_equal_the_reference(net: EdgeNetwork, cat: Catalog, seed: int,
+                                           n_random: int = 12) -> None:
+    """random_rows on tied and random rows equals random_placement row by row, in int64."""
+    layout = lockstep.Layout.of(net, cat)
+    rows = [[0.0] * layout.width, [NEAR_ONE] * layout.width, [0.5] * layout.width]
+    rows += np.random.default_rng(seed).random((n_random, layout.width)).tolist()
+    rec = lockstep.random_rows(layout, np.array(rows))
+    assert rec.servers.dtype == np.int64 and rec.residual.dtype == np.int64
+    assert unpack_rows(rec, len(rows)) == [random_placement(net, cat, row) for row in rows]
+    lockstep.check(layout, rec, lambda k: (0, k + 1))
+
+
+def test_random_rows_on_one_linkless_server(monkeypatch) -> None:
+    # every occurrence has one server to go to, so chains of any length
+    # co-locate or do not fit; one byte of state holds it all
+    seen = state_types(monkeypatch)
+    assert_random_rows_equal_the_reference(
+        EdgeNetwork([7], []), Catalog([2, 3, 0, 8], [[0, 1], [1, 1, 0], [2], [3], [0, 2, 0]]), 1)
+    assert seen == [np.int8]
+
+
+# the largest value of each type the state can take, and the first past it
+TYPE_EDGES = [(2 ** 7 - 1, np.int8), (2 ** 7, np.int16), (2 ** 15 - 1, np.int16),
+              (2 ** 15, np.int32), (2 ** 31 - 1, np.int32), (2 ** 31, np.int64)]
+
+
+@pytest.mark.parametrize("edge, state", TYPE_EDGES)
+def test_random_rows_at_a_capacity_edge(monkeypatch, edge: int, state: type) -> None:
+    # the largest capacity sets the state's type; a demand one below it fits
+    # the two largest servers once each, and single-VNF chains keep the
+    # sentinel bound at minus that demand
+    seen = state_types(monkeypatch)
+    assert_random_rows_equal_the_reference(
+        EdgeNetwork([edge, edge - 1, 2], [(0, 1, 0.5)]),
+        Catalog([edge - 1, 1, 2], [[0], [1], [2], [0], [1], [0]]), edge)
+    assert seen == [state]
+
+
+@pytest.mark.parametrize("edge, state", TYPE_EDGES)
+def test_random_rows_at_a_demand_edge(monkeypatch, edge: int, state: type) -> None:
+    # the largest demand sets the state's type: it passes every capacity, so
+    # its chains never fit, while a demand one below it fills server 0
+    seen = state_types(monkeypatch)
+    assert_random_rows_equal_the_reference(
+        EdgeNetwork([edge - 1, 3, 2], [(1, 2, 0.5)]),
+        Catalog([edge, 1, edge - 1], [[0], [1], [2], [1], [0], [2]]), edge)
+    assert seen == [state]
+
+
+@pytest.mark.parametrize("demand, state", [
+    (2 ** 6, np.int8), (2 ** 6 + 1, np.int16), (2 ** 14, np.int16), (2 ** 14 + 1, np.int32),
+    (2 ** 30, np.int32), (2 ** 30 + 1, np.int64), (2 ** 62, np.int64)])
+def test_random_rows_at_a_sentinel_edge(monkeypatch, demand: int, state: type) -> None:
+    # a chain running its VNF twice takes twice the demand from the sentinel
+    # row when it finds no room, and that bound alone moves the type: every
+    # capacity and demand fits the narrower one. Past int64 (three copies of
+    # 2 ** 62) the type stays int64, and the sentinel, which nothing reads,
+    # wraps
+    seen = state_types(monkeypatch)
+    assert_random_rows_equal_the_reference(
+        EdgeNetwork([demand + 36, demand, 0], [(0, 1, 0.5)]),
+        Catalog([demand, 1], [[0, 0], [1], [0], [1, 0]] if demand < 2 ** 62
+                else [[0, 0, 0], [1], [0]]), demand)
+    assert seen == [state]
+
+
+@pytest.mark.parametrize("n_servers", [32, 33, 64, 127, 128])
+def test_random_rows_on_many_servers(monkeypatch, n_servers: int) -> None:
+    # wider count matrices, past the 32 servers no perfbench workload reaches;
+    # a server index of 127 still fits one byte of state, one of 128 does not
+    rng = np.random.default_rng(n_servers)
+    net = EdgeNetwork(rng.integers(0, 9, n_servers).tolist(),
+                      [(s, s + 1, 0.5) for s in range(n_servers - 1)]
+                      + [(0, n_servers - 1, 1.0)])
+    cat = Catalog([1, 3, 5, 0], [[0, 1], [2, 2, 1], [3], [1, 0, 2, 3], [2], [0, 0]])
+    seen = state_types(monkeypatch)
+    assert_random_rows_equal_the_reference(net, cat, n_servers, n_random=40)
+    assert seen == [np.int8 if n_servers < 128 else np.int16]
 
 
 def test_random_rows_decide_a_wide_block_in_one_call(monkeypatch) -> None:
@@ -1048,10 +1141,10 @@ def decide_peaks(monkeypatch) -> list[int]:
 def test_a_random_decide_holds_bounded_memory(monkeypatch) -> None:
     # the largest piece the bundled layout takes, 2 * LOCKSTEP_MAX_VALUES // L
     # = 2730 rows, read in place from a block's uniforms, peaks at about
-    # 2.6 MiB: 20 bytes a row and occurrence in the tables it steps over, and
-    # 8 more for the setup's position table; and the piece's rows, not the
-    # group's seeds, set a call's memory: a block of 400 seeds holds no more
-    # per call than one of 100
+    # 2.0 MiB, while it builds the records from the tables it stepped over,
+    # 13 bytes a row and occurrence; and the piece's rows, not the group's
+    # seeds, set a call's memory: a block of 400 seeds holds no more per call
+    # than one of 100
     cfg = load_config(default_config_path())
     layout = lockstep.Layout.of(cfg.network, cfg.catalog)
     rows = 2 * harness.LOCKSTEP_MAX_VALUES // layout.chain_flat.shape[0]
@@ -1075,7 +1168,7 @@ def test_a_random_decide_holds_bounded_memory(monkeypatch) -> None:
             most[n_seeds] = max(peaks)
     finally:
         tracemalloc.stop()
-    assert largest <= 3 * 2 ** 20
+    assert largest <= 2.5 * 2 ** 20
     assert most[400] <= 1.1 * most[100]
 
 
