@@ -598,24 +598,25 @@ def _learned_chunk(learners: lockstep.Learners, graphs: list[PlanGraph],
                 for k, graph in enumerate(graphs)]
     n_vnfs = failed.shape[2]
     n_policies = len(graphs)
+    n_rows = n_policies * n_seeds
     ids, counts, residuals = ([[] for _ in graphs] for _ in range(3))
-    # every policy's block of learner rows learns from the same observations
-    stacked = (np.concatenate((requests,) * n_policies, axis=1),
-               np.concatenate((failed,) * n_policies, axis=1))
-    xs, copies = [], []
-    for t, req, fail in zip(count(t0), *stacked):
+    # every policy's block of learner rows learns from the same observations:
+    # (slots, P * S, F + I), each row's request counts, then its failure flags
+    observed = np.empty((n_slots, n_policies, n_seeds, n_sfcs + n_vnfs))
+    observed[..., :n_sfcs] = requests[:, None]
+    observed[..., n_sfcs:] = failed[:, None]
+    # each slot's pulls of every arm, its commit counts times layout.arms: the
+    # backup vectors and VNF copies the learners are updated with
+    pulled = np.empty((n_slots, n_rows, n_sfcs + n_vnfs), dtype=np.int64)
+    for t, obs, slot_pulled in zip(count(t0), observed.reshape(n_slots, n_rows, -1), pulled):
         q, v = lockstep.estimates(learners, t)
         slot = lockstep.decide_learned(graphs, layout, q, v, weights.omega, weights.mu,
                                        ids, counts, residuals)
-        x, placed = slot > 0, slot @ layout.copies
-        lockstep.update(learners, req, fail, x, placed)
-        xs.append(x)
-        copies.append(placed)
-    # (slots, P * S, .) arrays; policy k's rows are block k of each slot
-    xs = np.array(xs, dtype=np.int64).reshape(n_slots, n_policies, n_seeds, n_sfcs)
-    copies = np.array(copies, dtype=np.int64).reshape(n_slots, n_policies, n_seeds, n_vnfs)
-    return [(ids[k], counts[k], residuals[k], xs[:, k].reshape(-1, n_sfcs),
-             copies[:, k].reshape(-1, n_vnfs)) for k in range(n_policies)]
+        lockstep.update(learners, obs, np.matmul(slot, layout.arms, out=slot_pulled))
+    # policy k's rows are block k of each slot
+    pulled = pulled.reshape(n_slots, n_policies, n_seeds, -1)
+    return [(ids[k], counts[k], residuals[k], pulled[:, k, :, :n_sfcs].reshape(-1, n_sfcs),
+             pulled[:, k, :, n_sfcs:].reshape(-1, n_vnfs)) for k in range(n_policies)]
 
 
 def _chunk_and_block(layout: lockstep.Layout, n_seeds: int) -> tuple[int, int]:

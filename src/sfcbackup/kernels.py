@@ -17,11 +17,12 @@ Plan graph. The selection loop re-plans every remaining chain after each
 commit, and a chain walk is a pure function of (mode, residual, chain).
 Capacity resets every slot, so the residual after k commits is fixed by which
 plans were committed, and a run keeps revisiting the same few residual states.
-A PlanGraph stores them: each node is one residual with the plans walked on it
-so far and an edge per committed chain, (next node, id), the id indexing the
-graph's edge tables. slot_decide reads a chain's plan from the current node
-and walks only on a miss, so a warm slot is dict lookups and scoring, and a
-decision is its edge ids and the final node's residual tuple.
+A PlanGraph stores them: each node is one residual with two lists indexed by
+chain id, the plans walked on it so far and an edge per committed chain, (next
+node, id), the id indexing the graph's edge tables; None marks a chain not yet
+walked or committed there. slot_decide reads a chain's plan from the current
+node and walks only on a miss, so a warm slot is list lookups and scoring, and
+a decision is its edge ids and the final node's residual tuple.
 
 Ownership. A graph belongs to one (network, catalog, mode). harness.run builds
 one per learned policy before its seed groups and drops them after, so no graph
@@ -48,7 +49,8 @@ the link latency, 0 on the diagonal and +inf where no link exists
 (EdgeNetwork.latency_rows). A walk returns a finite plan (latency,
 assignment), the assignment a tuple with one server per chain position, or
 DEAD_END = (+inf, None) when the chain does not fit at the edge (cloud
-verdict), which slot_decide never scores or commits.
+verdict), which slot_decide tells by identity and never scores or commits:
+every walk returns that one tuple exactly when its latency is +inf.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def greedy_chain_walk(residual, pools, needs, nbrs, lat, anchor):
     beaten. pools is sorted(residual), shared by all walks against one
     residual, which may be a list or a tuple. Returns (latency, assignment),
     every hop over a direct link, or DEAD_END = (+inf, None) when the walk
-    dead-ends.
+    dead-ends or its latency sums to +inf.
     """
     total = sum(needs)
     if residual[anchor] >= total:
@@ -113,6 +115,8 @@ def greedy_chain_walk(residual, pools, needs, nbrs, lat, anchor):
                 return DEAD_END
         assign.append(cur)
         tent[cur] += need
+    if latency == inf:      # finite links whose sum overflowed
+        return DEAD_END
     return latency, tuple(assign)
 
 
@@ -150,9 +154,10 @@ def first_fit_chain_walk(residual, needs, lat):
 class PlanGraph:
     """The residual states one run's selection loops visit, with their plans.
 
-    nodes maps a residual tuple to its node (residual, plans, edges): plans[f]
-    is chain f's walk against that residual, a finite (latency, assignment) or
-    DEAD_END, and edges[f] = (next_node, id) commits f's plan, whose chain,
+    nodes maps a residual tuple to its node (residual, plans, edges), plans
+    and edges lists indexed by chain id, None until filled: plans[f] is chain
+    f's walk against that residual, a finite (latency, assignment) or the
+    shared DEAD_END, and edges[f] = (next_node, id) commits f's plan, whose chain,
     latency and assignment are edge_sfc[id], edge_latency[id] and
     edge_servers[id]. Both fill lazily and are never invalidated: walks are
     pure, and the graph belongs to one network, catalog and placement mode
@@ -169,8 +174,8 @@ class PlanGraph:
     """
 
     __slots__ = ("network", "catalog", "mode", "neighbor_lists", "latency_rows", "vnf_demand",
-                 "sfc_chain", "chain_needs", "nodes", "loops", "edge_sfc", "edge_latency",
-                 "edge_servers", "stored", "edge_arrays")
+                 "sfc_chain", "chain_needs", "n_sfcs", "nodes", "root_node", "loops", "edge_sfc",
+                 "edge_latency", "edge_servers", "stored", "edge_arrays")
 
     def __init__(self, network, catalog, mode: int) -> None:
         if mode not in (GREEDY, FIRST_FIT):
@@ -184,29 +189,40 @@ class PlanGraph:
         self.sfc_chain = catalog.sfc_chain
         self.chain_needs = [tuple(catalog.vnf_demand[i] for i in chain)
                             for chain in catalog.sfc_chain]
+        self.n_sfcs = catalog.n_sfcs
         self.nodes: dict[tuple[int, ...], tuple] = {}
+        self.root_node = None
         self.loops: dict[tuple[tuple[int, ...], int], tuple] = {}
         self.edge_sfc, self.edge_latency, self.edge_servers = [], [], []
         self.stored = 0
         self.edge_arrays = None
 
-    def node(self, residual: tuple[int, ...]) -> tuple:
-        """The node of a residual tuple; a new one is stored while under NODE_CAP."""
+    def root(self) -> tuple:
+        """The node of the network's capacities, where every slot starts.
+
+        A new one is stored while the graph holds fewer than NODE_CAP nodes,
+        and the stored one is kept as root_node, which slot_decide reads
+        first.
+        """
+        residual = self.network.capacities
         node = self.nodes.get(residual)
         if node is None:
-            node = (residual, {}, {})
-            if len(self.nodes) < NODE_CAP:
-                self.nodes[residual] = node
+            node = (residual, [None] * self.n_sfcs, [None] * self.n_sfcs)
+            if len(self.nodes) >= NODE_CAP:
+                return node
+            self.nodes[residual] = node
+        self.root_node = node
         return node
 
     def commit(self, node: tuple, f: int) -> tuple:
         """Edge (next_node, id) for committing chain f's plan at node, under a new id.
 
-        The next node is stored as by node(), and the edge only while the
-        graph then holds fewer than NODE_CAP nodes, so it never holds on to a
-        node past the cap, and the first stored ids are the stored edges'. An
-        edge back onto node is stored in loops, and returned from there when
-        f is committed at node again.
+        A new next node is stored while the graph holds fewer than NODE_CAP
+        nodes, and the edge only while the graph then holds fewer than
+        NODE_CAP nodes, so it never holds on to a node past the cap, and the
+        first stored ids are the stored edges'. An edge back onto node is
+        stored in loops, and returned from there when f is committed at node
+        again.
         """
         latency, assign = node[1][f]
         residual = list(node[0])
@@ -224,7 +240,7 @@ class PlanGraph:
         else:
             edges, key = node[2], f
             if child is None:
-                child = (residual, {}, {})
+                child = (residual, [None] * self.n_sfcs, [None] * self.n_sfcs)
                 if size < NODE_CAP:
                     nodes[residual] = child
                     size += 1
@@ -277,7 +293,9 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
     nbrs = graph.neighbor_lists
     lat = graph.latency_rows
     greedy = graph.mode == GREEDY
-    node = graph.node(network.capacities)
+    node = graph.root_node
+    if node is None:
+        node = graph.root()
     first = len(ids)
     while ranked:
         residual, plans, edges = node
@@ -288,7 +306,7 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
             bound = bounds[f]
             if bound < best_score or (bound == best_score and f > best_f):
                 break       # every later chain is bounded the same way
-            plan = plans.get(f)
+            plan = plans[f]
             if plan is None:
                 # looked up as module globals on every call, so they can be wrapped
                 if greedy:
@@ -299,17 +317,16 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
                 else:
                     plan = first_fit_chain_walk(residual, needs[f], lat)
                 plans[f] = plan
-            latency = plan[0]
-            if latency == inf:
+            if plan is DEAD_END:
                 continue
-            score = (value[f] - mu * latency) * gates[f]
+            score = (value[f] - mu * plan[0]) * gates[f]
             if score > best_score or (score == best_score and f < best_f):
                 best_f = f
                 best_score = score
         if best_f < 0:
             break
         ranked.remove(best_f)
-        edge = edges.get(best_f)
+        edge = edges[best_f]
         if edge is None:
             edge = graph.commit(node, best_f)
         node = edge[0]

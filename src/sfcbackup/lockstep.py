@@ -73,7 +73,9 @@ class Layout:
 
     chain_flat concatenates the chains, chain f starting at chain_start[f];
     copies[f, i] counts VNF i's occurrences in chain f, and uses[i, f] is 1
-    where chain f runs VNF i. width is W, the uniforms one random-policy slot
+    where chain f runs VNF i. arms is [identity | copies], so that a slot's
+    (R, F) commit counts times arms are its rows' pulls of each Learners arm:
+    1 for each chain committed, and each VNF's copies placed. width is W, the uniforms one random-policy slot
     reads: one per chain, then one per chain position.
     """
 
@@ -86,6 +88,7 @@ class Layout:
     chain_flat: np.ndarray      # (L,) int64
     copies: np.ndarray          # (F, I) int64
     uses: np.ndarray            # (I, F) int64
+    arms: np.ndarray            # (F, F + I) int64
     width: int
 
     @classmethod
@@ -104,51 +107,60 @@ class Layout:
                    chain_flat=np.array([i for chain in chains for i in chain], dtype=np.int64),
                    copies=copies,
                    uses=(copies > 0).astype(np.int64).T.copy(),
+                   arms=np.hstack((np.eye(catalog.n_sfcs, dtype=np.int64), copies)),
                    width=catalog.n_sfcs + int(chain_len.sum()))
 
 
 @dataclass(eq=False)
 class Learners:
-    """Both learners of every learner row; row r holds one (policy, seed)'s arms.
+    """Both learners of every learner row, as one table of arms; row r holds one (policy, seed).
 
     The one learner state of a seed group's learned policies, whichever path
     decides a chunk: estimates and update advance every row a slot at a
-    time, and policy.learned_rows a block of rows a chunk at a time. The
-    popularity learner's selected[r, f] counts the slots where chain f was
-    backed up, and request_mean[r, f] averages the request counts over
-    exactly those slots. The failure learner's placements[r, i] counts the
-    slots that placed VNF i, however many copies (CUCB's T_i), and
-    failure_mean[r, i] averages the failure flags over exactly those slots.
-    Means are total / count, updated only on the arms a slot deployed. users
-    scales the popularity bonus; bonus_sign and bonus_scale set the failure
-    bonus's direction and size, +1 and users by default, -1 treating
+    time, and policy.learned_rows a block of rows a chunk at a time. As in
+    CUCB, a chain and a VNF are both base arms, so each table has one column
+    per arm: columns [0, F) are the chains, the popularity learner's, and
+    [F, F + I) the VNFs, the failure learner's. count[r, f] counts the slots
+    where chain f was backed up, and mean[r, f] averages the request counts
+    over exactly those slots; count[r, F + i] counts the slots that placed
+    VNF i, however many copies (CUCB's T_i), and mean[r, F + i] averages the
+    failure flags over exactly those slots. Means are total / count,
+    updated only on the arms a slot pulled. The arms differ only in their
+    confidence radius's coefficient, coef: users for a chain, and
+    bonus_sign x bonus_scale for a VNF, +1 and users by default, -1 treating
     unexplored VNFs optimistically. users is a float, exact for a config's
-    users: harness._check bounds users x F by 2 ** 16.
+    users: harness._check bounds users x F by 2 ** 16. radius, estimate and
+    unexplored are estimates' buffers, and unexplored_estimate its (F + I,)
+    row of what an arm never pulled reports: +inf for a chain, 0.0 for a VNF.
     """
 
     users: float
     bonus_scale: float
     bonus_sign: int
-    selected: np.ndarray        # (R, F) int64
-    request_total: np.ndarray   # (R, F) float64
-    request_mean: np.ndarray    # (R, F) float64
-    placements: np.ndarray      # (R, I) int64
-    failure_total: np.ndarray   # (R, I) float64
-    failure_mean: np.ndarray    # (R, I) float64
+    n_sfcs: int
+    coef: np.ndarray                # (F + I,) float64
+    count: np.ndarray               # (R, F + I) int64
+    total: np.ndarray               # (R, F + I) float64
+    mean: np.ndarray                # (R, F + I) float64
+    unexplored_estimate: np.ndarray     # (F + I,) float64
+    radius: np.ndarray              # (R, F + I) float64
+    estimate: np.ndarray            # (R, F + I) float64
+    unexplored: np.ndarray          # (R, F + I) bool
 
     @classmethod
     def fresh(cls, n_rows: int, n_sfcs: int, n_vnfs: int, users: int,
               failure_bonus_scale: float | None, failure_bonus_sign: int) -> "Learners":
         if failure_bonus_scale is None:
             failure_bonus_scale = float(users)
-        return cls(users=float(users), bonus_scale=float(failure_bonus_scale),
-                   bonus_sign=int(failure_bonus_sign),
-                   selected=np.zeros((n_rows, n_sfcs), dtype=np.int64),
-                   request_total=np.zeros((n_rows, n_sfcs)),
-                   request_mean=np.zeros((n_rows, n_sfcs)),
-                   placements=np.zeros((n_rows, n_vnfs), dtype=np.int64),
-                   failure_total=np.zeros((n_rows, n_vnfs)),
-                   failure_mean=np.zeros((n_rows, n_vnfs)))
+        scale, sign = float(failure_bonus_scale), int(failure_bonus_sign)
+        shape = (n_rows, n_sfcs + n_vnfs)
+        return cls(users=float(users), bonus_scale=scale, bonus_sign=sign, n_sfcs=n_sfcs,
+                   coef=np.array([float(users)] * n_sfcs + [sign * scale] * n_vnfs),
+                   count=np.zeros(shape, dtype=np.int64), total=np.zeros(shape),
+                   mean=np.zeros(shape),
+                   unexplored_estimate=np.array([math.inf] * n_sfcs + [0.0] * n_vnfs),
+                   radius=np.empty(shape), estimate=np.empty(shape),
+                   unexplored=np.empty(shape, dtype=bool))
 
 
 @dataclass(eq=False)
@@ -193,26 +205,35 @@ def true_values(layout: Layout, gt: GroundTruth,
 
 
 def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The optimistic estimates of every learner row at slot t, as two arrays.
+    """The optimistic estimates of every learner row at slot t, as two views of one array.
 
     q is (R, F) and v is (R, I); row r holds learner row r's estimates, the
     floats policy.learned_rows computes for that row: q[r, f] is
     chain f's mean request count plus its bonus, +inf while unexplored, and
     v[r, i] VNF i's failure mean plus its signed bonus, clamped to [0, 1],
-    0 while unexplored.
+    0 while unexplored. Every arm's estimate is mean + coef x sqrt(3 ln t /
+    (2 max(count, 1))), one chain of operations over the whole table into
+    learners' buffers, so both views are overwritten by the next call. A
+    VNF's coef is sign x scale, where learned_rows multiplies by scale and
+    then by the sign: as the sign is +1 or -1, the two products are equal
+    bit for bit, an overflow to +-inf included. The estimate is never -0.0, as
+    a mean never is, so np.maximum's choice between signed zeros is moot.
     """
-    log_term = 3.0 * math.log(t)
-    c = learners.selected
-    # an unexplored arm divides by 2.0 instead of 0.0; np.where then discards it
-    q = learners.request_mean + learners.users * np.sqrt(log_term / (2.0 * np.maximum(c, 1)))
-    q = np.where(c > 0, q, math.inf)
-    h = learners.placements
+    radius, est, n_sfcs = learners.radius, learners.estimate, learners.n_sfcs
+    # an unexplored arm divides by 2.0 instead of 0.0; copyto then discards it
+    np.maximum(learners.count, 1, out=radius)
+    radius *= 2.0
+    np.divide(3.0 * math.log(t), radius, out=radius)
+    np.sqrt(radius, out=radius)
     with np.errstate(over="ignore"):    # a huge bonus scale overflows to inf, as in Python
-        v = learners.failure_mean + learners.bonus_sign * (
-            learners.bonus_scale * np.sqrt(log_term / (2.0 * np.maximum(h, 1))))
-    v = np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v))
-    v = np.where(h > 0, v, 0.0)
-    return q, v
+        radius *= learners.coef
+    np.add(learners.mean, radius, out=est)
+    failure = est[:, n_sfcs:]
+    np.minimum(failure, 1.0, out=failure)
+    np.maximum(failure, 0.0, out=failure)
+    np.copyto(est, learners.unexplored_estimate,
+              where=np.equal(learners.count, 0, out=learners.unexplored))
+    return est[:, :n_sfcs], failure
 
 
 def selection_rows(layout: Layout, q: np.ndarray, v: np.ndarray,
@@ -231,7 +252,8 @@ def selection_rows(layout: Layout, q: np.ndarray, v: np.ndarray,
                                                  axis=1), 0.0)
     with np.errstate(invalid="ignore"):     # inf * 0.0 is nan, as in Python
         bounds = value * gates
-    eligible = (gates > 0.0) & (bounds > 0.0)
+    # value >= 0 and gates in [0, 1], so a positive bound has a positive gate
+    eligible = bounds > 0.0
     order = np.argsort(np.where(eligible, -bounds, math.inf), axis=1, kind="stable")
     ranked = [row[:n] for row, n in zip(order.tolist(), eligible.sum(axis=1).tolist())]
     return value.tolist(), gates.tolist(), bounds.tolist(), ranked
@@ -597,20 +619,16 @@ def slot_values(layout: Layout, omega: float, mu: float, requests: np.ndarray,
             "remaining": rec.residual.sum(axis=1).tolist(), "deployed": deployed.tolist()}
 
 
-def update(learners: Learners, requests: np.ndarray, failed: np.ndarray, x: np.ndarray,
-           placed: np.ndarray) -> None:
+def update(learners: Learners, observed: np.ndarray, pulled: np.ndarray) -> None:
     """Fold one slot's observation into every learner row, in place, as policy.learned_rows does.
 
-    requests and failed are the rows' (R, F) and (R, I) observations, x their
-    (R, F) backup vectors and placed their (R, I) copies per VNF. A chain with
-    x set counts one pull and its request count; a VNF with placed copies
-    counts one observation and its failure flag, however many copies.
+    observed holds the rows' (R, F + I) observations, each row's request
+    counts and then its failure flags, and pulled their (R, F + I) pulls of
+    each arm: 1 for each chain its decision backed up, and each VNF's copies
+    placed. A pulled arm counts one observation and its observed value,
+    however many copies of a VNF went out.
     """
-    learners.selected += x
-    np.add(learners.request_total, requests, out=learners.request_total, where=x)
-    np.divide(learners.request_total, learners.selected, out=learners.request_mean, where=x)
-    hit = placed > 0
-    learners.placements += hit
-    np.add(learners.failure_total, failed, out=learners.failure_total, where=hit)
-    np.divide(learners.failure_total, learners.placements, out=learners.failure_mean,
-              where=hit)
+    hit = pulled > 0
+    learners.count += hit
+    np.add(learners.total, observed, out=learners.total, where=hit)
+    np.divide(learners.total, learners.count, out=learners.mean, where=hit)

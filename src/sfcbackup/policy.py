@@ -51,12 +51,13 @@ def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
 
     Each (seed, slot) takes the learners' optimistic estimates at the slot:
     chain f's value omega * q[f], q[f] its mean request count plus
-    users * sqrt(3 ln t / (2 selected[f])), +inf while unexplored, and VNF
+    users * sqrt(3 ln t / (2 count[f])), +inf while unexplored, and VNF
     i's failure estimate, its mean plus its signed bonus scaled by
-    sqrt(3 ln t / (2 placements[i])), clamped to [0, 1], 0 while unexplored.
+    sqrt(3 ln t / (2 count[F + i])), clamped to [0, 1], 0 while unexplored.
     A chain's gate, the paper's selection surrogate, is one minus its worst
     VNF estimate, floored at 0, its bound value * gate, and the chains with
-    a positive gate and bound are ranked by descending bound, ties by id.
+    a positive bound, which have a positive gate too, as value is never
+    negative, are ranked by descending bound, ties by id.
     kernels.slot_decide scans them: it scores every remaining chain's plan,
     commits the best positive score, re-plans and repeats. Each committed
     chain then counts one pull and its request count, and each VNF placed
@@ -65,9 +66,10 @@ def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
     steps' definitions, and lockstep's estimates, selection_rows and update
     compute the same floats with numpy.
 
-    The S rows' six count, total and mean fields are read into lists once,
-    at the start, and written back once, at the end; the other rows are left
-    as they are. The seeds run one after another, each seed's slots in
+    The S rows of the learners' count, total and mean tables are read into
+    lists once, at the start, each seed's split into its chain arms and its
+    VNF arms, and written back once, at the end; the other rows are left as
+    they are. The seeds run one after another, each seed's slots in
     order. Returns the chunk's rows slot-major, row j * S + s for seed s at
     slot t0 + j: their edge ids, commits per row and residual tuples, for
     lockstep.gather, and what the learners were updated with, for
@@ -87,13 +89,15 @@ def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
     log_terms = [3.0 * log(t) for t in range(t0, t0 + n_slots)]
     users, scale, sign = learners.users, learners.bonus_scale, learners.bonus_sign
     rows = slice(first, first + n_seeds)
-    fields = (learners.selected, learners.request_total, learners.request_mean,
-              learners.placements, learners.failure_total, learners.failure_mean)
+    fields = (learners.count, learners.total, learners.mean)
     state = [field[rows].tolist() for field in fields]
     ids, counts, residuals, xs, copies = [], [], [], [], []
     for seed_state, seed_requests, seed_failed in zip(zip(*state), requests, failed):
-        (selected, request_total, request_mean,
-         placements, failure_total, failure_mean) = seed_state
+        # each row holds the chain arms, then the VNF arms
+        arm_count, arm_total, arm_mean = seed_state
+        selected, placements = arm_count[:n_sfcs], arm_count[n_sfcs:]
+        request_total, failure_total = arm_total[:n_sfcs], arm_total[n_sfcs:]
+        request_mean, failure_mean = arm_mean[:n_sfcs], arm_mean[n_sfcs:]
         for log_term, req, flags in zip(log_terms, seed_requests, seed_failed):
             v = []
             for h, mean in zip(placements, failure_mean):
@@ -114,7 +118,7 @@ def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
                 value.append(a)
                 gates.append(g)
                 bounds.append(b)
-                if g > 0.0 and b > 0.0:
+                if b > 0.0:     # a is never negative, so g is positive too
                     ranked.append(f)
             # descending bound, ties by ascending id (reverse=True keeps the sort stable)
             ranked.sort(key=bounds.__getitem__, reverse=True)
@@ -137,6 +141,9 @@ def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
                         placed[i] += 1
             xs += x
             copies += placed
+        arm_count[:] = selected + placements
+        arm_total[:] = request_total + failure_total
+        arm_mean[:] = request_mean + failure_mean
     for field, values in zip(fields, state):
         field[rows] = values
     x = np.array(xs, dtype=bool).reshape(n_seeds, n_slots, n_sfcs)

@@ -694,14 +694,19 @@ def verified_slot(learners, t: int, requests, failed, weights, graph) -> SlotDec
 
 
 def learner_row(learners, r: int):
-    """Row r of a lockstep.Learners as a fresh_learners pair, its fields copied into lists."""
-    pop = SimpleNamespace(users=learners.users, selected=learners.selected[r].tolist(),
-                          request_total=learners.request_total[r].tolist(),
-                          request_mean=learners.request_mean[r].tolist())
+    """Row r of a lockstep.Learners as a fresh_learners pair, its arms copied into lists.
+
+    The row's first F arms are the chains, the popularity learner's, and the
+    rest the VNFs, the failure learner's.
+    """
+    f = learners.n_sfcs
+    count, total, mean = (table[r].tolist() for table in (learners.count, learners.total,
+                                                          learners.mean))
+    pop = SimpleNamespace(users=learners.users, selected=count[:f], request_total=total[:f],
+                          request_mean=mean[:f])
     fail = SimpleNamespace(bonus_scale=learners.bonus_scale, bonus_sign=learners.bonus_sign,
-                           placements=learners.placements[r].tolist(),
-                           failure_total=learners.failure_total[r].tolist(),
-                           failure_mean=learners.failure_mean[r].tolist())
+                           placements=count[f:], failure_total=total[f:],
+                           failure_mean=mean[f:])
     return pop, fail
 
 

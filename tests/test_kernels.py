@@ -163,7 +163,7 @@ def test_slot_decide_pruning_keeps_ties_on_tie_heavy_instances() -> None:
         for _ in range(3):
             q, v, omega, mu = tie_heavy_estimates(rng, cat)
             for mode, warm in graphs.items():
-                cached = sum(len(plans) for _, plans, _ in warm.nodes.values())
+                cached = sum(len(plans) - plans.count(None) for _, plans, _ in warm.nodes.values())
                 want = definition(mode, net, cat, q, v, omega, mu)
                 assert run_slot_decide(mode, net, cat, q, v, omega=omega, mu=mu) == want
                 got = run_slot_decide(mode, net, cat, q, v, warm, omega, mu)
@@ -197,7 +197,8 @@ def test_capped_graph_decides_as_an_uncapped_one(monkeypatch, cap: int) -> None:
             # a capped graph stores no edge, and a stored edge never keeps
             # a node that was not stored
             for graph in capped[key], uncapped[key]:
-                edges = [edge for _, _, out in graph.nodes.values() for edge in out.values()]
+                edges = [edge for _, _, out in graph.nodes.values() for edge in out
+                         if edge is not None]
                 assert sorted(e for _, e in edges) == list(range(graph.stored))
                 assert all(graph.nodes.get(nxt[0]) is nxt for nxt, _ in edges)
             assert capped[key].stored == 0
@@ -290,3 +291,20 @@ def test_plan_graph_checks_its_owner() -> None:
     cfg = load_config(default_config_path())
     with pytest.raises(ValueError, match="placement mode"):
         PlanGraph(cfg.network, cfg.catalog, 7)
+
+
+def test_walks_counted_from_the_stored_plans_equal_the_walk_calls(monkeypatch) -> None:
+    # plans are never invalidated, so under NODE_CAP the walks a graph made are
+    # its stored plans: sum(len(plans) - plans.count(None)) over its nodes
+    cfg = load_config(default_config_path())
+    net, cat = cfg.network, cfg.catalog
+    rng = np.random.default_rng(8)
+    for mode, name in ((GREEDY, "greedy_chain_walk"), (FIRST_FIT, "first_fit_chain_walk")):
+        counter = WalkCounter(getattr(kernels, name))
+        monkeypatch.setattr(kernels, name, counter)
+        graph = PlanGraph(net, cat, mode)
+        for _, _, q, v in bundled_cases(rng, 40):
+            run_slot_decide(mode, net, cat, q, v, graph)
+        monkeypatch.undo()
+        stored = sum(len(plans) - plans.count(None) for _, plans, _ in graph.nodes.values())
+        assert stored == counter.calls > 0

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfcbackup import make_ground_truth
+from sfcbackup import Catalog, EdgeNetwork, make_ground_truth
+from sfcbackup import lockstep
 from sfcbackup.lockstep import Learners
 
-from reference import estimates, fresh_learners, slot_rows, update
+from reference import estimates, fresh_learners, learner_row, slot_rows, update
 
 
 def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
@@ -18,20 +19,23 @@ def fresh(n_sfcs: int = 2, n_vnfs: int = 3, users: int = 10, **kw):
 
 
 def test_fresh_learners_start_at_zero() -> None:
-    # every learner row starts with zero counts, totals and means; the
-    # failure bonus scale defaults to the user count
+    # every learner row starts with zero counts, totals and means, one column
+    # per arm, the chains first; the failure bonus scale defaults to the user
+    # count, and a VNF's radius coefficient is its signed scale, -0.0 included
     learners = Learners.fresh(4, 2, 3, 10, None, 1)
     assert type(learners.users) is float and learners.users == 10.0
     assert learners.bonus_scale == 10.0 and learners.bonus_sign == 1
-    for name, dtype, width in (("selected", np.int64, 2), ("request_total", np.float64, 2),
-                               ("request_mean", np.float64, 2), ("placements", np.int64, 3),
-                               ("failure_total", np.float64, 3),
-                               ("failure_mean", np.float64, 3)):
-        field = getattr(learners, name)
-        assert field.dtype == dtype and field.shape == (4, width), name
-        assert not field.any(), name
+    assert learners.n_sfcs == 2
+    assert learners.coef.tolist() == [10.0] * 5
+    assert learners.unexplored_estimate.tolist() == [math.inf, math.inf, 0.0, 0.0, 0.0]
+    for name, dtype in (("count", np.int64), ("total", np.float64), ("mean", np.float64)):
+        table = getattr(learners, name)
+        assert table.dtype == dtype and table.shape == (4, 5), name
+        assert not table.any(), name
     learners = Learners.fresh(1, 2, 3, 10, 0.5, -1)
     assert learners.bonus_scale == 0.5 and learners.bonus_sign == -1
+    assert learners.coef.tolist() == [10.0, 10.0, -0.5, -0.5, -0.5]
+    assert np.signbit(Learners.fresh(1, 2, 3, 10, 0.0, -1).coef).tolist() == [False] * 2 + [True] * 3
 
 
 # a slot that deploys chains but places no VNF copy, and one that places
@@ -193,3 +197,36 @@ def test_learner_converges_on_always_deploy() -> None:
     sigma_v = math.sqrt(0.3 * 0.7 / n)
     assert abs(pop.request_mean[0] - 4.0) < 4 * sigma_q
     assert abs(fail.failure_mean[0] - 0.3) < 4 * sigma_v
+
+
+def test_lockstep_estimates_equal_the_reference_arm_by_arm() -> None:
+    # one arm table's estimates against reference.estimates, row by row, at
+    # t = 1, 2 and 10**4, with arms never pulled in every row but one, at both
+    # bonus signs and a zero scale (a -0.0 bonus at sign -1)
+    rng = np.random.default_rng(3)
+    n_sfcs, n_vnfs = 3, 4
+    for scale, sign in ((None, 1), (0.7, -1), (0.0, -1), (0.0, 1)):
+        learners = Learners.fresh(5, n_sfcs, n_vnfs, 6, scale, sign)
+        learners.count[:] = rng.integers(0, 4, learners.count.shape)
+        learners.count[0] = 1
+        learners.total[:] = learners.count * rng.random(learners.count.shape)
+        np.divide(learners.total, learners.count, out=learners.mean, where=learners.count > 0)
+        assert (learners.count == 0).any()
+        for t in (1, 2, 10 ** 4):
+            q, v = lockstep.estimates(learners, t)
+            for r in range(5):
+                pop, fail = learner_row(learners, r)
+                assert repr((q[r].tolist(), v[r].tolist())) == repr(estimates((pop, fail), t))
+
+
+def test_an_update_counts_a_repeated_vnf_once() -> None:
+    # a committed chain that runs VNF 0 twice places two copies of it: the
+    # VNF's arm counts one observation and its one failure flag
+    learners = Learners.fresh(1, 1, 2, 4, None, 1)
+    layout = lockstep.Layout.of(EdgeNetwork([9], []), Catalog([1, 1], [[0, 0, 1]]))
+    pulled = np.array([[1]]) @ layout.arms
+    assert pulled.tolist() == [[1, 2, 1]]
+    lockstep.update(learners, np.array([[3.0, 1.0, 0.0]]), pulled)
+    assert learners.count.tolist() == [[1, 1, 1]]
+    assert learners.total.tolist() == [[3.0, 1.0, 0.0]]
+    assert learners.mean.tolist() == [[3.0, 1.0, 0.0]]

@@ -282,8 +282,10 @@ def test_reference_calls_no_simulator_stage(monkeypatch) -> None:
 # that share VNFs, and room for two or three chains a slot
 LEARNER_NETWORK = EdgeNetwork([9, 6, 7], [(0, 1, 0.4), (1, 2, 0.9)])
 LEARNER_CATALOG = Catalog([2, 3, 1, 4], [[0, 0], [1, 2], [3], [2, 0, 1]])
-LEARNER_FIELDS = (("selected", "request_total", "request_mean"),
-                  ("placements", "failure_total", "failure_mean"))
+# each arm table of a lockstep.Learners, with the reference learners' chain
+# and VNF fields its columns hold
+ARM_FIELDS = {"count": ("selected", "placements"), "total": ("request_total", "failure_total"),
+              "mean": ("request_mean", "failure_mean")}
 
 
 def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
@@ -292,11 +294,13 @@ def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
     # policies: rtsd's block first, bandit's second. A one-block Learners,
     # fed the rows it returns, and a reference.update pair per seed follow it
     # slot by slot. Every slot's lockstep estimates equal reference.estimates,
-    # every seed's kernel inputs equal selection_rows' row, value for value,
-    # after every chunk all six learner fields agree, and the other block's
-    # rows are as they were. One seed and three, both placement walks, both
-    # bonus signs at the default and a set scale, and a scale whose bonus
-    # overflows; the chunks start at slots 1, 2, 6 and 13.
+    # every seed's kernel inputs equal selection_rows' row, value for value
+    # (signed zeros included), after every chunk the three arm tables agree
+    # with the reference's six fields, and the other block's rows are as
+    # they were. One seed and three, both placement walks, both bonus signs
+    # at the default, a set scale and a zero scale (a -0.0 bonus at sign -1),
+    # and a scale whose bonus overflows; the chunks start at slots 1, 2, 6
+    # and 13.
     rng = np.random.default_rng(5)
     n_sfcs, n_vnfs, users = LEARNER_CATALOG.n_sfcs, LEARNER_CATALOG.n_vnfs, 5
     weights = RewardWeights(omega=1.3, mu=0.7)
@@ -310,16 +314,17 @@ def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
 
     monkeypatch.setattr(kernels, "slot_decide", decide)
     for n_seeds, policy, (sign, scale) in product(
-            (1, 3), PLACEMENT_MODES, ((1, None), (-1, None), (1, 0.8), (-1, 0.8), (1, 1e308))):
+            (1, 3), PLACEMENT_MODES,
+            ((1, None), (-1, None), (1, 0.8), (-1, 0.8), (1, 0.0), (-1, 0.0), (1, 1e308))):
         live = lockstep.Learners.fresh(2 * n_seeds, n_sfcs, n_vnfs, users, scale, sign)
         first = list(PLACEMENT_MODES).index(policy) * n_seeds
         other = slice(n_seeds - first, 2 * n_seeds - first)
         # the other block holds arms of its own, which the chunks must leave be
         kept = {}
-        for name in LEARNER_FIELDS[0] + LEARNER_FIELDS[1]:
-            field = getattr(live, name)
-            field[other] = rng.integers(1, 50, size=field[other].shape)
-            kept[name] = field[other].copy()
+        for name in ARM_FIELDS:
+            table = getattr(live, name)
+            table[other] = rng.integers(1, 50, size=table[other].shape)
+            kept[name] = table[other].copy()
         batch = lockstep.Learners.fresh(n_seeds, n_sfcs, n_vnfs, users, scale, sign)
         shadows = [fresh_learners(n_sfcs, n_vnfs, users, failure_bonus_scale=scale,
                                   failure_bonus_sign=sign) for _ in range(n_seeds)]
@@ -337,23 +342,23 @@ def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
             for j, t in enumerate(range(t0, t0 + n_slots)):
                 q, v = lockstep.estimates(batch, t)
                 for shadow, q_row, v_row in zip(shadows, q.tolist(), v.tolist()):
-                    assert (q_row, v_row) == estimates(shadow, t)
+                    assert repr((q_row, v_row)) == repr(estimates(shadow, t))
                 # the seeds ran one after another, each through the chunk's slots
                 inputs = [seen[s * n_slots + j] for s in range(n_seeds)]
                 rows = lockstep.selection_rows(layout, q, v, weights.omega)
                 assert repr(inputs) == repr(list(zip(*rows)))
                 rows = slice(j * n_seeds, (j + 1) * n_seeds)
-                lockstep.update(batch, requests[j], failed[j], x[rows], placed[rows])
+                lockstep.update(batch, np.concatenate((requests[j], failed[j]), axis=1),
+                                np.concatenate((x[rows], placed[rows]), axis=1))
                 for shadow, *observed in zip(shadows, requests[j].tolist(), failed[j].tolist(),
                                              x[rows].tolist(), placed[rows].tolist()):
                     update(shadow, *observed)
-            for k, names in enumerate(LEARNER_FIELDS):
-                for name in names:
-                    field = getattr(live, name)
-                    assert field[first:first + n_seeds].tolist() == getattr(batch, name).tolist() \
-                        == [getattr(shadow[k], name) for shadow in shadows], \
-                        (n_seeds, policy, sign, scale, t0, name)
-                    assert np.array_equal(field[other], kept[name]), name
+            for name, (chain_field, vnf_field) in ARM_FIELDS.items():
+                table = getattr(live, name)
+                assert table[first:first + n_seeds].tolist() == getattr(batch, name).tolist() \
+                    == [getattr(pop, chain_field) + getattr(fail, vnf_field)
+                        for pop, fail in shadows], (n_seeds, policy, sign, scale, t0, name)
+                assert np.array_equal(table[other], kept[name]), name
         assert deployed > 2 * n_seeds and repeats, (n_seeds, policy, sign, scale)
 
 
@@ -381,7 +386,8 @@ def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> N
     assert_matches_reference(cfg, monkeypatch)
     assert len(graphs) == 2         # one run per decide path
     for graph in graphs:
-        stored = [e for _, _, edges in graph.nodes.values() for _, e in edges.values()]
+        stored = [edge[1] for _, _, edges in graph.nodes.values() for edge in edges
+                  if edge is not None]
         assert len(graph.nodes) == 2
         assert sorted(stored) == list(range(graph.stored))
         assert len(graph.edge_sfc) == len(graph.edge_latency) == len(graph.edge_servers) \
@@ -746,10 +752,11 @@ def test_batched_check_rejects_learners_out_of_sync(monkeypatch, tamper: str,
     if n_seeds >= LOCKSTEP_MIN_SEEDS:
         real_update = lockstep.update
 
-        def tampered_update(learners, requests, failed, x, placed):
-            for row in zip(x, placed):
-                tampered_row(*row)
-            real_update(learners, requests, failed, x, placed)
+        def tampered_update(learners, observed, pulled):
+            n_sfcs = learners.n_sfcs
+            for row in pulled:      # the chain arms, then the VNF arms
+                tampered_row(row[:n_sfcs], row[n_sfcs:])
+            real_update(learners, observed, pulled)
         monkeypatch.setattr(lockstep, "update", tampered_update)
     else:
         real_rows = harness.learned_rows

@@ -24,12 +24,10 @@ def learners_with(q_mean, v_mean, *, users: int = 10, selected: int = 5,
                   placements: int = 5, sign: int = 1, scale: float = 1.0) -> lockstep.Learners:
     """A one-row lockstep.Learners whose arms were all pulled and placed as often."""
     learners = lockstep.Learners.fresh(1, len(q_mean), len(v_mean), users, scale, sign)
-    learners.selected[0] = selected
-    learners.request_total[0] = [q * selected for q in q_mean]
-    learners.request_mean[0] = q_mean
-    learners.placements[0] = placements
-    learners.failure_total[0] = [v * placements for v in v_mean]
-    learners.failure_mean[0] = v_mean
+    pulls = [selected] * len(q_mean) + [placements] * len(v_mean)
+    learners.count[0] = pulls
+    learners.mean[0] = list(q_mean) + list(v_mean)
+    learners.total[0] = [m * n for m, n in zip(learners.mean[0].tolist(), pulls)]
     return learners
 
 
@@ -526,12 +524,11 @@ def test_slot_path_vectors_are_lists_of_python_numbers(monkeypatch) -> None:
         assert placed.shape == (len(observations), cat.n_vnfs)
         assert ids, policy
         check("counts", counts)
+        assert learners.count.dtype == np.int64
+        assert learners.total.dtype == learners.mean.dtype == np.float64
         for learner, names in zip(learner_row(learners, 0),
                                   (POPULARITY_FIELDS, FAILURE_FIELDS)):
             for name in names:
-                counts_arms = name in ("selected", "placements")
-                assert getattr(learners, name).dtype == (np.int64 if counts_arms
-                                                         else np.float64), name
                 check(name, getattr(learner, name))
         check("edge ids", ids)
         for residual in residuals:
