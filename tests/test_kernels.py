@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import importlib
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sfcbackup import Catalog, EdgeNetwork
+import sfcbackup
+from sfcbackup import Catalog, EdgeNetwork, harness
 from sfcbackup import default_config_path, load_config
 from sfcbackup import kernels, lockstep
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_walk,
@@ -308,3 +312,20 @@ def test_walks_counted_from_the_stored_plans_equal_the_walk_calls(monkeypatch) -
         monkeypatch.undo()
         stored = sum(len(plans) - plans.count(None) for _, plans, _ in graph.nodes.values())
         assert stored == counter.calls > 0
+
+
+def test_a_wide_edge_run_holds_bounded_memory(monkeypatch) -> None:
+    # perfbench's wide-edge instance, 2 seeds x 50 slots, grows about 1145
+    # cold plan-graph nodes a learned policy, each with a plan list and an
+    # edge list of 24 chains: harness.run's tracemalloc peak was 3.11 MiB
+    # (2 shared CPUs, Python 3.11, numpy 2.4), bounded here with 25% margin
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    cfg = importlib.import_module("workloads").build(sfcbackup, "wide-edge", 1)
+    harness.run(cfg)        # first-use caches outside the measured run
+    tracemalloc.start()
+    try:
+        harness.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.9 * 2 ** 20, peak
