@@ -17,12 +17,11 @@ Plan graph. The selection loop re-plans every remaining chain after each
 commit, and a chain walk is a pure function of (mode, residual, chain).
 Capacity resets every slot, so the residual after k commits is fixed by which
 plans were committed, and a run keeps revisiting the same few residual states.
-A PlanGraph stores them: each node is one residual with two lists indexed by
-chain id, the plans walked on it so far and an edge per committed chain, (next
-node, id), the id indexing the graph's edge tables; None marks a chain not yet
-walked or committed there. slot_decide reads a chain's plan from the current
-node and walks only on a miss, so a warm slot is list lookups and scoring, and
-a decision is its edge ids and the final node's residual tuple.
+A PlanGraph stores them: each node is one residual with the plans walked on it
+so far and an edge per committed chain, (next node, id), the id indexing the
+graph's edge tables. slot_decide reads a chain's plan from the current node
+and walks only on a miss, so a warm slot is dict lookups and scoring, and a
+decision is its edge ids and the final node's residual tuple.
 
 Ownership. A graph belongs to one (network, catalog, mode). harness.run builds
 one per learned policy before its seed groups and drops them after, so no graph
@@ -155,13 +154,12 @@ class PlanGraph:
     """The residual states one run's selection loops visit, with their plans.
 
     nodes maps a residual tuple to its node (residual, plans, edges), plans
-    and edges lists indexed by chain id, None until filled: plans[f] is chain
-    f's walk against that residual, a finite (latency, assignment) or the
-    shared DEAD_END, and edges[f] = (next_node, id) commits f's plan, whose chain,
-    latency and assignment are edge_sfc[id], edge_latency[id] and
-    edge_servers[id]. Both fill lazily and are never invalidated: walks are
-    pure, and the graph belongs to one network, catalog and placement mode
-    (GREEDY or FIRST_FIT). The network's neighbor_lists and latency_rows, and
+    and edges dicts keyed by chain id: plans[f] is chain f's walk against that
+    residual, a finite (latency, assignment) or the shared DEAD_END, and
+    edges[f] = (next_node, id) commits f's plan, whose chain, latency and
+    assignment are edge_sfc[id], edge_latency[id] and edge_servers[id]. Both
+    fill lazily and are never invalidated: walks are pure, and the graph
+    belongs to one network, catalog and placement mode (GREEDY or FIRST_FIT). The network's neighbor_lists and latency_rows, and
     the catalog's vnf_demand and sfc_chain, are kept as slots, read on every
     slot_decide or policy.learned_rows call; chain_needs[f] is the tuple of
     chain f's VNF demands in chain order, built once here and read by every
@@ -174,7 +172,7 @@ class PlanGraph:
     """
 
     __slots__ = ("network", "catalog", "mode", "neighbor_lists", "latency_rows", "vnf_demand",
-                 "sfc_chain", "chain_needs", "n_sfcs", "nodes", "root_node", "loops", "edge_sfc",
+                 "sfc_chain", "chain_needs", "nodes", "root_node", "loops", "edge_sfc",
                  "edge_latency", "edge_servers", "stored", "edge_arrays")
 
     def __init__(self, network, catalog, mode: int) -> None:
@@ -189,7 +187,6 @@ class PlanGraph:
         self.sfc_chain = catalog.sfc_chain
         self.chain_needs = [tuple(catalog.vnf_demand[i] for i in chain)
                             for chain in catalog.sfc_chain]
-        self.n_sfcs = catalog.n_sfcs
         self.nodes: dict[tuple[int, ...], tuple] = {}
         self.root_node = None
         self.loops: dict[tuple[tuple[int, ...], int], tuple] = {}
@@ -207,7 +204,7 @@ class PlanGraph:
         residual = self.network.capacities
         node = self.nodes.get(residual)
         if node is None:
-            node = (residual, [None] * self.n_sfcs, [None] * self.n_sfcs)
+            node = (residual, {}, {})
             if len(self.nodes) >= NODE_CAP:
                 return node
             self.nodes[residual] = node
@@ -240,7 +237,7 @@ class PlanGraph:
         else:
             edges, key = node[2], f
             if child is None:
-                child = (residual, [None] * self.n_sfcs, [None] * self.n_sfcs)
+                child = (residual, {}, {})
                 if size < NODE_CAP:
                     nodes[residual] = child
                     size += 1
@@ -306,7 +303,7 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
             bound = bounds[f]
             if bound < best_score or (bound == best_score and f > best_f):
                 break       # every later chain is bounded the same way
-            plan = plans[f]
+            plan = plans.get(f)
             if plan is None:
                 # looked up as module globals on every call, so they can be wrapped
                 if greedy:
@@ -326,7 +323,7 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
         if best_f < 0:
             break
         ranked.remove(best_f)
-        edge = edges[best_f]
+        edge = edges.get(best_f)
         if edge is None:
             edge = graph.commit(node, best_f)
         node = edge[0]

@@ -129,9 +129,8 @@ class Learners:
     confidence radius's coefficient, coef: users for a chain, and
     bonus_sign x bonus_scale for a VNF, +1 and users by default, -1 treating
     unexplored VNFs optimistically. users is a float, exact for a config's
-    users: harness._check bounds users x F by 2 ** 16. radius, estimate and
-    unexplored are estimates' buffers, and unexplored_estimate its (F + I,)
-    row of what an arm never pulled reports: +inf for a chain, 0.0 for a VNF.
+    users: harness._check bounds users x F by 2 ** 16. n_sfcs is F, where
+    the VNF columns start.
     """
 
     users: float
@@ -142,10 +141,6 @@ class Learners:
     count: np.ndarray               # (R, F + I) int64
     total: np.ndarray               # (R, F + I) float64
     mean: np.ndarray                # (R, F + I) float64
-    unexplored_estimate: np.ndarray     # (F + I,) float64
-    radius: np.ndarray              # (R, F + I) float64
-    estimate: np.ndarray            # (R, F + I) float64
-    unexplored: np.ndarray          # (R, F + I) bool
 
     @classmethod
     def fresh(cls, n_rows: int, n_sfcs: int, n_vnfs: int, users: int,
@@ -157,10 +152,7 @@ class Learners:
         return cls(users=float(users), bonus_scale=scale, bonus_sign=sign, n_sfcs=n_sfcs,
                    coef=np.array([float(users)] * n_sfcs + [sign * scale] * n_vnfs),
                    count=np.zeros(shape, dtype=np.int64), total=np.zeros(shape),
-                   mean=np.zeros(shape),
-                   unexplored_estimate=np.array([math.inf] * n_sfcs + [0.0] * n_vnfs),
-                   radius=np.empty(shape), estimate=np.empty(shape),
-                   unexplored=np.empty(shape, dtype=bool))
+                   mean=np.zeros(shape))
 
 
 @dataclass(eq=False)
@@ -212,28 +204,29 @@ def estimates(learners: Learners, t: int) -> tuple[np.ndarray, np.ndarray]:
     chain f's mean request count plus its bonus, +inf while unexplored, and
     v[r, i] VNF i's failure mean plus its signed bonus, clamped to [0, 1],
     0 while unexplored. Every arm's estimate is mean + coef x sqrt(3 ln t /
-    (2 max(count, 1))), one chain of operations over the whole table into
-    learners' buffers, so both views are overwritten by the next call. A
+    (2 max(count, 1))), one chain of in-place operations over the whole
+    table, and q and v are the chain and VNF columns of that one array. A
     VNF's coef is sign x scale, where learned_rows multiplies by scale and
     then by the sign: as the sign is +1 or -1, the two products are equal
     bit for bit, an overflow to +-inf included. The estimate is never -0.0, as
     a mean never is, so np.maximum's choice between signed zeros is moot.
     """
-    radius, est, n_sfcs = learners.radius, learners.estimate, learners.n_sfcs
+    count, n_sfcs = learners.count, learners.n_sfcs
     # an unexplored arm divides by 2.0 instead of 0.0; copyto then discards it
-    np.maximum(learners.count, 1, out=radius)
-    radius *= 2.0
-    np.divide(3.0 * math.log(t), radius, out=radius)
-    np.sqrt(radius, out=radius)
+    est = np.maximum(count, 1.0)
+    est *= 2.0
+    np.divide(3.0 * math.log(t), est, out=est)
+    np.sqrt(est, out=est)
     with np.errstate(over="ignore"):    # a huge bonus scale overflows to inf, as in Python
-        radius *= learners.coef
-    np.add(learners.mean, radius, out=est)
-    failure = est[:, n_sfcs:]
-    np.minimum(failure, 1.0, out=failure)
-    np.maximum(failure, 0.0, out=failure)
-    np.copyto(est, learners.unexplored_estimate,
-              where=np.equal(learners.count, 0, out=learners.unexplored))
-    return est[:, :n_sfcs], failure
+        est *= learners.coef
+    est += learners.mean
+    q, v = est[:, :n_sfcs], est[:, n_sfcs:]
+    np.minimum(v, 1.0, out=v)
+    np.maximum(v, 0.0, out=v)
+    unexplored = count == 0
+    np.copyto(q, math.inf, where=unexplored[:, :n_sfcs])
+    np.copyto(v, 0.0, where=unexplored[:, n_sfcs:])
+    return q, v
 
 
 def selection_rows(layout: Layout, q: np.ndarray, v: np.ndarray,

@@ -167,7 +167,7 @@ def test_slot_decide_pruning_keeps_ties_on_tie_heavy_instances() -> None:
         for _ in range(3):
             q, v, omega, mu = tie_heavy_estimates(rng, cat)
             for mode, warm in graphs.items():
-                cached = sum(len(plans) - plans.count(None) for _, plans, _ in warm.nodes.values())
+                cached = sum(len(plans) for _, plans, _ in warm.nodes.values())
                 want = definition(mode, net, cat, q, v, omega, mu)
                 assert run_slot_decide(mode, net, cat, q, v, omega=omega, mu=mu) == want
                 got = run_slot_decide(mode, net, cat, q, v, warm, omega, mu)
@@ -201,8 +201,7 @@ def test_capped_graph_decides_as_an_uncapped_one(monkeypatch, cap: int) -> None:
             # a capped graph stores no edge, and a stored edge never keeps
             # a node that was not stored
             for graph in capped[key], uncapped[key]:
-                edges = [edge for _, _, out in graph.nodes.values() for edge in out
-                         if edge is not None]
+                edges = [edge for _, _, out in graph.nodes.values() for edge in out.values()]
                 assert sorted(e for _, e in edges) == list(range(graph.stored))
                 assert all(graph.nodes.get(nxt[0]) is nxt for nxt, _ in edges)
             assert capped[key].stored == 0
@@ -299,7 +298,7 @@ def test_plan_graph_checks_its_owner() -> None:
 
 def test_walks_counted_from_the_stored_plans_equal_the_walk_calls(monkeypatch) -> None:
     # plans are never invalidated, so under NODE_CAP the walks a graph made are
-    # its stored plans: sum(len(plans) - plans.count(None)) over its nodes
+    # its stored plans: sum(len(plans)) over its nodes
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
     rng = np.random.default_rng(8)
@@ -310,15 +309,15 @@ def test_walks_counted_from_the_stored_plans_equal_the_walk_calls(monkeypatch) -
         for _, _, q, v in bundled_cases(rng, 40):
             run_slot_decide(mode, net, cat, q, v, graph)
         monkeypatch.undo()
-        stored = sum(len(plans) - plans.count(None) for _, plans, _ in graph.nodes.values())
+        stored = sum(len(plans) for _, plans, _ in graph.nodes.values())
         assert stored == counter.calls > 0
 
 
 def test_a_wide_edge_run_holds_bounded_memory(monkeypatch) -> None:
-    # perfbench's wide-edge instance, 2 seeds x 50 slots, grows about 1145
-    # cold plan-graph nodes a learned policy, each with a plan list and an
-    # edge list of 24 chains: harness.run's tracemalloc peak was 3.11 MiB
-    # (2 shared CPUs, Python 3.11, numpy 2.4), bounded here with 25% margin
+    # perfbench's wide-edge instance, 2 seeds x 50 slots, grows 1145 and 977
+    # cold plan-graph nodes for its learned policies, of 24 chains each:
+    # harness.run's tracemalloc peak was 3.05 MiB (Python 3.11, numpy 2.4),
+    # bounded here with about 25% margin
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     cfg = importlib.import_module("workloads").build(sfcbackup, "wide-edge", 1)
     harness.run(cfg)        # first-use caches outside the measured run
@@ -328,4 +327,27 @@ def test_a_wide_edge_run_holds_bounded_memory(monkeypatch) -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.9 * 2 ** 20, peak
+    assert peak < 3.8 * 2 ** 20, peak
+
+
+def test_plan_graph_nodes_grow_with_the_chains_walked_not_the_catalog() -> None:
+    # a node holds the plans walked and the edges committed on it, not a slot
+    # per chain: a slot of 200 tied chains out of 4096 fills the two servers
+    # one unit a commit, walking one plan a node, over 200 cold nodes. Its
+    # tracemalloc peak was 0.13 MiB (Python 3.11), where a list per node
+    # indexed by chain id held 12.6 MiB
+    n_sfcs = 4096
+    net = EdgeNetwork([100, 100], [(0, 1, 0.5)])
+    cat = Catalog([1], [[0]] * n_sfcs)
+    graph = PlanGraph(net, cat, GREEDY)
+    value, gates = [1.0] * n_sfcs, [1.0] * n_sfcs
+    ranked, ids, residuals = list(range(200)), [], []
+    tracemalloc.start()
+    try:
+        assert slot_decide(graph, value, gates, value, ranked, 0.0, ids, residuals) == 200
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.nodes) == 201 and list(residuals[0]) == [0, 0]
+    assert all(len(plans) <= 1 and len(edges) <= 1 for _, plans, edges in graph.nodes.values())
+    assert peak < 0.5 * 2 ** 20, peak

@@ -27,7 +27,6 @@ def test_fresh_learners_start_at_zero() -> None:
     assert learners.bonus_scale == 10.0 and learners.bonus_sign == 1
     assert learners.n_sfcs == 2
     assert learners.coef.tolist() == [10.0] * 5
-    assert learners.unexplored_estimate.tolist() == [math.inf, math.inf, 0.0, 0.0, 0.0]
     for name, dtype in (("count", np.int64), ("total", np.float64), ("mean", np.float64)):
         table = getattr(learners, name)
         assert table.dtype == dtype and table.shape == (4, 5), name

@@ -386,8 +386,7 @@ def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> N
     assert_matches_reference(cfg, monkeypatch)
     assert len(graphs) == 2         # one run per decide path
     for graph in graphs:
-        stored = [edge[1] for _, _, edges in graph.nodes.values() for edge in edges
-                  if edge is not None]
+        stored = [e for _, _, edges in graph.nodes.values() for _, e in edges.values()]
         assert len(graph.nodes) == 2
         assert sorted(stored) == list(range(graph.stored))
         assert len(graph.edge_sfc) == len(graph.edge_latency) == len(graph.edge_servers) \
