@@ -88,16 +88,16 @@ MAX_TRACE_ROWS = 2 ** 22
 # (harness.run, regret off, min of 11 alternating runs, 2 shared CPUs), numpy /
 # per-seed time, the median of three such timings, with the per-seed side at
 # one policy.learned_rows call per policy and chunk. rtsd and bandit together
-# (4 to 24 rows): canonical 1.38 0.94 0.81 0.74 0.65; wide-edge 0.95 0.90 0.84
-# 0.82 0.79; small-regret 2.05 1.30 1.08 0.90 0.74. rtsd alone, then bandit
-# alone (2 to 12 rows): canonical 2.01 1.38 1.09 0.92 0.84, 2.07 1.38 1.09 0.95
-# 0.80; wide-edge 1.02 0.94 0.88 0.87 0.83, 1.06 0.94 0.87 0.89 0.90;
-# small-regret 3.11 2.09 1.58 1.28 1.06, 3.26 2.12 1.61 1.36 1.02. On canonical
-# and wide-edge numpy still wins from 8 rows on (by 5-13%) and loses at 6 on
-# canonical; on small-regret the per-seed side now wins up to 12 rows, by
-# 28-36% at 8. The crossover on the bundled instance is still between 6 and
-# 8 rows, and the three instances together are at par at 8 (geometric mean
-# 1.03 for both policies, 1.01 and 1.05 alone), so the bound stays; none of
+# (4 to 24 rows): canonical 1.20 0.88 0.72 0.68 0.60; wide-edge 0.92 0.88 0.86
+# 0.82 0.77; small-regret 1.62 1.13 0.92 0.82 0.68. rtsd alone, then bandit
+# alone (2 to 12 rows): canonical 1.65 1.16 0.89 0.84 0.72, 1.65 1.23 0.96
+# 0.78 0.73; wide-edge 1.05 0.92 0.84 0.78 0.78, 1.04 0.91 0.86 0.84 0.79;
+# small-regret 2.30 1.62 1.30 1.11 0.91, 2.31 1.61 1.30 1.09 0.89. Since the
+# learners became one table of arms, numpy wins from 6 rows on on canonical
+# and wide-edge, while on small-regret the per-seed side still wins up to 8
+# rows alone. The three instances together are at par at 6 rows (geometric
+# mean 0.99 for rtsd alone, 1.02 for bandit alone) and favour numpy at 8
+# (0.96 for both policies, 0.90 and 0.89 alone), so the bound stays; none of
 # perfbench's workloads is near it (canonical's groups hold 60 rows,
 # wide-edge 4, small-regret 2).
 LOCKSTEP_MIN_SEEDS = 8
