@@ -92,10 +92,9 @@ MAX_TRACE_ROWS = 2 ** 22
 # 0.82 0.77; small-regret 1.62 1.13 0.92 0.82 0.68. rtsd alone, then bandit
 # alone (2 to 12 rows): canonical 1.65 1.16 0.89 0.84 0.72, 1.65 1.23 0.96
 # 0.78 0.73; wide-edge 1.05 0.92 0.84 0.78 0.78, 1.04 0.91 0.86 0.84 0.79;
-# small-regret 2.30 1.62 1.30 1.11 0.91, 2.31 1.61 1.30 1.09 0.89. Since the
-# learners became one table of arms, numpy wins from 6 rows on on canonical
-# and wide-edge, while on small-regret the per-seed side still wins up to 8
-# rows alone. The three instances together are at par at 6 rows (geometric
+# small-regret 2.30 1.62 1.30 1.11 0.91, 2.31 1.61 1.30 1.09 0.89. numpy
+# wins from 6 rows on on canonical and wide-edge, while on small-regret the
+# per-seed side wins up to 8 rows alone. The three instances together are at par at 6 rows (geometric
 # mean 0.99 for rtsd alone, 1.02 for bandit alone) and favour numpy at 8
 # (0.96 for both policies, 0.90 and 0.89 alone), so the bound stays; none of
 # perfbench's workloads is near it (canonical's groups hold 60 rows,
