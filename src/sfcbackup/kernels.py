@@ -26,9 +26,9 @@ decision is its edge ids and the final node's residual tuple.
 Ownership. A graph belongs to one (network, catalog, mode). harness.run builds
 one per learned policy before its seed groups and drops them after, so no graph
 outlives a run and nothing is cached at module level or on the network. A
-graph stores at most NODE_CAP nodes, and no new edge once it holds that many:
-past that, new residual states are built and planned for the slot at hand but
-not kept, and a commit's id lasts until PlanGraph.trim. This changes the cost
+graph stores every node and edge it builds. lockstep.gather, once it has read
+a chunk's ids, clears a graph that holds NODE_CAP nodes or more, so the next
+chunk starts from a fresh root and ids from 0 again. This changes the cost
 and never a decision.
 
 Pruning. A plan's score (omega*q - mu*latency)*gate never exceeds its bound
@@ -70,9 +70,11 @@ FIRST_FIT = 1
 # every walk's result.
 DEAD_END = (inf, None)
 
-# Most nodes one PlanGraph stores. The bundled instance reaches fewer than a
-# hundred residual states in a run; the cap bounds memory on instances whose
-# states never repeat.
+# Nodes past which lockstep.gather clears a PlanGraph at the end of a chunk, so
+# a graph holds at most this many plus one chunk's new ones. The bundled
+# instance reaches fewer than a hundred residual states in a run; the cap
+# bounds memory on instances whose states never repeat. slot_decide called
+# alone never clears: only gather reads the cap.
 NODE_CAP = 10_000
 
 
@@ -159,21 +161,24 @@ class PlanGraph:
     edges[f] = (next_node, id) commits f's plan, whose chain, latency and
     assignment are edge_sfc[id], edge_latency[id] and edge_servers[id]. Both
     fill lazily and are never invalidated: walks are pure, and the graph
-    belongs to one network, catalog and placement mode (GREEDY or FIRST_FIT). The network's neighbor_lists and latency_rows, and
+    belongs to one network, catalog and placement mode (GREEDY or
+    FIRST_FIT). root_node is the node of the network's capacities, where
+    every slot starts. The network's neighbor_lists and latency_rows, and
     the catalog's vnf_demand and sfc_chain, are kept as slots, read on every
     slot_decide or policy.learned_rows call; chain_needs[f] is the tuple of
     chain f's VNF demands in chain order, built once here and read by every
     walk and commit of f. A chain whose VNFs all have demand 0 commits back
     onto its node; that edge is kept in loops, keyed (residual, f), and not
     in the node's edges, which would make the node hold itself in a
-    reference cycle. The first stored ids are the stored edges', and
-    edge_arrays is lockstep.gather's array copy of their tables, None before
-    its first call.
+    reference cycle. Every edge is stored, so the ids since the last clear
+    are range(len(edge_sfc)); edge_arrays is lockstep.gather's array copy of
+    the edge tables, None until it first converts an edge. clear empties
+    the graph back to its root.
     """
 
     __slots__ = ("network", "catalog", "mode", "neighbor_lists", "latency_rows", "vnf_demand",
                  "sfc_chain", "chain_needs", "nodes", "root_node", "loops", "edge_sfc",
-                 "edge_latency", "edge_servers", "stored", "edge_arrays")
+                 "edge_latency", "edge_servers", "edge_arrays")
 
     def __init__(self, network, catalog, mode: int) -> None:
         if mode not in (GREEDY, FIRST_FIT):
@@ -187,48 +192,34 @@ class PlanGraph:
         self.sfc_chain = catalog.sfc_chain
         self.chain_needs = [tuple(catalog.vnf_demand[i] for i in chain)
                             for chain in catalog.sfc_chain]
-        self.nodes: dict[tuple[int, ...], tuple] = {}
-        self.root_node = None
-        self.loops: dict[tuple[tuple[int, ...], int], tuple] = {}
-        self.edge_sfc, self.edge_latency, self.edge_servers = [], [], []
-        self.stored = 0
-        self.edge_arrays = None
+        self.clear()
 
-    def root(self) -> tuple:
-        """The node of the network's capacities, where every slot starts.
+    def clear(self) -> None:
+        """Drop every node, loop and edge, and start again from a fresh root node.
 
-        A new one is stored while the graph holds fewer than NODE_CAP nodes,
-        and the stored one is kept as root_node, which slot_decide reads
-        first.
+        Edge ids then start again from 0, so an id handed out before the call
+        no longer names its edge.
         """
         residual = self.network.capacities
-        node = self.nodes.get(residual)
-        if node is None:
-            node = (residual, {}, {})
-            if len(self.nodes) >= NODE_CAP:
-                return node
-            self.nodes[residual] = node
-        self.root_node = node
-        return node
+        self.root_node = (residual, {}, {})
+        self.nodes: dict[tuple[int, ...], tuple] = {residual: self.root_node}
+        self.loops: dict[tuple[tuple[int, ...], int], tuple] = {}
+        self.edge_sfc, self.edge_latency, self.edge_servers = [], [], []
+        self.edge_arrays = None
 
     def commit(self, node: tuple, f: int) -> tuple:
         """Edge (next_node, id) for committing chain f's plan at node, under a new id.
 
-        A new next node is stored while the graph holds fewer than NODE_CAP
-        nodes, and the edge only while the graph then holds fewer than
-        NODE_CAP nodes, so it never holds on to a node past the cap, and the
-        first stored ids are the stored edges'. An edge back onto node is
-        stored in loops, and returned from there when f is committed at node
-        again.
+        The next node, when new, and the edge are stored. An edge back onto
+        node is stored in loops, and returned from there when f is committed
+        at node again.
         """
         latency, assign = node[1][f]
         residual = list(node[0])
         for s, need in zip(assign, self.chain_needs[f]):
             residual[s] -= need
         residual = tuple(residual)
-        nodes = self.nodes
-        size = len(nodes)
-        child = nodes.get(residual)
+        child = self.nodes.get(residual)
         if child is node:
             edges, key = self.loops, (residual, f)
             edge = edges.get(key)
@@ -237,24 +228,13 @@ class PlanGraph:
         else:
             edges, key = node[2], f
             if child is None:
-                child = (residual, {}, {})
-                if size < NODE_CAP:
-                    nodes[residual] = child
-                    size += 1
+                child = self.nodes[residual] = (residual, {}, {})
         edge_sfc = self.edge_sfc
-        edge = (child, len(edge_sfc))
+        edge = edges[key] = (child, len(edge_sfc))
         edge_sfc.append(f)
         self.edge_latency.append(latency)
         self.edge_servers.append(assign)
-        if size < NODE_CAP:
-            edges[key] = edge
-            self.stored = len(edge_sfc)
         return edge
-
-    def trim(self) -> None:
-        """Cut the edge tables back to the stored edges, dropping the ids handed out since."""
-        for table in self.edge_sfc, self.edge_latency, self.edge_servers:
-            del table[self.stored:]
 
 
 def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
@@ -291,8 +271,6 @@ def slot_decide(graph, value, gates, bounds, ranked, mu, ids, residuals):
     lat = graph.latency_rows
     greedy = graph.mode == GREEDY
     node = graph.root_node
-    if node is None:
-        node = graph.root()
     first = len(ids)
     while ranked:
         residual, plans, edges = node

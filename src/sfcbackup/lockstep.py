@@ -282,20 +282,17 @@ def decide_learned(graphs: list[kernels.PlanGraph], layout: Layout, q: np.ndarra
 def gather(graph: kernels.PlanGraph, ids: list, counts: list, residuals: list) -> Records:
     """A chunk's learned decisions as Records, read from the graph's edge tables by id.
 
-    Row k committed the next counts[k] ids and left residuals[k]. The stored
-    edges never change, so their arrays are kept on the graph, as
-    graph.edge_arrays, and extended by the edges stored since the last call;
-    only the edges past them are converted here. The graph is then trimmed,
-    so an id past its stored edges lasts one chunk.
+    Row k committed the next counts[k] ids and left residuals[k]. Edges never
+    change, so their arrays are kept on the graph, as graph.edge_arrays, and
+    extended once a call by the edges committed since the last. Then, if the
+    graph holds kernels.NODE_CAP nodes or more, it is cleared: the cap holds
+    at the end of each chunk, and no id outlives the call that read it.
     """
-    stored = graph.stored
     tables = graph.edge_arrays or _edge_arrays(graph, 0, 0, 0)
-    if len(tables[0]) < stored:
-        tables = _joined(tables, _edge_arrays(graph, len(tables[0]), stored, len(tables[4])))
-    graph.edge_arrays = tables
-    if len(graph.edge_sfc) > stored:
-        tables = _joined(tables, _edge_arrays(graph, stored, len(graph.edge_sfc),
-                                              len(tables[4])))
+    done = len(tables[0])
+    if len(graph.edge_sfc) > done:
+        tables = graph.edge_arrays = _joined(
+            tables, _edge_arrays(graph, done, len(graph.edge_sfc), len(tables[4])))
     sfc, latency, lengths, starts, servers = tables
     ids = np.array(ids, dtype=np.int64)
     positions = lengths[ids]
@@ -306,7 +303,8 @@ def gather(graph: kernels.PlanGraph, ids: list, counts: list, residuals: list) -
                   servers=servers[np.repeat(shift, positions) + np.arange(positions.sum())],
                   residual=np.fromiter(chain.from_iterable(residuals),
                                        np.int64).reshape(len(residuals), -1))
-    graph.trim()
+    if len(graph.nodes) >= kernels.NODE_CAP:
+        graph.clear()
     return rec
 
 

@@ -46,8 +46,8 @@ def learned_rows(learners: Learners, first: int, t0: int, requests, failed,
     are seed s's request counts and VNF failure flags at slot t0 + j, lists
     of ints. graph is the kernels.PlanGraph of the run's network, catalog and placement walk:
     kernels.GREEDY, latency-aware, for rtsd and kernels.FIRST_FIT for
-    bandit. Kept across slots, it spares re-planning residual states the run
-    has seen.
+    bandit. Kept across slots until lockstep.gather clears it, it spares
+    re-planning residual states the run has seen.
 
     Each (seed, slot) takes the learners' optimistic estimates at the slot:
     chain f's value omega * q[f], q[f] its mean request count plus

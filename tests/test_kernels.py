@@ -10,7 +10,7 @@ import pytest
 
 import sfcbackup
 from sfcbackup import Catalog, EdgeNetwork, harness
-from sfcbackup import default_config_path, load_config
+from sfcbackup import apply_overrides, default_config_path, load_config
 from sfcbackup import kernels, lockstep
 from sfcbackup.kernels import (FIRST_FIT, GREEDY, PlanGraph, first_fit_chain_walk,
                                greedy_chain_walk, slot_decide)
@@ -180,8 +180,9 @@ def test_slot_decide_pruning_keeps_ties_on_tie_heavy_instances() -> None:
 
 @pytest.mark.parametrize("cap", [0, 1])
 def test_capped_graph_decides_as_an_uncapped_one(monkeypatch, cap: int) -> None:
-    # past the cap, new residual states are planned for the slot at hand and
-    # dropped: cost changes, decisions do not
+    # a graph always holds its root, so at NODE_CAP 0 or 1 every
+    # lockstep.gather clears it and each slot starts from a fresh root: cost
+    # changes, decisions do not
     rng = np.random.default_rng(99)
     cases = [random_setup(rng) for _ in range(60)]
     cases += bundled_cases(np.random.default_rng(12), 60)
@@ -193,20 +194,29 @@ def test_capped_graph_decides_as_an_uncapped_one(monkeypatch, cap: int) -> None:
                 uncapped[key] = PlanGraph(net, cat, mode)
                 capped[key] = PlanGraph(net, cat, mode)
             want = run_slot_decide(mode, net, cat, q, v, uncapped[key])
+            assert want == definition(mode, net, cat, q, v)
+            graph, ids, residuals = capped[key], [], []
+            n = slot_decide(graph, *selection_inputs(cat, q.tolist(), v.tolist(), 1.0), 1.0,
+                            ids, residuals)
+            assert (decoded(graph, ids), list(residuals[0])) == want
+            assert sorted(ids) == list(range(n))        # the graph is fresh or cleared
             monkeypatch.setattr(kernels, "NODE_CAP", cap)
-            got = run_slot_decide(mode, net, cat, q, v, capped[key])
+            rec = lockstep.gather(graph, ids, [n], residuals)
             monkeypatch.undo()
-            assert got == want
-            assert len(capped[key].nodes) <= cap
-            # a capped graph stores no edge, and a stored edge never keeps
-            # a node that was not stored
-            for graph in capped[key], uncapped[key]:
-                edges = [edge for _, _, out in graph.nodes.values() for edge in out.values()]
-                assert sorted(e for _, e in edges) == list(range(graph.stored))
-                assert all(graph.nodes.get(nxt[0]) is nxt for nxt, _ in edges)
-            assert capped[key].stored == 0
-    # the uncapped graphs did grow past the cap
+            assert rec.sfc.tolist() == [f for f, _ in want[0]]
+            assert graph.nodes == {net.capacities: graph.root_node} \
+                == {net.capacities: (net.capacities, {}, {})}
+            assert graph.edge_sfc == graph.edge_latency == graph.edge_servers == []
+            assert not graph.loops and graph.edge_arrays is None
+    # the uncapped graphs, never cleared, did grow past the cap; every edge
+    # they built is stored, under the ids range(len(edge_sfc)), and leads to
+    # a stored node
     assert any(len(graph.nodes) > cap + 1 for graph in uncapped.values())
+    for graph in uncapped.values():
+        edges = [edge for _, _, out in graph.nodes.values() for edge in out.values()]
+        edges += graph.loops.values()
+        assert sorted(e for _, e in edges) == list(range(len(graph.edge_sfc)))
+        assert all(graph.nodes.get(nxt[0]) is nxt for nxt, _ in edges)
 
 
 def test_graph_shared_across_seeds_decides_as_a_fresh_one_per_slot() -> None:
@@ -286,7 +296,15 @@ def test_slot_decide_appends_to_its_outputs() -> None:
                        residuals) == n
     assert ids == [-1] + ids[1:1 + n] * 2
     assert residuals == ["held"] + [residuals[1]] * 2
-    assert sorted(ids[1:1 + n]) == list(range(n)) == list(range(graph.stored))
+    assert sorted(ids[1:1 + n]) == list(range(n)) == list(range(len(graph.edge_sfc)))
+    # a cleared graph hands out ids from 0 again, for the same edges
+    edges = decoded(graph, ids[1:1 + n])
+    graph.clear()
+    again = []
+    assert slot_decide(graph, *selection_inputs(cfg.catalog, q, v, 1.0), 1.0, again,
+                       residuals) == n
+    assert sorted(again) == list(range(n)) == list(range(len(graph.edge_sfc)))
+    assert decoded(graph, again) == edges and residuals[-1] == residuals[1]
 
 
 def test_plan_graph_checks_its_owner() -> None:
@@ -297,7 +315,7 @@ def test_plan_graph_checks_its_owner() -> None:
 
 
 def test_walks_counted_from_the_stored_plans_equal_the_walk_calls(monkeypatch) -> None:
-    # plans are never invalidated, so under NODE_CAP the walks a graph made are
+    # plans are never invalidated, so until a clear the walks a graph made are
     # its stored plans: sum(len(plans)) over its nodes
     cfg = load_config(default_config_path())
     net, cat = cfg.network, cfg.catalog
@@ -328,6 +346,58 @@ def test_a_wide_edge_run_holds_bounded_memory(monkeypatch) -> None:
     finally:
         tracemalloc.stop()
     assert peak < 3.8 * 2 ** 20, peak
+
+
+def test_a_many_seed_run_past_the_node_cap_equals_the_run_under_it(monkeypatch) -> None:
+    # perfbench's wide-edge instance at 30 seeds x 12 slots, in chunks of one
+    # slot, reaches about 4,700 residual states per learned policy, so at a
+    # cap of 500 most gathers clear the graph. The trace is the uncleared
+    # run's, and the walks are counted from the plans each graph held when
+    # cleared and at the end. harness.run's tracemalloc peak was 1.71 MiB
+    # (Python 3.11, numpy 2.4), against 9.9 MiB at the default cap, bounded
+    # here with about 30% margin
+    cap = 500
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    doc = importlib.import_module("workloads").wide_edge_doc()
+    cfg = apply_overrides(load_config(doc), slots=12, seeds="1..30")
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
+    monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", per_row * len(cfg.seeds))
+    want = harness.run(cfg).trace       # also fills first-use caches outside the measured run
+    graphs, cleared = {}, []     # cleared: whether each gather cleared its graph
+    planned = {GREEDY: 0, FIRST_FIT: 0}     # plans held by each mode's graph at its clears
+    real = lockstep.gather
+
+    def gather(graph, ids, counts, residuals):
+        size = len(graph.nodes)
+        assert size < cap + sum(counts)
+        held = sum(len(plans) for _, plans, _ in graph.nodes.values())
+        rec = real(graph, ids, counts, residuals)
+        cleared.append(size >= cap)
+        if cleared[-1]:
+            planned[graph.mode] += held
+        assert len(graph.nodes) == (1 if cleared[-1] else size) < cap
+        graphs[graph.mode] = graph
+        return rec
+
+    walks = {GREEDY: WalkCounter(kernels.greedy_chain_walk),
+             FIRST_FIT: WalkCounter(kernels.first_fit_chain_walk)}
+    monkeypatch.setattr(kernels, "greedy_chain_walk", walks[GREEDY])
+    monkeypatch.setattr(kernels, "first_fit_chain_walk", walks[FIRST_FIT])
+    monkeypatch.setattr(kernels, "NODE_CAP", cap)
+    monkeypatch.setattr(lockstep, "gather", gather)
+    tracemalloc.start()
+    try:
+        got = harness.run(cfg).trace
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert len(cleared) == 2 * cfg.slots and 0 < sum(cleared) < len(cleared)
+    for mode, graph in graphs.items():
+        planned[mode] += sum(len(plans) for _, plans, _ in graph.nodes.values())
+    assert {mode: counter.calls for mode, counter in walks.items()} == planned
+    assert peak < 2.2 * 2 ** 20, peak
 
 
 def test_plan_graph_nodes_grow_with_the_chains_walked_not_the_catalog() -> None:

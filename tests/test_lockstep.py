@@ -363,58 +363,72 @@ def test_lockstep_learners_equal_the_per_seed_learners(monkeypatch) -> None:
 
 
 def test_run_past_the_plan_graph_node_cap_equals_the_reference(monkeypatch) -> None:
-    # the bundled instance reaches many more than two residual states, so past
-    # the cap nearly every commit reaches a state the graph never stores and
-    # takes an id after the stored edges'; each chunk's gather then drops
-    # those ids, and after the run the edge tables hold the stored edges alone
-    graphs, handed = [], []
+    # the bundled instance reaches many more than two residual states, so at
+    # a cap of two every chunk's gather clears the graph, and the next chunk
+    # hands out ids from 0 again on a fresh root
+    graphs = []
 
     class RecordedGraph(kernels.PlanGraph):
         def __init__(self, *args) -> None:
+            self.handed = []        # the ids commit hands out, a list per clear
             super().__init__(*args)
             graphs.append(self)
 
+        def clear(self) -> None:
+            super().clear()
+            self.handed.append([])
+
         def commit(self, node, f):
             edge = super().commit(node, f)
-            handed.append((self, edge[1]))
+            self.handed[-1].append(edge[1])
             return edge
 
     monkeypatch.setattr(kernels, "NODE_CAP", 2)
     monkeypatch.setattr(harness, "PlanGraph", RecordedGraph)
     cfg = apply_overrides(load_config(default_config_path()), slots=25,
                           seeds=f"1..{LOCKSTEP_MIN_SEEDS}", policy="rtsd")
+    # one seed group, in chunks of two slots
+    layout = lockstep.Layout.of(cfg.network, cfg.catalog)
+    per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
+    monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", per_row * len(cfg.seeds) * 2)
     assert_matches_reference(cfg, monkeypatch)
     assert len(graphs) == 2         # one run per decide path
     for graph in graphs:
-        stored = [e for _, _, edges in graph.nodes.values() for _, e in edges.values()]
-        assert len(graph.nodes) == 2
-        assert sorted(stored) == list(range(graph.stored))
-        assert len(graph.edge_sfc) == len(graph.edge_latency) == len(graph.edge_servers) \
-            == graph.stored
-        unstored = [e for g, e in handed if g is graph and e >= graph.stored]
-        assert len(unstored) > 10 * cfg.slots
+        assert len(graph.nodes) == 1            # the last gather cleared it
+        assert len(graph.handed) == 1 + 13      # built, then cleared after every chunk
+        assert all(ids == list(range(len(ids))) for ids in graph.handed)
+        assert all(graph.handed[:-1]) and graph.handed[-1] == []
 
 
 @pytest.mark.parametrize("node_cap", [2, 20, kernels.NODE_CAP])
 def test_gather_equals_the_edge_tables_read_by_id(monkeypatch, node_cap: int) -> None:
-    # gather keeps the stored edges' arrays on the graph from chunk to chunk and
-    # converts only the edges past them; each chunk's Records equal those read
-    # off the edge tables' lists at the call, past NODE_CAP (2: most ids are
-    # unstored), across it (20: the stored edges stop growing mid-run) and
-    # below it (the run reaches fewer than 30 residual states a graph)
-    unstored, graphs = [], {}     # graphs: each one's stored edge counts at the calls
+    # gather keeps the edges' arrays on the graph from chunk to chunk and
+    # converts only the edges committed since; each chunk's Records equal
+    # those read off the edge tables' lists at the call, when every gather
+    # clears (2), when some do (20) and when none does (the run reaches
+    # fewer than 30 residual states a graph)
+    cleared, extended = [], []
     real = lockstep.gather
 
     def gather(graph, ids, counts, residuals):
         ends = np.cumsum(counts).tolist()
         want = records([decoded(graph, ids[end - n:end]) for n, end in zip(counts, ends)],
                        residuals)
-        unstored.append(sum(e >= graph.stored for e in ids))
-        graphs.setdefault(graph, set()).add(graph.stored)
+        size = len(graph.nodes)
+        kept = graph.edge_arrays
         got = real(graph, ids, counts, residuals)
         for name in ("row", "sfc", "latency", "positions", "servers", "residual"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+        cleared.append(size >= node_cap)
+        if cleared[-1]:
+            assert graph.nodes == {graph.root_node[0]: graph.root_node}
+            assert graph.edge_sfc == [] and graph.edge_arrays is None
+        else:
+            assert len(graph.nodes) == size < node_cap
+            assert [len(table) for table in graph.edge_arrays[:4]] == [len(graph.edge_sfc)] * 4
+            assert len(graph.edge_arrays[4]) == sum(map(len, graph.edge_servers))
+            extended.append(kept is not None and len(kept[0]) < len(graph.edge_sfc))
         return got
 
     monkeypatch.setattr(kernels, "NODE_CAP", node_cap)
@@ -426,13 +440,10 @@ def test_gather_equals_the_edge_tables_read_by_id(monkeypatch, node_cap: int) ->
     per_row = cfg.catalog.n_sfcs + cfg.catalog.n_vnfs + layout.width + cfg.network.n_servers
     monkeypatch.setattr(harness, "LOCKSTEP_MAX_VALUES", per_row * 3)
     run(cfg)
-    assert len(unstored) == 2 * cfg.slots
-    assert any(unstored) == (node_cap < DEFAULTS["NODE_CAP"])
-    for graph, stored in graphs.items():
-        assert len(graph.nodes) <= node_cap
-        assert len(stored) > (node_cap > 2)       # the arrays were extended mid-run
-        assert [len(table) for table in graph.edge_arrays[:4]] == [graph.stored] * 4
-        assert len(graph.edge_arrays[4]) == sum(map(len, graph.edge_servers))
+    assert len(cleared) == 2 * cfg.slots
+    assert any(cleared) == (node_cap < DEFAULTS["NODE_CAP"])
+    assert all(cleared) == (node_cap == 2)
+    assert any(extended) == (node_cap > 2)      # the arrays were extended mid-run
 
 
 def test_lockstep_groups_bound_the_seeds_advanced_together(monkeypatch) -> None:
